@@ -26,7 +26,7 @@ int main() {
     TextTable table({"k", "bits", "seq/s", "retained mass",
                      "predicted drop", "feasible", "pareto"});
     const auto front = res.ParetoFront();
-    auto on_front = [&](const DesignPoint& p) {
+    auto on_front = [&](const ExplorerPoint& p) {
       for (const auto& f : front) {
         if (f.top_k == p.top_k && f.bits == p.bits) return true;
       }

@@ -19,21 +19,7 @@
 
 int main() {
   using namespace latte;
-  // Explicit: the metrics layer has its own (resource-plan) DesignPoint.
-  using search::AnnealingConfig;
-  using search::AnnealSearch;
-  using search::BackendSlots;
-  using search::CheckDesignPoint;
-  using search::DesignEvaluator;
-  using search::DesignPoint;
-  using search::DesignPointFromJson;
-  using search::DesignPointToJson;
-  using search::DesignScore;
-  using search::DesignSpace;
-  using search::EvaluatorConfig;
-  using search::ParetoEntry;
-  using search::ReplicaDesign;
-  using search::SearchResult;
+  using namespace latte::search;
 
   // ---- 1. the deployment as one value ----------------------------------
   DesignPoint dp;

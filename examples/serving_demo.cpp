@@ -33,7 +33,7 @@ int main() {
   scenario.workers = 2;
 
   ServingEngineConfig cfg;
-  cfg.former = ServingBatchFormer(scenario);
+  cfg.former = scenario.former;
   cfg.workers = scenario.workers;
   cfg.threads = 2;
   cfg.inference.mode = InferenceMode::kSparseInt8;

@@ -92,13 +92,9 @@ ConfigIssues CheckAdaptiveServingConfig(const AdaptiveServingConfig& cfg) {
   return issues;
 }
 
-void ValidateAdaptiveServingConfig(const AdaptiveServingConfig& cfg) {
-  ThrowOnIssues("AdaptiveServingConfig", CheckAdaptiveServingConfig(cfg));
-}
-
 AdaptiveController::AdaptiveController(const AdaptiveServingConfig& cfg)
     : cfg_(cfg) {
-  ValidateAdaptiveServingConfig(cfg_);
+  ThrowOnIssues("AdaptiveServingConfig", CheckAdaptiveServingConfig(cfg_));
   Reset();
 }
 

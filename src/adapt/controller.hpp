@@ -91,9 +91,6 @@ struct AdaptiveServingConfig {
 /// when `enabled` (a disabled config is inert and always legal).
 ConfigIssues CheckAdaptiveServingConfig(const AdaptiveServingConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field.
-void ValidateAdaptiveServingConfig(const AdaptiveServingConfig& cfg);
-
 /// The deterministic tier controller.  The owner (serve/engine) drives it
 /// entirely in virtual time: RecordLatency() on every request completion,
 /// AdvanceEpoch() at each epoch boundary, level() when assigning a tier.

@@ -9,7 +9,7 @@ namespace latte {
 namespace {
 
 ResultCacheConfig Validated(const ResultCacheConfig& cfg) {
-  ValidateResultCacheConfig(cfg);
+  ThrowOnIssues("ResultCacheConfig", CheckResultCacheConfig(cfg));
   return cfg;
 }
 
@@ -44,10 +44,6 @@ ConfigIssues CheckResultCacheConfig(const ResultCacheConfig& cfg) {
                  std::to_string(cfg.protected_fraction));
   }
   return issues;
-}
-
-void ValidateResultCacheConfig(const ResultCacheConfig& cfg) {
-  ThrowOnIssues("ResultCacheConfig", CheckResultCacheConfig(cfg));
 }
 
 std::size_t CacheEntryBytes(std::size_t length, std::size_t hidden,

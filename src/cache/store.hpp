@@ -65,9 +65,6 @@ struct ResultCacheConfig {
 /// Names every illegal field; empty means legal.
 ConfigIssues CheckResultCacheConfig(const ResultCacheConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field.
-void ValidateResultCacheConfig(const ResultCacheConfig& cfg);
-
 /// Footprint one cached result is charged: the output tensor (length x
 /// hidden floats) plus the per-entry overhead.  Computable from lengths
 /// alone, so accounting-only mode prices capacity without tensors.

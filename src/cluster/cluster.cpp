@@ -8,7 +8,7 @@ namespace latte {
 namespace {
 
 ClusterConfig Validated(const ClusterConfig& cfg) {
-  ValidateClusterConfig(cfg);
+  ThrowOnIssues("ClusterConfig", CheckClusterConfig(cfg));
   return cfg;
 }
 
@@ -81,10 +81,6 @@ ConfigIssues CheckClusterConfig(const ClusterConfig& cfg) {
     }
   }
   return issues;
-}
-
-void ValidateClusterConfig(const ClusterConfig& cfg) {
-  ThrowOnIssues("ClusterConfig", CheckClusterConfig(cfg));
 }
 
 ServingCluster::ServingCluster(const ModelInstance& model,

@@ -82,10 +82,6 @@ struct ClusterConfig {
 /// cache "cache."); empty means legal.
 ConfigIssues CheckClusterConfig(const ClusterConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field (replica
-/// entries are prefixed with their index).
-void ValidateClusterConfig(const ClusterConfig& cfg);
-
 /// Cluster-level admission/routing accounting.
 struct ClusterRoutingStats {
   std::size_t offered = 0;   ///< Push() calls

@@ -113,13 +113,9 @@ ConfigIssues CheckRouterConfig(const RouterConfig& cfg, std::size_t replicas) {
   return issues;
 }
 
-void ValidateRouterConfig(const RouterConfig& cfg, std::size_t replicas) {
-  ThrowOnIssues("RouterConfig", CheckRouterConfig(cfg, replicas));
-}
-
 Router::Router(const RouterConfig& cfg, std::size_t replicas)
     : cfg_(cfg), replica_count_(replicas) {
-  ValidateRouterConfig(cfg_, replicas);
+  ThrowOnIssues("RouterConfig", CheckRouterConfig(cfg_, replicas));
 }
 
 std::uint64_t RendezvousScore(std::uint64_t id, std::size_t replica) {

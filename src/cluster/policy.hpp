@@ -78,10 +78,6 @@ struct RouterConfig {
 /// replicas; empty means legal.
 ConfigIssues CheckRouterConfig(const RouterConfig& cfg, std::size_t replicas);
 
-/// Throws std::invalid_argument naming the offending field when the
-/// router configuration is malformed for a cluster of `replicas` replicas.
-void ValidateRouterConfig(const RouterConfig& cfg, std::size_t replicas);
-
 /// Virtual-time load signals of one replica at an arrival instant, read
 /// after the replica advanced to that instant.
 struct ReplicaSnapshot {

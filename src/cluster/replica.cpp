@@ -11,20 +11,18 @@ ConfigIssues CheckReplicaConfig(const ReplicaConfig& cfg) {
   return issues;
 }
 
-void ValidateReplicaConfig(const ReplicaConfig& cfg, std::size_t index) {
+namespace {
+
+// Validate before the engine member is constructed, so a malformed config
+// surfaces with the replica-prefixed message rather than the engine's --
+// prefixed with the replica's position so fleet-sized config lists stay
+// debuggable.
+ReplicaConfig Validated(const ReplicaConfig& cfg, std::size_t index) {
   const std::string label =
       cfg.name.empty()
           ? "replica[" + std::to_string(index) + "]"
           : "replica[" + std::to_string(index) + "] (\"" + cfg.name + "\")";
   ThrowOnIssues(label, CheckReplicaConfig(cfg));
-}
-
-namespace {
-
-// Validate before the engine member is constructed, so a malformed config
-// surfaces with the replica-prefixed message rather than the engine's.
-ReplicaConfig Validated(const ReplicaConfig& cfg, std::size_t index) {
-  ValidateReplicaConfig(cfg, index);
   return cfg;
 }
 

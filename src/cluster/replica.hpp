@@ -28,10 +28,6 @@ struct ReplicaConfig {
 /// legal.
 ConfigIssues CheckReplicaConfig(const ReplicaConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field, prefixed with
-/// the replica's position so fleet-sized config lists stay debuggable.
-void ValidateReplicaConfig(const ReplicaConfig& cfg, std::size_t index);
-
 /// A managed ServingEngine inside a cluster.
 class Replica {
  public:

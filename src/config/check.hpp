@@ -16,10 +16,13 @@
 //
 //   ConfigIssues CheckXxxConfig(const XxxConfig&);
 //
-// returning every issue found (empty means legal), and keeps its
-// original `ValidateXxxConfig` as a thin wrapper that throws
-// std::invalid_argument on the first issue -- existing call sites and
-// their error-message contracts are unchanged.
+// returning every issue found (empty means legal).  There are no
+// per-module throwing wrappers: an API edge (a constructor, a trace
+// generator) calls `ThrowOnIssues("XxxConfig", CheckXxxConfig(cfg))`
+// directly, which throws std::invalid_argument on the first issue with
+// the historical "<XxxConfig>: <field> <reason>" message.  Tests assert
+// `HasIssueFor(CheckXxxConfig(cfg), "<field>")` instead of matching
+// prose.
 
 #include <string>
 #include <vector>

@@ -1,6 +1,5 @@
 #include "fpga/serving.hpp"
 
-#include <stdexcept>
 #include <string>
 
 #include "serve/service_model.hpp"
@@ -24,14 +23,6 @@ ConfigIssues CheckServingConfig(const ServingConfig& cfg) {
   return issues;
 }
 
-void ValidateServingConfig(const ServingConfig& cfg) {
-  ThrowOnIssues("ServingConfig", CheckServingConfig(cfg));
-}
-
-BatchFormerConfig ServingBatchFormer(const ServingConfig& cfg) {
-  return cfg.former;
-}
-
 PoissonTraceConfig ServingTrace(const ServingConfig& cfg) {
   PoissonTraceConfig trace;
   trace.arrival_rate_rps = cfg.arrival_rate_rps;
@@ -40,50 +31,19 @@ PoissonTraceConfig ServingTrace(const ServingConfig& cfg) {
   return trace;
 }
 
-BatchServiceModel AcceleratorServiceModel(const ModelConfig& model,
-                                          const AcceleratorConfig& accel) {
-  // Deprecated shim over the unified surface (serve/service_model.hpp).
-  ServiceModelSpec spec;
-  spec.base = ServiceModelSpec::Base::kAccelerator;
-  spec.model = model;
-  spec.accel = accel;
-  return BuildServiceModel(spec);
-}
-
-BatchServiceModel ShardedAcceleratorServiceModel(
-    const ModelConfig& model, const AcceleratorConfig& accel,
-    const ShardServiceConfig& shard) {
-  // Deprecated shim over the unified surface (serve/service_model.hpp).
-  ServiceModelSpec spec;
-  spec.base = ServiceModelSpec::Base::kAccelerator;
-  spec.model = model;
-  spec.accel = accel;
-  spec.sharded = true;
-  spec.shard = shard;
-  return BuildServiceModel(spec);
-}
-
-std::vector<BatchServiceModel> AcceleratorFleetServiceModels(
-    const ModelConfig& model, const std::vector<AcceleratorConfig>& accels) {
-  // Deprecated shim over the unified surface (serve/service_model.hpp).
-  std::vector<BatchServiceModel> fleet;
-  fleet.reserve(accels.size());
-  for (const AcceleratorConfig& accel : accels) {
-    fleet.push_back(AcceleratorServiceModel(model, accel));
-  }
-  return fleet;
-}
-
 ServingReport SimulateServing(const ModelConfig& model,
                               const DatasetSpec& dataset,
                               const ServingConfig& cfg) {
-  ValidateServingConfig(cfg);
+  ThrowOnIssues("ServingConfig", CheckServingConfig(cfg));
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kAccelerator;
+  spec.model = model;
+  spec.accel = cfg.accel;
   const auto trace = GeneratePoissonTrace(ServingTrace(cfg), dataset);
-  const auto batches = FormBatches(trace, ServingBatchFormer(cfg));
-  const auto sched =
-      ScheduleFormedBatches(trace, batches, cfg.workers,
-                            AcceleratorServiceModel(model, cfg.accel));
-  return sched.report;
+  const auto batches = FormBatches(trace, cfg.former);
+  return ScheduleFormedBatches(trace, batches, cfg.workers,
+                               BuildServiceModel(spec))
+      .report;
 }
 
 }  // namespace latte

@@ -12,8 +12,9 @@
 // Arrival generation (workload/arrivals), batch forming
 // (serve/batch_former), dispatch and report accounting (serve/dispatch)
 // are shared with the functional ServingEngine: replaying the same trace
-// through the engine with AcceleratorServiceModel reproduces this
-// simulation's report exactly, while also computing real tensors.
+// through the engine with a kAccelerator ServiceModelSpec
+// (serve/service_model.hpp) reproduces this simulation's report exactly,
+// while also computing real tensors.
 //
 // Semantic change vs the pre-refactor simulator: batch forming is now
 // *trace-driven* (a batch's admission window opens at its first request's
@@ -30,7 +31,6 @@
 #include "fpga/accelerator.hpp"
 #include "serve/batch_former.hpp"
 #include "serve/dispatch.hpp"
-#include "serve/shard_service.hpp"
 #include "workload/dataset.hpp"
 
 namespace latte {
@@ -56,40 +56,8 @@ struct ServingConfig {
 /// legal.
 ConfigIssues CheckServingConfig(const ServingConfig& cfg);
 
-/// Throws std::invalid_argument with a field-specific message when a
-/// serving scenario is malformed (non-positive arrival rate, zero batch
-/// capacity, zero requests, zero workers, negative timeout).
-void ValidateServingConfig(const ServingConfig& cfg);
-
-/// The batch former a serving scenario implies (the embedded `former`
-/// member; kept so existing call sites read the same).
-BatchFormerConfig ServingBatchFormer(const ServingConfig& cfg);
-
 /// The Poisson trace a serving scenario implies.
 PoissonTraceConfig ServingTrace(const ServingConfig& cfg);
-
-/// DEPRECATED: thin shim over BuildServiceModel (serve/service_model.hpp)
-/// with Base::kAccelerator -- build a ServiceModelSpec instead.  Prices
-/// one batch with the accelerator model: the performance twin's service
-/// model, usable by the functional ServingEngine for accounting that
-/// matches SimulateServing number for number.
-BatchServiceModel AcceleratorServiceModel(const ModelConfig& model,
-                                          const AcceleratorConfig& accel);
-
-/// DEPRECATED: thin shim over BuildServiceModel with `sharded = true` --
-/// build a ServiceModelSpec instead.  Accelerator twin behind a
-/// tensor-parallel gang (compute scaled to the plan's critical-path
-/// share, collectives priced by the interconnect model).
-BatchServiceModel ShardedAcceleratorServiceModel(const ModelConfig& model,
-                                                 const AcceleratorConfig& accel,
-                                                 const ShardServiceConfig& shard);
-
-/// DEPRECATED: build one ServiceModelSpec per replica and call
-/// BuildServiceModel in a loop instead.  Service models for a
-/// heterogeneous accelerator fleet: one per configuration, each pricing
-/// batches with its own accelerator instance.
-std::vector<BatchServiceModel> AcceleratorFleetServiceModels(
-    const ModelConfig& model, const std::vector<AcceleratorConfig>& accels);
 
 /// Simulates a request stream against the accelerator model.
 /// Lengths are sampled from the dataset; the baseline accelerator mode

@@ -9,8 +9,8 @@
 
 namespace latte {
 
-std::vector<DesignPoint> ExplorationResult::ParetoFront() const {
-  std::vector<DesignPoint> front;
+std::vector<ExplorerPoint> ExplorationResult::ParetoFront() const {
+  std::vector<ExplorerPoint> front;
   for (const auto& p : points) {
     if (!p.feasible) continue;
     bool dominated = false;
@@ -30,7 +30,7 @@ std::vector<DesignPoint> ExplorationResult::ParetoFront() const {
     if (!dominated) front.push_back(p);
   }
   std::sort(front.begin(), front.end(),
-            [](const DesignPoint& a, const DesignPoint& b) {
+            [](const ExplorerPoint& a, const ExplorerPoint& b) {
               return a.sequences_per_s > b.sequences_per_s;
             });
   return front;
@@ -53,7 +53,7 @@ ExplorationResult ExploreDesign(const ModelConfig& model,
   double best_rate = -1;
   for (std::size_t k : cfg.k_candidates) {
     for (int bits : cfg.bit_candidates) {
-      DesignPoint pt;
+      ExplorerPoint pt;
       pt.top_k = k;
       pt.bits = bits;
 

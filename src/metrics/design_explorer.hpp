@@ -16,7 +16,7 @@
 namespace latte {
 
 /// One evaluated design point.
-struct DesignPoint {
+struct ExplorerPoint {
   std::size_t top_k = 30;
   int bits = 1;
   double latency_s = 0;            ///< batch latency on the reference batch
@@ -39,14 +39,14 @@ struct ExplorerConfig {
 
 /// Result: every evaluated point plus the chosen optimum.
 struct ExplorationResult {
-  std::vector<DesignPoint> points;  ///< all points, evaluation order
+  std::vector<ExplorerPoint> points;  ///< all points, evaluation order
   std::size_t best_index = 0;       ///< fastest feasible point
   bool found_feasible = false;
 
-  const DesignPoint& best() const { return points.at(best_index); }
+  const ExplorerPoint& best() const { return points.at(best_index); }
 
   /// Pareto-optimal subset (maximize throughput, minimize drop).
-  std::vector<DesignPoint> ParetoFront() const;
+  std::vector<ExplorerPoint> ParetoFront() const;
 };
 
 /// Runs the exploration for one model/dataset pair.

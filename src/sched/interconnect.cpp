@@ -25,13 +25,9 @@ ConfigIssues CheckInterconnectConfig(const InterconnectConfig& cfg) {
   return issues;
 }
 
-void ValidateInterconnectConfig(const InterconnectConfig& cfg) {
-  ThrowOnIssues("InterconnectConfig", CheckInterconnectConfig(cfg));
-}
-
 InterconnectModel::InterconnectModel(const InterconnectConfig& cfg)
     : cfg_(cfg) {
-  ValidateInterconnectConfig(cfg_);
+  ThrowOnIssues("InterconnectConfig", CheckInterconnectConfig(cfg_));
 }
 
 std::size_t InterconnectModel::Hops(std::size_t a, std::size_t b) const {

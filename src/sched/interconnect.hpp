@@ -42,10 +42,6 @@ struct InterconnectConfig {
 /// latency); empty means legal.
 ConfigIssues CheckInterconnectConfig(const InterconnectConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field (non-positive
-/// or NaN bandwidths / hop latency).
-void ValidateInterconnectConfig(const InterconnectConfig& cfg);
-
 /// Prices point-to-point transfers and ring collectives on the configured
 /// topology.  Stateless and deterministic: equal inputs give equal bits.
 class InterconnectModel {

@@ -33,10 +33,6 @@ ConfigIssues CheckShardPlanConfig(const ShardPlanConfig& cfg) {
   return issues;
 }
 
-void ValidateShardPlanConfig(const ShardPlanConfig& cfg) {
-  ThrowOnIssues("ShardPlanConfig", CheckShardPlanConfig(cfg));
-}
-
 std::vector<ShardRange> BalancedRanges(std::size_t total, std::size_t parts) {
   std::vector<ShardRange> ranges(parts);
   if (parts == 0) return ranges;

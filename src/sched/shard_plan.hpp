@@ -58,10 +58,6 @@ struct ShardPlanConfig {
 /// Names every illegal field (zero shards); empty means legal.
 ConfigIssues CheckShardPlanConfig(const ShardPlanConfig& cfg);
 
-/// Throws std::invalid_argument when the configuration is malformed
-/// (zero shards).
-void ValidateShardPlanConfig(const ShardPlanConfig& cfg);
-
 /// CheckShardPlanConfig plus the encoder shape a plan must partition:
 /// "encoder.heads" must be >= 1 and "encoder.hidden" divisible by it.
 /// This is the full non-throwing test of what MakeShardPlan enforces.

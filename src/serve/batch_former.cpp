@@ -21,13 +21,9 @@ ConfigIssues CheckBatchFormerConfig(const BatchFormerConfig& cfg) {
   return issues;
 }
 
-void ValidateBatchFormerConfig(const BatchFormerConfig& cfg) {
-  ThrowOnIssues("BatchFormerConfig", CheckBatchFormerConfig(cfg));
-}
-
 std::vector<FormedBatch> FormBatches(const std::vector<TimedRequest>& trace,
                                      const BatchFormerConfig& cfg) {
-  ValidateBatchFormerConfig(cfg);
+  ThrowOnIssues("BatchFormerConfig", CheckBatchFormerConfig(cfg));
   std::vector<FormedBatch> batches;
   std::size_t next = 0;
   while (next < trace.size()) {

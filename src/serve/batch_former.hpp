@@ -46,10 +46,6 @@ struct BatchFormerConfig {
 /// empty means legal.
 ConfigIssues CheckBatchFormerConfig(const BatchFormerConfig& cfg);
 
-/// Throws std::invalid_argument when the former configuration is malformed
-/// (zero capacity, negative or NaN timeout).
-void ValidateBatchFormerConfig(const BatchFormerConfig& cfg);
-
 /// One formed batch: trace indices in dispatch order plus seal accounting.
 struct FormedBatch {
   std::vector<std::size_t> indices;  ///< into the trace, dispatch order

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace latte {
 
@@ -29,13 +28,10 @@ BatchServiceModel PaddedServiceModel(double seconds_per_token,
   };
 }
 
-namespace {
-
-// Shared scheduling core: `price` maps a batch to its service model.
-DispatchSchedule ScheduleWithPricing(
-    const std::vector<TimedRequest>& trace,
-    const std::vector<FormedBatch>& batches, std::size_t workers,
-    const std::function<const BatchServiceModel&(const FormedBatch&)>& price) {
+DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
+                                       const std::vector<FormedBatch>& batches,
+                                       std::size_t workers,
+                                       const BatchServiceModel& service) {
   if (workers == 0) {
     throw std::invalid_argument(
         "ScheduleFormedBatches: workers must be >= 1 (no backend to "
@@ -54,7 +50,7 @@ DispatchSchedule ScheduleWithPricing(
   for (const FormedBatch& b : batches) {
     auto free_it = std::min_element(worker_free.begin(), worker_free.end());
     const double launch = std::max(*free_it, b.ready_s);
-    const double service_s = price(b)(BatchLengths(trace, b));
+    const double service_s = service(BatchLengths(trace, b));
     const double done = launch + service_s;
     for (std::size_t idx : b.indices) {
       latencies.push_back(done - trace[idx].arrival_s);
@@ -77,38 +73,6 @@ DispatchSchedule ScheduleWithPricing(
   sched.report =
       BuildServingReport(latencies, batches.size(), busy, span, workers);
   return sched;
-}
-
-}  // namespace
-
-DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
-                                       const std::vector<FormedBatch>& batches,
-                                       std::size_t workers,
-                                       const BatchServiceModel& service) {
-  return ScheduleWithPricing(
-      trace, batches, workers,
-      [&service](const FormedBatch&) -> const BatchServiceModel& {
-        return service;
-      });
-}
-
-DispatchSchedule ScheduleFormedBatches(
-    const std::vector<TimedRequest>& trace,
-    const std::vector<FormedBatch>& batches, std::size_t workers,
-    const std::vector<BatchServiceModel>& tier_services) {
-  for (const FormedBatch& b : batches) {
-    if (b.tier >= tier_services.size()) {
-      throw std::invalid_argument(
-          "ScheduleFormedBatches: batch names tier " +
-          std::to_string(b.tier) + " but only " +
-          std::to_string(tier_services.size()) + " tier services exist");
-    }
-  }
-  return ScheduleWithPricing(
-      trace, batches, workers,
-      [&tier_services](const FormedBatch& b) -> const BatchServiceModel& {
-        return tier_services[b.tier];
-      });
 }
 
 }  // namespace latte

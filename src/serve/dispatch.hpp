@@ -47,18 +47,12 @@ struct DispatchSchedule {
 
 /// Schedules `batches` (in order) onto `workers` earliest-free slots and
 /// accounts per-request latency (arrival -> batch completion), throughput
-/// and busy fraction into a ServingReport.
+/// and busy fraction into a ServingReport.  The offline reference
+/// recurrence: ServingEngine runs the same one incrementally, pricing each
+/// batch once at launch.
 DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
                                        const std::vector<FormedBatch>& batches,
                                        std::size_t workers,
                                        const BatchServiceModel& service);
-
-/// Tier-aware variant: batch `b` is priced by `tier_services[b.tier]`
-/// (the adaptive ladder's per-tier models, see serve/service_model.hpp).
-/// Throws std::invalid_argument if a batch names a tier with no model.
-DispatchSchedule ScheduleFormedBatches(
-    const std::vector<TimedRequest>& trace,
-    const std::vector<FormedBatch>& batches, std::size_t workers,
-    const std::vector<BatchServiceModel>& tier_services);
 
 }  // namespace latte

@@ -85,49 +85,37 @@ ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg) {
   return issues;
 }
 
-void ValidateServingEngineConfig(const ServingEngineConfig& cfg) {
-  ThrowOnIssues("ServingEngineConfig", CheckServingEngineConfig(cfg));
-}
-
 ServingEngine::ServingEngine(const ModelInstance& model,
                              const ServingEngineConfig& cfg,
                              std::shared_ptr<ResultCache> shared_cache)
     : model_(model), cfg_(cfg), runner_(cfg.threads) {
-  ValidateServingEngineConfig(cfg_);
+  ThrowOnIssues("ServingEngineConfig", CheckServingEngineConfig(cfg_));
   if (!cfg_.service) {
     // ~0.5 M tokens/s plus a fixed dispatch cost: a plausible host-side
     // default; build a kAccelerator ServiceModelSpec to account like the
     // simulator.
     cfg_.service = TokenLinearServiceModel(2e-6, 2e-4);
   }
-  if (cfg_.adapt.enabled) {
-    // Resolve the per-tier pricing before any sharded wrapping so every
-    // tier is wrapped exactly once below.
-    tier_services_ = cfg_.tier_services.empty()
-                         ? std::vector<BatchServiceModel>(
-                               cfg_.adapt.tiers.size(), cfg_.service)
-                         : cfg_.tier_services;
-  }
+  // The service ladder: one tier priced by `service` without a
+  // controller, the adapt tiers (uniformly priced unless tier_services
+  // names one model each) with it.
+  const std::size_t tiers = cfg_.adapt.enabled ? cfg_.adapt.tiers.size() : 1;
+  tier_services_ = cfg_.adapt.enabled && !cfg_.tier_services.empty()
+                       ? cfg_.tier_services
+                       : std::vector<BatchServiceModel>(tiers, cfg_.service);
   if (cfg_.backend == BackendMode::kSharded) {
-    // Each worker slot is a gang: wrap whatever service model was chosen
-    // (or defaulted) with the tensor-parallel compute share and the
-    // interconnect collectives.  Throws if the plan does not fit the
-    // model's encoder shape.
-    cfg_.service =
-        MakeShardedServiceModel(cfg_.service, model.config(), cfg_.shard);
+    // Each worker slot is a gang: wrap every tier's model with the
+    // tensor-parallel compute share and the interconnect collectives.
+    // Throws if the plan does not fit the model's encoder shape.
     for (BatchServiceModel& tier_service : tier_services_) {
       tier_service = MakeShardedServiceModel(std::move(tier_service),
                                              model.config(), cfg_.shard);
     }
     shard_comm_ = MakeShardCommModel(model.config(), cfg_.shard);
   }
-  if (cfg_.adapt.enabled) {
-    controller_.emplace(cfg_.adapt);
-    open_tiers_.resize(cfg_.adapt.tiers.size());
-    tier_requests_.assign(cfg_.adapt.tiers.size(), 0);
-    tier_batches_.assign(cfg_.adapt.tiers.size(), 0);
-    tier_escalated_.assign(cfg_.adapt.tiers.size(), 0);
-  }
+  if (cfg_.adapt.enabled) controller_.emplace(cfg_.adapt);
+  open_tiers_.resize(tiers);
+  ResetStream();
   if (shared_cache != nullptr) {
     if (!cfg_.cache.enabled) {
       throw std::invalid_argument(
@@ -140,7 +128,6 @@ ServingEngine::ServingEngine(const ModelInstance& model,
   } else if (cfg_.cache.enabled) {
     cache_ = std::make_shared<ResultCache>(cfg_.cache);
   }
-  worker_free_.assign(cfg_.workers, 0.0);
   if (cfg_.trace.enabled) {
     owned_tracer_ = std::make_unique<obs::Tracer>(cfg_.trace);
     AttachTracer(owned_tracer_.get(), /*track_base=*/0);
@@ -185,7 +172,6 @@ void ServingEngine::RecordSpan(obs::SpanKind kind, double begin_s,
 }
 
 void ServingEngine::EmitScheduleSpans(const DispatchSchedule& sched) {
-  const bool adaptive = controller_.has_value();
   for (std::size_t b = 0; b < sealed_.size(); ++b) {
     const FormedBatch& batch = sealed_[b];
     const double launch = sched.launch_s[b];
@@ -198,8 +184,8 @@ void ServingEngine::EmitScheduleSpans(const DispatchSchedule& sched) {
     // The batch itself lands on the worker slot the earliest-free
     // recurrence picked -- the same attribution at any thread count.
     const std::int64_t arg =
-        adaptive ? static_cast<std::int64_t>(batch.tier)
-                 : static_cast<std::int64_t>(batch.indices.size());
+        controller_ ? static_cast<std::int64_t>(batch.tier)
+                    : static_cast<std::int64_t>(batch.indices.size());
     const std::uint32_t worker_track =
         track_base_ + static_cast<std::uint32_t>(sched.worker_of[b]);
     RecordSpan(obs::SpanKind::kService, launch, done, b, arg, worker_track);
@@ -217,26 +203,11 @@ void ServingEngine::EmitScheduleSpans(const DispatchSchedule& sched) {
       }
     }
     for (std::size_t idx : batch.indices) {
-      if (adaptive && superseded_[idx] != 0) continue;
+      if (superseded_[idx] != 0) continue;
       RecordInstant(obs::SpanKind::kComplete, done, offered_ids_[idx],
                     static_cast<std::int64_t>(b));
     }
   }
-}
-
-bool ServingEngine::Push(const TimedRequest& request,
-                         std::optional<MatrixF> input) {
-  if (!input.has_value()) return PushImpl(request, MatrixF{});
-  if (input->rows() != request.length ||
-      input->cols() != model_.config().encoder.hidden) {
-    throw std::invalid_argument(
-        "ServingEngine::Push: input must be length x hidden (" +
-        std::to_string(request.length) + " x " +
-        std::to_string(model_.config().encoder.hidden) + "), got " +
-        std::to_string(input->rows()) + " x " +
-        std::to_string(input->cols()));
-  }
-  return PushImpl(request, std::move(*input));
 }
 
 CacheKey ServingEngine::KeyFor(const TimedRequest& request,
@@ -259,7 +230,31 @@ CacheKey ServingEngine::KeyFor(const TimedRequest& request,
   return kNullCacheKey;
 }
 
-bool ServingEngine::PushImpl(const TimedRequest& request, MatrixF input) {
+MatrixF ServingEngine::SynthesizeInput(const TimedRequest& request,
+                                       std::size_t ordinal) const {
+  // Identity is the content id when the request carries one (so repeats
+  // are byte-identical) and the Push() ordinal otherwise, so inputs never
+  // depend on batching, rejections or cache outcomes.
+  const std::size_t hidden = model_.config().encoder.hidden;
+  return request.id != kAnonymousId
+             ? SynthesizeIdentityEmbedding(cfg_.embed_seed, request.id,
+                                           request.length, hidden)
+             : SynthesizeRequestEmbedding(cfg_.embed_seed, ordinal,
+                                          request.length, hidden);
+}
+
+bool ServingEngine::Push(const TimedRequest& request,
+                         std::optional<MatrixF> input) {
+  if (input.has_value() &&
+      (input->rows() != request.length ||
+       input->cols() != model_.config().encoder.hidden)) {
+    throw std::invalid_argument(
+        "ServingEngine::Push: input must be length x hidden (" +
+        std::to_string(request.length) + " x " +
+        std::to_string(model_.config().encoder.hidden) + "), got " +
+        std::to_string(input->rows()) + " x " +
+        std::to_string(input->cols()));
+  }
   if (admission_.offered > 0 && request.arrival_s < last_arrival_) {
     throw std::invalid_argument(
         "ServingEngine::Push: arrivals must be non-decreasing (got " +
@@ -268,106 +263,98 @@ bool ServingEngine::PushImpl(const TimedRequest& request, MatrixF input) {
   }
   const std::size_t ordinal = admission_.offered++;
   last_arrival_ = request.arrival_s;
+  MatrixF x = input.has_value() ? std::move(*input) : MatrixF{};
 
   AdvanceTo(request.arrival_s);
 
-  if (controller_) {
-    return PushAdaptive(request, std::move(input), ordinal);
-  }
-
   CacheKey key = kNullCacheKey;
-  if (cache_ != nullptr) {
-    key = KeyFor(request, input);
-    if (key == kNullCacheKey) {
-      ++cache_stats_.bypassed;
-    } else {
-      ++cache_stats_.lookups;
-      const double now = cache_epoch_ + request.arrival_s;
-      const CacheEntry* entry = cache_->Lookup(key, now);
-      // An entry still owing its tensor to *another* engine (shared
-      // store, cross-replica) cannot serve a functional hit: the value
-      // does not exist anywhere yet.  Accounting-only mode has no
-      // tensors to hand over, so the entry's visibility alone suffices.
-      const bool usable =
-          entry != nullptr && !(cfg_.execute && entry->pending() &&
-                                entry->producer_owner != this);
-      if (usable) {
-        ++cache_stats_.hits;
-        CacheServedRequest served;
-        served.offered_id = ordinal;
-        served.arrival_s = request.arrival_s;
-        served.done_s = request.arrival_s + cfg_.cache.hit_latency_s;
-        served.length = request.length;
-        if (entry->pending()) {
-          if (entry->producer_owner == this) {
-            served.leader_admitted = entry->pending_producer;
-          }
-        } else if (cfg_.execute) {
-          served.output = entry->value;  // copy now: eviction-safe
-        }
-        last_completion_ = std::max(last_completion_, served.done_s);
-        if (tracer_ != nullptr) {
-          RecordSpan(obs::SpanKind::kCacheHit, served.arrival_s, served.done_s,
-                     ordinal, static_cast<std::int64_t>(request.length),
-                     control_track());
-        }
-        cache_served_.push_back(std::move(served));
-        return true;
-      }
-      if (inflight_.Attach(key, ordinal, request.arrival_s, request.length)) {
-        ++cache_stats_.coalesced;
-        return true;
-      }
-      ++cache_stats_.misses;
-    }
+  if (cache_ != nullptr && ServeFromCache(request, x, ordinal, key)) {
+    return true;
   }
 
-  const std::size_t waiting = admitted_.size() - launched_;
+  const std::size_t waiting = queue_depth();
   if (cfg_.queue_capacity > 0 && waiting >= cfg_.queue_capacity) {
-    ++admission_.rejected;
+    ++admission_.rejected;  // with a controller: the ladder's last resort
     if (tracer_ != nullptr) {
       RecordInstant(obs::SpanKind::kReject, request.arrival_s, ordinal,
                     static_cast<std::int64_t>(waiting));
     }
     return false;
   }
+
+  const std::size_t tier = PickTier();
+  bool escalate = false;
+  if (controller_ && cfg_.adapt.tiers[tier].escalate) {
+    // Probe on the exact embedding Drain() would execute (provided, or
+    // synthesized from request identity), so accounting-only and execute
+    // runs of the same stream make identical escalation decisions.
+    const MatrixF synth = x.empty() ? SynthesizeInput(request, ordinal)
+                                    : MatrixF{};
+    const EscalationProbe probe = ProbeSelectorMargin(
+        x.empty() ? synth : x, model_, cfg_.adapt.tiers[tier].top_k,
+        cfg_.adapt.escalate_bits, cfg_.adapt.escalate_rows);
+    escalate = ShouldEscalate(probe, cfg_.adapt.escalate_margin);
+  }
   ++admission_.accepted;
   admission_.peak_queue = std::max(admission_.peak_queue, waiting + 1);
-  waiting_tokens_ += request.length;
-  if (tracer_ != nullptr) {
-    RecordInstant(obs::SpanKind::kAdmit, request.arrival_s, ordinal,
-                  static_cast<std::int64_t>(request.length));
+  if (controller_) {
+    planned_acc_sum_ += cfg_.adapt.tiers[tier].accuracy;
+    ++planned_count_;
   }
-
-  // Forming, mirroring FormBatches: a token-budget overflow seals the open
-  // batch at this arrival and the request starts the next batch; the first
-  // member of a batch is always admitted, however long.
-  if (open_active_ && cfg_.former.max_tokens > 0 &&
-      open_tokens_ + request.length > cfg_.former.max_tokens) {
-    SealOpen(BatchSeal::kTokenBudget, request.arrival_s);
-  }
-  if (!open_active_) {
-    open_active_ = true;
-    open_start_ = admitted_.size();
-    open_s_ = request.arrival_s;
-    open_tokens_ = 0;
-  }
-  admitted_.push_back(request);
-  inputs_.push_back(std::move(input));
-  offered_ids_.push_back(ordinal);
-  if (cache_ != nullptr) {
-    admitted_keys_.push_back(key);
-    if (key != kNullCacheKey) inflight_.Lead(key);
-  }
-  open_tokens_ += request.length;
-  if (admitted_.size() - open_start_ >= cfg_.former.max_batch) {
-    SealOpen(BatchSeal::kCapacity, request.arrival_s);
-  }
+  AdmitToTier(tier, request, std::move(x), ordinal, request.arrival_s,
+              escalate, key);
   return true;
 }
 
-bool ServingEngine::PushAdaptive(const TimedRequest& request, MatrixF input,
-                                 std::size_t ordinal) {
+bool ServingEngine::ServeFromCache(const TimedRequest& request,
+                                   const MatrixF& input, std::size_t ordinal,
+                                   CacheKey& key) {
+  key = KeyFor(request, input);
+  if (key == kNullCacheKey) {
+    ++cache_stats_.bypassed;
+    return false;
+  }
+  ++cache_stats_.lookups;
+  const CacheEntry* entry =
+      cache_->Lookup(key, cache_epoch_ + request.arrival_s);
+  // An entry still owing its tensor to *another* engine (shared store,
+  // cross-replica) cannot serve a functional hit: the value does not
+  // exist anywhere yet.  Accounting-only mode has no tensors to hand over,
+  // so the entry's visibility alone suffices.
+  if (entry != nullptr &&
+      !(cfg_.execute && entry->pending() && entry->producer_owner != this)) {
+    ++cache_stats_.hits;
+    CacheServedRequest served;
+    served.offered_id = ordinal;
+    served.arrival_s = request.arrival_s;
+    served.done_s = request.arrival_s + cfg_.cache.hit_latency_s;
+    served.length = request.length;
+    if (entry->pending()) {
+      if (entry->producer_owner == this) {
+        served.leader_admitted = entry->pending_producer;
+      }
+    } else if (cfg_.execute) {
+      served.output = entry->value;  // copy now: eviction-safe
+    }
+    last_completion_ = std::max(last_completion_, served.done_s);
+    if (tracer_ != nullptr) {
+      RecordSpan(obs::SpanKind::kCacheHit, served.arrival_s, served.done_s,
+                 ordinal, static_cast<std::int64_t>(request.length),
+                 control_track());
+    }
+    cache_served_.push_back(std::move(served));
+    return true;
+  }
+  if (inflight_.Attach(key, ordinal, request.arrival_s, request.length)) {
+    ++cache_stats_.coalesced;
+    return true;
+  }
+  ++cache_stats_.misses;
+  return false;
+}
+
+std::size_t ServingEngine::PickTier() const {
+  if (!controller_) return 0;
   const auto& tiers = cfg_.adapt.tiers;
   // The controller proposes its current level; the accuracy budget caps
   // it: degrade only while the planned stream mean stays at the floor.
@@ -378,51 +365,23 @@ bool ServingEngine::PushAdaptive(const TimedRequest& request, MatrixF input,
                  static_cast<double>(planned_count_ + 1)) {
     --tier;
   }
-  const std::size_t waiting = admitted_.size() - launched_;
-  if (cfg_.queue_capacity > 0 && waiting >= cfg_.queue_capacity) {
-    ++admission_.rejected;  // shed: the ladder's last resort
-    if (tracer_ != nullptr) {
-      RecordInstant(obs::SpanKind::kReject, request.arrival_s, ordinal,
-                    static_cast<std::int64_t>(waiting));
-    }
-    return false;
-  }
-  bool escalate = false;
-  if (tiers[tier].escalate) {
-    // Probe on the exact embedding Drain() would execute (provided, or
-    // synthesized from request identity), so accounting-only and execute
-    // runs of the same stream make identical escalation decisions.
-    const std::size_t hidden = model_.config().encoder.hidden;
-    MatrixF synth;
-    const MatrixF* x = &input;
-    if (input.empty()) {
-      synth = request.id != kAnonymousId
-                  ? SynthesizeIdentityEmbedding(cfg_.embed_seed, request.id,
-                                                request.length, hidden)
-                  : SynthesizeRequestEmbedding(cfg_.embed_seed, ordinal,
-                                               request.length, hidden);
-      x = &synth;
-    }
-    const EscalationProbe probe =
-        ProbeSelectorMargin(*x, model_, tiers[tier].top_k,
-                            cfg_.adapt.escalate_bits, cfg_.adapt.escalate_rows);
-    escalate = ShouldEscalate(probe, cfg_.adapt.escalate_margin);
-  }
-  ++admission_.accepted;
-  admission_.peak_queue = std::max(admission_.peak_queue, waiting + 1);
-  planned_acc_sum_ += tiers[tier].accuracy;
-  ++planned_count_;
-  AdmitToTier(tier, request, std::move(input), ordinal, request.arrival_s,
-              escalate);
-  return true;
+  return tier;
 }
 
 void ServingEngine::AdmitToTier(std::size_t tier, const TimedRequest& request,
                                 MatrixF input, std::size_t ordinal,
-                                double root_arrival, bool escalate) {
+                                double root_arrival, bool escalate,
+                                CacheKey key) {
+  waiting_tokens_ += request.length;
+  if (tracer_ != nullptr) {
+    RecordInstant(obs::SpanKind::kAdmit, request.arrival_s, ordinal,
+                  static_cast<std::int64_t>(controller_ ? tier
+                                                        : request.length));
+  }
+  // Forming, per tier, mirrors FormBatches: a token-budget overflow seals
+  // the open batch at this arrival and the request starts the next batch;
+  // the first member of a batch is always admitted, however long.
   OpenTier& ot = open_tiers_[tier];
-  // Forming mirrors the single-tier path, per tier: token-budget overflow
-  // seals at this admission and the request starts the tier's next batch.
   if (ot.active && cfg_.former.max_tokens > 0 &&
       ot.tokens + request.length > cfg_.former.max_tokens) {
     SealOpenTier(tier, BatchSeal::kTokenBudget, request.arrival_s);
@@ -436,15 +395,12 @@ void ServingEngine::AdmitToTier(std::size_t tier, const TimedRequest& request,
   admitted_.push_back(request);
   inputs_.push_back(std::move(input));
   offered_ids_.push_back(ordinal);
+  admitted_keys_.push_back(key);
+  if (key != kNullCacheKey) inflight_.Lead(key);
   tier_of_.push_back(tier);
   root_arrival_.push_back(root_arrival);
   superseded_.push_back(0);
   escalate_flag_.push_back(escalate ? 1 : 0);
-  waiting_tokens_ += request.length;
-  if (tracer_ != nullptr) {
-    RecordInstant(obs::SpanKind::kAdmit, request.arrival_s, ordinal,
-                  static_cast<std::int64_t>(tier));
-  }
   ot.members.push_back(admitted_.size() - 1);
   ot.tokens += request.length;
   if (ot.members.size() >= cfg_.former.max_batch) {
@@ -478,12 +434,12 @@ void ServingEngine::SealOpenTier(std::size_t tier, BatchSeal seal,
   ot.members = {};
 }
 
-void ServingEngine::RunAdaptiveEvents(double now, bool drain) {
+void ServingEngine::RunEvents(double now, bool drain) {
   const double kInf = std::numeric_limits<double>::infinity();
   while (true) {
     // Candidate events, each with its earliest instance.
-    auto complete_it = std::min_element(completions_.begin(),
-                                        completions_.end());
+    const auto complete_it =
+        std::min_element(completions_.begin(), completions_.end());
     const double t_complete =
         complete_it == completions_.end() ? kInf : complete_it->first;
     double t_seal = kInf;
@@ -496,13 +452,14 @@ void ServingEngine::RunAdaptiveEvents(double now, bool drain) {
         seal_tier = t;
       }
     }
+    if (!drain && !(t_seal < now)) t_seal = kInf;  // arrival joins at due
     double t_launch = kInf;
     if (next_launch_ < sealed_.size()) {
       const double free =
           *std::min_element(worker_free_.begin(), worker_free_.end());
       t_launch = std::max(free, sealed_[next_launch_].ready_s);
     }
-    const double t_epoch = controller_->next_epoch_s();
+    const double t_epoch = controller_ ? controller_->next_epoch_s() : kInf;
 
     const double t_real = std::min(t_complete, std::min(t_seal, t_launch));
     const double t_next = std::min(t_real, t_epoch);
@@ -518,117 +475,79 @@ void ServingEngine::RunAdaptiveEvents(double now, bool drain) {
     // escalated re-run must be able to join a batch sealing at the same
     // instant), then seals (lowest tier first), launches, epochs.
     if (t_complete == t_next) {
-      const std::size_t ordinal = complete_it->second;
+      const std::size_t batch = complete_it->second;
       completions_.erase(complete_it);
-      // Copy out: escalation re-injection below grows sealed_/admitted_.
-      const std::size_t b_tier = sealed_[ordinal].tier;
-      const std::size_t b_tokens = sealed_[ordinal].tokens;
-      const std::vector<std::size_t> b_indices = sealed_[ordinal].indices;
-      in_service_tokens_ -= b_tokens;
-      const bool escalating_tier = cfg_.adapt.tiers[b_tier].escalate;
-      for (std::size_t idx : b_indices) {
-        if (escalating_tier && escalate_flag_[idx] != 0) {
-          // The cheap first pass was too uncertain: supersede it and
-          // re-run at tier 0, arriving at this completion.  Bypasses the
-          // bounded queue -- the request was already admitted once.
-          superseded_[idx] = 1;
-          planned_acc_sum_ +=
-              cfg_.adapt.tiers[0].accuracy - cfg_.adapt.tiers[b_tier].accuracy;
-          ++tier_escalated_[b_tier];
-          if (tracer_ != nullptr) {
-            RecordInstant(obs::SpanKind::kEscalate, t_complete,
-                          offered_ids_[idx],
-                          static_cast<std::int64_t>(b_tier));
-          }
-          TimedRequest rerun = admitted_[idx];
-          rerun.arrival_s = t_complete;
-          AdmitToTier(0, rerun, MatrixF(inputs_[idx]), offered_ids_[idx],
-                      root_arrival_[idx], false);
-        } else {
-          controller_->RecordLatency(t_complete - root_arrival_[idx]);
-          ++tier_requests_[b_tier];
-        }
-      }
+      CompleteBatch(batch, t_complete);
     } else if (t_seal == t_next) {
       SealOpenTier(seal_tier, BatchSeal::kTimeout, t_seal);
     } else if (t_launch == t_next) {
-      // FIFO over sealed order, earliest-free worker: the exact
-      // recurrence ScheduleFormedBatches replays at Drain(), so the
-      // incremental completions match the recomputed schedule bit for
-      // bit.
-      auto free_it =
-          std::min_element(worker_free_.begin(), worker_free_.end());
-      const FormedBatch& b = sealed_[next_launch_];
-      const double done =
-          t_launch + tier_services_[b.tier](BatchLengths(admitted_, b));
-      *free_it = done;
-      launched_ += b.indices.size();
-      waiting_tokens_ -= b.tokens;
-      in_service_tokens_ += b.tokens;
-      completions_.push_back({done, next_launch_});
-      ++next_launch_;
+      LaunchNext(t_launch);
     } else {
-      controller_->AdvanceEpoch(admitted_.size() - launched_);
+      controller_->AdvanceEpoch(queue_depth());
     }
   }
 }
 
-void ServingEngine::AdvanceTo(double now) {
-  if (controller_) {
-    RunAdaptiveEvents(now, /*drain=*/false);
-    return;
-  }
-  if (open_active_ && now > open_s_ + cfg_.former.timeout_s) {
-    SealOpen(BatchSeal::kTimeout, open_s_ + cfg_.former.timeout_s);
-  }
-  while (next_launch_ < sealed_.size()) {
-    auto free_it = std::min_element(worker_free_.begin(), worker_free_.end());
-    const FormedBatch& b = sealed_[next_launch_];
-    const double launch = std::max(*free_it, b.ready_s);
-    if (launch > now) break;
-    const double done = launch + cfg_.service(BatchLengths(admitted_, b));
-    *free_it = done;
-    launched_ += b.indices.size();
-    waiting_tokens_ -= b.tokens;
-    in_service_tokens_ += b.tokens;
-    in_flight_.push_back({done, b.tokens});
-    if (cache_ != nullptr) pending_done_.push_back({done, next_launch_});
-    ++next_launch_;
-  }
-  // Retire batches whose virtual completion has passed, so
-  // outstanding_tokens() reflects load still on this replica at `now`.
-  std::size_t kept = 0;
-  for (const auto& [done_s, tokens] : in_flight_) {
-    if (done_s <= now) {
-      in_service_tokens_ -= tokens;
-    } else {
-      in_flight_[kept++] = {done_s, tokens};
-    }
-  }
-  in_flight_.resize(kept);
-  if (cache_ != nullptr) ProcessCacheCompletions(now);
+void ServingEngine::LaunchNext(double launch_s) {
+  // FIFO over sealed order onto the earliest-free worker -- the
+  // ScheduleFormedBatches recurrence -- pricing the batch exactly once.
+  const auto free_it =
+      std::min_element(worker_free_.begin(), worker_free_.end());
+  const FormedBatch& b = sealed_[next_launch_];
+  const double service_s = tier_services_[b.tier](BatchLengths(admitted_, b));
+  const double done = launch_s + service_s;
+  *free_it = done;
+  schedule_.launch_s.push_back(launch_s);
+  schedule_.done_s.push_back(done);
+  schedule_.service_s.push_back(service_s);
+  schedule_.worker_of.push_back(
+      static_cast<std::size_t>(free_it - worker_free_.begin()));
+  launched_ += b.indices.size();
+  waiting_tokens_ -= b.tokens;
+  in_service_tokens_ += b.tokens;
+  completions_.push_back({done, next_launch_});
+  ++next_launch_;
 }
 
-void ServingEngine::ProcessCacheCompletions(double now) {
-  if (pending_done_.empty()) return;
-  // Publish due batches in (completion, seal ordinal) order: a shared
-  // store must see one deterministic insertion sequence regardless of how
-  // launches interleaved across workers.
-  std::sort(pending_done_.begin(), pending_done_.end());
-  std::size_t processed = 0;
-  for (const auto& [done_s, ordinal] : pending_done_) {
-    if (done_s > now) break;
-    for (std::size_t idx : sealed_[ordinal].indices) {
-      CompleteAdmitted(idx, done_s);
+void ServingEngine::CompleteBatch(std::size_t batch, double done_s) {
+  const std::size_t b_tier = sealed_[batch].tier;
+  in_service_tokens_ -= sealed_[batch].tokens;
+  // Indexed, not range-for: an escalation re-injection below may seal a
+  // batch and grow sealed_.
+  for (std::size_t i = 0; i < sealed_[batch].indices.size(); ++i) {
+    const std::size_t idx = sealed_[batch].indices[i];
+    if (escalate_flag_[idx] != 0) {
+      // The cheap first pass was too uncertain: supersede it and re-run
+      // at tier 0, arriving at this completion.  Bypasses the bounded
+      // queue -- the request was already admitted once.
+      superseded_[idx] = 1;
+      planned_acc_sum_ +=
+          cfg_.adapt.tiers[0].accuracy - cfg_.adapt.tiers[b_tier].accuracy;
+      ++tier_escalated_[b_tier];
+      if (tracer_ != nullptr) {
+        RecordInstant(obs::SpanKind::kEscalate, done_s, offered_ids_[idx],
+                      static_cast<std::int64_t>(b_tier));
+      }
+      TimedRequest rerun = admitted_[idx];
+      rerun.arrival_s = done_s;
+      AdmitToTier(0, rerun, MatrixF(inputs_[idx]), offered_ids_[idx],
+                  root_arrival_[idx], false, kNullCacheKey);
+      continue;
     }
-    ++processed;
+    if (controller_) {
+      controller_->RecordLatency(done_s - root_arrival_[idx]);
+      ++tier_requests_[b_tier];
+    }
+    if (cache_ != nullptr) CompleteAdmitted(idx, done_s);
   }
-  pending_done_.erase(pending_done_.begin(),
-                      pending_done_.begin() +
-                          static_cast<std::ptrdiff_t>(processed));
 }
+
+void ServingEngine::AdvanceTo(double now) { RunEvents(now, /*drain=*/false); }
 
 void ServingEngine::CompleteAdmitted(std::size_t idx, double done_s) {
+  // Completions arrive in (done, seal ordinal) order, so a shared store
+  // sees one deterministic insertion sequence regardless of how launches
+  // interleaved across workers.
   last_completion_ = std::max(last_completion_, done_s);
   const CacheKey key = admitted_keys_[idx];
   if (key == kNullCacheKey) return;
@@ -679,47 +598,23 @@ void ServingEngine::AlignCacheEpoch(double epoch) {
   cache_epoch_ = std::max(cache_epoch_, epoch);
 }
 
-void ServingEngine::SealOpen(BatchSeal seal, double ready_s) {
-  FormedBatch b;
-  b.open_s = open_s_;
-  b.ready_s = ready_s;
-  b.tokens = open_tokens_;
-  b.seal = seal;
-  b.indices.resize(admitted_.size() - open_start_);
-  for (std::size_t i = 0; i < b.indices.size(); ++i) {
-    b.indices[i] = open_start_ + i;
-  }
-  if (cfg_.former.sort_by_length) {
-    std::stable_sort(b.indices.begin(), b.indices.end(),
-                     [this](std::size_t a, std::size_t c) {
-                       return admitted_[a].length > admitted_[c].length;
-                     });
-  }
-  if (tracer_ != nullptr) {
-    RecordSpan(obs::SpanKind::kForm, b.open_s, b.ready_s, sealed_.size(),
-               static_cast<std::int64_t>(seal), control_track());
-  }
-  sealed_.push_back(std::move(b));
-  open_active_ = false;
-}
-
-ServingResult ServingEngine::DrainAdaptive() {
-  // Run the stream to quiescence: trailing opens time out, launches
-  // complete, escalations re-inject and settle.
-  RunAdaptiveEvents(std::numeric_limits<double>::infinity(), /*drain=*/true);
+ServingResult ServingEngine::Drain() {
+  // Run the stream to quiescence: trailing batches wait out their timers
+  // (a streaming former cannot know no more requests are coming), every
+  // batch launches and completes, escalations re-inject and settle.
+  RunEvents(std::numeric_limits<double>::infinity(), /*drain=*/true);
 
   ServingResult result;
-  result.schedule =
-      ScheduleFormedBatches(admitted_, sealed_, cfg_.workers, tier_services_);
+  result.schedule = std::move(schedule_);
   result.admission = admission_;
   if (tracer_ != nullptr) EmitScheduleSpans(result.schedule);
 
-  // The recomputed report must not count superseded first passes (their
-  // re-runs carry the request), and an escalated request's latency runs
-  // from its *original* arrival to its re-run's completion.  Rebuild the
-  // pooled numbers from root arrivals.
+  // Pooled report over the recorded schedule: each request's latency runs
+  // from its root arrival to its final batch's completion (superseded
+  // first passes are carried by their re-runs), and cache-served requests
+  // add their own virtual completions.
   obs::LatencyPool pool;
-  pool.latencies.reserve(admitted_.size());
+  pool.latencies.reserve(admitted_.size() + cache_served_.size());
   double busy_s = 0;
   for (std::size_t b = 0; b < sealed_.size(); ++b) {
     const double done = result.schedule.done_s[b];
@@ -730,117 +625,48 @@ ServingResult ServingEngine::DrainAdaptive() {
     pool.ExtendSpan(done);
     busy_s += result.schedule.service_s[b];  // first passes burn real time
   }
-  result.schedule.report = BuildServingReport(pool.latencies, sealed_.size(),
-                                              busy_s, pool.span(),
-                                              cfg_.workers);
-  result.schedule.report.mean_accuracy =
-      planned_count_ == 0
-          ? 1.0
-          : planned_acc_sum_ / static_cast<double>(planned_count_);
-  result.schedule.report.tiers.resize(cfg_.adapt.tiers.size());
-  for (std::size_t t = 0; t < cfg_.adapt.tiers.size(); ++t) {
-    TierUsage& usage = result.schedule.report.tiers[t];
-    usage.top_k = cfg_.adapt.tiers[t].top_k;
-    usage.requests = tier_requests_[t];
-    usage.batches = tier_batches_[t];
-    usage.escalated = tier_escalated_[t];
-    usage.accuracy = cfg_.adapt.tiers[t].accuracy;
+  for (const CacheServedRequest& served : cache_served_) {
+    pool.Add(served.arrival_s, served.done_s);
+  }
+  result.schedule.report = BuildServingReport(
+      pool.latencies, sealed_.size(), busy_s, pool.span(), cfg_.workers);
+  if (controller_) {
+    result.schedule.report.mean_accuracy =
+        planned_count_ == 0
+            ? 1.0
+            : planned_acc_sum_ / static_cast<double>(planned_count_);
+    result.schedule.report.tiers.resize(cfg_.adapt.tiers.size());
+    for (std::size_t t = 0; t < cfg_.adapt.tiers.size(); ++t) {
+      TierUsage& usage = result.schedule.report.tiers[t];
+      usage.top_k = cfg_.adapt.tiers[t].top_k;
+      usage.requests = tier_requests_[t];
+      usage.batches = tier_batches_[t];
+      usage.escalated = tier_escalated_[t];
+      usage.accuracy = cfg_.adapt.tiers[t].accuracy;
+    }
   }
 
   if (cfg_.execute) {
-    const std::size_t hidden = model_.config().encoder.hidden;
     for (std::size_t i = 0; i < admitted_.size(); ++i) {
       if (inputs_[i].empty()) {
-        inputs_[i] =
-            admitted_[i].id != kAnonymousId
-                ? SynthesizeIdentityEmbedding(cfg_.embed_seed, admitted_[i].id,
-                                              admitted_[i].length, hidden)
-                : SynthesizeRequestEmbedding(cfg_.embed_seed, offered_ids_[i],
-                                             admitted_[i].length, hidden);
+        inputs_[i] = SynthesizeInput(admitted_[i], offered_ids_[i]);
       }
     }
-    // Per-batch execution at the batch's tier: only the sparse top_k
-    // differs from the base inference config, and tier 0's equals it --
-    // so an escalated re-run is bit-exact against a full-model engine
-    // serving the same request.
+    // Execute every formed batch on the batched runtime, in sealed order,
+    // at the batch's tier: only the sparse top_k differs from the base
+    // inference config, and tier 0's equals it -- so an escalated re-run
+    // is bit-exact against a full-model engine serving the same request.
+    // Per-sequence math is bit-identical to a sequential Forward() loop at
+    // any thread count (the BatchRunner contract).
     const auto wall0 = std::chrono::steady_clock::now();
     result.outputs.resize(admitted_.size());
     for (const FormedBatch& b : sealed_) {
       InferenceConfig tier_cfg = cfg_.inference;
-      tier_cfg.sparse.top_k = cfg_.adapt.tiers[b.tier].top_k;
+      if (controller_) tier_cfg.sparse.top_k = cfg_.adapt.tiers[b.tier].top_k;
       std::vector<MatrixF> xs;
       xs.reserve(b.indices.size());
       for (std::size_t idx : b.indices) xs.push_back(std::move(inputs_[idx]));
       auto ys = model_.ForwardBatch(xs, tier_cfg, runner_);
-      for (std::size_t i = 0; i < b.indices.size(); ++i) {
-        result.outputs[b.indices[i]] = std::move(ys[i]);
-      }
-    }
-    result.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-            .count();
-  }
-
-  result.request_tiers = std::move(tier_of_);
-  result.superseded = std::move(superseded_);
-  result.batches = std::move(sealed_);
-  result.offered_ids = std::move(offered_ids_);
-  ResetStream();
-  return result;
-}
-
-ServingResult ServingEngine::Drain() {
-  if (controller_) return DrainAdaptive();
-  if (open_active_) {
-    // End of stream: a streaming former cannot know no more requests are
-    // coming, so the trailing batch waits out its timer.
-    SealOpen(BatchSeal::kTimeout, open_s_ + cfg_.former.timeout_s);
-  }
-
-  ServingResult result;
-  result.schedule =
-      ScheduleFormedBatches(admitted_, sealed_, cfg_.workers, cfg_.service);
-  result.admission = admission_;
-  if (tracer_ != nullptr) EmitScheduleSpans(result.schedule);
-
-  if (cache_ != nullptr) {
-    // Publish every batch that had not completed by the last arrival.
-    // The schedule's completion times are bit-identical to the ones
-    // AdvanceTo computed for already-published batches (same earliest-
-    // free recurrence over the same sealed order).
-    for (std::size_t b = next_launch_; b < sealed_.size(); ++b) {
-      pending_done_.push_back({result.schedule.done_s[b], b});
-    }
-    ProcessCacheCompletions(std::numeric_limits<double>::infinity());
-  }
-
-  if (cfg_.execute) {
-    // Synthesize embeddings for requests pushed without one; identity is
-    // the content id when the request carries one (so repeats are
-    // byte-identical) and the Push() ordinal otherwise, so outputs do
-    // not depend on batching, rejections or cache outcomes.
-    const std::size_t hidden = model_.config().encoder.hidden;
-    for (std::size_t i = 0; i < admitted_.size(); ++i) {
-      if (inputs_[i].empty()) {
-        inputs_[i] =
-            admitted_[i].id != kAnonymousId
-                ? SynthesizeIdentityEmbedding(cfg_.embed_seed, admitted_[i].id,
-                                              admitted_[i].length, hidden)
-                : SynthesizeRequestEmbedding(cfg_.embed_seed, offered_ids_[i],
-                                             admitted_[i].length, hidden);
-      }
-    }
-
-    // Execute every formed batch on the batched runtime.  Batches run in
-    // dispatch order; per-sequence math is bit-identical to a sequential
-    // Forward() loop at any thread count (the BatchRunner contract).
-    const auto wall0 = std::chrono::steady_clock::now();
-    result.outputs.resize(admitted_.size());
-    for (const FormedBatch& b : sealed_) {
-      std::vector<MatrixF> xs;
-      xs.reserve(b.indices.size());
-      for (std::size_t idx : b.indices) xs.push_back(std::move(inputs_[idx]));
-      auto ys = model_.ForwardBatch(xs, cfg_.inference, runner_);
       for (std::size_t i = 0; i < b.indices.size(); ++i) {
         result.outputs[b.indices[i]] = std::move(ys[i]);
       }
@@ -864,37 +690,18 @@ ServingResult ServingEngine::Drain() {
         }
       }
     }
-
-    // Pooled report: admitted requests take their batch's completion,
-    // cache-served requests their own virtual completion, so p99 and
-    // throughput reflect what the caller experienced end to end.
-    obs::LatencyPool pool;
-    pool.latencies.reserve(admitted_.size() + cache_served_.size());
-    double busy_s = 0;
-    for (std::size_t b = 0; b < sealed_.size(); ++b) {
-      const double done = result.schedule.done_s[b];
-      for (std::size_t idx : sealed_[b].indices) {
-        pool.Add(admitted_[idx].arrival_s, done);
-      }
-      pool.ExtendSpan(done);
-      busy_s += result.schedule.service_s[b];
-    }
-    for (const CacheServedRequest& served : cache_served_) {
-      pool.Add(served.arrival_s, served.done_s);
-    }
-    result.schedule.report = BuildServingReport(pool.latencies, sealed_.size(),
-                                                busy_s, pool.span(),
-                                                cfg_.workers);
-
     result.cache = cache_stats_;
     result.cache.store = cache_->stats();
     result.cache_served = std::move(cache_served_);
-
     // The cache clock continues across streams: entries age as if the
     // next trace were played back to back with this one.
     cache_epoch_ += std::max(last_completion_, last_arrival_);
   }
 
+  if (controller_) {
+    result.request_tiers = std::move(tier_of_);
+    result.superseded = std::move(superseded_);
+  }
   result.batches = std::move(sealed_);
   result.offered_ids = std::move(offered_ids_);
   ResetStream();
@@ -910,39 +717,32 @@ void ServingEngine::ResetStream() {
   admitted_.clear();
   inputs_.clear();
   offered_ids_.clear();
+  admitted_keys_.clear();
+  tier_of_.clear();
+  root_arrival_.clear();
+  superseded_.clear();
+  escalate_flag_.clear();
+  for (OpenTier& ot : open_tiers_) ot = OpenTier{};
   sealed_.clear();
-  open_active_ = false;
-  open_start_ = 0;
-  open_s_ = 0;
-  open_tokens_ = 0;
+  schedule_ = DispatchSchedule{};
   worker_free_.assign(cfg_.workers, 0.0);
+  completions_.clear();
   next_launch_ = 0;
   launched_ = 0;
   last_arrival_ = 0;
   admission_ = AdmissionStats{};
   waiting_tokens_ = 0;
   in_service_tokens_ = 0;
-  in_flight_.clear();
   inflight_.Clear();
   cache_stats_ = CacheStats{};
   cache_served_.clear();
-  admitted_keys_.clear();
-  pending_done_.clear();
   last_completion_ = 0;
-  if (controller_) {
-    controller_->Reset();
-    for (OpenTier& ot : open_tiers_) ot = OpenTier{};
-    tier_of_.clear();
-    root_arrival_.clear();
-    superseded_.clear();
-    escalate_flag_.clear();
-    completions_.clear();
-    planned_acc_sum_ = 0;
-    planned_count_ = 0;
-    tier_requests_.assign(cfg_.adapt.tiers.size(), 0);
-    tier_batches_.assign(cfg_.adapt.tiers.size(), 0);
-    tier_escalated_.assign(cfg_.adapt.tiers.size(), 0);
-  }
+  if (controller_) controller_->Reset();
+  planned_acc_sum_ = 0;
+  planned_count_ = 0;
+  tier_requests_.assign(open_tiers_.size(), 0);
+  tier_batches_.assign(open_tiers_.size(), 0);
+  tier_escalated_.assign(open_tiers_.size(), 0);
 }
 
 }  // namespace latte

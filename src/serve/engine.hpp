@@ -11,11 +11,23 @@
 // reproducible: the same trace yields bit-identical outputs, batches and
 // reports at any BatchRunner thread count.
 //
+// One state machine serves every configuration.  The engine is a ladder
+// of service tiers: a single tier without the adaptive controller, one
+// per `adapt.tiers` rung with it.  Each Push first advances one
+// virtual-time event loop to the arrival -- batch completions, timeout
+// seals, FIFO launches onto the earliest-free worker, controller epochs --
+// then resolves the request against the cache, the bounded queue and the
+// tier choice, and admits it to its tier's open batch.  Every launch
+// prices its batch exactly once and appends launch, completion, service
+// time and worker to the stream's DispatchSchedule; Drain() runs the loop
+// to quiescence and builds the report from that recorded schedule, so no
+// batch is ever re-priced.
+//
 // Backpressure: with a bounded queue (`queue_capacity` > 0) a request is
 // rejected when the waiting room -- admitted requests whose batch has not
 // yet launched -- is full at its arrival.  Admission is decided in virtual
-// time with the same dispatch policy the report uses, so rejection counts
-// are deterministic too.
+// time by the same loop the report comes from, so rejection counts are
+// deterministic too.
 //
 // Result cache (`cfg.cache.enabled`): an optional, capacity-bounded
 // request-result cache sits *in front of* batch forming.  At Push, a
@@ -84,8 +96,9 @@ struct ServingEngineConfig {
   /// deterministic virtual-time numbers matter.
   bool execute = true;
   /// Deterministic per-batch service time for the virtual-time report;
-  /// empty picks a token-linear default.  Use AcceleratorServiceModel
-  /// (fpga/serving.hpp) to account exactly like the performance twin.
+  /// empty picks a token-linear default.  Build a kAccelerator
+  /// ServiceModelSpec (serve/service_model.hpp) to account exactly like
+  /// the performance twin.
   BatchServiceModel service;
   /// Request-result cache in front of batch forming (disabled by
   /// default).  A cluster may override this with a fleet-shared store.
@@ -115,9 +128,6 @@ struct ServingEngineConfig {
 /// Names every illegal field (nested former/cache/shard issues carry
 /// dot-path prefixes); empty means legal.
 ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg);
-
-/// Throws std::invalid_argument naming the offending field.
-void ValidateServingEngineConfig(const ServingEngineConfig& cfg);
 
 /// The input embedding the engine synthesizes for a request pushed without
 /// one: a function of (base_seed, Push ordinal, length) alone, so request
@@ -307,10 +317,31 @@ class ServingEngine {
   const BatchRunner& runner() const { return runner_; }
 
  private:
-  bool PushImpl(const TimedRequest& request, MatrixF input);
   CacheKey KeyFor(const TimedRequest& request, const MatrixF& input) const;
-  void SealOpen(BatchSeal seal, double ready_s);
-  void ProcessCacheCompletions(double now);
+  /// Cache step of Push: true when the request was served as a hit or
+  /// attached as a coalesced follower; otherwise `key` is its miss key.
+  bool ServeFromCache(const TimedRequest& request, const MatrixF& input,
+                      std::size_t ordinal, CacheKey& key);
+  /// The controller's level clamped by the accuracy budget (0 without a
+  /// controller).
+  std::size_t PickTier() const;
+  /// The embedding Drain() executes for a request pushed without one.
+  MatrixF SynthesizeInput(const TimedRequest& request,
+                          std::size_t ordinal) const;
+  void AdmitToTier(std::size_t tier, const TimedRequest& request,
+                   MatrixF input, std::size_t ordinal, double root_arrival,
+                   bool escalate, CacheKey key);
+  void SealOpenTier(std::size_t tier, BatchSeal seal, double ready_s);
+  /// The engine's one virtual-time event loop: batch completions, timeout
+  /// seals, FIFO launches onto the earliest-free worker and controller
+  /// epochs, strictly in time order up to `now` (ties: completions, seals,
+  /// launches, epochs).  A timeout seal fires only once its deadline is
+  /// strictly before `now` -- an arrival exactly at the deadline still
+  /// joins, as in FormBatches.  In drain mode it runs to quiescence
+  /// instead (epochs fire only while real work remains).
+  void RunEvents(double now, bool drain);
+  void LaunchNext(double launch_s);
+  void CompleteBatch(std::size_t batch, double done_s);
   void CompleteAdmitted(std::size_t idx, double done_s);
   void ResetStream();
 
@@ -327,21 +358,6 @@ class ServingEngine {
   /// worker track the earliest-free recurrence picked.
   void EmitScheduleSpans(const DispatchSchedule& sched);
 
-  // Adaptive path (controller_ engaged).
-  bool PushAdaptive(const TimedRequest& request, MatrixF input,
-                    std::size_t ordinal);
-  void AdmitToTier(std::size_t tier, const TimedRequest& request,
-                   MatrixF input, std::size_t ordinal, double root_arrival,
-                   bool escalate);
-  void SealOpenTier(std::size_t tier, BatchSeal seal, double ready_s);
-  /// Runs the virtual-time event loop -- batch completions (escalation
-  /// re-injection, latency recording), timeout seals, FIFO launches and
-  /// controller epochs -- strictly in time order up to `now`.  In drain
-  /// mode it runs to quiescence instead (epochs fire only while real work
-  /// remains, so the loop terminates).
-  void RunAdaptiveEvents(double now, bool drain);
-  ServingResult DrainAdaptive();
-
   const ModelInstance& model_;
   ServingEngineConfig cfg_;
   BatchRunner runner_;
@@ -351,16 +367,40 @@ class ServingEngine {
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t track_base_ = 0;
 
-  // Stream state (virtual time).
+  // Service ladder: one tier without a controller, one per adapt tier
+  // with it.  Every batch is priced once, by its tier's model, at launch.
+  std::optional<AdaptiveController> controller_;
+  std::vector<BatchServiceModel> tier_services_;  ///< resolved per tier
+  /// Collectives term of the sharded backend's price, for attributing
+  /// each sharded batch's interconnect tail as its own trace sub-span.
+  /// Empty unless backend == kSharded.
+  BatchServiceModel shard_comm_;
+
+  // Stream state (virtual time).  Per-request vectors are parallel to
+  // admitted_.
   std::vector<TimedRequest> admitted_;
-  std::vector<MatrixF> inputs_;             ///< parallel to admitted_
-  std::vector<std::size_t> offered_ids_;    ///< parallel to admitted_
-  std::vector<FormedBatch> sealed_;         ///< incrementally formed
-  std::size_t open_start_ = 0;  ///< first admitted index of the open batch
-  bool open_active_ = false;
-  double open_s_ = 0;
-  std::size_t open_tokens_ = 0;
+  std::vector<MatrixF> inputs_;
+  std::vector<std::size_t> offered_ids_;
+  std::vector<CacheKey> admitted_keys_;      ///< kNullCacheKey = uncached
+  std::vector<std::size_t> tier_of_;
+  std::vector<double> root_arrival_;         ///< original arrival (escalation)
+  std::vector<std::uint8_t> superseded_;     ///< first pass replaced by re-run
+  std::vector<std::uint8_t> escalate_flag_;  ///< probe said: re-run at tier 0
+  /// One open batch per tier (tiers interleave, so members are explicit
+  /// admitted indices rather than a contiguous range).
+  struct OpenTier {
+    bool active = false;
+    double open_s = 0;
+    std::size_t tokens = 0;
+    std::vector<std::size_t> members;
+  };
+  std::vector<OpenTier> open_tiers_;
+  std::vector<FormedBatch> sealed_;  ///< incrementally formed
+  DispatchSchedule schedule_;        ///< per launched batch, sealed order
   std::vector<double> worker_free_;
+  /// Launched batches not yet completed in virtual time:
+  /// (done_s, sealed ordinal), processed earliest-first.
+  std::vector<std::pair<double, std::size_t>> completions_;
   std::size_t next_launch_ = 0;  ///< first unlaunched sealed batch
   std::size_t launched_ = 0;     ///< admitted requests already launched
   double last_arrival_ = 0;
@@ -369,7 +409,6 @@ class ServingEngine {
   // Token accounting for routing introspection (virtual time).
   std::size_t waiting_tokens_ = 0;     ///< admitted, batch not launched
   std::size_t in_service_tokens_ = 0;  ///< launched, batch not done
-  std::vector<std::pair<double, std::size_t>> in_flight_;  ///< (done_s, tokens)
 
   // Cache layer (null/empty when disabled).
   std::shared_ptr<ResultCache> cache_;
@@ -377,36 +416,10 @@ class ServingEngine {
   InFlightTable inflight_;
   CacheStats cache_stats_;  ///< per-stream engine-side counters
   std::vector<CacheServedRequest> cache_served_;
-  std::vector<CacheKey> admitted_keys_;  ///< parallel to admitted_
-  /// Launched batches whose virtual completion has not been published to
-  /// the cache yet: (done_s, sealed ordinal).
-  std::vector<std::pair<double, std::size_t>> pending_done_;
   double cache_epoch_ = 0;      ///< virtual-clock offset across streams
   double last_completion_ = 0;  ///< latest completion seen this stream
 
-  // Adaptive layer (engaged only when cfg.adapt.enabled).
-  /// One per-tier open batch (the adaptive former interleaves tiers, so
-  /// members are explicit indices rather than a contiguous range).
-  struct OpenTier {
-    bool active = false;
-    double open_s = 0;
-    std::size_t tokens = 0;
-    std::vector<std::size_t> members;  ///< admitted indices
-  };
-  std::optional<AdaptiveController> controller_;
-  std::vector<BatchServiceModel> tier_services_;  ///< resolved per tier
-  /// Collectives term of the sharded backend's price, for attributing
-  /// each sharded batch's interconnect tail as its own trace sub-span.
-  /// Empty unless backend == kSharded.
-  BatchServiceModel shard_comm_;
-  std::vector<OpenTier> open_tiers_;
-  std::vector<std::size_t> tier_of_;       ///< parallel to admitted_
-  std::vector<double> root_arrival_;       ///< original arrival (escalation)
-  std::vector<std::uint8_t> superseded_;   ///< first pass replaced by re-run
-  std::vector<std::uint8_t> escalate_flag_;  ///< probe said: re-run at tier 0
-  /// Launched batches not yet completed in virtual time:
-  /// (done_s, sealed ordinal), processed earliest-first.
-  std::vector<std::pair<double, std::size_t>> completions_;
+  // Adaptive accounting (touched only with a controller).
   double planned_acc_sum_ = 0;     ///< accuracy-budget numerator
   std::size_t planned_count_ = 0;  ///< accepted requests (denominator)
   std::vector<std::size_t> tier_requests_;   ///< completions per tier

@@ -1,21 +1,14 @@
 #pragma once
 // One construction surface for batch service models.
 //
-// PRs 2-6 grew three ad-hoc factories -- AcceleratorServiceModel,
-// ShardedAcceleratorServiceModel, AcceleratorFleetServiceModels -- plus
-// hand-rolled MakeShardedServiceModel wrapping at call sites.  Every one
-// of them answers the same question ("what does a batch cost?") with a
-// different spelling, and none of them could express the adaptive layer's
-// per-tier pricing.  This header replaces them with a single declarative
-// value, ServiceModelSpec, and one factory, BuildServiceModel(spec), that
-// composes base pricing (token-linear / padded / accelerator twin) with
-// optional tensor-parallel gang wrapping.  BuildTierServiceModels derives
-// the adaptive ladder's per-tier models from the same spec by overriding
-// only the accelerator's top_k -- tier pricing and replica pricing can no
-// longer drift apart.
-//
-// The old factories survive as thin deprecated shims over this surface
-// (fpga/serving.hpp); new code should build a spec.
+// Every question of the form "what does a batch cost?" is answered by a
+// single declarative value, ServiceModelSpec, and one factory,
+// BuildServiceModel(spec), that composes base pricing (token-linear /
+// padded / accelerator twin) with optional tensor-parallel gang wrapping.
+// A heterogeneous fleet is one spec per replica.  BuildTierServiceModels
+// derives the adaptive ladder's per-tier models from the same spec by
+// overriding only the accelerator's top_k -- tier pricing and replica
+// pricing cannot drift apart.
 
 #include <vector>
 

@@ -18,14 +18,10 @@ ConfigIssues CheckShardServiceConfig(const ShardServiceConfig& cfg) {
   return issues;
 }
 
-void ValidateShardServiceConfig(const ShardServiceConfig& cfg) {
-  ThrowOnIssues("ShardServiceConfig", CheckShardServiceConfig(cfg));
-}
-
 BatchServiceModel MakeShardedServiceModel(BatchServiceModel base,
                                           const ModelConfig& model,
                                           const ShardServiceConfig& cfg) {
-  ValidateShardServiceConfig(cfg);
+  ThrowOnIssues("ShardServiceConfig", CheckShardServiceConfig(cfg));
   if (!base) {
     throw std::invalid_argument(
         "MakeShardedServiceModel: base service model is empty");
@@ -60,7 +56,7 @@ BatchServiceModel MakeShardedServiceModel(BatchServiceModel base,
 
 BatchServiceModel MakeShardCommModel(const ModelConfig& model,
                                      const ShardServiceConfig& cfg) {
-  ValidateShardServiceConfig(cfg);
+  ThrowOnIssues("ShardServiceConfig", CheckShardServiceConfig(cfg));
   const EncoderConfig enc = model.encoder;
   const std::size_t layers = model.layers;
   const ShardPlan plan =

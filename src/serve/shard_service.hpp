@@ -43,10 +43,6 @@ struct ShardServiceConfig {
 /// nested issues carry an "interconnect." prefix); empty means legal.
 ConfigIssues CheckShardServiceConfig(const ShardServiceConfig& cfg);
 
-/// Throws std::invalid_argument naming the offending field (degree < 2,
-/// malformed interconnect).
-void ValidateShardServiceConfig(const ShardServiceConfig& cfg);
-
 /// Wraps `base` with the gang cost under `cfg` for `model`'s encoder
 /// stack:
 ///

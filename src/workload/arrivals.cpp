@@ -21,13 +21,9 @@ ConfigIssues CheckPoissonTraceConfig(const PoissonTraceConfig& cfg) {
   return issues;
 }
 
-void ValidatePoissonTraceConfig(const PoissonTraceConfig& cfg) {
-  ThrowOnIssues("PoissonTraceConfig", CheckPoissonTraceConfig(cfg));
-}
-
 std::vector<TimedRequest> GeneratePoissonTrace(const PoissonTraceConfig& cfg,
                                                const DatasetSpec& dataset) {
-  ValidatePoissonTraceConfig(cfg);
+  ThrowOnIssues("PoissonTraceConfig", CheckPoissonTraceConfig(cfg));
   Rng rng(cfg.seed);
   LengthSampler sampler(dataset);
   std::vector<TimedRequest> trace;
@@ -62,13 +58,9 @@ ConfigIssues CheckZipfTraceConfig(const ZipfTraceConfig& cfg) {
   return issues;
 }
 
-void ValidateZipfTraceConfig(const ZipfTraceConfig& cfg) {
-  ThrowOnIssues("ZipfTraceConfig", CheckZipfTraceConfig(cfg));
-}
-
 std::vector<TimedRequest> GenerateZipfTrace(const ZipfTraceConfig& cfg,
                                             const DatasetSpec& dataset) {
-  ValidateZipfTraceConfig(cfg);
+  ThrowOnIssues("ZipfTraceConfig", CheckZipfTraceConfig(cfg));
   Rng rng(cfg.seed);
 
   // Content per identity, fixed up front: rank k gets one dataset-shaped
@@ -128,13 +120,9 @@ ConfigIssues CheckRampTraceConfig(const RampTraceConfig& cfg) {
   return issues;
 }
 
-void ValidateRampTraceConfig(const RampTraceConfig& cfg) {
-  ThrowOnIssues("RampTraceConfig", CheckRampTraceConfig(cfg));
-}
-
 std::vector<TimedRequest> GenerateRampTrace(const RampTraceConfig& cfg,
                                             const DatasetSpec& dataset) {
-  ValidateRampTraceConfig(cfg);
+  ThrowOnIssues("RampTraceConfig", CheckRampTraceConfig(cfg));
   Rng rng(cfg.seed);
   LengthSampler sampler(dataset);
   std::size_t total = 0;

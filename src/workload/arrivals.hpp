@@ -44,10 +44,6 @@ struct PoissonTraceConfig {
 /// empty means legal.
 ConfigIssues CheckPoissonTraceConfig(const PoissonTraceConfig& cfg);
 
-/// Throws std::invalid_argument when the trace configuration is malformed
-/// (non-positive or NaN rate, zero requests).
-void ValidatePoissonTraceConfig(const PoissonTraceConfig& cfg);
-
 /// Generates a trace of `cfg.requests` timestamped requests: exponential
 /// inter-arrival gaps at `cfg.arrival_rate_rps` and dataset-shaped lengths.
 /// Deterministic in the seed; arrivals are strictly ordered in time.
@@ -69,10 +65,6 @@ struct ZipfTraceConfig {
 /// Names every illegal field (non-positive or NaN rate, zero requests,
 /// zero population, negative or NaN skew); empty means legal.
 ConfigIssues CheckZipfTraceConfig(const ZipfTraceConfig& cfg);
-
-/// Throws std::invalid_argument naming the offending field (non-positive
-/// or NaN rate, zero requests, zero population, negative or NaN skew).
-void ValidateZipfTraceConfig(const ZipfTraceConfig& cfg);
 
 /// Generates a popularity-skewed trace: Poisson arrivals at
 /// `cfg.arrival_rate_rps`, identities Zipf(`cfg.skew`)-sampled from a
@@ -101,9 +93,6 @@ struct RampTraceConfig {
 /// Names every illegal field (no stages, non-positive or NaN stage rate,
 /// empty stage); empty means legal.
 ConfigIssues CheckRampTraceConfig(const RampTraceConfig& cfg);
-
-/// Throws std::invalid_argument naming the offending field.
-void ValidateRampTraceConfig(const RampTraceConfig& cfg);
 
 /// Generates the concatenated trace: stage i's exponential gaps at its own
 /// rate continue from the previous stage's last arrival, so the timeline

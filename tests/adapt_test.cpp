@@ -2,8 +2,8 @@
 // hysteresis at the band edges, thread-count determinism of adaptive
 // replay, bit-exactness of escalated re-runs against the full model,
 // accuracy-floor enforcement under step overload, the unified
-// ServiceModelSpec surface, tiered dispatch pricing, degradation-aware
-// routing and the DesignPoint JSON round-trip of the controller knobs.
+// ServiceModelSpec surface, degradation-aware routing and the DesignPoint
+// JSON round-trip of the controller knobs.
 
 #include <gtest/gtest.h>
 
@@ -146,13 +146,12 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   EXPECT_DOUBLE_EQ(padded({100, 50}),
                    spec.batch_overhead_s + 2 * 100 * spec.seconds_per_token);
 
-  // The deprecated factories are shims over the same surface: identical
-  // spec, identical price.
+  // The accelerator base prices with the performance twin itself.
   spec.base = ServiceModelSpec::Base::kAccelerator;
   spec.model = SmallModel().config();
   const std::vector<std::size_t> batch = {96, 64};
   EXPECT_EQ(BuildServiceModel(spec)(batch),
-            AcceleratorServiceModel(spec.model, spec.accel)(batch));
+            RunAccelerator(spec.model, batch, spec.accel).latency_s);
 }
 
 TEST(ServiceModelSpecTest, TierModelsPriceSparserTiersNoSlower) {
@@ -172,34 +171,6 @@ TEST(ServiceModelSpecTest, TierModelsPriceSparserTiersNoSlower) {
     EXPECT_LE(price, prev) << "tier " << t;
     prev = price;
   }
-}
-
-// ------------------------------------------------- tiered dispatch --
-
-TEST(TieredDispatchTest, PricesEachBatchByItsTierModel) {
-  const std::vector<TimedRequest> trace = {{0.0, 10}, {0.0, 20}};
-  FormedBatch b0;
-  b0.indices = {0};
-  b0.ready_s = 0.0;
-  b0.tokens = 10;
-  FormedBatch b1 = b0;
-  b1.indices = {1};
-  b1.tokens = 20;
-  b1.tier = 1;
-  const std::vector<BatchServiceModel> tiers = {
-      [](const std::vector<std::size_t>&) { return 1.0; },
-      [](const std::vector<std::size_t>&) { return 0.25; }};
-
-  const DispatchSchedule sched =
-      ScheduleFormedBatches(trace, {b0, b1}, /*workers=*/2, tiers);
-  ASSERT_EQ(sched.service_s.size(), 2u);
-  EXPECT_DOUBLE_EQ(sched.service_s[0], 1.0);
-  EXPECT_DOUBLE_EQ(sched.service_s[1], 0.25);
-
-  FormedBatch rogue = b1;
-  rogue.tier = 7;
-  EXPECT_THROW(ScheduleFormedBatches(trace, {b0, rogue}, 2, tiers),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------- adaptive engine --

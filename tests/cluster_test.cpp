@@ -85,17 +85,18 @@ TEST(RouterTest, ValidatesConfigPerField) {
   RouterConfig cfg;
   cfg.policy = RouterPolicy::kLengthBucketed;
   // Missing edges.
-  EXPECT_THROW(ValidateRouterConfig(cfg, 2), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckRouterConfig(cfg, 2), "length_edges"));
   // Zero edge.
   cfg.length_edges = {0};
-  EXPECT_THROW(ValidateRouterConfig(cfg, 2), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckRouterConfig(cfg, 2), "length_edges"));
   // Not strictly increasing.
   cfg.length_edges = {64, 64};
-  EXPECT_THROW(ValidateRouterConfig(cfg, 2), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckRouterConfig(cfg, 2), "length_edges"));
   cfg.length_edges = {64, 128};
-  EXPECT_NO_THROW(ValidateRouterConfig(cfg, 2));
+  EXPECT_TRUE(CheckRouterConfig(cfg, 2).empty());
   // No replicas to route to.
-  EXPECT_THROW(ValidateRouterConfig(cfg, 0), std::invalid_argument);
+  EXPECT_FALSE(CheckRouterConfig(cfg, 0).empty());
+  EXPECT_THROW(Router(cfg, 0), std::invalid_argument);
 }
 
 TEST(RouterTest, RoundRobinRotatesAndSkipsOffline) {
@@ -162,27 +163,28 @@ TEST(RouterTest, LengthBucketedPinsBucketsToHomeReplicas) {
 
 TEST(ClusterConfigTest, ValidatesPerFieldWithReplicaContext) {
   ClusterConfig empty;
-  EXPECT_THROW(ValidateClusterConfig(empty), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckClusterConfig(empty), "replicas"));
 
   auto bad = SmallCluster(2, RouterPolicy::kRoundRobin);
   bad.replicas[1].engine.workers = 0;
+  EXPECT_TRUE(
+      HasIssueFor(CheckClusterConfig(bad), "replica[1].engine.workers"));
   try {
-    ValidateClusterConfig(bad);
+    ServingCluster cluster(SmallModel(), bad);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("replica[1]"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos)
         << e.what();
   }
 
   auto mixed = SmallCluster(2, RouterPolicy::kRoundRobin);
   mixed.replicas[1].engine.execute = false;
-  EXPECT_THROW(ValidateClusterConfig(mixed), std::invalid_argument);
+  EXPECT_TRUE(
+      HasIssueFor(CheckClusterConfig(mixed), "replica[1].engine.execute"));
 
   auto bad_router = SmallCluster(2, RouterPolicy::kLengthBucketed);
   bad_router.router.length_edges.clear();
-  EXPECT_THROW(ValidateClusterConfig(bad_router), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckClusterConfig(bad_router), "length_edges"));
 
   ServingCluster cluster(SmallModel(),
                          SmallCluster(2, RouterPolicy::kRoundRobin));

@@ -65,8 +65,8 @@ TEST(ExplorerTest, ParetoFrontIsNonDominatedAndSorted) {
 
 TEST(ExplorerTest, SmallerKIsFasterButLessAccurate) {
   const auto res = ExploreDesign(BertBase(), Squad(), QuickExplorer());
-  const DesignPoint* k10 = nullptr;
-  const DesignPoint* k64 = nullptr;
+  const ExplorerPoint* k10 = nullptr;
+  const ExplorerPoint* k64 = nullptr;
   for (const auto& p : res.points) {
     if (p.bits != 1) continue;
     if (p.top_k == 10) k10 = &p;

@@ -154,14 +154,15 @@ TEST(BatchFormerTest, SortByLengthReordersWithinBatchOnly) {
 TEST(BatchFormerTest, ValidatesConfig) {
   BatchFormerConfig cfg;
   cfg.max_batch = 0;
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "max_batch"));
+  EXPECT_THROW(FormBatches({}, cfg), std::invalid_argument);
   cfg.max_batch = 4;
   cfg.timeout_s = -1;
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "timeout_s"));
   cfg.timeout_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "timeout_s"));
   cfg.timeout_s = 0.01;
-  EXPECT_NO_THROW(ValidateBatchFormerConfig(cfg));
+  EXPECT_TRUE(CheckBatchFormerConfig(cfg).empty());
 }
 
 // ------------------------------------------------------------ Dispatch --
@@ -310,7 +311,7 @@ TEST(ServingEngineTest, AgreesWithSimulatorOnSharedScenario) {
   const ServingReport sim = SimulateServing(BertBase(), Mrpc(), scenario);
 
   auto cfg = SmallEngineConfig();
-  cfg.former = ServingBatchFormer(scenario);
+  cfg.former = scenario.former;
   cfg.workers = scenario.workers;
   ServiceModelSpec spec;
   spec.base = ServiceModelSpec::Base::kAccelerator;
@@ -511,6 +512,98 @@ TEST(ServingEngineTest, DrainResetsForTheNextStream) {
   ASSERT_EQ(first.outputs.size(), second.outputs.size());
   for (std::size_t i = 0; i < first.outputs.size(); ++i) {
     EXPECT_EQ(first.outputs[i], second.outputs[i]);
+  }
+}
+
+// ------------------------------------------------------ One event loop --
+
+/// `inner`, counting every call into `calls`.
+BatchServiceModel Counting(BatchServiceModel inner, std::size_t& calls) {
+  return [inner = std::move(inner),
+          &calls](const std::vector<std::size_t>& lengths) {
+    ++calls;
+    return inner(lengths);
+  };
+}
+
+TEST(ServingEngineLoopTest, PricesEveryFormedBatchExactlyOnce) {
+  auto trace = SmallTrace(40);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = 1 + i % 7;
+  std::size_t calls = 0;
+  const BatchServiceModel service =
+      Counting(TokenLinearServiceModel(1e-4, 2e-3), calls);
+
+  auto plain = SmallEngineConfig();
+  plain.execute = false;
+  plain.service = service;
+  auto cached = plain;
+  cached.cache.enabled = true;
+  cached.cache.key_policy = CacheKeyPolicy::kRequestId;
+  auto sharded = plain;
+  sharded.backend = BackendMode::kSharded;
+  sharded.shard.degree = 2;
+  auto adaptive = plain;
+  adaptive.adapt.enabled = true;
+  adaptive.adapt.epoch_s = 0.002;
+  adaptive.adapt.queue_ref = 1;
+  adaptive.adapt.escalate_margin = 1.0;  // every cheap first pass re-runs
+  adaptive.adapt.tiers = {ServiceTier{16, false, 1.0},
+                          ServiceTier{4, true, 0.85}};
+  adaptive.tier_services = {service, service};
+
+  for (const ServingEngineConfig& cfg : {plain, cached, sharded, adaptive}) {
+    calls = 0;
+    ServingEngine engine(SmallModel(), cfg);
+    const ServingResult res = engine.Replay(trace);
+    EXPECT_GT(res.batches.size(), 0u);
+    EXPECT_EQ(calls, res.batches.size());
+  }
+}
+
+TEST(ServingEngineLoopTest, ScheduleMatchesOfflineReference) {
+  const auto trace = SmallTrace(40);
+  const BatchServiceModel service = TokenLinearServiceModel(2e-4, 5e-3);
+  for (std::size_t workers : {1u, 2u, 3u}) {
+    auto cfg = SmallEngineConfig();
+    cfg.execute = false;
+    cfg.workers = workers;
+    cfg.service = service;
+    ServingEngine engine(SmallModel(), cfg);
+    const ServingResult res = engine.Replay(trace);
+    const DispatchSchedule ref =
+        ScheduleFormedBatches(trace, res.batches, workers, service);
+    EXPECT_EQ(res.schedule.launch_s, ref.launch_s) << workers;
+    EXPECT_EQ(res.schedule.done_s, ref.done_s) << workers;
+    EXPECT_EQ(res.schedule.service_s, ref.service_s) << workers;
+    EXPECT_EQ(res.schedule.worker_of, ref.worker_of) << workers;
+    EXPECT_EQ(res.report().mean_latency_s, ref.report.mean_latency_s);
+    EXPECT_EQ(res.report().p99_latency_s, ref.report.p99_latency_s);
+    EXPECT_EQ(res.report().throughput_rps, ref.report.throughput_rps);
+    EXPECT_EQ(res.report().device_busy_frac, ref.report.device_busy_frac);
+  }
+}
+
+TEST(ServingEngineLoopTest, OneTierAdaptiveFormsTheSharedFormersBatches) {
+  // Simultaneous arrivals, and arrivals exactly at open_s + timeout_s:
+  // both join the open batch, as in FormBatches.
+  const auto trace =
+      HandTrace({{0.0, 10}, {0.0, 20}, {0.25, 30}, {0.25, 40}, {0.5, 50}});
+  for (double timeout : {0.0, 0.25}) {
+    auto cfg = SmallEngineConfig();
+    cfg.execute = false;
+    cfg.former.timeout_s = timeout;
+    cfg.adapt.enabled = true;
+    cfg.adapt.tiers = {ServiceTier{16, false, 1.0}};
+    ServingEngine engine(SmallModel(), cfg);
+    const ServingResult res = engine.Replay(trace);
+    const auto expected = FormBatches(trace, cfg.former);
+    ASSERT_EQ(res.batches.size(), expected.size()) << timeout;
+    for (std::size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(res.batches[b].indices, expected[b].indices) << timeout;
+      EXPECT_EQ(res.batches[b].open_s, expected[b].open_s) << timeout;
+      EXPECT_EQ(res.batches[b].ready_s, expected[b].ready_s) << timeout;
+      EXPECT_EQ(res.batches[b].seal, expected[b].seal) << timeout;
+    }
   }
 }
 

@@ -487,10 +487,11 @@ TEST(ShardServiceTest, CommModelIsTheCollectivesTermExactly) {
 TEST(ShardServiceTest, ValidatesConfig) {
   ShardServiceConfig cfg;
   cfg.degree = 1;
-  EXPECT_THROW(ValidateShardServiceConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckShardServiceConfig(cfg), "degree"));
   cfg.degree = 2;
   cfg.interconnect.hop_latency_s = -1;
-  EXPECT_THROW(ValidateShardServiceConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckShardServiceConfig(cfg),
+                          "interconnect.hop_latency_s"));
 }
 
 // ------------------------------------- engine kSharded + routing --
@@ -556,7 +557,7 @@ TEST(ShardServiceTest, LongToShardedRoutesByLengthClass) {
   // The policy requires a threshold.
   RouterConfig bad;
   bad.policy = RouterPolicy::kLongToSharded;
-  EXPECT_THROW(ValidateRouterConfig(bad, 2), std::invalid_argument);
+  EXPECT_FALSE(CheckRouterConfig(bad, 2).empty());
 }
 
 }  // namespace
