@@ -4,11 +4,17 @@
 // lengths).  Single thread, deterministic inputs.  Emits machine-readable
 // JSON (BENCH_kernels.json, or argv[1]) for the CI perf-regression gate;
 // the dimensionless speedups are what the gate compares against
-// bench/baselines/, since absolute GFLOP/s move with the host.
+// bench/baselines/, since absolute GFLOP/s move with the host.  The int8
+// cells time the packed K-pair Int8GemmInto against the 4-row int32 loop it
+// replaced on the projection and FFN shapes, and fail the run on any bit
+// mismatch between the two.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,6 +43,44 @@ MatrixF ScalarMatMulBT(const MatrixF& a, const MatrixF& b) {
     }
   }
   return c;
+}
+
+// The library's int8 GEMM before the packed K-pair kernel: four output
+// rows per sweep of W with int32 multiplies, kept here as the baseline the
+// packed kernel is timed and bit-checked against.
+void ScalarInt8Gemm(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
+  const std::size_t n = x.rows();
+  const std::size_t k = x.cols();
+  const std::size_t m = w.cols();
+  out.Resize(n, m);
+  std::fill(out.flat().begin(), out.flat().end(), 0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    auto x0 = x.row(i), x1 = x.row(i + 1), x2 = x.row(i + 2),
+         x3 = x.row(i + 3);
+    auto o0 = out.row(i), o1 = out.row(i + 1), o2 = out.row(i + 2),
+         o3 = out.row(i + 3);
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::int32_t a0 = x0[p], a1 = x1[p], a2 = x2[p], a3 = x3[p];
+      auto wp = w.row(p);
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::int32_t wj = wp[j];
+        o0[j] += a0 * wj;
+        o1[j] += a1 * wj;
+        o2[j] += a2 * wj;
+        o3[j] += a3 * wj;
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    auto xi = x.row(i);
+    auto oi = out.row(i);
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::int32_t a = xi[p];
+      auto wp = w.row(p);
+      for (std::size_t j = 0; j < m; ++j) oi[j] += a * wp[j];
+    }
+  }
 }
 
 struct ShapeResult {
@@ -122,6 +166,68 @@ ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
   return r;
 }
 
+struct Int8Result {
+  std::string label;
+  std::size_t m = 0, k = 0, n = 0;
+  double scalar_gops = 0;
+  double packed_gops = 0;
+  double speedup = 0;
+  bool bit_exact = false;
+};
+
+MatrixI8 RandomCodes(std::size_t rows, std::size_t cols, Rng& rng) {
+  MatrixI8 q(rows, cols);
+  for (auto& v : q.flat()) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(256)) - 128);
+  }
+  return q;
+}
+
+Int8Result BenchInt8(const std::string& label, std::size_t m, std::size_t k,
+                     std::size_t n, Rng& rng) {
+  const MatrixI8 x = RandomCodes(m, k, rng);
+  const MatrixI8 w = RandomCodes(k, n, rng);
+  const double ops = 2.0 * m * k * n;
+
+  MatrixI32 ref, out;
+  GemmScratch scratch;
+  auto time_once = [](auto&& fn) {
+    const auto t0 = Clock::now();
+    fn();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  auto scalar = [&] {
+    ScalarInt8Gemm(x, w, ref);
+    g_sink = g_sink + static_cast<float>(ref(0, 0));
+  };
+  auto packed = [&] {
+    Int8GemmInto(x, w, out, scratch);
+    g_sink = g_sink + static_cast<float>(out(0, 0));
+  };
+  // Interleaved best-of rounds: both sides of the gated ratio sample the
+  // same stretch of host contention, and the minimum drops the rounds
+  // another process stalled (a shared host moved mean-timed ratios by 50%).
+  scalar();
+  packed();
+  double scalar_s = std::numeric_limits<double>::infinity();
+  double packed_s = scalar_s;
+  for (int round = 0; round < 15; ++round) {
+    scalar_s = std::min(scalar_s, time_once(scalar));
+    packed_s = std::min(packed_s, time_once(packed));
+  }
+
+  Int8Result r;
+  r.label = label;
+  r.m = m;
+  r.k = k;
+  r.n = n;
+  r.scalar_gops = ops / scalar_s * 1e-9;
+  r.packed_gops = ops / packed_s * 1e-9;
+  r.speedup = scalar_s / packed_s;
+  r.bit_exact = out == ref;
+  return r;
+}
+
 }  // namespace
 }  // namespace latte
 
@@ -155,6 +261,31 @@ int main(int argc, char** argv) {
   const double geomean = std::exp(log_sum / results.size());
   std::printf("  min speedup %.2fx, geomean %.2fx\n", min_speedup, geomean);
 
+  // The int8 projections and FFN of the functional datapath (QuantizedLinear).
+  std::vector<Int8Result> int8;
+  int8.push_back(BenchInt8("qkv_proj_seq64", 64, 768, 768, rng));
+  int8.push_back(BenchInt8("ffn1_seq128", 128, 768, 3072, rng));
+  int8.push_back(BenchInt8("ffn2_seq128", 128, 3072, 768, rng));
+  std::printf("\n== int8 GEMM GOP/s, packed K-pair vs 4-row loop ==\n");
+  double int8_min_speedup = 0;
+  bool int8_exact = true;
+  for (const auto& r : int8) {
+    std::printf(
+        "  %-18s %4zux%4zux%4zu  scalar %7.2f  packed %7.2f  %5.2fx%s\n",
+        r.label.c_str(), r.m, r.k, r.n, r.scalar_gops, r.packed_gops,
+        r.speedup, r.bit_exact ? "" : "  BIT MISMATCH");
+    int8_min_speedup = int8_min_speedup == 0
+                           ? r.speedup
+                           : std::min(int8_min_speedup, r.speedup);
+    int8_exact = int8_exact && r.bit_exact;
+  }
+  std::printf("  int8 min speedup %.2fx\n", int8_min_speedup);
+  if (!int8_exact) {
+    std::fprintf(stderr, "bench_kernels: packed int8 GEMM differs from the "
+                         "scalar reference\n");
+    return 1;
+  }
+
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("kernels");
@@ -179,6 +310,21 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.Key("min_speedup").Value(min_speedup);
   json.Key("geomean_speedup").Value(geomean);
+  json.Key("int8_shapes");
+  json.BeginArray();
+  for (const auto& r : int8) {
+    json.BeginObject();
+    json.Key("label").Value(r.label);
+    json.Key("m").Value(r.m);
+    json.Key("k").Value(r.k);
+    json.Key("n").Value(r.n);
+    json.Key("scalar_gops").Value(r.scalar_gops);
+    json.Key("packed_gops").Value(r.packed_gops);
+    json.Key("speedup").Value(r.speedup);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("int8_min_speedup").Value(int8_min_speedup);
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

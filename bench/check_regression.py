@@ -165,17 +165,22 @@ def compare_kernels(gate, base, cur):
                cur["min_speedup"], "higher")
     gate.check("kernels", "geomean_speedup", base["geomean_speedup"],
                cur["geomean_speedup"], "higher")
-    cur_shapes = {s["label"]: s for s in cur["shapes"]}
-    for shape in base["shapes"]:
-        label = shape["label"]
-        got = cur_shapes.get(label)
-        if got is None:
-            gate.missing("kernels", "shape %s" % label)
-            continue
-        gate.check("kernels", "%s.speedup" % label, shape["speedup"],
-                   got["speedup"], "info-higher")
-        gate.check("kernels", "%s.tiled_gflops" % label,
-                   shape["tiled_gflops"], got["tiled_gflops"], "info-higher")
+    gate.check("kernels", "int8_min_speedup", base["int8_min_speedup"],
+               cur["int8_min_speedup"], "higher")
+    # Float and int8 cells share labels, so int8 rows carry a prefix.
+    for key, prefix, rate in (("shapes", "", "tiled_gflops"),
+                              ("int8_shapes", "int8 ", "packed_gops")):
+        cur_shapes = {s["label"]: s for s in cur[key]}
+        for shape in base[key]:
+            label = prefix + shape["label"]
+            got = cur_shapes.get(shape["label"])
+            if got is None:
+                gate.missing("kernels", "shape %s" % label)
+                continue
+            gate.check("kernels", "%s.speedup" % label, shape["speedup"],
+                       got["speedup"], "info-higher")
+            gate.check("kernels", "%s.%s" % (label, rate), shape[rate],
+                       got[rate], "info-higher")
 
 
 @bench_compare("BENCH_runtime.json")

@@ -58,7 +58,9 @@ MatrixF ModelInstance::Forward(const MatrixF& x, const InferenceConfig& inf,
       attn = DenseAttention;
     }
     if (int8) {
-      h = QuantizedEncoderForward(h, qlayers_[l], cfg_.encoder, attn);
+      h = QuantizedEncoderForward(
+          h, qlayers_[l], cfg_.encoder, attn,
+          workspace != nullptr ? workspace->gemm() : ThreadLocalGemmScratch());
     } else if (workspace != nullptr) {
       h = EncoderForwardWorkspace(h, layers_[l], cfg_.encoder, attn,
                                   *workspace);

@@ -49,8 +49,9 @@ class ModelInstance {
   /// If `scratch` is non-null the sparse modes lease their per-row
   /// temporaries from it (the batch runtime passes one per worker).
   /// If `workspace` is non-null the float encoder layers additionally
-  /// lease their GEMM intermediates and pack buffers from it; when it is
-  /// null each layer runs on a call-local arena.  Outputs are
+  /// lease their GEMM intermediates and pack buffers from it, and the int8
+  /// layers their GEMM pack buffers; when it is null each layer runs on a
+  /// call-local (float) or thread-local (int8) arena.  Outputs are
   /// bit-identical either way (same kernels, different buffers).
   MatrixF Forward(const MatrixF& x, const InferenceConfig& inf,
                   std::vector<LayerRunStats>* stats = nullptr,

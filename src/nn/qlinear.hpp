@@ -10,6 +10,7 @@
 // the FPGA's dedicated units.
 
 #include "nn/encoder.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/quantize.hpp"
 
 namespace latte {
@@ -23,7 +24,11 @@ struct QuantizedLinear {
   static QuantizedLinear FromFloat(const Linear& l);
 
   /// y = dequant(quant8(x) * Wq) + bias.  Activations are quantized with
-  /// a per-call symmetric scale; accumulation is exact int32.
+  /// a per-call symmetric scale; accumulation is exact int32.  The GEMM
+  /// packs into `scratch` (a Workspace's `ws.gemm()` on hot paths).
+  MatrixF Forward(const MatrixF& x, GemmScratch& scratch) const;
+
+  /// As above with the calling thread's scratch (same bits).
   MatrixF Forward(const MatrixF& x) const;
 
   std::size_t in_features() const { return weight.codes.rows(); }
@@ -44,7 +49,14 @@ struct QuantizedEncoderWeights {
 };
 
 /// Encoder forward with every matmul in int8 (the FPGA datapath).  The
-/// attention operator is pluggable exactly like the float encoder.
+/// attention operator is pluggable exactly like the float encoder.  All
+/// six int8 GEMMs pack into `scratch`.
+MatrixF QuantizedEncoderForward(const MatrixF& x,
+                                const QuantizedEncoderWeights& w,
+                                const EncoderConfig& cfg,
+                                const AttentionFn& attn, GemmScratch& scratch);
+
+/// As above with the calling thread's scratch (same bits).
 MatrixF QuantizedEncoderForward(const MatrixF& x,
                                 const QuantizedEncoderWeights& w,
                                 const EncoderConfig& cfg,

@@ -1,9 +1,11 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
@@ -241,12 +243,231 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
   }
 }
 
-GemmScratch& ThreadLocalScratch() {
+// ------------------------------------------------------------ int8 GEMM --
+//
+// Packed K-pair layout.  A 16-bit multiply-add (pmaddwd) multiplies eight
+// int16 lanes pairwise and sums adjacent products into four int32 lanes,
+// so one reduction step consumes two K rows: W is packed as int16 pairs
+// {w(p, j), w(p+1, j)}, column by column, and the activation pair
+// {x(i, p), x(i, p+1)} is one int32 broadcast to every lane.  A pair sum
+// of int8 products is at most 2 * 128^2 = 32768, far inside an int32
+// lane, and int32 addition is associative, so every output is exact.
+
+// Register tile kMr8 x kNr8; kLanes8 copies of each activation pair in the
+// pack, so the vector kernel loads a pre-broadcast pair.
+constexpr std::size_t kMr8 = 4;
+constexpr std::size_t kNr8 = 8;
+constexpr std::size_t kLanes8 = 4;
+
+// K-tile: 128 rows of W pack to 128 * m int16 (0.75 MiB at m = 3072),
+// which keeps the pack scratch at or under 1 MiB for BERT-base's FFN width.
+// Even, so a K-pair never straddles two tiles.
+constexpr std::size_t kKc8 = 128;
+
+inline std::int32_t PackPair(std::int8_t lo, std::int8_t hi) {
+  // Two's-complement int16 halves, lo in the low half (lane 2t of pmaddwd).
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16);
+}
+
+// Interleaves 8 columns of rows r0 and r1 into {r0[j], r1[j]} int16 pairs,
+// j = 0..7.  r1 == nullptr is the zero row past an odd K tail.
+inline void PackPairs8(const std::int8_t* r0, const std::int8_t* r1,
+                       std::int16_t* out) {
+#if defined(__SSE2__)
+  const __m128i lo = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0));
+  const __m128i hi =
+      r1 != nullptr ? _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1))
+                    : _mm_setzero_si128();
+  const __m128i v = _mm_unpacklo_epi8(lo, hi);
+  // Sign-extend bytes to int16: duplicate each byte, shift right by 8.
+  __m128i* o = reinterpret_cast<__m128i*>(out);
+  _mm_store_si128(o, _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8));
+  _mm_store_si128(o + 1, _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8));
+#else
+  for (std::size_t j = 0; j < 8; ++j) {
+    out[2 * j] = r0[j];
+    out[2 * j + 1] = r1 != nullptr ? r1[j] : 0;
+  }
+#endif
+}
+
+// Packs K rows [pc, pc + kc) of w into kNr8-wide column panels of K-pairs:
+// panel jp, pair kp holds {w(pc+2kp, j), w(pc+2kp+1, j)} for the panel's
+// columns j at dst[jp * panel + kp * 2kNr8 + 2(j - jp * kNr8) + {0, 1}].
+// Columns past m and the pair partner past an odd kc are zero, and zeros
+// add nothing to the accumulators.
+void PackW(const MatrixI8& w, std::size_t pc, std::size_t kc,
+           std::int16_t* dst) {
+  const std::size_t m = w.cols();
+  const std::size_t kc2 = (kc + 1) / 2;
+  const std::size_t panel = kc2 * 2 * kNr8;
+  const std::size_t padded = (m + kNr8 - 1) / kNr8 * kNr8;
+  const std::size_t full = m / 8 * 8;
+  auto at = [&](std::size_t kp, std::size_t j) {
+    return dst + j / kNr8 * panel + kp * 2 * kNr8 + j % kNr8 * 2;
+  };
+  for (std::size_t kp = 0; kp < kc2; ++kp) {
+    const std::int8_t* r0 = w.row(pc + 2 * kp).data();
+    const std::int8_t* r1 =
+        2 * kp + 1 < kc ? w.row(pc + 2 * kp + 1).data() : nullptr;
+    for (std::size_t j = 0; j < full; j += 8) {
+      PackPairs8(r0 + j, r1 != nullptr ? r1 + j : nullptr, at(kp, j));
+    }
+    for (std::size_t j = full; j < padded; ++j) {
+      std::int16_t* o = at(kp, j);
+      o[0] = j < m ? r0[j] : 0;
+      o[1] = j < m && r1 != nullptr ? r1[j] : 0;
+    }
+  }
+}
+
+// Packs the activation pairs of row tile [i0, i0 + mr) over K window
+// [pc, pc + kc) p-major, kMr8 rows per pair step and each pair repeated
+// kLanes8 times, zero-padding rows past mr and the pair partner past an odd
+// kc -- so the micro-kernel always runs a full kMr8-row tile.
+void PackX(const MatrixI8& x, std::size_t i0, std::size_t mr, std::size_t pc,
+           std::size_t kc, std::int32_t* dst) {
+  const std::size_t kc2 = (kc + 1) / 2;
+  auto put = [dst](std::size_t kp, std::size_t i, std::int32_t pair) {
+    std::int32_t* d = dst + (kp * kMr8 + i) * kLanes8;
+    for (std::size_t l = 0; l < kLanes8; ++l) d[l] = pair;
+  };
+  for (std::size_t i = 0; i < kMr8; ++i) {
+    if (i >= mr) {
+      for (std::size_t kp = 0; kp < kc2; ++kp) put(kp, i, 0);
+      continue;
+    }
+    const std::int8_t* row = x.row(i0 + i).data() + pc;
+    for (std::size_t kp = 0; kp < kc / 2; ++kp) {
+      put(kp, i, PackPair(row[2 * kp], row[2 * kp + 1]));
+    }
+    if (kc % 2 != 0) put(kc2 - 1, i, PackPair(row[kc - 1], 0));
+  }
+}
+
+#if defined(__GNUC__) || defined(__clang__)
+
+// 4 x 8 micro-kernel on GNU int32 vectors: eight named accumulators, two
+// panel loads and four pre-broadcast pair loads per K-pair.  The pairs are
+// pre-broadcast because SSE2 has no broadcast load, and a pshufd per row
+// would put a fourth shuffle uop beside every two multiply-adds on the same
+// vector ports.  The accumulators are summed with `+=`: with _mm_add_epi32
+// gcc adds into the product register and copies it back, eight extra moves
+// per step.
+using V4i = std::int32_t __attribute__((vector_size(16)));
+
+inline V4i LoadV4i(const void* p) {
+  V4i v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+#if defined(__SSE2__)
+
+// pmaddwd: SSE2 is baseline on every x86-64 target, native builds included.
+inline V4i Madd(V4i a, V4i b) {
+  return std::bit_cast<V4i>(_mm_madd_epi16(std::bit_cast<__m128i>(a),
+                                           std::bit_cast<__m128i>(b)));
+}
+
+#else
+
+// The same multiply-add in plain vector arithmetic.  A product of two int8
+// values lies in [-16256, 16384], so one int16 lane multiply is exact; each
+// int32 lane then adds its sign-extended low and high halves.
+using V8s = std::int16_t __attribute__((vector_size(16)));
+
+inline V4i Madd(V4i a, V4i b) {
+  const auto p =
+      std::bit_cast<V4i>(std::bit_cast<V8s>(a) * std::bit_cast<V8s>(b));
+  return ((p << 16) >> 16) + (p >> 16);
+}
+
+#endif
+
+void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
+                     const std::int16_t* wp, std::int32_t* c, std::size_t ldc,
+                     std::size_t mr, std::size_t nr) {
+  V4i c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
+  for (std::size_t kp = 0; kp < kc2; ++kp) {
+    const std::int16_t* b = wp + kp * 2 * kNr8;
+    const std::int32_t* a = xp + kp * kMr8 * kLanes8;
+    const V4i b0 = LoadV4i(b);
+    const V4i b1 = LoadV4i(b + kNr8);
+    const V4i a0 = LoadV4i(a);
+    const V4i a1 = LoadV4i(a + kLanes8);
+    const V4i a2 = LoadV4i(a + 2 * kLanes8);
+    const V4i a3 = LoadV4i(a + 3 * kLanes8);
+    c00 += Madd(a0, b0);
+    c01 += Madd(a0, b1);
+    c10 += Madd(a1, b0);
+    c11 += Madd(a1, b1);
+    c20 += Madd(a2, b0);
+    c21 += Madd(a2, b1);
+    c30 += Madd(a3, b0);
+    c31 += Madd(a3, b1);
+  }
+  const V4i acc[kMr8][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+  if (mr == kMr8 && nr == kNr8) {
+    for (std::size_t i = 0; i < kMr8; ++i) {
+      for (std::size_t h = 0; h < 2; ++h) {
+        V4i ci;
+        std::memcpy(&ci, c + i * ldc + 4 * h, sizeof(ci));
+        ci += acc[i][h];
+        std::memcpy(c + i * ldc + 4 * h, &ci, sizeof(ci));
+      }
+    }
+    return;
+  }
+  std::int32_t tile[kMr8][kNr8];
+  std::memcpy(tile, acc, sizeof(tile));
+  for (std::size_t i = 0; i < mr; ++i) {
+    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += tile[i][j];
+  }
+}
+
+#else
+
+// Last-resort scalar micro-kernel over the same packed layout, for
+// compilers without GNU vector extensions.  Each K-pair's panel row is
+// split into contiguous low/high int32 rows first, so the fixed-width j
+// loops are unit-stride for the auto-vectorizer.
+void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
+                     const std::int16_t* wp, std::int32_t* c, std::size_t ldc,
+                     std::size_t mr, std::size_t nr) {
+  std::int32_t tile[kMr8][kNr8] = {};
+  for (std::size_t kp = 0; kp < kc2; ++kp) {
+    const std::int16_t* b = wp + kp * 2 * kNr8;
+    std::int32_t blo[kNr8], bhi[kNr8];
+    for (std::size_t j = 0; j < kNr8; ++j) {
+      blo[j] = b[2 * j];
+      bhi[j] = b[2 * j + 1];
+    }
+    for (std::size_t i = 0; i < kMr8; ++i) {
+      const auto pair =
+          static_cast<std::uint32_t>(xp[(kp * kMr8 + i) * kLanes8]);
+      const std::int32_t lo = static_cast<std::int16_t>(pair & 0xFFFFu);
+      const std::int32_t hi = static_cast<std::int16_t>(pair >> 16);
+      for (std::size_t j = 0; j < kNr8; ++j) {
+        tile[i][j] += lo * blo[j] + hi * bhi[j];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < mr; ++i) {
+    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += tile[i][j];
+  }
+}
+
+#endif
+
+}  // namespace
+
+GemmScratch& ThreadLocalGemmScratch() {
   thread_local GemmScratch scratch;
   return scratch;
 }
-
-}  // namespace
 
 const char* KernelArchName() {
 #if defined(__AVX2__) && defined(__FMA__)
@@ -268,7 +489,7 @@ void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 }
 
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  MatMulInto(a, b, c, ThreadLocalScratch());
+  MatMulInto(a, b, c, ThreadLocalGemmScratch());
 }
 
 void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
@@ -313,10 +534,11 @@ void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 }
 
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  MatMulBTInto(a, b, c, ThreadLocalScratch());
+  MatMulBTInto(a, b, c, ThreadLocalGemmScratch());
 }
 
-void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
+void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out,
+                  GemmScratch& scratch) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
   }
@@ -327,37 +549,34 @@ void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
   std::fill(out.flat().begin(), out.flat().end(), 0);
   if (n == 0 || m == 0 || k == 0) return;
 
-  // Four output rows per sweep: each loaded row of W feeds four
-  // accumulator rows, quartering W traffic versus the naive loop.  No
-  // zero-skip branch -- dense activations rarely quantize to zero, and
-  // the branch defeats vectorization of the inner loop.
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    auto x0 = x.row(i), x1 = x.row(i + 1), x2 = x.row(i + 2),
-         x3 = x.row(i + 3);
-    auto o0 = out.row(i), o1 = out.row(i + 1), o2 = out.row(i + 2),
-         o3 = out.row(i + 3);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t a0 = x0[p], a1 = x1[p], a2 = x2[p], a3 = x3[p];
-      auto wp = w.row(p);
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::int32_t wj = wp[j];
-        o0[j] += a0 * wj;
-        o1[j] += a1 * wj;
-        o2[j] += a2 * wj;
-        o3[j] += a3 * wj;
+  const std::size_t panels = (m + kNr8 - 1) / kNr8;
+  const std::size_t max_kc2 = (std::min(kKc8, k) + 1) / 2;
+  scratch.wpack.resize(panels * max_kc2 * 2 * kNr8);
+  scratch.xpack.resize(max_kc2 * kMr8 * kLanes8);
+  for (std::size_t pc = 0; pc < k; pc += kKc8) {
+    const std::size_t kc = std::min(kKc8, k - pc);
+    const std::size_t kc2 = (kc + 1) / 2;
+    PackW(w, pc, kc, scratch.wpack.data());
+    // Row tiles outer: the tile's activation pairs stay in L1 while the
+    // packed panels stream from L2 and C is walked row-contiguously (a
+    // panel-outer sweep strides C by whole rows, and at m = 3072 every row
+    // maps to the same L1 set).
+    for (std::size_t i0 = 0; i0 < n; i0 += kMr8) {
+      const std::size_t mr = std::min(kMr8, n - i0);
+      PackX(x, i0, mr, pc, kc, scratch.xpack.data());
+      for (std::size_t jp = 0; jp < panels; ++jp) {
+        const std::size_t j0 = jp * kNr8;
+        Int8MicroKernel(kc2, scratch.xpack.data(),
+                        scratch.wpack.data() + jp * kc2 * 2 * kNr8,
+                        out.row(i0).data() + j0, m, mr,
+                        std::min(kNr8, m - j0));
       }
     }
   }
-  for (; i < n; ++i) {
-    auto xi = x.row(i);
-    auto oi = out.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t a = xi[p];
-      auto wp = w.row(p);
-      for (std::size_t j = 0; j < m; ++j) oi[j] += a * wp[j];
-    }
-  }
+}
+
+void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
+  Int8GemmInto(x, w, out, ThreadLocalGemmScratch());
 }
 
 float DotProduct(std::span<const float> a, std::span<const float> b) {

@@ -12,16 +12,27 @@
 // available (build with -DLATTE_NATIVE_ARCH=ON) an intrinsics micro-kernel
 // is selected; otherwise a portable register-tiled kernel that
 // auto-vectorizes on the baseline ISA.  `KernelArchName()` reports which
-// one was compiled in.
+// float kernel was compiled in.
+//
+// The int8 GEMM runs the same blocking on 16-bit multiply-add: each K-tile
+// of W is packed into column panels of K-pairs {w(p,j), w(p+1,j)} widened
+// to int16, each activation pair {x(i,p), x(i,p+1)} is broadcast as one
+// int32, and one pmaddwd yields x(i,p)w(p,j) + x(i,p+1)w(p+1,j) per int32
+// lane.  The 4 x 8 micro-kernel accumulates in GNU int32 vectors; its
+// multiply-add is SSE2 pmaddwd (baseline on every x86-64 target, so the
+// native build uses it too) and plain vector arithmetic on other gcc/clang
+// targets.  Other compilers get a scalar kernel over the same layout.
 //
 // Accumulation order differs from the naive triple loop, so float results
 // agree with the scalar reference only to rounding (compare with relative
-// tolerance; tests/kernels_test.cpp uses 1e-4).  Every kernel is
-// deterministic: the same inputs produce bit-identical outputs on every
-// call, with or without a reused scratch, which is what keeps the batched
-// runtime's exact batch-vs-sequential tests meaningful.
+// tolerance; tests/kernels_test.cpp uses 1e-4); integer results are exact.
+// Every kernel is deterministic: the same inputs produce bit-identical
+// outputs on every call, with or without a reused scratch, which is what
+// keeps the batched runtime's exact batch-vs-sequential tests meaningful.
 
 #include <cstddef>
+#include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -29,16 +40,51 @@
 
 namespace latte {
 
-/// Reusable packing scratch for the tiled GEMM family.  Lease one from a
-/// runtime Workspace (`ws.gemm()`) on hot paths; at steady-state shapes the
-/// pack buffer stops growing and GEMM calls allocate nothing.
-struct GemmScratch {
-  std::vector<float> bpack;  ///< packed B panels for the current K-tile
+/// std::allocator with 64-byte (cache-line) alignment, for the int8 pack
+/// buffers: a packed panel load then never splits a cache line and may
+/// use aligned loads.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
 
-  std::size_t CapacityBytes() const {
-    return bpack.capacity() * sizeof(float);
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  template <typename U>
+  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
+    return true;
   }
 };
+
+/// Reusable packing scratch for the tiled GEMM family.  Lease one from a
+/// runtime Workspace (`ws.gemm()`) on hot paths; at steady-state shapes the
+/// pack buffers stop growing and GEMM calls allocate nothing.
+struct GemmScratch {
+  std::vector<float> bpack;  ///< packed B panels for the current K-tile
+  /// Int8GemmInto: int16 K-pair panels of W for the current K-tile (at most
+  /// 128 rows, so 0.75 MiB at a 3072-wide W) ...
+  std::vector<std::int16_t, CacheAlignedAllocator<std::int16_t>> wpack;
+  /// ... and the int32 activation pairs of the current row tile.
+  std::vector<std::int32_t, CacheAlignedAllocator<std::int32_t>> xpack;
+
+  std::size_t CapacityBytes() const {
+    return bpack.capacity() * sizeof(float) +
+           wpack.capacity() * sizeof(std::int16_t) +
+           xpack.capacity() * sizeof(std::int32_t);
+  }
+};
+
+/// The calling thread's own GemmScratch, for call sites that have no
+/// Workspace (the scratch-less GEMM overloads use it).
+GemmScratch& ThreadLocalGemmScratch();
 
 /// Compile-time selected micro-kernel ISA: "avx2+fma" or "portable".
 const char* KernelArchName();
@@ -85,9 +131,16 @@ void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// Exact int8 GEMM with int32 accumulation: out = x * w where x is
-/// (n x k) codes and w is (k x m) codes.  Integer accumulation is
-/// associative, so the row-blocked loop is bit-exact against the naive
-/// reference.  out is resized to (n x m) and fully overwritten.
+/// (n x k) codes and w is (k x m) codes.  The packed K-pair kernel sums
+/// two int8 x int8 products per 16-bit multiply-add; a pair sum is at most
+/// 2 * 128^2 = 32768, so it cannot overflow its int32 lane, and int32
+/// addition is associative, so every output equals the naive loop's bit
+/// for bit.  out is resized to (n x m) and fully overwritten.  Throws on
+/// shape mismatch.
+void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out,
+                  GemmScratch& scratch);
+
+/// As above with the calling thread's scratch.
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out);
 
 /// Dot product with unrolled partial sums (reordered accumulation;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace latte {
 
@@ -40,8 +41,19 @@ QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M) {
   q.scale = (M > 0.f) ? M / static_cast<float>(qmax) : 1.f;
   auto src = m.flat();
   auto dst = q.codes.flat();
+  // ScalingFactor's max skips NaN and lround(NaN) is unspecified, so a NaN
+  // would become an arbitrary code; an Inf makes every code 0.  The flag is
+  // or-ed rather than branched on so the loop still vectorizes.
+  int nonfinite = 0;
   for (std::size_t i = 0; i < src.size(); ++i) {
+    nonfinite |= !std::isfinite(src[i]);
     dst[i] = QuantizeValue(src[i], bits, M);
+  }
+  if (nonfinite != 0) {
+    const auto bad = std::find_if_not(
+        src.begin(), src.end(), [](float x) { return std::isfinite(x); });
+    throw std::invalid_argument("Quantize: non-finite element at flat index " +
+                                std::to_string(bad - src.begin()));
   }
   return q;
 }

@@ -30,11 +30,13 @@ float ScalingFactor(const MatrixF& m);
 ///   codes = round((2^(b-1)-1) / M * x), clamped to the representable range.
 /// For bits == 1 this degenerates to the sign function with codes in {-1,+1}
 /// (zero maps to +1, matching sign-bit hardware).
-/// Requires bits in {1, 4, 8}.
+/// Requires bits in {1, 4, 8}.  Throws std::invalid_argument naming the
+/// first non-finite (NaN or Inf) element.
 QuantizedMatrix Quantize(const MatrixF& m, int bits);
 
 /// Quantizes with an externally supplied scaling factor M (used when Q and K
 /// rows stream through hardware and M was computed over a larger tensor).
+/// Same preconditions and errors as Quantize.
 QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M);
 
 /// Reconstructs the float approximation codes * scale.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/exp_lut.hpp"
 #include "core/fused_kernel.hpp"
@@ -208,6 +209,29 @@ TEST(QuantizedLinearTest, InputWidthChecked) {
       QuantizedLinear::FromFloat(MakeLinear(rng, 8, 8));
   MatrixF bad(2, 4);
   EXPECT_THROW(q.Forward(bad), std::invalid_argument);
+}
+
+TEST(QuantizedLinearTest, NonFiniteActivationThrows) {
+  // The activation quantizer rejects NaN/Inf instead of coding them.
+  Rng rng(16);
+  const QuantizedLinear q =
+      QuantizedLinear::FromFloat(MakeLinear(rng, 8, 8));
+  MatrixF x = rng.NormalMatrix(2, 8, 0.0, 1.0);
+  x(1, 3) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(q.Forward(x), std::invalid_argument);
+  x(1, 3) = std::numeric_limits<float>::infinity();
+  GemmScratch scratch;
+  EXPECT_THROW(q.Forward(x, scratch), std::invalid_argument);
+}
+
+TEST(QuantizedLinearTest, ScratchChoiceKeepsBits) {
+  Rng rng(17);
+  const QuantizedLinear q =
+      QuantizedLinear::FromFloat(MakeLinear(rng, 40, 24));
+  const MatrixF x = rng.NormalMatrix(9, 40, 0.0, 1.0);
+  GemmScratch scratch;
+  EXPECT_EQ(q.Forward(x, scratch), q.Forward(x));
+  EXPECT_GT(scratch.wpack.capacity(), 0u);
 }
 
 TEST(QuantizedEncoderTest, MatchesFloatEncoder) {

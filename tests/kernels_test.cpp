@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +44,31 @@ MatrixF RefMatMulBT(const MatrixF& a, const MatrixF& b) {
     }
   }
   return c;
+}
+
+// Naive i-j-p int8 reference with int64 accumulation, checked to fit int32.
+MatrixI32 RefInt8Gemm(const MatrixI8& x, const MatrixI8& w) {
+  MatrixI32 c(x.rows(), w.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+      std::int64_t acc = 0;
+      for (std::size_t p = 0; p < x.cols(); ++p) {
+        acc += static_cast<std::int64_t>(x(i, p)) * w(p, j);
+      }
+      EXPECT_EQ(acc, static_cast<std::int32_t>(acc)) << "reference overflow";
+      c(i, j) = static_cast<std::int32_t>(acc);
+    }
+  }
+  return c;
+}
+
+// Uniform codes over the full int8 range, -128 included.
+MatrixI8 RandomCodes(Rng& rng, std::size_t rows, std::size_t cols) {
+  MatrixI8 q(rows, cols);
+  for (auto& v : q.flat()) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(256)) - 128);
+  }
+  return q;
 }
 
 void ExpectNearRel(const MatrixF& got, const MatrixF& want, float rel) {
@@ -118,30 +144,104 @@ TEST_P(GemmShapeTest, SkipZerosMatchesReference) {
 TEST_P(GemmShapeTest, Int8GemmIsExact) {
   const auto [n, k, m] = GetParam();
   Rng rng(1300 + n * 31 + k * 7 + m);
-  MatrixI8 x(n, k), w(k, m);
-  for (auto& v : x.flat()) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
-  }
-  for (auto& v : w.flat()) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
-  }
+  const MatrixI8 x = RandomCodes(rng, n, k);
+  const MatrixI8 w = RandomCodes(rng, k, m);
   MatrixI32 got;
   Int8GemmInto(x, w, got);
   ASSERT_EQ(got.rows(), n);
   ASSERT_EQ(got.cols(), m);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      std::int32_t ref = 0;
-      for (std::size_t p = 0; p < k; ++p) {
-        ref += static_cast<std::int32_t>(x(i, p)) * w(p, j);
-      }
-      EXPECT_EQ(got(i, j), ref) << i << "," << j;
-    }
-  }
+  EXPECT_EQ(got, RefInt8Gemm(x, w));
+
+  GemmScratch scratch;
+  MatrixI32 got2;
+  Int8GemmInto(x, w, got2, scratch);  // caller scratch
+  EXPECT_EQ(got2, got) << "scratch choice must not change bits";
 }
 
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmShapeTest,
                          ::testing::ValuesIn(kShapes));
+
+TEST(Int8GemmTest, ExactAtExtremeCodes) {
+  // k = 3073: odd, several K-tiles, and every pair sum of two -128 x -128
+  // products reaches 32768 while the int32 totals run to ~5e7.  n = 5 and
+  // m = 13 leave row and column tails on every register tile.
+  const std::size_t n = 5, k = 3073, m = 13;
+  auto check = [&](const char* name, auto x_code, auto w_code) {
+    MatrixI8 x(n, k), w(k, m);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t p = 0; p < k; ++p) x(i, p) = x_code(i, p);
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t j = 0; j < m; ++j) w(p, j) = w_code(p, j);
+    }
+    MatrixI32 got;
+    Int8GemmInto(x, w, got);
+    EXPECT_EQ(got, RefInt8Gemm(x, w)) << name;
+  };
+  auto constant = [](std::int8_t v) {
+    return [v](std::size_t, std::size_t) { return v; };
+  };
+  check("all -128", constant(-128), constant(-128));
+  check("all +127", constant(127), constant(127));
+  check("-128 x +127", constant(-128), constant(127));
+  check(
+      "mixed signs",
+      [](std::size_t i, std::size_t p) -> std::int8_t {
+        return (i + p) % 2 == 0 ? -128 : 127;
+      },
+      [](std::size_t p, std::size_t j) -> std::int8_t {
+        return (p + j) % 3 == 0 ? 127 : -128;
+      });
+
+  MatrixI8 x(1, k, -128), w(k, 1, -128);
+  MatrixI32 got;
+  Int8GemmInto(x, w, got);
+  EXPECT_EQ(got(0, 0), 3073 * 16384);
+}
+
+TEST(Int8GemmTest, ExactAcrossKTileBoundariesAndTails) {
+  // k either side of the 128-row K-tile (and of 256), odd and even; n
+  // covering 1..5 rows of a register tile plus a full tile and a tail; m
+  // below, at and across several 8-wide panels.
+  Rng rng(1400);
+  for (std::size_t k : {1u, 2u, 127u, 128u, 129u, 255u, 256u, 257u}) {
+    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 13u}) {
+      for (std::size_t m : {1u, 7u, 9u, 15u, 17u, 33u}) {
+        const MatrixI8 x = RandomCodes(rng, n, k);
+        const MatrixI8 w = RandomCodes(rng, k, m);
+        MatrixI32 got;
+        Int8GemmInto(x, w, got);
+        ASSERT_EQ(got, RefInt8Gemm(x, w))
+            << "n=" << n << " k=" << k << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(Int8GemmTest, ScratchShrinksRegrowsAndStopsAllocating) {
+  Rng rng(1500);
+  const MatrixI8 big_x = RandomCodes(rng, 37, 300);
+  const MatrixI8 big_w = RandomCodes(rng, 300, 70);
+  const MatrixI8 small_x = RandomCodes(rng, 3, 5);
+  const MatrixI8 small_w = RandomCodes(rng, 5, 2);
+
+  GemmScratch scratch;
+  MatrixI32 big1, small1, big2;
+  Int8GemmInto(big_x, big_w, big1, scratch);
+  const std::size_t bytes = scratch.CapacityBytes();
+  EXPECT_GT(bytes, 0u);
+  Int8GemmInto(small_x, small_w, small1, scratch);
+  Int8GemmInto(big_x, big_w, big2, scratch);
+  EXPECT_EQ(big1, big2);
+  EXPECT_EQ(big1, RefInt8Gemm(big_x, big_w));
+  EXPECT_EQ(small1, RefInt8Gemm(small_x, small_w));
+  for (int r = 0; r < 3; ++r) Int8GemmInto(big_x, big_w, big2, scratch);
+  EXPECT_EQ(scratch.CapacityBytes(), bytes) << "steady state must not grow";
+
+  MatrixI32 thread_local_out;
+  Int8GemmInto(big_x, big_w, thread_local_out);
+  EXPECT_EQ(thread_local_out, big1) << "scratch choice must not change bits";
+}
 
 TEST(KernelsTest, ArchNameIsKnown) {
   const std::string arch = KernelArchName();
@@ -229,6 +329,26 @@ TEST(KernelsTest, WorkspaceLeasesGemmScratch) {
   EXPECT_GE(bytes, gs.CapacityBytes());
   MatMulInto(a, b, c, ws.gemm());
   EXPECT_EQ(ws.CapacityBytes(), bytes) << "steady state must not reallocate";
+
+  // The int8 GEMM's int16 panel and activation-pair buffers are part of
+  // the same leased scratch, counted and reused the same way.
+  const MatrixI8 x = RandomCodes(rng, 9, 200);
+  const MatrixI8 w = RandomCodes(rng, 200, 40);
+  MatrixI32 acc;
+  Int8GemmInto(x, w, acc, ws.gemm());
+  EXPECT_GT(gs.wpack.capacity(), 0u);
+  EXPECT_GT(gs.xpack.capacity(), 0u);
+  EXPECT_EQ(gs.CapacityBytes(),
+            gs.bpack.capacity() * sizeof(float) +
+                gs.wpack.capacity() * sizeof(std::int16_t) +
+                gs.xpack.capacity() * sizeof(std::int32_t));
+  const std::size_t int8_bytes = ws.CapacityBytes();
+  EXPECT_GE(int8_bytes,
+            bytes + gs.wpack.capacity() * sizeof(std::int16_t));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(gs.wpack.data()) % 64, 0u)
+      << "pack buffer must be cache-line aligned";
+  Int8GemmInto(x, w, acc, ws.gemm());
+  EXPECT_EQ(ws.CapacityBytes(), int8_bytes);
 
   ws.Reset();
   EXPECT_EQ(ws.CapacityBytes(), 0u);

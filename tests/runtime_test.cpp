@@ -249,6 +249,30 @@ TEST(BatchRunnerTest, ModelBatchMatchesSequentialBitExactly) {
   }
 }
 
+TEST(BatchRunnerTest, Int8BatchReusesSlotArena) {
+  // kSparseInt8 runs its int8 GEMMs on the slot's Workspace: after the
+  // first batch the arena holds the int16 pack buffers and stops growing.
+  const ModelConfig small = ScaledDown(BertBase(), 6);
+  const ModelInstance model(small, 2022);
+  InferenceConfig inf;
+  inf.mode = InferenceMode::kSparseInt8;
+  inf.sparse.top_k = 16;
+  const auto xs = SeededBatch(8, 6, small.encoder.hidden);
+
+  BatchRunner runner(1);
+  const auto first = model.ForwardBatch(xs, inf, runner);
+  Workspace& ws = runner.workspace(0);
+  const std::size_t bytes = ws.CapacityBytes();
+  EXPECT_GT(ws.gemm().wpack.capacity(), 0u);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(model.ForwardBatch(xs, inf, runner), first);
+    EXPECT_EQ(ws.CapacityBytes(), bytes) << "round " << round;
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(first[i], model.Forward(xs[i], inf)) << "sequence " << i;
+  }
+}
+
 TEST(BatchRunnerTest, EncoderBatchMatchesSequentialBitExactly) {
   Rng rng(5);
   EncoderConfig cfg;

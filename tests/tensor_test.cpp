@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/lut_multiply.hpp"
 #include "tensor/matmul.hpp"
@@ -160,6 +163,29 @@ TEST(QuantizeTest, FourBitPaperExample) {
   const auto q = Quantize(m, 4);
   EXPECT_EQ(q.codes(0, 0), 7);
   EXPECT_EQ(q.codes(0, 1), -3);
+}
+
+TEST(QuantizeTest, NonFiniteElementThrowsNamedError) {
+  // Unchecked, a NaN gets an arbitrary code (the max-abs scan skips it and
+  // lround(NaN) is unspecified) and an Inf zeroes every other code.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float bad : {nan, inf, -inf}) {
+    auto m = MatrixF::FromFlat(2, 3, {0.5f, -1.f, 2.f, 0.f, 0.25f, -3.f});
+    m(1, 1) = bad;
+    for (int bits : {1, 4, 8}) {
+      try {
+        Quantize(m, bits);
+        ADD_FAILURE() << "no throw for " << bad << " at " << bits << " bits";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite element at flat "
+                                             "index 4"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_THROW(QuantizeWithScale(m, bits, 3.f), std::invalid_argument);
+    }
+  }
 }
 
 TEST(QuantizeTest, CodesWithinRange) {
