@@ -64,8 +64,9 @@ BENCHMARK(BM_FusedScoreKernel)->Arg(30)->Arg(128);
 
 void BM_DenseAttention(benchmark::State& state) {
   const auto p = Problem(static_cast<std::size_t>(state.range(0)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DenseAttention(p.q, p.k, p.v));
+    benchmark::DoNotOptimize(DenseAttention(p.q, p.k, p.v, ws));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -123,8 +124,9 @@ void BM_EncoderLayerDense(benchmark::State& state) {
   cfg.heads = 4;
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = MakeInputEmbedding(rng, 128, cfg.hidden);
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EncoderForwardDense(x, w, cfg));
+    benchmark::DoNotOptimize(EncoderForward(x, w, cfg, DenseAttention, ws));
   }
 }
 BENCHMARK(BM_EncoderLayerDense);

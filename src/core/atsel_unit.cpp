@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/lut_multiply.hpp"
-
 namespace latte {
 
 AtSelUnit::AtSelUnit(SelectorConfig cfg, std::size_t lut_lanes)
@@ -15,18 +13,11 @@ AtSelUnit::AtSelUnit(SelectorConfig cfg, std::size_t lut_lanes)
 
 SelectionResult AtSelUnit::Run(const MatrixF& q, const MatrixF& k,
                                AtSelUnitStats* stats) const {
-  if (q.cols() != k.cols()) {
-    throw std::invalid_argument("AtSelUnit: head dim mismatch");
-  }
-  // Bits Selector: quantize Q and K streams.
-  const QuantizedMatrix qq = Quantize(q, cfg_.bits);
-  const QuantizedMatrix qk = Quantize(k, cfg_.bits);
+  // Bits Selector (quantize Q and K streams), then the LUT datapath: one
+  // (row_q, row_k) dot per cycle group across lanes.
+  const ApproxScores approx = ScoreApproximate(q, k, cfg_);
 
-  // LUT datapath: one (row_q, row_k) dot per cycle group across lanes.
-  static const LutMultiplier lut;
-  const MatrixI32 approx = lut.ScoreMatrix(qq, qk);
-
-  // Systolic sorter per query row.
+  // Systolic sorter per query row; padding keys are gated at its FIFO.
   SelectionResult res;
   res.lut_multiplies = q.rows() * k.rows() * q.cols();
   res.candidates.reserve(q.rows());
@@ -40,10 +31,10 @@ SelectionResult AtSelUnit::Run(const MatrixF& q, const MatrixF& k,
   local.score_cycles = per_dot * q.rows() * k.rows();
 
   SystolicTopKSorter sorter(cfg_.top_k);
-  for (std::size_t i = 0; i < approx.rows(); ++i) {
+  for (std::size_t i = 0; i < approx.scores.rows(); ++i) {
     sorter.Reset();
-    auto row = approx.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
+    auto row = approx.scores.row(i);
+    for (std::size_t j = 0; j < approx.valid; ++j) {
       sorter.Clock(row[j], static_cast<std::uint32_t>(j));
     }
     local.sort_cycles += sorter.cycles() + sorter.drain_latency();

@@ -7,16 +7,16 @@
 
 namespace latte {
 
-SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
-                                 const SelectorConfig& cfg) {
+ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
+                              const SelectorConfig& cfg) {
   if (q.cols() != k.cols()) {
-    throw std::invalid_argument("SelectCandidates: head dim mismatch");
+    throw std::invalid_argument("At-Sel: head dim mismatch");
   }
   if (cfg.top_k == 0) {
-    throw std::invalid_argument("SelectCandidates: top_k must be >= 1");
+    throw std::invalid_argument("At-Sel: top_k must be >= 1");
   }
   if (cfg.bits != 1 && cfg.bits != 4) {
-    throw std::invalid_argument("SelectCandidates: bits must be 1 or 4");
+    throw std::invalid_argument("At-Sel: bits must be 1 or 4");
   }
 
   // Step 2 of Fig 3: ultra-low-bit quantization with per-tensor scaling.
@@ -25,24 +25,33 @@ SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
 
   // Step 3: approximate scores via LUT multiplication only.
   static const LutMultiplier lut;  // immutable table, shared
-  const MatrixI32 approx = lut.ScoreMatrix(qq, qk);
+  ApproxScores out;
+  out.scores = lut.ScoreMatrix(qq, qk);
+
+  // Padding keys (index >= valid_len) never enter the sorter -- the
+  // hardware gates them at the FIFO (Fig 1(b) masking, applied before
+  // selection).
+  out.valid = cfg.valid_len == 0
+                  ? k.rows()
+                  : std::min<std::size_t>(cfg.valid_len, k.rows());
+  return out;
+}
+
+SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
+                                 const SelectorConfig& cfg) {
+  const ApproxScores approx = ScoreApproximate(q, k, cfg);
 
   SelectionResult res;
   res.lut_multiplies = q.rows() * k.rows() * q.cols();
   res.candidates.reserve(q.rows());
   res.approx_scores.reserve(q.rows());
 
-  // Step 4: streaming Top-k per query row.  Padding keys (index >=
-  // valid_len) never enter the sorter -- the hardware gates them at the
-  // FIFO (Fig 1(b) masking, applied before selection).
-  const std::size_t valid =
-      cfg.valid_len == 0 ? k.rows()
-                         : std::min<std::size_t>(cfg.valid_len, k.rows());
+  // Step 4: streaming Top-k per query row over the valid keys.
   StreamingTopK sorter(cfg.top_k);
-  for (std::size_t i = 0; i < approx.rows(); ++i) {
+  for (std::size_t i = 0; i < approx.scores.rows(); ++i) {
     sorter.Reset();
-    auto row = approx.row(i);
-    for (std::size_t j = 0; j < valid; ++j) {
+    auto row = approx.scores.row(i);
+    for (std::size_t j = 0; j < approx.valid; ++j) {
       sorter.Push(row[j], static_cast<std::uint32_t>(j));
     }
     res.sorter_cycles += sorter.cycles();

@@ -38,6 +38,19 @@ struct SelectionResult {
   std::size_t sorter_cycles = 0;
 };
 
+/// Approximate scores of one head and the keys the sorter may see.
+struct ApproxScores {
+  MatrixI32 scores;       ///< (n_q x n_k) quantized scores Q'.K'^T
+  std::size_t valid = 0;  ///< keys [0, valid) stream into the sorter
+};
+
+/// The At-Sel front end shared by SelectCandidates and the structural
+/// AtSelUnit: validates `cfg`, quantizes Q and K to `cfg.bits`, scores
+/// every (query, key) pair through the product LUT, and bounds the keys by
+/// `cfg.valid_len`.
+ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
+                              const SelectorConfig& cfg);
+
 /// Runs quantized candidate pre-selection for one head.
 /// q and k are full-precision (n_q x d) and (n_k x d).
 /// Each row receives min(top_k, n_k) candidates.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "runtime/workspace.hpp"
+
 namespace latte {
 namespace {
 
@@ -90,8 +92,9 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
 }
 
 AttentionFn MakeSparseAttentionFn(SparseAttentionConfig cfg) {
-  return [cfg](const MatrixF& q, const MatrixF& k, const MatrixF& v) {
-    return SparseAttention(q, k, v, cfg, nullptr);
+  return [cfg](const MatrixF& q, const MatrixF& k, const MatrixF& v,
+               Workspace& ws) {
+    return SparseAttention(q, k, v, cfg, nullptr, ws.attention());
   };
 }
 

@@ -81,7 +81,8 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
 void GatherRowsInto(const MatrixF& src, std::span<const std::uint32_t> idx,
                     MatrixF& out);
 
-/// Adapts SparseAttention to the encoder's pluggable AttentionFn.
+/// Adapts SparseAttention to the encoder's pluggable AttentionFn; each call
+/// leases its per-row temporaries from `ws.attention()`.
 AttentionFn MakeSparseAttentionFn(SparseAttentionConfig cfg);
 
 /// Dense attention restricted to a given candidate set (oracle for tests:

@@ -7,6 +7,7 @@
 
 #include "nn/attention.hpp"
 #include "nn/ops.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/matmul.hpp"
 
 namespace latte {
@@ -36,7 +37,12 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
   SparseAttentionStats stats;
   const MatrixF sparse =
       SparseAttention(problem.q, problem.k, problem.v, cfg, &stats);
-  const MatrixF dense = DenseAttention(problem.q, problem.k, problem.v);
+  MatrixF dense;
+  {
+    // Released before the (n x n) oracle passes below allocate.
+    Workspace ws;
+    dense = DenseAttention(problem.q, problem.k, problem.v, ws);
+  }
 
   // Recall against the exact Top-k oracle.
   const auto exact =

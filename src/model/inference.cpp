@@ -21,52 +21,31 @@ MatrixF ModelInstance::Forward(const MatrixF& x, const InferenceConfig& inf,
                                AttentionScratch* scratch,
                                Workspace* workspace) const {
   if (stats != nullptr) stats->clear();
-
-  const bool sparse = inf.mode == InferenceMode::kSparseFloat ||
-                      inf.mode == InferenceMode::kSparseInt8;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   const bool int8 = inf.mode == InferenceMode::kDenseInt8 ||
                     inf.mode == InferenceMode::kSparseInt8;
 
+  LayerRunStats layer_stats;
+  AttentionFn attn = DenseAttention;
+  if (inf.mode == InferenceMode::kSparseFloat ||
+      inf.mode == InferenceMode::kSparseInt8) {
+    attn = [&inf, &layer_stats, scratch](const MatrixF& q, const MatrixF& k,
+                                         const MatrixF& v, Workspace& w) {
+      AttentionScratch& sc = scratch != nullptr ? *scratch : w.attention();
+      SparseAttentionStats s;
+      MatrixF ctx = SparseAttention(q, k, v, inf.sparse, &s, sc);
+      layer_stats.exact_macs += s.exact_macs;
+      layer_stats.lut_multiplies += s.lut_multiplies;
+      return ctx;
+    };
+  }
+
   MatrixF h = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    LayerRunStats layer_stats;
-    AttentionFn attn;
-    if (sparse) {
-      const SparseAttentionConfig sa = inf.sparse;
-      auto* out = stats != nullptr ? &layer_stats : nullptr;
-      attn = [sa, out, scratch](const MatrixF& q, const MatrixF& k,
-                                const MatrixF& v) {
-        SparseAttentionStats s;
-        MatrixF ctx = scratch != nullptr
-                          ? SparseAttention(q, k, v, sa, &s, *scratch)
-                          : SparseAttention(q, k, v, sa, &s);
-        if (out != nullptr) {
-          out->exact_macs += s.exact_macs;
-          out->lut_multiplies += s.lut_multiplies;
-        }
-        return ctx;
-      };
-    } else if (workspace != nullptr) {
-      // Lease the score matrix and pack buffer from the per-worker arena
-      // (bit-identical to DenseAttention, which runs the same code on a
-      // call-local Workspace).
-      attn = [workspace](const MatrixF& q, const MatrixF& k,
-                         const MatrixF& v) {
-        return DenseAttentionWorkspace(q, k, v, *workspace);
-      };
-    } else {
-      attn = DenseAttention;
-    }
-    if (int8) {
-      h = QuantizedEncoderForward(
-          h, qlayers_[l], cfg_.encoder, attn,
-          workspace != nullptr ? workspace->gemm() : ThreadLocalGemmScratch());
-    } else if (workspace != nullptr) {
-      h = EncoderForwardWorkspace(h, layers_[l], cfg_.encoder, attn,
-                                  *workspace);
-    } else {
-      h = EncoderForward(h, layers_[l], cfg_.encoder, attn);
-    }
+    layer_stats = {};
+    h = int8 ? EncoderForward(h, qlayers_[l], cfg_.encoder, attn, ws)
+             : EncoderForward(h, layers_[l], cfg_.encoder, attn, ws);
     if (stats != nullptr) stats->push_back(layer_stats);
   }
   return h;
@@ -82,7 +61,7 @@ std::vector<MatrixF> ModelInstance::ForwardBatch(
   }
   runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
     auto* seq_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    out[i] = Forward(xs[i], inf, seq_stats, &ws.attention(), &ws);
+    out[i] = Forward(xs[i], inf, seq_stats, nullptr, &ws);
   });
   return out;
 }

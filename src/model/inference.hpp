@@ -44,15 +44,15 @@ class ModelInstance {
   /// Materializes `cfg.layers` encoder layers of weights.
   ModelInstance(const ModelConfig& cfg, std::uint64_t seed);
 
-  /// Runs the full encoder stack on x (n x hidden).
+  /// Runs the full encoder stack on x (n x hidden): every mode runs the
+  /// one EncoderForward body, on the float or the int8 weights, with dense
+  /// or sparse attention.
   /// If `stats` is non-null it receives one entry per layer.
-  /// If `scratch` is non-null the sparse modes lease their per-row
-  /// temporaries from it (the batch runtime passes one per worker).
-  /// If `workspace` is non-null the float encoder layers additionally
-  /// lease their GEMM intermediates and pack buffers from it, and the int8
-  /// layers their GEMM pack buffers; when it is null each layer runs on a
-  /// call-local (float) or thread-local (int8) arena.  Outputs are
-  /// bit-identical either way (same kernels, different buffers).
+  /// Every layer's GEMM pack buffers and attention scratch come from
+  /// `workspace`, or from a call-local Workspace when it is null.  If
+  /// `scratch` is non-null the sparse modes lease their per-row
+  /// temporaries from it instead.  Outputs are bit-identical either way
+  /// (same kernels, different buffers).
   MatrixF Forward(const MatrixF& x, const InferenceConfig& inf,
                   std::vector<LayerRunStats>* stats = nullptr,
                   AttentionScratch* scratch = nullptr,

@@ -11,24 +11,14 @@
 
 namespace latte {
 
-MatrixF DenseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v) {
-  return DenseAttentionMasked(q, k, v, 0);
+MatrixF DenseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
+                       Workspace& ws) {
+  return DenseAttentionMasked(q, k, v, 0, ws);
 }
 
 MatrixF DenseAttentionMasked(const MatrixF& q, const MatrixF& k,
-                             const MatrixF& v, std::size_t valid_len) {
-  Workspace ws;
-  return DenseAttentionMaskedWorkspace(q, k, v, valid_len, ws);
-}
-
-MatrixF DenseAttentionWorkspace(const MatrixF& q, const MatrixF& k,
-                                const MatrixF& v, Workspace& ws) {
-  return DenseAttentionMaskedWorkspace(q, k, v, 0, ws);
-}
-
-MatrixF DenseAttentionMaskedWorkspace(const MatrixF& q, const MatrixF& k,
-                                      const MatrixF& v, std::size_t valid_len,
-                                      Workspace& ws) {
+                             const MatrixF& v, std::size_t valid_len,
+                             Workspace& ws) {
   if (q.cols() != k.cols() || k.rows() != v.rows()) {
     throw std::invalid_argument("DenseAttention: shape mismatch");
   }

@@ -3,9 +3,60 @@
 #include <stdexcept>
 
 #include "nn/ops.hpp"
+#include "nn/qlinear.hpp"
 #include "tensor/matmul.hpp"
 
 namespace latte {
+namespace {
+
+// The one layer body: `Weights` is EncoderWeights (fp32 Linear) or
+// QuantizedEncoderWeights (int8 QuantizedLinear); both expose ForwardInto.
+template <class Weights>
+MatrixF Layer(const MatrixF& x, const Weights& w, const EncoderConfig& cfg,
+              const AttentionFn& attn, Workspace& ws) {
+  if (x.cols() != cfg.hidden) {
+    throw std::invalid_argument("EncoderForward: input width != hidden");
+  }
+  GemmScratch& gs = ws.gemm();
+
+  // Stage 1: linear transformation (MatMul unit in Fig 2(a)).
+  MatrixF q, k, v;
+  w.wq.ForwardInto(x, gs, q);
+  w.wk.ForwardInto(x, gs, k);
+  w.wv.ForwardInto(x, gs, v);
+
+  // Stage 2: per-head attention computation.
+  const auto qh = SplitHeads(q, cfg.heads);
+  const auto kh = SplitHeads(k, cfg.heads);
+  const auto vh = SplitHeads(v, cfg.heads);
+  std::vector<MatrixF> ctx;
+  ctx.reserve(cfg.heads);
+  for (std::size_t h = 0; h < cfg.heads; ++h) {
+    ctx.push_back(attn(qh[h], kh[h], vh[h], ws));
+  }
+  MatrixF a;
+  w.wo.ForwardInto(ConcatHeads(ctx), gs, a);
+
+  // Residual + LayerNorm.
+  MatrixF x1 = Add(x, a);
+  LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
+
+  // Stage 3: feedforward.  The (n x ffn) activation is freed before the
+  // output is allocated.
+  MatrixF f2;
+  {
+    MatrixF f;
+    w.ffn1.ForwardInto(x1, gs, f);
+    GeluInPlace(f);
+    w.ffn2.ForwardInto(f, gs, f2);
+  }
+
+  MatrixF out = Add(x1, f2);
+  LayerNormInPlace(out, w.ln2_gamma, w.ln2_beta);
+  return out;
+}
+
+}  // namespace
 
 EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg) {
   if (cfg.heads == 0 || cfg.hidden % cfg.heads != 0) {
@@ -26,82 +77,27 @@ EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg) {
 }
 
 MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
-                       const EncoderConfig& cfg, const AttentionFn& attn) {
-  Workspace ws;
-  return EncoderForwardWorkspace(x, w, cfg, attn, ws);
+                       const EncoderConfig& cfg, const AttentionFn& attn,
+                       Workspace& ws) {
+  return Layer(x, w, cfg, attn, ws);
 }
 
-MatrixF EncoderForwardWorkspace(const MatrixF& x, const EncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn, Workspace& ws) {
-  if (x.cols() != cfg.hidden) {
-    throw std::invalid_argument("EncoderForward: input width != hidden");
-  }
-  GemmScratch& gs = ws.gemm();
-  const std::size_t n = x.rows();
-
-  // Stage 1: linear transformation (MatMul unit in Fig 2(a)), through the
-  // tiled kernels into per-worker scratch.
-  MatrixF& q = ws.Float(wslots::kEncoderQ, n, cfg.hidden);
-  MatrixF& k = ws.Float(wslots::kEncoderK, n, cfg.hidden);
-  MatrixF& v = ws.Float(wslots::kEncoderV, n, cfg.hidden);
-  w.wq.ForwardInto(x, gs, q);
-  w.wk.ForwardInto(x, gs, k);
-  w.wv.ForwardInto(x, gs, v);
-
-  // Stage 2: per-head attention computation.
-  const auto qh = SplitHeads(q, cfg.heads);
-  const auto kh = SplitHeads(k, cfg.heads);
-  const auto vh = SplitHeads(v, cfg.heads);
-  std::vector<MatrixF> ctx;
-  ctx.reserve(cfg.heads);
-  for (std::size_t h = 0; h < cfg.heads; ++h) {
-    ctx.push_back(attn(qh[h], kh[h], vh[h]));
-  }
-  MatrixF& a = ws.Float(wslots::kEncoderAttn, n, cfg.hidden);
-  w.wo.ForwardInto(ConcatHeads(ctx), gs, a);
-
-  // Residual + LayerNorm.
-  MatrixF& x1 = ws.Float(wslots::kEncoderX1, n, cfg.hidden);
-  AddInto(x, a, x1);
-  LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
-
-  // Stage 3: feedforward.
-  MatrixF& f = ws.Float(wslots::kEncoderFfn, n, cfg.ffn());
-  w.ffn1.ForwardInto(x1, gs, f);
-  GeluInPlace(f);
-  MatrixF& f2 = ws.Float(wslots::kEncoderFfn2, n, cfg.hidden);
-  w.ffn2.ForwardInto(f, gs, f2);
-
-  MatrixF out = Add(x1, f2);
-  LayerNormInPlace(out, w.ln2_gamma, w.ln2_beta);
-  return out;
-}
-
-MatrixF EncoderForwardDense(const MatrixF& x, const EncoderWeights& w,
-                            const EncoderConfig& cfg) {
-  return EncoderForward(x, w, cfg, DenseAttention);
+MatrixF EncoderForward(const MatrixF& x, const QuantizedEncoderWeights& w,
+                       const EncoderConfig& cfg, const AttentionFn& attn,
+                       Workspace& ws) {
+  return Layer(x, w, cfg, attn, ws);
 }
 
 std::vector<MatrixF> EncoderForwardBatch(const std::vector<MatrixF>& xs,
                                          const EncoderWeights& w,
                                          const EncoderConfig& cfg,
-                                         const WorkspaceAttentionFn& attn,
+                                         const AttentionFn& attn,
                                          BatchRunner& runner) {
   std::vector<MatrixF> out(xs.size());
   runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
-    const AttentionFn bound = [&attn, &ws](const MatrixF& q, const MatrixF& k,
-                                           const MatrixF& v) {
-      return attn(q, k, v, ws);
-    };
-    out[i] = EncoderForwardWorkspace(xs[i], w, cfg, bound, ws);
+    out[i] = EncoderForward(xs[i], w, cfg, attn, ws);
   });
   return out;
-}
-
-WorkspaceAttentionFn MakeWorkspaceDenseAttentionFn() {
-  return [](const MatrixF& q, const MatrixF& k, const MatrixF& v,
-            Workspace& ws) { return DenseAttentionWorkspace(q, k, v, ws); };
 }
 
 }  // namespace latte

@@ -1,7 +1,9 @@
 #pragma once
 // One Transformer encoder layer (Fig 1(a) of the paper), with the attention
 // operator pluggable so the dense reference and the sparse operator can be
-// swapped without touching the rest of the layer.
+// swapped without touching the rest of the layer.  One layer body serves
+// both weight sets: fp32 (`EncoderWeights`) and the FPGA's int8 datapath
+// (`QuantizedEncoderWeights`, nn/qlinear.hpp).
 
 #include "nn/attention.hpp"
 #include "nn/linear.hpp"
@@ -30,6 +32,8 @@ struct EncoderWeights {
   std::vector<float> ln2_gamma, ln2_beta;  ///< post-FFN LayerNorm
 };
 
+struct QuantizedEncoderWeights;  // nn/qlinear.hpp
+
 /// Deterministically initializes encoder weights (Xavier, LN gamma=1 beta=0).
 EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg);
 
@@ -38,24 +42,18 @@ EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg);
 ///   X1  = LayerNorm(X + A)
 ///   F   = GELU(X1 W1) W2
 ///   out = LayerNorm(X1 + F)
-/// `attn` runs per head; x is (n x hidden).  Thin shim: runs
-/// EncoderForwardWorkspace on a call-local Workspace, so outputs are
-/// bit-identical to the batched path.
+/// `attn` runs per head on `ws`; x is (n x hidden).  Every projection/FFN
+/// GEMM packs into ws.gemm(); the intermediates are call-local.  Outputs
+/// do not depend on the Workspace's prior contents.
 MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
-                       const EncoderConfig& cfg, const AttentionFn& attn);
+                       const EncoderConfig& cfg, const AttentionFn& attn,
+                       Workspace& ws);
 
-/// Workspace variant: every projection/FFN GEMM runs through the tiled
-/// kernel library with intermediates leased from `ws` (Float slots
-/// wslots::kEncoder*, pack buffer ws.gemm()), so one encoder layer at
-/// steady-state shapes allocates only per-head splits and the returned
-/// matrix.  `attn` may lease ws slots >= wslots::kAttentionScores.
-MatrixF EncoderForwardWorkspace(const MatrixF& x, const EncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn, Workspace& ws);
-
-/// Convenience: dense-reference encoder forward.
-MatrixF EncoderForwardDense(const MatrixF& x, const EncoderWeights& w,
-                            const EncoderConfig& cfg);
+/// The same layer with every matmul in int8 (the FPGA datapath);
+/// LayerNorm, softmax and GELU stay in float.
+MatrixF EncoderForward(const MatrixF& x, const QuantizedEncoderWeights& w,
+                       const EncoderConfig& cfg, const AttentionFn& attn,
+                       Workspace& ws);
 
 /// Batched encoder forward: runs every sequence of `xs` through the layer
 /// concurrently on `runner`, one Workspace per concurrency slot.  Each
@@ -64,12 +62,7 @@ MatrixF EncoderForwardDense(const MatrixF& x, const EncoderWeights& w,
 std::vector<MatrixF> EncoderForwardBatch(const std::vector<MatrixF>& xs,
                                          const EncoderWeights& w,
                                          const EncoderConfig& cfg,
-                                         const WorkspaceAttentionFn& attn,
+                                         const AttentionFn& attn,
                                          BatchRunner& runner);
-
-/// Dense attention leasing its score matrix and GEMM pack buffer from the
-/// workspace.  Bit-identical to AdaptAttentionFn(DenseAttention) without
-/// its per-call allocations.
-WorkspaceAttentionFn MakeWorkspaceDenseAttentionFn();
 
 }  // namespace latte

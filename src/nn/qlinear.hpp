@@ -4,10 +4,11 @@
 // The paper's models are "quantized into 8 bits fixed-point representation
 // without accuracy drop" (Section 5.1, ref [36]), and the FPGA datapath
 // charges one DSP per 8-bit MAC.  This module provides the int8 linear
-// layer (per-tensor symmetric scales, int32 accumulation) and an encoder
-// layer that runs every projection/FFN matmul in int8, matching what the
-// hardware executes.  LayerNorm/softmax/GELU stay in float, as they do on
-// the FPGA's dedicated units.
+// layer (per-tensor symmetric scales, int32 accumulation) and the int8
+// weight set of an encoder layer.  EncoderForward (nn/encoder.hpp) runs it
+// through the same layer body as the float weights, so every projection/FFN
+// matmul is int8, matching what the hardware executes, while LayerNorm,
+// softmax and GELU stay in float, as they do on the FPGA's dedicated units.
 
 #include "nn/encoder.hpp"
 #include "tensor/kernels.hpp"
@@ -24,12 +25,15 @@ struct QuantizedLinear {
   static QuantizedLinear FromFloat(const Linear& l);
 
   /// y = dequant(quant8(x) * Wq) + bias.  Activations are quantized with
-  /// a per-call symmetric scale; accumulation is exact int32.  The GEMM
-  /// packs into `scratch` (a Workspace's `ws.gemm()` on hot paths).
-  MatrixF Forward(const MatrixF& x, GemmScratch& scratch) const;
-
-  /// As above with the calling thread's scratch (same bits).
+  /// a per-call symmetric scale; accumulation is exact int32.  Thin
+  /// allocating shim over ForwardInto on the calling thread's scratch
+  /// (identical bits).
   MatrixF Forward(const MatrixF& x) const;
+
+  /// Writes y into `out` (resized, fully overwritten); the int8 GEMM packs
+  /// into `scratch` (a Workspace's `ws.gemm()` on hot paths).  `out` must
+  /// not alias `x`.
+  void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
 
   std::size_t in_features() const { return weight.codes.rows(); }
   std::size_t out_features() const { return weight.codes.cols(); }
@@ -47,19 +51,5 @@ struct QuantizedEncoderWeights {
 
   static QuantizedEncoderWeights FromFloat(const EncoderWeights& w);
 };
-
-/// Encoder forward with every matmul in int8 (the FPGA datapath).  The
-/// attention operator is pluggable exactly like the float encoder.  All
-/// six int8 GEMMs pack into `scratch`.
-MatrixF QuantizedEncoderForward(const MatrixF& x,
-                                const QuantizedEncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn, GemmScratch& scratch);
-
-/// As above with the calling thread's scratch (same bits).
-MatrixF QuantizedEncoderForward(const MatrixF& x,
-                                const QuantizedEncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn);
 
 }  // namespace latte

@@ -46,7 +46,7 @@ void ValidateAgainstPlan(const MatrixF& x, const EncoderConfig& cfg,
 
 MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
                               const EncoderConfig& cfg, const ShardPlan& plan,
-                              const WorkspaceAttentionFn& attn,
+                              const AttentionFn& attn,
                               ShardExecutor& exec) {
   ValidateAgainstPlan(x, cfg, plan, exec);
   const std::size_t n = x.rows();

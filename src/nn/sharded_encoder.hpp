@@ -10,12 +10,12 @@
 //
 // Bit-exactness contract (same spirit as batch-vs-sequential): with the
 // default column-parallel plan, the sharded output is bit-identical to
-// EncoderForwardWorkspace for the same weights and attention function,
-// for every shard degree -- including degrees that do not divide the
-// head count (trailing shards just own fewer or zero heads).  The
-// column-slice GEMMs reduce in the full GEMM's K-tile order, the gathers
-// are plain column copies, and every cross-shard sum happens serially in
-// a fixed order, so no float operation is re-associated anywhere.  The
+// EncoderForward for the same weights and attention function, for every
+// shard degree -- including degrees that do not divide the head count
+// (trailing shards just own fewer or zero heads).  The column-slice GEMMs
+// reduce in the full GEMM's K-tile order, the gathers are plain column
+// copies, and every cross-shard sum happens serially in a fixed order, so
+// no float operation is re-associated anywhere.  The
 // row-parallel FFN2 option re-associates that one reduction and agrees
 // to rounding only.
 
@@ -32,7 +32,7 @@ namespace latte {
 /// `cfg` / `exec`.
 MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
                               const EncoderConfig& cfg, const ShardPlan& plan,
-                              const WorkspaceAttentionFn& attn,
+                              const AttentionFn& attn,
                               ShardExecutor& exec);
 
 }  // namespace latte

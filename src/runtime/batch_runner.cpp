@@ -68,18 +68,4 @@ void BatchRunner::RunSharded(const std::vector<std::size_t>& lengths,
   items_completed_ += lengths.size();
 }
 
-WorkspaceAttentionFn AdaptAttentionFn(AttentionFn fn) {
-  return [fn = std::move(fn)](const MatrixF& q, const MatrixF& k,
-                              const MatrixF& v, Workspace&) {
-    return fn(q, k, v);
-  };
-}
-
-WorkspaceAttentionFn MakeWorkspaceSparseAttentionFn(SparseAttentionConfig cfg) {
-  return [cfg](const MatrixF& q, const MatrixF& k, const MatrixF& v,
-               Workspace& ws) {
-    return SparseAttention(q, k, v, cfg, nullptr, ws.attention());
-  };
-}
-
 }  // namespace latte

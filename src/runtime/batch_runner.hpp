@@ -73,18 +73,4 @@ class BatchRunner {
   std::size_t items_completed_ = 0;
 };
 
-/// Per-head attention that draws its scratch from a Workspace.  The
-/// batched encoder / model entry points take this instead of the plain
-/// AttentionFn so the sparse hot path can stay allocation-free per worker.
-using WorkspaceAttentionFn = std::function<MatrixF(
-    const MatrixF&, const MatrixF&, const MatrixF&, Workspace&)>;
-
-/// Adapts a stateless AttentionFn (e.g. DenseAttention) to the workspace
-/// signature; the workspace is ignored.
-WorkspaceAttentionFn AdaptAttentionFn(AttentionFn fn);
-
-/// Sparse attention leasing its gather/score/context buffers from the
-/// workspace.  Bit-identical to MakeSparseAttentionFn(cfg).
-WorkspaceAttentionFn MakeWorkspaceSparseAttentionFn(SparseAttentionConfig cfg);
-
 }  // namespace latte

@@ -10,6 +10,7 @@
 #include "core/fused_kernel.hpp"
 #include "core/sparse_attention.hpp"
 #include "nn/attention.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -217,7 +218,8 @@ TEST(SparseAttentionTest, EqualsDenseWhenKCoversAll) {
   SparseAttentionConfig cfg;
   cfg.top_k = 24;  // every key selected
   const auto sparse = SparseAttention(p.q, p.k, p.v, cfg);
-  const auto dense = DenseAttention(p.q, p.k, p.v);
+  Workspace ws;
+  const auto dense = DenseAttention(p.q, p.k, p.v, ws);
   ASSERT_EQ(sparse.rows(), dense.rows());
   for (std::size_t i = 0; i < sparse.size(); ++i) {
     EXPECT_NEAR(sparse.flat()[i], dense.flat()[i], 2e-3f);
@@ -272,7 +274,8 @@ TEST(SparseAttentionTest, AttentionFnAdapterWorks) {
   SparseAttentionConfig cfg;
   cfg.top_k = 16;
   const AttentionFn fn = MakeSparseAttentionFn(cfg);
-  const auto a = fn(p.q, p.k, p.v);
+  Workspace ws;
+  const auto a = fn(p.q, p.k, p.v, ws);
   const auto b = SparseAttention(p.q, p.k, p.v, cfg);
   EXPECT_EQ(a, b);
 }

@@ -11,6 +11,7 @@
 #include "fpga/serving.hpp"
 #include "fpga/trace.hpp"
 #include "model/inference.hpp"
+#include "nn/ops.hpp"
 #include "tensor/fixed_point.hpp"
 #include "tensor/matmul.hpp"
 #include "workload/synthetic.hpp"
@@ -47,7 +48,8 @@ TEST(MaskedSparseTest, EqualsMaskedDenseWhenKCoversValid) {
   cfg.top_k = 20;
   cfg.valid_len = 20;  // k covers every valid key
   const auto sparse = SparseAttention(p.q, p.k, p.v, cfg);
-  const auto dense = DenseAttentionMasked(p.q, p.k, p.v, 20);
+  Workspace ws;
+  const auto dense = DenseAttentionMasked(p.q, p.k, p.v, 20, ws);
   for (std::size_t i = 0; i < sparse.size(); ++i) {
     EXPECT_NEAR(sparse.flat()[i], dense.flat()[i], 2e-3f);
   }
@@ -67,7 +69,8 @@ TEST(MaskedSparseTest, ValidLenBeyondNIsAllValid) {
 TEST(MaskedDenseTest, PaddingGetsZeroWeight) {
   // With only the first key valid, the output must equal V row 0.
   const auto p = Problem(4, 8);
-  const auto out = DenseAttentionMasked(p.q, p.k, p.v, 1);
+  Workspace ws;
+  const auto out = DenseAttentionMasked(p.q, p.k, p.v, 1, ws);
   for (std::size_t i = 0; i < out.rows(); ++i) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
       EXPECT_NEAR(out(i, c), p.v(0, c), 1e-5f);
@@ -81,15 +84,23 @@ TEST(AtSelUnitTest, AgreesWithBehaviouralSelector) {
   const auto p = Problem(5, 96);
   SelectorConfig cfg;
   cfg.top_k = 12;
-  for (int bits : {1, 4}) {
-    cfg.bits = bits;
-    const AtSelUnit unit(cfg);
-    const auto structural = unit.Run(p.q, p.k);
-    const auto behavioural = SelectCandidates(p.q, p.k, cfg);
-    ASSERT_EQ(structural.candidates.size(), behavioural.candidates.size());
-    for (std::size_t i = 0; i < structural.candidates.size(); ++i) {
-      EXPECT_EQ(structural.candidates[i], behavioural.candidates[i]);
-      EXPECT_EQ(structural.approx_scores[i], behavioural.approx_scores[i]);
+  // valid_len: all keys, padded blocks (including fewer valid keys than
+  // top_k), and a bound past the block.
+  for (std::size_t valid_len : {0u, 40u, 7u, 200u}) {
+    for (int bits : {1, 4}) {
+      cfg.bits = bits;
+      cfg.valid_len = valid_len;
+      const AtSelUnit unit(cfg);
+      const auto structural = unit.Run(p.q, p.k);
+      const auto behavioural = SelectCandidates(p.q, p.k, cfg);
+      ASSERT_EQ(structural.candidates.size(), behavioural.candidates.size());
+      EXPECT_EQ(structural.sorter_cycles, behavioural.sorter_cycles)
+          << "valid_len=" << valid_len << " bits=" << bits;
+      for (std::size_t i = 0; i < structural.candidates.size(); ++i) {
+        EXPECT_EQ(structural.candidates[i], behavioural.candidates[i])
+            << "valid_len=" << valid_len << " bits=" << bits << " row=" << i;
+        EXPECT_EQ(structural.approx_scores[i], behavioural.approx_scores[i]);
+      }
     }
   }
 }
@@ -240,6 +251,83 @@ TEST(ModelInstanceTest, DenseModesReportNoSparseWork) {
   for (const auto& s : stats) {
     EXPECT_EQ(s.exact_macs, 0u);
     EXPECT_EQ(s.lut_multiplies, 0u);
+  }
+}
+
+// The int8 sparse encoder stack rebuilt by hand from public calls, the way
+// the end-to-end benchmark's traced encoder rebuilds it.
+MatrixF HandBuiltSparseInt8(const ModelInstance& inst, const MatrixF& x,
+                            const SparseAttentionConfig& sa) {
+  const EncoderConfig& cfg = inst.config().encoder;
+  MatrixF h = x;
+  for (std::size_t l = 0; l < inst.layer_count(); ++l) {
+    const auto w = QuantizedEncoderWeights::FromFloat(inst.layer(l));
+    const auto qh = SplitHeads(w.wq.Forward(h), cfg.heads);
+    const auto kh = SplitHeads(w.wk.Forward(h), cfg.heads);
+    const auto vh = SplitHeads(w.wv.Forward(h), cfg.heads);
+    std::vector<MatrixF> ctx;
+    for (std::size_t i = 0; i < cfg.heads; ++i) {
+      ctx.push_back(SparseAttention(qh[i], kh[i], vh[i], sa));
+    }
+    MatrixF x1 = Add(h, w.wo.Forward(ConcatHeads(ctx)));
+    LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
+    MatrixF f = w.ffn1.Forward(x1);
+    GeluInPlace(f);
+    h = Add(x1, w.ffn2.Forward(f));
+    LayerNormInPlace(h, w.ln2_gamma, w.ln2_beta);
+  }
+  return h;
+}
+
+TEST(ModelInstanceTest, SparseInt8MatchesHandBuiltLayerBitExactly) {
+  const auto m = TinyModel();
+  const ModelInstance inst(m, 2022);
+  InferenceConfig inf;
+  inf.mode = InferenceMode::kSparseInt8;
+  inf.sparse.top_k = 12;
+  Rng rng(13);
+  std::vector<MatrixF> xs;
+  for (std::size_t n : {9u, 33u, 20u}) {
+    xs.push_back(MakeInputEmbedding(rng, n, m.encoder.hidden));
+  }
+
+  Workspace ws;  // reused across sequences, as a batch worker reuses it
+  std::vector<MatrixF> refs;
+  for (const MatrixF& x : xs) {
+    refs.push_back(HandBuiltSparseInt8(inst, x, inf.sparse));
+    AttentionScratch scratch;
+    EXPECT_EQ(inst.Forward(x, inf), refs.back());
+    EXPECT_EQ(inst.Forward(x, inf, nullptr, &scratch), refs.back());
+    EXPECT_EQ(inst.Forward(x, inf, nullptr, nullptr, &ws), refs.back());
+  }
+  BatchRunner runner(2);
+  EXPECT_EQ(inst.ForwardBatch(xs, inf, runner), refs);
+}
+
+TEST(ModelInstanceTest, EveryModeIsBitEqualWithAndWithoutWorkspace) {
+  const auto m = TinyModel();
+  const ModelInstance inst(m, 7);
+  Rng rng(14);
+  const auto a = MakeInputEmbedding(rng, 24, m.encoder.hidden);
+  const auto b = MakeInputEmbedding(rng, 11, m.encoder.hidden);
+  for (InferenceMode mode :
+       {InferenceMode::kDenseFloat, InferenceMode::kSparseFloat,
+        InferenceMode::kDenseInt8, InferenceMode::kSparseInt8}) {
+    InferenceConfig inf;
+    inf.mode = mode;
+    inf.sparse.top_k = 8;
+    Workspace ws;  // warmed by `a`, then reused for `b`
+    for (const MatrixF* x : {&a, &b}) {
+      std::vector<LayerRunStats> plain_stats, ws_stats;
+      EXPECT_EQ(inst.Forward(*x, inf, &plain_stats),
+                inst.Forward(*x, inf, &ws_stats, nullptr, &ws))
+          << "mode " << static_cast<int>(mode);
+      ASSERT_EQ(plain_stats.size(), ws_stats.size());
+      for (std::size_t l = 0; l < ws_stats.size(); ++l) {
+        EXPECT_EQ(plain_stats[l].exact_macs, ws_stats[l].exact_macs);
+        EXPECT_EQ(plain_stats[l].lut_multiplies, ws_stats[l].lut_multiplies);
+      }
+    }
   }
 }
 

@@ -221,7 +221,8 @@ TEST(QuantizedLinearTest, NonFiniteActivationThrows) {
   EXPECT_THROW(q.Forward(x), std::invalid_argument);
   x(1, 3) = std::numeric_limits<float>::infinity();
   GemmScratch scratch;
-  EXPECT_THROW(q.Forward(x, scratch), std::invalid_argument);
+  MatrixF y;
+  EXPECT_THROW(q.ForwardInto(x, scratch, y), std::invalid_argument);
 }
 
 TEST(QuantizedLinearTest, ScratchChoiceKeepsBits) {
@@ -230,7 +231,9 @@ TEST(QuantizedLinearTest, ScratchChoiceKeepsBits) {
       QuantizedLinear::FromFloat(MakeLinear(rng, 40, 24));
   const MatrixF x = rng.NormalMatrix(9, 40, 0.0, 1.0);
   GemmScratch scratch;
-  EXPECT_EQ(q.Forward(x, scratch), q.Forward(x));
+  MatrixF y;
+  q.ForwardInto(x, scratch, y);
+  EXPECT_EQ(y, q.Forward(x));
   EXPECT_GT(scratch.wpack.capacity(), 0u);
 }
 
@@ -242,8 +245,9 @@ TEST(QuantizedEncoderTest, MatchesFloatEncoder) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto qw = QuantizedEncoderWeights::FromFloat(w);
   const auto x = rng.NormalMatrix(24, 64, 0.0, 1.0);
-  const auto yf = EncoderForwardDense(x, w, cfg);
-  const auto yq = QuantizedEncoderForward(x, qw, cfg, DenseAttention);
+  Workspace ws;
+  const auto yf = EncoderForward(x, w, cfg, DenseAttention, ws);
+  const auto yq = EncoderForward(x, qw, cfg, DenseAttention, ws);
   EXPECT_GT(MeanRowCosine(yq, yf), 0.995);
 }
 
@@ -257,9 +261,9 @@ TEST(QuantizedEncoderTest, WorksWithSparseAttention) {
   const auto x = rng.NormalMatrix(32, 64, 0.0, 1.0);
   SparseAttentionConfig sa;
   sa.top_k = 32;  // degenerate-dense: isolates int8 error
-  const auto yq =
-      QuantizedEncoderForward(x, qw, cfg, MakeSparseAttentionFn(sa));
-  const auto yf = EncoderForwardDense(x, w, cfg);
+  Workspace ws;
+  const auto yq = EncoderForward(x, qw, cfg, MakeSparseAttentionFn(sa), ws);
+  const auto yf = EncoderForward(x, w, cfg, DenseAttention, ws);
   EXPECT_GT(MeanRowCosine(yq, yf), 0.99);
 }
 

@@ -18,10 +18,11 @@ TEST(IntegrationTest, EncoderWithSparseAttentionTracksDense) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = MakeInputEmbedding(rng, 96, cfg.hidden);
 
-  const auto dense = EncoderForwardDense(x, w, cfg);
+  Workspace ws;
+  const auto dense = EncoderForward(x, w, cfg, DenseAttention, ws);
   SparseAttentionConfig sa;
   sa.top_k = 48;  // half the keys
-  const auto sparse = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa));
+  const auto sparse = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa), ws);
 
   ASSERT_EQ(sparse.rows(), dense.rows());
   // LayerNormed outputs: cosine must stay high even through two residual
@@ -38,8 +39,9 @@ TEST(IntegrationTest, EncoderSparseEqualsDenseWhenKIsN) {
   const auto x = MakeInputEmbedding(rng, 24, cfg.hidden);
   SparseAttentionConfig sa;
   sa.top_k = 24;
-  const auto a = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa));
-  const auto b = EncoderForwardDense(x, w, cfg);
+  Workspace ws;
+  const auto a = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa), ws);
+  const auto b = EncoderForward(x, w, cfg, DenseAttention, ws);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.flat()[i], b.flat()[i], 5e-2f);
   }

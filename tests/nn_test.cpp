@@ -9,6 +9,7 @@
 #include "nn/encoder.hpp"
 #include "nn/linear.hpp"
 #include "nn/ops.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/rng.hpp"
 
@@ -158,7 +159,8 @@ TEST(AttentionTest, RowsAreConvexCombinationsOfV) {
   const auto q = rng.NormalMatrix(10, 16, 0.0, 1.0);
   const auto k = rng.NormalMatrix(10, 16, 0.0, 1.0);
   const auto v = rng.NormalMatrix(10, 16, 0.0, 1.0);
-  const auto out = DenseAttention(q, k, v);
+  Workspace ws;
+  const auto out = DenseAttention(q, k, v, ws);
   for (std::size_t c = 0; c < 16; ++c) {
     float lo = v(0, c), hi = v(0, c);
     for (std::size_t j = 1; j < 10; ++j) {
@@ -177,7 +179,8 @@ TEST(AttentionTest, SingleKeyReturnsItsValue) {
   const auto q = rng.NormalMatrix(3, 8, 0.0, 1.0);
   const auto k = rng.NormalMatrix(1, 8, 0.0, 1.0);
   const auto v = rng.NormalMatrix(1, 8, 0.0, 1.0);
-  const auto out = DenseAttention(q, k, v);
+  Workspace ws;
+  const auto out = DenseAttention(q, k, v, ws);
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t c = 0; c < 8; ++c) {
       EXPECT_NEAR(out(i, c), v(0, c), 1e-5f);
@@ -209,7 +212,8 @@ TEST(EncoderTest, OutputShapeMatchesInput) {
   cfg.heads = 4;
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = rng.NormalMatrix(7, 32, 0.0, 1.0);
-  const auto y = EncoderForwardDense(x, w, cfg);
+  Workspace ws;
+  const auto y = EncoderForward(x, w, cfg, DenseAttention, ws);
   EXPECT_EQ(y.rows(), 7u);
   EXPECT_EQ(y.cols(), 32u);
 }
@@ -221,7 +225,8 @@ TEST(EncoderTest, OutputIsLayerNormalized) {
   cfg.heads = 8;
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = rng.NormalMatrix(5, 64, 0.0, 1.0);
-  const auto y = EncoderForwardDense(x, w, cfg);
+  Workspace ws;
+  const auto y = EncoderForward(x, w, cfg, DenseAttention, ws);
   for (std::size_t i = 0; i < y.rows(); ++i) {
     double mean = 0;
     for (float v : y.row(i)) mean += v;
@@ -238,8 +243,9 @@ TEST(EncoderTest, DeterministicGivenSeed) {
   const auto w2 = MakeEncoderWeights(r2, cfg);
   const auto x1 = r1.NormalMatrix(3, 16, 0.0, 1.0);
   const auto x2 = r2.NormalMatrix(3, 16, 0.0, 1.0);
-  EXPECT_EQ(EncoderForwardDense(x1, w1, cfg),
-            EncoderForwardDense(x2, w2, cfg));
+  Workspace ws;
+  EXPECT_EQ(EncoderForward(x1, w1, cfg, DenseAttention, ws),
+            EncoderForward(x2, w2, cfg, DenseAttention, ws));
 }
 
 TEST(EncoderTest, RejectsBadConfig) {
@@ -257,7 +263,9 @@ TEST(EncoderTest, RejectsWrongInputWidth) {
   cfg.heads = 2;
   const auto w = MakeEncoderWeights(rng, cfg);
   MatrixF x(3, 8);
-  EXPECT_THROW(EncoderForwardDense(x, w, cfg), std::invalid_argument);
+  Workspace ws;
+  EXPECT_THROW(EncoderForward(x, w, cfg, DenseAttention, ws),
+               std::invalid_argument);
 }
 
 TEST(EncoderTest, CustomAttentionFnIsUsed) {
@@ -269,11 +277,12 @@ TEST(EncoderTest, CustomAttentionFnIsUsed) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = rng.NormalMatrix(4, 16, 0.0, 1.0);
   const AttentionFn zero_fn = [](const MatrixF& q, const MatrixF&,
-                                 const MatrixF& v) {
+                                 const MatrixF& v, Workspace&) {
     return MatrixF(q.rows(), v.cols());
   };
-  EXPECT_NE(EncoderForward(x, w, cfg, zero_fn),
-            EncoderForwardDense(x, w, cfg));
+  Workspace ws;
+  EXPECT_NE(EncoderForward(x, w, cfg, zero_fn, ws),
+            EncoderForward(x, w, cfg, DenseAttention, ws));
 }
 
 TEST(EncoderTest, FfnDefaultsToFourTimesHidden) {

@@ -283,15 +283,15 @@ TEST(BatchRunnerTest, EncoderBatchMatchesSequentialBitExactly) {
 
   SparseAttentionConfig sa;
   sa.top_k = 8;
+  const AttentionFn attn = MakeSparseAttentionFn(sa);
   std::vector<MatrixF> expected;
   for (const auto& x : xs) {
-    expected.push_back(EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa)));
+    Workspace ws;
+    expected.push_back(EncoderForward(x, w, cfg, attn, ws));
   }
 
   BatchRunner runner(3);
-  const auto got = EncoderForwardBatch(xs, w, cfg,
-                                       MakeWorkspaceSparseAttentionFn(sa),
-                                       runner);
+  const auto got = EncoderForwardBatch(xs, w, cfg, attn, runner);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "sequence " << i;
@@ -319,27 +319,10 @@ TEST(BatchRunnerTest, RunShardedMatchesSequentialAndVisitsAll) {
   EXPECT_EQ(runner.items_completed(), xs.size());
 }
 
-TEST(BatchRunnerTest, AdaptedDenseAttentionMatchesSequential) {
-  Rng rng(6);
-  EncoderConfig cfg;
-  cfg.hidden = 64;
-  cfg.heads = 2;
-  const auto w = MakeEncoderWeights(rng, cfg);
-  const auto xs = SeededBatch(15, 6, cfg.hidden);
-
-  BatchRunner runner(2);
-  const auto got =
-      EncoderForwardBatch(xs, w, cfg, AdaptAttentionFn(DenseAttention), runner);
-  ASSERT_EQ(got.size(), xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
-  }
-}
-
 TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
-  // The workspace-leasing dense attention must be bit-identical to both
-  // the adapted allocating one and the sequential reference, while the
-  // per-slot arenas (scores slot + GEMM pack buffer) absorb the scratch.
+  // Dense attention on the per-slot arenas (scores slot + GEMM pack
+  // buffer) must be bit-identical to the sequential reference on a fresh
+  // Workspace per sequence.
   Rng rng(7);
   EncoderConfig cfg;
   cfg.hidden = 64;
@@ -348,11 +331,12 @@ TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   const auto xs = SeededBatch(15, 6, cfg.hidden);
 
   BatchRunner runner(2);
-  const auto got =
-      EncoderForwardBatch(xs, w, cfg, MakeWorkspaceDenseAttentionFn(), runner);
+  const auto got = EncoderForwardBatch(xs, w, cfg, DenseAttention, runner);
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
+    Workspace ws;
+    EXPECT_EQ(got[i], EncoderForward(xs[i], w, cfg, DenseAttention, ws))
+        << "sequence " << i;
   }
   EXPECT_GT(runner.workspace(0).CapacityBytes(), 0u);
 }

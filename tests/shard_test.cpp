@@ -312,8 +312,7 @@ struct EncoderFixture {
 TEST(ShardedEncoderTest, BitExactAgainstUnshardedDenseForEveryDegree) {
   const EncoderFixture f;
   Workspace ws;
-  const MatrixF reference =
-      EncoderForwardWorkspace(f.x, f.w, f.cfg, DenseAttention, ws);
+  const MatrixF reference = EncoderForward(f.x, f.w, f.cfg, DenseAttention, ws);
 
   // Degrees that divide the head count, that do not, and that exceed it
   // (trailing shards own zero heads): all bit-exact.
@@ -323,7 +322,7 @@ TEST(ShardedEncoderTest, BitExactAgainstUnshardedDenseForEveryDegree) {
     const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
     ShardExecutor exec(degree);
     const MatrixF sharded = ShardedEncoderForward(
-        f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+        f.x, f.w, f.cfg, plan, DenseAttention, exec);
     EXPECT_EQ(sharded, reference) << "degree=" << degree;
   }
 }
@@ -333,7 +332,7 @@ TEST(ShardedEncoderTest, BitExactWithSparseAttention) {
   SparseAttentionConfig scfg;
   scfg.top_k = 8;
   Workspace ws;
-  const MatrixF reference = EncoderForwardWorkspace(
+  const MatrixF reference = EncoderForward(
       f.x, f.w, f.cfg, MakeSparseAttentionFn(scfg), ws);
 
   ShardPlanConfig plan_cfg;
@@ -341,23 +340,21 @@ TEST(ShardedEncoderTest, BitExactWithSparseAttention) {
   ShardExecutor exec(3);
   const MatrixF sharded = ShardedEncoderForward(
       f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg),
-      MakeWorkspaceSparseAttentionFn(scfg), exec);
+      MakeSparseAttentionFn(scfg), exec);
   EXPECT_EQ(sharded, reference);
 }
 
 TEST(ShardedEncoderTest, RowParallelFfn2AgreesToRounding) {
   const EncoderFixture f;
   Workspace ws;
-  const MatrixF reference =
-      EncoderForwardWorkspace(f.x, f.w, f.cfg, DenseAttention, ws);
+  const MatrixF reference = EncoderForward(f.x, f.w, f.cfg, DenseAttention, ws);
 
   ShardPlanConfig plan_cfg;
   plan_cfg.shards = 4;
   plan_cfg.row_parallel_ffn2 = true;
   ShardExecutor exec(4);
   const MatrixF sharded = ShardedEncoderForward(
-      f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg),
-      MakeWorkspaceDenseAttentionFn(), exec);
+      f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg), DenseAttention, exec);
   ASSERT_EQ(sharded.rows(), reference.rows());
   ASSERT_EQ(sharded.cols(), reference.cols());
   for (std::size_t r = 0; r < sharded.rows(); ++r) {
@@ -377,9 +374,9 @@ TEST(ShardedEncoderTest, OutputIsInvariantToThreadCount) {
   ShardExecutor serial(4, 1);   // four shards time-sliced on one worker
   ShardExecutor parallel(4, 4);
   const MatrixF a = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), serial);
+      f.x, f.w, f.cfg, plan, DenseAttention, serial);
   const MatrixF b = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), parallel);
+      f.x, f.w, f.cfg, plan, DenseAttention, parallel);
   EXPECT_EQ(a, b);
 }
 
@@ -392,11 +389,11 @@ TEST(ShardedEncoderTest, SteadyStateStopsAllocating) {
   ShardExecutor exec(3);
 
   const MatrixF first = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+      f.x, f.w, f.cfg, plan, DenseAttention, exec);
   const std::size_t bytes = exec.CapacityBytes();
   EXPECT_GT(bytes, 0u);
   const MatrixF second = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+      f.x, f.w, f.cfg, plan, DenseAttention, exec);
   EXPECT_EQ(exec.CapacityBytes(), bytes);  // arenas fully reused
   EXPECT_EQ(first, second);
 }
@@ -408,15 +405,14 @@ TEST(ShardedEncoderTest, ValidatesShapes) {
   const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
 
   ShardExecutor wrong_gang(3);  // plan says 2 shards
-  EXPECT_THROW(ShardedEncoderForward(f.x, f.w, f.cfg, plan,
-                                     MakeWorkspaceDenseAttentionFn(),
+  EXPECT_THROW(ShardedEncoderForward(f.x, f.w, f.cfg, plan, DenseAttention,
                                      wrong_gang),
                std::invalid_argument);
 
   ShardExecutor exec(2);
   const MatrixF narrow(19, f.cfg.hidden - 1);
-  EXPECT_THROW(ShardedEncoderForward(narrow, f.w, f.cfg, plan,
-                                     MakeWorkspaceDenseAttentionFn(), exec),
+  EXPECT_THROW(ShardedEncoderForward(narrow, f.w, f.cfg, plan, DenseAttention,
+                                     exec),
                std::invalid_argument);
 }
 
