@@ -5,45 +5,45 @@ Compares the current bench outputs (BENCH_kernels.json, BENCH_runtime.json,
 BENCH_serving.json, BENCH_cluster.json, BENCH_cache.json,
 BENCH_shard.json, BENCH_search.json, BENCH_adaptive.json,
 BENCH_obs.json, plus the BREAKDOWN_obs.json latency-attribution
-artifact) against the
-recorded baselines in
-bench/baselines/ and
-fails (exit 1) with a delta table when a gated metric regresses beyond the
-tolerance (default +-25%).  Each bench registers its compare function with
-the ``@bench_compare`` decorator; the gating loop and --update both walk
-that registry.
+artifact) against the recorded baselines in bench/baselines/ and fails
+(exit 1) with a delta table when a gated metric regresses beyond the
+tolerance (+-25%) or a file breaks its schema.
+
+Every gated file is one ``Bench`` entry in the ``BENCHES`` table below;
+adding a bench means adding one entry.  An entry holds
+
+- schema predicates: absolute checks on one file (``.bench == "cache"``,
+  ``.results[].hits + coalesced + misses == requests``, headline bits
+  that must be true).  They run first, on the baseline and on the
+  current file; each violation is printed with the file and its JSON path
+  and fails the run;
+- gate rows: ``(mode, field, ...)`` groups and keyed ``Cells``
+  collections, walked in order against the baseline.  Modes are
+
+  - ``exact``: deterministic counts, policy names and headline bits.
+    The batch former, router, cache and tracer are trace-driven in
+    virtual time, so any drift is a policy change, not noise;
+  - ``higher``: dimensionless ratios (kernel speedups over the scalar
+    reference, the workspace-reuse speedup), checked against
+    ``baseline * (1 - tolerance)`` -- improvements never fail;
+  - ``info-higher`` / ``info-lower``: absolute measurements (GFLOP/s,
+    milliseconds, tokens/s) and thread-scaling factors, which vary with
+    the host that recorded the baseline: reported, never enforced.
+
+  A baseline cell with no current match, or a current cell the baseline
+  lacks, is a FAIL row naming the cell.
 
 ``--update`` re-records the baselines instead of gating: every current
-BENCH_*.json is copied over its counterpart in the baselines directory.
-Use it from a fresh local run in the same PR that justifies the shift.
-
-Gated by default are the metrics that are stable across host machines:
-
-- dimensionless ratios (kernel speedups over the scalar reference, the
-  workspace-reuse speedup), checked against ``baseline * (1 - tolerance)``
-  -- improvements never fail;
-- deterministic counts (serving requests/batches/accepted/rejected per
-  rate x policy cell, cluster routing counts per rate x replicas x policy
-  cell, cache hit/miss/coalesce/eviction counts per population x skew x
-  eviction cell), checked exactly: the batch former, router and cache are
-  trace-driven, so any drift is a policy change, not noise;
-- the cluster headline bit (length-bucketed routing beats round-robin on
-  batch density or p99 in at least one cell), the cache headline bit
-  (cached beats uncached on p99 and throughput in every cell with >= 20%
-  duplicates) and the shard headline bit (tensor-parallel sharding beats
-  replication on p99 for at least one long-sequence cell), checked
-  exactly.
-
-Absolute measurements (GFLOP/s, milliseconds, tokens/s) and thread-scaling
-factors vary with the host that recorded the baseline, so they are
-reported in the table but only enforced with --strict (useful when
-comparing runs from the same machine).
+file is copied over its counterpart in the baselines directory, provided
+all of them exist and pass their schema.  Use it from a fresh local run
+in the same PR that justifies the shift.
 
 The table is printed to stdout and, when $GITHUB_STEP_SUMMARY is set,
 appended there as Markdown so every CI run shows its perf trajectory.
 """
 
 import argparse
+import collections
 import json
 import os
 import shutil
@@ -51,19 +51,529 @@ import sys
 
 OK, FAIL, INFO = "ok", "FAIL", "info"
 
-# Per-bench compare dispatch: (filename, compare_fn) pairs in registration
-# order.  Registering a compare function against its BENCH_*.json file is
-# all it takes to add a bench to the gate and to --update's re-record set
-# -- no if/elif arm to extend.
-BENCHES = []
+# Allowed relative regression on ``higher`` / ``lower`` rows.
+TOLERANCE = 0.25
 
 
-def bench_compare(filename):
-    """Decorator: register ``fn`` as the gate for ``filename``."""
-    def register(fn):
-        BENCHES.append((filename, fn))
-        return fn
-    return register
+class _Missing:
+    def __repr__(self):
+        return "missing"
+
+
+# What ``resolve`` yields for an absent key, index or container.
+MISSING = _Missing()
+
+
+def resolve(doc, path):
+    """(JSON path, value) pairs for a dotted ``path`` such as ``a.b[].c``.
+
+    ``x[]`` fans out over every element of list ``x`` and ``x[0]`` takes
+    one; an absent key, index or container resolves to MISSING.
+    """
+    nodes = [("", doc)]
+    for segment in filter(None, path.split(".")):
+        name, _, index = segment.partition("[")
+        nxt = []
+        for where, value in nodes:
+            if name:
+                where += "." + name
+                value = value.get(name, MISSING) if isinstance(
+                    value, dict) else MISSING
+            if index == "]":
+                if isinstance(value, list):
+                    nxt += [("%s[%d]" % (where, i), v)
+                            for i, v in enumerate(value)]
+                else:
+                    nxt.append((where + "[]", MISSING))
+            elif index:
+                i = int(index[:-1])
+                where += "[%d]" % i
+                ok = isinstance(value, list) and i < len(value)
+                nxt.append((where, value[i] if ok else MISSING))
+            else:
+                nxt.append((where, value))
+        nodes = nxt
+    return nodes
+
+
+def fetch(doc, path):
+    """The one value at a ``[]``-free path; ``a|length`` is len(a)."""
+    length = path.endswith("|length")
+    [(_, value)] = resolve(doc, path.removesuffix("|length"))
+    if length:
+        return len(value) if isinstance(value, list) else MISSING
+    return value
+
+
+def is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+class Check:
+    """One schema predicate: ``test`` on the value at a path, described by
+    ``what``.  A value of the wrong shape (absent, wrong type) fails it."""
+
+    def __init__(self, what, test):
+        self.what = what
+        self.test = test
+
+    def holds(self, value):
+        if value is MISSING:
+            return False
+        try:
+            return bool(self.test(value))
+        except (KeyError, IndexError, TypeError, AttributeError):
+            return False
+
+
+NUM = Check("a number", is_num)
+STR = Check("a string", lambda v: isinstance(v, str))
+BOOL = Check("a boolean", lambda v: isinstance(v, bool))
+OBJECT = Check("an object", lambda v: isinstance(v, dict))
+
+
+def eq(x):
+    def test(v):
+        # JSON true is not 1, though Python's True == 1.
+        return v == x and isinstance(v, bool) == isinstance(x, bool)
+    return Check("== %s" % json.dumps(x), test)
+
+
+TRUE = eq(True)
+
+
+def ge(x):
+    return Check(">= %s" % x, lambda v: is_num(v) and v >= x)
+
+
+def gt(x):
+    return Check("> %s" % x, lambda v: is_num(v) and v > x)
+
+
+def le(x):
+    return Check("<= %s" % x, lambda v: is_num(v) and v <= x)
+
+
+def lt(x):
+    return Check("< %s" % x, lambda v: is_num(v) and v < x)
+
+
+def length(n):
+    return Check("length >= %d" % n,
+                 lambda v: isinstance(v, (list, str)) and len(v) >= n)
+
+
+def has(*keys):
+    return Check("has %s" % ", ".join(keys),
+                 lambda v: isinstance(v, dict) and all(k in v for k in keys))
+
+
+class Cells:
+    """A keyed collection of gated cells.
+
+    Each baseline cell at ``path`` is matched to the current cell with the
+    same ``key`` fields (by position when ``key`` is None) and gated by
+    ``rows``.  ``name`` labels a matched cell's rows and ``missing`` an
+    unmatched cell; both are ``str.format`` patterns over the key.
+    """
+
+    def __init__(self, path, key, name, rows, missing=None):
+        self.path = path
+        self.key = key
+        self.name = name
+        self.rows = rows
+        self.missing = missing or name
+
+    def cells(self, doc):
+        """(key, cell) pairs in file order; none when ``path`` is absent."""
+        cells = fetch(doc, self.path)
+        if not isinstance(cells, list):
+            return []
+        if self.key is None:
+            return [((i,), cell) for i, cell in enumerate(cells)]
+        # List or object key values compare by their JSON text so that a
+        # malformed current file cannot make a key unhashable.
+        return [(tuple(json.dumps(v) if isinstance(v, (list, dict)) else v
+                       for v in (fetch(cell, k) for k in self.key)), cell)
+                for cell in cells]
+
+
+def label(pattern, key):
+    return pattern.format(*("%g" % v if isinstance(v, float) else v
+                            for v in key))
+
+
+Bench = collections.namedtuple("Bench", "file name schema rows")
+
+BENCHES = [
+    Bench("BENCH_kernels.json", "kernels", schema=[
+        ("bench", eq("kernels")),
+        ("schema_version", eq(1)),
+        ("arch", STR),
+        ("shapes", length(4)),
+        ("shapes[].m", ge(1)),
+        ("shapes[].k", ge(1)),
+        ("shapes[].n", ge(1)),
+        ("shapes[].scalar_gflops", NUM),
+        ("shapes[].tiled_gflops", NUM),
+        ("shapes[].speedup", NUM),
+        ("min_speedup", NUM),
+        ("geomean_speedup", NUM),
+        ("int8_shapes", length(3)),
+        ("int8_shapes[].label", STR),
+        ("int8_shapes[].m", ge(1)),
+        ("int8_shapes[].k", ge(1)),
+        ("int8_shapes[].n", ge(1)),
+        ("int8_shapes[].scalar_gops", NUM),
+        ("int8_shapes[].packed_gops", NUM),
+        ("int8_shapes[].speedup", NUM),
+        ("int8_min_speedup", NUM),
+    ], rows=[
+        ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup"),
+        Cells("shapes", ("label",), "{}", missing="shape {}", rows=[
+            ("info-higher", "speedup", "tiled_gflops"),
+        ]),
+        # Float and int8 cells share labels, so int8 rows carry a prefix.
+        Cells("int8_shapes", ("label",), "int8 {}", missing="shape int8 {}",
+              rows=[
+                  ("info-higher", "speedup", "packed_gops"),
+              ]),
+    ]),
+    Bench("BENCH_runtime.json", "runtime", schema=[
+        ("bench", eq("runtime")),
+        ("schema_version", eq(1)),
+        ("workspace.alloc_ms", NUM),
+        ("workspace.workspace_ms", NUM),
+        ("workspace.speedup", NUM),
+        ("scaling", length(3)),
+        ("scaling[].threads", ge(1)),
+        ("scaling[].ms_per_batch", NUM),
+        ("scaling[].tokens_per_s", NUM),
+    ], rows=[
+        ("higher", "workspace.speedup"),
+        ("info-lower", "workspace.workspace_ms"),
+        # Scaling factors depend on the recording host's core count (a
+        # 1-core baseline would make the gate vacuous on CI and a CI
+        # baseline would flake on smaller hosts), so report-only.
+        Cells("scaling", ("threads",), "scaling[{}]",
+              missing="scaling threads={}", rows=[
+                  ("info-higher", "speedup", "tokens_per_s"),
+              ]),
+    ]),
+    Bench("BENCH_cluster.json", "cluster", schema=[
+        ("bench", eq("cluster")),
+        ("schema_version", eq(1)),
+        ("results", length(1)),
+        ("results[].requests", ge(1)),
+        ("results[].batches", ge(1)),
+        ("results[].replicas", ge(2)),
+        ("results[].policy", STR),
+        ("results[]", Check("admitted == requests",
+                             lambda r: r["admitted"] == r["requests"])),
+        ("results[].rejected", eq(0)),
+        ("results[].mean_batch_fill", gt(0), le(1.000001)),
+        ("results[]", has("p50_ms", "p99_ms")),
+        ("results[].throughput_rps", NUM),
+        ("results[].request_imbalance", ge(1)),
+        ("comparisons", length(1)),
+        ("comparisons[].fill_gain", NUM),
+        ("comparisons[].p99_ratio", NUM),
+        ("comparisons[].bucketed_wins", BOOL),
+        ("bucketed_beats_round_robin", TRUE),
+    ], rows=[
+        # Routing and forming are trace-driven: counts must match exactly.
+        Cells("results", ("arrival_rps", "replicas", "policy"),
+              "rps={}/x{}/{}", rows=[
+                  ("exact", "requests", "batches", "admitted", "rejected",
+                   "rerouted"),
+                  ("info-higher", ("fill", "mean_batch_fill")),
+                  ("info-lower", "p99_ms"),
+              ]),
+        Cells("comparisons", ("arrival_rps", "replicas"), "rps={}/x{}",
+              missing="comparison rps={}/x{}", rows=[
+                  ("info-higher", "fill_gain"),
+                  ("info-lower", "p99_ratio"),
+              ]),
+        # The headline the ROADMAP acceptance rides on: once recorded true,
+        # the bucketed-beats-round-robin bit may never silently flip back.
+        ("exact", "bucketed_beats_round_robin"),
+    ]),
+    Bench("BENCH_cache.json", "cache", schema=[
+        ("bench", eq("cache")),
+        ("schema_version", eq(1)),
+        ("results", length(1)),
+        ("results[].requests", ge(1)),
+        ("results[].population", ge(1)),
+        ("results[].eviction", STR),
+        ("results[].duplicate_rate", ge(0), le(1)),
+        ("results[]", Check(
+            "hits + coalesced + misses == requests",
+            lambda r: r["hits"] + r["coalesced"] + r["misses"]
+            == r["requests"])),
+        ("results[].hit_rate", ge(0), le(1)),
+        ("results[]", has("cached_p99_ms", "uncached_p99_ms")),
+        ("results[].p99_ratio", NUM),
+        ("results[].throughput_gain", NUM),
+        ("results[].wins", BOOL),
+        ("results", Check("any(.gated)",
+                           lambda rs: any(r.get("gated") for r in rs))),
+        ("cache_beats_uncached_at_dup_gate", TRUE),
+    ], rows=[
+        # The trace, the cache and the virtual clock are all
+        # deterministic: lookup outcomes and store churn match exactly.
+        Cells("results", ("population", "skew", "eviction"),
+              "pop={}/s={}/{}", rows=[
+                  ("exact", "requests", "batches", "hits", "coalesced",
+                   "misses", "evictions", "insertions"),
+                  ("info-lower", "p99_ratio"),
+                  ("info-higher", "throughput_gain"),
+              ]),
+        # The headline: once recorded true, the cached-beats-uncached-at-
+        # >=20%-duplicates bit may never flip back.
+        ("exact", "cache_beats_uncached_at_dup_gate"),
+    ]),
+    Bench("BENCH_serving.json", "serving", schema=[
+        ("bench", eq("serving")),
+        ("schema_version", eq(1)),
+        ("results", length(1)),
+        ("results[].requests", ge(1)),
+        ("results[].batches", ge(1)),
+        ("results[]", has("p50_ms", "p95_ms", "p99_ms")),
+        ("results[].throughput_rps", NUM),
+        ("results[].busy_frac", ge(0), le(1.000001)),
+        ("results[].exec_wall_s", NUM),
+    ], rows=[
+        Cells("results", ("arrival_rps", "policy"), "rps={}/{}", rows=[
+            ("exact", "requests", "batches", "accepted", "rejected"),
+            ("info-lower", "p95_ms"),
+            ("info-higher", "throughput_rps"),
+        ]),
+    ]),
+    Bench("BENCH_shard.json", "shard", schema=[
+        ("bench", eq("shard")),
+        ("schema_version", eq(1)),
+        ("host.kernel_arch", STR),
+        ("results", length(1)),
+        ("results[].seq_len", ge(1)),
+        ("results[].degree", ge(2)),
+        ("results[].interconnect", STR),
+        ("results[].requests", ge(1)),
+        ("results[].batches", ge(1)),
+        ("results[].compute_share", gt(0), le(1.000001)),
+        ("results[].comm_fraction", ge(0), le(1)),
+        ("results[]", has("replicated_p99_ms", "sharded_p99_ms")),
+        ("results[].p99_ratio", NUM),
+        ("results[].sharded_wins", BOOL),
+        ("crossovers", length(1)),
+        ("crossovers[].degree", ge(2)),
+        ("crossovers[].crossover_len", NUM),
+        ("sharding_beats_replication_at_long_seq", TRUE),
+    ], rows=[
+        # Both engines replay the same trace in virtual time against
+        # deterministic accounting models: counts must match exactly.
+        Cells("results", ("seq_len", "degree", "interconnect"),
+              "len={}/x{}/{}", rows=[
+                  ("exact", "requests", "batches"),
+                  ("info-lower", "p99_ratio", "comm_fraction"),
+              ]),
+        # Sharding wins carry a 1% margin, so the crossover sequence
+        # length is stable against libm-level drift and gates exactly
+        # (0 = sharding never won for this degree x interconnect).
+        Cells("crossovers", ("degree", "interconnect"), "x{}/{}",
+              missing="crossover x{}/{}", rows=[
+                  ("exact", "crossover_len"),
+              ]),
+        # The headline: once recorded true, the tensor-parallel-beats-
+        # replication-at-long-sequences bit may never flip back.
+        ("exact", "sharding_beats_replication_at_long_seq"),
+    ]),
+    Bench("BENCH_search.json", "search", schema=[
+        ("bench", eq("search")),
+        ("schema_version", eq(1)),
+        ("trace.requests", ge(1)),
+        ("trace.duplicate_rate", ge(0), le(1)),
+        ("sa.chains", ge(1)),
+        ("sa.steps", ge(1)),
+        ("sa", Check("evaluations >= chains",
+                      lambda sa: sa["evaluations"] >= sa["chains"])),
+        ("baselines", length(8)),
+        ("baselines[].name", STR),
+        ("baselines[].replicas", ge(1)),
+        ("baselines[].completed", ge(1)),
+        ("baselines[]", has("p99_ms")),
+        ("baselines[].energy_j", gt(0)),
+        ("baselines[].cost", NUM),
+        ("winner.replicas", ge(1)),
+        ("winner.backend_slots", ge(1)),
+        ("winner.policy", STR),
+        ("winner.cache_mode", STR),
+        ("winner", Check("design.replicas|length == replicas",
+                          lambda w: len(w["design"]["replicas"])
+                          == w["replicas"])),
+        ("pareto", length(1)),
+        ("pareto[]", has("p99_ms")),
+        ("pareto[].energy_j", gt(0)),
+        ("pareto[].design", OBJECT),
+        ("", Check("chains|length == sa.chains",
+                    lambda d: len(d["chains"]) == d["sa"]["chains"])),
+        ("chains[].proposed", ge(1)),
+        ("chains[].invalid", ge(0)),
+        ("headline.p99_speedup", gt(0)),
+        ("headline.sa_beats_best_baseline", TRUE),
+    ], rows=[
+        # The SA walk is a pure function of (space, evaluator, seed) and
+        # the evaluator replays a fixed trace through the
+        # byte-deterministic cluster twin, so the winning configuration --
+        # not just its score -- must reproduce exactly on any host.
+        ("exact", "winner.replicas", "winner.backend_slots",
+         "winner.policy", "winner.cache_mode", "winner.chain",
+         "winner.completed", "winner.rejected", "sa.evaluations",
+         ("pareto.size", "pareto|length")),
+        ("info-lower", "winner.p99_ms", "winner.energy_j"),
+        ("info-higher", "headline.p99_speedup"),
+        # The headline: once recorded true, the SA-matches-or-beats-every-
+        # hand-tuned-baseline bit (p99 at the shared offered load, and
+        # never Pareto-dominated) may never flip back.
+        ("exact", ("sa_beats_best_baseline",
+                   "headline.sa_beats_best_baseline")),
+    ]),
+    Bench("BENCH_adaptive.json", "adaptive", schema=[
+        ("bench", eq("adaptive")),
+        ("schema_version", eq(1)),
+        ("slo_ms", gt(0)),
+        ("accuracy_floor", gt(0), lt(1)),
+        ("ramp", length(3)),
+        ("ladder", length(2)),
+        ("ladder[].top_k", ge(1)),
+        ("ladder[].escalate", BOOL),
+        ("ladder[].accuracy", gt(0), le(1)),
+        ("results", length(3)),
+        ("results[].config", STR),
+        ("results[].requests", ge(1)),
+        ("results[]", Check("accepted + rejected == requests",
+                             lambda r: r["accepted"] + r["rejected"]
+                             == r["requests"])),
+        ("results[].reject_rate", ge(0), le(1)),
+        ("results[]", has("p50_ms", "p99_ms")),
+        ("results[].mean_accuracy", gt(0), le(1)),
+        ("results[].meets_floor", BOOL),
+        ("results[0].config", eq("adaptive")),
+        ("", Check("results[0].tiers|length == ladder|length",
+                    lambda d: len(d["results"][0]["tiers"])
+                    == len(d["ladder"]))),
+        ("determinism.bit_identical", TRUE),
+        ("determinism.degraded_requests", ge(1)),
+        ("headline.p99_within_slo", TRUE),
+        ("headline.accuracy_above_floor", TRUE),
+        ("headline.lower_reject_than_baselines", TRUE),
+        ("headline.adaptive_beats_fixed", TRUE),
+    ], rows=[
+        # Every cell is accounting-only virtual time over a fixed ramp
+        # trace, so admission and batching counts match exactly.  Tier
+        # accuracies are fidelity-model outputs quantized to 1e-4; the
+        # stream mean is a weighted sum of those constants over exact
+        # counts, so it gates exactly too.
+        Cells("results", ("config",), "{}", rows=[
+            ("exact", "requests", "accepted", "rejected", "batches",
+             "mean_accuracy"),
+            ("info-lower", "p99_ms"),
+            Cells("tiers", None, "tiers[{}]", rows=[
+                ("exact", "requests", "batches", "escalated"),
+            ]),
+        ]),
+        ("exact", "determinism.bit_identical",
+         "determinism.degraded_requests"),
+        # The headline: once recorded true, the adaptive-holds-SLO-with-
+        # fewer-rejects-above-the-floor bits may never flip back.
+        ("exact", "headline.p99_within_slo", "headline.accuracy_above_floor",
+         "headline.lower_reject_than_baselines",
+         "headline.adaptive_beats_fixed"),
+    ]),
+    Bench("BENCH_obs.json", "obs", schema=[
+        ("bench", eq("obs")),
+        ("schema_version", eq(1)),
+        ("results", length(2)),
+        ("results[].requests", ge(1)),
+        ("results[].batches", ge(1)),
+        ("results[].trace_events", ge(1)),
+        ("results[].trace_dropped", eq(0)),
+        ("results[]", has("p99_ms")),
+        ("results[].throughput_rps", NUM),
+        ("overhead.overhead_frac", NUM),
+        ("overhead.overhead_ok", TRUE),
+        ("bit_exact.outputs_identical", TRUE),
+        ("bit_exact.report_identical", TRUE),
+        ("determinism.byte_identical", TRUE),
+        ("determinism.analysis_identical", TRUE),
+        ("determinism.trace_bytes", ge(1)),
+        ("breakdown.gap_free", TRUE),
+        ("breakdown.reconstruction_exact", TRUE),
+        ("breakdown.matches_report", TRUE),
+        ("breakdown.unattributed", eq(0)),
+        ("capture.roundtrip_identical", TRUE),
+        ("capture.file_loaded", TRUE),
+        ("capture.file_matches", TRUE),
+        ("capture.replay_identical", TRUE),
+        ("overflow.dropped", ge(1)),
+        ("overflow.accounted_ok", TRUE),
+        ("manifest.name", eq("bench_obs/serving_sweep")),
+        ("manifest.config", OBJECT),
+    ], rows=[
+        # The trace is deterministic and every span is emitted from the
+        # virtual-time schedule, so event counts -- like the serving
+        # counts they mirror -- must match exactly.
+        Cells("results", ("arrival_rps",), "rps={}", rows=[
+            ("exact", "requests", "batches", "accepted", "rejected",
+             "trace_events", "trace_dropped"),
+            ("info-lower", "p99_ms"),
+        ]),
+        # Tracing changes nothing (bit-exact outputs and report), the
+        # exported streams are byte-identical across thread counts, every
+        # request's stage segments tile its latency, .lattetrace
+        # round-trips and replays exactly, overflow is accounted exactly,
+        # and the enabled-path overhead stays under its 3% budget.
+        ("exact", "bit_exact.outputs_identical",
+         "bit_exact.report_identical", "determinism.byte_identical",
+         "determinism.analysis_identical", "breakdown.requests",
+         "breakdown.rejected", "breakdown.unattributed", "breakdown.stages",
+         "breakdown.gap_free", "breakdown.reconstruction_exact",
+         "breakdown.matches_report", "breakdown.dominant_tail_stage",
+         "capture.version", "capture.roundtrip_identical",
+         "capture.file_loaded", "capture.file_matches",
+         "capture.replay_identical", "overflow.recorded", "overflow.dropped",
+         "overhead.overhead_ok"),
+        # The measured fraction itself is wall-clock: report-only.
+        ("info-lower", "overhead.overhead_frac"),
+    ]),
+    # The structural facts of the latency breakdown gate exactly (the
+    # attribution walk is byte-deterministic virtual time); the
+    # millisecond values are host-independent too but gate as info so a
+    # deliberate service-model change fails on its own bench, not twice.
+    # tools/trace_diff names the stage behind a p99 movement.
+    Bench("BREAKDOWN_obs.json", "breakdown", schema=[
+        ("schema_version", eq(1)),
+        ("requests", ge(1)),
+        ("gap_free", TRUE),
+        ("reconstruction_exact", TRUE),
+        ("stages", length(1)),
+        ("stages[].stage", STR),
+        ("stages[].requests", ge(1)),
+        ("stages[].share", ge(0), le(1.000001)),
+        ("stages[]", has("p50_ms", "p95_ms", "p99_ms")),
+        ("tail.requests", ge(1)),
+        ("tail.dominant_stage", STR),
+        ("tail.dominant_share", gt(0)),
+        ("critical_path", STR, length(1)),
+    ], rows=[
+        ("exact", "schema_version", "requests", "rejected", "unattributed",
+         "gap_free", "reconstruction_exact", "tail.dominant_stage"),
+        ("info-lower", "end_to_end.p99_ms"),
+        Cells("stages", ("stage",), "{}", missing="stage {}", rows=[
+            ("exact", "requests"),
+            ("info-lower", "p99_ms", "share"),
+        ]),
+    ]),
+]
 
 
 def load(path):
@@ -81,12 +591,28 @@ def load(path):
         sys.exit(2)
 
 
+def report_violations(path, schema, doc):
+    """Print each schema predicate ``doc`` (read from ``path``) breaks;
+    return how many."""
+    count = 0
+    for pattern, *checks in schema:
+        for where, value in resolve(doc, pattern):
+            for check in checks:
+                if check.holds(value):
+                    continue
+                shown = "missing" if value is MISSING else json.dumps(value)
+                if len(shown) > 60:
+                    shown = shown[:57] + "..."
+                print("error: %s: %s: expected %s, got %s"
+                      % (path, where or ".", check.what, shown),
+                      file=sys.stderr)
+                count += 1
+    return count
+
+
 class Gate:
-    def __init__(self, tolerance, strict):
-        self.tolerance = tolerance
-        self.strict = strict
+    def __init__(self):
         self.rows = []  # (bench, metric, baseline, current, delta, mode, status)
-        self.notes = []  # (bench, line): attribution strings under the table
         self.failed = False
 
     def _delta(self, base, cur):
@@ -99,16 +625,18 @@ class Gate:
 
     def check(self, bench, metric, base, cur, mode):
         """mode: 'higher' | 'lower' | 'exact' | 'info-higher' | 'info-lower'"""
-        info = mode.startswith("info")
-        direction = mode.split("-")[-1]
-        if info and not self.strict:
+        if base is MISSING or cur is MISSING:
+            status = FAIL
+        elif mode.startswith("info"):
             status = INFO
         elif mode == "exact":
             status = OK if base == cur else FAIL
-        elif direction == "higher":
-            status = OK if cur >= base * (1 - self.tolerance) else FAIL
+        elif not (is_num(base) and is_num(cur)):
+            status = FAIL
+        elif mode == "higher":
+            status = OK if cur >= base * (1 - TOLERANCE) else FAIL
         else:  # lower is better
-            status = OK if cur <= base * (1 + self.tolerance) else FAIL
+            status = OK if cur <= base * (1 + TOLERANCE) else FAIL
         if status == FAIL:
             self.failed = True
         self.rows.append(
@@ -119,18 +647,41 @@ class Gate:
         self.rows.append((bench, what, None, None, None, "exact", FAIL))
         self.failed = True
 
-    def note(self, bench, line):
-        """Free-form attribution line rendered under the delta table."""
-        self.notes.append((bench, line))
+    def walk(self, bench, rows, base, cur, prefix=""):
+        """Gate ``cur`` against ``base`` row by row, in table order."""
+        for row in rows:
+            if isinstance(row, Cells):
+                base_cells = row.cells(base)
+                cur_cells = row.cells(cur)
+                cur_by_key = dict(cur_cells)
+                for key, cell in base_cells:
+                    if key not in cur_by_key:
+                        self.missing(bench, prefix + label(row.missing, key))
+                        continue
+                    self.walk(bench, row.rows, cell, cur_by_key[key],
+                              prefix + label(row.name, key) + ".")
+                base_keys = {key for key, _ in base_cells}
+                for key, _ in cur_cells:
+                    if key not in base_keys:
+                        self.missing(bench, prefix + label(row.missing, key)
+                                     + " (new, not in baseline)")
+                continue
+            mode, *fields = row
+            for field in fields:
+                if isinstance(field, str):
+                    field = (field, field)
+                name, path = field
+                self.check(bench, prefix + name, fetch(base, path),
+                           fetch(cur, path), mode)
 
     def render(self, out, markdown):
         if markdown:
-            out.write("### Perf gate (tolerance ±%d%%)\n\n" % (self.tolerance * 100))
+            out.write("### Perf gate (tolerance ±%d%%)\n\n" % (TOLERANCE * 100))
             out.write("| bench | metric | baseline | current | delta | gate | status |\n")
             out.write("|---|---|---:|---:|---:|---|---|\n")
             fmt = "| {} | {} | {} | {} | {} | {} | {} |\n"
         else:
-            out.write("perf gate (tolerance +-%d%%)\n" % (self.tolerance * 100))
+            out.write("perf gate (tolerance +-%d%%)\n" % (TOLERANCE * 100))
             fmt = "  {:<8} {:<34} {:>12} {:>12} {:>8} {:<12} {}\n"
             out.write(fmt.format("bench", "metric", "baseline", "current",
                                  "delta", "gate", "status"))
@@ -147,422 +698,29 @@ class Gate:
             out.write(fmt.format(bench, metric, num(base), num(cur), d, mode,
                                  status))
         out.write("\n")
-        if self.notes:
-            if markdown:
-                out.write("**Stage attribution**\n\n")
-                for bench, line in self.notes:
-                    out.write("- `%s`: %s\n" % (bench, line))
-            else:
-                out.write("stage attribution:\n")
-                for bench, line in self.notes:
-                    out.write("  [%s] %s\n" % (bench, line))
-            out.write("\n")
 
 
-@bench_compare("BENCH_kernels.json")
-def compare_kernels(gate, base, cur):
-    gate.check("kernels", "min_speedup", base["min_speedup"],
-               cur["min_speedup"], "higher")
-    gate.check("kernels", "geomean_speedup", base["geomean_speedup"],
-               cur["geomean_speedup"], "higher")
-    gate.check("kernels", "int8_min_speedup", base["int8_min_speedup"],
-               cur["int8_min_speedup"], "higher")
-    # Float and int8 cells share labels, so int8 rows carry a prefix.
-    for key, prefix, rate in (("shapes", "", "tiled_gflops"),
-                              ("int8_shapes", "int8 ", "packed_gops")):
-        cur_shapes = {s["label"]: s for s in cur[key]}
-        for shape in base[key]:
-            label = prefix + shape["label"]
-            got = cur_shapes.get(shape["label"])
-            if got is None:
-                gate.missing("kernels", "shape %s" % label)
-                continue
-            gate.check("kernels", "%s.speedup" % label, shape["speedup"],
-                       got["speedup"], "info-higher")
-            gate.check("kernels", "%s.%s" % (label, rate), shape[rate],
-                       got[rate], "info-higher")
-
-
-@bench_compare("BENCH_runtime.json")
-def compare_runtime(gate, base, cur):
-    gate.check("runtime", "workspace.speedup", base["workspace"]["speedup"],
-               cur["workspace"]["speedup"], "higher")
-    gate.check("runtime", "workspace.workspace_ms",
-               base["workspace"]["workspace_ms"],
-               cur["workspace"]["workspace_ms"], "info-lower")
-    cur_scaling = {p["threads"]: p for p in cur["scaling"]}
-    for point in base["scaling"]:
-        threads = point["threads"]
-        got = cur_scaling.get(threads)
-        if got is None:
-            gate.missing("runtime", "scaling threads=%d" % threads)
-            continue
-        # Scaling factors depend on the recording host's core count (a
-        # 1-core baseline would make the gate vacuous on CI and a CI
-        # baseline would flake on smaller hosts), so report-only.
-        gate.check("runtime", "scaling[%d].speedup" % threads,
-                   point["speedup"], got["speedup"], "info-higher")
-        gate.check("runtime", "scaling[%d].tokens_per_s" % threads,
-                   point["tokens_per_s"], got["tokens_per_s"], "info-higher")
-
-
-@bench_compare("BENCH_cluster.json")
-def compare_cluster(gate, base, cur):
-    def key(r):
-        return (r["arrival_rps"], r["replicas"], r["policy"])
-
-    cur_results = {key(r): r for r in cur["results"]}
-    for res in base["results"]:
-        k = key(res)
-        name = "rps=%g/x%d/%s" % k
-        got = cur_results.get(k)
-        if got is None:
-            gate.missing("cluster", name)
-            continue
-        # Routing and forming are trace-driven: counts must match exactly.
-        for field in ("requests", "batches", "admitted", "rejected",
-                      "rerouted"):
-            gate.check("cluster", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        gate.check("cluster", "%s.fill" % name, res["mean_batch_fill"],
-                   got["mean_batch_fill"], "info-higher")
-        gate.check("cluster", "%s.p99_ms" % name, res["p99_ms"],
-                   got["p99_ms"], "info-lower")
-    cur_cmp = {(c["arrival_rps"], c["replicas"]): c
-               for c in cur["comparisons"]}
-    for cmp in base["comparisons"]:
-        k = (cmp["arrival_rps"], cmp["replicas"])
-        name = "rps=%g/x%d" % k
-        got = cur_cmp.get(k)
-        if got is None:
-            gate.missing("cluster", "comparison %s" % name)
-            continue
-        gate.check("cluster", "%s.fill_gain" % name, cmp["fill_gain"],
-                   got["fill_gain"], "info-higher")
-        gate.check("cluster", "%s.p99_ratio" % name, cmp["p99_ratio"],
-                   got["p99_ratio"], "info-lower")
-    # The headline the ROADMAP acceptance rides on: once recorded true, the
-    # bucketed-beats-round-robin bit may never silently flip back.
-    gate.check("cluster", "bucketed_beats_round_robin",
-               base["bucketed_beats_round_robin"],
-               cur["bucketed_beats_round_robin"], "exact")
-
-
-@bench_compare("BENCH_cache.json")
-def compare_cache(gate, base, cur):
-    def key(r):
-        return (r["population"], r["skew"], r["eviction"])
-
-    cur_results = {key(r): r for r in cur["results"]}
-    for res in base["results"]:
-        k = key(res)
-        name = "pop=%d/s=%g/%s" % k
-        got = cur_results.get(k)
-        if got is None:
-            gate.missing("cache", name)
-            continue
-        # The trace, the cache and the virtual clock are all deterministic:
-        # lookup outcomes and store churn must match exactly.
-        for field in ("requests", "batches", "hits", "coalesced", "misses",
-                      "evictions", "insertions"):
-            gate.check("cache", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        gate.check("cache", "%s.p99_ratio" % name, res["p99_ratio"],
-                   got["p99_ratio"], "info-lower")
-        gate.check("cache", "%s.throughput_gain" % name,
-                   res["throughput_gain"], got["throughput_gain"],
-                   "info-higher")
-    # The headline the acceptance rides on: once recorded true, the
-    # cached-beats-uncached-at->=20%-duplicates bit may never flip back.
-    gate.check("cache", "cache_beats_uncached_at_dup_gate",
-               base["cache_beats_uncached_at_dup_gate"],
-               cur["cache_beats_uncached_at_dup_gate"], "exact")
-
-
-@bench_compare("BENCH_serving.json")
-def compare_serving(gate, base, cur):
-    def key(r):
-        return (r["arrival_rps"], r["policy"])
-
-    cur_results = {key(r): r for r in cur["results"]}
-    for res in base["results"]:
-        k = key(res)
-        name = "rps=%g/%s" % k
-        got = cur_results.get(k)
-        if got is None:
-            gate.missing("serving", name)
-            continue
-        for field in ("requests", "batches", "accepted", "rejected"):
-            gate.check("serving", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        gate.check("serving", "%s.p95_ms" % name, res["p95_ms"],
-                   got["p95_ms"], "info-lower")
-        gate.check("serving", "%s.throughput_rps" % name,
-                   res["throughput_rps"], got["throughput_rps"],
-                   "info-higher")
-
-
-@bench_compare("BENCH_shard.json")
-def compare_shard(gate, base, cur):
-    def key(r):
-        return (r["seq_len"], r["degree"], r["interconnect"])
-
-    cur_results = {key(r): r for r in cur["results"]}
-    for res in base["results"]:
-        k = key(res)
-        name = "len=%d/x%d/%s" % k
-        got = cur_results.get(k)
-        if got is None:
-            gate.missing("shard", name)
-            continue
-        # Both engines replay the same trace in virtual time against
-        # deterministic accounting models: counts must match exactly.
-        for field in ("requests", "batches"):
-            gate.check("shard", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        gate.check("shard", "%s.p99_ratio" % name, res["p99_ratio"],
-                   got["p99_ratio"], "info-lower")
-        gate.check("shard", "%s.comm_fraction" % name,
-                   res["comm_fraction"], got["comm_fraction"], "info-lower")
-    cur_crossovers = {(c["degree"], c["interconnect"]): c
-                      for c in cur["crossovers"]}
-    for xo in base["crossovers"]:
-        k = (xo["degree"], xo["interconnect"])
-        name = "x%d/%s" % k
-        got = cur_crossovers.get(k)
-        if got is None:
-            gate.missing("shard", "crossover %s" % name)
-            continue
-        # Sharding wins carry a 1% margin, so the crossover sequence
-        # length is stable against libm-level drift and gates exactly
-        # (0 = sharding never won for this degree x interconnect).
-        gate.check("shard", "%s.crossover_len" % name,
-                   xo["crossover_len"], got["crossover_len"], "exact")
-    # The headline the acceptance rides on: once recorded true, the
-    # tensor-parallel-beats-replication-at-long-sequences bit may never
-    # flip back.
-    gate.check("shard", "sharding_beats_replication_at_long_seq",
-               base["sharding_beats_replication_at_long_seq"],
-               cur["sharding_beats_replication_at_long_seq"], "exact")
-
-
-@bench_compare("BENCH_search.json")
-def compare_search(gate, base, cur):
-    # The SA walk is a pure function of (space, evaluator, seed) and the
-    # evaluator replays a fixed trace through the byte-deterministic
-    # cluster twin, so the winning configuration -- not just its score --
-    # must reproduce exactly on any host.
-    for field in ("replicas", "backend_slots", "policy", "cache_mode",
-                  "chain", "completed", "rejected"):
-        gate.check("search", "winner.%s" % field, base["winner"][field],
-                   cur["winner"][field], "exact")
-    gate.check("search", "sa.evaluations", base["sa"]["evaluations"],
-               cur["sa"]["evaluations"], "exact")
-    gate.check("search", "pareto.size", len(base["pareto"]),
-               len(cur["pareto"]), "exact")
-    gate.check("search", "winner.p99_ms", base["winner"]["p99_ms"],
-               cur["winner"]["p99_ms"], "info-lower")
-    gate.check("search", "winner.energy_j", base["winner"]["energy_j"],
-               cur["winner"]["energy_j"], "info-lower")
-    gate.check("search", "headline.p99_speedup",
-               base["headline"]["p99_speedup"],
-               cur["headline"]["p99_speedup"], "info-higher")
-    # The headline the acceptance rides on: once recorded true, the
-    # SA-matches-or-beats-every-hand-tuned-baseline bit (p99 at the shared
-    # offered load, and never Pareto-dominated) may never flip back.
-    gate.check("search", "sa_beats_best_baseline",
-               base["headline"]["sa_beats_best_baseline"],
-               cur["headline"]["sa_beats_best_baseline"], "exact")
-
-
-@bench_compare("BENCH_adaptive.json")
-def compare_adaptive(gate, base, cur):
-    cur_results = {r["config"]: r for r in cur["results"]}
-    for res in base["results"]:
-        name = res["config"]
-        got = cur_results.get(name)
-        if got is None:
-            gate.missing("adaptive", name)
-            continue
-        # Every cell is accounting-only virtual time over a fixed ramp
-        # trace, so admission and batching counts must match exactly.
-        for field in ("requests", "accepted", "rejected", "batches"):
-            gate.check("adaptive", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        # Tier accuracies are fidelity-model outputs quantized to 1e-4;
-        # the stream mean is a weighted sum of those constants over exact
-        # counts, so it gates exactly too.
-        gate.check("adaptive", "%s.mean_accuracy" % name,
-                   res["mean_accuracy"], got["mean_accuracy"], "exact")
-        gate.check("adaptive", "%s.p99_ms" % name, res["p99_ms"],
-                   got["p99_ms"], "info-lower")
-        for i, tier in enumerate(res.get("tiers", [])):
-            got_tier = got["tiers"][i]
-            for field in ("requests", "batches", "escalated"):
-                gate.check("adaptive", "%s.tiers[%d].%s" % (name, i, field),
-                           tier[field], got_tier[field], "exact")
-    gate.check("adaptive", "determinism.bit_identical",
-               base["determinism"]["bit_identical"],
-               cur["determinism"]["bit_identical"], "exact")
-    gate.check("adaptive", "determinism.degraded_requests",
-               base["determinism"]["degraded_requests"],
-               cur["determinism"]["degraded_requests"], "exact")
-    # The headline the acceptance rides on: once recorded true, the
-    # adaptive-holds-SLO-with-fewer-rejects-above-the-floor bit may never
-    # flip back.
-    for field in ("p99_within_slo", "accuracy_above_floor",
-                  "lower_reject_than_baselines", "adaptive_beats_fixed"):
-        gate.check("adaptive", "headline.%s" % field,
-                   base["headline"][field], cur["headline"][field], "exact")
-
-
-@bench_compare("BENCH_obs.json")
-def compare_obs(gate, base, cur):
-    def key(r):
-        return r["arrival_rps"]
-
-    cur_results = {key(r): r for r in cur["results"]}
-    for res in base["results"]:
-        k = key(res)
-        name = "rps=%g" % k
-        got = cur_results.get(k)
-        if got is None:
-            gate.missing("obs", name)
-            continue
-        # The trace is deterministic and every span is emitted from the
-        # virtual-time schedule, so event counts -- like the serving
-        # counts they mirror -- must match exactly.
-        for field in ("requests", "batches", "accepted", "rejected",
-                      "trace_events", "trace_dropped"):
-            gate.check("obs", "%s.%s" % (name, field), res[field],
-                       got[field], "exact")
-        gate.check("obs", "%s.p99_ms" % name, res["p99_ms"],
-                   got["p99_ms"], "info-lower")
-    # The contracts the acceptance rides on: tracing changes nothing
-    # (bit-exact outputs and report), the exported streams are
-    # byte-identical across thread counts, overflow is accounted exactly,
-    # and the enabled-path overhead stays under its 3% budget.
-    gate.check("obs", "bit_exact.outputs_identical",
-               base["bit_exact"]["outputs_identical"],
-               cur["bit_exact"]["outputs_identical"], "exact")
-    gate.check("obs", "bit_exact.report_identical",
-               base["bit_exact"]["report_identical"],
-               cur["bit_exact"]["report_identical"], "exact")
-    gate.check("obs", "determinism.byte_identical",
-               base["determinism"]["byte_identical"],
-               cur["determinism"]["byte_identical"], "exact")
-    gate.check("obs", "determinism.analysis_identical",
-               base["determinism"]["analysis_identical"],
-               cur["determinism"]["analysis_identical"], "exact")
-    # The attribution contract: every request's stage segments tile its
-    # end-to-end latency with no unattributed gap, the breakdown
-    # percentiles are bitwise the pooled report's, and nothing fell out
-    # of the walk.
-    for field in ("requests", "rejected", "unattributed", "stages",
-                  "gap_free", "reconstruction_exact", "matches_report",
-                  "dominant_tail_stage"):
-        gate.check("obs", "breakdown.%s" % field, base["breakdown"][field],
-                   cur["breakdown"][field], "exact")
-    # The persistence contract: .lattetrace round-trips byte-exactly, the
-    # committed canonical capture still matches the generator, and a
-    # capture -> replay cycle reproduces the exact analysis artifacts.
-    for field in ("version", "roundtrip_identical", "file_loaded",
-                  "file_matches", "replay_identical"):
-        gate.check("obs", "capture.%s" % field, base["capture"][field],
-                   cur["capture"][field], "exact")
-    for field in ("recorded", "dropped"):
-        gate.check("obs", "overflow.%s" % field, base["overflow"][field],
-                   cur["overflow"][field], "exact")
-    gate.check("obs", "overhead.overhead_ok",
-               base["overhead"]["overhead_ok"],
-               cur["overhead"]["overhead_ok"], "exact")
-    # The measured fraction itself is wall-clock and host-dependent:
-    # report-only.
-    gate.check("obs", "overhead.overhead_frac",
-               base["overhead"]["overhead_frac"],
-               cur["overhead"]["overhead_frac"], "info-lower")
-
-
-def breakdown_attribution(base, cur):
-    """One root-cause line for a p99 movement between two breakdowns.
-
-    Stage shares are the per-stage p99 deltas normalized by their
-    absolute sum (so the line is meaningful even when stages moved in
-    opposite directions); for fleet breakdowns the dominant stage is
-    refined with the track group where it moved most.  Mirrors
-    tools/trace_diff so CI and local forensics tell one story.
-    """
-    delta_ms = cur["end_to_end"]["p99_ms"] - base["end_to_end"]["p99_ms"]
-    base_stages = {s["stage"]: s for s in base["stages"]}
-    deltas = {}
-    for s in cur["stages"]:
-        b = base_stages.get(s["stage"])
-        if b is not None:
-            deltas[s["stage"]] = s["p99_ms"] - b["p99_ms"]
-    abs_sum = sum(abs(d) for d in deltas.values())
-    if not deltas or abs_sum == 0:
-        return "p99 %+.3f ms, no stage moved" % delta_ms
-    stage = max(deltas, key=lambda k: abs(deltas[k]))
-    where = stage
-    base_groups = {g["group"]: g for g in base.get("groups", [])}
-    best = 0.0
-    for g in cur.get("groups", []):
-        bg = base_groups.get(g["group"])
-        if bg is None:
-            continue
-        bg_stages = {s["stage"]: s for s in bg["stages"]}
-        for s in g["stages"]:
-            b = bg_stages.get(s["stage"])
-            if b is None or s["stage"] != stage:
-                continue
-            d = abs(s["p99_ms"] - b["p99_ms"])
-            if d > best:
-                best = d
-                where = "%s on %s" % (stage, g["group"])
-    return "p99 %+.3f ms, %.0f%% from %s" % (
-        delta_ms, 100.0 * abs(deltas[stage]) / abs_sum, where)
-
-
-@bench_compare("BREAKDOWN_obs.json")
-def compare_breakdown(gate, base, cur):
-    """Stage-by-stage diff of the recorded latency breakdown.
-
-    The structural facts gate exactly (the attribution walk is
-    byte-deterministic virtual time); the millisecond values are
-    host-independent too but gate as info so a deliberate service-model
-    change fails on its own bench, not twice.  Every run -- pass or fail
-    -- also emits the stage-attribution line, so a perf-gate failure
-    ships its root cause.
-    """
-    gate.check("breakdown", "schema_version", base["schema_version"],
-               cur["schema_version"], "exact")
-    for field in ("requests", "rejected", "unattributed", "gap_free",
-                  "reconstruction_exact"):
-        gate.check("breakdown", field, base[field], cur[field], "exact")
-    gate.check("breakdown", "tail.dominant_stage",
-               base["tail"]["dominant_stage"],
-               cur["tail"]["dominant_stage"], "exact")
-    gate.check("breakdown", "end_to_end.p99_ms",
-               base["end_to_end"]["p99_ms"],
-               cur["end_to_end"]["p99_ms"], "info-lower")
-    cur_stages = {s["stage"]: s for s in cur["stages"]}
-    for s in base["stages"]:
-        name = s["stage"]
-        got = cur_stages.get(name)
-        if got is None:
-            gate.missing("breakdown", "stage %s" % name)
-            continue
-        gate.check("breakdown", "%s.requests" % name, s["requests"],
-                   got["requests"], "exact")
-        gate.check("breakdown", "%s.p99_ms" % name, s["p99_ms"],
-                   got["p99_ms"], "info-lower")
-        gate.check("breakdown", "%s.share" % name, s["share"],
-                   got["share"], "info-lower")
-    for name in cur_stages:
-        if not any(s["stage"] == name for s in base["stages"]):
-            gate.missing("breakdown", "stage %s (new, not in baseline)"
-                         % name)
-    gate.note("breakdown", breakdown_attribution(base, cur))
+def rerecord(current, baselines):
+    """Copy every current file over its baseline, or none of them."""
+    docs = [(bench, os.path.join(current, bench.file)) for bench in BENCHES]
+    docs = [(bench, path, load(path)) for bench, path in docs]
+    missing = [bench.file for bench, _, doc in docs if doc is None]
+    if missing:
+        print("error: missing current %s (run the benches before "
+              "--update)" % ", ".join(missing), file=sys.stderr)
+        return 2
+    # A run that breaks its schema must not become the next baseline.
+    broken = sum(report_violations(path, bench.schema, doc)
+                 for bench, path, doc in docs)
+    if broken:
+        print("error: refusing to re-record: %d schema violation(s) above"
+              % broken, file=sys.stderr)
+        return 2
+    for bench, src, _ in docs:
+        dst = os.path.join(baselines, bench.file)
+        shutil.copyfile(src, dst)
+        print("re-recorded %s -> %s" % (src, dst))
+    return 0
 
 
 def main():
@@ -571,54 +729,38 @@ def main():
                     help="directory with recorded BENCH_*.json baselines")
     ap.add_argument("--current", default=".",
                     help="directory with freshly produced BENCH_*.json")
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed relative regression on gated ratios")
-    ap.add_argument("--strict", action="store_true",
-                    help="also gate machine-dependent absolute metrics "
-                         "(same-host comparisons only)")
     ap.add_argument("--update", action="store_true",
                     help="re-record the baselines from the current "
                          "BENCH_*.json files instead of gating")
     args = ap.parse_args()
 
-    benches = tuple(BENCHES)
-
     if args.update:
-        # Check every current file first so a partial run cannot leave the
-        # baselines directory half re-recorded.
-        missing = [name for name, _ in benches
-                   if load(os.path.join(args.current, name)) is None]
-        if missing:
-            print("error: missing current %s (run the benches before "
-                  "--update)" % ", ".join(missing), file=sys.stderr)
-            return 2
-        for name, _ in benches:
-            src = os.path.join(args.current, name)
-            dst = os.path.join(args.baselines, name)
-            shutil.copyfile(src, dst)
-            print("re-recorded %s -> %s" % (src, dst))
-        return 0
+        return rerecord(args.current, args.baselines)
 
-    gate = Gate(args.tolerance, args.strict)
-    for name, compare in benches:
-        base = load(os.path.join(args.baselines, name))
-        cur = load(os.path.join(args.current, name))
+    pairs = []
+    for bench in BENCHES:
+        base_path = os.path.join(args.baselines, bench.file)
+        cur_path = os.path.join(args.current, bench.file)
+        base, cur = load(base_path), load(cur_path)
         if base is None:
-            print("error: missing baseline %s" % name, file=sys.stderr)
+            print("error: missing baseline %s" % bench.file, file=sys.stderr)
             return 2
         if cur is None:
-            print("error: missing current %s (did the bench run?)" % name,
-                  file=sys.stderr)
+            print("error: missing current %s (did the bench run?)"
+                  % bench.file, file=sys.stderr)
             return 2
-        try:
-            compare(gate, base, cur)
-        except KeyError as e:
-            # A baseline (or current) file predating a schema change: name
-            # the missing key instead of dumping a stack trace.
-            print("error: %s is missing key %s -- re-record the baseline "
-                  "with:  python3 bench/check_regression.py --update"
-                  % (name, e), file=sys.stderr)
-            return 2
+        pairs.append((bench, base_path, base, cur_path, cur))
+
+    # Schema first, on both sides: a broken file is named by its JSON path
+    # before any row compares against it.
+    broken = 0
+    for bench, base_path, base, cur_path, cur in pairs:
+        broken += report_violations(base_path, bench.schema, base)
+        broken += report_violations(cur_path, bench.schema, cur)
+
+    gate = Gate()
+    for bench, _, base, _, cur in pairs:
+        gate.walk(bench.name, bench.rows, base, cur)
 
     gate.render(sys.stdout, markdown=False)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
@@ -626,8 +768,12 @@ def main():
         with open(summary, "a") as f:
             gate.render(f, markdown=True)
 
+    if broken:
+        print("perf gate: %d schema violation(s) listed above" % broken,
+              file=sys.stderr)
     if gate.failed:
         print("perf gate: REGRESSION beyond tolerance", file=sys.stderr)
+    if broken or gate.failed:
         return 1
     print("perf gate: ok")
     return 0

@@ -19,8 +19,8 @@
 // FlameGraph/speedscope-loadable collapsed stacks.  Everything here is a
 // pure function of the merged span stream, so -- like the tracer itself
 // -- every output is byte-identical at any thread count and CI can gate
-// breakdown JSON against a recorded baseline (bench/check_regression.py
-// compare_breakdown, tools/trace_diff).
+// breakdown JSON against a recorded baseline (the BREAKDOWN_obs.json
+// entry of bench/check_regression.py, tools/trace_diff).
 
 #include <cstddef>
 #include <cstdint>

@@ -102,9 +102,14 @@ class Parser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        JsonValue v = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -273,6 +278,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t at_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around at_
 };
 
 }  // namespace

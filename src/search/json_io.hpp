@@ -44,8 +44,15 @@ struct JsonValue {
   const JsonValue& Get(std::string_view key) const;
 };
 
+/// Deepest array/object nesting ParseJson accepts.  The deepest document
+/// the JSON writer emits (BENCH_search.json, which embeds DesignPoints)
+/// nests 8 levels; the bound keeps a hostile input from overflowing the
+/// recursive parser's stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).  Throws std::invalid_argument on malformed input.
+/// garbage rejected).  Throws std::invalid_argument on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonValue ParseJson(std::string_view text);
 
 }  // namespace latte::search

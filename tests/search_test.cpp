@@ -117,6 +117,27 @@ TEST(DesignPointTest, JsonRejectsMalformedInput) {
   EXPECT_THROW(DesignPointFromJson(json + "x"), std::invalid_argument);
 }
 
+TEST(DesignPointTest, JsonRejectsNestingPastTheDepthLimit) {
+  // 200 000 nested arrays once overflowed the recursive parser's stack;
+  // every reader sharing it must refuse them with the offending offset.
+  const std::size_t deep = 200000;
+  const std::string bomb = std::string(deep, '[') + std::string(deep, ']');
+  EXPECT_THROW(DesignPointFromJson(bomb), std::invalid_argument);
+  EXPECT_THROW(TraceFromJson(bomb), std::invalid_argument);
+  try {
+    search::ParseJson(bomb);
+    ADD_FAILURE() << "ParseJson accepted " << deep << " nested arrays";
+  } catch (const std::invalid_argument& e) {
+    const std::string offset =
+        "at offset " + std::to_string(search::kMaxJsonDepth);
+    EXPECT_NE(std::string(e.what()).find(offset), std::string::npos)
+        << e.what();
+  }
+  const std::size_t limit = search::kMaxJsonDepth;
+  const std::string ok = std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_NO_THROW(search::ParseJson(ok));
+}
+
 TEST(DesignPointTest, CheckNamesEveryIllegalField) {
   DesignPoint dp = SmallDesign(2);
   dp.replicas[0].former.max_batch = 0;

@@ -11,9 +11,9 @@
 // "p99 +2.100 ms, 87% from queue_wait on r1" -- naming the stage (and
 // group) that absorbs the p99 movement.  With --tol-ms the exit status
 // gates: 1 when the end-to-end p99 grew by more than T milliseconds,
-// 0 otherwise.  bench/check_regression.py prints the same attribution
-// from compare_breakdown, so CI failures and local runs of this tool
-// tell one story.
+// 0 otherwise.  CI runs it next to bench/check_regression.py, whose
+// BREAKDOWN_obs.json entry gates the same files stage by stage; this
+// tool is the one place the attribution line is computed.
 
 #include <cmath>
 #include <cstdio>
