@@ -14,23 +14,28 @@ int main() {
   std::printf("== Ablation: online serving (Poisson arrivals, batch former "
               "<=16, 20 ms flush) ==\n\n");
 
-  const auto model = BertBase();
   const auto dataset = Rte();
+  ServiceModelSpec aware;
+  aware.base = ServiceModelSpec::Base::kAccelerator;
+  aware.model = BertBase();
+  ServiceModelSpec base = aware;
+  base.accel.mode = FpgaMode::kBaseline;
+  base.accel.baseline_pad_to = static_cast<std::size_t>(dataset.max_len);
+  const BatchServiceModel aware_model = BuildServiceModel(aware);
+  const BatchServiceModel base_model = BuildServiceModel(base);
+  BatchFormerConfig former;
+  former.max_batch = 16;
 
   TextTable table({"arrival (req/s)", "design", "p50 (ms)", "p95 (ms)",
                    "p99 (ms)", "throughput (req/s)", "device busy"});
   for (double rate : {20.0, 60.0, 120.0}) {
-    ServingConfig aware;
-    aware.arrival_rate_rps = rate;
-    aware.former.max_batch = 16;
-    aware.requests = 256;
-    ServingConfig base = aware;
-    base.accel.mode = FpgaMode::kBaseline;
-    base.accel.baseline_pad_to =
-        static_cast<std::size_t>(dataset.max_len);
-
-    const auto a = SimulateServing(model, dataset, aware);
-    const auto b = SimulateServing(model, dataset, base);
+    PoissonTraceConfig arrivals;
+    arrivals.arrival_rate_rps = rate;
+    arrivals.requests = 256;
+    const auto trace = GeneratePoissonTrace(arrivals, dataset);
+    const auto batches = FormBatches(trace, former);
+    const auto a = ScheduleFormedBatches(trace, batches, 1, aware_model).report;
+    const auto b = ScheduleFormedBatches(trace, batches, 1, base_model).report;
     table.AddRow({Fmt(rate, 0), "FPGA length-aware (ours)",
                   Fmt(a.p50_latency_s * 1e3, 1),
                   Fmt(a.p95_latency_s * 1e3, 1),

@@ -5,9 +5,9 @@
 // Replays a Poisson request trace through the streaming serving engine:
 // the shared length-aware batch former groups arrivals, the batched
 // runtime executes each formed batch for real, and the virtual-time
-// report is accounted with the accelerator service model -- so the same
-// scenario simulated by the FPGA performance twin (SimulateServing)
-// produces the identical report.  Also shows caller-pushed requests
+// report is accounted with the accelerator service model -- so the
+// offline recurrence (FormBatches + ScheduleFormedBatches) on the same
+// trace produces the identical report.  Also shows caller-pushed requests
 // bouncing off a bounded admission queue (backpressure).
 
 #include <cstdio>
@@ -18,34 +18,30 @@ int main() {
   using namespace latte;
 
   const auto dataset = Mrpc();
-  const ModelConfig accel_model = BertBase();
 
   // The functional model is scaled down so the demo runs in seconds;
   // latency accounting still prices batches on full BERT-base.
   const ModelConfig small = ScaledDown(BertBase(), 6);
   const ModelInstance model(small, 2022);
 
-  ServingConfig scenario;
-  scenario.arrival_rate_rps = 80;
-  scenario.former.max_batch = 8;
-  scenario.former.timeout_s = 0.02;
-  scenario.requests = 48;
-  scenario.workers = 2;
+  PoissonTraceConfig arrivals;
+  arrivals.arrival_rate_rps = 80;
+  arrivals.requests = 48;
 
   ServingEngineConfig cfg;
-  cfg.former = scenario.former;
-  cfg.workers = scenario.workers;
+  cfg.former.max_batch = 8;
+  cfg.former.timeout_s = 0.02;
+  cfg.workers = 2;
   cfg.threads = 2;
   cfg.inference.mode = InferenceMode::kSparseInt8;
   cfg.inference.sparse.top_k = 30;
   ServiceModelSpec spec;
   spec.base = ServiceModelSpec::Base::kAccelerator;
-  spec.model = accel_model;
-  spec.accel = scenario.accel;
+  spec.model = BertBase();
   cfg.service = BuildServiceModel(spec);
 
-  // 1. Replay the trace the simulator would generate for this scenario.
-  const auto trace = GeneratePoissonTrace(ServingTrace(scenario), dataset);
+  // 1. Replay a Poisson trace through the engine.
+  const auto trace = GeneratePoissonTrace(arrivals, dataset);
   ServingEngine engine(model, cfg);
   const ServingResult res = engine.Replay(trace);
   const ServingReport& rep = res.report();
@@ -57,16 +53,19 @@ int main() {
               rep.p50_latency_s * 1e3, rep.p95_latency_s * 1e3,
               rep.p99_latency_s * 1e3);
   std::printf("  throughput              : %.1f req/s over %zu workers\n",
-              rep.throughput_rps, scenario.workers);
+              rep.throughput_rps, cfg.workers);
   std::printf("  device busy fraction    : %.0f%%\n",
               100 * rep.device_busy_frac);
   std::printf("  functional execution    : %.1f ms wall, %zu outputs\n",
               res.wall_s * 1e3, res.outputs.size());
 
-  // The performance twin on the same trace: same former, same service
+  // The offline recurrence on the same trace: same former, same service
   // model, same accounting -- the report matches field for field.
-  const ServingReport sim = SimulateServing(accel_model, dataset, scenario);
-  std::printf("  simulator agreement     : p99 %.4f ms vs %.4f ms\n\n",
+  const ServingReport sim =
+      ScheduleFormedBatches(trace, FormBatches(trace, cfg.former),
+                            cfg.workers, cfg.service)
+          .report;
+  std::printf("  offline agreement       : p99 %.4f ms vs %.4f ms\n\n",
               sim.p99_latency_s * 1e3, rep.p99_latency_s * 1e3);
 
   // 2. Caller-pushed requests against a bounded queue: a burst beyond the

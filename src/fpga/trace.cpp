@@ -41,16 +41,6 @@ std::string ToChromeTrace(const ScheduleResult& schedule) {
   return os.str();
 }
 
-std::string ToCsv(const ScheduleResult& schedule) {
-  std::ostringstream os;
-  os << "seq,layer,stage,instance,start_s,end_s\n";
-  for (const auto& j : schedule.jobs) {
-    os << j.seq << "," << j.layer << "," << j.stage << "," << j.instance
-       << "," << j.start << "," << j.end << "\n";
-  }
-  return os.str();
-}
-
 bool WriteTextFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) return false;

@@ -1,6 +1,6 @@
 #pragma once
 // Schedule export: Chrome trace-event JSON (load in chrome://tracing or
-// Perfetto) and CSV.
+// Perfetto).
 
 #include <string>
 
@@ -12,9 +12,6 @@ namespace latte {
 /// Stages map to "processes", instances to "threads"; each job becomes a
 /// complete ("X") event with microsecond timestamps.
 std::string ToChromeTrace(const ScheduleResult& schedule);
-
-/// Serializes a schedule as CSV: seq,layer,stage,instance,start_s,end_s.
-std::string ToCsv(const ScheduleResult& schedule);
 
 /// Writes `content` to `path`; returns false on I/O failure.
 bool WriteTextFile(const std::string& path, const std::string& content);

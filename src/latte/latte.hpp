@@ -7,8 +7,9 @@
 // platform models (platform), the batched execution runtime (runtime),
 // the streaming serving engine (serve), the request-result cache with
 // in-flight coalescing (cache), the multi-replica serving cluster
-// (cluster), the tensor-parallel shard planner and interconnect model
-// (sched, serve), the simulated-annealing design-space search over the
+// (cluster), the virtual-time pricing of tensor-parallel gangs -- shard
+// planner, interconnect model and sharded service model (sched, serve) --
+// the simulated-annealing design-space search over the
 // unified DesignPoint serving-config API (search), the SLO-driven
 // admission and accuracy-degradation controller (adapt), the workload
 // generators (workload), the evaluation metrics (metrics) and the
@@ -42,7 +43,6 @@
 #include "fpga/hbm.hpp"
 #include "fpga/pipeline_sim.hpp"
 #include "fpga/resources.hpp"
-#include "fpga/serving.hpp"
 #include "fpga/state_machine.hpp"
 #include "fpga/trace.hpp"
 #include "fpga/timing.hpp"
@@ -59,7 +59,6 @@
 #include "nn/op_cost.hpp"
 #include "nn/ops.hpp"
 #include "nn/qlinear.hpp"
-#include "nn/sharded_encoder.hpp"
 #include "obs/analyze.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
@@ -70,7 +69,6 @@
 #include "obs/trace.hpp"
 #include "platform/platform.hpp"
 #include "runtime/batch_runner.hpp"
-#include "runtime/shard_exec.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
 #include "sched/interconnect.hpp"
@@ -89,7 +87,6 @@
 #include "serve/report.hpp"
 #include "serve/service_model.hpp"
 #include "serve/shard_service.hpp"
-#include "tensor/fixed_point.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/lut_multiply.hpp"
 #include "tensor/matmul.hpp"

@@ -88,16 +88,4 @@ MatrixF EncoderForward(const MatrixF& x, const QuantizedEncoderWeights& w,
   return Layer(x, w, cfg, attn, ws);
 }
 
-std::vector<MatrixF> EncoderForwardBatch(const std::vector<MatrixF>& xs,
-                                         const EncoderWeights& w,
-                                         const EncoderConfig& cfg,
-                                         const AttentionFn& attn,
-                                         BatchRunner& runner) {
-  std::vector<MatrixF> out(xs.size());
-  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
-    out[i] = EncoderForward(xs[i], w, cfg, attn, ws);
-  });
-  return out;
-}
-
 }  // namespace latte

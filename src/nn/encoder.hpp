@@ -7,7 +7,7 @@
 
 #include "nn/attention.hpp"
 #include "nn/linear.hpp"
-#include "runtime/batch_runner.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte {
@@ -54,15 +54,5 @@ MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
 MatrixF EncoderForward(const MatrixF& x, const QuantizedEncoderWeights& w,
                        const EncoderConfig& cfg, const AttentionFn& attn,
                        Workspace& ws);
-
-/// Batched encoder forward: runs every sequence of `xs` through the layer
-/// concurrently on `runner`, one Workspace per concurrency slot.  Each
-/// sequence executes exactly the code EncoderForward runs, so outputs are
-/// bit-identical to a sequential loop regardless of worker count.
-std::vector<MatrixF> EncoderForwardBatch(const std::vector<MatrixF>& xs,
-                                         const EncoderWeights& w,
-                                         const EncoderConfig& cfg,
-                                         const AttentionFn& attn,
-                                         BatchRunner& runner);
 
 }  // namespace latte

@@ -23,11 +23,11 @@ struct Linear {
   /// steady-state shapes.  `out` must not alias `x` or `weight`.
   void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
 
-  /// Column-parallel shard of the forward pass: out = x * weight[:, col0:col1)
+  /// Column slice of the forward pass: out = x * weight[:, col0:col1)
   /// (+ the matching bias slice).  Bit-identical to columns [col0, col1) of
-  /// ForwardInto by the MatMulColumnsInto contract, which is what lets a
-  /// tensor-parallel shard own an output-column range without perturbing
-  /// results.  `out` is resized to (n x col1-col0) and fully overwritten.
+  /// ForwardInto by the MatMulColumnsInto contract, so the escalation
+  /// probe can project one head without computing the rest.  `out` is
+  /// resized to (n x col1-col0) and fully overwritten.
   void ForwardColumnsInto(const MatrixF& x, std::size_t col0, std::size_t col1,
                           GemmScratch& scratch, MatrixF& out) const;
 

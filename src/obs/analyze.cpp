@@ -51,7 +51,7 @@ TrackInfo ClassifyTrack(const std::string& name) {
     info.label = name.substr(at);
     return info;
   }
-  return info;  // e.g. a ShardExecutor's functional "shard N" lanes
+  return info;
 }
 
 struct QueuePass {
@@ -164,9 +164,7 @@ Attribution AttributeSpans(
       if (e.kind == SpanKind::kService) {
         g.services[e.id] = {e.begin_s, e.end_s, it->second.label};
       } else if (e.kind == SpanKind::kStage) {
-        // The engine's sharded-backend collectives sub-span (the
-        // functional ShardExecutor's kStage lanes are not worker tracks
-        // and never reach here).
+        // The engine's sharded-backend collectives sub-span.
         g.comms[e.id] = {e.begin_s, e.end_s};
       }
       continue;

@@ -117,8 +117,7 @@ struct Attribution {
 /// Rebuilds per-request timelines from a merged span stream.  `tracks`
 /// is the tracer's (id, name) registry: names ending in "control" and
 /// containing "worker " define a track group (one per engine); tracks
-/// matching neither (e.g. a ShardExecutor's functional-stage lanes) are
-/// ignored.
+/// matching neither are ignored.
 Attribution AttributeSpans(
     const std::vector<TraceEvent>& merged,
     const std::vector<std::pair<std::uint32_t, std::string>>& tracks);

@@ -1,9 +1,9 @@
 #pragma once
 // The one percentile / latency-pooling / histogram implementation.
 //
-// Before this module, p50/p95/p99 pooling was written four times --
-// serve/report, cluster/accounting, adapt/controller and (transitively)
-// fpga/serving -- each with its own copy of the sort-and-interpolate
+// Before this module, p50/p95/p99 pooling was written three times --
+// serve/report, cluster/accounting and adapt/controller -- each with its
+// own copy of the sort-and-interpolate
 // arithmetic and the first-arrival/last-done span bookkeeping.  All of
 // them now route here, so a percentile is computed by exactly one
 // function and the reports stay byte-identical with each other by

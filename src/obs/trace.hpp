@@ -4,9 +4,9 @@
 // Spans are recorded in *virtual* time -- the same clock batches,
 // admission and reports run on -- into per-track buffers.  A track is a
 // logical lane (one per virtual worker slot, one control lane per
-// engine, one per shard in a gang) and every track is only ever written
-// by one thread, so buffers need no locks and their contents are the
-// program order of a deterministic event loop.  Merged() concatenates
+// engine) and every track is only ever written by one thread, so buffers
+// need no locks and their contents are the program order of a
+// deterministic event loop.  Merged() concatenates
 // tracks in id order and stable-sorts by (begin_s, track): the merged
 // stream is therefore byte-identical at any thread count, which is what
 // lets CI gate a trace against a recorded baseline.
@@ -43,7 +43,7 @@ enum class SpanKind : std::uint8_t {
   kComplete,          ///< request completion (instant, arg: batch)
   kEscalate,          ///< cheap first pass superseded, re-run at tier 0
   kEpoch,             ///< controller epoch boundary (arg: level after)
-  kStage,             ///< one shard's slice of a gang stage (arg: shard)
+  kStage,             ///< a sharded batch's collectives tail (arg: degree)
 };
 
 /// Stable lower-case name ("admit", "queue_wait", ...) used as the Chrome

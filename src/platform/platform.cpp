@@ -90,10 +90,6 @@ PlatformModel QuadroRtx6000() {
   return p;
 }
 
-std::vector<PlatformModel> PlatformZoo() {
-  return {XeonGold5218(), JetsonTx2(), QuadroRtx6000()};
-}
-
 double PlatformOpSeconds(const PlatformModel& platform, const OpSpec& op,
                          double n) {
   return KernelSeconds(platform, op.kind, op.flops.Eval(n),

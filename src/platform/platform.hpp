@@ -53,9 +53,6 @@ PlatformModel JetsonTx2();
 /// NVIDIA Quadro RTX 6000 (PyTorch fp32 + cuBLAS).
 PlatformModel QuadroRtx6000();
 
-/// All three baseline platforms in Fig 7 order.
-std::vector<PlatformModel> PlatformZoo();
-
 /// Result of running one batch on a platform model.
 struct PlatformReport {
   double latency_s = 0;            ///< whole batch, all layers

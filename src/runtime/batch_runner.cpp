@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "workload/batch.hpp"
-
 namespace latte {
 
 BatchRunner::BatchRunner(const BatchRunnerConfig& cfg) : pool_(cfg.threads) {
@@ -40,32 +38,6 @@ void BatchRunner::Run(std::size_t items, const ItemFn& fn) {
   }
   pool_.Wait();
   items_completed_ += items;
-}
-
-void BatchRunner::RunSharded(const std::vector<std::size_t>& lengths,
-                             const ItemFn& fn) {
-  if (lengths.empty()) return;
-
-  const auto shards = ShardByTokens(lengths, workspaces_.size());
-  std::atomic<bool> abort{false};
-  for (std::size_t slot = 0; slot < shards.size(); ++slot) {
-    if (shards[slot].empty()) continue;
-    Workspace* ws = &workspaces_[slot];
-    const std::vector<std::size_t>* shard = &shards[slot];
-    pool_.Submit([&abort, shard, &fn, ws] {
-      for (std::size_t i : *shard) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        try {
-          fn(i, *ws);
-        } catch (...) {
-          abort.store(true, std::memory_order_relaxed);
-          throw;
-        }
-      }
-    });
-  }
-  pool_.Wait();
-  items_completed_ += lengths.size();
 }
 
 }  // namespace latte

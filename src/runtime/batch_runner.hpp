@@ -54,13 +54,6 @@ class BatchRunner {
   /// by any item is rethrown here.  Not reentrant: one Run() at a time.
   void Run(std::size_t items, const ItemFn& fn);
 
-  /// Statically sharded variant: items are partitioned up front with
-  /// ShardByTokens on `lengths` (one entry per item) and each shard runs
-  /// on one slot.  No cursor contention and a deterministic item->slot
-  /// mapping, at the cost of LPT's 4/3 balance bound instead of dynamic
-  /// balancing.  Same exception and bit-exactness contract as Run().
-  void RunSharded(const std::vector<std::size_t>& lengths, const ItemFn& fn);
-
   /// Items executed across all Run() calls (utilization accounting).
   std::size_t items_completed() const { return items_completed_; }
 

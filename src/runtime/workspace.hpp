@@ -22,16 +22,9 @@ namespace latte {
 
 /// Reserved Workspace::Float slot assignments for the library hot paths.
 /// Callers layering their own temporaries on a Workspace should lease
-/// slots >= kFirstFree so they never collide with the sharded encoder's
-/// per-shard intermediates or the dense-attention scores while those are
-/// live.
+/// slots >= kFirstFree so they never collide with the dense-attention
+/// scores while those are live.
 namespace wslots {
-inline constexpr std::size_t kEncoderQ = 0;
-inline constexpr std::size_t kEncoderK = 1;
-inline constexpr std::size_t kEncoderV = 2;
-inline constexpr std::size_t kEncoderAttn = 3;
-inline constexpr std::size_t kEncoderFfn = 5;
-inline constexpr std::size_t kEncoderFfn2 = 6;
 inline constexpr std::size_t kAttentionScores = 8;
 inline constexpr std::size_t kFirstFree = 16;
 }  // namespace wslots

@@ -15,14 +15,14 @@
 // the degree exceeds the axis extent, so plans exist for every (heads,
 // degree) combination including degrees that do not divide the head
 // count.  LayerNorms and residual adds stay serial: they are O(n*h),
-// negligible next to the GEMMs, and running them in one place is what
-// keeps the sharded encoder bit-exact against the unsharded one.
+// negligible next to the GEMMs.
 //
-// The plan also prices itself: PartitionOpWeights splits the operator
-// graph's FLOP weights into per-shard and serial buckets (the compute
-// share a gang of N workers actually achieves, imbalance included), and
-// PlanCommVolume/ShardLayerCommSeconds measure the collective traffic a
-// layer pays under the plan, in bytes and in InterconnectModel seconds.
+// Sharding is priced, not executed.  PartitionOpWeights splits the operator graph's FLOP weights into
+// per-shard and serial buckets (the compute share a gang of N devices
+// achieves, imbalance included), and PlanCommVolume/ShardLayerCommSeconds
+// measure the collective traffic a layer pays under the plan, in bytes
+// and in InterconnectModel seconds.  serve/shard_service turns both into
+// the kSharded backend's service model.
 
 #include <cstddef>
 #include <vector>
@@ -47,11 +47,10 @@ struct ShardRange {
 struct ShardPlanConfig {
   std::size_t shards = 2;  ///< tensor-parallel degree (>= 1)
   /// FFN2 strategy: false (default) keeps FFN2 column-parallel -- every
-  /// shard consumes the all-gathered FFN activation and produces a
-  /// bit-exact output-column slice.  true switches to row-parallel FFN2:
-  /// each shard multiplies only its own GELU slice and the partial sums
-  /// are reduced in a fixed order -- less traffic (one all-reduce instead
-  /// of two all-gathers) but exact only to rounding.
+  /// shard consumes the all-gathered FFN activation and produces an
+  /// output-column slice.  true switches to row-parallel FFN2: each shard
+  /// multiplies only its own GELU slice and the partial sums are reduced
+  /// -- less traffic (one all-reduce instead of two all-gathers).
   bool row_parallel_ffn2 = false;
 };
 
@@ -76,12 +75,6 @@ struct ShardPlan {
   std::vector<ShardRange> heads;        ///< attention heads per shard
   std::vector<ShardRange> ffn_cols;     ///< FFN1 output columns per shard
   std::vector<ShardRange> hidden_cols;  ///< Wo / FFN2 output columns per shard
-
-  /// Column range of shard `s` in the concatenated-heads layout:
-  /// heads [h0, h1) own columns [h0*head_dim, h1*head_dim).
-  ShardRange HeadCols(std::size_t s, const EncoderConfig& cfg) const {
-    return {heads.at(s).begin * cfg.head_dim(), heads.at(s).end * cfg.head_dim()};
-  }
 };
 
 /// Builds the balanced plan for `cfg.shards` shards of one encoder layer.

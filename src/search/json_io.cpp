@@ -1,5 +1,6 @@
 #include "search/json_io.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -26,6 +27,13 @@ std::size_t JsonValue::AsSize(std::string_view what) const {
   if (v < 0) {
     throw std::invalid_argument("json: " + std::string(what) +
                                 " must be non-negative");
+  }
+  // Above 2^53 a double no longer holds every integer, and far enough
+  // above it the cast to size_t is undefined; a fraction would truncate.
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!(v <= kMaxExact) || std::floor(v) != v) {
+    throw std::invalid_argument("json: " + std::string(what) +
+                                " must be an integer no larger than 2^53");
   }
   return static_cast<std::size_t>(v);
 }

@@ -36,6 +36,8 @@ struct JsonValue {
   /// Typed accessors: throw std::invalid_argument naming `what` when the
   /// value has the wrong kind (the DesignPoint parser's error currency).
   double AsNumber(std::string_view what) const;
+  /// A non-negative integer no larger than 2^53 (the largest range in
+  /// which a double holds every integer); fractions are rejected.
   std::size_t AsSize(std::string_view what) const;
   bool AsBool(std::string_view what) const;
   const std::string& AsString(std::string_view what) const;

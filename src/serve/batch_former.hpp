@@ -5,8 +5,8 @@
 // times, sequence lengths and the former's own knobs -- never on how fast
 // the backend happens to run.  That is what makes serving deterministic
 // (the same trace forms the same batches at any worker or thread count)
-// and lets the FPGA performance twin and the functional runtime execute
-// identical batches from a shared trace.
+// and lets the offline reference (FormBatches + ScheduleFormedBatches)
+// and the serving engine execute identical batches from a shared trace.
 //
 // A batch opens when its first request arrives and is sealed by whichever
 // trigger fires first:

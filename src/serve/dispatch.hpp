@@ -1,12 +1,13 @@
 #pragma once
 // Virtual-time dispatch of formed batches onto concurrent backend workers.
 //
-// Both serving twins place batches the same way: each formed batch launches
-// on the earliest-free of `workers` backend slots, never before the batch
-// is sealed.  What differs is only the service model -- the performance
-// twin prices a batch with the accelerator simulator, the functional
-// engine with any deterministic cost model -- so the scheduling and report
-// accounting live here, once.
+// Each formed batch launches on the earliest-free of `workers` backend
+// slots, never before the batch is sealed.  The service model decides the
+// price -- the accelerator twin (a kAccelerator ServiceModelSpec), a
+// token-linear default or any other deterministic cost model.
+// ScheduleFormedBatches runs the recurrence offline over a whole trace;
+// ServingEngine runs the same one incrementally, so the offline schedule
+// is the reference the engine is tested against.
 
 #include <functional>
 

@@ -75,9 +75,9 @@ enum class BackendMode {
   /// batch occupies the whole gang, its service time shrunk to the
   /// ShardPlan compute share plus interconnect collectives
   /// (MakeShardedServiceModel wraps the configured service model at
-  /// construction).  The functional datapath is unchanged -- the sharded
-  /// encoder is bit-exact against the unsharded one, so outputs cannot
-  /// depend on the backend mode.
+  /// construction).  The functional datapath is unchanged: sharding is
+  /// priced, not executed, so outputs are the ones EncoderForward
+  /// computes and cannot depend on the backend mode.
   kSharded,
 };
 

@@ -8,7 +8,7 @@ namespace latte {
 
 double PercentileOfSorted(const std::vector<double>& sorted, double p) {
   // Forwarder: the one canonical implementation lives in obs/percentiles
-  // (shared with cluster/accounting, adapt and fpga/serving).
+  // (shared with cluster/accounting and adapt).
   return obs::PercentileOfSorted(sorted, p);
 }
 

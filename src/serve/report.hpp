@@ -1,11 +1,11 @@
 #pragma once
-// Serving metrics shared by the performance twin (fpga/serving) and the
-// functional serving engine (serve/engine).
+// Serving metrics shared by the offline dispatch reference
+// (serve/dispatch's ScheduleFormedBatches) and the serving engine
+// (serve/engine).
 //
-// Both twins report the same structure from the same accounting code, so a
-// scenario replayed on the simulator and on the real runtime produces
-// directly comparable -- and, with the same service model, identical --
-// numbers.
+// Both report the same structure from the same accounting code, so a
+// scenario replayed offline and on the engine produces directly
+// comparable -- and, with the same service model, identical -- numbers.
 
 #include <cstddef>
 #include <vector>

@@ -507,21 +507,6 @@ void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
             });
 }
 
-void MatMulRowsInto(const MatrixF& a, const MatrixF& b, std::size_t row0,
-                    std::size_t row1, MatrixF& c, GemmScratch& scratch) {
-  if (row0 > row1 || row1 > b.rows()) {
-    throw std::invalid_argument("MatMulRowsInto: row range out of bounds");
-  }
-  if (a.cols() != row1 - row0) {
-    throw std::invalid_argument(
-        "MatMulRowsInto: A width must equal the B row range");
-  }
-  TiledGemm(a, a.cols(), b.cols(), c, scratch,
-            [&b, row0](std::size_t pc, std::size_t kc, float* dst) {
-              PackB(b, 0, b.cols(), row0 + pc, kc, dst);
-            });
-}
-
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
                   GemmScratch& scratch) {
   if (a.cols() != b.cols()) {

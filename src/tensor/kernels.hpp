@@ -99,27 +99,15 @@ void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 /// for call sites that have no Workspace).
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
-/// C = A * B[:, col0:col1): the column slice of the product one tensor-
-/// parallel shard owns.  A is (n x k), B is (k x m); c is resized to
-/// (n x col1-col0) and fully overwritten.  Each output element is reduced
-/// in exactly the K-tile order of the full GEMM (packing a column window
-/// shifts panel boundaries, never the reduction order), so the result is
-/// bit-identical to the corresponding columns of MatMulInto -- the
-/// property the sharded encoder's bit-exactness contract rests on.
-/// Throws on shape mismatch or an out-of-range column window.
+/// C = A * B[:, col0:col1): a column slice of the product (the
+/// escalation probe projects one head this way).  A is (n x k), B is
+/// (k x m); c is resized to (n x col1-col0) and fully overwritten.  Each
+/// output element is reduced in exactly the K-tile order of the full GEMM
+/// (packing a column window shifts panel boundaries, never the reduction
+/// order), so the result is bit-identical to the corresponding columns of
+/// MatMulInto.  Throws on shape mismatch or an out-of-range column window.
 void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
                        std::size_t col1, MatrixF& c, GemmScratch& scratch);
-
-/// C = A * B[row0:row1, :): the partial product of a row-parallel shard
-/// that owns reduction rows [row0, row1) of B.  A is (n x row1-row0) --
-/// already the matching activation slice -- and c is resized to
-/// (n x b.cols()) and fully overwritten.  Summing the per-shard partials
-/// re-associates the reduction, so the row-parallel path agrees with the
-/// monolithic GEMM only to rounding; callers that need bit-exact results
-/// use the column-slice path instead.  Throws on shape mismatch or an
-/// out-of-range row window.
-void MatMulRowsInto(const MatrixF& a, const MatrixF& b, std::size_t row0,
-                    std::size_t row1, MatrixF& c, GemmScratch& scratch);
 
 /// C = A * B^T.  A is (n x d), B is (m x d); c is resized to (n x m) and
 /// fully overwritten.  The natural layout for attention scores S = Q K^T.

@@ -2,12 +2,12 @@
 // Timestamped request streams: the arrival half of an online serving
 // scenario.
 //
-// The serving simulator (fpga/serving) and the functional serving engine
-// (serve/engine) consume the same traces, so a scenario can be replayed
-// against the performance twin and the real runtime and compared number
-// for number.  Arrivals are Poisson (exponential inter-arrival gaps) and
-// lengths follow the dataset's truncated log-normal fit, exactly as the
-// original simulator sampled them.
+// The offline reference (serve/batch_former's FormBatches plus
+// serve/dispatch's ScheduleFormedBatches) and the serving engine
+// consume the same traces, so a scenario can be replayed against both and
+// compared number for number.  Arrivals are Poisson (exponential
+// inter-arrival gaps) and lengths follow the dataset's truncated
+// log-normal fit.
 
 #include <cstdint>
 #include <vector>

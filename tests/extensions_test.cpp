@@ -1,6 +1,6 @@
 // Tests for the extended system features: padding masks in the sparse
-// path, the structural At-Sel unit, Q-format fixed point, the multi-layer
-// inference engine, the serving simulator and schedule export.
+// path, the structural At-Sel unit, the multi-layer inference engine,
+// offline serving on the accelerator twin and schedule export.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,10 @@
 #include <unordered_set>
 
 #include "core/atsel_unit.hpp"
-#include "fpga/serving.hpp"
 #include "fpga/trace.hpp"
 #include "model/inference.hpp"
+#include "serve/service_model.hpp"
 #include "nn/ops.hpp"
-#include "tensor/fixed_point.hpp"
 #include "tensor/matmul.hpp"
 #include "workload/synthetic.hpp"
 
@@ -122,60 +121,6 @@ TEST(AtSelUnitTest, CycleAccounting) {
 
 TEST(AtSelUnitTest, RejectsZeroLanes) {
   EXPECT_THROW(AtSelUnit(SelectorConfig{}, 0), std::invalid_argument);
-}
-
-// ------------------------------------------------------------ FixedPoint --
-
-TEST(FixedPointTest, RoundTripWithinEpsilon) {
-  for (float x : {0.f, 1.f, -1.f, 3.1415f, -2.7182f}) {
-    EXPECT_NEAR(Fix16::FromFloat(x).ToFloat(), x, Fix16::Epsilon());
-  }
-}
-
-TEST(FixedPointTest, SaturatesAtRange) {
-  const auto big = Fix8::FromFloat(1000.f);
-  EXPECT_TRUE(big.saturated());
-  EXPECT_FLOAT_EQ(big.ToFloat(), Fix8::Max());
-  const auto small = Fix8::FromFloat(-1000.f);
-  EXPECT_TRUE(small.saturated());
-  EXPECT_LT(small.ToFloat(), -Fix8::Max());  // min is -(max+eps)
-}
-
-TEST(FixedPointTest, ArithmeticMatchesFloat) {
-  const auto a = Fix16::FromFloat(1.5f);
-  const auto b = Fix16::FromFloat(-0.25f);
-  EXPECT_NEAR((a + b).ToFloat(), 1.25f, Fix16::Epsilon());
-  EXPECT_NEAR((a - b).ToFloat(), 1.75f, Fix16::Epsilon());
-  EXPECT_NEAR((a * b).ToFloat(), -0.375f, 2 * Fix16::Epsilon());
-  EXPECT_NEAR((-a).ToFloat(), -1.5f, Fix16::Epsilon());
-}
-
-TEST(FixedPointTest, AdditionSaturatesStickily) {
-  auto acc = Fix8::FromFloat(Fix8::Max());
-  const auto one = Fix8::FromFloat(1.f);
-  const auto sum = acc + one;
-  EXPECT_TRUE(sum.saturated());
-  EXPECT_FLOAT_EQ(sum.ToFloat(), Fix8::Max());
-}
-
-TEST(FixedPointTest, ComparisonIgnoresSaturationFlag) {
-  const auto a = Fix8::FromFloat(Fix8::Max());      // not saturated
-  const auto b = Fix8::FromFloat(Fix8::Max() + 1);  // saturated to same raw
-  EXPECT_EQ(a, b);
-  EXPECT_LT(Fix8::FromFloat(0.f), a);
-}
-
-TEST(FixedPointTest, MacChainTracksFloat) {
-  Rng rng(7);
-  float ref = 0;
-  auto acc = Fix24::FromFloat(0.f);
-  for (int i = 0; i < 100; ++i) {
-    const float x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-    const float w = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-    ref += x * w;
-    acc = acc + Fix24::FromFloat(x) * Fix24::FromFloat(w);
-  }
-  EXPECT_NEAR(acc.ToFloat(), ref, 100 * 2 * Fix24::Epsilon());
 }
 
 // ------------------------------------------------------- ModelInstance ---
@@ -337,17 +282,29 @@ TEST(ModelInstanceTest, ScaledDownRejectsZero) {
 
 // ------------------------------------------------------------- Serving ---
 
-ServingConfig LightServing() {
-  ServingConfig cfg;
-  cfg.arrival_rate_rps = 40;
-  cfg.former.max_batch = 8;
-  cfg.requests = 96;
-  cfg.former.timeout_s = 0.02;
-  return cfg;
+// One Poisson trace through the shared former (max_batch 8, 20 ms flush)
+// and the offline dispatch recurrence on `workers` slots, priced by the
+// accelerator twin.
+ServingReport ServeOffline(const DatasetSpec& dataset, double rate_rps,
+                           std::size_t requests, std::size_t workers = 1,
+                           const AcceleratorConfig& accel = {}) {
+  PoissonTraceConfig arrivals;
+  arrivals.arrival_rate_rps = rate_rps;
+  arrivals.requests = requests;
+  BatchFormerConfig former;
+  former.max_batch = 8;
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kAccelerator;
+  spec.model = BertBase();
+  spec.accel = accel;
+  const auto trace = GeneratePoissonTrace(arrivals, dataset);
+  return ScheduleFormedBatches(trace, FormBatches(trace, former), workers,
+                               BuildServiceModel(spec))
+      .report;
 }
 
 TEST(ServingTest, BasicAccounting) {
-  const auto rep = SimulateServing(BertBase(), Mrpc(), LightServing());
+  const auto rep = ServeOffline(Mrpc(), 40, 96);
   EXPECT_EQ(rep.requests, 96u);
   EXPECT_GT(rep.batches, 0u);
   EXPECT_GE(rep.mean_batch_size, 1.0);
@@ -361,40 +318,32 @@ TEST(ServingTest, BasicAccounting) {
 }
 
 TEST(ServingTest, LengthAwareSustainsHigherLoadThanBaseline) {
-  auto cfg = LightServing();
-  cfg.arrival_rate_rps = 60;
-  cfg.requests = 128;
-  const auto aware = SimulateServing(BertBase(), Rte(), cfg);
+  const auto aware = ServeOffline(Rte(), 60, 128);
 
-  auto base_cfg = cfg;
-  base_cfg.accel.mode = FpgaMode::kBaseline;
-  base_cfg.accel.baseline_pad_to = static_cast<std::size_t>(Rte().max_len);
-  const auto base = SimulateServing(BertBase(), Rte(), base_cfg);
+  AcceleratorConfig padded;
+  padded.mode = FpgaMode::kBaseline;
+  padded.baseline_pad_to = static_cast<std::size_t>(Rte().max_len);
+  const auto base = ServeOffline(Rte(), 60, 128, 1, padded);
 
   EXPECT_LT(aware.p95_latency_s, base.p95_latency_s);
   EXPECT_LE(aware.device_busy_frac, base.device_busy_frac + 1e-9);
 }
 
 TEST(ServingTest, HigherLoadRaisesTailLatency) {
-  auto low = LightServing();
-  low.arrival_rate_rps = 10;
-  auto high = LightServing();
-  high.arrival_rate_rps = 300;
-  const auto a = SimulateServing(BertBase(), Mrpc(), low);
-  const auto b = SimulateServing(BertBase(), Mrpc(), high);
+  const auto a = ServeOffline(Mrpc(), 10, 96);
+  const auto b = ServeOffline(Mrpc(), 300, 96);
   EXPECT_LE(a.p99_latency_s, b.p99_latency_s * 2.0);  // loose sanity
   EXPECT_GE(b.device_busy_frac, a.device_busy_frac - 0.05);
 }
 
-TEST(ServingTest, RejectsBadConfig) {
-  auto cfg = LightServing();
-  cfg.arrival_rate_rps = 0;
-  EXPECT_THROW(SimulateServing(BertBase(), Mrpc(), cfg),
-               std::invalid_argument);
-  cfg = LightServing();
-  cfg.former.max_batch = 0;
-  EXPECT_THROW(SimulateServing(BertBase(), Mrpc(), cfg),
-               std::invalid_argument);
+TEST(ServingWorkersTest, MoreWorkersDoNotHurtSaturatedThroughput) {
+  // Deeply saturated: queueing dominates.
+  const auto one_rep = ServeOffline(Mrpc(), 5000, 64, 1);
+  const auto two_rep = ServeOffline(Mrpc(), 5000, 64, 2);
+
+  EXPECT_GT(two_rep.throughput_rps, one_rep.throughput_rps * 1.5);
+  EXPECT_LT(two_rep.p99_latency_s, one_rep.p99_latency_s);
+  EXPECT_LE(two_rep.device_busy_frac, 1.0 + 1e-9);
 }
 
 // --------------------------------------------------------------- Trace ---
@@ -423,15 +372,6 @@ TEST(TraceTest, ChromeTraceContainsAllJobs) {
     pos += 1;
   }
   EXPECT_EQ(count, schedule.jobs.size());
-}
-
-TEST(TraceTest, CsvHasHeaderAndOneLinePerJob) {
-  const auto schedule = SmallSchedule();
-  const std::string csv = ToCsv(schedule);
-  const auto lines =
-      static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, schedule.jobs.size() + 1);
-  EXPECT_EQ(csv.rfind("seq,layer,stage,instance,start_s,end_s", 0), 0u);
 }
 
 TEST(TraceTest, WriteTextFileRoundTrip) {

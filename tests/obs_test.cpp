@@ -46,8 +46,8 @@ std::vector<TimedRequest> SmallTrace(std::size_t requests = 32,
 }
 
 // The sort-and-interpolate arithmetic that was duplicated across
-// serve/report, cluster/accounting, adapt/controller and fpga/serving
-// before obs/percentiles unified it.  Recorded baselines depend on it bit
+// serve/report, cluster/accounting and adapt/controller before
+// obs/percentiles unified it.  Recorded baselines depend on it bit
 // for bit, so the unified helper must reproduce it exactly.
 double LegacyPercentile(std::vector<double> sorted, double p) {
   if (sorted.empty()) return 0;
@@ -510,37 +510,6 @@ TEST(ClusterTraceTest, RejectsPerReplicaTracerConflict) {
   cfg.trace.enabled = true;
   EXPECT_TRUE(HasIssueFor(CheckClusterConfig(cfg),
                           "replica[0].engine.trace.enabled"));
-}
-
-// ------------------------------------------------------------------ shards --
-
-TEST(ShardTraceTest, StageSpansAreThreadInvariant) {
-  std::string reference;
-  for (const std::size_t threads : {1u, 4u}) {
-    obs::TraceConfig cfg;
-    cfg.enabled = true;
-    obs::Tracer tracer(cfg);
-    ShardExecutor gang(4, threads);
-    gang.SetTracer(&tracer, 0, "gang/");
-    for (int stage = 0; stage < 3; ++stage) {
-      gang.RunStage([](std::size_t, Workspace&) {});
-    }
-    EXPECT_EQ(gang.stages_run(), 3u);
-    const std::string chrome = obs::ChromeTraceJson(tracer);
-    if (threads == 1) {
-      reference = chrome;
-    } else {
-      EXPECT_EQ(chrome, reference);
-    }
-    // One kStage span per shard per stage, on the shard's own track.
-    const auto merged = tracer.Merged();
-    ASSERT_EQ(merged.size(), 4u * 3u);
-    for (const obs::TraceEvent& e : merged) {
-      EXPECT_EQ(e.kind, obs::SpanKind::kStage);
-      EXPECT_EQ(e.end_s, e.begin_s + 1.0);
-      EXPECT_EQ(e.track, static_cast<std::uint32_t>(e.arg));
-    }
-  }
 }
 
 // ------------------------------------------------------- percentile edges --

@@ -1,6 +1,6 @@
 // Tests for the batched execution runtime: ThreadPool task draining,
 // Workspace buffer reuse, BatchRunner bit-exactness against the
-// sequential path, token sharding and the multi-worker serving model.
+// sequential path, token sharding and the serving-config validation.
 
 #include <gtest/gtest.h>
 
@@ -291,32 +291,14 @@ TEST(BatchRunnerTest, EncoderBatchMatchesSequentialBitExactly) {
   }
 
   BatchRunner runner(3);
-  const auto got = EncoderForwardBatch(xs, w, cfg, attn, runner);
+  std::vector<MatrixF> got(xs.size());
+  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
+    got[i] = EncoderForward(xs[i], w, cfg, attn, ws);
+  });
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "sequence " << i;
   }
-}
-
-TEST(BatchRunnerTest, RunShardedMatchesSequentialAndVisitsAll) {
-  const ModelConfig small = ScaledDown(BertBase(), 6);
-  const ModelInstance model(small, 17);
-  InferenceConfig inf;
-  inf.mode = InferenceMode::kSparseFloat;
-  inf.sparse.top_k = 8;
-  const auto xs = SeededBatch(31, 9, small.encoder.hidden);
-  std::vector<std::size_t> lengths;
-  for (const auto& x : xs) lengths.push_back(x.rows());
-
-  BatchRunner runner(4);
-  std::vector<MatrixF> got(xs.size());
-  runner.RunSharded(lengths, [&](std::size_t i, Workspace& ws) {
-    got[i] = model.Forward(xs[i], inf, nullptr, &ws.attention());
-  });
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(got[i], model.Forward(xs[i], inf)) << "sequence " << i;
-  }
-  EXPECT_EQ(runner.items_completed(), xs.size());
 }
 
 TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
@@ -331,8 +313,10 @@ TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   const auto xs = SeededBatch(15, 6, cfg.hidden);
 
   BatchRunner runner(2);
-  const auto got = EncoderForwardBatch(xs, w, cfg, DenseAttention, runner);
-  ASSERT_EQ(got.size(), xs.size());
+  std::vector<MatrixF> got(xs.size());
+  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
+    got[i] = EncoderForward(xs[i], w, cfg, DenseAttention, ws);
+  });
   for (std::size_t i = 0; i < xs.size(); ++i) {
     Workspace ws;
     EXPECT_EQ(got[i], EncoderForward(xs[i], w, cfg, DenseAttention, ws))
@@ -402,63 +386,39 @@ TEST(ShardByTokensTest, RejectsZeroWorkersHandlesSmallBatches) {
 // ------------------------------------------------------- Serving config --
 
 TEST(ServingValidationTest, RejectsEachBadFieldWithClearMessage) {
-  ServingConfig cfg;
-  cfg.requests = 32;
-
-  auto flags = [](const ServingConfig& c, const std::string& field) {
-    return HasIssueFor(CheckServingConfig(c), field);
+  PoissonTraceConfig arrivals;
+  arrivals.requests = 32;
+  auto trace_flags = [](const PoissonTraceConfig& c, const std::string& field) {
+    return HasIssueFor(CheckPoissonTraceConfig(c), field);
   };
-
-  ServingConfig bad = cfg;
+  PoissonTraceConfig bad = arrivals;
   bad.arrival_rate_rps = 0;
-  EXPECT_TRUE(flags(bad, "arrival_rate_rps"));
-  bad = cfg;
+  EXPECT_TRUE(trace_flags(bad, "arrival_rate_rps"));
   bad.arrival_rate_rps = -3;
-  EXPECT_TRUE(flags(bad, "arrival_rate_rps"));
-  bad = cfg;
-  bad.former.max_batch = 0;
-  EXPECT_TRUE(flags(bad, "former.max_batch"));
-  bad = cfg;
-  bad.requests = 0;
-  EXPECT_TRUE(flags(bad, "requests"));
-  bad = cfg;
-  bad.workers = 0;
-  EXPECT_TRUE(flags(bad, "workers"));
-  bad = cfg;
-  bad.former.timeout_s = -0.1;
-  EXPECT_TRUE(flags(bad, "former.timeout_s"));
+  EXPECT_TRUE(trace_flags(bad, "arrival_rate_rps"));
   // NaN must not slip through a `<= 0` comparison.
-  bad = cfg;
   bad.arrival_rate_rps = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(flags(bad, "arrival_rate_rps"));
-  bad = cfg;
-  bad.former.timeout_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(flags(bad, "former.timeout_s"));
+  EXPECT_TRUE(trace_flags(bad, "arrival_rate_rps"));
+  bad = arrivals;
+  bad.requests = 0;
+  EXPECT_TRUE(trace_flags(bad, "requests"));
+  EXPECT_THROW(GeneratePoissonTrace(bad, Mrpc()), std::invalid_argument);
+  EXPECT_TRUE(CheckPoissonTraceConfig(arrivals).empty());
 
-  EXPECT_TRUE(CheckServingConfig(cfg).empty());
-}
+  BatchFormerConfig former;
+  former.max_batch = 0;
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(former), "max_batch"));
+  former = BatchFormerConfig{};
+  former.timeout_s = -0.1;
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(former), "timeout_s"));
+  former.timeout_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(former), "timeout_s"));
 
-TEST(ServingValidationTest, SimulateServingValidates) {
-  ServingConfig cfg;
-  cfg.requests = 0;
-  EXPECT_THROW(SimulateServing(BertBase(), Mrpc(), cfg),
+  const auto trace = GeneratePoissonTrace(arrivals, Mrpc());
+  const auto batches = FormBatches(trace, BatchFormerConfig{});
+  EXPECT_THROW(ScheduleFormedBatches(trace, batches, 0,
+                                     TokenLinearServiceModel(2e-6, 2e-4)),
                std::invalid_argument);
-}
-
-TEST(ServingWorkersTest, MoreWorkersDoNotHurtSaturatedThroughput) {
-  ServingConfig cfg;
-  cfg.arrival_rate_rps = 5000;  // deeply saturated: queueing dominates
-  cfg.requests = 64;
-  cfg.former.max_batch = 8;
-
-  ServingConfig two = cfg;
-  two.workers = 2;
-  const auto one_rep = SimulateServing(BertBase(), Mrpc(), cfg);
-  const auto two_rep = SimulateServing(BertBase(), Mrpc(), two);
-
-  EXPECT_GT(two_rep.throughput_rps, one_rep.throughput_rps * 1.5);
-  EXPECT_LT(two_rep.p99_latency_s, one_rep.p99_latency_s);
-  EXPECT_LE(two_rep.device_busy_frac, 1.0 + 1e-9);
 }
 
 }  // namespace

@@ -115,6 +115,12 @@ TEST(DesignPointTest, JsonRejectsMalformedInput) {
   EXPECT_THROW(DesignPointFromJson("{}"), std::invalid_argument);
   const std::string json = DesignPointToJson(SmallDesign());
   EXPECT_THROW(DesignPointFromJson(json + "x"), std::invalid_argument);
+  // A fractional count is rejected, not truncated.
+  std::string fractional = json;
+  const std::size_t at = fractional.find("\"workers\":");
+  ASSERT_NE(at, std::string::npos);
+  fractional.insert(fractional.find_first_of(",}", at), ".5");
+  EXPECT_THROW(DesignPointFromJson(fractional), std::invalid_argument);
 }
 
 TEST(DesignPointTest, JsonRejectsNestingPastTheDepthLimit) {

@@ -300,31 +300,31 @@ TEST(ServingEngineTest, EngineBatchesMatchSharedFormer) {
 }
 
 TEST(ServingEngineTest, AgreesWithSimulatorOnSharedScenario) {
-  ServingConfig scenario;
-  scenario.arrival_rate_rps = 80;
-  scenario.former.max_batch = 8;
-  scenario.former.timeout_s = 0.02;
-  scenario.requests = 48;
-  scenario.seed = 3;
-  scenario.workers = 2;
-
-  const ServingReport sim = SimulateServing(BertBase(), Mrpc(), scenario);
+  PoissonTraceConfig arrivals;
+  arrivals.arrival_rate_rps = 80;
+  arrivals.requests = 48;
+  arrivals.seed = 3;
+  const auto trace = GeneratePoissonTrace(arrivals, Mrpc());
 
   auto cfg = SmallEngineConfig();
-  cfg.former = scenario.former;
-  cfg.workers = scenario.workers;
+  cfg.former.max_batch = 8;
+  cfg.former.timeout_s = 0.02;
+  cfg.workers = 2;
   ServiceModelSpec spec;
   spec.base = ServiceModelSpec::Base::kAccelerator;
   spec.model = BertBase();
-  spec.accel = scenario.accel;
   cfg.service = BuildServiceModel(spec);
+  const ServingReport sim =
+      ScheduleFormedBatches(trace, FormBatches(trace, cfg.former),
+                            cfg.workers, cfg.service)
+          .report;
+
   ServingEngine engine(SmallModel(), cfg);
-  const auto trace = GeneratePoissonTrace(ServingTrace(scenario), Mrpc());
   const ServingResult res = engine.Replay(trace);
   const ServingReport& rep = res.report();
 
   // Same trace, same former, same service model, same accounting: the
-  // functional engine reproduces the performance twin field for field.
+  // engine reproduces the offline recurrence field for field.
   EXPECT_EQ(rep.requests, sim.requests);
   EXPECT_EQ(rep.batches, sim.batches);
   EXPECT_EQ(rep.mean_batch_size, sim.mean_batch_size);
@@ -334,8 +334,8 @@ TEST(ServingEngineTest, AgreesWithSimulatorOnSharedScenario) {
   EXPECT_EQ(rep.p99_latency_s, sim.p99_latency_s);
   EXPECT_EQ(rep.throughput_rps, sim.throughput_rps);
   EXPECT_EQ(rep.device_busy_frac, sim.device_busy_frac);
-  // And it actually computed something the simulator cannot: outputs.
-  EXPECT_EQ(res.outputs.size(), scenario.requests);
+  // And it actually computed something the recurrence cannot: outputs.
+  EXPECT_EQ(res.outputs.size(), arrivals.requests);
 }
 
 TEST(ServingEngineTest, BoundedQueueRejectsAndAccountsConsistently) {

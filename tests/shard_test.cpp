@@ -1,9 +1,7 @@
-// Tests for tensor-parallel sharded execution: the column/row-slice GEMM
-// kernels, ShardPlan construction and pricing, the InterconnectModel,
-// the ShardExecutor gang (byte accounting, fixed-order reduction), the
-// sharded encoder's bit-exactness contract against the unsharded layer,
-// the sharded service model, the engine's kSharded backend and the
-// long-to-sharded routing policy.
+// Tests for tensor-parallel pricing: the column-slice GEMM kernel,
+// ShardPlan construction and pricing, the InterconnectModel, the sharded
+// service model, the engine's kSharded backend and the long-to-sharded
+// routing policy.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +15,7 @@
 namespace latte {
 namespace {
 
-// ----------------------------------------------------- sliced GEMMs --
+// ------------------------------------------------------ sliced GEMM --
 
 TEST(ShardGemmTest, ColumnSliceIsBitExactAgainstFullGemm) {
   Rng rng(31);
@@ -59,51 +57,6 @@ TEST(ShardGemmTest, ColumnSliceValidates) {
                std::invalid_argument);
 }
 
-TEST(ShardGemmTest, RowSlicePartialsComposeToFullGemm) {
-  Rng rng(32);
-  const MatrixF a = rng.UniformMatrix(9, 30, -1, 1);
-  const MatrixF b = rng.UniformMatrix(30, 21, -1, 1);
-  GemmScratch scratch;
-  MatrixF full(9, 21);
-  MatMulInto(a, b, full, scratch);
-
-  // Split K = 30 into uneven ranges, multiply each A column block against
-  // its B row block and sum the partials in ascending order.
-  const std::vector<std::size_t> edges = {0, 11, 30};
-  MatrixF sum(9, 21);
-  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    const std::size_t k0 = edges[i], k1 = edges[i + 1];
-    MatrixF a_block(9, k1 - k0);
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-      for (std::size_t k = k0; k < k1; ++k) a_block(r, k - k0) = a(r, k);
-    }
-    MatrixF partial(9, 21);
-    MatMulRowsInto(a_block, b, k0, k1, partial, scratch);
-    for (std::size_t r = 0; r < sum.rows(); ++r) {
-      for (std::size_t c = 0; c < sum.cols(); ++c) {
-        sum(r, c) = i == 0 ? partial(r, c) : sum(r, c) + partial(r, c);
-      }
-    }
-  }
-  // The K split re-associates the reduction: rounding-level only.
-  for (std::size_t r = 0; r < full.rows(); ++r) {
-    for (std::size_t c = 0; c < full.cols(); ++c) {
-      EXPECT_NEAR(sum(r, c), full(r, c), 1e-4f * (1 + std::abs(full(r, c))));
-    }
-  }
-}
-
-TEST(ShardGemmTest, RowSliceEmptyRangeIsExactZero) {
-  const MatrixF a(5, 0);
-  Rng rng(33);
-  const MatrixF b = rng.UniformMatrix(12, 7, -1, 1);
-  GemmScratch scratch;
-  MatrixF c(5, 7);
-  c(2, 3) = 99.f;  // must be overwritten, not accumulated into
-  MatMulRowsInto(a, b, 4, 4, c, scratch);
-  for (float v : c.flat()) EXPECT_EQ(v, 0.f);
-}
-
 // ------------------------------------------------------- ShardPlan --
 
 TEST(ShardPlanTest, BalancedRangesCoverUnevenSplits) {
@@ -135,9 +88,7 @@ TEST(ShardPlanTest, MakeShardPlanValidatesAndCovers) {
   EXPECT_EQ(plan.heads.back().end, 6u);
   EXPECT_EQ(plan.ffn_cols.back().end, enc.ffn());
   EXPECT_EQ(plan.hidden_cols.back().end, 48u);
-  // Head columns follow the concatenated-heads layout.
-  EXPECT_EQ(plan.HeadCols(0, enc).begin, 0u);
-  EXPECT_EQ(plan.HeadCols(0, enc).end, 2 * enc.head_dim());
+  EXPECT_EQ(plan.heads.front(), (ShardRange{0, 2}));
 
   cfg.shards = 0;
   EXPECT_THROW(MakeShardPlan(enc, cfg), std::invalid_argument);
@@ -235,185 +186,6 @@ TEST(InterconnectTest, DramSpillSurchargesLargeTransfers) {
 
   cfg.link_bytes_per_s = 0;
   EXPECT_THROW(InterconnectModel{cfg}, std::invalid_argument);
-}
-
-// --------------------------------------------------- ShardExecutor --
-
-TEST(ShardExecutorTest, StagesRunEveryShardAndAccountBytes) {
-  ShardExecutor exec(3);
-  EXPECT_EQ(exec.shards(), 3u);
-  EXPECT_THROW(ShardExecutor{0}, std::invalid_argument);
-
-  MatrixF& gathered = exec.comm().Float(shardslots::kCtx, 2, 6);
-  exec.RunStage([&gathered](std::size_t s, Workspace& ws) {
-    MatrixF& local = ws.Float(0, 2, 2);  // private per-shard scratch
-    local(0, 0) = static_cast<float>(s);
-    for (std::size_t r = 0; r < 2; ++r) {
-      for (std::size_t c = 0; c < 2; ++c) {
-        gathered(r, s * 2 + c) = local(0, 0);  // disjoint column ranges
-      }
-    }
-  });
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(gathered(1, s * 2 + 1), static_cast<float>(s));
-  }
-
-  // CapacityBytes covers the comm slot and every shard arena.
-  const std::size_t bytes = exec.CapacityBytes();
-  EXPECT_GE(bytes, (2 * 6 + 3 * 2 * 2) * sizeof(float));
-
-  // Shrinking a lease keeps capacity sticky; regrowing to the original
-  // shape allocates nothing new -- byte accounting is deterministic
-  // across lease/shrink/regrow cycles.
-  exec.comm().Float(shardslots::kCtx, 1, 3);
-  EXPECT_EQ(exec.CapacityBytes(), bytes);
-  exec.comm().Float(shardslots::kCtx, 2, 6);
-  EXPECT_EQ(exec.CapacityBytes(), bytes);
-}
-
-TEST(ShardExecutorTest, ReducePartialsUsesFixedAscendingOrder) {
-  ShardExecutor exec(3);
-  for (std::size_t s = 0; s < 3; ++s) {
-    MatrixF& p = exec.comm().Float(shardslots::kPartialBase + s, 2, 2);
-    for (std::size_t r = 0; r < 2; ++r) {
-      for (std::size_t c = 0; c < 2; ++c) {
-        p(r, c) = 0.1f * static_cast<float>(s + 1) + static_cast<float>(r);
-      }
-    }
-  }
-  MatrixF out;
-  exec.ReducePartialsInto(2, 2, out);
-
-  // Expected: ((p0 + p1) + p2), serially, in that exact order.
-  float expect = (0.1f + 1.f) + (0.2f + 1.f);
-  expect += 0.3f + 1.f;
-  EXPECT_EQ(out(1, 0), expect);
-  // The partials themselves must survive the reduction untouched.
-  EXPECT_EQ(exec.comm().Float(shardslots::kPartialBase, 2, 2)(0, 0), 0.1f);
-}
-
-// ------------------------------------------------- sharded encoder --
-
-struct EncoderFixture {
-  EncoderConfig cfg;
-  EncoderWeights w;
-  MatrixF x;
-
-  explicit EncoderFixture(std::size_t n = 19, std::size_t hidden = 48,
-                          std::size_t heads = 6) {
-    cfg.hidden = hidden;
-    cfg.heads = heads;
-    Rng rng(77);
-    w = MakeEncoderWeights(rng, cfg);
-    x = MakeInputEmbedding(rng, n, hidden);
-  }
-};
-
-TEST(ShardedEncoderTest, BitExactAgainstUnshardedDenseForEveryDegree) {
-  const EncoderFixture f;
-  Workspace ws;
-  const MatrixF reference = EncoderForward(f.x, f.w, f.cfg, DenseAttention, ws);
-
-  // Degrees that divide the head count, that do not, and that exceed it
-  // (trailing shards own zero heads): all bit-exact.
-  for (std::size_t degree : {1u, 2u, 4u, 6u, 8u}) {
-    ShardPlanConfig plan_cfg;
-    plan_cfg.shards = degree;
-    const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
-    ShardExecutor exec(degree);
-    const MatrixF sharded = ShardedEncoderForward(
-        f.x, f.w, f.cfg, plan, DenseAttention, exec);
-    EXPECT_EQ(sharded, reference) << "degree=" << degree;
-  }
-}
-
-TEST(ShardedEncoderTest, BitExactWithSparseAttention) {
-  const EncoderFixture f;
-  SparseAttentionConfig scfg;
-  scfg.top_k = 8;
-  Workspace ws;
-  const MatrixF reference = EncoderForward(
-      f.x, f.w, f.cfg, MakeSparseAttentionFn(scfg), ws);
-
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 3;
-  ShardExecutor exec(3);
-  const MatrixF sharded = ShardedEncoderForward(
-      f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg),
-      MakeSparseAttentionFn(scfg), exec);
-  EXPECT_EQ(sharded, reference);
-}
-
-TEST(ShardedEncoderTest, RowParallelFfn2AgreesToRounding) {
-  const EncoderFixture f;
-  Workspace ws;
-  const MatrixF reference = EncoderForward(f.x, f.w, f.cfg, DenseAttention, ws);
-
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 4;
-  plan_cfg.row_parallel_ffn2 = true;
-  ShardExecutor exec(4);
-  const MatrixF sharded = ShardedEncoderForward(
-      f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg), DenseAttention, exec);
-  ASSERT_EQ(sharded.rows(), reference.rows());
-  ASSERT_EQ(sharded.cols(), reference.cols());
-  for (std::size_t r = 0; r < sharded.rows(); ++r) {
-    for (std::size_t c = 0; c < sharded.cols(); ++c) {
-      EXPECT_NEAR(sharded(r, c), reference(r, c),
-                  1e-4f * (1 + std::abs(reference(r, c))));
-    }
-  }
-}
-
-TEST(ShardedEncoderTest, OutputIsInvariantToThreadCount) {
-  const EncoderFixture f;
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 4;
-  const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
-
-  ShardExecutor serial(4, 1);   // four shards time-sliced on one worker
-  ShardExecutor parallel(4, 4);
-  const MatrixF a = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, DenseAttention, serial);
-  const MatrixF b = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, DenseAttention, parallel);
-  EXPECT_EQ(a, b);
-}
-
-TEST(ShardedEncoderTest, SteadyStateStopsAllocating) {
-  const EncoderFixture f;
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 3;
-  plan_cfg.row_parallel_ffn2 = true;  // exercises the partial slots too
-  const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
-  ShardExecutor exec(3);
-
-  const MatrixF first = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, DenseAttention, exec);
-  const std::size_t bytes = exec.CapacityBytes();
-  EXPECT_GT(bytes, 0u);
-  const MatrixF second = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, DenseAttention, exec);
-  EXPECT_EQ(exec.CapacityBytes(), bytes);  // arenas fully reused
-  EXPECT_EQ(first, second);
-}
-
-TEST(ShardedEncoderTest, ValidatesShapes) {
-  const EncoderFixture f;
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 2;
-  const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
-
-  ShardExecutor wrong_gang(3);  // plan says 2 shards
-  EXPECT_THROW(ShardedEncoderForward(f.x, f.w, f.cfg, plan, DenseAttention,
-                                     wrong_gang),
-               std::invalid_argument);
-
-  ShardExecutor exec(2);
-  const MatrixF narrow(19, f.cfg.hidden - 1);
-  EXPECT_THROW(ShardedEncoderForward(narrow, f.w, f.cfg, plan, DenseAttention,
-                                     exec),
-               std::invalid_argument);
 }
 
 // -------------------------------------------- sharded service model --

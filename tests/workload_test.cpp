@@ -417,6 +417,24 @@ TEST(TraceIoTest, RejectsMalformedCaptures) {
       TraceFromJson(R"({"magic":"lattetrace","version":1,"requests":1,)"
                     R"("records":[{"arrival_s":0,"length":1,"id":"42"}]})"),
       std::invalid_argument);
+  // Counts are integers: a fractional version or length is not truncated,
+  // and one past what a double holds exactly is not cast.
+  EXPECT_THROW(TraceFromJson(R"({"magic":"lattetrace","version":1.9,)"
+                             R"("requests":0,"records":[]})"),
+               std::invalid_argument);
+  for (const char* length : {"8.7", "1e30"}) {
+    const std::string json =
+        std::string(R"({"magic":"lattetrace","version":1,"requests":1,)"
+                    R"("records":[{"arrival_s":0,"length":)") +
+        length + R"(,"id":"0x2a"}]})";
+    try {
+      TraceFromJson(json);
+      ADD_FAILURE() << "accepted length " << length;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("length"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
