@@ -7,7 +7,10 @@
 // bench/baselines/, since absolute GFLOP/s move with the host.  The int8
 // cells time the packed K-pair Int8GemmInto against the 4-row int32 loop it
 // replaced on the projection and FFN shapes, and fail the run on any bit
-// mismatch between the two.
+// mismatch between the two.  The At-Sel cells time SelectCandidates (int8
+// GEMM scoring, counting Top-k) against the hardware-model path it replaced
+// (per-pair LUT Dot, StreamingTopK) at MRPC/SQuAD head shapes, and fail the
+// run unless candidates, scores and sorter cycles match exactly.
 
 #include <algorithm>
 #include <chrono>
@@ -228,6 +231,85 @@ Int8Result BenchInt8(const std::string& label, std::size_t m, std::size_t k,
   return r;
 }
 
+struct AtSelResult {
+  std::string label;
+  std::size_t n = 0, d = 0, top_k = 0;
+  int bits = 0;
+  double reference_us = 0;
+  double select_us = 0;
+  double speedup = 0;
+  bool bit_exact = false;
+};
+
+// SelectCandidates as the hardware model computes it: quantize, one LUT
+// Dot per (query, key) pair, and the streaming sorter fed key by key.
+SelectionResult ReferenceSelect(const MatrixF& q, const MatrixF& k,
+                                const SelectorConfig& cfg) {
+  const QuantizedMatrix qq = Quantize(q, cfg.bits);
+  const QuantizedMatrix qk = Quantize(k, cfg.bits);
+  static const LutMultiplier lut;
+  SelectionResult res;
+  res.lut_multiplies = q.rows() * k.rows() * q.cols();
+  StreamingTopK sorter(cfg.top_k);
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    sorter.Reset();
+    for (std::size_t j = 0; j < k.rows(); ++j) {
+      sorter.Push(lut.Dot(qq.codes.row(i), qk.codes.row(j)),
+                  static_cast<std::uint32_t>(j));
+    }
+    res.sorter_cycles += sorter.cycles();
+    res.candidates.emplace_back();
+    res.approx_scores.emplace_back();
+    for (const ScoredIndex& si : sorter.Result()) {
+      res.candidates.back().push_back(si.index);
+      res.approx_scores.back().push_back(si.score);
+    }
+  }
+  return res;
+}
+
+AtSelResult BenchAtSel(std::size_t n, std::size_t d, std::size_t top_k,
+                       int bits, Rng& rng) {
+  const auto q = rng.NormalMatrix(n, d, 0.0, 1.0);
+  const auto k = rng.NormalMatrix(n, d, 0.0, 1.0);
+  SelectorConfig cfg;
+  cfg.top_k = top_k;
+  cfg.bits = bits;
+
+  SelectionResult ref, got;
+  auto time_once = [](auto&& fn) {
+    const auto t0 = Clock::now();
+    fn();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  auto reference = [&] { ref = ReferenceSelect(q, k, cfg); };
+  auto select = [&] { got = SelectCandidates(q, k, cfg); };
+  // Interleaved best-of rounds, as for the int8 cells.
+  reference();
+  select();
+  double reference_s = std::numeric_limits<double>::infinity();
+  double select_s = reference_s;
+  for (int round = 0; round < 15; ++round) {
+    reference_s = std::min(reference_s, time_once(reference));
+    select_s = std::min(select_s, time_once(select));
+  }
+
+  AtSelResult r;
+  r.label = "atsel_seq" + std::to_string(n) + "_b" + std::to_string(bits);
+  r.n = n;
+  r.d = d;
+  r.top_k = top_k;
+  r.bits = bits;
+  r.reference_us = reference_s * 1e6;
+  r.select_us = select_s * 1e6;
+  r.speedup = reference_s / select_s;
+  r.bit_exact = got.candidates == ref.candidates &&
+                got.approx_scores == ref.approx_scores &&
+                got.sorter_cycles == ref.sorter_cycles &&
+                got.lut_multiplies == ref.lut_multiplies;
+  return r;
+}
+
 }  // namespace
 }  // namespace latte
 
@@ -286,6 +368,35 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // At-Sel candidate pre-selection for one BERT-base head (d = 64, the
+  // paper's k = 30) at MRPC- and SQuAD-like lengths, 1- and 4-bit codes.
+  std::vector<AtSelResult> atsel;
+  for (const std::size_t n : {128, 384}) {
+    for (const int bits : {1, 4}) {
+      atsel.push_back(BenchAtSel(n, 64, 30, bits, rng));
+    }
+  }
+  std::printf("\n== At-Sel us/head, SelectCandidates vs LUT Dot + "
+              "StreamingTopK ==\n");
+  double atsel_min_speedup = 0;
+  bool atsel_exact = true;
+  for (const auto& r : atsel) {
+    std::printf("  %-18s %4zux%3zu k=%zu  reference %9.1f  select %8.1f  "
+                "%5.2fx%s\n",
+                r.label.c_str(), r.n, r.d, r.top_k, r.reference_us,
+                r.select_us, r.speedup, r.bit_exact ? "" : "  BIT MISMATCH");
+    atsel_min_speedup = atsel_min_speedup == 0
+                            ? r.speedup
+                            : std::min(atsel_min_speedup, r.speedup);
+    atsel_exact = atsel_exact && r.bit_exact;
+  }
+  std::printf("  At-Sel min speedup %.2fx\n", atsel_min_speedup);
+  if (!atsel_exact) {
+    std::fprintf(stderr, "bench_kernels: SelectCandidates differs from the "
+                         "LUT + streaming-sorter reference\n");
+    return 1;
+  }
+
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("kernels");
@@ -325,6 +436,23 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.Key("int8_min_speedup").Value(int8_min_speedup);
+  json.Key("atsel_shapes");
+  json.BeginArray();
+  for (const auto& r : atsel) {
+    json.BeginObject();
+    json.Key("label").Value(r.label);
+    json.Key("n").Value(r.n);
+    json.Key("d").Value(r.d);
+    json.Key("top_k").Value(r.top_k);
+    json.Key("bits").Value(static_cast<std::size_t>(r.bits));
+    json.Key("reference_us").Value(r.reference_us);
+    json.Key("select_us").Value(r.select_us);
+    json.Key("speedup").Value(r.speedup);
+    json.Key("bit_exact").Value(r.bit_exact);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("atsel_min_speedup").Value(atsel_min_speedup);
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

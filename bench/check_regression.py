@@ -228,8 +228,20 @@ BENCHES = [
         ("int8_shapes[].packed_gops", NUM),
         ("int8_shapes[].speedup", NUM),
         ("int8_min_speedup", NUM),
+        ("atsel_shapes", length(4)),
+        ("atsel_shapes[].label", STR),
+        ("atsel_shapes[].n", ge(1)),
+        ("atsel_shapes[].d", ge(1)),
+        ("atsel_shapes[].top_k", ge(1)),
+        ("atsel_shapes[].bits", ge(1)),
+        ("atsel_shapes[].reference_us", NUM),
+        ("atsel_shapes[].select_us", NUM),
+        ("atsel_shapes[].speedup", NUM),
+        ("atsel_shapes[].bit_exact", TRUE),
+        ("atsel_min_speedup", NUM),
     ], rows=[
-        ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup"),
+        ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup",
+         "atsel_min_speedup"),
         Cells("shapes", ("label",), "{}", missing="shape {}", rows=[
             ("info-higher", "speedup", "tiled_gflops"),
         ]),
@@ -238,6 +250,10 @@ BENCHES = [
               rows=[
                   ("info-higher", "speedup", "packed_gops"),
               ]),
+        Cells("atsel_shapes", ("label",), "{}", missing="shape {}", rows=[
+            ("info-higher", "speedup"),
+            ("info-lower", "select_us"),
+        ]),
     ]),
     Bench("BENCH_runtime.json", "runtime", schema=[
         ("bench", eq("runtime")),

@@ -101,6 +101,17 @@ class CheckRegressionTest(unittest.TestCase):
         self.mutate("BENCH_kernels.json", edit)
         self.assertFailRow(self.gate(), "kernels", "min_speedup")
 
+    def test_atsel_mismatch_and_slowdown_fail(self):
+        def edit(doc):
+            doc["atsel_shapes"][1]["bit_exact"] = False
+            doc["atsel_min_speedup"] *= 0.7
+
+        self.mutate("BENCH_kernels.json", edit)
+        result = self.gate()
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".atsel_shapes[1].bit_exact", "== true")
+        self.assertFailRow(result, "kernels", "atsel_min_speedup")
+
     def test_headline_flip_fails(self):
         def edit(doc):
             doc["bucketed_beats_round_robin"] = False

@@ -23,7 +23,7 @@ ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
   const QuantizedMatrix qq = Quantize(q, cfg.bits);
   const QuantizedMatrix qk = Quantize(k, cfg.bits);
 
-  // Step 3: approximate scores via LUT multiplication only.
+  // Step 3: approximate scores, the integers the product LUT would form.
   static const LutMultiplier lut;  // immutable table, shared
   ApproxScores out;
   out.scores = lut.ScoreMatrix(qq, qk);
@@ -46,22 +46,51 @@ SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
   res.candidates.reserve(q.rows());
   res.approx_scores.reserve(q.rows());
 
-  // Step 4: streaming Top-k per query row over the valid keys.
-  StreamingTopK sorter(cfg.top_k);
+  // Step 4: per query row, the Top-k over the valid keys, in the streaming
+  // sorter's order (score descending, ties toward the smaller index) and at
+  // its cost (one cycle per streamed key).  The functional twin picks them
+  // by counting: bin b holds the keys scoring hi - b, an exclusive prefix
+  // sum over the bins gives each bin's first output slot, and one pass in
+  // key order fills the slots, so equal scores keep index order.  The codes
+  // bound every score's magnitude by MaxCode^2 * d, so a row spans at most
+  // 2 * MaxCode^2 * d + 1 bins.
+  const std::int64_t max_code = MaxCode(cfg.bits);
+  const auto max_range = static_cast<std::size_t>(
+      2 * max_code * max_code * static_cast<std::int64_t>(q.cols()));
+  std::vector<std::uint32_t> bins;  // reused across rows
   for (std::size_t i = 0; i < approx.scores.rows(); ++i) {
-    sorter.Reset();
-    auto row = approx.scores.row(i);
-    for (std::size_t j = 0; j < approx.valid; ++j) {
-      sorter.Push(row[j], static_cast<std::uint32_t>(j));
-    }
-    res.sorter_cycles += sorter.cycles();
-    std::vector<std::uint32_t> idx;
-    std::vector<std::int32_t> val;
-    idx.reserve(sorter.Result().size());
-    val.reserve(sorter.Result().size());
-    for (const auto& si : sorter.Result()) {
-      idx.push_back(si.index);
-      val.push_back(si.score);
+    const auto row = approx.scores.row(i).first(approx.valid);
+    res.sorter_cycles += row.size();
+    const std::size_t kk = std::min(cfg.top_k, row.size());
+    std::vector<std::uint32_t> idx(kk);
+    std::vector<std::int32_t> val(kk);
+    if (kk > 0) {
+      const auto [min_it, max_it] = std::minmax_element(row.begin(), row.end());
+      const std::int32_t hi = *max_it;
+      const auto range =
+          static_cast<std::size_t>(static_cast<std::int64_t>(hi) - *min_it);
+      if (range > max_range) {
+        throw std::logic_error(
+            "At-Sel: approximate scores span more than the quantized codes "
+            "allow");
+      }
+      bins.assign(range + 1, 0);
+      for (const std::int32_t s : row) ++bins[hi - s];
+      // Exclusive prefix sum up to the bin that holds the k-th key.
+      std::size_t cut = 0;
+      for (std::uint32_t seen = 0;; ++cut) {
+        const std::uint32_t count = bins[cut];
+        bins[cut] = seen;
+        seen += count;
+        if (seen >= kk) break;
+      }
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        const std::size_t b = static_cast<std::size_t>(hi - row[j]);
+        if (b <= cut && bins[b] < kk) {
+          idx[bins[b]] = static_cast<std::uint32_t>(j);
+          val[bins[b]++] = row[j];
+        }
+      }
     }
     res.candidates.push_back(std::move(idx));
     res.approx_scores.push_back(std::move(val));

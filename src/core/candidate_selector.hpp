@@ -2,10 +2,18 @@
 // Attention candidate pre-selection ("At-Sel", Stage 1 of Fig 2(a)).
 //
 // Implements steps 2-4 of Fig 3: quantize Q and K to ultra-low precision,
-// form the approximate score matrix Q'.K'^T with the 256-entry product LUT,
-// and run the streaming Top-k sorter per query row.  Because quantization is
-// monotone, the approximate scores preserve the rank of the exact scores
-// well enough that the true dominant keys survive selection.
+// form the approximate score matrix Q'.K'^T, and keep the Top-k keys per
+// query row.  Because quantization is monotone, the approximate scores
+// preserve the rank of the exact scores well enough that the true dominant
+// keys survive selection.
+//
+// The hardware forms the scores with the 256-entry product LUT
+// (tensor/lut_multiply) and ranks them in the II=1 streaming sorter
+// (core/topk, core/merge_sorter); AtSelUnit models that structure cycle by
+// cycle.  SelectCandidates is the functional twin: the same integer scores
+// on the exact int8 GEMM, and a counting select over the bounded score range
+// (step 4) that returns exactly the sorter's candidates in the sorter's
+// order, ties included, and charges the sorter's cycles.
 
 #include <cstdint>
 
@@ -46,14 +54,16 @@ struct ApproxScores {
 
 /// The At-Sel front end shared by SelectCandidates and the structural
 /// AtSelUnit: validates `cfg`, quantizes Q and K to `cfg.bits`, scores
-/// every (query, key) pair through the product LUT, and bounds the keys by
-/// `cfg.valid_len`.
+/// every (query, key) pair (LutMultiplier::ScoreMatrix), and bounds the
+/// keys by `cfg.valid_len`.
 ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
                               const SelectorConfig& cfg);
 
 /// Runs quantized candidate pre-selection for one head.
 /// q and k are full-precision (n_q x d) and (n_k x d).
-/// Each row receives min(top_k, n_k) candidates.
+/// Each row receives min(top_k, valid keys) candidates, identical to a
+/// StreamingTopK fed the row's valid keys in index order, and
+/// sorter_cycles counts one cycle per valid key per row.
 SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
                                  const SelectorConfig& cfg);
 

@@ -6,6 +6,10 @@
 //   1. quantize Q, K to 1- or 4-bit codes              (Stage 1, At-Sel)
 //   2. approximate scores Q'.K'^T via product LUT      (Stage 1, At-Sel)
 //   3. streaming Top-k per query row                   (Stage 1, At-Sel)
+//      (steps 2-3 are the hardware model; the functional twin computes the
+//      same scores on the exact int8 GEMM and the same Top-k, ties and
+//      sorter cycles included, by a counting select -- see
+//      core/candidate_selector.hpp)
 //   4. gather Ks/Vs candidates                         (Stage 2.1, load)
 //   5. fused exact score + scale + mask + exp          (Stage 2.2, Fig 4)
 //   6. Z = S.V / sum(S)                                (Stage 2.3)

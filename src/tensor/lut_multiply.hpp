@@ -2,11 +2,12 @@
 // Look-up-table integer multiplication (Section 3.2 / Stage 1 "At-Sel").
 //
 // On the FPGA the quantized Q'.K'^T pre-selection scores are produced without
-// DSPs: two 4-bit codes index a 256-entry product table held in LUTs.  We
-// model the exact same structure so that (a) the functional result is
-// bit-identical to integer multiply-accumulate -- asserted by tests -- and
-// (b) the resource model can charge LUTs instead of DSPs for Stage 1's
-// pre-selection arithmetic.
+// DSPs: two 4-bit codes index a 256-entry product table held in LUTs.  Mul
+// and Dot model that structure, so the resource model can charge LUTs
+// instead of DSPs for Stage 1's pre-selection arithmetic and tests can check
+// the table against integer multiply-accumulate.  The functional twin's
+// ScoreMatrix computes the same integers on the CPU's exact int8 GEMM: every
+// score equals the per-pair Dot bit for bit.
 
 #include <array>
 #include <cstdint>
@@ -32,8 +33,12 @@ class LutMultiplier {
   std::int32_t Dot(std::span<const std::int8_t> a,
                    std::span<const std::int8_t> b) const;
 
-  /// Approximate score matrix S' = Q' * K'^T using only LUT lookups.
-  /// q.codes is (n x d), k.codes is (m x d); the result is (n x m).
+  /// Approximate score matrix S' = Q' * K'^T; entry (i, j) equals
+  /// Dot(q row i, k row j).  q.codes is (n x d), k.codes is (m x d); the
+  /// result is (n x m).  Runs on the exact int8 GEMM (tensor/kernels), not
+  /// the table.  Throws std::invalid_argument when either operand is not
+  /// 1- or 4-bit (wider codes fall outside the table's range) or when the
+  /// column counts differ.
   MatrixI32 ScoreMatrix(const QuantizedMatrix& q,
                         const QuantizedMatrix& k) const;
 

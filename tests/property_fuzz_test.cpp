@@ -6,6 +6,7 @@
 
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "latte/latte.hpp"
 
@@ -85,11 +86,123 @@ TEST_P(SeedSweep, ThreeTopKImplementationsAgree) {
   }
   const auto behavioural = TopK(row, k);
   const auto systolic = SystolicTopK(row, k);
+  StreamingTopK streaming(k);
+  for (std::size_t j = 0; j < n; ++j) {
+    streaming.Push(row[j], static_cast<std::uint32_t>(j));
+  }
+  EXPECT_EQ(streaming.pushed(), n);
+  EXPECT_EQ(streaming.cycles(), streaming.pushed());
+  const auto& pushed = streaming.Result();
   ASSERT_EQ(behavioural.size(), systolic.size());
+  ASSERT_EQ(behavioural.size(), pushed.size());
   for (std::size_t i = 0; i < behavioural.size(); ++i) {
     EXPECT_EQ(behavioural[i].score, systolic[i].score);
     EXPECT_EQ(behavioural[i].index, systolic[i].index);
+    EXPECT_EQ(behavioural[i].score, pushed[i].score);
+    EXPECT_EQ(behavioural[i].index, pushed[i].index);
   }
+}
+
+// The oracle SelectCandidates must reproduce: per-pair LUT dot products of
+// the quantized codes, streamed row by row through the II=1 sorter model.
+SelectionResult StreamingSelection(const MatrixF& q, const MatrixF& k,
+                                   const SelectorConfig& cfg) {
+  const QuantizedMatrix qq = Quantize(q, cfg.bits);
+  const QuantizedMatrix qk = Quantize(k, cfg.bits);
+  const std::size_t valid =
+      cfg.valid_len == 0 ? k.rows() : std::min(cfg.valid_len, k.rows());
+  const LutMultiplier lut;
+  SelectionResult ref;
+  StreamingTopK sorter(cfg.top_k);
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    sorter.Reset();
+    for (std::size_t j = 0; j < valid; ++j) {
+      sorter.Push(lut.Dot(qq.codes.row(i), qk.codes.row(j)),
+                  static_cast<std::uint32_t>(j));
+    }
+    EXPECT_EQ(sorter.cycles(), sorter.pushed());
+    ref.sorter_cycles += sorter.cycles();
+    ref.candidates.emplace_back();
+    ref.approx_scores.emplace_back();
+    for (const ScoredIndex& si : sorter.Result()) {
+      ref.candidates.back().push_back(si.index);
+      ref.approx_scores.back().push_back(si.score);
+    }
+  }
+  return ref;
+}
+
+TEST_P(SeedSweep, SelectCandidatesMatchesStreamingSorter) {
+  // d and the valid_len mode below are indexed by seed + bits, so seeds
+  // 1..12 run every (bits, d, valid_len mode) combination once.
+  Rng rng(GetParam() * 29 + 11);
+  const std::size_t dims[] = {1, 17, 64, 65};
+  for (const int bits : {1, 4}) {
+    const std::size_t n_q = 1 + rng.NextIndex(400);
+    std::size_t n_k = 1 + rng.NextIndex(400);
+    if (n_k == n_q) n_k = n_q % 400 + 1;
+    const std::size_t d = dims[(GetParam() + bits) % 4];
+    SelectorConfig cfg;
+    cfg.bits = bits;
+    cfg.top_k = 1 + rng.NextIndex(64);
+    // valid_len cycles through all keys (0), a prefix that is often
+    // shorter than top_k, and a length past the block.
+    switch ((GetParam() + bits) % 3) {
+      case 1:
+        if (n_k > 1) {
+          cfg.valid_len =
+              1 + rng.NextIndex(std::min(n_k - 1, 2 * cfg.top_k));
+        }
+        break;
+      case 2:
+        cfg.valid_len = n_k + 1 + rng.NextIndex(50);
+        break;
+      default:
+        break;
+    }
+    const auto q = rng.NormalMatrix(n_q, d, 0.0, 1.0);
+    const auto k = rng.NormalMatrix(n_k, d, 0.0, 1.0);
+    const auto got = SelectCandidates(q, k, cfg);
+    const auto want = StreamingSelection(q, k, cfg);
+    SCOPED_TRACE(testing::Message()
+                 << "bits=" << bits << " n_q=" << n_q << " n_k=" << n_k
+                 << " d=" << d << " top_k=" << cfg.top_k
+                 << " valid_len=" << cfg.valid_len);
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.approx_scores, want.approx_scores);
+    EXPECT_EQ(got.sorter_cycles, want.sorter_cycles);
+  }
+}
+
+TEST(SelectCandidatesShapes, EmptyShapesMatchStreamingSorter) {
+  SelectorConfig cfg;
+  cfg.top_k = 3;
+  const std::pair<MatrixF, MatrixF> shapes[] = {
+      {MatrixF(0, 8), MatrixF(5, 8)},   // no query rows
+      {MatrixF(4, 8), MatrixF(0, 8)},   // no keys
+      {MatrixF(4, 0), MatrixF(6, 0)}};  // zero head dim
+  std::vector<SelectionResult> got;
+  for (const auto& [q, k] : shapes) {
+    got.push_back(SelectCandidates(q, k, cfg));
+    const auto want = StreamingSelection(q, k, cfg);
+    EXPECT_EQ(got.back().candidates, want.candidates);
+    EXPECT_EQ(got.back().approx_scores, want.approx_scores);
+    EXPECT_EQ(got.back().sorter_cycles, want.sorter_cycles);
+  }
+  // No query rows: no candidate lists.
+  EXPECT_TRUE(got[0].candidates.empty());
+  EXPECT_EQ(got[0].sorter_cycles, 0u);
+  // No keys: one empty list per query row.
+  ASSERT_EQ(got[1].candidates.size(), 4u);
+  for (const auto& c : got[1].candidates) EXPECT_TRUE(c.empty());
+  EXPECT_EQ(got[1].sorter_cycles, 0u);
+  // Zero head dim: every score is 0, so the first top_k keys win.
+  ASSERT_EQ(got[2].candidates.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(got[2].candidates[i], (std::vector<std::uint32_t>{0, 1, 2}));
+    EXPECT_EQ(got[2].approx_scores[i], (std::vector<std::int32_t>{0, 0, 0}));
+  }
+  EXPECT_EQ(got[2].sorter_cycles, 24u);
 }
 
 // ----------------------------------------------------------- pipeline ----

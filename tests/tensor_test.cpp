@@ -8,6 +8,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "tensor/lut_multiply.hpp"
 #include "tensor/matmul.hpp"
@@ -276,6 +277,38 @@ TEST(LutMultiplierTest, ScoreMatrixMatchesQuantizedGemm) {
       }
       EXPECT_EQ(s(i, j), ref);
     }
+  }
+}
+
+TEST(LutMultiplierTest, ScoreMatrixRejectsCodesWiderThanTheTable) {
+  // 8-bit codes reach +-127, far outside the table's [-8, 7] index range.
+  Rng rng(23);
+  const auto q8 = Quantize(rng.NormalMatrix(2, 4, 0.0, 1.0), 8);
+  const auto k4 = Quantize(rng.NormalMatrix(2, 4, 0.0, 1.0), 4);
+  LutMultiplier lut;
+  for (const auto& [a, b] : {std::pair{&q8, &k4}, std::pair{&k4, &q8}}) {
+    try {
+      lut.ScoreMatrix(*a, *b);
+      ADD_FAILURE() << "8-bit codes were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got 8-bit"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(LutMultiplierTest, ScoreMatrixRejectsHeadDimMismatch) {
+  Rng rng(22);
+  const auto q = Quantize(rng.NormalMatrix(2, 4, 0.0, 1.0), 4);
+  const auto k = Quantize(rng.NormalMatrix(3, 5, 0.0, 1.0), 4);
+  LutMultiplier lut;
+  try {
+    lut.ScoreMatrix(q, k);
+    ADD_FAILURE() << "4- and 5-column codes were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("head dim mismatch"),
+              std::string::npos)
+        << e.what();
   }
 }
 
