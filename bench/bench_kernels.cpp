@@ -6,11 +6,13 @@
 // the dimensionless speedups are what the gate compares against
 // bench/baselines/, since absolute GFLOP/s move with the host.  The int8
 // cells time the packed K-pair Int8GemmInto against the 4-row int32 loop it
-// replaced on the projection and FFN shapes, and fail the run on any bit
-// mismatch between the two.  The At-Sel cells time SelectCandidates (int8
-// GEMM scoring, counting Top-k) against the hardware-model path it replaced
-// (per-pair LUT Dot, StreamingTopK) at MRPC/SQuAD head shapes, and fail the
-// run unless candidates, scores and sorter cycles match exactly.
+// replaced on the projection and FFN shapes, time every micro-kernel
+// variant this host supports (Int8GemmIsas) as info, and fail the run on
+// any bit mismatch between a variant and the loop.  The At-Sel cells time
+// SelectCandidates (int8 GEMM scoring, counting Top-k) against the
+// hardware-model path it replaced (per-pair LUT Dot, StreamingTopK) at
+// MRPC/SQuAD head shapes, and fail the run unless candidates, scores and
+// sorter cycles match exactly.
 
 #include <algorithm>
 #include <chrono>
@@ -169,13 +171,21 @@ ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
   return r;
 }
 
+// One int8 micro-kernel variant forced through Int8GemmIntoIsa.
+struct Int8IsaResult {
+  std::string isa;
+  double gops = 0;
+  bool bit_exact = false;
+};
+
 struct Int8Result {
   std::string label;
   std::size_t m = 0, k = 0, n = 0;
   double scalar_gops = 0;
-  double packed_gops = 0;
+  double packed_gops = 0;  // the dispatched variant, via Int8GemmInto
   double speedup = 0;
-  bool bit_exact = false;
+  bool bit_exact = false;  // every variant, the dispatched one included
+  std::vector<Int8IsaResult> isas;
 };
 
 MatrixI8 RandomCodes(std::size_t rows, std::size_t cols, Rng& rng) {
@@ -228,6 +238,22 @@ Int8Result BenchInt8(const std::string& label, std::size_t m, std::size_t k,
   r.packed_gops = ops / packed_s * 1e-9;
   r.speedup = scalar_s / packed_s;
   r.bit_exact = out == ref;
+
+  // Every variant this host supports, best of a few rounds each: info
+  // only, but each must match the scalar loop bit for bit.
+  for (const char* isa : Int8GemmIsas()) {
+    auto forced = [&] {
+      Int8GemmIntoIsa(isa, x, w, out, scratch);
+      g_sink = g_sink + static_cast<float>(out(0, 0));
+    };
+    forced();
+    double forced_s = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 5; ++round) {
+      forced_s = std::min(forced_s, time_once(forced));
+    }
+    r.isas.push_back({isa, ops / forced_s * 1e-9, out == ref});
+    r.bit_exact = r.bit_exact && r.isas.back().bit_exact;
+  }
   return r;
 }
 
@@ -348,7 +374,8 @@ int main(int argc, char** argv) {
   int8.push_back(BenchInt8("qkv_proj_seq64", 64, 768, 768, rng));
   int8.push_back(BenchInt8("ffn1_seq128", 128, 768, 3072, rng));
   int8.push_back(BenchInt8("ffn2_seq128", 128, 3072, 768, rng));
-  std::printf("\n== int8 GEMM GOP/s, packed K-pair vs 4-row loop ==\n");
+  std::printf("\n== int8 GEMM GOP/s, packed K-pair (%s) vs 4-row loop ==\n",
+              KernelArchName());
   double int8_min_speedup = 0;
   bool int8_exact = true;
   for (const auto& r : int8) {
@@ -356,6 +383,12 @@ int main(int argc, char** argv) {
         "  %-18s %4zux%4zux%4zu  scalar %7.2f  packed %7.2f  %5.2fx%s\n",
         r.label.c_str(), r.m, r.k, r.n, r.scalar_gops, r.packed_gops,
         r.speedup, r.bit_exact ? "" : "  BIT MISMATCH");
+    std::printf("  %18s", "");
+    for (const auto& v : r.isas) {
+      std::printf("  %s %.2f%s", v.isa.c_str(), v.gops,
+                  v.bit_exact ? "" : " MISMATCH");
+    }
+    std::printf("\n");
     int8_min_speedup = int8_min_speedup == 0
                            ? r.speedup
                            : std::min(int8_min_speedup, r.speedup);
@@ -363,8 +396,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  int8 min speedup %.2fx\n", int8_min_speedup);
   if (!int8_exact) {
-    std::fprintf(stderr, "bench_kernels: packed int8 GEMM differs from the "
-                         "scalar reference\n");
+    std::fprintf(stderr, "bench_kernels: an int8 GEMM variant differs from "
+                         "the scalar reference\n");
     return 1;
   }
 
@@ -432,6 +465,16 @@ int main(int argc, char** argv) {
     json.Key("scalar_gops").Value(r.scalar_gops);
     json.Key("packed_gops").Value(r.packed_gops);
     json.Key("speedup").Value(r.speedup);
+    json.Key("isas");
+    json.BeginArray();
+    for (const auto& v : r.isas) {
+      json.BeginObject();
+      json.Key("isa").Value(v.isa);
+      json.Key("gops").Value(v.gops);
+      json.Key("bit_exact").Value(v.bit_exact);
+      json.EndObject();
+    }
+    json.EndArray();
     json.EndObject();
   }
   json.EndArray();

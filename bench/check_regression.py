@@ -28,7 +28,9 @@ adding a bench means adding one entry.  An entry holds
     ``baseline * (1 - tolerance)`` -- improvements never fail;
   - ``info-higher`` / ``info-lower``: absolute measurements (GFLOP/s,
     milliseconds, tokens/s) and thread-scaling factors, which vary with
-    the host that recorded the baseline: reported, never enforced.
+    the host that recorded the baseline: reported, never enforced;
+  - ``info``: host facts with no direction, such as the dispatched int8
+    kernel ISA in the ``host`` stamp: reported, never enforced.
 
   A baseline cell with no current match, or a current cell the baseline
   lacks, is a FAIL row naming the cell.
@@ -240,6 +242,10 @@ BENCHES = [
         ("atsel_shapes[].bit_exact", TRUE),
         ("atsel_min_speedup", NUM),
     ], rows=[
+        # The int8 kernel ISA is picked at run time, so a baseline recorded
+        # on another host may name another one: shown next to the ratios
+        # it explains, not gated.
+        ("info", ("kernel_arch", "host.kernel_arch")),
         ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup",
          "atsel_min_speedup"),
         Cells("shapes", ("label",), "{}", missing="shape {}", rows=[
@@ -640,7 +646,8 @@ class Gate:
         return (cur - base) / abs(base)
 
     def check(self, bench, metric, base, cur, mode):
-        """mode: 'higher' | 'lower' | 'exact' | 'info-higher' | 'info-lower'"""
+        """mode: 'higher' | 'lower' | 'exact' | 'info' | 'info-higher' |
+        'info-lower'"""
         if base is MISSING or cur is MISSING:
             status = FAIL
         elif mode.startswith("info"):

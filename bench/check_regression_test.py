@@ -112,6 +112,15 @@ class CheckRegressionTest(unittest.TestCase):
                              ".atsel_shapes[1].bit_exact", "== true")
         self.assertFailRow(result, "kernels", "atsel_min_speedup")
 
+    def test_kernel_isa_stamp_is_reported_not_gated(self):
+        self.mutate("BENCH_kernels.json",
+                    lambda d: d["host"].update(kernel_arch="avx512vnni"))
+        result = self.gate()
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        rows = [line.split() for line in result.stdout.splitlines()]
+        self.assertIn(["kernels", "kernel_arch", "portable", "avx512vnni",
+                       "info", "info"], rows)
+
     def test_headline_flip_fails(self):
         def edit(doc):
             doc["bucketed_beats_round_robin"] = False

@@ -4,29 +4,25 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
-#if defined(__SSE2__)
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
 namespace latte {
 namespace {
 
-// Register-tile geometry.  With AVX2+FMA the micro-kernel holds an MR x NR
-// tile as MR x 2 ymm accumulators (12 of the 16 ymm registers), leaving
-// room for the two B loads and the A broadcast.  The portable kernel keeps
-// a 4 x 8 tile in eight named 128-bit vectors (GNU vector extensions, so
-// they are register-allocated on any ISA gcc/clang target); other
-// compilers fall back to a plain scalar tile.
-#if defined(__AVX2__) && defined(__FMA__)
-constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = 16;
-#else
+// Register-tile geometry: the portable kernel keeps a 4 x 8 tile in eight
+// named 128-bit vectors (GNU vector extensions, so they are
+// register-allocated on any ISA gcc/clang target); other compilers fall
+// back to a plain scalar tile.  The float GEMM has no wider variant: an
+// FMA micro-kernel would round differently from this one.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 8;
-#endif
 
-// K-tile: one packed B panel is kKc x kNr floats (16 KiB at kNr = 16),
+// K-tile: one packed B panel is kKc x kNr floats (8 KiB),
 // L1-resident across the whole row sweep of an M-block.  M-block: the A
 // rows touched per panel sweep (kMc x kKc floats = 128 KiB), L2-resident.
 constexpr std::size_t kKc = 256;
@@ -78,48 +74,7 @@ void PackBT(const MatrixF& b, std::size_t pc, std::size_t kc, float* dst) {
   }
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
-
-// Full MR x NR micro-kernel, AVX2+FMA: 12 ymm accumulators, two B loads
-// and one A broadcast per reduction step.
-void MicroKernelFull(std::size_t kc, const float* a, std::size_t lda,
-                     const float* bp, float* c, std::size_t ldc,
-                     std::size_t nr) {
-  __m256 acc[kMr][2];
-  for (std::size_t i = 0; i < kMr; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const __m256 ai = _mm256_broadcast_ss(a + i * lda + p);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
-    }
-  }
-  if (nr == kNr) {
-    for (std::size_t i = 0; i < kMr; ++i) {
-      float* ci = c + i * ldc;
-      _mm256_storeu_ps(ci, _mm256_add_ps(_mm256_loadu_ps(ci), acc[i][0]));
-      _mm256_storeu_ps(ci + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(ci + 8), acc[i][1]));
-    }
-  } else {
-    alignas(32) float tile[kMr][kNr];
-    for (std::size_t i = 0; i < kMr; ++i) {
-      _mm256_store_ps(tile[i], acc[i][0]);
-      _mm256_store_ps(tile[i] + 8, acc[i][1]);
-    }
-    for (std::size_t i = 0; i < kMr; ++i) {
-      float* ci = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) ci[j] += tile[i][j];
-    }
-  }
-}
-
-#elif defined(__GNUC__) || defined(__clang__)
+#if defined(__GNUC__) || defined(__clang__)
 
 // Full 4 x 8 micro-kernel on GNU vector extensions: eight named 128-bit
 // accumulators stay in registers across the whole reduction (a 2D local
@@ -245,19 +200,27 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
 
 // ------------------------------------------------------------ int8 GEMM --
 //
-// Packed K-pair layout.  A 16-bit multiply-add (pmaddwd) multiplies eight
-// int16 lanes pairwise and sums adjacent products into four int32 lanes,
-// so one reduction step consumes two K rows: W is packed as int16 pairs
+// Packed K-pair layout.  A 16-bit multiply-add (pmaddwd) multiplies int16
+// lanes pairwise and sums adjacent products into int32 lanes, so one
+// reduction step consumes two K rows: W is packed as int16 pairs
 // {w(p, j), w(p+1, j)}, column by column, and the activation pair
 // {x(i, p), x(i, p+1)} is one int32 broadcast to every lane.  A pair sum
 // of int8 products is at most 2 * 128^2 = 32768, far inside an int32
 // lane, and int32 addition is associative, so every output is exact.
+//
+// Several micro-kernels run this one layout (kInt8Variants below), and the
+// widest one the CPU supports is chosen once, at run time.  They all
+// compute the same integers, so the choice changes speed, never bits.
 
-// Register tile kMr8 x kNr8; kLanes8 copies of each activation pair in the
-// pack, so the vector kernel loads a pre-broadcast pair.
+// Register tile rows, and panel width: one panel row (8 columns x 2 int16)
+// is one 128-bit load pair or exactly one 256-bit load.
 constexpr std::size_t kMr8 = 4;
 constexpr std::size_t kNr8 = 8;
-constexpr std::size_t kLanes8 = 4;
+
+// The 128-bit kernels load each activation pair pre-broadcast to four
+// lanes (SSE2 has no broadcast load); the 256-bit ones broadcast it from
+// a single packed copy.
+constexpr std::size_t kLanes128 = 4;
 
 // K-tile: 128 rows of W pack to 128 * m int16 (0.75 MiB at m = 3072),
 // which keeps the pack scratch at or under 1 MiB for BERT-base's FFN width.
@@ -293,17 +256,24 @@ inline void PackPairs8(const std::int8_t* r0, const std::int8_t* r1,
 #endif
 }
 
+// Column panels of a packed K-tile: m rounded up to whole groups of `np`
+// panels, so a kernel that takes np panels per step never branches on a
+// short last group.
+inline std::size_t PaddedPanels(std::size_t m, std::size_t np) {
+  return (m + np * kNr8 - 1) / (np * kNr8) * np;
+}
+
 // Packs K rows [pc, pc + kc) of w into kNr8-wide column panels of K-pairs:
 // panel jp, pair kp holds {w(pc+2kp, j), w(pc+2kp+1, j)} for the panel's
 // columns j at dst[jp * panel + kp * 2kNr8 + 2(j - jp * kNr8) + {0, 1}].
-// Columns past m and the pair partner past an odd kc are zero, and zeros
-// add nothing to the accumulators.
-void PackW(const MatrixI8& w, std::size_t pc, std::size_t kc,
+// Columns past m, up to a whole group of np panels, and the pair partner
+// past an odd kc are zero, and zeros add nothing to the accumulators.
+void PackW(const MatrixI8& w, std::size_t pc, std::size_t kc, std::size_t np,
            std::int16_t* dst) {
   const std::size_t m = w.cols();
   const std::size_t kc2 = (kc + 1) / 2;
   const std::size_t panel = kc2 * 2 * kNr8;
-  const std::size_t padded = (m + kNr8 - 1) / kNr8 * kNr8;
+  const std::size_t padded = PaddedPanels(m, np) * kNr8;
   const std::size_t full = m / 8 * 8;
   auto at = [&](std::size_t kp, std::size_t j) {
     return dst + j / kNr8 * panel + kp * 2 * kNr8 + j % kNr8 * 2;
@@ -325,14 +295,14 @@ void PackW(const MatrixI8& w, std::size_t pc, std::size_t kc,
 
 // Packs the activation pairs of row tile [i0, i0 + mr) over K window
 // [pc, pc + kc) p-major, kMr8 rows per pair step and each pair repeated
-// kLanes8 times, zero-padding rows past mr and the pair partner past an odd
-// kc -- so the micro-kernel always runs a full kMr8-row tile.
+// `lanes` times, zero-padding rows past mr and the pair partner past an
+// odd kc -- so the micro-kernel always runs a full kMr8-row tile.
 void PackX(const MatrixI8& x, std::size_t i0, std::size_t mr, std::size_t pc,
-           std::size_t kc, std::int32_t* dst) {
+           std::size_t kc, std::size_t lanes, std::int32_t* dst) {
   const std::size_t kc2 = (kc + 1) / 2;
-  auto put = [dst](std::size_t kp, std::size_t i, std::int32_t pair) {
-    std::int32_t* d = dst + (kp * kMr8 + i) * kLanes8;
-    for (std::size_t l = 0; l < kLanes8; ++l) d[l] = pair;
+  auto put = [dst, lanes](std::size_t kp, std::size_t i, std::int32_t pair) {
+    std::int32_t* d = dst + (kp * kMr8 + i) * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) d[l] = pair;
   };
   for (std::size_t i = 0; i < kMr8; ++i) {
     if (i >= mr) {
@@ -347,16 +317,34 @@ void PackX(const MatrixI8& x, std::size_t i0, std::size_t mr, std::size_t pc,
   }
 }
 
+// A variant's row-tile sweep: adds the product of one packed row tile
+// (kc2 K-pairs, `lanes` copies per pair) and every column panel of the
+// packed K-tile into the first mr rows of C at c, which is m columns wide.
+using Int8Sweep = void (*)(std::size_t kc2, const std::int32_t* xp,
+                           const std::int16_t* wp, std::int32_t* c,
+                           std::size_t m, std::size_t mr);
+
+// Adds a kMr8-row accumulator tile, `width` columns per row, into C,
+// clipped to mr rows and nr columns.
+inline void AddTile(const std::int32_t* tile, std::size_t width,
+                    std::int32_t* c, std::size_t ldc, std::size_t mr,
+                    std::size_t nr) {
+  for (std::size_t i = 0; i < mr; ++i) {
+    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += tile[i * width + j];
+  }
+}
+
 #if defined(__GNUC__) || defined(__clang__)
 
-// 4 x 8 micro-kernel on GNU int32 vectors: eight named accumulators, two
-// panel loads and four pre-broadcast pair loads per K-pair.  The pairs are
-// pre-broadcast because SSE2 has no broadcast load, and a pshufd per row
-// would put a fourth shuffle uop beside every two multiply-adds on the same
-// vector ports.  The accumulators are summed with `+=`: with _mm_add_epi32
-// gcc adds into the product register and copies it back, eight extra moves
-// per step.
+// 128-bit kernels: a 4 x 8 tile on GNU int32 vectors, eight named
+// accumulators, two panel loads and four pre-broadcast pair loads per
+// K-pair.  The pairs are pre-broadcast because SSE2 has no broadcast load,
+// and a pshufd per row would put a fourth shuffle uop beside every two
+// multiply-adds on the same vector ports.  The accumulators are summed
+// with `+=`: with _mm_add_epi32 gcc adds into the product register and
+// copies it back, eight extra moves per step.
 using V4i = std::int32_t __attribute__((vector_size(16)));
+using V8s = std::int16_t __attribute__((vector_size(16)));
 
 inline V4i LoadV4i(const void* p) {
   V4i v;
@@ -364,42 +352,38 @@ inline V4i LoadV4i(const void* p) {
   return v;
 }
 
-#if defined(__SSE2__)
-
-// pmaddwd: SSE2 is baseline on every x86-64 target, native builds included.
-inline V4i Madd(V4i a, V4i b) {
-  return std::bit_cast<V4i>(_mm_madd_epi16(std::bit_cast<__m128i>(a),
-                                           std::bit_cast<__m128i>(b)));
-}
-
-#else
-
-// The same multiply-add in plain vector arithmetic.  A product of two int8
-// values lies in [-16256, 16384], so one int16 lane multiply is exact; each
-// int32 lane then adds its sign-extended low and high halves.
-using V8s = std::int16_t __attribute__((vector_size(16)));
-
-inline V4i Madd(V4i a, V4i b) {
+// The multiply-add in plain vector arithmetic, for any gcc/clang target.
+// A product of two int8 values lies in [-16256, 16384], so one int16 lane
+// multiply is exact; each int32 lane then adds its sign-extended low and
+// high halves.
+inline V4i MaddVector(V4i a, V4i b) {
   const auto p =
       std::bit_cast<V4i>(std::bit_cast<V8s>(a) * std::bit_cast<V8s>(b));
   return ((p << 16) >> 16) + (p >> 16);
 }
 
+#if defined(__SSE2__)
+// pmaddwd: SSE2 is baseline on every x86-64 target.
+inline V4i MaddSse2(V4i a, V4i b) {
+  return std::bit_cast<V4i>(_mm_madd_epi16(std::bit_cast<__m128i>(a),
+                                           std::bit_cast<__m128i>(b)));
+}
 #endif
 
+template <V4i (*Madd)(V4i, V4i)>
 void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
                      const std::int16_t* wp, std::int32_t* c, std::size_t ldc,
                      std::size_t mr, std::size_t nr) {
   V4i c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   for (std::size_t kp = 0; kp < kc2; ++kp) {
     const std::int16_t* b = wp + kp * 2 * kNr8;
-    const std::int32_t* a = xp + kp * kMr8 * kLanes8;
+    const std::int32_t* a = xp + kp * kMr8 * kLanes128;
     const V4i b0 = LoadV4i(b);
     const V4i b1 = LoadV4i(b + kNr8);
     const V4i a0 = LoadV4i(a);
-    const V4i a1 = LoadV4i(a + kLanes8);
-    const V4i a2 = LoadV4i(a + 2 * kLanes8);
-    const V4i a3 = LoadV4i(a + 3 * kLanes8);
+    const V4i a1 = LoadV4i(a + kLanes128);
+    const V4i a2 = LoadV4i(a + 2 * kLanes128);
+    const V4i a3 = LoadV4i(a + 3 * kLanes128);
     c00 += Madd(a0, b0);
     c01 += Madd(a0, b1);
     c10 += Madd(a1, b0);
@@ -423,44 +407,249 @@ void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
   }
   std::int32_t tile[kMr8][kNr8];
   std::memcpy(tile, acc, sizeof(tile));
-  for (std::size_t i = 0; i < mr; ++i) {
-    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += tile[i][j];
+  AddTile(tile[0], kNr8, c, ldc, mr, nr);
+}
+
+template <V4i (*Madd)(V4i, V4i)>
+void Sweep128(std::size_t kc2, const std::int32_t* xp, const std::int16_t* wp,
+              std::int32_t* c, std::size_t m, std::size_t mr) {
+  for (std::size_t j0 = 0; j0 < m; j0 += kNr8) {
+    Int8MicroKernel<Madd>(kc2, xp, wp + j0 * kc2 * 2, c + j0, m, mr,
+                          std::min(kNr8, m - j0));
   }
 }
 
 #else
 
-// Last-resort scalar micro-kernel over the same packed layout, for
-// compilers without GNU vector extensions.  Each K-pair's panel row is
-// split into contiguous low/high int32 rows first, so the fixed-width j
-// loops are unit-stride for the auto-vectorizer.
-void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
-                     const std::int16_t* wp, std::int32_t* c, std::size_t ldc,
-                     std::size_t mr, std::size_t nr) {
-  std::int32_t tile[kMr8][kNr8] = {};
-  for (std::size_t kp = 0; kp < kc2; ++kp) {
-    const std::int16_t* b = wp + kp * 2 * kNr8;
-    std::int32_t blo[kNr8], bhi[kNr8];
-    for (std::size_t j = 0; j < kNr8; ++j) {
-      blo[j] = b[2 * j];
-      bhi[j] = b[2 * j + 1];
-    }
-    for (std::size_t i = 0; i < kMr8; ++i) {
-      const auto pair =
-          static_cast<std::uint32_t>(xp[(kp * kMr8 + i) * kLanes8]);
-      const std::int32_t lo = static_cast<std::int16_t>(pair & 0xFFFFu);
-      const std::int32_t hi = static_cast<std::int16_t>(pair >> 16);
+// Last-resort scalar kernel over the same packed layout (one copy per
+// activation pair), for compilers without GNU vector extensions.  Each
+// K-pair's panel row is split into contiguous low/high int32 rows first,
+// so the fixed-width j loops are unit-stride for the auto-vectorizer.
+void SweepScalar(std::size_t kc2, const std::int32_t* xp,
+                 const std::int16_t* wp, std::int32_t* c, std::size_t m,
+                 std::size_t mr) {
+  for (std::size_t j0 = 0; j0 < m; j0 += kNr8) {
+    const std::int16_t* panel = wp + j0 * kc2 * 2;
+    std::int32_t tile[kMr8][kNr8] = {};
+    for (std::size_t kp = 0; kp < kc2; ++kp) {
+      const std::int16_t* b = panel + kp * 2 * kNr8;
+      std::int32_t blo[kNr8], bhi[kNr8];
       for (std::size_t j = 0; j < kNr8; ++j) {
-        tile[i][j] += lo * blo[j] + hi * bhi[j];
+        blo[j] = b[2 * j];
+        bhi[j] = b[2 * j + 1];
+      }
+      for (std::size_t i = 0; i < kMr8; ++i) {
+        const auto pair = static_cast<std::uint32_t>(xp[kp * kMr8 + i]);
+        const std::int32_t lo = static_cast<std::int16_t>(pair & 0xFFFFu);
+        const std::int32_t hi = static_cast<std::int16_t>(pair >> 16);
+        for (std::size_t j = 0; j < kNr8; ++j) {
+          tile[i][j] += lo * blo[j] + hi * bhi[j];
+        }
       }
     }
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += tile[i][j];
+    AddTile(tile[0], kNr8, c + j0, m, mr, std::min(kNr8, m - j0));
   }
 }
 
 #endif
+
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define LATTE_INT8_X86_DISPATCH 1
+
+// Write-back of a 256-bit kernel's kMr8 x (np * kNr8) tile.  Every
+// 256-bit ISA below implies AVX2, so each kernel inlines it.
+template <std::size_t Np>
+__attribute__((target("avx2"))) inline void AddTile256(
+    const std::int32_t* tile, std::int32_t* c, std::size_t ldc,
+    std::size_t mr, std::size_t nr) {
+  constexpr std::size_t width = Np * kNr8;
+  if (mr < kMr8 || nr < width) {
+    AddTile(tile, width, c, ldc, mr, nr);
+    return;
+  }
+  for (std::size_t i = 0; i < kMr8; ++i) {
+    for (std::size_t j = 0; j < width; j += kNr8) {
+      auto* ci = reinterpret_cast<__m256i*>(c + i * ldc + j);
+      const auto* ti = reinterpret_cast<const __m256i*>(tile + i * width + j);
+      _mm256_storeu_si256(ci, _mm256_add_epi32(_mm256_loadu_si256(ci),
+                                               _mm256_load_si256(ti)));
+    }
+  }
+}
+
+// 256-bit kernels: a 4 x (8 NP) tile, NP panels per step, in 4 NP ymm
+// accumulators, with each activation pair broadcast from its one packed
+// copy.  The variants differ in the multiply-accumulate -- pmaddwd plus an
+// add on AVX2, vpdpwssd on AVX-VNNI and on AVX-512VL VNNI -- and in NP.
+// vpdpwssd accumulates in place, so VNNI takes three panels: twelve
+// independent chains cover its latency in sixteen registers.  AVX2 needs a
+// product register per step and takes two.  A target attribute cannot be
+// a template argument, so one macro stamps out the body per ISA.
+// vpdpwssd is pmaddwd plus an add without saturation, so all variants
+// compute the same integers.
+#define LATTE_INT8_SWEEP256(NAME, ISA, NP, MACC)                            \
+  __attribute__((target(ISA))) void NAME(                                   \
+      std::size_t kc2, const std::int32_t* xp, const std::int16_t* wp,      \
+      std::int32_t* c, std::size_t m, std::size_t mr) {                     \
+    constexpr std::size_t np = NP;                                          \
+    const std::size_t panel = kc2 * 2 * kNr8;                               \
+    for (std::size_t j0 = 0; j0 < m; j0 += np * kNr8) {                     \
+      const std::int16_t* w = wp + j0 / kNr8 * panel;                       \
+      __m256i acc[kMr8][np];                                                \
+      _Pragma("GCC unroll 4") for (std::size_t i = 0; i < kMr8; ++i) {      \
+        _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {      \
+          acc[i][p] = _mm256_setzero_si256();                               \
+        }                                                                   \
+      }                                                                     \
+      for (std::size_t kp = 0; kp < kc2; ++kp) {                            \
+        __m256i b[np];                                                      \
+        _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {      \
+          b[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(       \
+              w + p * panel + kp * 2 * kNr8));                              \
+        }                                                                   \
+        _Pragma("GCC unroll 4") for (std::size_t i = 0; i < kMr8; ++i) {    \
+          const __m256i a = _mm256_set1_epi32(xp[kp * kMr8 + i]);           \
+          _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {    \
+            acc[i][p] = MACC(acc[i][p], a, b[p]);                           \
+          }                                                                 \
+        }                                                                   \
+      }                                                                     \
+      alignas(32) std::int32_t tile[kMr8 * np * kNr8];                      \
+      _Pragma("GCC unroll 4") for (std::size_t i = 0; i < kMr8; ++i) {      \
+        _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {      \
+          _mm256_store_si256(reinterpret_cast<__m256i*>(tile) + i * np + p, \
+                             acc[i][p]);                                    \
+        }                                                                   \
+      }                                                                     \
+      AddTile256<np>(tile, c + j0, m, mr, std::min(np * kNr8, m - j0));     \
+    }                                                                       \
+  }
+
+// The accumulate is a GNU vector add: with _mm256_add_epi32 gcc adds into
+// the product register and copies it back, one extra move per product.
+__attribute__((target("avx2"))) inline __m256i MaccAvx2(__m256i acc,
+                                                        __m256i a, __m256i b) {
+  using V8i = std::int32_t __attribute__((vector_size(32)));
+  // reinterpret_cast, not std::bit_cast: a std::bit_cast instance is
+  // compiled without AVX and would return a ymm value on the stack.
+  return reinterpret_cast<__m256i>(
+      reinterpret_cast<V8i>(acc) +
+      reinterpret_cast<V8i>(_mm256_madd_epi16(a, b)));
+}
+
+__attribute__((target("avx2,avxvnni"))) inline __m256i MaccAvxVnni(
+    __m256i acc, __m256i a, __m256i b) {
+  return _mm256_dpwssd_avx_epi32(acc, a, b);
+}
+
+__attribute__((target("avx2,avx512vl,avx512vnni"))) inline __m256i
+MaccAvx512Vnni(__m256i acc, __m256i a, __m256i b) {
+  return _mm256_dpwssd_epi32(acc, a, b);
+}
+
+LATTE_INT8_SWEEP256(SweepAvx2, "avx2", 2, MaccAvx2)
+LATTE_INT8_SWEEP256(SweepAvxVnni, "avx2,avxvnni", 3, MaccAvxVnni)
+LATTE_INT8_SWEEP256(SweepAvx512Vnni, "avx2,avx512vl,avx512vnni", 3,
+                    MaccAvx512Vnni)
+#undef LATTE_INT8_SWEEP256
+
+bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
+
+// AVX-VNNI is CPUID leaf 7, sub-leaf 1, EAX bit 4; it needs the same OS
+// register state as AVX2.  Read directly, since not every compiler's
+// __builtin_cpu_supports knows the name.
+bool HasAvxVnni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return HasAvx2() && __get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) != 0 &&
+         (eax & (1u << 4)) != 0;
+}
+
+bool HasAvx512Vnni() {
+  return __builtin_cpu_supports("avx512vl") != 0 &&
+         __builtin_cpu_supports("avx512vnni") != 0;
+}
+
+#endif
+
+bool Always() { return true; }
+
+// One micro-kernel variant: its ISA name, the packed copies per activation
+// pair and the panels per step its kernel reads, the sweep itself and its
+// CPU check.
+struct Int8Variant {
+  const char* isa;
+  std::size_t lanes;
+  std::size_t panels;
+  Int8Sweep sweep;
+  bool (*supported)();
+};
+
+// Narrowest first; the dispatcher runs the last one the CPU supports.
+const Int8Variant kInt8Variants[] = {
+#if defined(__GNUC__) || defined(__clang__)
+    {"portable", kLanes128, 1, Sweep128<MaddVector>, Always},
+#else
+    {"portable", 1, 1, SweepScalar, Always},
+#endif
+#if defined(__SSE2__) && (defined(__GNUC__) || defined(__clang__))
+    {"sse2", kLanes128, 1, Sweep128<MaddSse2>, Always},
+#endif
+#if defined(LATTE_INT8_X86_DISPATCH)
+    {"avx2", 1, 2, SweepAvx2, HasAvx2},
+    {"avxvnni", 1, 3, SweepAvxVnni, HasAvxVnni},
+    {"avx512vnni", 1, 3, SweepAvx512Vnni, HasAvx512Vnni},
+#endif
+};
+
+const std::vector<const Int8Variant*>& SupportedInt8Variants() {
+  static const std::vector<const Int8Variant*> supported = [] {
+#if defined(LATTE_INT8_X86_DISPATCH)
+    __builtin_cpu_init();
+#endif
+    std::vector<const Int8Variant*> out;
+    for (const Int8Variant& v : kInt8Variants) {
+      if (v.supported()) out.push_back(&v);
+    }
+    return out;
+  }();
+  return supported;
+}
+
+const Int8Variant& DispatchedInt8Variant() {
+  return *SupportedInt8Variants().back();
+}
+
+void RunInt8Gemm(const Int8Variant& variant, const MatrixI8& x,
+                 const MatrixI8& w, MatrixI32& out, GemmScratch& scratch) {
+  if (x.cols() != w.rows()) {
+    throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
+  }
+  const std::size_t n = x.rows();
+  const std::size_t k = x.cols();
+  const std::size_t m = w.cols();
+  out.Resize(n, m);
+  std::fill(out.flat().begin(), out.flat().end(), 0);
+  if (n == 0 || m == 0 || k == 0) return;
+
+  const std::size_t max_kc2 = (std::min(kKc8, k) + 1) / 2;
+  scratch.wpack.resize(PaddedPanels(m, variant.panels) * max_kc2 * 2 * kNr8);
+  scratch.xpack.resize(max_kc2 * kMr8 * variant.lanes);
+  for (std::size_t pc = 0; pc < k; pc += kKc8) {
+    const std::size_t kc = std::min(kKc8, k - pc);
+    PackW(w, pc, kc, variant.panels, scratch.wpack.data());
+    // Row tiles outer: the tile's activation pairs stay in L1 while the
+    // packed panels stream from L2 and C is walked row-contiguously (a
+    // panel-outer sweep strides C by whole rows, and at m = 3072 every row
+    // maps to the same L1 set).
+    for (std::size_t i0 = 0; i0 < n; i0 += kMr8) {
+      const std::size_t mr = std::min(kMr8, n - i0);
+      PackX(x, i0, mr, pc, kc, variant.lanes, scratch.xpack.data());
+      variant.sweep((kc + 1) / 2, scratch.xpack.data(), scratch.wpack.data(),
+                    out.row(i0).data(), m, mr);
+    }
+  }
+}
 
 }  // namespace
 
@@ -469,12 +658,12 @@ GemmScratch& ThreadLocalGemmScratch() {
   return scratch;
 }
 
-const char* KernelArchName() {
-#if defined(__AVX2__) && defined(__FMA__)
-  return "avx2+fma";
-#else
-  return "portable";
-#endif
+const char* KernelArchName() { return DispatchedInt8Variant().isa; }
+
+std::vector<const char*> Int8GemmIsas() {
+  std::vector<const char*> isas;
+  for (const auto* v : SupportedInt8Variants()) isas.push_back(v->isa);
+  return isas;
 }
 
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
@@ -524,44 +713,20 @@ void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c) {
 
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out,
                   GemmScratch& scratch) {
-  if (x.cols() != w.rows()) {
-    throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
-  }
-  const std::size_t n = x.rows();
-  const std::size_t k = x.cols();
-  const std::size_t m = w.cols();
-  out.Resize(n, m);
-  std::fill(out.flat().begin(), out.flat().end(), 0);
-  if (n == 0 || m == 0 || k == 0) return;
-
-  const std::size_t panels = (m + kNr8 - 1) / kNr8;
-  const std::size_t max_kc2 = (std::min(kKc8, k) + 1) / 2;
-  scratch.wpack.resize(panels * max_kc2 * 2 * kNr8);
-  scratch.xpack.resize(max_kc2 * kMr8 * kLanes8);
-  for (std::size_t pc = 0; pc < k; pc += kKc8) {
-    const std::size_t kc = std::min(kKc8, k - pc);
-    const std::size_t kc2 = (kc + 1) / 2;
-    PackW(w, pc, kc, scratch.wpack.data());
-    // Row tiles outer: the tile's activation pairs stay in L1 while the
-    // packed panels stream from L2 and C is walked row-contiguously (a
-    // panel-outer sweep strides C by whole rows, and at m = 3072 every row
-    // maps to the same L1 set).
-    for (std::size_t i0 = 0; i0 < n; i0 += kMr8) {
-      const std::size_t mr = std::min(kMr8, n - i0);
-      PackX(x, i0, mr, pc, kc, scratch.xpack.data());
-      for (std::size_t jp = 0; jp < panels; ++jp) {
-        const std::size_t j0 = jp * kNr8;
-        Int8MicroKernel(kc2, scratch.xpack.data(),
-                        scratch.wpack.data() + jp * kc2 * 2 * kNr8,
-                        out.row(i0).data() + j0, m, mr,
-                        std::min(kNr8, m - j0));
-      }
-    }
-  }
+  RunInt8Gemm(DispatchedInt8Variant(), x, w, out, scratch);
 }
 
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
   Int8GemmInto(x, w, out, ThreadLocalGemmScratch());
+}
+
+void Int8GemmIntoIsa(std::string_view isa, const MatrixI8& x,
+                     const MatrixI8& w, MatrixI32& out, GemmScratch& scratch) {
+  for (const auto* v : SupportedInt8Variants()) {
+    if (isa == v->isa) return RunInt8Gemm(*v, x, w, out, scratch);
+  }
+  throw std::invalid_argument("Int8GemmIntoIsa: this host cannot run '" +
+                              std::string(isa) + "'");
 }
 
 float DotProduct(std::span<const float> a, std::span<const float> b) {

@@ -8,20 +8,22 @@
 // register-width panels (packed contiguously, zero-padded to the panel
 // width so the micro-kernel never branches on a column tail), and output
 // rows in register tiles.  The micro-kernel accumulates an MR x NR tile of
-// C entirely in registers.  SIMD dispatch is compile-time: with AVX2+FMA
-// available (build with -DLATTE_NATIVE_ARCH=ON) an intrinsics micro-kernel
-// is selected; otherwise a portable register-tiled kernel that
-// auto-vectorizes on the baseline ISA.  `KernelArchName()` reports which
-// float kernel was compiled in.
+// C entirely in registers.  The float kernels are portable: a 4 x 8 tile
+// held in GNU vector extensions, which auto-vectorizes on the baseline ISA
+// (a plain scalar tile remains for other compilers).  There is one build
+// and no wider float variant, because an FMA kernel would round
+// differently.
 //
 // The int8 GEMM runs the same blocking on 16-bit multiply-add: each K-tile
 // of W is packed into column panels of K-pairs {w(p,j), w(p+1,j)} widened
 // to int16, each activation pair {x(i,p), x(i,p+1)} is broadcast as one
 // int32, and one pmaddwd yields x(i,p)w(p,j) + x(i,p+1)w(p+1,j) per int32
-// lane.  The 4 x 8 micro-kernel accumulates in GNU int32 vectors; its
-// multiply-add is SSE2 pmaddwd (baseline on every x86-64 target, so the
-// native build uses it too) and plain vector arithmetic on other gcc/clang
-// targets.  Other compilers get a scalar kernel over the same layout.
+// lane.  Its micro-kernel ISA is picked once, at run time, from what the
+// CPU supports: 256-bit AVX-512VL VNNI or AVX-VNNI (vpdpwssd), AVX2
+// (vpmaddwd plus add), SSE2 (pmaddwd), or plain GNU vector arithmetic
+// (a scalar loop on other compilers).  Integer sums are exact, so every
+// variant gives the same bits.  `KernelArchName()` names the dispatched
+// int8 ISA, and every bench's `host.kernel_arch` stamp records it.
 //
 // Accumulation order differs from the naive triple loop, so float results
 // agree with the scalar reference only to rounding (compare with relative
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <new>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -86,8 +89,14 @@ struct GemmScratch {
 /// Workspace (the scratch-less GEMM overloads use it).
 GemmScratch& ThreadLocalGemmScratch();
 
-/// Compile-time selected micro-kernel ISA: "avx2+fma" or "portable".
+/// ISA of the int8 GEMM micro-kernel this host runs (the last entry of
+/// Int8GemmIsas()): "avx512vnni", "avxvnni", "avx2", "sse2" or "portable".
 const char* KernelArchName();
+
+/// The int8 GEMM micro-kernel variants this host can run, narrowest first:
+/// "portable" always, then on x86 "sse2", "avx2", "avxvnni" and
+/// "avx512vnni" as the CPU supports them.  Int8GemmInto runs the last.
+std::vector<const char*> Int8GemmIsas();
 
 /// C = A * B.  A is (n x k), B is (k x m); c is resized to (n x m) and
 /// fully overwritten.  Throws on shape mismatch.  `c` must not alias `a`
@@ -130,6 +139,12 @@ void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out,
 
 /// As above with the calling thread's scratch.
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out);
+
+/// Int8GemmInto on one named variant of Int8GemmIsas(), so tests and
+/// bench_kernels can check every variant against the scalar loop.  Throws
+/// std::invalid_argument for an ISA this host cannot run.
+void Int8GemmIntoIsa(std::string_view isa, const MatrixI8& x,
+                     const MatrixI8& w, MatrixI32& out, GemmScratch& scratch);
 
 /// Dot product with unrolled partial sums (reordered accumulation;
 /// deterministic).  a and b must have equal length.

@@ -27,7 +27,10 @@ struct QuantizedMatrix {
 float ScalingFactor(const MatrixF& m);
 
 /// Symmetric b-bit quantization per Section 3.2:
-///   codes = round((2^(b-1)-1) / M * x), clamped to the representable range.
+///   codes = round((2^(b-1)-1) / M * x), clamped to the representable range,
+/// rounding half away from zero (std::lround's rule).  At 4 and 8 bits
+/// zeros map to 0 and no code takes the opposite sign of its input, also
+/// when M is subnormal or the scaled value is huge.
 /// For bits == 1 this degenerates to the sign function with codes in {-1,+1}
 /// (zero maps to +1, matching sign-bit hardware).
 /// Requires bits in {1, 4, 8}.  Throws std::invalid_argument naming the

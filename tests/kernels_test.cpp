@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -146,16 +149,23 @@ TEST_P(GemmShapeTest, Int8GemmIsExact) {
   Rng rng(1300 + n * 31 + k * 7 + m);
   const MatrixI8 x = RandomCodes(rng, n, k);
   const MatrixI8 w = RandomCodes(rng, k, m);
+  const MatrixI32 want = RefInt8Gemm(x, w);
   MatrixI32 got;
   Int8GemmInto(x, w, got);
   ASSERT_EQ(got.rows(), n);
   ASSERT_EQ(got.cols(), m);
-  EXPECT_EQ(got, RefInt8Gemm(x, w));
+  EXPECT_EQ(got, want);
 
   GemmScratch scratch;
   MatrixI32 got2;
   Int8GemmInto(x, w, got2, scratch);  // caller scratch
   EXPECT_EQ(got2, got) << "scratch choice must not change bits";
+
+  for (const char* isa : Int8GemmIsas()) {
+    MatrixI32 forced;
+    Int8GemmIntoIsa(isa, x, w, forced, scratch);
+    EXPECT_EQ(forced, want) << isa;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmShapeTest,
@@ -174,9 +184,13 @@ TEST(Int8GemmTest, ExactAtExtremeCodes) {
     for (std::size_t p = 0; p < k; ++p) {
       for (std::size_t j = 0; j < m; ++j) w(p, j) = w_code(p, j);
     }
-    MatrixI32 got;
-    Int8GemmInto(x, w, got);
-    EXPECT_EQ(got, RefInt8Gemm(x, w)) << name;
+    const MatrixI32 want = RefInt8Gemm(x, w);
+    GemmScratch scratch;
+    for (const char* isa : Int8GemmIsas()) {
+      MatrixI32 got;
+      Int8GemmIntoIsa(isa, x, w, got, scratch);
+      EXPECT_EQ(got, want) << name << " on " << isa;
+    }
   };
   auto constant = [](std::int8_t v) {
     return [v](std::size_t, std::size_t) { return v; };
@@ -194,25 +208,32 @@ TEST(Int8GemmTest, ExactAtExtremeCodes) {
       });
 
   MatrixI8 x(1, k, -128), w(k, 1, -128);
-  MatrixI32 got;
-  Int8GemmInto(x, w, got);
-  EXPECT_EQ(got(0, 0), 3073 * 16384);
+  GemmScratch scratch;
+  for (const char* isa : Int8GemmIsas()) {
+    MatrixI32 got;
+    Int8GemmIntoIsa(isa, x, w, got, scratch);
+    EXPECT_EQ(got(0, 0), 3073 * 16384) << isa;
+  }
 }
 
 TEST(Int8GemmTest, ExactAcrossKTileBoundariesAndTails) {
   // k either side of the 128-row K-tile (and of 256), odd and even; n
   // covering 1..5 rows of a register tile plus a full tile and a tail; m
-  // below, at and across several 8-wide panels.
+  // below, at and across several 8-wide panels and 16-wide panel pairs.
   Rng rng(1400);
+  GemmScratch scratch;
   for (std::size_t k : {1u, 2u, 127u, 128u, 129u, 255u, 256u, 257u}) {
     for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 13u}) {
-      for (std::size_t m : {1u, 7u, 9u, 15u, 17u, 33u}) {
+      for (std::size_t m : {1u, 7u, 9u, 15u, 16u, 17u, 24u, 33u}) {
         const MatrixI8 x = RandomCodes(rng, n, k);
         const MatrixI8 w = RandomCodes(rng, k, m);
-        MatrixI32 got;
-        Int8GemmInto(x, w, got);
-        ASSERT_EQ(got, RefInt8Gemm(x, w))
-            << "n=" << n << " k=" << k << " m=" << m;
+        const MatrixI32 want = RefInt8Gemm(x, w);
+        for (const char* isa : Int8GemmIsas()) {
+          MatrixI32 got;
+          Int8GemmIntoIsa(isa, x, w, got, scratch);
+          ASSERT_EQ(got, want)
+              << isa << " n=" << n << " k=" << k << " m=" << m;
+        }
       }
     }
   }
@@ -244,8 +265,19 @@ TEST(Int8GemmTest, ScratchShrinksRegrowsAndStopsAllocating) {
 }
 
 TEST(KernelsTest, ArchNameIsKnown) {
-  const std::string arch = KernelArchName();
-  EXPECT_TRUE(arch == "avx2+fma" || arch == "portable") << arch;
+  const std::set<std::string> known = {"portable", "sse2", "avx2", "avxvnni",
+                                       "avx512vnni"};
+  const std::vector<const char*> isas = Int8GemmIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(std::string(isas.front()), "portable");
+  for (const char* isa : isas) EXPECT_EQ(known.count(isa), 1u) << isa;
+  EXPECT_EQ(std::string(KernelArchName()), isas.back());
+
+  const MatrixI8 x(2, 3, 1), w(3, 2, 1);
+  MatrixI32 out;
+  GemmScratch scratch;
+  EXPECT_THROW(Int8GemmIntoIsa("avx2+fma", x, w, out, scratch),
+               std::invalid_argument);
 }
 
 TEST(KernelsTest, EmptyExtentsYieldZeroSizedOrZeroedOutputs) {

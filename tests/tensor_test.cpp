@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tensor/lut_multiply.hpp"
 #include "tensor/matmul.hpp"
@@ -167,8 +171,8 @@ TEST(QuantizeTest, FourBitPaperExample) {
 }
 
 TEST(QuantizeTest, NonFiniteElementThrowsNamedError) {
-  // Unchecked, a NaN gets an arbitrary code (the max-abs scan skips it and
-  // lround(NaN) is unspecified) and an Inf zeroes every other code.
+  // Unchecked, a NaN gets an arbitrary code (the max-abs scan skips it)
+  // and an Inf zeroes every other code.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   for (float bad : {nan, inf, -inf}) {
@@ -235,6 +239,92 @@ TEST(QuantizeTest, ZeroMatrixQuantizesToZero) {
   MatrixF m(3, 3);
   const auto q = Quantize(m, 4);
   for (auto c : q.codes.flat()) EXPECT_EQ(c, 0);
+}
+
+TEST(QuantizeTest, SubnormalScaleKeepsZerosAndSigns) {
+  // max |x| = 1e-40 is subnormal, so 127 / M overflows to +inf: 0 * inf
+  // used to be NaN and every code came out -127.
+  const auto m = MatrixF::FromFlat(1, 3, {0.f, 1e-40f, -1e-40f});
+  for (int bits : {4, 8}) {
+    const auto q = Quantize(m, bits);
+    const std::int8_t qmax = static_cast<std::int8_t>(MaxCode(bits));
+    EXPECT_EQ(q.codes(0, 0), 0) << bits;
+    EXPECT_EQ(q.codes(0, 1), qmax) << bits;
+    EXPECT_EQ(q.codes(0, 2), -qmax) << bits;
+    EXPECT_EQ(QuantizeValue(-1e-40f, bits, 1e-40f), -qmax) << bits;
+    EXPECT_EQ(QuantizeValue(0.f, bits, 1e-40f), 0) << bits;
+  }
+}
+
+TEST(QuantizeTest, HugeScaledValuesSaturateWithTheirSign) {
+  // (127 / 1e-20) * 1e10 is about 1.3e32, past where lround overflows
+  // (2^63): both codes used to come out -127 (-7 at 4 bits).
+  const auto m = MatrixF::FromFlat(1, 2, {1e10f, -1e10f});
+  for (int bits : {4, 8}) {
+    const auto q = QuantizeWithScale(m, bits, 1e-20f);
+    EXPECT_EQ(q.codes(0, 0), MaxCode(bits)) << bits;
+    EXPECT_EQ(q.codes(0, 1), -MaxCode(bits)) << bits;
+  }
+}
+
+TEST(QuantizeTest, RoundingMatchesClampedLround) {
+  // With M = qmax the scale factor qmax / M is exactly 1, so every code is
+  // the rounding of the value itself; it must equal clamp(lround(s)).
+  for (int bits : {4, 8}) {
+    const int qmax = MaxCode(bits);
+    const float M = static_cast<float>(qmax);
+    std::vector<float> values = {0.f, -0.f};
+    for (int k = -(qmax + 2); k <= qmax + 2; ++k) {
+      const float half = static_cast<float>(k) + 0.5f;
+      values.push_back(static_cast<float>(k));
+      values.push_back(half);
+      values.push_back(std::nextafter(half, -1e30f));
+      values.push_back(std::nextafter(half, 1e30f));
+    }
+    // A million seeded values: half uniform around the code range, half
+    // random bit patterns, which cover every exponent (lround itself is
+    // only defined below 2^63).
+    Rng rng(2024);
+    for (int i = 0; i < 500000; ++i) {
+      values.push_back(
+          static_cast<float>(rng.NextUniform(-qmax - 3, qmax + 3)));
+    }
+    const std::size_t target = values.size() + 500000;
+    while (values.size() < target) {
+      const auto bits32 = static_cast<std::uint32_t>(rng.NextU64());
+      const float s = std::bit_cast<float>(bits32);
+      if (std::isfinite(s) && std::fabs(s) < 0x1p62f) values.push_back(s);
+    }
+    const auto m = MatrixF::FromFlat(1, values.size(), values);
+    const auto q = QuantizeWithScale(m, bits, M);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const long want = std::clamp<long>(std::lround(values[i]), -qmax, qmax);
+      ASSERT_EQ(q.codes(0, i), want)
+          << "bits " << bits << " s = " << values[i];
+      ASSERT_EQ(QuantizeValue(values[i], bits, M), want)
+          << "bits " << bits << " s = " << values[i];
+    }
+  }
+}
+
+TEST(QuantizeTest, FiniteScaleCodesUnchanged) {
+  // Every matrix whose qmax / M is finite keeps exactly the codes of the
+  // lround formula, on normal data and on tiny but normal scales alike.
+  Rng rng(77);
+  for (double sigma : {1.0, 1e-30, 1e30}) {
+    const auto m = rng.NormalMatrix(16, 64, 0.0, sigma);
+    for (int bits : {4, 8}) {
+      const int qmax = MaxCode(bits);
+      const float M = ScalingFactor(m);
+      const auto q = Quantize(m, bits);
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        const float s = (static_cast<float>(qmax) / M) * m.flat()[i];
+        ASSERT_EQ(q.codes.flat()[i],
+                  std::clamp<long>(std::lround(s), -qmax, qmax))
+            << "sigma " << sigma << " bits " << bits << " i " << i;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- LutMultiplier --
