@@ -12,7 +12,10 @@
 // SelectCandidates (int8 GEMM scoring, counting Top-k) against the
 // hardware-model path it replaced (per-pair LUT Dot, StreamingTopK) at
 // MRPC/SQuAD head shapes, and fail the run unless candidates, scores and
-// sorter cycles match exactly.
+// sorter cycles match exactly.  The GELU cell times GeluInPlace against
+// the per-element std::tanh formula it replaced on one FFN1 activation
+// (53 x 3072) and records its max abs error against a double-precision
+// GELU (the gate holds it to 1e-6).
 
 #include <algorithm>
 #include <chrono>
@@ -336,6 +339,78 @@ AtSelResult BenchAtSel(std::size_t n, std::size_t d, std::size_t top_k,
   return r;
 }
 
+// The library's GELU before it moved onto the vector unit: one std::tanh
+// per element, kept here as the reference GeluInPlace is timed against.
+float TanhGelu(float x) {
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  const float inner = kC * (x + 0.044715f * x * x * x);
+  return 0.5f * x * (1.f + std::tanh(inner));
+}
+
+// BERT's tanh-form GELU in double precision, the accuracy reference.
+double GeluDouble(double x) {
+  const double c = std::sqrt(2.0 / std::acos(-1.0));
+  return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
+}
+
+struct GeluResult {
+  std::size_t rows = 0, cols = 0;
+  double reference_us = 0;
+  double vector_us = 0;
+  double speedup = 0;
+  double max_abs_err = 0;  // vs GeluDouble, timed matrix + [-12, 12] sweep
+};
+
+GeluResult BenchGelu(std::size_t rows, std::size_t cols, Rng& rng) {
+  const MatrixF x = rng.NormalMatrix(rows, cols, 0.0, 1.0);
+  MatrixF ref = x, out = x;
+  auto time_once = [](auto&& fn) {
+    const auto t0 = Clock::now();
+    fn();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  auto reference = [&] {
+    for (float& v : ref.flat()) v = TanhGelu(v);
+    g_sink = g_sink + ref(0, 0);
+  };
+  auto vector = [&] {
+    GeluInPlace(out);
+    g_sink = g_sink + out(0, 0);
+  };
+  // Interleaved best-of rounds, as for the int8 cells; each round starts
+  // from the same inputs (the copies are not timed).
+  double reference_s = std::numeric_limits<double>::infinity();
+  double vector_s = reference_s;
+  for (int round = 0; round < 16; ++round) {
+    ref = x;
+    reference_s = std::min(reference_s, time_once(reference));
+    out = x;
+    vector_s = std::min(vector_s, time_once(vector));
+  }
+
+  GeluResult r;
+  r.rows = rows;
+  r.cols = cols;
+  r.reference_us = reference_s * 1e6;
+  r.vector_us = vector_s * 1e6;
+  r.speedup = reference_s / vector_s;
+  auto record_error = [&](const MatrixF& in, const MatrixF& got) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const double err = std::fabs(got.flat()[i] - GeluDouble(in.flat()[i]));
+      r.max_abs_err = std::max(r.max_abs_err, err);
+    }
+  };
+  record_error(x, out);
+  MatrixF sweep(1, 24001);
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    sweep.flat()[i] = static_cast<float>(static_cast<int>(i) - 12000) * 1e-3f;
+  }
+  const MatrixF sweep_x = sweep;
+  GeluInPlace(sweep);
+  record_error(sweep_x, sweep);
+  return r;
+}
+
 }  // namespace
 }  // namespace latte
 
@@ -430,6 +505,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // GELU on the FFN1 output of one MRPC-length sequence (53 x 3072).
+  const GeluResult gelu = BenchGelu(53, 3072, rng);
+  std::printf("\n== GELU us, GeluInPlace (4-lane x / (1 + exp(-2u))) vs "
+              "std::tanh ==\n");
+  std::printf("  %4zux%4zu  reference %8.1f  vector %7.1f  %5.2fx  "
+              "max abs err %.2g\n",
+              gelu.rows, gelu.cols, gelu.reference_us, gelu.vector_us,
+              gelu.speedup, gelu.max_abs_err);
+
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("kernels");
@@ -496,6 +580,8 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.Key("atsel_min_speedup").Value(atsel_min_speedup);
+  json.Key("gelu_speedup").Value(gelu.speedup);
+  json.Key("gelu_max_abs_err").Value(gelu.max_abs_err);
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -241,13 +241,17 @@ BENCHES = [
         ("atsel_shapes[].speedup", NUM),
         ("atsel_shapes[].bit_exact", TRUE),
         ("atsel_min_speedup", NUM),
+        ("gelu_speedup", NUM),
+        # GELU is the one float op that is not libm-exact: its declared
+        # error bound against a double-precision GELU.
+        ("gelu_max_abs_err", le(1e-6)),
     ], rows=[
         # The int8 kernel ISA is picked at run time, so a baseline recorded
         # on another host may name another one: shown next to the ratios
         # it explains, not gated.
         ("info", ("kernel_arch", "host.kernel_arch")),
         ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup",
-         "atsel_min_speedup"),
+         "atsel_min_speedup", "gelu_speedup"),
         Cells("shapes", ("label",), "{}", missing="shape {}", rows=[
             ("info-higher", "speedup", "tiled_gflops"),
         ]),

@@ -112,6 +112,17 @@ class CheckRegressionTest(unittest.TestCase):
                              ".atsel_shapes[1].bit_exact", "== true")
         self.assertFailRow(result, "kernels", "atsel_min_speedup")
 
+    def test_gelu_error_and_slowdown_fail(self):
+        def edit(doc):
+            doc["gelu_max_abs_err"] = 2e-6
+            doc["gelu_speedup"] *= 0.7
+
+        self.mutate("BENCH_kernels.json", edit)
+        result = self.gate()
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".gelu_max_abs_err", "<= 1e-06")
+        self.assertFailRow(result, "kernels", "gelu_speedup")
+
     def test_kernel_isa_stamp_is_reported_not_gated(self):
         self.mutate("BENCH_kernels.json",
                     lambda d: d["host"].update(kernel_arch="avx512vnni"))

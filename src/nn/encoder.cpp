@@ -9,6 +9,24 @@
 namespace latte {
 namespace {
 
+// Q, K and V from one input.  The int8 overload quantizes x once for all
+// three (per-tensor scale, so the codes are the ones each projection
+// would compute itself).
+void ProjectQkv(const MatrixF& x, const EncoderWeights& w, GemmScratch& gs,
+                MatrixF& q, MatrixF& k, MatrixF& v) {
+  w.wq.ForwardInto(x, gs, q);
+  w.wk.ForwardInto(x, gs, k);
+  w.wv.ForwardInto(x, gs, v);
+}
+
+void ProjectQkv(const MatrixF& x, const QuantizedEncoderWeights& w,
+                GemmScratch& gs, MatrixF& q, MatrixF& k, MatrixF& v) {
+  const float xscale = QuantizeInto(x, 8, gs.xcodes);
+  w.wq.ForwardInto(gs.xcodes, xscale, gs, q);
+  w.wk.ForwardInto(gs.xcodes, xscale, gs, k);
+  w.wv.ForwardInto(gs.xcodes, xscale, gs, v);
+}
+
 // The one layer body: `Weights` is EncoderWeights (fp32 Linear) or
 // QuantizedEncoderWeights (int8 QuantizedLinear); both expose ForwardInto.
 template <class Weights>
@@ -21,9 +39,7 @@ MatrixF Layer(const MatrixF& x, const Weights& w, const EncoderConfig& cfg,
 
   // Stage 1: linear transformation (MatMul unit in Fig 2(a)).
   MatrixF q, k, v;
-  w.wq.ForwardInto(x, gs, q);
-  w.wk.ForwardInto(x, gs, k);
-  w.wv.ForwardInto(x, gs, v);
+  ProjectQkv(x, w, gs, q, k, v);
 
   // Stage 2: per-head attention computation.
   const auto qh = SplitHeads(q, cfg.heads);

@@ -1,7 +1,9 @@
 #include "nn/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace latte {
@@ -23,15 +25,101 @@ void SoftmaxRowsInPlace(MatrixF& m) {
   for (std::size_t i = 0; i < m.rows(); ++i) SoftmaxInPlace(m.row(i));
 }
 
+namespace {
+
+#if defined(__GNUC__) || defined(__clang__)
+// Four GELU lanes per call on GNU vector extensions, on the baseline ISA
+// (SSE2 on x86-64, NEON on AArch64), like the float GEMM's micro-kernel.
+using V4 = float __attribute__((vector_size(16)));
+using V4i = std::int32_t __attribute__((vector_size(16)));
+
+inline V4i Mask(V4i m) { return m; }  // a vector compare is already -1 / 0
+#endif
+
+inline std::int32_t Mask(bool b) { return -static_cast<std::int32_t>(b); }
+
+// The int32 lane type matching F (what a compare of two F yields).
+template <class F>
+using Int = decltype(Mask(F{} < F{}));
+
+// m ? a : b lane by lane, for an all-ones / all-zeros mask m.
+template <class F>
+F Select(Int<F> m, F a, F b) {
+  return std::bit_cast<F>((m & std::bit_cast<Int<F>>(a)) |
+                          (~m & std::bit_cast<Int<F>>(b)));
+}
+
+// exp(t) for t in [-87, 87], without libm.  Cody-Waite: t = n ln2 + r with
+// n = round(t / ln2), |r| <= ln2 / 2, and ln2 split so that n * kLn2Hi is
+// exact.  e^r = 1 + r + r^2 P(r), P a degree-4 fit of (e^r - 1 - r) / r^2
+// at Chebyshev nodes on [-0.35, 0.35] (relative error 1.1e-8, below half
+// a float ulp).  2^n is built from exponent bits: |n| <= 126 is a normal.
+template <class F>
+F ExpLanes(F t) {
+  // Adding 1.5 * 2^23 rounds t / ln2 to the nearest integer n, which then
+  // sits in the low mantissa bits: no float-to-int conversion is needed.
+  constexpr float kRound = 12582912.f;
+  constexpr std::int32_t kRoundBits = 0x4B400000;  // bit pattern of kRound
+  constexpr float kLog2e = 1.44269504f;
+  constexpr float kLn2Hi = 0.693359375f;
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  const F kn = t * kLog2e + kRound;
+  const F n = kn - kRound;
+  const F r = t - n * kLn2Hi - n * kLn2Lo;
+  F p = 1.39269186e-3f * r + 8.36376660e-3f;
+  p = p * r + 4.16665487e-2f;
+  p = p * r + 1.66665733e-1f;
+  p = p * r + 0.5f;
+  const F er = p * (r * r) + r + 1.f;
+  const Int<F> pow2 = (std::bit_cast<Int<F>>(kn) - kRoundBits + 127) << 23;
+  return er * std::bit_cast<F>(pow2);
+}
+
+// GELU(x) = x / (1 + exp(-2u)), u = sqrt(2/pi) (x + 0.044715 x^3), on one
+// float or four vector lanes.  For t = -2u > 87 the exact result is below
+// 2e-37 in magnitude, so it is returned as -0: that also gives
+// GELU(-inf) = -0 where x / (1 + exp(87)) would be -inf.  A NaN t fails
+// every compare, so the clamps send it to 87 and x = NaN divides through.
+template <class F>
+F GeluLanes(F x) {
+  constexpr float kMinus2C = -1.59576912f;  // -2 sqrt(2/pi)
+  const F t = (x + 0.044715f * x * x * x) * kMinus2C;
+  const Int<F> underflow = Mask(t > 87.f);
+  F tc = Select(Mask(t < 87.f), t, F{} + 87.f);
+  tc = Select(Mask(tc > -87.f), tc, F{} - 87.f);
+  return Select(underflow, -F{}, x / (1.f + ExpLanes(tc)));
+}
+
+}  // namespace
+
 float Gelu(float x) {
-  // 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  const float inner = kC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.f + std::tanh(inner));
+#if defined(__GNUC__) || defined(__clang__)
+  return GeluLanes(V4{x, x, x, x})[0];  // the bulk body, on a splat
+#else
+  return GeluLanes(x);
+#endif
 }
 
 void GeluInPlace(MatrixF& m) {
-  for (auto& x : m.flat()) x = Gelu(x);
+  const std::span<float> v = m.flat();
+#if defined(__GNUC__) || defined(__clang__)
+  std::size_t i = 0;
+  for (; i + 4 <= v.size(); i += 4) {
+    V4 x;
+    __builtin_memcpy(&x, v.data() + i, sizeof(x));
+    x = GeluLanes(x);
+    __builtin_memcpy(v.data() + i, &x, sizeof(x));
+  }
+  if (i < v.size()) {  // the 1-3 element tail, on zero-padded lanes
+    const std::size_t bytes = (v.size() - i) * sizeof(float);
+    V4 x{};
+    __builtin_memcpy(&x, v.data() + i, bytes);
+    x = GeluLanes(x);
+    __builtin_memcpy(v.data() + i, &x, bytes);
+  }
+#else
+  for (float& x : v) x = GeluLanes(x);
+#endif
 }
 
 void LayerNormInPlace(MatrixF& m, std::span<const float> gamma,

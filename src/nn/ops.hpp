@@ -12,10 +12,20 @@ void SoftmaxRowsInPlace(MatrixF& m);
 /// Softmax of a single row vector, in place.
 void SoftmaxInPlace(std::span<float> row);
 
-/// GELU activation (tanh approximation, the variant BERT ships).
+/// GELU activation, the tanh approximation BERT ships,
+///   0.5 x (1 + tanh u) = x / (1 + exp(-2u)),
+///   u = sqrt(2/pi) (x + 0.044715 x^3),
+/// evaluated in the second form (no 1 + tanh cancellation for negative x)
+/// with a libm-free exp (Cody-Waite range reduction, a polynomial, 2^n
+/// from exponent bits) four lanes at a time.  Max abs error against a
+/// double-precision GELU is 5.1e-7 on [-12, 12] (bound 1e-6; the old
+/// per-element std::tanh form scored 4.3e-7).  GELU(-inf) = -0,
+/// GELU(+inf) = +inf, GELU(NaN) = NaN, and every finite x gives a finite
+/// result.  This is the one float op that is not libm-exact.
 float Gelu(float x);
 
-/// Applies GELU elementwise.
+/// Applies GELU elementwise.  Each element gets exactly Gelu's bits (the
+/// scalar call runs the same four-lane body on a splat).
 void GeluInPlace(MatrixF& m);
 
 /// Layer normalization over the last dimension with learned gamma/beta.

@@ -25,17 +25,25 @@ void QuantizedLinear::ForwardInto(const MatrixF& x, GemmScratch& scratch,
   if (x.cols() != in_features()) {
     throw std::invalid_argument("QuantizedLinear: input width mismatch");
   }
-  const QuantizedMatrix xq = Quantize(x, 8);
-  const float out_scale = xq.scale * weight.scale;
+  const float xscale = QuantizeInto(x, 8, scratch.xcodes);
+  ForwardInto(scratch.xcodes, xscale, scratch, out);
+}
+
+void QuantizedLinear::ForwardInto(const MatrixI8& xcodes, float xscale,
+                                  GemmScratch& scratch, MatrixF& out) const {
+  if (xcodes.cols() != in_features()) {
+    throw std::invalid_argument("QuantizedLinear: input width mismatch");
+  }
+  const float out_scale = xscale * weight.scale;
 
   // Packed K-pair int8 GEMM with exact int32 accumulation -- the same
   // arithmetic one DSP slice performs per MAC.  A 16-bit multiply-add sums
   // two int8 products (at most 2 * 128^2, no overflow) and integer
   // addition is associative, so the result is the naive loop's bit for bit.
-  MatrixI32 acc;
-  Int8GemmInto(xq.codes, weight.codes, acc, scratch);
+  MatrixI32& acc = scratch.acc;
+  Int8GemmInto(xcodes, weight.codes, acc, scratch);
 
-  out.Resize(x.rows(), out_features());
+  out.Resize(xcodes.rows(), out_features());
   for (std::size_t i = 0; i < out.rows(); ++i) {
     auto ai = acc.row(i);
     auto yi = out.row(i);

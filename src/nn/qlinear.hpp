@@ -30,10 +30,18 @@ struct QuantizedLinear {
   /// (identical bits).
   MatrixF Forward(const MatrixF& x) const;
 
-  /// Writes y into `out` (resized, fully overwritten); the int8 GEMM packs
-  /// into `scratch` (a Workspace's `ws.gemm()` on hot paths).  `out` must
-  /// not alias `x`.
+  /// Writes y into `out` (resized, fully overwritten).  x's codes go to
+  /// `scratch.xcodes`, the int32 product to `scratch.acc`, and the int8
+  /// GEMM packs into `scratch` (a Workspace's `ws.gemm()` on hot paths),
+  /// so at steady-state shapes a call allocates nothing but `out`.  `out`
+  /// must not alias `x`.
   void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
+
+  /// The same from input codes already quantized to 8 bits with
+  /// QuantizeInto (`xscale` is its return value), so one quantization can
+  /// feed several layers (Q, K and V).  `xcodes` may be `scratch.xcodes`.
+  void ForwardInto(const MatrixI8& xcodes, float xscale, GemmScratch& scratch,
+                   MatrixF& out) const;
 
   std::size_t in_features() const { return weight.codes.rows(); }
   std::size_t out_features() const { return weight.codes.cols(); }

@@ -77,11 +77,17 @@ struct GemmScratch {
   std::vector<std::int16_t, CacheAlignedAllocator<std::int16_t>> wpack;
   /// ... and the int32 activation pairs of the current row tile.
   std::vector<std::int32_t, CacheAlignedAllocator<std::int32_t>> xpack;
+  /// QuantizedLinear (nn/qlinear.hpp): the int8 codes of its input and the
+  /// int32 product before dequantization.
+  MatrixI8 xcodes;
+  MatrixI32 acc;
 
   std::size_t CapacityBytes() const {
     return bpack.capacity() * sizeof(float) +
            wpack.capacity() * sizeof(std::int16_t) +
-           xpack.capacity() * sizeof(std::int32_t);
+           xpack.capacity() * sizeof(std::int32_t) +
+           xcodes.capacity() * sizeof(std::int8_t) +
+           acc.capacity() * sizeof(std::int32_t);
   }
 };
 

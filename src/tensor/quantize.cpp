@@ -55,7 +55,7 @@ inline std::int8_t RoundToCode(float s, int qmax) {
 // Quantizes src into dst at scaling factor M > 0.  The scaled value is
 // (qmax / M) * x, as it always was; but when M is so small (subnormal) that
 // qmax / M overflows, 0 * inf would be NaN, so x / M is taken first.
-void QuantizeInto(std::span<const float> src, std::span<std::int8_t> dst,
+void QuantizeSpan(std::span<const float> src, std::span<std::int8_t> dst,
                   int qmax, float M) {
   const float inv = static_cast<float>(qmax) / M;
   if (std::isfinite(inv)) {
@@ -78,11 +78,15 @@ std::int8_t QuantizeValue(float x, int bits, float M) {
   }
   if (M <= 0.f) return 0;
   std::int8_t code = 0;
-  QuantizeInto({&x, 1}, {&code, 1}, MaxCode(bits), M);
+  QuantizeSpan({&x, 1}, {&code, 1}, MaxCode(bits), M);
   return code;
 }
 
-QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M) {
+namespace {
+
+// QuantizeWithScale into a reused code buffer; returns the scale.
+float QuantizeWithScaleInto(const MatrixF& m, int bits, float M,
+                            MatrixI8& codes) {
   if (bits != 1 && bits != 4 && bits != 8) {
     throw std::invalid_argument("Quantize: bits must be 1, 4 or 8");
   }
@@ -98,24 +102,36 @@ QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M) {
     throw std::invalid_argument("Quantize: non-finite element at flat index " +
                                 std::to_string(bad - src.begin()));
   }
-  QuantizedMatrix q;
-  q.bits = bits;
-  q.codes = MatrixI8(m.rows(), m.cols());
+  codes.Resize(m.rows(), m.cols());
   const int qmax = MaxCode(bits);
-  q.scale = (M > 0.f) ? M / static_cast<float>(qmax) : 1.f;
-  auto dst = q.codes.flat();
+  auto dst = codes.flat();
   if (bits == 1) {
     for (std::size_t i = 0; i < src.size(); ++i) {
       dst[i] = QuantizeValue(src[i], bits, M);
     }
   } else if (M > 0.f) {
-    QuantizeInto(src, dst, qmax, M);
+    QuantizeSpan(src, dst, qmax, M);
+  } else {
+    std::fill(dst.begin(), dst.end(), std::int8_t{0});
   }
+  return (M > 0.f) ? M / static_cast<float>(qmax) : 1.f;
+}
+
+}  // namespace
+
+QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M) {
+  QuantizedMatrix q;
+  q.bits = bits;
+  q.scale = QuantizeWithScaleInto(m, bits, M, q.codes);
   return q;
 }
 
 QuantizedMatrix Quantize(const MatrixF& m, int bits) {
   return QuantizeWithScale(m, bits, ScalingFactor(m));
+}
+
+float QuantizeInto(const MatrixF& m, int bits, MatrixI8& codes) {
+  return QuantizeWithScaleInto(m, bits, ScalingFactor(m), codes);
 }
 
 MatrixF Dequantize(const QuantizedMatrix& q) {

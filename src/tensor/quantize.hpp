@@ -37,6 +37,11 @@ float ScalingFactor(const MatrixF& m);
 /// first non-finite (NaN or Inf) element.
 QuantizedMatrix Quantize(const MatrixF& m, int bits);
 
+/// Quantize into a reused code buffer (resized, fully overwritten; same
+/// codes, checks and errors); returns the scale.  Allocates nothing once
+/// `codes` has held a matrix this large.
+float QuantizeInto(const MatrixF& m, int bits, MatrixI8& codes);
+
 /// Quantizes with an externally supplied scaling factor M (used when Q and K
 /// rows stream through hardware and M was computed over a larger tensor).
 /// Same preconditions and errors as Quantize.

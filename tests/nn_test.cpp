@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "nn/attention.hpp"
@@ -81,6 +83,88 @@ TEST(GeluTest, ShapeHasSingleMinimumNearMinusThreeQuarters) {
   EXPECT_NEAR(best, -0.17f, 0.01f);
   EXPECT_GT(best_x, -1.2f);
   EXPECT_LT(best_x, -0.4f);
+}
+
+// BERT's tanh-form GELU in double precision, the reference the float
+// evaluation is held to.
+double GeluDouble(double x) {
+  const double c = std::sqrt(2.0 / std::acos(-1.0));
+  return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(GeluTest, WithinOneMillionthOfDoublePrecisionOnSweepAndDraws) {
+  double worst = 0;
+  float worst_x = 0;
+  auto check = [&](float x) {
+    const double err = std::fabs(Gelu(x) - GeluDouble(x));
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  };
+  for (int i = -12000; i <= 12000; ++i) check(static_cast<float>(i) * 1e-3f);
+  Rng rng(19);
+  MatrixF draws = rng.NormalMatrix(1000, 1000, 0.0, 4.0);
+  for (float x : draws.flat()) check(x);
+  EXPECT_LE(worst, 1e-6) << "at x = " << worst_x;
+
+  // The bulk path is held to the same bound on the same draws.
+  const MatrixF inputs = draws;
+  GeluInPlace(draws);
+  double bulk_worst = 0;
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const double want = GeluDouble(inputs.flat()[i]);
+    bulk_worst = std::max(bulk_worst, std::fabs(draws.flat()[i] - want));
+  }
+  EXPECT_LE(bulk_worst, 1e-6);
+}
+
+TEST(GeluTest, ScalarEqualsBulkBitForBitAtEveryTailLength) {
+  Rng rng(20);
+  std::vector<MatrixF> cases;
+  for (std::size_t n = 1; n <= 9; ++n) {
+    cases.push_back(rng.NormalMatrix(1, n, 0.0, 3.0));
+  }
+  cases.push_back(rng.NormalMatrix(53, 3072, 0.0, 3.0));
+  for (const MatrixF& x : cases) {
+    MatrixF y = x;
+    GeluInPlace(y);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_TRUE(SameBits(y.flat()[i], Gelu(x.flat()[i])))
+          << x.rows() << "x" << x.cols() << " element " << i;
+    }
+  }
+}
+
+TEST(GeluTest, SpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  MatrixF m = MatrixF::FromFlat(
+      1, 9, {-inf, inf, std::numeric_limits<float>::quiet_NaN(), -0.f, 0.f,
+             -8e12f, 8e12f, -big, big});
+  const MatrixF in = m;
+  GeluInPlace(m);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_TRUE(SameBits(m.flat()[i], Gelu(in.flat()[i]))) << in.flat()[i];
+  }
+  EXPECT_EQ(Gelu(-inf), 0.f);
+  EXPECT_TRUE(std::signbit(Gelu(-inf)));  // -0, not NaN
+  EXPECT_EQ(Gelu(inf), inf);
+  EXPECT_TRUE(std::isnan(Gelu(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(SameBits(Gelu(-0.f), -0.f));
+  EXPECT_TRUE(SameBits(Gelu(0.f), 0.f));
+  // Past |x| ~ 7e12, x^3 overflows; the result stays finite.
+  for (float x : {-8e12f, 8e12f, -big, big}) {
+    EXPECT_TRUE(std::isfinite(Gelu(x))) << x;
+  }
+  EXPECT_EQ(Gelu(8e12f), 8e12f);
+  EXPECT_EQ(Gelu(big), big);
+  EXPECT_EQ(Gelu(-8e12f), 0.f);
+  EXPECT_EQ(Gelu(-big), 0.f);
 }
 
 TEST(LayerNormTest, ZeroMeanUnitVarWithIdentityAffine) {

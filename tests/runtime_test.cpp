@@ -273,6 +273,37 @@ TEST(BatchRunnerTest, Int8BatchReusesSlotArena) {
   }
 }
 
+TEST(WorkspaceTest, Int8LayerKeepsCodesAndAccumulatorInTheArena) {
+  // QuantizedLinear quantizes into ws.gemm().xcodes (once for Q, K and V)
+  // and accumulates into ws.gemm().acc: after the first call at a shape,
+  // repeated int8 layer calls reuse those buffers and hold the same bytes.
+  EncoderConfig cfg;
+  cfg.hidden = 64;
+  cfg.heads = 4;
+  Rng rng(21);
+  const auto w =
+      QuantizedEncoderWeights::FromFloat(MakeEncoderWeights(rng, cfg));
+  const MatrixF x = rng.NormalMatrix(24, cfg.hidden, 0.0, 1.0);
+  SparseAttentionConfig sa;
+  sa.top_k = 8;
+  const AttentionFn attn = MakeSparseAttentionFn(sa);
+
+  Workspace ws;
+  const MatrixF first = EncoderForward(x, w, cfg, attn, ws);
+  const GemmScratch& gs = ws.gemm();
+  EXPECT_GE(gs.xcodes.capacity(), x.rows() * cfg.ffn());  // FFN2's input
+  EXPECT_GE(gs.acc.capacity(), x.rows() * cfg.ffn());     // FFN1's output
+  const std::size_t bytes = ws.CapacityBytes();
+  const std::int8_t* codes = gs.xcodes.flat().data();
+  const std::int32_t* acc = gs.acc.flat().data();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(EncoderForward(x, w, cfg, attn, ws), first);
+    EXPECT_EQ(ws.CapacityBytes(), bytes) << "round " << round;
+    EXPECT_EQ(gs.xcodes.flat().data(), codes);
+    EXPECT_EQ(gs.acc.flat().data(), acc);
+  }
+}
+
 TEST(BatchRunnerTest, EncoderBatchMatchesSequentialBitExactly) {
   Rng rng(5);
   EncoderConfig cfg;

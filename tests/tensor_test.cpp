@@ -267,6 +267,24 @@ TEST(QuantizeTest, HugeScaledValuesSaturateWithTheirSign) {
   }
 }
 
+TEST(QuantizeTest, IntoAReusedBufferMatchesQuantize) {
+  // QuantizeInto overwrites every code of a buffer left holding another
+  // matrix's codes, also where an all-zero input writes nothing but zeros.
+  Rng rng(31);
+  std::vector<MatrixF> inputs;
+  inputs.push_back(rng.NormalMatrix(7, 9, 0.0, 2.0));
+  inputs.push_back(MatrixF(5, 6));  // all zeros: M = 0
+  inputs.push_back(rng.NormalMatrix(3, 4, 0.0, 1.0));
+  for (int bits : {1, 4, 8}) {
+    MatrixI8 codes(8, 10, std::int8_t{-3});
+    for (const MatrixF& m : inputs) {
+      const QuantizedMatrix want = Quantize(m, bits);
+      EXPECT_EQ(QuantizeInto(m, bits, codes), want.scale) << bits;
+      EXPECT_EQ(codes, want.codes) << bits;
+    }
+  }
+}
+
 TEST(QuantizeTest, RoundingMatchesClampedLround) {
   // With M = qmax the scale factor qmax / M is exactly 1, so every code is
   // the rounding of the value itself; it must equal clamp(lround(s)).
