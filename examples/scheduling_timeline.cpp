@@ -52,11 +52,8 @@ int main() {
   std::printf("bubble time         : %.4f ms\n",
               schedule.BubbleTime() * 1e3);
 
-  // Show the state machine names driving each stage (Fig 2(b)).
-  std::printf("\nstate machines: %s -> %s -> %s\n",
-              WorkingStateName(StageId::kMmAtSel).c_str(),
-              WorkingStateName(StageId::kAtComp).c_str(),
-              WorkingStateName(StageId::kFdFwd).c_str());
+  // Each stage's Working state in Fig 2(b).
+  std::printf("\nstate machines: StateMM -> StateAtten -> StateFF\n");
 
   // Export the schedule for chrome://tracing / Perfetto.
   const char* trace_path = "fig5_schedule.json";

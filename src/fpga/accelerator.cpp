@@ -81,7 +81,6 @@ AcceleratorReport RunAccelerator(const ModelConfig& model,
         model.TotalModelFlops(static_cast<double>(n), amode, cfg.top_k);
   }
   rep.schedule = std::move(schedule);
-  rep.stage_models = stage_models;
   return rep;
 }
 

@@ -48,8 +48,7 @@ struct AcceleratorReport {
   std::size_t batch_size = 0;
   std::size_t useful_tokens = 0;
 
-  ScheduleResult schedule;                    ///< full-encoder pipeline
-  std::vector<StageTimingModel> stage_models; ///< as planned
+  ScheduleResult schedule;  ///< full-encoder pipeline
 
   double EquivalentGops() const {
     return latency_s > 0 ? useful_dense_flops / latency_s / 1e9 : 0;

@@ -4,25 +4,31 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace latte {
 
-std::vector<double> ScheduleResult::StageUtilization() const {
-  if (stage_busy.empty()) return {};
-  std::vector<double> first(stage_busy.size(),
+namespace {
+
+// Seconds from each stage's first start to its last finish.
+std::vector<double> ActiveWindows(const ScheduleResult& res) {
+  std::vector<double> first(res.stage_busy.size(),
                             std::numeric_limits<double>::infinity());
-  std::vector<double> last(stage_busy.size(), 0.0);
-  std::vector<std::size_t> instances(stage_busy.size(), 1);
-  for (const auto& j : jobs) {
+  std::vector<double> last(res.stage_busy.size(), 0.0);
+  for (const auto& j : res.jobs) {
     first[j.stage] = std::min(first[j.stage], j.start);
     last[j.stage] = std::max(last[j.stage], j.end);
-    instances[j.stage] = std::max(instances[j.stage], j.instance + 1);
   }
-  std::vector<double> util(stage_busy.size(), 0.0);
-  for (std::size_t s = 0; s < stage_busy.size(); ++s) {
-    const double window =
-        (last[s] - first[s]) * static_cast<double>(instances[s]);
-    util[s] = window > 0 ? stage_busy[s] / window : 1.0;
+  for (std::size_t s = 0; s < last.size(); ++s) last[s] -= first[s];
+  return last;
+}
+
+}  // namespace
+
+std::vector<double> ScheduleResult::StageUtilization() const {
+  std::vector<double> util = ActiveWindows(*this);
+  for (std::size_t s = 0; s < util.size(); ++s) {
+    util[s] = util[s] > 0 ? stage_busy[s] / util[s] : 1.0;
   }
   return util;
 }
@@ -34,20 +40,10 @@ double ScheduleResult::SerialTime() const {
 }
 
 double ScheduleResult::BubbleTime() const {
+  const std::vector<double> window = ActiveWindows(*this);
   double acc = 0.0;
-  std::vector<double> first(stage_busy.size(),
-                            std::numeric_limits<double>::infinity());
-  std::vector<double> last(stage_busy.size(), 0.0);
-  std::vector<std::size_t> instances(stage_busy.size(), 1);
-  for (const auto& j : jobs) {
-    first[j.stage] = std::min(first[j.stage], j.start);
-    last[j.stage] = std::max(last[j.stage], j.end);
-    instances[j.stage] = std::max(instances[j.stage], j.instance + 1);
-  }
-  for (std::size_t s = 0; s < stage_busy.size(); ++s) {
-    const double window =
-        (last[s] - first[s]) * static_cast<double>(instances[s]);
-    if (window > 0) acc += window - stage_busy[s];
+  for (std::size_t s = 0; s < window.size(); ++s) {
+    if (window[s] > 0) acc += window[s] - stage_busy[s];
   }
   return acc;
 }
@@ -61,78 +57,58 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
   if (cfg.layers == 0) {
     throw std::invalid_argument("SimulatePipeline: layers must be >= 1");
   }
-  if (!cfg.replication.empty() && cfg.replication.size() != stages.size()) {
-    throw std::invalid_argument(
-        "SimulatePipeline: replication size mismatch");
-  }
   const std::size_t B = lengths.size();
   const std::size_t S = stages.size();
-  const std::size_t L = cfg.layers;
 
-  auto replicas = [&](std::size_t s) -> std::size_t {
-    if (cfg.replication.empty()) return 1;
-    return std::max<std::size_t>(1, cfg.replication[s]);
-  };
-
-  ScheduleResult res;
-  res.stage_busy.assign(S, 0.0);
-  if (B == 0) return res;
-
-  // finish[i][s] = finish time of sequence i's most recent job on stage s
-  // (layer-major streaming means only the latest layer matters).
-  std::vector<std::vector<double>> finish(B, std::vector<double>(S, 0.0));
-  // Per-sequence finish of the previous layer's last stage.
-  std::vector<double> prev_layer_done(B, 0.0);
-  // Per-instance occupancy and round-robin cursor per stage.
-  std::vector<std::vector<double>> instance_free(S);
-  std::vector<std::size_t> rr(S, 0);
-  for (std::size_t s = 0; s < S; ++s) {
-    instance_free[s].assign(replicas(s), 0.0);
-  }
-  // Without double buffers: finish time of the *consumer* of the previous
-  // item that went through stage s (the buffer drains when stage s+1
-  // ends).  With replication this is tracked per stage, which is slightly
-  // conservative (a shared output buffer pool).
-  std::vector<double> buffer_drained(S, 0.0);
-
-  // One Fig 2(b) state machine per stage instance.
-  std::vector<std::vector<StageStateMachine>> machines(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t r = 0; r < replicas(s); ++r) {
-      machines[s].emplace_back(
-          static_cast<StageId>(std::min<std::size_t>(s, 2)));
+  // T_s(len_i) is the same in every layer, so each (sequence, stage) is
+  // timed once.
+  std::vector<double> dur(B * S);
+  for (std::size_t i = 0; i < B; ++i) {
+    for (std::size_t s = 0; s < S; ++s) {
+      const double t = stages[s].Seconds(static_cast<double>(lengths[i]));
+      if (!std::isfinite(t) || t < 0) {
+        throw std::invalid_argument(
+            "SimulatePipeline: stage " + std::to_string(s) + " takes " +
+            std::to_string(t) + " s at length " + std::to_string(lengths[i]) +
+            " (must be finite and >= 0)");
+      }
+      dur[i * S + s] = t;
     }
   }
 
-  for (std::size_t l = 0; l < L; ++l) {
+  ScheduleResult res;
+  res.stage_busy.assign(S, 0.0);
+  res.jobs.reserve(B * cfg.layers * S);
+  // Stage s is Working until stage_free[s] and Idle from then on.
+  std::vector<double> stage_free(S, 0.0);
+  // Without double buffers: finish time of the *consumer* of the previous
+  // item that went through stage s (the buffer drains when stage s+1 ends).
+  std::vector<double> buffer_drained(S, 0.0);
+  // Per-sequence finish of the previous layer's last stage.
+  std::vector<double> layer_done(B, 0.0);
+
+  for (std::size_t l = 0; l < cfg.layers; ++l) {
     for (std::size_t i = 0; i < B; ++i) {
+      double ready = layer_done[i];
       for (std::size_t s = 0; s < S; ++s) {
-        const double dur =
-            stages[s].Seconds(static_cast<double>(lengths[i])) +
-            cfg.stage_switch_overhead;
-        const std::size_t inst = rr[s];
-        rr[s] = (rr[s] + 1) % replicas(s);
-        double ready = (s == 0) ? prev_layer_done[i] : finish[i][s - 1];
-        double start = std::max(ready, instance_free[s][inst]);
+        double start = std::max(ready, stage_free[s]);
         if (!cfg.double_buffer) {
           // Single buffer: stage s may not overwrite its output buffer
           // until the downstream stage consumed the previous item.
           start = std::max(start, buffer_drained[s]);
         }
-        const double end = start + dur;
-        machines[s][inst].Start(start, i, l);
-        machines[s][inst].Finish(end);
-        res.jobs.push_back({i, l, s, inst, start, end});
-        res.stage_busy[s] += dur;
-        finish[i][s] = end;
-        instance_free[s][inst] = end;
+        const double end = start + dur[i * S + s];
+        res.jobs.push_back({i, l, s, start, end});
+        res.stage_busy[s] += dur[i * S + s];
+        stage_free[s] = end;
         if (!cfg.double_buffer && s > 0) {
           // Consuming this item drains stage s-1's output buffer.
           buffer_drained[s - 1] = end;
         }
         res.makespan = std::max(res.makespan, end);
+        ready = end;
       }
-      prev_layer_done[i] = finish[i][S - 1];
+      layer_done[i] = ready;
     }
   }
   return res;

@@ -16,14 +16,19 @@
 //     finishes, without them it additionally waits until the downstream
 //     stage has drained the previous item's buffer.
 //
+// Each stage is one instance, and its free time is the Fig 2(b) state
+// machine: the stage is Working (StateMM / StateAtten / StateFF) until
+// then and Idle from then on.  The replication R(G_k) of
+// sched/resource_plan is planned and reported, not simulated.
+//
 // Because sparse attention makes every stage O(n), feeding the batch in
 // decreasing length order leaves no stage waiting on a longer downstream
 // job -- the bubble-free property Fig 5 illustrates.  The simulator makes no
 // such assumption; it simply reports the bubbles that a given order incurs.
 
+#include <string>
 #include <vector>
 
-#include "fpga/state_machine.hpp"
 #include "fpga/timing.hpp"
 
 namespace latte {
@@ -32,11 +37,6 @@ namespace latte {
 struct PipelineSimConfig {
   std::size_t layers = 12;       ///< encoder layers the batch passes through
   bool double_buffer = true;     ///< ping-pong buffers between stages
-  double stage_switch_overhead = 0.0;  ///< fixed seconds added per job
-  /// Instances per stage, R(G_k) of Section 4.2; jobs round-robin across
-  /// instances.  Empty means one instance everywhere.  Each instance runs
-  /// at the full per-instance stage timing model.
-  std::vector<std::size_t> replication;
 };
 
 /// One scheduled unit of work.
@@ -44,7 +44,6 @@ struct TimedJob {
   std::size_t seq = 0;
   std::size_t layer = 0;
   std::size_t stage = 0;
-  std::size_t instance = 0;  ///< which replica of the stage served it
   double start = 0;
   double end = 0;
 };
@@ -73,7 +72,9 @@ struct ScheduleResult {
 
 /// Simulates the coarse pipeline for sequences of the given lengths
 /// (processed in vector order) through `cfg.layers` identical encoder
-/// layers with per-stage timing models `stages`.
+/// layers with per-stage timing models `stages`.  Throws
+/// std::invalid_argument naming the stage if any stage time is NaN,
+/// infinite or negative.
 ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
                                 const std::vector<StageTimingModel>& stages,
                                 const PipelineSimConfig& cfg);

@@ -36,34 +36,6 @@ std::vector<std::vector<OpSpec>> GroupByStageHint(
   return groups;
 }
 
-std::vector<StageTimingModel> RestrictToAttention(
-    const std::vector<std::vector<OpSpec>>& stage_ops,
-    const std::vector<StageTimingModel>& full_models, double element_bytes) {
-  if (stage_ops.size() != full_models.size()) {
-    throw std::invalid_argument("RestrictToAttention: size mismatch");
-  }
-  std::vector<StageTimingModel> out;
-  for (std::size_t k = 0; k < stage_ops.size(); ++k) {
-    StageTimingModel m = full_models[k];  // keep dsp / lut / bw shares
-    m.flops = {};
-    m.lut_ops = {};
-    m.offchip_bytes = {};
-    bool any = false;
-    for (const auto& op : stage_ops[k]) {
-      if (!op.in_attention) continue;
-      m.flops = m.flops + op.flops;
-      m.lut_ops = m.lut_ops + op.lut_ops;
-      m.offchip_bytes = m.offchip_bytes + op.offchip_elems;
-      any = true;
-    }
-    m.offchip_bytes.quad *= element_bytes;
-    m.offchip_bytes.lin *= element_bytes;
-    m.offchip_bytes.cst *= element_bytes;
-    if (any) out.push_back(m);
-  }
-  return out;
-}
-
 std::vector<StageTimingModel> BuildStageTimings(
     const std::vector<std::vector<OpSpec>>& stage_ops, const FpgaSpec& spec,
     double s_avg, double element_bytes) {

@@ -51,14 +51,4 @@ std::vector<StageTimingModel> BuildStageTimings(
 std::vector<std::vector<OpSpec>> GroupByStageHint(
     const std::vector<OpSpec>& ops);
 
-/// Timing models for the self-attention portion only, keeping each stage's
-/// resource allocation exactly as the full design fixed it at synthesis
-/// time (the hardware does not re-tune when we time a sub-workflow).
-/// `full_models[k]` must correspond to `stage_ops[k]`; stages without any
-/// attention work are dropped.
-std::vector<StageTimingModel> RestrictToAttention(
-    const std::vector<std::vector<OpSpec>>& stage_ops,
-    const std::vector<StageTimingModel>& full_models,
-    double element_bytes = 1.0);
-
 }  // namespace latte

@@ -32,8 +32,8 @@ std::string ToChromeTrace(const ScheduleResult& schedule) {
   }
   for (const auto& j : schedule.jobs) {
     os << ",{\"name\":\"seq" << j.seq << " L" << j.layer
-       << "\",\"ph\":\"X\",\"pid\":" << j.stage << ",\"tid\":" << j.instance
-       << ",\"ts\":" << j.start * 1e6 << ",\"dur\":"
+       << "\",\"ph\":\"X\",\"pid\":" << j.stage
+       << ",\"tid\":0,\"ts\":" << j.start * 1e6 << ",\"dur\":"
        << (j.end - j.start) * 1e6 << ",\"args\":{\"seq\":" << j.seq
        << ",\"layer\":" << j.layer << "}}";
   }

@@ -9,7 +9,7 @@
 namespace latte {
 
 /// Serializes a schedule as a Chrome trace-event JSON document.
-/// Stages map to "processes", instances to "threads"; each job becomes a
+/// Stages map to "processes", each with one thread; each job becomes a
 /// complete ("X") event with microsecond timestamps.
 std::string ToChromeTrace(const ScheduleResult& schedule);
 

@@ -43,7 +43,6 @@
 #include "fpga/hbm.hpp"
 #include "fpga/pipeline_sim.hpp"
 #include "fpga/resources.hpp"
-#include "fpga/state_machine.hpp"
 #include "fpga/trace.hpp"
 #include "fpga/timing.hpp"
 #include "metrics/accuracy.hpp"

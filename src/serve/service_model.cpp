@@ -1,7 +1,6 @@
 #include "serve/service_model.hpp"
 
 #include <cmath>
-#include <utility>
 
 namespace latte {
 
@@ -21,9 +20,6 @@ ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
   } else if (spec.accel.top_k == 0) {
     AddIssue(issues, "accel.top_k",
              "must be >= 1 (0 selects no attention candidates)");
-  }
-  if (spec.sharded) {
-    MergePrefixed(issues, "shard", CheckShardServiceConfig(spec.shard));
   }
   return issues;
 }
@@ -50,9 +46,6 @@ BatchServiceModel BuildServiceModel(const ServiceModelSpec& spec) {
       };
       break;
     }
-  }
-  if (spec.sharded) {
-    base = MakeShardedServiceModel(std::move(base), spec.model, spec.shard);
   }
   return base;
 }

@@ -3,9 +3,10 @@
 //
 // Every question of the form "what does a batch cost?" is answered by a
 // single declarative value, ServiceModelSpec, and one factory,
-// BuildServiceModel(spec), that composes base pricing (token-linear /
-// padded / accelerator twin) with optional tensor-parallel gang wrapping.
-// A heterogeneous fleet is one spec per replica.  BuildTierServiceModels
+// BuildServiceModel(spec), that prices a batch by token-linear, padded or
+// accelerator-twin cost.  Tensor-parallel gang wrapping belongs to the
+// engine alone (BackendMode::kSharded wraps at construction).  A
+// heterogeneous fleet is one spec per replica.  BuildTierServiceModels
 // derives the adaptive ladder's per-tier models from the same spec by
 // overriding only the accelerator's top_k -- tier pricing and replica
 // pricing cannot drift apart.
@@ -17,7 +18,6 @@
 #include "fpga/accelerator.hpp"
 #include "model/config.hpp"
 #include "serve/dispatch.hpp"
-#include "serve/shard_service.hpp"
 
 namespace latte {
 
@@ -35,26 +35,18 @@ struct ServiceModelSpec {
   double seconds_per_token = 2e-6;
   double batch_overhead_s = 2e-4;
 
-  // kAccelerator knobs (also consulted for sharded wrapping, which needs
-  // the encoder shape regardless of base).
+  // kAccelerator knobs.
   ModelConfig model;
   AcceleratorConfig accel;
-
-  /// Wrap the base price with a tensor-parallel gang
-  /// (MakeShardedServiceModel over `shard`).  Leave false when the engine
-  /// owns the wrapping (BackendMode::kSharded wraps at construction).
-  bool sharded = false;
-  ShardServiceConfig shard;
 };
 
 /// Names every illegal field (non-positive token cost, negative overhead,
-/// malformed shard config -- "shard."-prefixed); empty means legal.
+/// zero accelerator top_k); empty means legal.
 ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec);
 
 /// Builds the service model a spec describes.  Throws
 /// std::invalid_argument (via the named-field validation) on a malformed
-/// spec; the sharded wrap additionally throws if the plan does not fit
-/// the model's encoder shape.
+/// spec.
 BatchServiceModel BuildServiceModel(const ServiceModelSpec& spec);
 
 /// Copy of `spec` with the accelerator's sparse top_k overridden -- the

@@ -1,5 +1,5 @@
-// Tests for the FPGA substrate: resources, stage timing, the Fig 2(b)
-// state machine and the coarse-grained pipeline simulator.
+// Tests for the FPGA substrate: resources, stage timing and the
+// coarse-grained pipeline simulator.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "fpga/accelerator.hpp"
 #include "fpga/pipeline_sim.hpp"
 #include "fpga/resources.hpp"
-#include "fpga/state_machine.hpp"
 #include "fpga/timing.hpp"
 #include "model/config.hpp"
 
@@ -92,42 +91,6 @@ TEST(TimingTest, RejectsNonPositiveSavg) {
   EXPECT_THROW(
       BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 0.0),
       std::invalid_argument);
-}
-
-// -------------------------------------------------------- StateMachine ---
-
-TEST(StateMachineTest, WorkingNames) {
-  EXPECT_EQ(WorkingStateName(StageId::kMmAtSel), "StateMM");
-  EXPECT_EQ(WorkingStateName(StageId::kAtComp), "StateAtten");
-  EXPECT_EQ(WorkingStateName(StageId::kFdFwd), "StateFF");
-}
-
-TEST(StateMachineTest, LegalLifecycle) {
-  StageStateMachine m(StageId::kMmAtSel);
-  EXPECT_EQ(m.state(), StageState::kIdle);
-  m.Start(1.0, 0, 0);
-  EXPECT_EQ(m.state(), StageState::kWorking);
-  m.Finish(3.0);
-  EXPECT_EQ(m.state(), StageState::kIdle);
-  EXPECT_DOUBLE_EQ(m.busy_time(), 2.0);
-  EXPECT_EQ(m.log().size(), 2u);
-}
-
-TEST(StateMachineTest, DoubleStartThrows) {
-  StageStateMachine m(StageId::kAtComp);
-  m.Start(0.0, 0, 0);
-  EXPECT_THROW(m.Start(1.0, 1, 0), std::logic_error);
-}
-
-TEST(StateMachineTest, FinishWhileIdleThrows) {
-  StageStateMachine m(StageId::kFdFwd);
-  EXPECT_THROW(m.Finish(1.0), std::logic_error);
-}
-
-TEST(StateMachineTest, TimeTravelThrows) {
-  StageStateMachine m(StageId::kFdFwd);
-  m.Start(5.0, 0, 0);
-  EXPECT_THROW(m.Finish(4.0), std::logic_error);
 }
 
 // --------------------------------------------------------- PipelineSim ---
@@ -247,6 +210,32 @@ TEST(PipelineSimTest, EmptyBatchAndBadConfig) {
   zero.layers = 0;
   EXPECT_THROW(SimulatePipeline({10}, models, zero), std::invalid_argument);
   EXPECT_THROW(SimulatePipeline({10}, {}, OneLayer()), std::invalid_argument);
+}
+
+TEST(PipelineSimTest, RejectsNonFiniteOrNegativeStageTime) {
+  // A stage with no DSPs and no work divides 0 by 0 on the DSP roof.
+  StageTimingModel nan_stage;
+  nan_stage.dsp = 0;
+  // No HBM share but real traffic: an infinite memory roof.
+  StageTimingModel inf_stage;
+  inf_stage.offchip_bytes = {0, 1, 0};
+  inf_stage.hbm_bytes_per_s = 0;
+  // Negative work on every roof.
+  StageTimingModel neg_stage;
+  neg_stage.flops = {0, 0, -1};
+  neg_stage.lut_ops = {0, 0, -1};
+  neg_stage.offchip_bytes = {0, 0, -1};
+  for (const auto& bad : {nan_stage, inf_stage, neg_stage}) {
+    auto models = SparseStageModels();
+    models[1] = bad;
+    try {
+      SimulatePipeline({140, 100}, models, OneLayer());
+      ADD_FAILURE() << "bad stage time accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stage 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PipelineSimTest, GanttRendersAllStages) {

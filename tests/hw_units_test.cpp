@@ -1,6 +1,6 @@
 // Tests for the hardware unit models added on top of the core algorithm:
 // the e^x LUT, the systolic II=1 Top-k sorting network, the HBM channel
-// apportionment, the int8 inference path, and pipeline replication.
+// apportionment and the int8 inference path.
 
 #include <gtest/gtest.h>
 
@@ -265,109 +265,6 @@ TEST(QuantizedEncoderTest, WorksWithSparseAttention) {
   const auto yq = EncoderForward(x, qw, cfg, MakeSparseAttentionFn(sa), ws);
   const auto yf = EncoderForward(x, w, cfg, DenseAttention, ws);
   EXPECT_GT(MeanRowCosine(yq, yf), 0.99);
-}
-
-// ---------------------------------------------------------- Replication --
-
-std::vector<StageTimingModel> ThreeStageModels() {
-  const auto ops =
-      EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  return BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 177);
-}
-
-TEST(ReplicationTest, ReplicatedBottleneckSpeedsUp) {
-  auto models = ThreeStageModels();
-  // Make stage 1 the clear bottleneck by shrinking its DSP count, then
-  // replicate it (each instance keeps the per-instance timing model).
-  models[1].dsp = models[1].dsp / 4;
-  std::vector<std::size_t> lens(12, 200);
-  PipelineSimConfig base;
-  base.layers = 4;
-  PipelineSimConfig repl = base;
-  repl.replication = {1, 4, 1};
-  const auto a = SimulatePipeline(lens, models, base);
-  const auto b = SimulatePipeline(lens, models, repl);
-  EXPECT_LT(b.makespan, a.makespan * 0.5);
-}
-
-TEST(ReplicationTest, InstancesNeverOverlap) {
-  auto models = ThreeStageModels();
-  PipelineSimConfig cfg;
-  cfg.layers = 3;
-  cfg.replication = {2, 3, 1};
-  std::vector<std::size_t> lens = {300, 250, 200, 150, 100, 90};
-  const auto res = SimulatePipeline(lens, models, cfg);
-  // Group jobs by (stage, instance): within a group, no time overlap.
-  for (std::size_t s = 0; s < 3; ++s) {
-    for (std::size_t inst = 0; inst < 3; ++inst) {
-      double prev_end = -1;
-      for (const auto& j : res.jobs) {
-        if (j.stage != s || j.instance != inst) continue;
-        EXPECT_GE(j.start, prev_end - 1e-12);
-        prev_end = j.end;
-      }
-    }
-  }
-}
-
-TEST(ReplicationTest, RoundRobinAssignment) {
-  auto models = ThreeStageModels();
-  PipelineSimConfig cfg;
-  cfg.layers = 1;
-  cfg.replication = {2, 1, 1};
-  std::vector<std::size_t> lens = {100, 100, 100, 100};
-  const auto res = SimulatePipeline(lens, models, cfg);
-  std::vector<std::size_t> stage0_instances;
-  for (const auto& j : res.jobs) {
-    if (j.stage == 0) stage0_instances.push_back(j.instance);
-  }
-  EXPECT_EQ(stage0_instances,
-            (std::vector<std::size_t>{0, 1, 0, 1}));
-}
-
-TEST(ReplicationTest, SizeMismatchRejected) {
-  auto models = ThreeStageModels();
-  PipelineSimConfig cfg;
-  cfg.replication = {1, 2};  // 2 entries for 3 stages
-  EXPECT_THROW(SimulatePipeline({10}, models, cfg), std::invalid_argument);
-}
-
-TEST(ReplicationTest, UtilizationAccountsForInstances) {
-  auto models = ThreeStageModels();
-  PipelineSimConfig cfg;
-  cfg.layers = 6;
-  cfg.replication = {1, 2, 1};
-  std::vector<std::size_t> lens(10, 150);
-  const auto res = SimulatePipeline(lens, models, cfg);
-  for (double u : res.StageUtilization()) {
-    EXPECT_LE(u, 1.0 + 1e-9);
-  }
-}
-
-// ----------------------------------------------- RestrictToAttention -----
-
-TEST(RestrictToAttentionTest, KeepsResourcesDropsNonAttentionWork) {
-  const auto ops =
-      EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  const auto groups = GroupByStageHint(ops);
-  const auto full = BuildStageTimings(groups, AlveoU280Slr0(), 177);
-  const auto attn = RestrictToAttention(groups, full);
-  // Stage 3 (FdFwd) has no attention operators and is dropped.
-  EXPECT_EQ(attn.size(), 2u);
-  // Resource shares are inherited from the full design.
-  EXPECT_DOUBLE_EQ(attn[0].dsp, full[0].dsp);
-  EXPECT_DOUBLE_EQ(attn[1].dsp, full[1].dsp);
-  // Attention work is a strict subset.
-  EXPECT_LT(attn[0].flops.Eval(177), full[0].flops.Eval(177));
-}
-
-TEST(RestrictToAttentionTest, SizeMismatchRejected) {
-  const auto ops =
-      EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  const auto groups = GroupByStageHint(ops);
-  const auto full = BuildStageTimings(groups, AlveoU280Slr0(), 177);
-  std::vector<std::vector<OpSpec>> wrong(groups.begin(), groups.end() - 1);
-  EXPECT_THROW(RestrictToAttention(wrong, full), std::invalid_argument);
 }
 
 }  // namespace
