@@ -5,10 +5,13 @@
 // JSON (BENCH_kernels.json, or argv[1]) for the CI perf-regression gate;
 // the dimensionless speedups are what the gate compares against
 // bench/baselines/, since absolute GFLOP/s move with the host.  The int8
-// cells time the packed K-pair Int8GemmInto against the 4-row int32 loop it
-// replaced on the projection and FFN shapes, time every micro-kernel
-// variant this host supports (Int8GemmIsas) as info, and fail the run on
-// any bit mismatch between a variant and the loop.  The At-Sel cells time
+// cells time Int8GemmInto (which packs W per call) and the product on
+// weights packed once (PackedInt8Weights, the layout QuantizedLinear runs)
+// against the 4-row int32 loop they replaced on the projection and FFN
+// shapes, time both for every micro-kernel variant this host supports
+// (Int8GemmIsas) as info, and fail the run on any bit mismatch between a
+// variant and the loop; an info field times packing one BERT-base
+// layer's int8 weights, the load-time cost.  The At-Sel cells time
 // SelectCandidates (int8 GEMM scoring, counting Top-k) against the
 // hardware-model path it replaced (per-pair LUT Dot, StreamingTopK) at
 // MRPC/SQuAD head shapes, and fail the run unless candidates, scores and
@@ -174,11 +177,14 @@ ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
   return r;
 }
 
-// One int8 micro-kernel variant forced through Int8GemmIntoIsa.
+// One int8 micro-kernel variant: forced through Int8GemmIntoIsa, and on
+// weights packed once for it.
 struct Int8IsaResult {
   std::string isa;
   double gops = 0;
   bool bit_exact = false;
+  double prepacked_gops = 0;
+  bool prepacked_bit_exact = false;
 };
 
 struct Int8Result {
@@ -187,6 +193,7 @@ struct Int8Result {
   double scalar_gops = 0;
   double packed_gops = 0;  // the dispatched variant, via Int8GemmInto
   double speedup = 0;
+  double prepacked_gops = 0;  // the dispatched variant, weights packed once
   bool bit_exact = false;  // every variant, the dispatched one included
   std::vector<Int8IsaResult> isas;
 };
@@ -220,16 +227,25 @@ Int8Result BenchInt8(const std::string& label, std::size_t m, std::size_t k,
     Int8GemmInto(x, w, out, scratch);
     g_sink = g_sink + static_cast<float>(out(0, 0));
   };
-  // Interleaved best-of rounds: both sides of the gated ratio sample the
+  const PackedInt8Weights wp(w);
+  MatrixI32 pre_out;
+  auto prepacked = [&] {
+    Int8GemmInto(x, wp, pre_out, scratch);
+    g_sink = g_sink + static_cast<float>(pre_out(0, 0));
+  };
+  // Interleaved best-of rounds: all sides of the gated ratio sample the
   // same stretch of host contention, and the minimum drops the rounds
   // another process stalled (a shared host moved mean-timed ratios by 50%).
   scalar();
   packed();
+  prepacked();
   double scalar_s = std::numeric_limits<double>::infinity();
   double packed_s = scalar_s;
+  double prepacked_s = scalar_s;
   for (int round = 0; round < 15; ++round) {
     scalar_s = std::min(scalar_s, time_once(scalar));
     packed_s = std::min(packed_s, time_once(packed));
+    prepacked_s = std::min(prepacked_s, time_once(prepacked));
   }
 
   Int8Result r;
@@ -240,24 +256,57 @@ Int8Result BenchInt8(const std::string& label, std::size_t m, std::size_t k,
   r.scalar_gops = ops / scalar_s * 1e-9;
   r.packed_gops = ops / packed_s * 1e-9;
   r.speedup = scalar_s / packed_s;
-  r.bit_exact = out == ref;
+  r.prepacked_gops = ops / prepacked_s * 1e-9;
+  r.bit_exact = out == ref && pre_out == ref;
 
-  // Every variant this host supports, best of a few rounds each: info
-  // only, but each must match the scalar loop bit for bit.
+  // Every variant this host supports, per call and pre-packed, best of a
+  // few interleaved rounds each: info only, but each must match the scalar
+  // loop bit for bit.
   for (const char* isa : Int8GemmIsas()) {
+    const PackedInt8Weights wv(isa, w);
     auto forced = [&] {
       Int8GemmIntoIsa(isa, x, w, out, scratch);
       g_sink = g_sink + static_cast<float>(out(0, 0));
     };
+    auto forced_pre = [&] {
+      Int8GemmInto(x, wv, pre_out, scratch);
+      g_sink = g_sink + static_cast<float>(pre_out(0, 0));
+    };
     forced();
+    forced_pre();
     double forced_s = std::numeric_limits<double>::infinity();
+    double forced_pre_s = forced_s;
     for (int round = 0; round < 5; ++round) {
       forced_s = std::min(forced_s, time_once(forced));
+      forced_pre_s = std::min(forced_pre_s, time_once(forced_pre));
     }
-    r.isas.push_back({isa, ops / forced_s * 1e-9, out == ref});
-    r.bit_exact = r.bit_exact && r.isas.back().bit_exact;
+    r.isas.push_back({isa, ops / forced_s * 1e-9, out == ref,
+                      ops / forced_pre_s * 1e-9, pre_out == ref});
+    r.bit_exact = r.bit_exact && r.isas.back().bit_exact &&
+                  r.isas.back().prepacked_bit_exact;
   }
   return r;
+}
+
+// Load-time cost: packing one BERT-base layer's int8 weights (Q, K, V,
+// output projection, FFN1, FFN2; 7.08M codes) for the dispatched variant,
+// fresh buffers included, best of a few rounds, in milliseconds.
+double BenchPackLayer(Rng& rng) {
+  const MatrixI8 proj = RandomCodes(768, 768, rng);
+  const MatrixI8 ffn1 = RandomCodes(768, 3072, rng);
+  const MatrixI8 ffn2 = RandomCodes(3072, 768, rng);
+  double best_s = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 10; ++round) {
+    const auto t0 = Clock::now();
+    std::vector<PackedInt8Weights> layer;
+    for (int i = 0; i < 4; ++i) layer.emplace_back(proj);
+    layer.emplace_back(ffn1);
+    layer.emplace_back(ffn2);
+    best_s = std::min(
+        best_s, std::chrono::duration<double>(Clock::now() - t0).count());
+    g_sink = g_sink + static_cast<float>(layer.back().bytes());
+  }
+  return best_s * 1e3;
 }
 
 struct AtSelResult {
@@ -449,27 +498,31 @@ int main(int argc, char** argv) {
   int8.push_back(BenchInt8("qkv_proj_seq64", 64, 768, 768, rng));
   int8.push_back(BenchInt8("ffn1_seq128", 128, 768, 3072, rng));
   int8.push_back(BenchInt8("ffn2_seq128", 128, 3072, 768, rng));
-  std::printf("\n== int8 GEMM GOP/s, packed K-pair (%s) vs 4-row loop ==\n",
+  std::printf("\n== int8 GEMM GOP/s (%s), packed per call and pre-packed "
+              "vs 4-row loop ==\n",
               KernelArchName());
   double int8_min_speedup = 0;
   bool int8_exact = true;
   for (const auto& r : int8) {
     std::printf(
-        "  %-18s %4zux%4zux%4zu  scalar %7.2f  packed %7.2f  %5.2fx%s\n",
+        "  %-18s %4zux%4zux%4zu  scalar %7.2f  packed %7.2f  %5.2fx  "
+        "pre-packed %7.2f%s\n",
         r.label.c_str(), r.m, r.k, r.n, r.scalar_gops, r.packed_gops,
-        r.speedup, r.bit_exact ? "" : "  BIT MISMATCH");
-    std::printf("  %18s", "");
+        r.speedup, r.prepacked_gops, r.bit_exact ? "" : "  BIT MISMATCH");
     for (const auto& v : r.isas) {
-      std::printf("  %s %.2f%s", v.isa.c_str(), v.gops,
-                  v.bit_exact ? "" : " MISMATCH");
+      std::printf("  %18s  %-10s  per call %7.2f%s  pre-packed %7.2f%s\n", "",
+                  v.isa.c_str(), v.gops, v.bit_exact ? "" : " MISMATCH",
+                  v.prepacked_gops, v.prepacked_bit_exact ? "" : " MISMATCH");
     }
-    std::printf("\n");
     int8_min_speedup = int8_min_speedup == 0
                            ? r.speedup
                            : std::min(int8_min_speedup, r.speedup);
     int8_exact = int8_exact && r.bit_exact;
   }
   std::printf("  int8 min speedup %.2fx\n", int8_min_speedup);
+  const double pack_layer_ms = BenchPackLayer(rng);
+  std::printf("  pack one BERT-base layer's int8 weights: %.2f ms\n",
+              pack_layer_ms);
   if (!int8_exact) {
     std::fprintf(stderr, "bench_kernels: an int8 GEMM variant differs from "
                          "the scalar reference\n");
@@ -549,6 +602,7 @@ int main(int argc, char** argv) {
     json.Key("scalar_gops").Value(r.scalar_gops);
     json.Key("packed_gops").Value(r.packed_gops);
     json.Key("speedup").Value(r.speedup);
+    json.Key("prepacked_gops").Value(r.prepacked_gops);
     json.Key("isas");
     json.BeginArray();
     for (const auto& v : r.isas) {
@@ -556,6 +610,8 @@ int main(int argc, char** argv) {
       json.Key("isa").Value(v.isa);
       json.Key("gops").Value(v.gops);
       json.Key("bit_exact").Value(v.bit_exact);
+      json.Key("prepacked_gops").Value(v.prepacked_gops);
+      json.Key("prepacked_bit_exact").Value(v.prepacked_bit_exact);
       json.EndObject();
     }
     json.EndArray();
@@ -563,6 +619,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.Key("int8_min_speedup").Value(int8_min_speedup);
+  json.Key("int8_pack_layer_ms").Value(pack_layer_ms);
   json.Key("atsel_shapes");
   json.BeginArray();
   for (const auto& r : atsel) {

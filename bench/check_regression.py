@@ -229,7 +229,9 @@ BENCHES = [
         ("int8_shapes[].scalar_gops", NUM),
         ("int8_shapes[].packed_gops", NUM),
         ("int8_shapes[].speedup", NUM),
+        ("int8_shapes[].prepacked_gops", NUM),
         ("int8_min_speedup", NUM),
+        ("int8_pack_layer_ms", NUM),
         ("atsel_shapes", length(4)),
         ("atsel_shapes[].label", STR),
         ("atsel_shapes[].n", ge(1)),
@@ -252,13 +254,16 @@ BENCHES = [
         ("info", ("kernel_arch", "host.kernel_arch")),
         ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup",
          "atsel_min_speedup", "gelu_speedup"),
+        # Packing one BERT-base layer's int8 weights at load: host time.
+        ("info-lower", "int8_pack_layer_ms"),
         Cells("shapes", ("label",), "{}", missing="shape {}", rows=[
             ("info-higher", "speedup", "tiled_gflops"),
         ]),
         # Float and int8 cells share labels, so int8 rows carry a prefix.
         Cells("int8_shapes", ("label",), "int8 {}", missing="shape int8 {}",
               rows=[
-                  ("info-higher", "speedup", "packed_gops"),
+                  ("info-higher", "speedup", "packed_gops",
+                   "prepacked_gops"),
               ]),
         Cells("atsel_shapes", ("label",), "{}", missing="shape {}", rows=[
             ("info-higher", "speedup"),

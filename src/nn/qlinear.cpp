@@ -9,7 +9,11 @@ namespace latte {
 
 QuantizedLinear QuantizedLinear::FromFloat(const Linear& l) {
   QuantizedLinear q;
-  q.weight = Quantize(l.weight, 8);
+  // The row-major codes live only until they are packed: one matrix at a
+  // time, never the whole model next to its packs.
+  const QuantizedMatrix codes = Quantize(l.weight, 8);
+  q.weight = PackedInt8Weights(codes.codes);
+  q.scale = codes.scale;
   q.bias = l.bias;
   return q;
 }
@@ -34,14 +38,13 @@ void QuantizedLinear::ForwardInto(const MatrixI8& xcodes, float xscale,
   if (xcodes.cols() != in_features()) {
     throw std::invalid_argument("QuantizedLinear: input width mismatch");
   }
-  const float out_scale = xscale * weight.scale;
+  const float out_scale = xscale * scale;
 
-  // Packed K-pair int8 GEMM with exact int32 accumulation -- the same
-  // arithmetic one DSP slice performs per MAC.  A 16-bit multiply-add sums
-  // two int8 products (at most 2 * 128^2, no overflow) and integer
-  // addition is associative, so the result is the naive loop's bit for bit.
+  // Int8 GEMM on the pre-packed weights with exact int32 accumulation --
+  // the same arithmetic one DSP slice performs per MAC, so the result is
+  // the naive loop's bit for bit.
   MatrixI32& acc = scratch.acc;
-  Int8GemmInto(xcodes, weight.codes, acc, scratch);
+  Int8GemmInto(xcodes, weight, acc, scratch);
 
   out.Resize(xcodes.rows(), out_features());
   for (std::size_t i = 0; i < out.rows(); ++i) {

@@ -17,11 +17,18 @@
 namespace latte {
 
 /// Linear layer with int8 weights and per-tensor activation quantization.
+/// The weight codes are packed once, at load, into the panel layout the
+/// dispatched int8 micro-kernel reads, the way the accelerator loads its
+/// weights once into the MAC array's on-chip layout; the pack replaces the
+/// row-major codes, so the layer holds the same bytes.
 struct QuantizedLinear {
-  QuantizedMatrix weight;   ///< (in x out) codes + scale
-  std::vector<float> bias;  ///< float bias, applied after dequantization
+  PackedInt8Weights weight;  ///< (in x out) 8-bit codes, packed
+  float scale = 1.f;         ///< weight dequantization step: w ~= code * scale
+  std::vector<float> bias;   ///< float bias, applied after dequantization
 
-  /// Quantizes an existing float layer (weights to 8-bit).
+  /// Quantizes an existing float layer (weights to 8-bit) and packs the
+  /// codes.  Throws std::invalid_argument for a non-finite weight or more
+  /// than kInt8GemmMaxK input features.
   static QuantizedLinear FromFloat(const Linear& l);
 
   /// y = dequant(quant8(x) * Wq) + bias.  Activations are quantized with
@@ -31,10 +38,10 @@ struct QuantizedLinear {
   MatrixF Forward(const MatrixF& x) const;
 
   /// Writes y into `out` (resized, fully overwritten).  x's codes go to
-  /// `scratch.xcodes`, the int32 product to `scratch.acc`, and the int8
-  /// GEMM packs into `scratch` (a Workspace's `ws.gemm()` on hot paths),
-  /// so at steady-state shapes a call allocates nothing but `out`.  `out`
-  /// must not alias `x`.
+  /// `scratch.xcodes`, the int32 product to `scratch.acc` and the int8
+  /// GEMM's activation steps to `scratch.xpack` (a Workspace's
+  /// `ws.gemm()` on hot paths); W is never re-packed, so at steady-state
+  /// shapes a call allocates nothing but `out`.  `out` must not alias `x`.
   void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
 
   /// The same from input codes already quantized to 8 bits with
@@ -43,8 +50,8 @@ struct QuantizedLinear {
   void ForwardInto(const MatrixI8& xcodes, float xscale, GemmScratch& scratch,
                    MatrixF& out) const;
 
-  std::size_t in_features() const { return weight.codes.rows(); }
-  std::size_t out_features() const { return weight.codes.cols(); }
+  std::size_t in_features() const { return weight.rows(); }
+  std::size_t out_features() const { return weight.cols(); }
 
   /// 8-bit MAC count of one forward pass over n rows.
   std::size_t MacCount(std::size_t n) const {

@@ -200,60 +200,75 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
 
 // ------------------------------------------------------------ int8 GEMM --
 //
-// Packed K-pair layout.  A 16-bit multiply-add (pmaddwd) multiplies int16
-// lanes pairwise and sums adjacent products into int32 lanes, so one
-// reduction step consumes two K rows: W is packed as int16 pairs
-// {w(p, j), w(p+1, j)}, column by column, and the activation pair
-// {x(i, p), x(i, p+1)} is one int32 broadcast to every lane.  A pair sum
-// of int8 products is at most 2 * 128^2 = 32768, far inside an int32
-// lane, and int32 addition is associative, so every output is exact.
+// Two packed layouts of W, one per kind of multiply-add.
 //
-// Several micro-kernels run this one layout (kInt8Variants below), and the
-// widest one the CPU supports is chosen once, at run time.  They all
-// compute the same integers, so the choice changes speed, never bits.
+// K-pairs (portable, sse2, avx2).  A 16-bit multiply-add (pmaddwd)
+// multiplies int16 lanes pairwise and sums adjacent products into int32
+// lanes, so one reduction step consumes two K rows: W is stored as int8
+// pairs {w(p, j), w(p+1, j)}, column by column, and widened to int16 in
+// registers, and the activation pair {x(i, p), x(i, p+1)} is one int32 of
+// two int16 halves, broadcast to every lane.
+//
+// K-quads (avxvnni, avx512vnni).  vpdpbusd multiplies unsigned by signed
+// bytes and sums four adjacent products into each int32 lane, so one step
+// consumes four K rows: W is stored as int8 quads {w(p..p+3, j)}, and the
+// activation quad is the four bytes x(i, p..p+3) + 128, now unsigned.
+// Since sum (x + 128) w = sum x w + 128 sum w, each output starts from
+// -128 x the column sum of W, which the pack stores ahead of its panels.
+//
+// Either layout is a run of K-tiles of kKc8 rows, each split into
+// kNr8-wide column panels, stored step by step.  PackWeights writes it:
+// once, at load, for QuantizedLinear (PackedInt8Weights), or per call into
+// GemmScratch::wpack when Int8GemmInto gets a row-major W.  Either way the
+// same sweep reads it.
+//
+// Exactness.  A K-tile's partial sums stay in registers and are added to
+// C, so every int32 intermediate is either one tile's sum or C after a
+// prefix of tiles: sum_{p<P} x w, or for quads
+// sum_{p<P} x w - 128 sum_{p>=P} w.  Both are at most 255 * 128 * k in
+// magnitude, under 2^31 for k <= kInt8GemmMaxK = 2^16; and int32 addition
+// is associative, so every variant gives the naive loop's bits.  The
+// micro-kernels differ in speed, never in bits, and the widest one the CPU
+// supports is chosen once, at run time.
 
-// Register tile rows, and panel width: one panel row (8 columns x 2 int16)
-// is one 128-bit load pair or exactly one 256-bit load.
+// Register tile rows, and panel width: a K-pair panel row (8 columns x 2
+// bytes) widens to one 256-bit vector of int16, and a K-quad panel row
+// (8 columns x 4 bytes) is one 256-bit vector.
 constexpr std::size_t kMr8 = 4;
 constexpr std::size_t kNr8 = 8;
 
-// The 128-bit kernels load each activation pair pre-broadcast to four
+// The 128-bit kernels load each activation step pre-broadcast to four
 // lanes (SSE2 has no broadcast load); the 256-bit ones broadcast it from
 // a single packed copy.
 constexpr std::size_t kLanes128 = 4;
 
-// K-tile: 128 rows of W pack to 128 * m int16 (0.75 MiB at m = 3072),
-// which keeps the pack scratch at or under 1 MiB for BERT-base's FFN width.
-// Even, so a K-pair never straddles two tiles.
-constexpr std::size_t kKc8 = 128;
+// K-tile: the rows of W one sweep streams per row tile.  256 rows of a
+// 3072-wide W are 0.75 MiB, which stays L2-resident across the row tiles.
+// A multiple of four, so no step straddles two tiles.
+constexpr std::size_t kKc8 = 256;
 
-inline std::int32_t PackPair(std::int8_t lo, std::int8_t hi) {
-  // Two's-complement int16 halves, lo in the low half (lane 2t of pmaddwd).
-  return static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
-      static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16);
-}
+// A variant's row-tile sweep: adds the product of one packed row tile
+// (`steps` K-steps, `lanes` copies per step) and every column panel of
+// one packed K-tile into the first mr rows of C at c, which is m columns
+// wide.
+using Int8Sweep = void (*)(std::size_t steps, const std::int32_t* xp,
+                           const std::int8_t* wp, std::int32_t* c,
+                           std::size_t m, std::size_t mr);
 
-// Interleaves 8 columns of rows r0 and r1 into {r0[j], r1[j]} int16 pairs,
-// j = 0..7.  r1 == nullptr is the zero row past an odd K tail.
-inline void PackPairs8(const std::int8_t* r0, const std::int8_t* r1,
-                       std::int16_t* out) {
-#if defined(__SSE2__)
-  const __m128i lo = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0));
-  const __m128i hi =
-      r1 != nullptr ? _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1))
-                    : _mm_setzero_si128();
-  const __m128i v = _mm_unpacklo_epi8(lo, hi);
-  // Sign-extend bytes to int16: duplicate each byte, shift right by 8.
-  __m128i* o = reinterpret_cast<__m128i*>(out);
-  _mm_store_si128(o, _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8));
-  _mm_store_si128(o + 1, _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8));
-#else
-  for (std::size_t j = 0; j < 8; ++j) {
-    out[2 * j] = r0[j];
-    out[2 * j + 1] = r1 != nullptr ? r1[j] : 0;
-  }
-#endif
+// One micro-kernel variant: its ISA name, the K rows per step (2 for
+// K-pairs, 4 for K-quads), the packed copies per activation step and the
+// panels per step its kernel reads, the sweep itself and its CPU check.
+struct Int8Variant {
+  const char* isa;
+  std::size_t kstep;
+  std::size_t lanes;
+  std::size_t panels;
+  Int8Sweep sweep;
+  bool (*supported)();
+};
+
+inline std::size_t Steps(const Int8Variant& v, std::size_t kc) {
+  return (kc + v.kstep - 1) / v.kstep;
 }
 
 // Column panels of a packed K-tile: m rounded up to whole groups of `np`
@@ -263,66 +278,163 @@ inline std::size_t PaddedPanels(std::size_t m, std::size_t np) {
   return (m + np * kNr8 - 1) / (np * kNr8) * np;
 }
 
-// Packs K rows [pc, pc + kc) of w into kNr8-wide column panels of K-pairs:
-// panel jp, pair kp holds {w(pc+2kp, j), w(pc+2kp+1, j)} for the panel's
-// columns j at dst[jp * panel + kp * 2kNr8 + 2(j - jp * kNr8) + {0, 1}].
-// Columns past m, up to a whole group of np panels, and the pair partner
-// past an odd kc are zero, and zeros add nothing to the accumulators.
-void PackW(const MatrixI8& w, std::size_t pc, std::size_t kc, std::size_t np,
-           std::int16_t* dst) {
-  const std::size_t m = w.cols();
-  const std::size_t kc2 = (kc + 1) / 2;
-  const std::size_t panel = kc2 * 2 * kNr8;
-  const std::size_t padded = PaddedPanels(m, np) * kNr8;
-  const std::size_t full = m / 8 * 8;
-  auto at = [&](std::size_t kp, std::size_t j) {
-    return dst + j / kNr8 * panel + kp * 2 * kNr8 + j % kNr8 * 2;
-  };
-  for (std::size_t kp = 0; kp < kc2; ++kp) {
-    const std::int8_t* r0 = w.row(pc + 2 * kp).data();
-    const std::int8_t* r1 =
-        2 * kp + 1 < kc ? w.row(pc + 2 * kp + 1).data() : nullptr;
-    for (std::size_t j = 0; j < full; j += 8) {
-      PackPairs8(r0 + j, r1 != nullptr ? r1 + j : nullptr, at(kp, j));
-    }
-    for (std::size_t j = full; j < padded; ++j) {
-      std::int16_t* o = at(kp, j);
-      o[0] = j < m ? r0[j] : 0;
-      o[1] = j < m && r1 != nullptr ? r1[j] : 0;
-    }
+// Bytes of one packed K-tile of kc rows.
+inline std::size_t TileBytes(const Int8Variant& v, std::size_t kc,
+                             std::size_t m) {
+  return PaddedPanels(m, v.panels) * Steps(v, kc) * v.kstep * kNr8;
+}
+
+// Bytes ahead of the first K-tile: the K-quad column bias, m int32 rounded
+// up to whole cache lines so the panels stay line-aligned.
+inline std::size_t BiasBytes(const Int8Variant& v, std::size_t m) {
+  return v.kstep == 4 ? (m * sizeof(std::int32_t) + 63) / 64 * 64 : 0;
+}
+
+std::size_t PackedBytes(const Int8Variant& v, std::size_t k, std::size_t m) {
+  return BiasBytes(v, m) + k / kKc8 * TileBytes(v, kKc8, m) +
+         TileBytes(v, k % kKc8, m);
+}
+
+void CheckInt8K(std::size_t k) {
+  if (k > kInt8GemmMaxK) {
+    throw std::invalid_argument(
+        "Int8GemmInto: k = " + std::to_string(k) + " exceeds " +
+        std::to_string(kInt8GemmMaxK) + ", past which int32 sums can overflow");
   }
 }
 
-// Packs the activation pairs of row tile [i0, i0 + mr) over K window
-// [pc, pc + kc) p-major, kMr8 rows per pair step and each pair repeated
-// `lanes` times, zero-padding rows past mr and the pair partner past an
-// odd kc -- so the micro-kernel always runs a full kMr8-row tile.
-void PackX(const MatrixI8& x, std::size_t i0, std::size_t mr, std::size_t pc,
-           std::size_t kc, std::size_t lanes, std::int32_t* dst) {
-  const std::size_t kc2 = (kc + 1) / 2;
-  auto put = [dst, lanes](std::size_t kp, std::size_t i, std::int32_t pair) {
-    std::int32_t* d = dst + (kp * kMr8 + i) * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) d[l] = pair;
+// Interleaves 16 columns of the KStep rows r[t] into the panel rows of
+// two neighbouring panels, out[j / 8][KStep * (j % 8) + t] = r[t][j], with
+// vector byte unpacks where there are any.
+template <std::size_t KStep>
+inline void Interleave(const std::int8_t* const* r, std::int8_t* const* out) {
+#if defined(__SSE2__)
+  auto load = [](const std::int8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  auto store = [](std::int8_t* p, __m128i v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  };
+  const __m128i r0 = load(r[0]);
+  const __m128i r1 = load(r[1]);
+  if constexpr (KStep == 2) {
+    store(out[0], _mm_unpacklo_epi8(r0, r1));
+    store(out[1], _mm_unpackhi_epi8(r0, r1));
+  } else {
+    const __m128i r2 = load(r[2]);
+    const __m128i r3 = load(r[3]);
+    const __m128i lo01 = _mm_unpacklo_epi8(r0, r1);
+    const __m128i lo23 = _mm_unpacklo_epi8(r2, r3);
+    const __m128i hi01 = _mm_unpackhi_epi8(r0, r1);
+    const __m128i hi23 = _mm_unpackhi_epi8(r2, r3);
+    store(out[0], _mm_unpacklo_epi16(lo01, lo23));
+    store(out[0] + 16, _mm_unpackhi_epi16(lo01, lo23));
+    store(out[1], _mm_unpacklo_epi16(hi01, hi23));
+    store(out[1] + 16, _mm_unpackhi_epi16(hi01, hi23));
+  }
+#else
+  for (std::size_t j = 0; j < 2 * kNr8; ++j) {
+    for (std::size_t t = 0; t < KStep; ++t) {
+      out[j / kNr8][KStep * (j % kNr8) + t] = r[t][j];
+    }
+  }
+#endif
+}
+
+// Packs the K-tiles of w into dst.  Within a tile, a block of eight
+// panels (64 columns, one cache line of each row) is packed step by step:
+// each step reads its KStep rows' lines whole (a row past k reads `zero`)
+// and appends one panel row to each of the block's panels, so the reads
+// stream and the writes run as eight sequential streams.  Columns past m,
+// up to a whole group of panels, are zero.
+template <std::size_t KStep>
+void PackTiles(const MatrixI8& w, std::size_t panels,
+               const std::int8_t* zero, std::int8_t* dst) {
+  constexpr std::size_t row = KStep * kNr8;
+  constexpr std::size_t block = 8;
+  const std::size_t k = w.rows();
+  const std::size_t m = w.cols();
+  for (std::size_t pc = 0; pc < k; pc += kKc8) {
+    const std::size_t kc = std::min(kKc8, k - pc);
+    const std::size_t steps = (kc + KStep - 1) / KStep;
+    const std::size_t panel = steps * row;
+    for (std::size_t jb = 0; jb < panels; jb += block) {
+      const std::size_t jend = std::min(panels, jb + block);
+      for (std::size_t s = 0; s < steps; ++s) {
+        const std::int8_t* rows[KStep];
+        for (std::size_t t = 0; t < KStep; ++t) {
+          const std::size_t p = s * KStep + t;
+          rows[t] = p < kc ? w.row(pc + p).data() : zero;
+        }
+        for (std::size_t jp = jb; jp < jend; jp += 2) {
+          const std::size_t j0 = jp * kNr8;
+          std::int8_t edge[KStep][2 * kNr8];
+          std::int8_t sink[row];  // the panel past an odd last one
+          std::int8_t* first = dst + jp * panel + s * row;
+          std::int8_t* out[2] = {first, jp + 1 < jend ? first + panel : sink};
+          const std::int8_t* r[KStep];
+          for (std::size_t t = 0; t < KStep; ++t) {
+            r[t] = rows[t] + j0;
+            if (j0 + 2 * kNr8 <= m) continue;
+            std::memset(edge[t], 0, sizeof(edge[t]));
+            if (j0 < m) std::memcpy(edge[t], rows[t] + j0, m - j0);
+            r[t] = edge[t];
+          }
+          Interleave<KStep>(r, out);
+        }
+      }
+    }
+    dst += panels * panel;
+  }
+}
+
+inline std::int32_t PackPair(std::int8_t lo, std::int8_t hi) {
+  // Two's-complement int16 halves, lo in the low half (lane 2t of pmaddwd).
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16);
+}
+
+inline std::int32_t PackQuad(const std::int8_t* b) {
+  // Four bytes x + 128 (the sign bit flipped), b[0] in the low byte.
+  std::uint32_t q;
+  std::memcpy(&q, b, sizeof(q));
+  return static_cast<std::int32_t>(q ^ 0x80808080u);
+}
+
+// Packs the activation steps of row tile [i0, i0 + mr) over K window
+// [pc, pc + kc) step-major, kMr8 rows per step and each step repeated
+// `lanes` times, zero-padding rows past mr and the K tail (a zero byte
+// past the tail meets a zero weight) -- so the micro-kernel always runs
+// a full kMr8-row tile.
+void PackX(const Int8Variant& v, const MatrixI8& x, std::size_t i0,
+           std::size_t mr, std::size_t pc, std::size_t kc, std::int32_t* dst) {
+  const std::size_t steps = Steps(v, kc);
+  const std::size_t full = kc / v.kstep;
+  const std::size_t lanes = v.lanes;
+  auto put = [dst, lanes](std::size_t s, std::size_t i, std::int32_t step) {
+    std::int32_t* d = dst + (s * kMr8 + i) * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) d[l] = step;
   };
   for (std::size_t i = 0; i < kMr8; ++i) {
     if (i >= mr) {
-      for (std::size_t kp = 0; kp < kc2; ++kp) put(kp, i, 0);
+      for (std::size_t s = 0; s < steps; ++s) put(s, i, 0);
       continue;
     }
     const std::int8_t* row = x.row(i0 + i).data() + pc;
-    for (std::size_t kp = 0; kp < kc / 2; ++kp) {
-      put(kp, i, PackPair(row[2 * kp], row[2 * kp + 1]));
+    std::int8_t tail[4] = {};
+    std::copy(row + full * v.kstep, row + kc, tail);
+    if (v.kstep == 2) {
+      for (std::size_t s = 0; s < full; ++s) {
+        put(s, i, PackPair(row[2 * s], row[2 * s + 1]));
+      }
+      if (full < steps) put(full, i, PackPair(tail[0], tail[1]));
+    } else {
+      for (std::size_t s = 0; s < full; ++s) put(s, i, PackQuad(row + 4 * s));
+      if (full < steps) put(full, i, PackQuad(tail));
     }
-    if (kc % 2 != 0) put(kc2 - 1, i, PackPair(row[kc - 1], 0));
   }
 }
-
-// A variant's row-tile sweep: adds the product of one packed row tile
-// (kc2 K-pairs, `lanes` copies per pair) and every column panel of the
-// packed K-tile into the first mr rows of C at c, which is m columns wide.
-using Int8Sweep = void (*)(std::size_t kc2, const std::int32_t* xp,
-                           const std::int16_t* wp, std::int32_t* c,
-                           std::size_t m, std::size_t mr);
 
 // Adds a kMr8-row accumulator tile, `width` columns per row, into C,
 // clipped to mr rows and nr columns.
@@ -336,13 +448,14 @@ inline void AddTile(const std::int32_t* tile, std::size_t width,
 
 #if defined(__GNUC__) || defined(__clang__)
 
-// 128-bit kernels: a 4 x 8 tile on GNU int32 vectors, eight named
-// accumulators, two panel loads and four pre-broadcast pair loads per
-// K-pair.  The pairs are pre-broadcast because SSE2 has no broadcast load,
-// and a pshufd per row would put a fourth shuffle uop beside every two
-// multiply-adds on the same vector ports.  The accumulators are summed
-// with `+=`: with _mm_add_epi32 gcc adds into the product register and
-// copies it back, eight extra moves per step.
+// 128-bit K-pair kernels: a 4 x 8 tile on GNU int32 vectors, eight named
+// accumulators, one 16-byte panel load widened to two int16 vectors and
+// four pre-broadcast pair loads per K-pair.  The pairs are pre-broadcast
+// because SSE2 has no broadcast load, and a pshufd per row would put
+// another shuffle uop beside every two multiply-adds on the same vector
+// ports.  The accumulators are summed with `+=`: with _mm_add_epi32 gcc
+// adds into the product register and copies it back, eight extra moves per
+// step.
 using V4i = std::int32_t __attribute__((vector_size(16)));
 using V8s = std::int16_t __attribute__((vector_size(16)));
 
@@ -350,6 +463,16 @@ inline V4i LoadV4i(const void* p) {
   V4i v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
+}
+
+// Sign-extends a panel row's 16 bytes (columns 0-3, then 4-7) to int16.
+inline void WidenVector(const std::int8_t* p, V4i& lo, V4i& hi) {
+  using V8c = std::int8_t __attribute__((vector_size(8)));
+  V8c a, b;
+  __builtin_memcpy(&a, p, sizeof(a));
+  __builtin_memcpy(&b, p + sizeof(a), sizeof(b));
+  lo = std::bit_cast<V4i>(__builtin_convertvector(a, V8s));
+  hi = std::bit_cast<V4i>(__builtin_convertvector(b, V8s));
 }
 
 // The multiply-add in plain vector arithmetic, for any gcc/clang target.
@@ -363,23 +486,29 @@ inline V4i MaddVector(V4i a, V4i b) {
 }
 
 #if defined(__SSE2__)
-// pmaddwd: SSE2 is baseline on every x86-64 target.
+// SSE2 is baseline on every x86-64 target: sign extension by duplicating
+// each byte and shifting right, and pmaddwd.
+inline void WidenSse2(const std::int8_t* p, V4i& lo, V4i& hi) {
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  lo = std::bit_cast<V4i>(_mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8));
+  hi = std::bit_cast<V4i>(_mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8));
+}
+
 inline V4i MaddSse2(V4i a, V4i b) {
   return std::bit_cast<V4i>(_mm_madd_epi16(std::bit_cast<__m128i>(a),
                                            std::bit_cast<__m128i>(b)));
 }
 #endif
 
-template <V4i (*Madd)(V4i, V4i)>
-void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
-                     const std::int16_t* wp, std::int32_t* c, std::size_t ldc,
+template <V4i (*Madd)(V4i, V4i), void (*Widen)(const std::int8_t*, V4i&, V4i&)>
+void Int8MicroKernel(std::size_t steps, const std::int32_t* xp,
+                     const std::int8_t* wp, std::int32_t* c, std::size_t ldc,
                      std::size_t mr, std::size_t nr) {
   V4i c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
-  for (std::size_t kp = 0; kp < kc2; ++kp) {
-    const std::int16_t* b = wp + kp * 2 * kNr8;
-    const std::int32_t* a = xp + kp * kMr8 * kLanes128;
-    const V4i b0 = LoadV4i(b);
-    const V4i b1 = LoadV4i(b + kNr8);
+  for (std::size_t s = 0; s < steps; ++s) {
+    V4i b0, b1;
+    Widen(wp + s * 2 * kNr8, b0, b1);
+    const std::int32_t* a = xp + s * kMr8 * kLanes128;
     const V4i a0 = LoadV4i(a);
     const V4i a1 = LoadV4i(a + kLanes128);
     const V4i a2 = LoadV4i(a + 2 * kLanes128);
@@ -410,36 +539,37 @@ void Int8MicroKernel(std::size_t kc2, const std::int32_t* xp,
   AddTile(tile[0], kNr8, c, ldc, mr, nr);
 }
 
-template <V4i (*Madd)(V4i, V4i)>
-void Sweep128(std::size_t kc2, const std::int32_t* xp, const std::int16_t* wp,
+template <V4i (*Madd)(V4i, V4i), void (*Widen)(const std::int8_t*, V4i&, V4i&)>
+void Sweep128(std::size_t steps, const std::int32_t* xp, const std::int8_t* wp,
               std::int32_t* c, std::size_t m, std::size_t mr) {
   for (std::size_t j0 = 0; j0 < m; j0 += kNr8) {
-    Int8MicroKernel<Madd>(kc2, xp, wp + j0 * kc2 * 2, c + j0, m, mr,
-                          std::min(kNr8, m - j0));
+    Int8MicroKernel<Madd, Widen>(steps, xp, wp + j0 * steps * 2, c + j0, m,
+                                 mr, std::min(kNr8, m - j0));
   }
 }
 
 #else
 
-// Last-resort scalar kernel over the same packed layout (one copy per
-// activation pair), for compilers without GNU vector extensions.  Each
-// K-pair's panel row is split into contiguous low/high int32 rows first,
-// so the fixed-width j loops are unit-stride for the auto-vectorizer.
-void SweepScalar(std::size_t kc2, const std::int32_t* xp,
-                 const std::int16_t* wp, std::int32_t* c, std::size_t m,
+// Last-resort scalar K-pair kernel over the same packed layout (one copy
+// per activation pair), for compilers without GNU vector extensions.
+// Each K-pair's panel row is split into contiguous low/high int32 rows
+// first, so the fixed-width j loops are unit-stride for the
+// auto-vectorizer.
+void SweepScalar(std::size_t steps, const std::int32_t* xp,
+                 const std::int8_t* wp, std::int32_t* c, std::size_t m,
                  std::size_t mr) {
   for (std::size_t j0 = 0; j0 < m; j0 += kNr8) {
-    const std::int16_t* panel = wp + j0 * kc2 * 2;
+    const std::int8_t* panel = wp + j0 * steps * 2;
     std::int32_t tile[kMr8][kNr8] = {};
-    for (std::size_t kp = 0; kp < kc2; ++kp) {
-      const std::int16_t* b = panel + kp * 2 * kNr8;
+    for (std::size_t s = 0; s < steps; ++s) {
+      const std::int8_t* b = panel + s * 2 * kNr8;
       std::int32_t blo[kNr8], bhi[kNr8];
       for (std::size_t j = 0; j < kNr8; ++j) {
         blo[j] = b[2 * j];
         bhi[j] = b[2 * j + 1];
       }
       for (std::size_t i = 0; i < kMr8; ++i) {
-        const auto pair = static_cast<std::uint32_t>(xp[kp * kMr8 + i]);
+        const auto pair = static_cast<std::uint32_t>(xp[s * kMr8 + i]);
         const std::int32_t lo = static_cast<std::int16_t>(pair & 0xFFFFu);
         const std::int32_t hi = static_cast<std::int16_t>(pair >> 16);
         for (std::size_t j = 0; j < kNr8; ++j) {
@@ -479,37 +609,37 @@ __attribute__((target("avx2"))) inline void AddTile256(
 }
 
 // 256-bit kernels: a 4 x (8 NP) tile, NP panels per step, in 4 NP ymm
-// accumulators, with each activation pair broadcast from its one packed
-// copy.  The variants differ in the multiply-accumulate -- pmaddwd plus an
-// add on AVX2, vpdpwssd on AVX-VNNI and on AVX-512VL VNNI -- and in NP.
-// vpdpwssd accumulates in place, so VNNI takes three panels: twelve
-// independent chains cover its latency in sixteen registers.  AVX2 needs a
-// product register per step and takes two.  A target attribute cannot be
-// a template argument, so one macro stamps out the body per ISA.
-// vpdpwssd is pmaddwd plus an add without saturation, so all variants
-// compute the same integers.
-#define LATTE_INT8_SWEEP256(NAME, ISA, NP, MACC)                            \
+// accumulators, with each activation step broadcast from its one packed
+// copy.  The variants differ in the layout (KSTEP), the panel load (LOADW:
+// a 16-byte K-pair row sign-extended to int16, or a 32-byte K-quad row),
+// the multiply-accumulate (MACC: pmaddwd plus an add on AVX2, vpdpbusd on
+// AVX-VNNI and on AVX-512VL VNNI) and NP.  vpdpbusd accumulates in place,
+// so AVX-VNNI takes three panels, twelve independent chains in sixteen
+// registers, and AVX-512VL, with 32 ymm registers, takes four.  AVX2
+// needs a product register per step and takes two.  A target attribute
+// cannot be a template argument, so one macro stamps out the body per ISA.
+#define LATTE_INT8_SWEEP256(NAME, ISA, NP, KSTEP, LOADW, MACC)              \
   __attribute__((target(ISA))) void NAME(                                   \
-      std::size_t kc2, const std::int32_t* xp, const std::int16_t* wp,      \
+      std::size_t steps, const std::int32_t* xp, const std::int8_t* wp,     \
       std::int32_t* c, std::size_t m, std::size_t mr) {                     \
     constexpr std::size_t np = NP;                                          \
-    const std::size_t panel = kc2 * 2 * kNr8;                               \
+    constexpr std::size_t row = KSTEP * kNr8;                               \
+    const std::size_t panel = steps * row;                                  \
     for (std::size_t j0 = 0; j0 < m; j0 += np * kNr8) {                     \
-      const std::int16_t* w = wp + j0 / kNr8 * panel;                       \
+      const std::int8_t* w = wp + j0 / kNr8 * panel;                        \
       __m256i acc[kMr8][np];                                                \
       _Pragma("GCC unroll 4") for (std::size_t i = 0; i < kMr8; ++i) {      \
         _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {      \
           acc[i][p] = _mm256_setzero_si256();                               \
         }                                                                   \
       }                                                                     \
-      for (std::size_t kp = 0; kp < kc2; ++kp) {                            \
+      for (std::size_t s = 0; s < steps; ++s) {                             \
         __m256i b[np];                                                      \
         _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {      \
-          b[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(       \
-              w + p * panel + kp * 2 * kNr8));                              \
+          b[p] = LOADW(w + p * panel + s * row);                            \
         }                                                                   \
         _Pragma("GCC unroll 4") for (std::size_t i = 0; i < kMr8; ++i) {    \
-          const __m256i a = _mm256_set1_epi32(xp[kp * kMr8 + i]);           \
+          const __m256i a = _mm256_set1_epi32(xp[s * kMr8 + i]);            \
           _Pragma("GCC unroll 4") for (std::size_t p = 0; p < np; ++p) {    \
             acc[i][p] = MACC(acc[i][p], a, b[p]);                           \
           }                                                                 \
@@ -526,6 +656,17 @@ __attribute__((target("avx2"))) inline void AddTile256(
     }                                                                       \
   }
 
+__attribute__((target("avx2"))) inline __m256i LoadPairsAvx2(
+    const std::int8_t* p) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+__attribute__((target("avx2"))) inline __m256i LoadQuads(
+    const std::int8_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
 // The accumulate is a GNU vector add: with _mm256_add_epi32 gcc adds into
 // the product register and copies it back, one extra move per product.
 __attribute__((target("avx2"))) inline __m256i MaccAvx2(__m256i acc,
@@ -538,20 +679,22 @@ __attribute__((target("avx2"))) inline __m256i MaccAvx2(__m256i acc,
       reinterpret_cast<V8i>(_mm256_madd_epi16(a, b)));
 }
 
+// vpdpbusd: a (the activation quads) is unsigned, b (the weights) signed.
 __attribute__((target("avx2,avxvnni"))) inline __m256i MaccAvxVnni(
     __m256i acc, __m256i a, __m256i b) {
-  return _mm256_dpwssd_avx_epi32(acc, a, b);
+  return _mm256_dpbusd_avx_epi32(acc, a, b);
 }
 
 __attribute__((target("avx2,avx512vl,avx512vnni"))) inline __m256i
 MaccAvx512Vnni(__m256i acc, __m256i a, __m256i b) {
-  return _mm256_dpwssd_epi32(acc, a, b);
+  return _mm256_dpbusd_epi32(acc, a, b);
 }
 
-LATTE_INT8_SWEEP256(SweepAvx2, "avx2", 2, MaccAvx2)
-LATTE_INT8_SWEEP256(SweepAvxVnni, "avx2,avxvnni", 3, MaccAvxVnni)
-LATTE_INT8_SWEEP256(SweepAvx512Vnni, "avx2,avx512vl,avx512vnni", 3,
-                    MaccAvx512Vnni)
+LATTE_INT8_SWEEP256(SweepAvx2, "avx2", 2, 2, LoadPairsAvx2, MaccAvx2)
+LATTE_INT8_SWEEP256(SweepAvxVnni, "avx2,avxvnni", 3, 4, LoadQuads,
+                    MaccAvxVnni)
+LATTE_INT8_SWEEP256(SweepAvx512Vnni, "avx2,avx512vl,avx512vnni", 4, 4,
+                    LoadQuads, MaccAvx512Vnni)
 #undef LATTE_INT8_SWEEP256
 
 bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
@@ -574,31 +717,20 @@ bool HasAvx512Vnni() {
 
 bool Always() { return true; }
 
-// One micro-kernel variant: its ISA name, the packed copies per activation
-// pair and the panels per step its kernel reads, the sweep itself and its
-// CPU check.
-struct Int8Variant {
-  const char* isa;
-  std::size_t lanes;
-  std::size_t panels;
-  Int8Sweep sweep;
-  bool (*supported)();
-};
-
 // Narrowest first; the dispatcher runs the last one the CPU supports.
 const Int8Variant kInt8Variants[] = {
 #if defined(__GNUC__) || defined(__clang__)
-    {"portable", kLanes128, 1, Sweep128<MaddVector>, Always},
+    {"portable", 2, kLanes128, 1, Sweep128<MaddVector, WidenVector>, Always},
 #else
-    {"portable", 1, 1, SweepScalar, Always},
+    {"portable", 2, 1, 1, SweepScalar, Always},
 #endif
 #if defined(__SSE2__) && (defined(__GNUC__) || defined(__clang__))
-    {"sse2", kLanes128, 1, Sweep128<MaddSse2>, Always},
+    {"sse2", 2, kLanes128, 1, Sweep128<MaddSse2, WidenSse2>, Always},
 #endif
 #if defined(LATTE_INT8_X86_DISPATCH)
-    {"avx2", 1, 2, SweepAvx2, HasAvx2},
-    {"avxvnni", 1, 3, SweepAvxVnni, HasAvxVnni},
-    {"avx512vnni", 1, 3, SweepAvx512Vnni, HasAvx512Vnni},
+    {"avx2", 2, 1, 2, SweepAvx2, HasAvx2},
+    {"avxvnni", 4, 1, 3, SweepAvxVnni, HasAvxVnni},
+    {"avx512vnni", 4, 1, 4, SweepAvx512Vnni, HasAvx512Vnni},
 #endif
 };
 
@@ -620,35 +752,89 @@ const Int8Variant& DispatchedInt8Variant() {
   return *SupportedInt8Variants().back();
 }
 
-void RunInt8Gemm(const Int8Variant& variant, const MatrixI8& x,
-                 const MatrixI8& w, MatrixI32& out, GemmScratch& scratch) {
+const Int8Variant& SupportedInt8Variant(std::string_view isa,
+                                        const char* caller) {
+  for (const auto* v : SupportedInt8Variants()) {
+    if (isa == v->isa) return *v;
+  }
+  throw std::invalid_argument(std::string(caller) +
+                              ": this host cannot run '" + std::string(isa) +
+                              "'");
+}
+
+// x (n x k) times a W of m columns that PackWeights packed for v at
+// `packed`: out starts from the column bias (K-quads) or zero, then every
+// K-tile's sweep adds its product.
+void RunPacked(const Int8Variant& v, const MatrixI8& x, std::size_t m,
+               const std::int8_t* packed, MatrixI32& out,
+               GemmScratch& scratch) {
+  const std::size_t n = x.rows();
+  const std::size_t k = x.cols();
+  out.Resize(n, m);
+  if (n == 0 || m == 0) return;
+  if (v.kstep == 4) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(out.row(i).data(), packed, m * sizeof(std::int32_t));
+    }
+  } else {
+    std::fill(out.flat().begin(), out.flat().end(), 0);
+  }
+  if (k == 0) return;
+
+  const std::int8_t* tile = packed + BiasBytes(v, m);
+  scratch.xpack.resize(Steps(v, std::min(kKc8, k)) * kMr8 * v.lanes);
+  for (std::size_t pc = 0; pc < k; pc += kKc8) {
+    const std::size_t kc = std::min(kKc8, k - pc);
+    // Row tiles inside the K-tile: the tile's activation steps stay in L1
+    // while the packed panels stream from L2 and C is walked
+    // row-contiguously (a panel-outer sweep strides C by whole rows, and
+    // at m = 3072 every row maps to the same L1 set).
+    for (std::size_t i0 = 0; i0 < n; i0 += kMr8) {
+      const std::size_t mr = std::min(kMr8, n - i0);
+      PackX(v, x, i0, mr, pc, kc, scratch.xpack.data());
+      v.sweep(Steps(v, kc), scratch.xpack.data(), tile, out.row(i0).data(),
+              m, mr);
+    }
+    tile += TileBytes(v, kc, m);
+  }
+}
+
+// Packs w (k x m) into variant v's layout at dst, PackedBytes(v, k, m)
+// bytes: the K-quad column bias, then the K-tiles.
+void PackWeights(const Int8Variant& v, const MatrixI8& w, std::int8_t* dst) {
+  const std::size_t k = w.rows();
+  const std::size_t m = w.cols();
+  if (m == 0) return;
+  const std::size_t panels = PaddedPanels(m, v.panels);
+  const std::vector<std::int8_t> zero(m, 0);  // rows past k
+  if (v.kstep == 2) {
+    PackTiles<2>(w, panels, zero.data(), dst);
+    return;
+  }
+  // The column sums of W are the product of a row of ones with it, and
+  // the variant's own sweep computes that from the packed quads while the
+  // bias still reads zero: code -127 is the byte 1 after the +128 offset.
+  const std::size_t bias_bytes = BiasBytes(v, m);
+  std::memset(dst, 0, bias_bytes);
+  PackTiles<4>(w, panels, zero.data(), dst + bias_bytes);
+  GemmScratch scratch;
+  MatrixI32 sums;
+  RunPacked(v, MatrixI8(1, k, -127), m, dst, sums, scratch);
+  for (std::int32_t& sum : sums.flat()) sum *= -128;
+  std::memcpy(dst, sums.flat().data(), m * sizeof(std::int32_t));
+}
+
+// The per-call product on a row-major W: pack it whole into the scratch,
+// then run the same sweep as a pre-packed W.
+void RunInt8Gemm(const Int8Variant& v, const MatrixI8& x, const MatrixI8& w,
+                 MatrixI32& out, GemmScratch& scratch) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
   }
-  const std::size_t n = x.rows();
-  const std::size_t k = x.cols();
-  const std::size_t m = w.cols();
-  out.Resize(n, m);
-  std::fill(out.flat().begin(), out.flat().end(), 0);
-  if (n == 0 || m == 0 || k == 0) return;
-
-  const std::size_t max_kc2 = (std::min(kKc8, k) + 1) / 2;
-  scratch.wpack.resize(PaddedPanels(m, variant.panels) * max_kc2 * 2 * kNr8);
-  scratch.xpack.resize(max_kc2 * kMr8 * variant.lanes);
-  for (std::size_t pc = 0; pc < k; pc += kKc8) {
-    const std::size_t kc = std::min(kKc8, k - pc);
-    PackW(w, pc, kc, variant.panels, scratch.wpack.data());
-    // Row tiles outer: the tile's activation pairs stay in L1 while the
-    // packed panels stream from L2 and C is walked row-contiguously (a
-    // panel-outer sweep strides C by whole rows, and at m = 3072 every row
-    // maps to the same L1 set).
-    for (std::size_t i0 = 0; i0 < n; i0 += kMr8) {
-      const std::size_t mr = std::min(kMr8, n - i0);
-      PackX(x, i0, mr, pc, kc, variant.lanes, scratch.xpack.data());
-      variant.sweep((kc + 1) / 2, scratch.xpack.data(), scratch.wpack.data(),
-                    out.row(i0).data(), m, mr);
-    }
-  }
+  CheckInt8K(w.rows());
+  scratch.wpack.resize(PackedBytes(v, w.rows(), w.cols()));
+  PackWeights(v, w, scratch.wpack.data());
+  RunPacked(v, x, w.cols(), scratch.wpack.data(), out, scratch);
 }
 
 }  // namespace
@@ -722,11 +908,33 @@ void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
 
 void Int8GemmIntoIsa(std::string_view isa, const MatrixI8& x,
                      const MatrixI8& w, MatrixI32& out, GemmScratch& scratch) {
-  for (const auto* v : SupportedInt8Variants()) {
-    if (isa == v->isa) return RunInt8Gemm(*v, x, w, out, scratch);
+  RunInt8Gemm(SupportedInt8Variant(isa, "Int8GemmIntoIsa"), x, w, out,
+              scratch);
+}
+
+PackedInt8Weights::PackedInt8Weights(const MatrixI8& w)
+    : PackedInt8Weights(DispatchedInt8Variant().isa, w) {}
+
+PackedInt8Weights::PackedInt8Weights(std::string_view isa, const MatrixI8& w)
+    : rows_(w.rows()), cols_(w.cols()) {
+  const Int8Variant& v = SupportedInt8Variant(isa, "PackedInt8Weights");
+  CheckInt8K(rows_);
+  variant_ = static_cast<std::size_t>(&v - kInt8Variants);
+  data_.resize(PackedBytes(v, rows_, cols_));
+  PackWeights(v, w, data_.data());
+}
+
+const char* PackedInt8Weights::isa() const {
+  return kInt8Variants[variant_].isa;
+}
+
+void Int8GemmInto(const MatrixI8& x, const PackedInt8Weights& w,
+                  MatrixI32& out, GemmScratch& scratch) {
+  if (x.cols() != w.rows()) {
+    throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
   }
-  throw std::invalid_argument("Int8GemmIntoIsa: this host cannot run '" +
-                              std::string(isa) + "'");
+  RunPacked(kInt8Variants[w.variant_], x, w.cols(), w.data_.data(), out,
+            scratch);
 }
 
 float DotProduct(std::span<const float> a, std::span<const float> b) {

@@ -14,16 +14,23 @@
 // and no wider float variant, because an FMA kernel would round
 // differently.
 //
-// The int8 GEMM runs the same blocking on 16-bit multiply-add: each K-tile
-// of W is packed into column panels of K-pairs {w(p,j), w(p+1,j)} widened
-// to int16, each activation pair {x(i,p), x(i,p+1)} is broadcast as one
-// int32, and one pmaddwd yields x(i,p)w(p,j) + x(i,p+1)w(p+1,j) per int32
-// lane.  Its micro-kernel ISA is picked once, at run time, from what the
-// CPU supports: 256-bit AVX-512VL VNNI or AVX-VNNI (vpdpwssd), AVX2
-// (vpmaddwd plus add), SSE2 (pmaddwd), or plain GNU vector arithmetic
-// (a scalar loop on other compilers).  Integer sums are exact, so every
-// variant gives the same bits.  `KernelArchName()` names the dispatched
-// int8 ISA, and every bench's `host.kernel_arch` stamp records it.
+// The int8 GEMM runs the same blocking on integer multiply-add, over W
+// packed into one of two int8 panel layouts.  The K-pair layout stores
+// {w(p,j), w(p+1,j)} and widens it to int16 in registers: one pmaddwd
+// yields x(i,p)w(p,j) + x(i,p+1)w(p+1,j) per int32 lane, for a broadcast
+// activation pair.  The K-quad layout stores {w(p..p+3, j)} for vpdpbusd,
+// which multiplies unsigned by signed bytes four at a time: the activation
+// codes are offset by +128, and each output starts from -128 x its column
+// sum of W, stored with the pack.  The micro-kernel ISA is picked once, at
+// run time, from what the CPU supports: 256-bit AVX-512VL VNNI or AVX-VNNI
+// (K-quads, vpdpbusd), AVX2 (K-pairs, vpmaddwd plus add), SSE2 (pmaddwd),
+// or plain GNU vector arithmetic (a scalar loop on other compilers).
+// Integer sums are exact up to k = kInt8GemmMaxK, so every variant gives
+// the same bits.  `KernelArchName()` names the dispatched int8 ISA, and
+// every bench's `host.kernel_arch` stamp records it.  A weight matrix that
+// is multiplied many times is packed once, as PackedInt8Weights (the int8
+// linear layer does so at load); Int8GemmInto on a row-major W packs it
+// per call into the scratch, then runs the same sweep.
 //
 // Accumulation order differs from the naive triple loop, so float results
 // agree with the scalar reference only to rounding (compare with relative
@@ -37,6 +44,7 @@
 #include <new>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -45,7 +53,8 @@ namespace latte {
 
 /// std::allocator with 64-byte (cache-line) alignment, for the int8 pack
 /// buffers: a packed panel load then never splits a cache line and may
-/// use aligned loads.
+/// use aligned loads.  resize() default-initializes, so growing a buffer
+/// that its pack routine overwrites whole costs no zero fill.
 template <typename T>
 struct CacheAlignedAllocator {
   using value_type = T;
@@ -62,6 +71,14 @@ struct CacheAlignedAllocator {
     ::operator delete(p, kAlign);
   }
   template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <typename U>
   bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
     return true;
   }
@@ -72,10 +89,11 @@ struct CacheAlignedAllocator {
 /// pack buffers stop growing and GEMM calls allocate nothing.
 struct GemmScratch {
   std::vector<float> bpack;  ///< packed B panels for the current K-tile
-  /// Int8GemmInto: int16 K-pair panels of W for the current K-tile (at most
-  /// 128 rows, so 0.75 MiB at a 3072-wide W) ...
-  std::vector<std::int16_t, CacheAlignedAllocator<std::int16_t>> wpack;
-  /// ... and the int32 activation pairs of the current row tile.
+  /// Int8GemmInto on a row-major W (At-Sel's per-call key codes): W packed
+  /// whole, in the layout of the variant that runs (about k x m bytes) ...
+  std::vector<std::int8_t, CacheAlignedAllocator<std::int8_t>> wpack;
+  /// ... and, for every int8 product, the int32 activation steps of the
+  /// current row tile.
   std::vector<std::int32_t, CacheAlignedAllocator<std::int32_t>> xpack;
   /// QuantizedLinear (nn/qlinear.hpp): the int8 codes of its input and the
   /// int32 product before dequantization.
@@ -84,7 +102,7 @@ struct GemmScratch {
 
   std::size_t CapacityBytes() const {
     return bpack.capacity() * sizeof(float) +
-           wpack.capacity() * sizeof(std::int16_t) +
+           wpack.capacity() * sizeof(std::int8_t) +
            xpack.capacity() * sizeof(std::int32_t) +
            xcodes.capacity() * sizeof(std::int8_t) +
            acc.capacity() * sizeof(std::int32_t);
@@ -133,24 +151,74 @@ void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 /// As above with an internal thread-local scratch.
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
+/// Largest reduction extent the int8 GEMM accepts.  At k <= 2^16 no int32
+/// intermediate of any variant can overflow: a product is at most 255 x 128
+/// in magnitude (the +128-offset K-quads) and |sum| <= 255 * 128 * k < 2^31.
+/// Past it the exact result may not fit int32 (k = 131072 codes of -128
+/// sum to 2^31), so every entry point throws std::invalid_argument.
+inline constexpr std::size_t kInt8GemmMaxK = 65536;
+
 /// Exact int8 GEMM with int32 accumulation: out = x * w where x is
-/// (n x k) codes and w is (k x m) codes.  The packed K-pair kernel sums
-/// two int8 x int8 products per 16-bit multiply-add; a pair sum is at most
-/// 2 * 128^2 = 32768, so it cannot overflow its int32 lane, and int32
-/// addition is associative, so every output equals the naive loop's bit
-/// for bit.  out is resized to (n x m) and fully overwritten.  Throws on
-/// shape mismatch.
+/// (n x k) codes and w is (k x m) codes.  Packs w into the scratch for the
+/// dispatched variant, then runs its sweep; every output equals the naive
+/// loop's bit for bit.  out is resized to (n x m) and fully overwritten.
+/// Throws std::invalid_argument on shape mismatch or k > kInt8GemmMaxK.
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out,
                   GemmScratch& scratch);
 
 /// As above with the calling thread's scratch.
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out);
 
-/// Int8GemmInto on one named variant of Int8GemmIsas(), so tests and
-/// bench_kernels can check every variant against the scalar loop.  Throws
-/// std::invalid_argument for an ISA this host cannot run.
+/// Int8GemmInto on one named variant of Int8GemmIsas() (W packed for that
+/// variant), so tests and bench_kernels can check every variant against
+/// the scalar loop.  Throws std::invalid_argument for an ISA this host
+/// cannot run, and as Int8GemmInto.
 void Int8GemmIntoIsa(std::string_view isa, const MatrixI8& x,
                      const MatrixI8& w, MatrixI32& out, GemmScratch& scratch);
+
+/// An int8 weight matrix W (k x m), packed once into the panel layout of
+/// one int8 micro-kernel variant: K-pairs or K-quads of int8, zero-padded
+/// to whole panel groups, plus the K-quad column bias.  It replaces the
+/// row-major codes, at about the same bytes (k x m, plus the padding and
+/// 4 m bytes of bias), and is read-only once built, so any number of
+/// threads may multiply by it at once.  The pack records its variant, and
+/// only that variant's sweep ever reads it.
+class PackedInt8Weights {
+ public:
+  PackedInt8Weights() = default;  ///< 0 x 0
+
+  /// Packs w for the dispatched variant (KernelArchName()).  Throws
+  /// std::invalid_argument for k > kInt8GemmMaxK.
+  explicit PackedInt8Weights(const MatrixI8& w);
+
+  /// Packs w for a named variant of Int8GemmIsas().  Throws
+  /// std::invalid_argument for an ISA this host cannot run, and as above.
+  PackedInt8Weights(std::string_view isa, const MatrixI8& w);
+
+  std::size_t rows() const { return rows_; }  ///< k
+  std::size_t cols() const { return cols_; }  ///< m
+  /// The variant the pack was made for, and the one that multiplies it.
+  const char* isa() const;
+  /// Resident bytes of the packed panels and bias.
+  std::size_t bytes() const { return data_.size(); }
+
+ private:
+  friend void Int8GemmInto(const MatrixI8& x, const PackedInt8Weights& w,
+                           MatrixI32& out, GemmScratch& scratch);
+
+  std::size_t variant_ = 0;  // index into the kernel's variant table
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::int8_t, CacheAlignedAllocator<std::int8_t>> data_;
+};
+
+/// out = x * w on weights packed once, by the variant w was packed for;
+/// the same bits as Int8GemmInto on the row-major codes.  Only the
+/// activation steps go to `scratch` (xpack), so at steady-state shapes a
+/// call allocates nothing but `out`'s growth.  Throws
+/// std::invalid_argument on shape mismatch.
+void Int8GemmInto(const MatrixI8& x, const PackedInt8Weights& w,
+                  MatrixI32& out, GemmScratch& scratch);
 
 /// Dot product with unrolled partial sums (reordered accumulation;
 /// deterministic).  a and b must have equal length.

@@ -234,7 +234,14 @@ TEST(QuantizedLinearTest, ScratchChoiceKeepsBits) {
   MatrixF y;
   q.ForwardInto(x, scratch, y);
   EXPECT_EQ(y, q.Forward(x));
-  EXPECT_GT(scratch.wpack.capacity(), 0u);
+  // W was packed once, at load: a call never packs it into the scratch,
+  // and repeated calls at one shape stop growing it.
+  EXPECT_EQ(scratch.wpack.capacity(), 0u);
+  const std::size_t bytes = scratch.CapacityBytes();
+  for (int round = 0; round < 3; ++round) {
+    q.ForwardInto(x, scratch, y);
+    EXPECT_EQ(scratch.CapacityBytes(), bytes) << "round " << round;
+  }
 }
 
 TEST(QuantizedEncoderTest, MatchesFloatEncoder) {

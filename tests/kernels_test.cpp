@@ -1,8 +1,9 @@
 // Property tests for the tiled/packed/workspace GEMM family in
 // tensor/kernels.hpp: every variant must agree with the scalar reference
 // within 1e-4 relative tolerance across odd shapes (1xN, Nx1, dims that
-// are not multiples of any tile extent), the int8 kernel must be exact,
-// and reused scratch must never change results or keep allocating.
+// are not multiples of any tile extent), the int8 kernel must be exact on
+// every micro-kernel variant, per call and on weights packed once, and
+// reused scratch must never change results or keep allocating.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,15 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "nn/qlinear.hpp"
 #include "runtime/workspace.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/quantize.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte {
@@ -190,14 +194,18 @@ TEST(Int8GemmTest, ExactAtExtremeCodes) {
       MatrixI32 got;
       Int8GemmIntoIsa(isa, x, w, got, scratch);
       EXPECT_EQ(got, want) << name << " on " << isa;
+      Int8GemmInto(x, PackedInt8Weights(isa, w), got, scratch);
+      EXPECT_EQ(got, want) << name << " pre-packed on " << isa;
     }
   };
   auto constant = [](std::int8_t v) {
     return [v](std::size_t, std::size_t) { return v; };
   };
+  // x = -128 is the K-quad offset code 0, x = +127 the offset code 255.
   check("all -128", constant(-128), constant(-128));
   check("all +127", constant(127), constant(127));
   check("-128 x +127", constant(-128), constant(127));
+  check("+127 x -128", constant(127), constant(-128));
   check(
       "mixed signs",
       [](std::size_t i, std::size_t p) -> std::int8_t {
@@ -236,6 +244,132 @@ TEST(Int8GemmTest, ExactAcrossKTileBoundariesAndTails) {
         }
       }
     }
+  }
+}
+
+TEST(Int8GemmTest, PrePackedMatchesReferenceOnEveryVariant) {
+  // k % 4 in {1, 2, 3} (a K-pair or K-quad tail), either side of the
+  // 256-row K-tile and of two; m below, at and across the 8-wide panels
+  // and the 16-, 24- and 32-wide panel groups; n = 0, 1 and 5.
+  Rng rng(1600);
+  GemmScratch scratch;
+  for (std::size_t k : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 127u, 255u, 256u, 257u,
+                        258u, 259u, 511u, 513u}) {
+    for (std::size_t m : {1u, 7u, 8u, 9u, 23u, 24u, 25u, 31u, 32u, 33u, 47u,
+                          48u, 49u, 97u}) {
+      const MatrixI8 w = RandomCodes(rng, k, m);
+      for (std::size_t n : {0u, 1u, 5u}) {
+        const MatrixI8 x = RandomCodes(rng, n, k);
+        const MatrixI32 want = RefInt8Gemm(x, w);
+        for (const char* isa : Int8GemmIsas()) {
+          const PackedInt8Weights packed(isa, w);
+          ASSERT_EQ(packed.rows(), k);
+          ASSERT_EQ(packed.cols(), m);
+          MatrixI32 got;
+          Int8GemmInto(x, packed, got, scratch);
+          ASSERT_EQ(got, want) << isa << " n=" << n << " k=" << k << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(Int8GemmTest, PackIsRunOnlyByTheVariantItWasMadeFor) {
+  // The layouts differ in K grouping (pairs or quads) and in panel-group
+  // padding, so a pack read by any other variant's sweep gives wrong
+  // numbers on this shape.  Each pack keeps its variant, through copies
+  // and whatever the dispatcher picks, and multiplies exactly.
+  Rng rng(1700);
+  const MatrixI8 w = RandomCodes(rng, 7, 9);
+  const MatrixI8 x = RandomCodes(rng, 5, 7);
+  const MatrixI32 want = RefInt8Gemm(x, w);
+  GemmScratch scratch;
+  for (const char* isa : Int8GemmIsas()) {
+    const PackedInt8Weights packed(isa, w);
+    EXPECT_EQ(std::string(packed.isa()), isa);
+    const PackedInt8Weights copy = packed;
+    EXPECT_EQ(std::string(copy.isa()), isa);
+    MatrixI32 got;
+    Int8GemmInto(x, copy, got, scratch);
+    EXPECT_EQ(got, want) << isa;
+  }
+  EXPECT_EQ(std::string(PackedInt8Weights(w).isa()), KernelArchName());
+  EXPECT_THROW(PackedInt8Weights("avx2+fma", w), std::invalid_argument);
+  MatrixI32 out;
+  EXPECT_THROW(Int8GemmInto(RandomCodes(rng, 2, 6), PackedInt8Weights(w),
+                            out, scratch),
+               std::invalid_argument);
+}
+
+TEST(Int8GemmTest, ExactUpToTheKBoundAndThrowsPastIt) {
+  // At k = 2^16 the extreme codes reach |sum| = 2^30, and the K-quad
+  // offset path runs its largest partial sums; one row more throws
+  // instead of wrapping (all -128 at k = 2^17 would sum to 2^31).
+  const std::size_t k = kInt8GemmMaxK;
+  ASSERT_EQ(k, 65536u);
+  GemmScratch scratch;
+  for (const std::int8_t xv : {std::int8_t{-128}, std::int8_t{127}}) {
+    for (const std::int8_t wv : {std::int8_t{-128}, std::int8_t{127}}) {
+      const MatrixI8 x(2, k, xv), w(k, 9, wv);
+      const MatrixI32 want = RefInt8Gemm(x, w);
+      ASSERT_EQ(want(0, 0), static_cast<std::int64_t>(xv) * wv * 65536);
+      for (const char* isa : Int8GemmIsas()) {
+        MatrixI32 got;
+        Int8GemmIntoIsa(isa, x, w, got, scratch);
+        EXPECT_EQ(got, want) << isa << " x=" << int{xv} << " w=" << int{wv};
+        Int8GemmInto(x, PackedInt8Weights(isa, w), got, scratch);
+        EXPECT_EQ(got, want) << isa << " pre-packed x=" << int{xv}
+                             << " w=" << int{wv};
+      }
+    }
+  }
+  const MatrixI8 x(1, k + 1, -128), w(k + 1, 1, -128);
+  MatrixI32 out;
+  EXPECT_THROW(Int8GemmInto(x, w, out), std::invalid_argument);
+  EXPECT_THROW(PackedInt8Weights{w}, std::invalid_argument);
+  for (const char* isa : Int8GemmIsas()) {
+    EXPECT_THROW(Int8GemmIntoIsa(isa, x, w, out, scratch),
+                 std::invalid_argument)
+        << isa;
+    EXPECT_THROW(PackedInt8Weights(isa, w), std::invalid_argument) << isa;
+  }
+}
+
+TEST(Int8GemmTest, PackHoldsTheCodesBytes) {
+  // BERT-base's FFN1 weight: the pack replaces 768 x 3072 row-major codes
+  // with at most the panel padding and a 4-byte column bias more.
+  Rng rng(1900);
+  const std::size_t k = 768, m = 3072;
+  const PackedInt8Weights packed(RandomCodes(rng, k, m));
+  EXPECT_GE(packed.bytes(), k * m);
+  EXPECT_LE(packed.bytes(), k * m + 4 * m);
+}
+
+TEST(QuantizedLinearPackTest, OddDimsMatchDequantizedReferenceBitForBit) {
+  const std::pair<std::size_t, std::size_t> dims[] = {{13, 17}, {40, 24}};
+  for (const auto& [in, out] : dims) {
+    Rng rng(2000 + in);
+    const Linear l = MakeLinear(rng, in, out);
+    const QuantizedLinear q = QuantizedLinear::FromFloat(l);
+    ASSERT_EQ(q.in_features(), in);
+    ASSERT_EQ(q.out_features(), out);
+    const QuantizedMatrix wq = Quantize(l.weight, 8);
+    EXPECT_EQ(q.scale, wq.scale);
+
+    const MatrixF x = rng.NormalMatrix(9, in, 0.0, 1.0);
+    MatrixI8 xcodes;
+    const float xscale = QuantizeInto(x, 8, xcodes);
+    const MatrixI32 acc = RefInt8Gemm(xcodes, wq.codes);
+    const float out_scale = xscale * wq.scale;
+    MatrixF want(x.rows(), out);
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      for (std::size_t j = 0; j < out; ++j) {
+        // Two statements, as in the layer: no compiler may fuse them.
+        const float y = static_cast<float>(acc(i, j)) * out_scale;
+        want(i, j) = y + l.bias[j];
+      }
+    }
+    EXPECT_EQ(q.Forward(x), want) << in << " x " << out;
   }
 }
 
@@ -362,7 +496,7 @@ TEST(KernelsTest, WorkspaceLeasesGemmScratch) {
   MatMulInto(a, b, c, ws.gemm());
   EXPECT_EQ(ws.CapacityBytes(), bytes) << "steady state must not reallocate";
 
-  // The int8 GEMM's int16 panel and activation-pair buffers are part of
+  // The int8 GEMM's int8 panel and activation-step buffers are part of
   // the same leased scratch, counted and reused the same way.
   const MatrixI8 x = RandomCodes(rng, 9, 200);
   const MatrixI8 w = RandomCodes(rng, 200, 40);
@@ -372,11 +506,11 @@ TEST(KernelsTest, WorkspaceLeasesGemmScratch) {
   EXPECT_GT(gs.xpack.capacity(), 0u);
   EXPECT_EQ(gs.CapacityBytes(),
             gs.bpack.capacity() * sizeof(float) +
-                gs.wpack.capacity() * sizeof(std::int16_t) +
+                gs.wpack.capacity() * sizeof(std::int8_t) +
                 gs.xpack.capacity() * sizeof(std::int32_t));
   const std::size_t int8_bytes = ws.CapacityBytes();
   EXPECT_GE(int8_bytes,
-            bytes + gs.wpack.capacity() * sizeof(std::int16_t));
+            bytes + gs.wpack.capacity() * sizeof(std::int8_t));
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(gs.wpack.data()) % 64, 0u)
       << "pack buffer must be cache-line aligned";
   Int8GemmInto(x, w, acc, ws.gemm());
