@@ -23,8 +23,7 @@ ScheduleResult Simulate(const ModelConfig& model,
       static_cast<double>(std::accumulate(order.begin(), order.end(),
                                           std::size_t{0})) /
       static_cast<double>(order.size());
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), s_avg);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
   PipelineSimConfig cfg;
   cfg.layers = model.layers;
   cfg.double_buffer = double_buffer;

@@ -134,8 +134,7 @@ BENCHMARK(BM_EncoderLayerDense);
 void BM_PipelineSimulation(benchmark::State& state) {
   const auto ops =
       EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 177);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), 177);
   std::vector<std::size_t> lens;
   for (std::size_t i = 0; i < 16; ++i) lens.push_back(400 - 20 * i);
   PipelineSimConfig cfg;

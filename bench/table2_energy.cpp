@@ -22,10 +22,11 @@ int main() {
 
   // Dense padded workload (the task every platform is asked to do).
   const auto padded = MakeBatch(lens, BatchPolicy::kPadToMax);
+  const auto dense_ops = EncoderOps(model.encoder, AttentionMode::kDense);
+  const double layers = static_cast<double>(model.layers);
   double padded_flops = 0;
   for (auto n : padded.effective_lengths) {
-    padded_flops += model.TotalModelFlops(static_cast<double>(n),
-                                          AttentionMode::kDense);
+    padded_flops += layers * TotalFlops(dense_ops, static_cast<double>(n));
   }
 
   // Our FPGA (length-aware sparse).

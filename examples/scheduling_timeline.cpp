@@ -23,8 +23,7 @@ int main() {
   const auto ops =
       EncoderOps(model.encoder, AttentionMode::kSparseTopK, /*top_k=*/30);
   const double s_avg = 94.4;  // mean of the batch
-  const auto stage_models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), s_avg);
+  const auto stage_models = BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
 
   PipelineSimConfig cfg;
   cfg.layers = layers;

@@ -41,9 +41,8 @@ AcceleratorReport RunAccelerator(const ModelConfig& model,
   const double s_avg = MeanLength(eff);
 
   // 3. Fig 2(a) stage partition and proportional resource plan.
-  const auto groups = GroupByStageHint(ops);
   const auto stage_models =
-      BuildStageTimings(groups, cfg.spec, s_avg, cfg.element_bytes);
+      BuildStageTimings(ops, cfg.spec, s_avg, cfg.element_bytes);
 
   // 4. Pipeline simulation over all encoder layers.
   PipelineSimConfig sim_cfg;
@@ -59,8 +58,8 @@ AcceleratorReport RunAccelerator(const ModelConfig& model,
   for (const auto& op : ops) {
     if (op.in_attention) attn_ops.push_back(op);
   }
-  const auto attn_models = BuildStageTimings(
-      GroupByStageHint(attn_ops), cfg.spec, s_avg, cfg.element_bytes);
+  const auto attn_models =
+      BuildStageTimings(attn_ops, cfg.spec, s_avg, cfg.element_bytes);
   const ScheduleResult attn_schedule =
       SimulatePipeline(eff, attn_models, sim_cfg);
 
@@ -70,15 +69,14 @@ AcceleratorReport RunAccelerator(const ModelConfig& model,
   rep.useful_tokens = batch.UsefulTokens();
   rep.latency_s = schedule.makespan;
   rep.attention_latency_s = attn_schedule.makespan;
+  const auto dense_ops = EncoderOps(model.encoder, AttentionMode::kDense);
+  const double layers = static_cast<double>(model.layers);
   for (std::size_t n : batch.original_lengths) {
-    rep.useful_dense_flops += model.TotalModelFlops(
-        static_cast<double>(n), AttentionMode::kDense);
-    rep.useful_dense_attention_flops += model.AttentionModelFlops(
-        static_cast<double>(n), AttentionMode::kDense);
+    rep.useful_dense_flops +=
+        layers * TotalFlops(dense_ops, static_cast<double>(n));
   }
   for (std::size_t n : eff) {
-    rep.computed_flops +=
-        model.TotalModelFlops(static_cast<double>(n), amode, cfg.top_k);
+    rep.computed_flops += layers * TotalFlops(ops, static_cast<double>(n));
   }
   rep.schedule = std::move(schedule);
   return rep;

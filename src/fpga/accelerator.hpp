@@ -42,7 +42,6 @@ struct AcceleratorReport {
   /// needs for these sequences.  The paper reports "equivalent throughput"
   /// in these units (how 3.6 TFLOPS can exceed the 1.2 TFLOPS roof).
   double useful_dense_flops = 0;
-  double useful_dense_attention_flops = 0;
   /// FLOPs the configured design actually executes (padding included).
   double computed_flops = 0;
   std::size_t batch_size = 0;
@@ -52,11 +51,6 @@ struct AcceleratorReport {
 
   double EquivalentGops() const {
     return latency_s > 0 ? useful_dense_flops / latency_s / 1e9 : 0;
-  }
-  double AttentionEquivalentGops() const {
-    return attention_latency_s > 0
-               ? useful_dense_attention_flops / attention_latency_s / 1e9
-               : 0;
   }
   double SequencesPerSecond() const {
     return latency_s > 0 ? static_cast<double>(batch_size) / latency_s : 0;

@@ -1,6 +1,7 @@
 #include "fpga/timing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "fpga/hbm.hpp"
@@ -23,46 +24,44 @@ int StageTimingModel::BindingRoof(double n) const {
   return 2;
 }
 
-std::vector<std::vector<OpSpec>> GroupByStageHint(
-    const std::vector<OpSpec>& ops) {
-  std::vector<std::vector<OpSpec>> groups(3);
-  for (const auto& op : ops) {
-    if (op.stage_hint < 1 || op.stage_hint > 3) {
-      throw std::out_of_range("GroupByStageHint: stage_hint outside 1..3");
-    }
-    groups[static_cast<std::size_t>(op.stage_hint - 1)].push_back(op);
-  }
-  std::erase_if(groups, [](const auto& g) { return g.empty(); });
-  return groups;
-}
-
 std::vector<StageTimingModel> BuildStageTimings(
-    const std::vector<std::vector<OpSpec>>& stage_ops, const FpgaSpec& spec,
-    double s_avg, double element_bytes) {
+    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg,
+    double element_bytes) {
   if (s_avg <= 0) {
     throw std::invalid_argument("BuildStageTimings: s_avg must be positive");
   }
-  std::vector<StageTimingModel> models(stage_ops.size());
-  double total_flops = 0, total_lut = 0, total_traffic = 0;
-  for (std::size_t k = 0; k < stage_ops.size(); ++k) {
-    auto& m = models[k];
-    for (const auto& op : stage_ops[k]) {
-      m.flops = m.flops + op.flops;
-      m.lut_ops = m.lut_ops + op.lut_ops;
-      m.offchip_bytes = m.offchip_bytes + op.offchip_elems;
+  // Fig 2(a) partition: each operator's polynomials join the stage its hint
+  // names, summed in dataflow order.
+  std::vector<StageTimingModel> models(3);
+  std::array<bool, 3> named{};
+  for (const auto& op : ops) {
+    if (op.stage_hint < 1 || op.stage_hint > 3) {
+      throw std::out_of_range("BuildStageTimings: stage_hint outside 1..3");
     }
+    const auto k = static_cast<std::size_t>(op.stage_hint - 1);
+    named[k] = true;
+    auto& m = models[k];
+    m.flops = m.flops + op.flops;
+    m.lut_ops = m.lut_ops + op.lut_ops;
+    m.offchip_bytes = m.offchip_bytes + op.offchip_elems;
+  }
+  // Stages no operator names are dropped (the attention-only list has two).
+  for (std::size_t k = models.size(); k-- > 0;) {
+    if (!named[k]) models.erase(models.begin() + static_cast<long>(k));
+  }
+
+  // HBM pseudo-channels are bound to stages as whole units at design time,
+  // by traffic at s_avg.
+  double total_flops = 0, total_lut = 0;
+  std::vector<double> demand;
+  for (auto& m : models) {
     // Convert traffic elements to bytes.
     m.offchip_bytes.quad *= element_bytes;
     m.offchip_bytes.lin *= element_bytes;
     m.offchip_bytes.cst *= element_bytes;
     total_flops += m.flops.Eval(s_avg);
     total_lut += m.lut_ops.Eval(s_avg);
-    total_traffic += m.offchip_bytes.Eval(s_avg);
-  }
-  // HBM pseudo-channels are bound to stages as whole units at design time.
-  std::vector<double> demand(models.size());
-  for (std::size_t k = 0; k < models.size(); ++k) {
-    demand[k] = models[k].offchip_bytes.Eval(s_avg);
+    demand.push_back(m.offchip_bytes.Eval(s_avg));
   }
   const auto channels = ApportionChannels(spec, demand);
 

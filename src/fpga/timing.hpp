@@ -37,18 +37,21 @@ struct StageTimingModel {
   int BindingRoof(double n) const;
 };
 
-/// Builds stage timing models from a stage partition.
+/// Builds stage timing models from an operator list (`EncoderOps`, or a
+/// subset of it).
+///
+/// Operators are partitioned by stage_hint (1..3) -- the Fig 2(a)
+/// partition -- and each stage's cost polynomials are summed in dataflow
+/// order.  Stages no operator names are dropped, so the attention-only
+/// operator list yields two stages.  Throws std::out_of_range for a hint
+/// outside 1..3 and std::invalid_argument for s_avg <= 0.
 ///
 /// DSPs are split across stages proportionally to per-token FLOPs at
 /// `s_avg`; LUT lanes proportionally to LUT work; HBM bandwidth
 /// proportionally to traffic.  `element_bytes` converts traffic elements to
 /// bytes (1 for the 8-bit datapath).
 std::vector<StageTimingModel> BuildStageTimings(
-    const std::vector<std::vector<OpSpec>>& stage_ops, const FpgaSpec& spec,
-    double s_avg, double element_bytes = 1.0);
-
-/// Groups an operator list by stage_hint (1..3) -- the Fig 2(a) partition.
-std::vector<std::vector<OpSpec>> GroupByStageHint(
-    const std::vector<OpSpec>& ops);
+    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg,
+    double element_bytes = 1.0);
 
 }  // namespace latte

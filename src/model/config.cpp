@@ -15,24 +15,6 @@ ModelConfig Make(std::string name, std::size_t layers, std::size_t hidden,
 
 }  // namespace
 
-double ModelConfig::TotalModelFlops(double n, AttentionMode mode,
-                                    std::size_t top_k) const {
-  const auto ops = EncoderOps(encoder, mode, top_k);
-  return static_cast<double>(layers) * TotalFlops(ops, n);
-}
-
-double ModelConfig::AttentionModelFlops(double n, AttentionMode mode,
-                                        std::size_t top_k) const {
-  const auto ops = EncoderOps(encoder, mode, top_k);
-  return static_cast<double>(layers) * AttentionFlops(ops, n);
-}
-
-double ModelConfig::TotalModelOffchipElems(double n, AttentionMode mode,
-                                           std::size_t top_k) const {
-  const auto ops = EncoderOps(encoder, mode, top_k);
-  return static_cast<double>(layers) * TotalOffchipElems(ops, n);
-}
-
 ModelConfig DistilBert() { return Make("DistilBERT", 6, 768, 12); }
 ModelConfig BertBase() { return Make("BERT-base", 12, 768, 12); }
 ModelConfig Roberta() { return Make("RoBERTa", 12, 768, 12); }

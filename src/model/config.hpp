@@ -13,18 +13,6 @@ struct ModelConfig {
   std::string name;
   std::size_t layers = 12;
   EncoderConfig encoder;
-
-  /// FLOPs of the full encoder stack at sequence length n.
-  double TotalModelFlops(double n, AttentionMode mode,
-                         std::size_t top_k = 30) const;
-
-  /// FLOPs of the self-attention workflow only (Fig 7(b) scope).
-  double AttentionModelFlops(double n, AttentionMode mode,
-                             std::size_t top_k = 30) const;
-
-  /// Off-chip traffic (elements) of the full stack at sequence length n.
-  double TotalModelOffchipElems(double n, AttentionMode mode,
-                                std::size_t top_k = 30) const;
 };
 
 /// Table 1: DistilBERT, 6 layers, hidden 768, 12 heads.

@@ -36,9 +36,12 @@ MatrixF Layer(const MatrixF& x, const Weights& w, const EncoderConfig& cfg,
     throw std::invalid_argument("EncoderForward: input width != hidden");
   }
   GemmScratch& gs = ws.gemm();
+  const std::size_t n = x.rows();
 
   // Stage 1: linear transformation (MatMul unit in Fig 2(a)).
-  MatrixF q, k, v;
+  MatrixF& q = ws.Float(wslots::kLayerQ, n, cfg.hidden);
+  MatrixF& k = ws.Float(wslots::kLayerK, n, cfg.hidden);
+  MatrixF& v = ws.Float(wslots::kLayerV, n, cfg.hidden);
   ProjectQkv(x, w, gs, q, k, v);
 
   // Stage 2: per-head attention computation.
@@ -50,22 +53,20 @@ MatrixF Layer(const MatrixF& x, const Weights& w, const EncoderConfig& cfg,
   for (std::size_t h = 0; h < cfg.heads; ++h) {
     ctx.push_back(attn(qh[h], kh[h], vh[h], ws));
   }
-  MatrixF a;
+  MatrixF& a = ws.Float(wslots::kLayerAttnOut, n, cfg.hidden);
   w.wo.ForwardInto(ConcatHeads(ctx), gs, a);
 
   // Residual + LayerNorm.
-  MatrixF x1 = Add(x, a);
+  MatrixF& x1 = ws.Float(wslots::kLayerResidual, n, cfg.hidden);
+  AddInto(x, a, x1);
   LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
 
-  // Stage 3: feedforward.  The (n x ffn) activation is freed before the
-  // output is allocated.
-  MatrixF f2;
-  {
-    MatrixF f;
-    w.ffn1.ForwardInto(x1, gs, f);
-    GeluInPlace(f);
-    w.ffn2.ForwardInto(f, gs, f2);
-  }
+  // Stage 3: feedforward.
+  MatrixF& f = ws.Float(wslots::kLayerFfn, n, cfg.ffn());
+  w.ffn1.ForwardInto(x1, gs, f);
+  GeluInPlace(f);
+  MatrixF& f2 = ws.Float(wslots::kLayerFfnOut, n, cfg.hidden);
+  w.ffn2.ForwardInto(f, gs, f2);
 
   MatrixF out = Add(x1, f2);
   LayerNormInPlace(out, w.ln2_gamma, w.ln2_beta);

@@ -43,8 +43,10 @@ EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg);
 ///   F   = GELU(X1 W1) W2
 ///   out = LayerNorm(X1 + F)
 /// `attn` runs per head on `ws`; x is (n x hidden).  Every projection/FFN
-/// GEMM packs into ws.gemm(); the intermediates are call-local.  Outputs
-/// do not depend on the Workspace's prior contents.
+/// GEMM packs into ws.gemm() and the intermediates are leased from ws's
+/// reserved slots (wslots::kLayerQ..kLayerFfnOut), so their footprint does
+/// not depend on the heap's history.  Outputs do not depend on the
+/// Workspace's prior contents.
 MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
                        const EncoderConfig& cfg, const AttentionFn& attn,
                        Workspace& ws);

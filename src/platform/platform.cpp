@@ -102,6 +102,7 @@ PlatformReport RunPlatform(const PlatformModel& platform,
                            BatchPolicy policy, std::size_t pad_to) {
   const Batch batch = MakeBatch(lengths, policy, 4, pad_to);
   const auto ops = EncoderOps(model.encoder, AttentionMode::kDense);
+  const double layers = static_cast<double>(model.layers);
 
   PlatformReport rep;
   rep.batch_size = lengths.size();
@@ -118,15 +119,12 @@ PlatformReport RunPlatform(const PlatformModel& platform,
                platform.dtype_bytes;
     }
     const double t = KernelSeconds(platform, op.kind, flops, bytes);
-    rep.latency_s += t * static_cast<double>(model.layers);
-    if (op.in_attention) {
-      rep.attention_latency_s += t * static_cast<double>(model.layers);
-    }
-    rep.computed_flops += flops * static_cast<double>(model.layers);
+    rep.latency_s += t * layers;
+    if (op.in_attention) rep.attention_latency_s += t * layers;
+    rep.computed_flops += flops * layers;
   }
   for (std::size_t n : batch.original_lengths) {
-    rep.useful_dense_flops +=
-        model.TotalModelFlops(static_cast<double>(n), AttentionMode::kDense);
+    rep.useful_dense_flops += layers * TotalFlops(ops, static_cast<double>(n));
   }
   return rep;
 }

@@ -2,13 +2,13 @@
 // Per-worker scratch arena for the batched execution runtime.
 //
 // Every temporary the inference hot path needs -- gathered K/V candidate
-// blocks, fused-kernel score buffers, context rows, generic float scratch
-// -- lives here and is leased out by reference.  Buffers only ever grow
-// (capacity is sticky), so after the first few calls at steady-state
-// shapes the hot loop performs zero heap allocations.  One Workspace
-// belongs to exactly one worker at a time; the BatchRunner owns one per
-// concurrent slot, which is the whole thread-safety story (no sharing, no
-// locks).
+// blocks, fused-kernel score buffers, context rows, the encoder layer's
+// activations, generic float scratch -- lives here and is leased out by
+// reference.  Buffers only ever grow (capacity is sticky), so after the
+// first few calls at steady-state shapes the hot loop performs zero heap
+// allocations.  One Workspace belongs to exactly one worker at a time; the
+// BatchRunner owns one per concurrent slot, which is the whole
+// thread-safety story (no sharing, no locks).
 
 #include <cstddef>
 #include <memory>
@@ -22,9 +22,13 @@ namespace latte {
 
 /// Reserved Workspace::Float slot assignments for the library hot paths.
 /// Callers layering their own temporaries on a Workspace should lease
-/// slots >= kFirstFree so they never collide with the dense-attention
-/// scores while those are live.
+/// slots >= kFirstFree so they never collide with these while live.
 namespace wslots {
+/// EncoderForward's activations, live across its per-head attention calls:
+/// Q, K, V, the Wo output, the post-LN1 residual and both FFN buffers.
+inline constexpr std::size_t kLayerQ = 0, kLayerK = 1, kLayerV = 2;
+inline constexpr std::size_t kLayerAttnOut = 3, kLayerResidual = 4;
+inline constexpr std::size_t kLayerFfn = 5, kLayerFfnOut = 6;
 inline constexpr std::size_t kAttentionScores = 8;
 inline constexpr std::size_t kFirstFree = 16;
 }  // namespace wslots

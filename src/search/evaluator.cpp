@@ -21,17 +21,17 @@ double PowInt(double base, int n) {
 }
 
 /// Dynamic energy of executing one request of `length` tokens on a slot
-/// with `top_k` sparse candidates: DSP MACs plus HBM traffic of the full
+/// with sparse inventory `ops`: DSP MACs plus HBM traffic of the full
 /// stack (latency_s = 0 -- the static term is priced fleet-wide below).
 double RequestDynamicJoules(const ModelConfig& model,
                             const AcceleratorConfig& accel,
-                            std::size_t length, std::size_t top_k) {
+                            const std::vector<OpSpec>& ops,
+                            std::size_t length) {
   const double n = static_cast<double>(length);
-  const double macs =
-      model.TotalModelFlops(n, AttentionMode::kSparseTopK, top_k) / 2.0;
+  const double layers = static_cast<double>(model.layers);
+  const double macs = layers * TotalFlops(ops, n) / 2.0;
   const double offchip_bytes =
-      model.TotalModelOffchipElems(n, AttentionMode::kSparseTopK, top_k) *
-      accel.element_bytes;
+      layers * TotalOffchipElems(ops, n) * accel.element_bytes;
   return EstimateBatchEnergy(macs, /*lut_ops=*/0, /*onchip_bytes=*/0,
                              offchip_bytes, /*latency_s=*/0)
       .TotalJoules();
@@ -110,14 +110,19 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
   // Dynamic energy: every request that reached a replica is priced at
   // that replica's sparsity, then scaled by the fraction the replica
   // actually executed (cache hits compute nothing).
+  const EncoderConfig& enc = cfg_.model.encoder;
+  std::vector<std::vector<OpSpec>> replica_ops;
+  for (const auto& replica : dp.replicas) {
+    const std::size_t k = replica.top_k;
+    replica_ops.push_back(EncoderOps(enc, AttentionMode::kSparseTopK, k));
+  }
   std::vector<double> routed_joules(dp.replicas.size(), 0);
   std::vector<std::size_t> routed_count(dp.replicas.size(), 0);
   for (std::size_t p = 0; p < result.replica_of.size(); ++p) {
     const std::size_t r = result.replica_of[p];
     if (r == ClusterResult::npos()) continue;
     routed_joules[r] += RequestDynamicJoules(cfg_.model, cfg_.accel,
-                                             trace_[p].length,
-                                             dp.replicas[r].top_k);
+                                             replica_ops[r], trace_[p].length);
     ++routed_count[r];
   }
   double dynamic_j = 0;

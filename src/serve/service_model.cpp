@@ -17,9 +17,20 @@ ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
       AddIssue(issues, "batch_overhead_s",
                "must be a non-negative, finite per-batch overhead");
     }
-  } else if (spec.accel.top_k == 0) {
-    AddIssue(issues, "accel.top_k",
-             "must be >= 1 (0 selects no attention candidates)");
+  } else {
+    if (spec.model.layers == 0) {
+      AddIssue(issues, "model.layers",
+               "must be >= 1 (the pipeline runs every encoder layer)");
+    }
+    if (!(spec.accel.spec.freq_hz > 0) ||
+        !std::isfinite(spec.accel.spec.freq_hz)) {
+      AddIssue(issues, "accel.spec.freq_hz",
+               "must be a positive, finite clock (stage times divide by it)");
+    }
+    if (spec.accel.top_k == 0) {
+      AddIssue(issues, "accel.top_k",
+               "must be >= 1 (0 selects no attention candidates)");
+    }
   }
   return issues;
 }

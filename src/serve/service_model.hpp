@@ -40,8 +40,9 @@ struct ServiceModelSpec {
   AcceleratorConfig accel;
 };
 
-/// Names every illegal field (non-positive token cost, negative overhead,
-/// zero accelerator top_k); empty means legal.
+/// Names every illegal field (non-positive token cost, negative overhead;
+/// for the accelerator: zero layers, a non-positive or non-finite clock,
+/// zero top_k); empty means legal.
 ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec);
 
 /// Builds the service model a spec describes.  Throws

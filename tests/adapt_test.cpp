@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -152,6 +153,34 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   const std::vector<std::size_t> batch = {96, 64};
   EXPECT_EQ(BuildServiceModel(spec)(batch),
             RunAccelerator(spec.model, batch, spec.accel).latency_s);
+}
+
+TEST(ServiceModelSpecTest, NamesBrokenAcceleratorFields) {
+  // Each of these used to build and then throw from the first priced batch.
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kAccelerator;
+  spec.model = SmallModel().config();
+  EXPECT_TRUE(CheckServiceModelSpec(spec).empty());
+
+  spec.model.layers = 0;
+  EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), "model.layers"));
+  EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument);
+  spec.model.layers = 1;
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double freq : {0.0, -200e6, inf, nan}) {
+    spec.accel.spec.freq_hz = freq;
+    EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), "accel.spec.freq_hz"))
+        << freq;
+    EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument) << freq;
+  }
+  spec.accel.spec.freq_hz = AlveoU280Slr0().freq_hz;
+
+  spec.accel.top_k = 0;
+  EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), "accel.top_k"));
+  spec.accel.top_k = 16;
+  EXPECT_TRUE(CheckServiceModelSpec(spec).empty());
 }
 
 TEST(ServiceModelSpecTest, TierModelsPriceSparserTiersNoSlower) {

@@ -351,8 +351,7 @@ TEST(ServingWorkersTest, MoreWorkersDoNotHurtSaturatedThroughput) {
 ScheduleResult SmallSchedule() {
   const auto ops =
       EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 100);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), 100);
   PipelineSimConfig cfg;
   cfg.layers = 2;
   return SimulatePipeline({120, 100, 80}, models, cfg);

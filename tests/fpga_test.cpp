@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "fpga/accelerator.hpp"
 #include "fpga/pipeline_sim.hpp"
@@ -17,7 +18,7 @@ namespace {
 std::vector<StageTimingModel> SparseStageModels(double s_avg = 177) {
   const auto ops =
       EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  return BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), s_avg);
+  return BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
 }
 
 // ------------------------------------------------------------ Resources --
@@ -80,17 +81,53 @@ TEST(TimingTest, ProportionalSplitBalancesStageLatency) {
 
 TEST(TimingTest, DenseAttentionStageIsComputeBoundAtLongLength) {
   const auto ops = EncoderOps(BertBase().encoder, AttentionMode::kDense);
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 821);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), 821);
   // Stage 2 (dense At-Comp) at n=821 is DSP bound (roof 0).
   EXPECT_EQ(models[1].BindingRoof(821), 0);
 }
 
 TEST(TimingTest, RejectsNonPositiveSavg) {
   const auto ops = EncoderOps(BertBase().encoder, AttentionMode::kDense);
-  EXPECT_THROW(
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 0.0),
-      std::invalid_argument);
+  EXPECT_THROW(BuildStageTimings(ops, AlveoU280Slr0(), 0.0),
+               std::invalid_argument);
+}
+
+TEST(TimingTest, RejectsStageHintOutsideOneToThree) {
+  const auto ops =
+      EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
+  for (const int hint : {0, 4}) {
+    SCOPED_TRACE(hint);
+    auto bad = ops;
+    bad.back().stage_hint = hint;
+    EXPECT_THROW(BuildStageTimings(bad, AlveoU280Slr0(), 177),
+                 std::out_of_range);
+  }
+}
+
+TEST(TimingTest, AttentionOnlyOpsYieldTheStagesTheyName) {
+  // Sparse attention operators name stages 1 (At-Sel) and 2 (score and
+  // context): two stages, in stage order, each summing its members.
+  const auto ops =
+      EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
+  std::vector<OpSpec> attn;
+  for (const auto& op : ops) {
+    if (op.in_attention) attn.push_back(op);
+  }
+  ASSERT_EQ(attn.size(), 3u);
+  const auto models = BuildStageTimings(attn, AlveoU280Slr0(), 177);
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_EQ(models[0].flops.lin, attn[0].flops.lin);
+  EXPECT_EQ(models[0].lut_ops.quad, attn[0].lut_ops.quad);
+  EXPECT_EQ(models[1].flops.lin, attn[1].flops.lin + attn[2].flops.lin);
+
+  // A list naming stages 3 and 1, in that order, yields stage 1 first.
+  std::vector<OpSpec> late_first = {attn[0], attn[0]};
+  late_first[0].stage_hint = 3;
+  late_first[0].flops = {0, 5, 0};
+  const auto ordered = BuildStageTimings(late_first, AlveoU280Slr0(), 177);
+  ASSERT_EQ(ordered.size(), 2u);
+  EXPECT_EQ(ordered[0].flops.lin, attn[0].flops.lin);
+  EXPECT_EQ(ordered[1].flops.lin, 5.0);
 }
 
 // --------------------------------------------------------- PipelineSim ---

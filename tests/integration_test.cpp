@@ -54,8 +54,7 @@ TEST(IntegrationTest, Fig5ScenarioSavesLatencyAndFillsStages) {
   const std::vector<std::size_t> lens = {140, 100, 82, 78, 72};
   const auto ops =
       EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), 94.4);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), 94.4);
   PipelineSimConfig cfg;
   cfg.layers = 2;  // Fig 5 shows two encoder layers
   const auto res = SimulatePipeline(lens, models, cfg);
@@ -177,10 +176,11 @@ TEST(IntegrationTest, Table2EfficiencyShape) {
 
   // Equivalent GOPS vs the dense padded workload (what Table 2 reports).
   const auto batch = MakeBatch(lens, BatchPolicy::kPadToMax);
+  const auto dense_ops = EncoderOps(model.encoder, AttentionMode::kDense);
+  const double layers = static_cast<double>(model.layers);
   double padded_flops = 0;
   for (auto n : batch.effective_lengths) {
-    padded_flops += model.TotalModelFlops(static_cast<double>(n),
-                                          AttentionMode::kDense);
+    padded_flops += layers * TotalFlops(dense_ops, static_cast<double>(n));
   }
   const double gops = padded_flops / ours.latency_s / 1e9;
   const double watts = FpgaPowerWatts(AlveoU280Slr0(), 1.0);

@@ -7,10 +7,12 @@
 #include <limits>
 #include <numeric>
 
+#include "core/sparse_attention.hpp"
 #include "nn/attention.hpp"
 #include "nn/encoder.hpp"
 #include "nn/linear.hpp"
 #include "nn/ops.hpp"
+#include "nn/qlinear.hpp"
 #include "runtime/workspace.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/rng.hpp"
@@ -367,6 +369,57 @@ TEST(EncoderTest, CustomAttentionFnIsUsed) {
   Workspace ws;
   EXPECT_NE(EncoderForward(x, w, cfg, zero_fn, ws),
             EncoderForward(x, w, cfg, DenseAttention, ws));
+}
+
+TEST(EncoderTest, WarmWorkspaceMatchesFreshWorkspace) {
+  // The layer's intermediates live in the Workspace's reserved slots: a
+  // Workspace already used for a longer and then a shorter sequence must
+  // give the bits a fresh one gives, on both weight sets.
+  Rng rng(16);
+  EncoderConfig cfg;
+  cfg.hidden = 32;
+  cfg.heads = 4;
+  const auto w = MakeEncoderWeights(rng, cfg);
+  const auto qw = QuantizedEncoderWeights::FromFloat(w);
+  const auto longer = rng.NormalMatrix(21, 32, 0.0, 1.0);
+  const auto shorter = rng.NormalMatrix(4, 32, 0.0, 1.0);
+  const auto x = rng.NormalMatrix(9, 32, 0.0, 1.0);
+  SparseAttentionConfig sa;
+  sa.top_k = 4;
+  const AttentionFn sparse = MakeSparseAttentionFn(sa);
+
+  Workspace fresh_f, fresh_q;
+  const MatrixF want_f = EncoderForward(x, w, cfg, DenseAttention, fresh_f);
+  const MatrixF want_q = EncoderForward(x, qw, cfg, sparse, fresh_q);
+
+  Workspace warm;
+  EncoderForward(longer, w, cfg, DenseAttention, warm);
+  EncoderForward(longer, qw, cfg, sparse, warm);
+  EncoderForward(shorter, w, cfg, DenseAttention, warm);
+  EncoderForward(shorter, qw, cfg, sparse, warm);
+  EXPECT_EQ(EncoderForward(x, w, cfg, DenseAttention, warm), want_f);
+  EXPECT_EQ(EncoderForward(x, qw, cfg, sparse, warm), want_q);
+}
+
+TEST(EncoderTest, WorkspaceCapacityStaysFlatAcrossBatches) {
+  Rng rng(17);
+  EncoderConfig cfg;
+  cfg.hidden = 32;
+  cfg.heads = 4;
+  const auto w = MakeEncoderWeights(rng, cfg);
+  std::vector<MatrixF> batch;
+  for (std::size_t n : {13u, 5u, 9u}) {
+    batch.push_back(rng.NormalMatrix(n, 32, 0.0, 1.0));
+  }
+  Workspace ws;
+  for (const auto& x : batch) EncoderForward(x, w, cfg, DenseAttention, ws);
+  // The FFN activation slot holds the longest sequence's n x ffn.
+  EXPECT_GE(ws.Float(wslots::kLayerFfn, 0, 0).capacity(), 13 * cfg.ffn());
+  const std::size_t bytes = ws.CapacityBytes();
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& x : batch) EncoderForward(x, w, cfg, DenseAttention, ws);
+    EXPECT_EQ(ws.CapacityBytes(), bytes) << "round " << round;
+  }
 }
 
 TEST(EncoderTest, FfnDefaultsToFourTimesHidden) {

@@ -218,8 +218,7 @@ TEST_P(SeedSweep, PipelineScheduleInvariants) {
   const double s_avg = static_cast<double>(std::accumulate(
                            lens.begin(), lens.end(), std::size_t{0})) /
                        static_cast<double>(batch);
-  const auto models =
-      BuildStageTimings(GroupByStageHint(ops), AlveoU280Slr0(), s_avg);
+  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
 
   PipelineSimConfig cfg;
   cfg.layers = 1 + rng.NextIndex(6);
