@@ -16,7 +16,7 @@ double Latency(const FpgaSpec& spec, const ModelConfig& model,
                const std::vector<std::size_t>& lens) {
   AcceleratorConfig cfg;
   cfg.spec = spec;
-  return RunAccelerator(model, lens, cfg).latency_s;
+  return RunAccelerator(model, lens, cfg).makespan;
 }
 
 }  // namespace

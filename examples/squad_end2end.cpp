@@ -59,18 +59,18 @@ int main(int argc, char** argv) {
   add("CPU Xeon Gold 5218 (padded dense)", cpu.latency_s);
   add("Jetson TX2 (padded dense)", tx2.latency_s);
   add("Quadro RTX 6000 (padded dense)", gpu.latency_s);
-  add("FPGA baseline (padded dense)", fpga_base.latency_s);
-  add("FPGA length-aware sparse (ours)", fpga.latency_s);
+  add("FPGA baseline (padded dense)", fpga_base.makespan);
+  add("FPGA length-aware sparse (ours)", fpga.makespan);
   std::printf("%s\n", table.Render().c_str());
 
   std::printf("FPGA equivalent throughput: %.0f GOPS (DSP roof: %.0f GOPS; "
               "saved work counts as done)\n",
-              fpga_base.computed_flops / fpga.latency_s / 1e9,
+              cpu.computed_flops / fpga.makespan / 1e9,
               AlveoU280Slr0().PeakOpsPerSecond() / 1e9);
   std::printf("padding overhead of the dense designs: %.2fx computed vs "
               "useful FLOPs\n",
               cpu.computed_flops / cpu.useful_dense_flops);
-  const auto util = fpga.schedule.StageUtilization();
+  const auto util = fpga.StageUtilization();
   std::printf("FPGA stage utilization: %.1f%% / %.1f%% / %.1f%%\n",
               100 * util[0], 100 * util[1], 100 * util[2]);
   return 0;

@@ -25,8 +25,7 @@ int StageTimingModel::BindingRoof(double n) const {
 }
 
 std::vector<StageTimingModel> BuildStageTimings(
-    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg,
-    double element_bytes) {
+    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg) {
   if (s_avg <= 0) {
     throw std::invalid_argument("BuildStageTimings: s_avg must be positive");
   }
@@ -54,11 +53,7 @@ std::vector<StageTimingModel> BuildStageTimings(
   // by traffic at s_avg.
   double total_flops = 0, total_lut = 0;
   std::vector<double> demand;
-  for (auto& m : models) {
-    // Convert traffic elements to bytes.
-    m.offchip_bytes.quad *= element_bytes;
-    m.offchip_bytes.lin *= element_bytes;
-    m.offchip_bytes.cst *= element_bytes;
+  for (const auto& m : models) {
     total_flops += m.flops.Eval(s_avg);
     total_lut += m.lut_ops.Eval(s_avg);
     demand.push_back(m.offchip_bytes.Eval(s_avg));

@@ -12,6 +12,9 @@
 // coarse-grained pipeline and data prefetching"); the slower of the roofs
 // wins.  This is the same analytical performance model the paper uses to
 // size its design.
+//
+// The datapath is 8-bit fixed point: one byte per element, so an
+// operator's off-chip traffic in elements is its traffic in bytes.
 
 #include <vector>
 
@@ -24,7 +27,7 @@ namespace latte {
 struct StageTimingModel {
   CostPoly flops;          ///< summed over member operators
   CostPoly lut_ops;
-  CostPoly offchip_bytes;  ///< traffic in bytes (elements * element size)
+  CostPoly offchip_bytes;  ///< traffic in bytes (one byte per element)
   double dsp = 1;          ///< DSP slices granted to this stage
   double lut_lanes = 1;    ///< parallel LUT-op lanes granted
   double hbm_bytes_per_s = 1;  ///< HBM share granted
@@ -48,10 +51,8 @@ struct StageTimingModel {
 ///
 /// DSPs are split across stages proportionally to per-token FLOPs at
 /// `s_avg`; LUT lanes proportionally to LUT work; HBM bandwidth
-/// proportionally to traffic.  `element_bytes` converts traffic elements to
-/// bytes (1 for the 8-bit datapath).
+/// proportionally to traffic.
 std::vector<StageTimingModel> BuildStageTimings(
-    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg,
-    double element_bytes = 1.0);
+    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg);
 
 }  // namespace latte

@@ -60,9 +60,8 @@ ExplorationResult ExploreDesign(const ModelConfig& model,
       // Performance from the accelerator model.
       AcceleratorConfig acc = cfg.accel;
       acc.top_k = k;
-      const auto rep = RunAccelerator(model, lens, acc);
-      pt.latency_s = rep.latency_s;
-      pt.sequences_per_s = rep.SequencesPerSecond();
+      pt.latency_s = RunAccelerator(model, lens, acc).makespan;
+      pt.sequences_per_s = static_cast<double>(lens.size()) / pt.latency_s;
 
       // Fidelity -> calibrated accuracy drop.
       Rng frng(cfg.seed + k * 131 + static_cast<std::uint64_t>(bits));

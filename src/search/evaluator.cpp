@@ -24,14 +24,13 @@ double PowInt(double base, int n) {
 /// with sparse inventory `ops`: DSP MACs plus HBM traffic of the full
 /// stack (latency_s = 0 -- the static term is priced fleet-wide below).
 double RequestDynamicJoules(const ModelConfig& model,
-                            const AcceleratorConfig& accel,
                             const std::vector<OpSpec>& ops,
                             std::size_t length) {
   const double n = static_cast<double>(length);
   const double layers = static_cast<double>(model.layers);
   const double macs = layers * TotalFlops(ops, n) / 2.0;
-  const double offchip_bytes =
-      layers * TotalOffchipElems(ops, n) * accel.element_bytes;
+  // 8-bit datapath: one byte per element.
+  const double offchip_bytes = layers * TotalOffchipElems(ops, n);
   return EstimateBatchEnergy(macs, /*lut_ops=*/0, /*onchip_bytes=*/0,
                              offchip_bytes, /*latency_s=*/0)
       .TotalJoules();
@@ -121,8 +120,8 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
   for (std::size_t p = 0; p < result.replica_of.size(); ++p) {
     const std::size_t r = result.replica_of[p];
     if (r == ClusterResult::npos()) continue;
-    routed_joules[r] += RequestDynamicJoules(cfg_.model, cfg_.accel,
-                                             replica_ops[r], trace_[p].length);
+    routed_joules[r] +=
+        RequestDynamicJoules(cfg_.model, replica_ops[r], trace_[p].length);
     ++routed_count[r];
   }
   double dynamic_j = 0;

@@ -1,6 +1,7 @@
 #include "serve/service_model.hpp"
 
 #include <cmath>
+#include <string>
 
 namespace latte {
 
@@ -22,10 +23,26 @@ ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
       AddIssue(issues, "model.layers",
                "must be >= 1 (the pipeline runs every encoder layer)");
     }
-    if (!(spec.accel.spec.freq_hz > 0) ||
-        !std::isfinite(spec.accel.spec.freq_hz)) {
-      AddIssue(issues, "accel.spec.freq_hz",
-               "must be a positive, finite clock (stage times divide by it)");
+    // Each stage roof divides by one of these; a zero, negative or NaN
+    // value would price batches at nonsense latencies.
+    const auto positive = [&issues](double value, const char* field,
+                                    const char* what) {
+      if (!(value > 0) || !std::isfinite(value)) {
+        AddIssue(issues, field,
+                 std::string("must be a positive, finite ") + what);
+      }
+    };
+    const FpgaSpec& fpga = spec.accel.spec;
+    positive(fpga.freq_hz, "accel.spec.freq_hz", "clock");
+    positive(fpga.dsp, "accel.spec.dsp", "DSP count (the compute roof)");
+    positive(fpga.lut, "accel.spec.lut", "LUT count (the LUT roof)");
+    positive(fpga.hbm_bandwidth, "accel.spec.hbm_bandwidth",
+             "peak HBM bandwidth (the memory roof)");
+    positive(fpga.hbm_efficiency, "accel.spec.hbm_efficiency",
+             "sustained share of peak HBM bandwidth");
+    if (fpga.hbm_channels < 3) {
+      AddIssue(issues, "accel.spec.hbm_channels",
+               "must be >= 3 (one HBM channel per Fig 2(a) stage)");
     }
     if (spec.accel.top_k == 0) {
       AddIssue(issues, "accel.top_k",
@@ -53,7 +70,7 @@ BatchServiceModel BuildServiceModel(const ServiceModelSpec& spec) {
       const ModelConfig model = spec.model;
       const AcceleratorConfig accel = spec.accel;
       base = [model, accel](const std::vector<std::size_t>& lengths) {
-        return RunAccelerator(model, lengths, accel).latency_s;
+        return RunAccelerator(model, lengths, accel).makespan;
       };
       break;
     }

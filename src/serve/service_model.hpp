@@ -27,7 +27,7 @@ struct ServiceModelSpec {
   enum class Base {
     kTokenLinear,   ///< overhead + spt * sum(len): the host-side default
     kPadded,        ///< overhead + spt * max(len) * |batch|: padded-dense
-    kAccelerator,   ///< RunAccelerator latency: the performance twin
+    kAccelerator,   ///< RunAccelerator makespan: the performance twin
   };
   Base base = Base::kTokenLinear;
 
@@ -42,7 +42,8 @@ struct ServiceModelSpec {
 
 /// Names every illegal field (non-positive token cost, negative overhead;
 /// for the accelerator: zero layers, a non-positive or non-finite clock,
-/// zero top_k); empty means legal.
+/// DSP count, LUT count or HBM bandwidth or efficiency, fewer than 3 HBM
+/// channels, zero top_k); empty means legal.
 ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec);
 
 /// Builds the service model a spec describes.  Throws

@@ -11,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "latte/latte.hpp"
@@ -152,7 +153,7 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   spec.model = SmallModel().config();
   const std::vector<std::size_t> batch = {96, 64};
   EXPECT_EQ(BuildServiceModel(spec)(batch),
-            RunAccelerator(spec.model, batch, spec.accel).latency_s);
+            RunAccelerator(spec.model, batch, spec.accel).makespan);
 }
 
 TEST(ServiceModelSpecTest, NamesBrokenAcceleratorFields) {
@@ -176,6 +177,36 @@ TEST(ServiceModelSpecTest, NamesBrokenAcceleratorFields) {
     EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument) << freq;
   }
   spec.accel.spec.freq_hz = AlveoU280Slr0().freq_hz;
+
+  // The stage roofs divide by these: 0, negative or NaN used to price a
+  // batch at seconds or more (dsp was silently floored to 1 per stage).
+  using Field = double FpgaSpec::*;
+  const std::pair<Field, const char*> roofs[] = {
+      {&FpgaSpec::dsp, "accel.spec.dsp"},
+      {&FpgaSpec::lut, "accel.spec.lut"},
+      {&FpgaSpec::hbm_bandwidth, "accel.spec.hbm_bandwidth"},
+      {&FpgaSpec::hbm_efficiency, "accel.spec.hbm_efficiency"},
+  };
+  for (const auto& [field, name] : roofs) {
+    for (const double bad : {0.0, -3000.0, inf, nan}) {
+      spec.accel.spec.*field = bad;
+      EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), name))
+          << name << " = " << bad;
+      EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument) << name;
+    }
+    spec.accel.spec = AlveoU280Slr0();
+  }
+  // Fewer channels than Fig 2(a) stages threw from the first priced batch.
+  for (const std::size_t channels : {0u, 2u}) {
+    spec.accel.spec.hbm_channels = channels;
+    EXPECT_TRUE(
+        HasIssueFor(CheckServiceModelSpec(spec), "accel.spec.hbm_channels"))
+        << channels;
+  }
+  spec.accel.spec.hbm_channels = 3;
+  EXPECT_TRUE(CheckServiceModelSpec(spec).empty());
+  EXPECT_GT(BuildServiceModel(spec)({96, 64}), 0.0);
+  spec.accel.spec = AlveoU280Slr0();
 
   spec.accel.top_k = 0;
   EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), "accel.top_k"));

@@ -79,20 +79,20 @@ SpeedupResult ComputeSpeedups(const ModelConfig& model,
   const auto lens = sampler.SampleMany(rng, 16);
 
   AcceleratorConfig aware;
-  const auto ours = RunAccelerator(model, lens, aware);
+  const double ours = RunAccelerator(model, lens, aware).makespan;
   AcceleratorConfig base;
   base.mode = FpgaMode::kBaseline;
-  const auto fpga_base = RunAccelerator(model, lens, base);
+  const double fpga_base = RunAccelerator(model, lens, base).makespan;
 
   const auto cpu = RunPlatform(XeonGold5218(), model, lens);
   const auto tx2 = RunPlatform(JetsonTx2(), model, lens);
   const auto gpu = RunPlatform(QuadroRtx6000(), model, lens);
 
   SpeedupResult s;
-  s.cpu = cpu.latency_s / ours.latency_s;
-  s.tx2 = tx2.latency_s / ours.latency_s;
-  s.gpu = gpu.latency_s / ours.latency_s;
-  s.fpga_base = fpga_base.latency_s / ours.latency_s;
+  s.cpu = cpu.latency_s / ours;
+  s.tx2 = tx2.latency_s / ours;
+  s.gpu = gpu.latency_s / ours;
+  s.fpga_base = fpga_base / ours;
   return s;
 }
 
@@ -123,11 +123,13 @@ TEST(IntegrationTest, AttentionSpeedupExceedsEndToEnd) {
   LengthSampler sampler(Squad());
   const auto lens = sampler.SampleMany(rng, 16);
 
-  const auto ours = RunAccelerator(model, lens, AcceleratorConfig{});
+  const AcceleratorConfig cfg;
   const auto gpu = RunPlatform(QuadroRtx6000(), model, lens);
 
-  const double end2end = gpu.latency_s / ours.latency_s;
-  const double attention = gpu.attention_latency_s / ours.attention_latency_s;
+  const double end2end =
+      gpu.latency_s / RunAccelerator(model, lens, cfg).makespan;
+  const double attention =
+      gpu.attention_latency_s / AttentionLatency(model, lens, cfg);
   EXPECT_GT(attention, 2.0 * end2end);
 }
 
@@ -172,7 +174,7 @@ TEST(IntegrationTest, Table2EfficiencyShape) {
   Rng rng(21);
   LengthSampler sampler(Squad());
   const auto lens = sampler.SampleMany(rng, 16);
-  const auto ours = RunAccelerator(model, lens, AcceleratorConfig{});
+  const double ours = RunAccelerator(model, lens, AcceleratorConfig{}).makespan;
 
   // Equivalent GOPS vs the dense padded workload (what Table 2 reports).
   const auto batch = MakeBatch(lens, BatchPolicy::kPadToMax);
@@ -182,7 +184,7 @@ TEST(IntegrationTest, Table2EfficiencyShape) {
   for (auto n : batch.effective_lengths) {
     padded_flops += layers * TotalFlops(dense_ops, static_cast<double>(n));
   }
-  const double gops = padded_flops / ours.latency_s / 1e9;
+  const double gops = padded_flops / ours / 1e9;
   const double watts = FpgaPowerWatts(AlveoU280Slr0(), 1.0);
   const double eff = EnergyEfficiency(gops, watts);
 

@@ -324,7 +324,7 @@ TEST_P(SeedSweep, QuantizationMonotoneAndBounded) {
 
 // ---------------------------------------------------------- accelerator --
 
-TEST_P(SeedSweep, AcceleratorReportsConsistent) {
+TEST_P(SeedSweep, AcceleratorLatenciesConsistent) {
   Rng rng(GetParam() * 41 + 2);
   const std::size_t batch = 1 + rng.NextIndex(8);
   std::vector<std::size_t> lens(batch);
@@ -333,14 +333,14 @@ TEST_P(SeedSweep, AcceleratorReportsConsistent) {
 
   AcceleratorConfig cfg;
   cfg.top_k = 10 + rng.NextIndex(50);
-  const auto rep = RunAccelerator(model, lens, cfg);
-  EXPECT_GT(rep.latency_s, 0);
-  EXPECT_GT(rep.attention_latency_s, 0);
-  EXPECT_LE(rep.attention_latency_s, rep.latency_s + 1e-12);
-  EXPECT_GT(rep.useful_dense_flops, rep.computed_flops * 0.01);
-  EXPECT_EQ(rep.batch_size, batch);
-  EXPECT_EQ(rep.useful_tokens,
-            std::accumulate(lens.begin(), lens.end(), std::size_t{0}));
+  cfg.mode =
+      rng.NextUniform() < 0.5 ? FpgaMode::kLengthAware : FpgaMode::kBaseline;
+  const auto schedule = RunAccelerator(model, lens, cfg);
+  const double attention = AttentionLatency(model, lens, cfg);
+  EXPECT_GT(schedule.makespan, 0);
+  EXPECT_GT(attention, 0);
+  EXPECT_LE(attention, schedule.makespan + 1e-12);
+  EXPECT_EQ(schedule.jobs.size(), batch * model.layers * 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
