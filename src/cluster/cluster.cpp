@@ -1,7 +1,9 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace latte {
@@ -132,6 +134,11 @@ bool ServingCluster::Push(const TimedRequest& request,
 
 bool ServingCluster::PushImpl(const TimedRequest& request, MatrixF input,
                               bool has_input) {
+  if (!std::isfinite(request.arrival_s)) {
+    throw std::invalid_argument(
+        "ServingCluster::Push: arrival_s must be finite (got " +
+        std::to_string(request.arrival_s) + ")");
+  }
   if (routing_.offered > 0 && request.arrival_s < last_arrival_) {
     throw std::invalid_argument(
         "ServingCluster::Push: arrivals must be non-decreasing (got " +

@@ -119,7 +119,8 @@ class ServingCluster {
   /// Routes one request, optionally with a caller-provided embedding
   /// (length x hidden).  Returns false when it was rejected (every
   /// routable replica full, or the fleet offline).  Arrivals must be
-  /// non-decreasing in time.
+  /// finite and non-decreasing in time; otherwise Push throws
+  /// std::invalid_argument.
   bool Push(const TimedRequest& request,
             std::optional<MatrixF> input = std::nullopt);
 

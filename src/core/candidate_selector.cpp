@@ -7,8 +7,8 @@
 
 namespace latte {
 
-ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
-                              const SelectorConfig& cfg) {
+SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
+                                 const SelectorConfig& cfg) {
   if (q.cols() != k.cols()) {
     throw std::invalid_argument("At-Sel: head dim mismatch");
   }
@@ -25,21 +25,14 @@ ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
 
   // Step 3: approximate scores, the integers the product LUT would form.
   static const LutMultiplier lut;  // immutable table, shared
-  ApproxScores out;
-  out.scores = lut.ScoreMatrix(qq, qk);
+  const MatrixI32 scores = lut.ScoreMatrix(qq, qk);
 
   // Padding keys (index >= valid_len) never enter the sorter -- the
   // hardware gates them at the FIFO (Fig 1(b) masking, applied before
   // selection).
-  out.valid = cfg.valid_len == 0
-                  ? k.rows()
-                  : std::min<std::size_t>(cfg.valid_len, k.rows());
-  return out;
-}
-
-SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
-                                 const SelectorConfig& cfg) {
-  const ApproxScores approx = ScoreApproximate(q, k, cfg);
+  const std::size_t valid =
+      cfg.valid_len == 0 ? k.rows()
+                         : std::min<std::size_t>(cfg.valid_len, k.rows());
 
   SelectionResult res;
   res.lut_multiplies = q.rows() * k.rows() * q.cols();
@@ -58,8 +51,8 @@ SelectionResult SelectCandidates(const MatrixF& q, const MatrixF& k,
   const auto max_range = static_cast<std::size_t>(
       2 * max_code * max_code * static_cast<std::int64_t>(q.cols()));
   std::vector<std::uint32_t> bins;  // reused across rows
-  for (std::size_t i = 0; i < approx.scores.rows(); ++i) {
-    const auto row = approx.scores.row(i).first(approx.valid);
+  for (std::size_t i = 0; i < scores.rows(); ++i) {
+    const auto row = scores.row(i).first(valid);
     res.sorter_cycles += row.size();
     const std::size_t kk = std::min(cfg.top_k, row.size());
     std::vector<std::uint32_t> idx(kk);

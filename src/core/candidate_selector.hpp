@@ -8,12 +8,12 @@
 // keys survive selection.
 //
 // The hardware forms the scores with the 256-entry product LUT
-// (tensor/lut_multiply) and ranks them in the II=1 streaming sorter
-// (core/topk, core/merge_sorter); AtSelUnit models that structure cycle by
-// cycle.  SelectCandidates is the functional twin: the same integer scores
-// on the exact int8 GEMM, and a counting select over the bounded score range
-// (step 4) that returns exactly the sorter's candidates in the sorter's
-// order, ties included, and charges the sorter's cycles.
+// (tensor/lut_multiply) and ranks them in the II=1 streaming sorter, which
+// core/topk's StreamingTopK models.  SelectCandidates is the functional
+// twin: the same integer scores on the exact int8 GEMM, and a counting
+// select over the bounded score range (step 4) that returns exactly the
+// sorter's candidates in the sorter's order, ties included, and charges the
+// sorter's cycles.
 
 #include <cstdint>
 
@@ -40,24 +40,11 @@ struct SelectionResult {
   std::vector<std::vector<std::uint32_t>> candidates;
   /// Approximate (quantized) scores matching `candidates`, for diagnostics.
   std::vector<std::vector<std::int32_t>> approx_scores;
-  /// LUT multiply count consumed (n_q * n_k * d), for the resource model.
+  /// LUT multiply count consumed (n_q * n_k * d).
   std::size_t lut_multiplies = 0;
   /// Sorter cycles consumed (one per streamed element).
   std::size_t sorter_cycles = 0;
 };
-
-/// Approximate scores of one head and the keys the sorter may see.
-struct ApproxScores {
-  MatrixI32 scores;       ///< (n_q x n_k) quantized scores Q'.K'^T
-  std::size_t valid = 0;  ///< keys [0, valid) stream into the sorter
-};
-
-/// The At-Sel front end shared by SelectCandidates and the structural
-/// AtSelUnit: validates `cfg`, quantizes Q and K to `cfg.bits`, scores
-/// every (query, key) pair (LutMultiplier::ScoreMatrix), and bounds the
-/// keys by `cfg.valid_len`.
-ApproxScores ScoreApproximate(const MatrixF& q, const MatrixF& k,
-                              const SelectorConfig& cfg);
 
 /// Runs quantized candidate pre-selection for one head.
 /// q and k are full-precision (n_q x d) and (n_k x d).

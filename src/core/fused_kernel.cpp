@@ -51,9 +51,7 @@ void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
         out.exp_scores[j] = 0.f;
       } else {
         // Saturating exponent: the hardware exp LUT clamps its input.
-        const float arg = std::clamp(acc, -80.f, 80.f);
-        const float e =
-            cfg.exp_lut != nullptr ? cfg.exp_lut->Eval(arg) : std::exp(arg);
+        const float e = std::exp(std::clamp(acc, -80.f, 80.f));
         out.exp_scores[j] = e;
         out.sum += e;
       }

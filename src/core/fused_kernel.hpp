@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "core/exp_lut.hpp"
 #include "tensor/matrix.hpp"
 
 namespace latte {
@@ -30,9 +29,6 @@ struct FusedKernelConfig {
   /// Candidates j with masked[j] true receive score -inf before exp (the
   /// padding / causal mask of Fig 1(b)).  Empty means nothing masked.
   std::vector<bool> masked;
-  /// If set, exponentiation goes through the hardware e^x LUT of Fig 2(a)
-  /// instead of std::exp (non-owning; must outlive the call).
-  const ExpLut* exp_lut = nullptr;
 };
 
 /// Runs the fused loop for one query row against gathered candidates.

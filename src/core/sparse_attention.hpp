@@ -33,8 +33,10 @@ struct SparseAttentionConfig {
   std::size_t valid_len = 0;
 };
 
-/// Execution statistics for one forward call, consumed by the metrics and
-/// timing layers.
+/// Execution statistics for one forward call.  Outside core, the inference
+/// engine reads `exact_macs` and `lut_multiplies` and the fidelity metrics
+/// read `candidates`; the cycle tallies are diagnostics that only tests
+/// check (the timing model prices the same work from nn/op_cost).
 struct SparseAttentionStats {
   std::size_t n = 0;                ///< query/key count
   std::size_t selected_per_row = 0; ///< mean candidates per query row

@@ -49,14 +49,4 @@ std::vector<ScoredIndex> TopK(std::span<const std::int32_t> row,
   return sel.Result();
 }
 
-std::vector<std::vector<ScoredIndex>> RowTopK(const MatrixI32& scores,
-                                              std::size_t k) {
-  std::vector<std::vector<ScoredIndex>> out;
-  out.reserve(scores.rows());
-  for (std::size_t i = 0; i < scores.rows(); ++i) {
-    out.push_back(TopK(scores.row(i), k));
-  }
-  return out;
-}
-
 }  // namespace latte

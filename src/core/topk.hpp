@@ -59,9 +59,4 @@ class StreamingTopK {
 std::vector<ScoredIndex> TopK(std::span<const std::int32_t> row,
                               std::size_t k);
 
-/// Row-wise Top-k of a score matrix: result[i] are the selected candidates
-/// of row i.  Each row yields min(k, cols) entries.
-std::vector<std::vector<ScoredIndex>> RowTopK(const MatrixI32& scores,
-                                              std::size_t k);
-
 }  // namespace latte

@@ -4,8 +4,4 @@ namespace latte {
 
 FpgaSpec AlveoU280Slr0() { return FpgaSpec{}; }
 
-double DoubleBufferBytes(std::size_t n_max, std::size_t hidden) {
-  return 2.0 * static_cast<double>(n_max) * static_cast<double>(hidden);
-}
-
 }  // namespace latte

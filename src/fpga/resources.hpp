@@ -15,9 +15,6 @@ struct FpgaSpec {
   const char* name = "U280-SLR0";
   double dsp = 3000;             ///< DSP48 slices usable by the design
   double lut = 400e3;            ///< LUTs usable by At-Sel / sorter fabric
-  double ff = 800e3;             ///< flip-flops
-  double bram_bytes = 35.0e6 / 3.0;  ///< on-chip RAM share of SLR0 (U280
-                                     ///< total ~35 MB across 3 SLRs)
   double freq_hz = 200e6;        ///< attainable design frequency
   double hbm_bandwidth = 460e9;  ///< bytes/s across all HBM channels
   std::size_t hbm_channels = 32; ///< PC0-31
@@ -31,23 +28,5 @@ struct FpgaSpec {
 
 /// The evaluation device of the paper.
 FpgaSpec AlveoU280Slr0();
-
-/// Utilization of one resource class (used / available).
-struct ResourceUsage {
-  double dsp = 0;
-  double lut = 0;
-  double bram_bytes = 0;
-
-  /// True if this usage fits within `spec`.
-  bool FitsIn(const FpgaSpec& spec) const {
-    return dsp <= spec.dsp && lut <= spec.lut &&
-           bram_bytes <= spec.bram_bytes;
-  }
-};
-
-/// Double-buffer storage between two coarse stages holding one sequence's
-/// activations (n_max x hidden, 1 byte/element 8-bit fixed point, x2 for
-/// ping-pong).
-double DoubleBufferBytes(std::size_t n_max, std::size_t hidden);
 
 }  // namespace latte

@@ -15,15 +15,6 @@ double StageTimingModel::Seconds(double n) const {
   return std::max({t_dsp, t_lut, t_mem});
 }
 
-int StageTimingModel::BindingRoof(double n) const {
-  const double t_dsp = flops.Eval(n) / (2.0 * dsp * freq_hz);
-  const double t_lut = lut_ops.Eval(n) / (lut_lanes * freq_hz);
-  const double t_mem = offchip_bytes.Eval(n) / hbm_bytes_per_s;
-  if (t_dsp >= t_lut && t_dsp >= t_mem) return 0;
-  if (t_lut >= t_mem) return 1;
-  return 2;
-}
-
 std::vector<StageTimingModel> BuildStageTimings(
     const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg) {
   if (s_avg <= 0) {

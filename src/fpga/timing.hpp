@@ -35,9 +35,6 @@ struct StageTimingModel {
 
   /// Seconds to process one sequence of length n through this stage.
   double Seconds(double n) const;
-
-  /// Which roof binds at length n: 0 = DSP, 1 = LUT, 2 = memory.
-  int BindingRoof(double n) const;
 };
 
 /// Builds stage timing models from an operator list (`EncoderOps`, or a

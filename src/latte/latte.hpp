@@ -31,15 +31,11 @@
 #include "cluster/cluster.hpp"
 #include "cluster/policy.hpp"
 #include "cluster/replica.hpp"
-#include "core/atsel_unit.hpp"
 #include "core/candidate_selector.hpp"
-#include "core/exp_lut.hpp"
 #include "core/fused_kernel.hpp"
-#include "core/merge_sorter.hpp"
 #include "core/sparse_attention.hpp"
 #include "core/topk.hpp"
 #include "fpga/accelerator.hpp"
-#include "fpga/design_usage.hpp"
 #include "fpga/hbm.hpp"
 #include "fpga/pipeline_sim.hpp"
 #include "fpga/resources.hpp"

@@ -52,11 +52,6 @@ struct QuantizedLinear {
 
   std::size_t in_features() const { return weight.rows(); }
   std::size_t out_features() const { return weight.cols(); }
-
-  /// 8-bit MAC count of one forward pass over n rows.
-  std::size_t MacCount(std::size_t n) const {
-    return n * in_features() * out_features();
-  }
 };
 
 /// All encoder parameters with matmul weights in int8.

@@ -105,7 +105,6 @@ PlatformReport RunPlatform(const PlatformModel& platform,
   const double layers = static_cast<double>(model.layers);
 
   PlatformReport rep;
-  rep.batch_size = lengths.size();
 
   // One batched kernel per operator per layer: FLOPs and traffic sum over
   // the (padded) batch; the launch overhead is paid once per kernel (per

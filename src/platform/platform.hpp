@@ -59,14 +59,6 @@ struct PlatformReport {
   double attention_latency_s = 0;  ///< score..context operators only
   double computed_flops = 0;       ///< includes padding waste
   double useful_dense_flops = 0;   ///< dense FLOPs at true lengths
-  std::size_t batch_size = 0;
-
-  double SequencesPerSecond() const {
-    return latency_s > 0 ? static_cast<double>(batch_size) / latency_s : 0;
-  }
-  double EquivalentGops() const {
-    return latency_s > 0 ? computed_flops / latency_s / 1e9 : 0;
-  }
 };
 
 /// Runs a dense, padded batch through the platform model.  `pad_to` > 0

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -245,6 +246,11 @@ MatrixF ServingEngine::SynthesizeInput(const TimedRequest& request,
 
 bool ServingEngine::Push(const TimedRequest& request,
                          std::optional<MatrixF> input) {
+  if (!std::isfinite(request.arrival_s)) {
+    throw std::invalid_argument(
+        "ServingEngine::Push: arrival_s must be finite (got " +
+        std::to_string(request.arrival_s) + ")");
+  }
   if (input.has_value() &&
       (input->rows() != request.length ||
        input->cols() != model_.config().encoder.hidden)) {

@@ -225,7 +225,8 @@ class ServingEngine {
   /// synthesized from (embed_seed, Push ordinal) -- or from
   /// (embed_seed, id) when the request carries a content identity.
   /// Returns false when the bounded queue rejects (adaptive: sheds) it.
-  /// Arrivals must be non-decreasing in time.
+  /// Arrivals must be finite and non-decreasing in time; otherwise Push
+  /// throws std::invalid_argument.
   bool Push(const TimedRequest& request,
             std::optional<MatrixF> input = std::nullopt);
 

@@ -1,6 +1,7 @@
 #include "workload/trace_io.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +80,9 @@ std::vector<TimedRequest> TraceFromJson(std::string_view text) {
   for (const search::JsonValue& rec : records.array) {
     TimedRequest r;
     r.arrival_s = rec.Get("arrival_s").AsNumber("arrival_s");
+    if (!std::isfinite(r.arrival_s)) {
+      throw std::invalid_argument("lattetrace: arrival_s is not finite");
+    }
     r.length = rec.Get("length").AsSize("length");
     r.id = ParseHexId(rec.Get("id").AsString("id"));
     trace.push_back(r);

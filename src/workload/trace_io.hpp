@@ -31,7 +31,8 @@ inline constexpr std::size_t kTraceVersion = 1;
 std::string TraceToJson(const std::vector<TimedRequest>& trace);
 
 /// Parses a `.lattetrace` document.  Throws std::invalid_argument naming
-/// what is wrong (bad magic, unknown version, malformed record) -- a
+/// what is wrong (bad magic, unknown version, malformed record, a
+/// non-finite arrival_s) -- a
 /// capture that does not reproduce exactly is a corrupt baseline, not a
 /// soft failure.
 std::vector<TimedRequest> TraceFromJson(std::string_view text);

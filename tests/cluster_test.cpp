@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -208,6 +209,19 @@ TEST(ClusterConfigTest, ValidatesPerFieldWithReplicaContext) {
       },
       std::invalid_argument);
   (void)cluster.Drain();
+
+  // A non-finite arrival throws before it reaches any replica, as the
+  // first arrival and after a finite one.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double t :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    ServingCluster fresh(SmallModel(),
+                         SmallCluster(2, RouterPolicy::kRoundRobin));
+    EXPECT_THROW(fresh.Push({t, 16}), std::invalid_argument) << t;
+    ASSERT_TRUE(fresh.Push({1.0, 16}));
+    EXPECT_THROW(fresh.Push({t, 16}), std::invalid_argument) << t;
+    (void)fresh.Drain();
+  }
 }
 
 // ------------------------------------------------- Cluster end-to-end --

@@ -97,21 +97,6 @@ TEST(TopKTest, EmptyRowYieldsEmpty) {
   EXPECT_TRUE(TopK({}, 5).empty());
 }
 
-TEST(RowTopKTest, PerRowSizes) {
-  MatrixI32 m(3, 7);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 7; ++j) {
-      m(i, j) = static_cast<std::int32_t>(i * 7 + j);
-    }
-  }
-  const auto res = RowTopK(m, 4);
-  ASSERT_EQ(res.size(), 3u);
-  for (const auto& r : res) EXPECT_EQ(r.size(), 4u);
-  // Last column has the largest value in every row.
-  EXPECT_EQ(res[0][0].index, 6u);
-  EXPECT_EQ(res[2][0].index, 6u);
-}
-
 // Property sweep: streaming selection == sort-based selection for many
 // (n, k) shapes including k > n.
 class TopKProperty

@@ -1,9 +1,7 @@
-// Tests for the design-space explorer, whole-design resource estimation
-// and the energy breakdown model.
+// Tests for the design-space explorer and the energy breakdown model.
 
 #include <gtest/gtest.h>
 
-#include "fpga/design_usage.hpp"
 #include "metrics/design_explorer.hpp"
 #include "metrics/energy.hpp"
 
@@ -83,54 +81,6 @@ TEST(ExplorerTest, RejectsEmptyCandidates) {
   cfg.k_candidates.clear();
   EXPECT_THROW(ExploreDesign(BertBase(), Rte(), cfg),
                std::invalid_argument);
-}
-
-// ----------------------------------------------------------- DesignUsage --
-
-TEST(DesignUsageTest, BertBaseFitsSlr0) {
-  const auto spec = AlveoU280Slr0();
-  const auto usage = EstimateDesignUsage(BertBase(), spec);
-  EXPECT_TRUE(usage.total.FitsIn(spec))
-      << "dsp=" << usage.total.dsp << " lut=" << usage.total.lut
-      << " bram=" << usage.total.bram_bytes;
-}
-
-TEST(DesignUsageTest, BertLargeFitsSlr0) {
-  const auto spec = AlveoU280Slr0();
-  DesignUsageConfig cfg;
-  cfg.n_max = 821;
-  const auto usage = EstimateDesignUsage(BertLarge(), spec, cfg);
-  EXPECT_TRUE(usage.total.FitsIn(spec));
-}
-
-TEST(DesignUsageTest, ItemsSumToTotal) {
-  const auto usage = EstimateDesignUsage(BertBase(), AlveoU280Slr0());
-  EXPECT_DOUBLE_EQ(usage.total.lut, usage.lut_atsel + usage.lut_control);
-  EXPECT_DOUBLE_EQ(usage.total.bram_bytes,
-                   usage.bram_double_buffers + usage.bram_weight_tiles +
-                       usage.bram_topk_fifo + usage.bram_exp_lut);
-}
-
-TEST(DesignUsageTest, LongerSequencesNeedMoreBuffer) {
-  DesignUsageConfig short_cfg;
-  short_cfg.n_max = 86;
-  DesignUsageConfig long_cfg;
-  long_cfg.n_max = 821;
-  const auto a = EstimateDesignUsage(BertBase(), AlveoU280Slr0(), short_cfg);
-  const auto b = EstimateDesignUsage(BertBase(), AlveoU280Slr0(), long_cfg);
-  EXPECT_LT(a.bram_double_buffers, b.bram_double_buffers);
-  // The Top-k FIFO is a fixed on-chip window (results stream to HBM).
-  EXPECT_DOUBLE_EQ(a.bram_topk_fifo, b.bram_topk_fifo);
-}
-
-TEST(DesignUsageTest, BiggerKNeedsMoreSorterFabric) {
-  DesignUsageConfig k10;
-  k10.top_k = 10;
-  DesignUsageConfig k50;
-  k50.top_k = 50;
-  const auto a = EstimateDesignUsage(BertBase(), AlveoU280Slr0(), k10);
-  const auto b = EstimateDesignUsage(BertBase(), AlveoU280Slr0(), k50);
-  EXPECT_LT(a.lut_atsel, b.lut_atsel);
 }
 
 // ------------------------------------------------------ EnergyBreakdown --

@@ -1,13 +1,12 @@
 // Tests for the extended system features: padding masks in the sparse
-// path, the structural At-Sel unit, the multi-layer inference engine,
-// offline serving on the accelerator twin and schedule export.
+// path, the multi-layer inference engine, offline serving on the
+// accelerator twin and schedule export.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <unordered_set>
 
-#include "core/atsel_unit.hpp"
 #include "fpga/trace.hpp"
 #include "model/inference.hpp"
 #include "serve/service_model.hpp"
@@ -75,52 +74,6 @@ TEST(MaskedDenseTest, PaddingGetsZeroWeight) {
       EXPECT_NEAR(out(i, c), p.v(0, c), 1e-5f);
     }
   }
-}
-
-// ------------------------------------------------------------ AtSelUnit --
-
-TEST(AtSelUnitTest, AgreesWithBehaviouralSelector) {
-  const auto p = Problem(5, 96);
-  SelectorConfig cfg;
-  cfg.top_k = 12;
-  // valid_len: all keys, padded blocks (including fewer valid keys than
-  // top_k), and a bound past the block.
-  for (std::size_t valid_len : {0u, 40u, 7u, 200u}) {
-    for (int bits : {1, 4}) {
-      cfg.bits = bits;
-      cfg.valid_len = valid_len;
-      const AtSelUnit unit(cfg);
-      const auto structural = unit.Run(p.q, p.k);
-      const auto behavioural = SelectCandidates(p.q, p.k, cfg);
-      ASSERT_EQ(structural.candidates.size(), behavioural.candidates.size());
-      EXPECT_EQ(structural.sorter_cycles, behavioural.sorter_cycles)
-          << "valid_len=" << valid_len << " bits=" << bits;
-      for (std::size_t i = 0; i < structural.candidates.size(); ++i) {
-        EXPECT_EQ(structural.candidates[i], behavioural.candidates[i])
-            << "valid_len=" << valid_len << " bits=" << bits << " row=" << i;
-        EXPECT_EQ(structural.approx_scores[i], behavioural.approx_scores[i]);
-      }
-    }
-  }
-}
-
-TEST(AtSelUnitTest, CycleAccounting) {
-  const auto p = Problem(6, 32, 64);
-  SelectorConfig cfg;
-  cfg.top_k = 8;
-  const AtSelUnit unit(cfg, /*lut_lanes=*/64);
-  AtSelUnitStats stats;
-  unit.Run(p.q, p.k, &stats);
-  EXPECT_EQ(stats.quantize_cycles, 2u * 32u * 64u);
-  EXPECT_EQ(stats.score_cycles, 32u * 32u);  // one dot/cycle at 64 lanes
-  // Sorter: n pushes + k drain per row.
-  EXPECT_EQ(stats.sort_cycles, 32u * (32u + 8u));
-  EXPECT_EQ(stats.compare_exchanges, 32u * 32u * 8u);
-  EXPECT_GT(stats.TotalCycles(), 0u);
-}
-
-TEST(AtSelUnitTest, RejectsZeroLanes) {
-  EXPECT_THROW(AtSelUnit(SelectorConfig{}, 0), std::invalid_argument);
 }
 
 // ------------------------------------------------------- ModelInstance ---

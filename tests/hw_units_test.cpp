@@ -1,138 +1,17 @@
-// Tests for the hardware unit models added on top of the core algorithm:
-// the e^x LUT, the systolic II=1 Top-k sorting network, the HBM channel
-// apportionment and the int8 inference path.
+// Tests for the HBM channel apportionment and the int8 inference path.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 
-#include "core/exp_lut.hpp"
-#include "core/fused_kernel.hpp"
-#include "core/merge_sorter.hpp"
 #include "core/sparse_attention.hpp"
 #include "fpga/hbm.hpp"
-#include "fpga/pipeline_sim.hpp"
-#include "model/config.hpp"
 #include "nn/qlinear.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte {
 namespace {
-
-// ---------------------------------------------------------------- ExpLut --
-
-TEST(ExpLutTest, AccurateOverWorkingRange) {
-  ExpLut lut(64);
-  EXPECT_LT(lut.MaxRelativeError(), 2e-3);
-  for (float x : {-10.f, -1.f, 0.f, 0.5f, 1.f, 5.f, 20.f}) {
-    EXPECT_NEAR(lut.Eval(x), std::exp(x), 2e-3 * std::exp(x)) << x;
-  }
-}
-
-TEST(ExpLutTest, ResolutionImprovesAccuracy) {
-  EXPECT_LT(ExpLut(256).MaxRelativeError(), ExpLut(16).MaxRelativeError());
-}
-
-TEST(ExpLutTest, SaturatesExtremes) {
-  ExpLut lut;
-  EXPECT_TRUE(std::isfinite(lut.Eval(1000.f)));
-  EXPECT_GT(lut.Eval(1000.f), 1e37f);
-  EXPECT_GE(lut.Eval(-1000.f), 0.f);
-  EXPECT_LT(lut.Eval(-1000.f), 1e-37f);
-}
-
-TEST(ExpLutTest, MonotoneNonDecreasing) {
-  ExpLut lut(64);
-  float prev = lut.Eval(-30.f);
-  for (float x = -29.9f; x < 30.f; x += 0.05f) {
-    const float cur = lut.Eval(x);
-    EXPECT_GE(cur, prev * (1 - 1e-6f)) << x;
-    prev = cur;
-  }
-}
-
-TEST(ExpLutTest, RejectsTinyTable) {
-  EXPECT_THROW(ExpLut(1), std::invalid_argument);
-}
-
-TEST(ExpLutTest, PluggedIntoFusedKernelMatchesExp) {
-  Rng rng(3);
-  const auto q = rng.NormalMatrix(1, 32, 0.0, 1.0);
-  const auto ks = rng.NormalMatrix(8, 32, 0.0, 1.0);
-  ExpLut lut(128);
-  FusedKernelConfig with;
-  with.scale = 0.2f;
-  with.exp_lut = &lut;
-  FusedKernelConfig without;
-  without.scale = 0.2f;
-  const auto a = FusedScoreKernel(q.row(0), ks, with);
-  const auto b = FusedScoreKernel(q.row(0), ks, without);
-  for (std::size_t j = 0; j < 8; ++j) {
-    EXPECT_NEAR(a.exp_scores[j], b.exp_scores[j],
-                2e-3f * b.exp_scores[j] + 1e-9f);
-  }
-}
-
-// --------------------------------------------------------- SystolicTopK --
-
-TEST(SystolicSorterTest, MatchesBehaviouralStreamingTopK) {
-  Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + rng.NextIndex(300);
-    const std::size_t k = 1 + rng.NextIndex(40);
-    std::vector<std::int32_t> row(n);
-    for (auto& x : row) {
-      x = static_cast<std::int32_t>(rng.NextIndex(60)) - 30;  // many ties
-    }
-    const auto systolic = SystolicTopK(row, k);
-    const auto behavioural = TopK(row, k);
-    ASSERT_EQ(systolic.size(), behavioural.size());
-    for (std::size_t i = 0; i < systolic.size(); ++i) {
-      EXPECT_EQ(systolic[i].index, behavioural[i].index);
-      EXPECT_EQ(systolic[i].score, behavioural[i].score);
-    }
-  }
-}
-
-TEST(SystolicSorterTest, IiOneCycleAccounting) {
-  SystolicTopKSorter sorter(8);
-  for (int i = 0; i < 100; ++i) {
-    sorter.Clock(i, static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(sorter.cycles(), 100u);                 // one element per cycle
-  EXPECT_EQ(sorter.compare_exchanges(), 800u);      // k comparators per cycle
-  EXPECT_EQ(sorter.drain_latency(), 8u);
-}
-
-TEST(SystolicSorterTest, ResetReusable) {
-  SystolicTopKSorter sorter(2);
-  sorter.Clock(5, 0);
-  sorter.Reset();
-  EXPECT_EQ(sorter.cycles(), 0u);
-  EXPECT_TRUE(sorter.Drain().empty());
-  sorter.Clock(1, 1);
-  ASSERT_EQ(sorter.Drain().size(), 1u);
-  EXPECT_EQ(sorter.Drain()[0].index, 1u);
-}
-
-TEST(SystolicSorterTest, SortedOutput) {
-  Rng rng(9);
-  SystolicTopKSorter sorter(16);
-  for (int i = 0; i < 500; ++i) {
-    sorter.Clock(static_cast<std::int32_t>(rng.NextIndex(1000)),
-                 static_cast<std::uint32_t>(i));
-  }
-  const auto out = sorter.Drain();
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i - 1].score, out[i].score);
-  }
-}
-
-TEST(SystolicSorterTest, RejectsZeroK) {
-  EXPECT_THROW(SystolicTopKSorter(0), std::invalid_argument);
-}
 
 // ------------------------------------------------------------------ HBM --
 
@@ -194,13 +73,6 @@ TEST(QuantizedLinearTest, TracksFloatLayerClosely) {
   const double rel =
       FrobeniusDistance(yq, yf) / FrobeniusDistance(yf, zero);
   EXPECT_LT(rel, 0.02);
-}
-
-TEST(QuantizedLinearTest, MacCount) {
-  Rng rng(12);
-  const QuantizedLinear q =
-      QuantizedLinear::FromFloat(MakeLinear(rng, 8, 16));
-  EXPECT_EQ(q.MacCount(10), 10u * 8u * 16u);
 }
 
 TEST(QuantizedLinearTest, InputWidthChecked) {

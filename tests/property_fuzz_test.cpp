@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 #include <utility>
@@ -85,7 +86,17 @@ TEST_P(SeedSweep, ThreeTopKImplementationsAgree) {
     x = static_cast<std::int32_t>(rng.NextIndex(25)) - 12;  // heavy ties
   }
   const auto behavioural = TopK(row, k);
-  const auto systolic = SystolicTopK(row, k);
+  // Independent oracle: a stable sort by descending score keeps equal
+  // scores in index order, which is the sorter's tie-break.
+  std::vector<ScoredIndex> sorted(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    sorted[j] = {row[j], static_cast<std::uint32_t>(j)};
+  }
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const ScoredIndex& a, const ScoredIndex& b) {
+                     return a.score > b.score;
+                   });
+  sorted.resize(std::min(n, k));
   StreamingTopK streaming(k);
   for (std::size_t j = 0; j < n; ++j) {
     streaming.Push(row[j], static_cast<std::uint32_t>(j));
@@ -93,11 +104,11 @@ TEST_P(SeedSweep, ThreeTopKImplementationsAgree) {
   EXPECT_EQ(streaming.pushed(), n);
   EXPECT_EQ(streaming.cycles(), streaming.pushed());
   const auto& pushed = streaming.Result();
-  ASSERT_EQ(behavioural.size(), systolic.size());
+  ASSERT_EQ(behavioural.size(), sorted.size());
   ASSERT_EQ(behavioural.size(), pushed.size());
   for (std::size_t i = 0; i < behavioural.size(); ++i) {
-    EXPECT_EQ(behavioural[i].score, systolic[i].score);
-    EXPECT_EQ(behavioural[i].index, systolic[i].index);
+    EXPECT_EQ(behavioural[i].score, sorted[i].score);
+    EXPECT_EQ(behavioural[i].index, sorted[i].index);
     EXPECT_EQ(behavioural[i].score, pushed[i].score);
     EXPECT_EQ(behavioural[i].index, pushed[i].index);
   }

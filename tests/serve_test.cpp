@@ -633,6 +633,18 @@ TEST(ServingEngineTest, ValidatesConfigAndPushArguments) {
   EXPECT_THROW(engine.Push({2.0, 16}, MakeInputEmbedding(rng, 8, hidden)),
                std::invalid_argument);
   (void)engine.Drain();
+
+  // A non-finite arrival leaves the event loop no finite time to advance
+  // to: it throws, as the first arrival and after a finite one.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double t :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    ServingEngine fresh(SmallModel(), SmallEngineConfig());
+    EXPECT_THROW(fresh.Push({t, 16}), std::invalid_argument) << t;
+    ASSERT_TRUE(fresh.Push({1.0, 16}));
+    EXPECT_THROW(fresh.Push({t, 16}), std::invalid_argument) << t;
+    EXPECT_EQ(fresh.Drain().admission.offered, 1u) << t;
+  }
 }
 
 }  // namespace

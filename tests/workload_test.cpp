@@ -435,6 +435,21 @@ TEST(TraceIoTest, RejectsMalformedCaptures) {
           << e.what();
     }
   }
+  // An arrival past what a double holds parses as +-Inf; replaying it
+  // would stall the serving loop, so the loader names it.
+  for (const char* arrival : {"1e400", "-1e400"}) {
+    const std::string json =
+        std::string(R"({"magic":"lattetrace","version":1,"requests":1,)"
+                    R"("records":[{"arrival_s":)") +
+        arrival + R"(,"length":1,"id":"0x2a"}]})";
+    try {
+      TraceFromJson(json);
+      ADD_FAILURE() << "accepted arrival_s " << arrival;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("arrival_s"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
