@@ -12,13 +12,15 @@
 // (Int8GemmIsas) as info, and fail the run on any bit mismatch between a
 // variant and the loop; an info field times packing one BERT-base
 // layer's int8 weights, the load-time cost.  The At-Sel cells time
-// SelectCandidates (int8 GEMM scoring, counting Top-k) against the
-// hardware-model path it replaced (per-pair LUT Dot, StreamingTopK) at
-// MRPC/SQuAD head shapes, and fail the run unless candidates, scores and
-// sorter cycles match exactly.  The GELU cell times GeluInPlace against
-// the per-element std::tanh formula it replaced on one FFN1 activation
-// (53 x 3072) and records its max abs error against a double-precision
-// GELU (the gate holds it to 1e-6).
+// SelectCandidates (strips of int8 GEMM scores, each row selected by
+// counting while the strip is in cache) against the hardware-model path
+// it replaced (per-pair LUT Dot, StreamingTopK) at MRPC/SQuAD head shapes
+// and n = 1024, record the share of SparseAttention the select takes, and
+// fail the run unless candidates, scores and sorter cycles match exactly.
+// The GELU cell times GeluInPlace against the per-element std::tanh
+// formula it replaced on one FFN1 activation (53 x 3072) and records its
+// max abs error against a double-precision GELU (the gate holds it to
+// 1e-6).
 
 #include <algorithm>
 #include <chrono>
@@ -317,6 +319,10 @@ struct AtSelResult {
   double select_us = 0;
   double speedup = 0;
   bool bit_exact = false;
+  /// SparseAttention on the same head (d_v = d), and the share of it that
+  /// the streamed select into its scratch takes.
+  double attention_us = 0;
+  double select_share = 0;
 };
 
 // SelectCandidates as the hardware model computes it: quantize, one LUT
@@ -350,9 +356,14 @@ AtSelResult BenchAtSel(std::size_t n, std::size_t d, std::size_t top_k,
                        int bits, Rng& rng) {
   const auto q = rng.NormalMatrix(n, d, 0.0, 1.0);
   const auto k = rng.NormalMatrix(n, d, 0.0, 1.0);
+  const auto v = rng.NormalMatrix(n, d, 0.0, 1.0);
   SelectorConfig cfg;
   cfg.top_k = top_k;
   cfg.bits = bits;
+  SparseAttentionConfig sa;
+  sa.top_k = top_k;
+  sa.bits = bits;
+  AttentionScratch scratch;
 
   SelectionResult ref, got;
   auto time_once = [](auto&& fn) {
@@ -362,14 +373,25 @@ AtSelResult BenchAtSel(std::size_t n, std::size_t d, std::size_t top_k,
   };
   auto reference = [&] { ref = ReferenceSelect(q, k, cfg); };
   auto select = [&] { got = SelectCandidates(q, k, cfg); };
+  // The select SparseAttention runs, into its reused scratch, and the
+  // whole operator on that scratch.
+  auto streamed = [&] { SelectCandidates(q, k, cfg, scratch.select); };
+  auto attention = [&] {
+    const MatrixF out = SparseAttention(q, k, v, sa, nullptr, scratch);
+    g_sink = g_sink + out(0, 0);
+  };
   // Interleaved best-of rounds, as for the int8 cells.
   reference();
   select();
+  attention();
   double reference_s = std::numeric_limits<double>::infinity();
-  double select_s = reference_s;
+  double select_s = reference_s, streamed_s = reference_s;
+  double attention_s = reference_s;
   for (int round = 0; round < 15; ++round) {
     reference_s = std::min(reference_s, time_once(reference));
     select_s = std::min(select_s, time_once(select));
+    streamed_s = std::min(streamed_s, time_once(streamed));
+    attention_s = std::min(attention_s, time_once(attention));
   }
 
   AtSelResult r;
@@ -381,6 +403,8 @@ AtSelResult BenchAtSel(std::size_t n, std::size_t d, std::size_t top_k,
   r.reference_us = reference_s * 1e6;
   r.select_us = select_s * 1e6;
   r.speedup = reference_s / select_s;
+  r.attention_us = attention_s * 1e6;
+  r.select_share = streamed_s / attention_s;
   r.bit_exact = got.candidates == ref.candidates &&
                 got.approx_scores == ref.approx_scores &&
                 got.sorter_cycles == ref.sorter_cycles &&
@@ -530,9 +554,10 @@ int main(int argc, char** argv) {
   }
 
   // At-Sel candidate pre-selection for one BERT-base head (d = 64, the
-  // paper's k = 30) at MRPC- and SQuAD-like lengths, 1- and 4-bit codes.
+  // paper's k = 30) at MRPC- and SQuAD-like lengths and at n = 1024, 1- and
+  // 4-bit codes.
   std::vector<AtSelResult> atsel;
-  for (const std::size_t n : {128, 384}) {
+  for (const std::size_t n : {128, 384, 1024}) {
     for (const int bits : {1, 4}) {
       atsel.push_back(BenchAtSel(n, 64, 30, bits, rng));
     }
@@ -543,9 +568,10 @@ int main(int argc, char** argv) {
   bool atsel_exact = true;
   for (const auto& r : atsel) {
     std::printf("  %-18s %4zux%3zu k=%zu  reference %9.1f  select %8.1f  "
-                "%5.2fx%s\n",
+                "%5.2fx  attention %8.1f  select share %.2f%s\n",
                 r.label.c_str(), r.n, r.d, r.top_k, r.reference_us,
-                r.select_us, r.speedup, r.bit_exact ? "" : "  BIT MISMATCH");
+                r.select_us, r.speedup, r.attention_us, r.select_share,
+                r.bit_exact ? "" : "  BIT MISMATCH");
     atsel_min_speedup = atsel_min_speedup == 0
                             ? r.speedup
                             : std::min(atsel_min_speedup, r.speedup);
@@ -633,6 +659,8 @@ int main(int argc, char** argv) {
     json.Key("select_us").Value(r.select_us);
     json.Key("speedup").Value(r.speedup);
     json.Key("bit_exact").Value(r.bit_exact);
+    json.Key("attention_us").Value(r.attention_us);
+    json.Key("select_share").Value(r.select_share);
     json.EndObject();
   }
   json.EndArray();

@@ -232,7 +232,7 @@ BENCHES = [
         ("int8_shapes[].prepacked_gops", NUM),
         ("int8_min_speedup", NUM),
         ("int8_pack_layer_ms", NUM),
-        ("atsel_shapes", length(4)),
+        ("atsel_shapes", length(6)),
         ("atsel_shapes[].label", STR),
         ("atsel_shapes[].n", ge(1)),
         ("atsel_shapes[].d", ge(1)),
@@ -242,6 +242,8 @@ BENCHES = [
         ("atsel_shapes[].select_us", NUM),
         ("atsel_shapes[].speedup", NUM),
         ("atsel_shapes[].bit_exact", TRUE),
+        ("atsel_shapes[].attention_us", NUM),
+        ("atsel_shapes[].select_share", NUM),
         ("atsel_min_speedup", NUM),
         ("gelu_speedup", NUM),
         # GELU is the one float op that is not libm-exact: its declared
@@ -267,7 +269,7 @@ BENCHES = [
               ]),
         Cells("atsel_shapes", ("label",), "{}", missing="shape {}", rows=[
             ("info-higher", "speedup"),
-            ("info-lower", "select_us"),
+            ("info-lower", "select_us", "attention_us", "select_share"),
         ]),
     ]),
     Bench("BENCH_runtime.json", "runtime", schema=[

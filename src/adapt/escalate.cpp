@@ -36,14 +36,16 @@ EscalationProbe ProbeSelectorMargin(const MatrixF& x,
   }
 
   // One extra candidate past the cut so the boundary gap is observable.
+  // The scratch is local: the probe keeps no buffers between requests.
   SelectorConfig sel;
   sel.top_k = std::min(top_k + 1, n);
   sel.bits = bits;
-  const SelectionResult result = SelectCandidates(q, k, sel);
+  SelectScratch result;
+  SelectCandidates(q, k, sel, result);
 
   double margin_sum = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::vector<std::int32_t>& s = result.approx_scores[r];
+    const std::span<const std::int32_t> s = result.score_row(r);
     if (s.size() <= top_k) {
       // Nothing was cut off (k >= n): the sparse pass is exact.
       margin_sum += 1.0;

@@ -46,6 +46,15 @@ FusedScoreResult FusedScoreKernel(std::span<const float> q_row,
 void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
                       const FusedKernelConfig& cfg, FusedScoreResult& out);
 
+/// Indexed variant: the candidates are the rows `idx` of `k`, read in
+/// place instead of gathered (Stage 2.1 reads the Top-k index list
+/// directly).  The same kernel body as the gathered overloads, so the
+/// result is bit-identical to gathering those rows first.  Throws
+/// std::out_of_range for an index past k.rows(), and as above.
+void FusedScoreKernel(std::span<const float> q_row, const MatrixF& k,
+                      std::span<const std::uint32_t> idx,
+                      const FusedKernelConfig& cfg, FusedScoreResult& out);
+
 /// Stage 2.3: Z_i = (sum_j exp_scores[j] * V_j) / sum (Fig 2(a)).
 /// `vs` is (|candidates| x d_v); returns the context row of length d_v.
 std::vector<float> WeightedContext(const FusedScoreResult& scores,
@@ -57,5 +66,10 @@ std::vector<float> WeightedContext(const FusedScoreResult& scores,
 /// overload.
 void WeightedContext(const FusedScoreResult& scores, const MatrixF& vs,
                      std::span<float> out);
+
+/// Indexed variant: the candidates' values are the rows `idx` of `v`,
+/// read in place.  Bit-identical to gathering them first.
+void WeightedContext(const FusedScoreResult& scores, const MatrixF& v,
+                     std::span<const std::uint32_t> idx, std::span<float> out);
 
 }  // namespace latte

@@ -45,48 +45,39 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
   const std::size_t n = q.rows();
   const std::size_t d = q.cols();
 
-  // Stage 1: quantized candidate pre-selection.
+  // Stage 1: quantized candidate pre-selection, streamed into the flat
+  // candidate arrays of the scratch.
   SelectorConfig sel_cfg;
   sel_cfg.top_k = cfg.top_k;
   sel_cfg.bits = cfg.bits;
   sel_cfg.valid_len = cfg.valid_len;
-  SelectionResult sel = SelectCandidates(q, k, sel_cfg);
+  SelectCandidates(q, k, sel_cfg, scratch.select);
+  const SelectScratch& sel = scratch.select;
 
   MatrixF out(n, v.cols());
   FusedKernelConfig fk;
   fk.scale = 1.f / std::sqrt(static_cast<float>(d));
   fk.unroll = cfg.unroll;
 
-  scratch.ReserveContext(v.cols());
-  const std::span<float> z(scratch.ctx.data(), v.cols());
-
   std::size_t fused_cycles = 0;
-  std::size_t exact_macs = 0;
-  std::size_t selected_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& cand = sel.candidates[i];
-    selected_total += cand.size();
-    // Stage 2.1: gather Ks/Vs for this query row into the reused buffers.
-    GatherRowsInto(k, cand, scratch.ks);
-    GatherRowsInto(v, cand, scratch.vs);
-    // Stage 2.2: fused exact score computation (Fig 4).
-    FusedScoreKernel(q.row(i), scratch.ks, fk, scratch.scores);
+    const auto cand = sel.candidate_row(i);
+    // Stage 2.1-2.2: fused exact score computation (Fig 4) on the
+    // candidate key rows, read in place.
+    FusedScoreKernel(q.row(i), k, cand, fk, scratch.scores);
     fused_cycles += scratch.scores.cycles;
-    exact_macs += cand.size() * d * 2;  // scores + context
-    // Stage 2.3: weighted context.
-    WeightedContext(scratch.scores, scratch.vs, z);
-    auto dst = out.row(i);
-    for (std::size_t c = 0; c < z.size(); ++c) dst[c] = z[c];
+    // Stage 2.3: weighted context of the candidate value rows.
+    WeightedContext(scratch.scores, v, cand, out.row(i));
   }
 
   if (stats != nullptr) {
     stats->n = n;
-    stats->selected_per_row = n > 0 ? selected_total / n : 0;
+    stats->selected_per_row = n > 0 ? sel.per_row : 0;
     stats->lut_multiplies = sel.lut_multiplies;
     stats->sorter_cycles = sel.sorter_cycles;
     stats->fused_cycles = fused_cycles;
-    stats->exact_macs = exact_macs;
-    stats->candidates = std::move(sel.candidates);
+    stats->exact_macs = n * sel.per_row * d * 2;  // scores + context
+    stats->candidates.assign(sel.candidates.begin(), sel.candidates.end());
   }
   return out;
 }
@@ -98,18 +89,21 @@ AttentionFn MakeSparseAttentionFn(SparseAttentionConfig cfg) {
   };
 }
 
-MatrixF AttentionOnCandidates(
-    const MatrixF& q, const MatrixF& k, const MatrixF& v,
-    const std::vector<std::vector<std::uint32_t>>& candidates) {
-  if (candidates.size() != q.rows()) {
-    throw std::invalid_argument("AttentionOnCandidates: row count mismatch");
+MatrixF AttentionOnCandidates(const MatrixF& q, const MatrixF& k,
+                              const MatrixF& v,
+                              std::span<const std::uint32_t> candidates,
+                              std::size_t per_row) {
+  if (candidates.size() != q.rows() * per_row) {
+    throw std::invalid_argument(
+        "AttentionOnCandidates: candidate count is not rows x per_row");
   }
   MatrixF out(q.rows(), v.cols());
   FusedKernelConfig fk;
   fk.scale = 1.f / std::sqrt(static_cast<float>(q.cols()));
   for (std::size_t i = 0; i < q.rows(); ++i) {
-    const MatrixF ks = GatherRows(k, candidates[i]);
-    const MatrixF vs = GatherRows(v, candidates[i]);
+    const auto cand = candidates.subspan(i * per_row, per_row);
+    const MatrixF ks = GatherRows(k, cand);
+    const MatrixF vs = GatherRows(v, cand);
     const FusedScoreResult fs = FusedScoreKernel(q.row(i), ks, fk);
     const std::vector<float> z = WeightedContext(fs, vs);
     auto dst = out.row(i);

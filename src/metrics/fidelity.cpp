@@ -12,9 +12,13 @@
 
 namespace latte {
 
-double RetainedSoftmaxMass(
-    const MatrixF& q, const MatrixF& k,
-    const std::vector<std::vector<std::uint32_t>>& candidates) {
+double RetainedSoftmaxMass(const MatrixF& q, const MatrixF& k,
+                           std::span<const std::uint32_t> candidates,
+                           std::size_t per_row) {
+  if (candidates.size() != q.rows() * per_row) {
+    throw std::invalid_argument(
+        "RetainedSoftmaxMass: candidate count is not rows x per_row");
+  }
   if (q.rows() == 0) return 1.0;
   MatrixF s = MatMulBT(q, k);
   ScaleInPlace(s, 1.f / std::sqrt(static_cast<float>(q.cols())));
@@ -22,7 +26,9 @@ double RetainedSoftmaxMass(
   double total = 0.0;
   for (std::size_t i = 0; i < s.rows(); ++i) {
     double mass = 0.0;
-    for (std::uint32_t j : candidates[i]) mass += s(i, j);
+    for (std::uint32_t j : candidates.subspan(i * per_row, per_row)) {
+      mass += s(i, j);
+    }
     total += mass;
   }
   return total / static_cast<double>(s.rows());
@@ -49,8 +55,8 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
       ExactTopKCandidates(problem.q, problem.k, cfg.top_k);
   double recall = 0.0;
   for (std::size_t i = 0; i < exact.size(); ++i) {
-    std::unordered_set<std::uint32_t> sel(stats.candidates[i].begin(),
-                                          stats.candidates[i].end());
+    const auto cand = stats.candidate_row(i);
+    std::unordered_set<std::uint32_t> sel(cand.begin(), cand.end());
     std::size_t hit = 0;
     for (std::uint32_t j : exact[i]) hit += sel.count(j);
     recall += exact[i].empty()
@@ -62,7 +68,8 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
       exact.empty() ? 1.0 : recall / static_cast<double>(exact.size());
 
   rep.retained_mass =
-      RetainedSoftmaxMass(problem.q, problem.k, stats.candidates);
+      RetainedSoftmaxMass(problem.q, problem.k, stats.candidates,
+                          stats.selected_per_row);
   rep.output_cosine = MeanRowCosine(sparse, dense);
 
   const double dense_norm = FrobeniusDistance(dense, MatrixF(dense.rows(),

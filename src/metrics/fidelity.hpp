@@ -32,10 +32,12 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
                                 const SparseAttentionConfig& cfg);
 
 /// Retained softmax mass of an arbitrary candidate assignment (used to
-/// score oracle selections and ablations).
-double RetainedSoftmaxMass(
-    const MatrixF& q, const MatrixF& k,
-    const std::vector<std::vector<std::uint32_t>>& candidates);
+/// score oracle selections and ablations).  `candidates` is q.rows() x
+/// per_row key indices, row-major, as in SparseAttentionStats; throws
+/// std::invalid_argument if its size is not that.
+double RetainedSoftmaxMass(const MatrixF& q, const MatrixF& k,
+                           std::span<const std::uint32_t> candidates,
+                           std::size_t per_row);
 
 /// top_k -> expected accuracy lookup table, sampled from the fidelity
 /// model.  This is what grounds the adaptive serving layer's per-tier

@@ -27,13 +27,14 @@ MatrixF ModelInstance::Forward(const MatrixF& x, const InferenceConfig& inf,
                     inf.mode == InferenceMode::kSparseInt8;
 
   LayerRunStats layer_stats;
+  SparseAttentionStats s;  // one per call: its candidate copy is reused
   AttentionFn attn = DenseAttention;
   if (inf.mode == InferenceMode::kSparseFloat ||
       inf.mode == InferenceMode::kSparseInt8) {
-    attn = [&inf, &layer_stats, scratch](const MatrixF& q, const MatrixF& k,
-                                         const MatrixF& v, Workspace& w) {
+    attn = [&inf, &layer_stats, &s, scratch](const MatrixF& q,
+                                             const MatrixF& k,
+                                             const MatrixF& v, Workspace& w) {
       AttentionScratch& sc = scratch != nullptr ? *scratch : w.attention();
-      SparseAttentionStats s;
       MatrixF ctx = SparseAttention(q, k, v, inf.sparse, &s, sc);
       layer_stats.exact_macs += s.exact_macs;
       layer_stats.lut_multiplies += s.lut_multiplies;

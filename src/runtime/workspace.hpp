@@ -1,10 +1,10 @@
 #pragma once
 // Per-worker scratch arena for the batched execution runtime.
 //
-// Every temporary the inference hot path needs -- gathered K/V candidate
-// blocks, fused-kernel score buffers, context rows, the encoder layer's
-// activations, generic float scratch -- lives here and is leased out by
-// reference.  Buffers only ever grow (capacity is sticky), so after the
+// Every temporary the inference hot path needs -- At-Sel's codes, strip
+// scores and candidate arrays, fused-kernel score buffers, the encoder
+// layer's activations, generic float scratch -- lives here and is leased
+// out by reference.  Buffers only ever grow (capacity is sticky), so after the
 // first few calls at steady-state shapes the hot loop performs zero heap
 // allocations.  One Workspace belongs to exactly one worker at a time; the
 // BatchRunner owns one per concurrent slot, which is the whole
@@ -45,7 +45,8 @@ class Workspace {
   Workspace(Workspace&&) = default;
   Workspace& operator=(Workspace&&) = default;
 
-  /// The sparse-attention scratch (gather buffers, scores, context row).
+  /// The sparse-attention scratch (At-Sel buffers and candidates, scores,
+  /// gather buffers, context row).
   /// Call once per SparseAttention invocation; the returned reference is
   /// valid until the next Reset().
   AttentionScratch& attention() {
@@ -82,12 +83,7 @@ class Workspace {
   /// not live sizes — buffers shrink logically but never release).  Flat
   /// across repeated calls == the arena is reusing, not reallocating.
   std::size_t CapacityBytes() const {
-    std::size_t bytes =
-        (attention_.ks.capacity() + attention_.vs.capacity() +
-         attention_.ctx.capacity() +
-         attention_.scores.exp_scores.capacity()) *
-        sizeof(float);
-    bytes += gemm_.CapacityBytes();
+    std::size_t bytes = attention_.CapacityBytes() + gemm_.CapacityBytes();
     for (const auto& m : floats_) {
       if (m) bytes += m->capacity() * sizeof(float);
     }

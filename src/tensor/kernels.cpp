@@ -954,4 +954,32 @@ float DotProduct(std::span<const float> a, std::span<const float> b) {
   return s;
 }
 
+std::array<float, 4> DotProducts(
+    std::span<const float> a, const std::array<std::span<const float>, 4>& b) {
+  for (const auto& row : b) {
+    if (row.size() != a.size()) {
+      throw std::invalid_argument("DotProducts: length mismatch");
+    }
+  }
+  std::array<float, 4> out;
+#if defined(__GNUC__) || defined(__clang__)
+  // Lane l of acc[r] is DotProduct's partial sum s_l for row r, built by
+  // the same float operations in the same order.
+  V4 acc[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= a.size(); i += 4) {
+    const V4 x = LoadV4(a.data() + i);
+    for (std::size_t r = 0; r < 4; ++r) acc[r] += x * LoadV4(b[r].data() + i);
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    float s = (acc[r][0] + acc[r][1]) + (acc[r][2] + acc[r][3]);
+    for (std::size_t t = i; t < a.size(); ++t) s += a[t] * b[r][t];
+    out[r] = s;
+  }
+#else
+  for (std::size_t r = 0; r < 4; ++r) out[r] = DotProduct(a, b[r]);
+#endif
+  return out;
+}
+
 }  // namespace latte

@@ -39,6 +39,7 @@
 // outputs on every call, with or without a reused scratch, which is what
 // keeps the batched runtime's exact batch-vs-sequential tests meaningful.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -223,5 +224,12 @@ void Int8GemmInto(const MatrixI8& x, const PackedInt8Weights& w,
 /// Dot product with unrolled partial sums (reordered accumulation;
 /// deterministic).  a and b must have equal length.
 float DotProduct(std::span<const float> a, std::span<const float> b);
+
+/// DotProduct(a, b[r]) for four rows at once: each result is the same
+/// float DotProduct returns (the same partial sums, in the same order),
+/// and the four independent chains hide the add latency that bounds one.
+/// Throws std::invalid_argument unless every b[r] has a's length.
+std::array<float, 4> DotProducts(
+    std::span<const float> a, const std::array<std::span<const float>, 4>& b);
 
 }  // namespace latte

@@ -5,9 +5,12 @@
 // DSPs: two 4-bit codes index a 256-entry product table held in LUTs.  Mul
 // and Dot model that structure, so the resource model can charge LUTs
 // instead of DSPs for Stage 1's pre-selection arithmetic and tests can check
-// the table against integer multiply-accumulate.  The functional twin's
-// ScoreMatrix computes the same integers on the CPU's exact int8 GEMM: every
-// score equals the per-pair Dot bit for bit.
+// the table against integer multiply-accumulate.  The functional twin
+// computes the same integers on the CPU's exact int8 GEMM: every score
+// equals the per-pair Dot bit for bit.  At-Sel itself
+// (core/candidate_selector) streams strips of query rows against K's codes
+// packed once and never forms the whole matrix; ScoreMatrix does, for tests
+// and for the end-to-end bench's call-by-call rebuild.
 
 #include <array>
 #include <cstdint>

@@ -106,8 +106,9 @@ float QuantizeWithScaleInto(const MatrixF& m, int bits, float M,
   const int qmax = MaxCode(bits);
   auto dst = codes.flat();
   if (bits == 1) {
+    // QuantizeValue's sign rule, written out so the loop vectorizes.
     for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = QuantizeValue(src[i], bits, M);
+      dst[i] = static_cast<std::int8_t>(src[i] < 0.f ? -1 : 1);
     }
   } else if (M > 0.f) {
     QuantizeSpan(src, dst, qmax, M);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -11,6 +12,7 @@
 #include "core/sparse_attention.hpp"
 #include "nn/attention.hpp"
 #include "runtime/workspace.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -211,6 +213,65 @@ TEST(WeightedContextTest, NormalizedConvexCombination) {
   for (float x : z) EXPECT_FLOAT_EQ(x, 2.f);  // midpoint
 }
 
+// The per-candidate formulas the fused kernel and the context must equal
+// bit for bit, one candidate at a time, whatever they batch internally.
+TEST(FusedKernelTest, IndexedRowsMatchPerCandidateFormulasBitForBit) {
+  Rng rng(31);
+  const auto q = rng.NormalMatrix(1, 64, 0.0, 1.0);
+  const auto k = rng.NormalMatrix(40, 64, 0.0, 1.0);
+  const auto v = rng.NormalMatrix(40, 24, 0.0, 1.0);
+  // 11 candidates: two groups of four plus a tail, repeats allowed.
+  const std::vector<std::uint32_t> idx = {7, 3, 39, 0, 12, 12, 25, 8, 1, 30, 2};
+  FusedKernelConfig cfg;
+  cfg.scale = 0.125f;
+  cfg.masked.assign(idx.size(), false);
+  cfg.masked[5] = true;  // a zero weight inside a group of four
+  FusedScoreResult got;
+  FusedScoreKernel(q.row(0), k, idx, cfg, got);
+  ASSERT_EQ(got.exp_scores.size(), idx.size());
+  double sum = 0;
+  for (std::size_t j = 0; j < idx.size(); ++j) {
+    const float dot = DotProduct(q.row(0), k.row(idx[j])) * cfg.scale;
+    const float want =
+        cfg.masked[j] ? 0.f : std::exp(std::clamp(dot, -80.f, 80.f));
+    EXPECT_EQ(got.exp_scores[j], want) << "candidate " << j;
+    sum += want;
+  }
+  EXPECT_EQ(got.sum, sum);
+
+  std::vector<float> z(v.cols());
+  WeightedContext(got, v, idx, z);
+  std::vector<float> want(v.cols(), 0.f);
+  for (std::size_t j = 0; j < idx.size(); ++j) {
+    const float w = got.exp_scores[j];
+    if (w == 0.f) continue;
+    for (std::size_t c = 0; c < v.cols(); ++c) want[c] += w * v(idx[j], c);
+  }
+  const float inv = static_cast<float>(1.0 / got.sum);
+  for (auto& x : want) x *= inv;
+  EXPECT_EQ(z, want);
+
+  // The gathered overloads: the same bits from copies of the rows.
+  MatrixF ks, vs;
+  GatherRowsInto(k, idx, ks);
+  GatherRowsInto(v, idx, vs);
+  const FusedScoreResult gathered = FusedScoreKernel(q.row(0), ks, cfg);
+  EXPECT_EQ(gathered.exp_scores, got.exp_scores);
+  EXPECT_EQ(gathered.sum, got.sum);
+  EXPECT_EQ(WeightedContext(gathered, vs), want);
+}
+
+TEST(FusedKernelTest, IndexedRowsRejectAnIndexPastTheMatrix) {
+  const MatrixF q(1, 4, 1.f), k(3, 4, 1.f);
+  const std::vector<std::uint32_t> idx = {0, 3};
+  FusedKernelConfig cfg;
+  FusedScoreResult out;
+  EXPECT_THROW(FusedScoreKernel(q.row(0), k, idx, cfg, out), std::out_of_range);
+  out.exp_scores = {1.f, 1.f};
+  std::vector<float> z(4);
+  EXPECT_THROW(WeightedContext(out, k, idx, z), std::out_of_range);
+}
+
 // ------------------------------------------------------- SparseAttention --
 
 TEST(SparseAttentionTest, EqualsDenseWhenKCoversAll) {
@@ -232,10 +293,11 @@ TEST(SparseAttentionTest, MatchesOracleOnItsOwnCandidates) {
   cfg.top_k = 8;
   SparseAttentionStats stats;
   const auto sparse = SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  const auto oracle = AttentionOnCandidates(p.q, p.k, p.v, stats.candidates);
-  for (std::size_t i = 0; i < sparse.size(); ++i) {
-    EXPECT_NEAR(sparse.flat()[i], oracle.flat()[i], 1e-5f);
-  }
+  const auto oracle = AttentionOnCandidates(p.q, p.k, p.v, stats.candidates,
+                                            stats.selected_per_row);
+  // Stage 2 reads the candidate rows in place; the oracle gathers copies.
+  // Same kernel body on the same rows: the same bits.
+  EXPECT_EQ(sparse, oracle);
 }
 
 TEST(SparseAttentionTest, StatsAccounting) {
@@ -248,7 +310,7 @@ TEST(SparseAttentionTest, StatsAccounting) {
   EXPECT_EQ(stats.selected_per_row, 10u);
   EXPECT_EQ(stats.exact_macs, 40u * 10u * 32u * 2u);
   EXPECT_EQ(stats.lut_multiplies, 40u * 40u * 32u);
-  EXPECT_EQ(stats.candidates.size(), 40u);
+  EXPECT_EQ(stats.candidates.size(), 40u * 10u);
 }
 
 TEST(SparseAttentionTest, ComplexityLinearInN) {

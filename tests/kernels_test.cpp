@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -534,6 +536,26 @@ TEST(KernelsTest, DotProductMatchesSerialWithinTolerance) {
   }
   std::vector<float> a(3), b(4);
   EXPECT_THROW(DotProduct(a, b), std::invalid_argument);
+}
+
+TEST(KernelsTest, DotProductsEqualFourDotProductsBitForBit) {
+  Rng rng(81);
+  for (std::size_t len : {0u, 1u, 3u, 4u, 5u, 17u, 64u, 65u, 257u}) {
+    std::vector<float> a(len);
+    std::vector<std::vector<float>> b(4, std::vector<float>(len));
+    for (auto& v : a) v = static_cast<float>(rng.NextNormal());
+    for (auto& row : b) {
+      for (auto& v : row) v = static_cast<float>(rng.NextNormal());
+    }
+    const auto got = DotProducts(a, {b[0], b[1], b[2], b[3]});
+    for (std::size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
+                std::bit_cast<std::uint32_t>(DotProduct(a, b[r])))
+          << "len " << len << " row " << r;
+    }
+  }
+  std::vector<float> a(4), b(4), c(5);
+  EXPECT_THROW(DotProducts(a, {b, b, c, b}), std::invalid_argument);
 }
 
 TEST(KernelsTest, DenseMatMulNoLongerBranchesOnZeros) {

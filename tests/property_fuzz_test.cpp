@@ -35,10 +35,11 @@ TEST_P(SeedSweep, SparseAttentionInvariants) {
 
   // Shape and per-row candidate invariants.
   ASSERT_EQ(out.rows(), n);
-  ASSERT_EQ(stats.candidates.size(), n);
   const std::size_t expect = std::min(k, n);
-  for (const auto& cand : stats.candidates) {
-    EXPECT_EQ(cand.size(), expect);
+  ASSERT_EQ(stats.selected_per_row, expect);
+  ASSERT_EQ(stats.candidates.size(), n * expect);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto cand = stats.candidate_row(i);
     std::unordered_set<std::uint32_t> uniq(cand.begin(), cand.end());
     EXPECT_EQ(uniq.size(), cand.size());  // no duplicates
     for (auto j : cand) EXPECT_LT(j, n);
@@ -69,10 +70,9 @@ TEST_P(SeedSweep, MaskedSelectionNeverLeaksPadding) {
   cfg.valid_len = valid;
   SparseAttentionStats stats;
   SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  for (const auto& cand : stats.candidates) {
-    EXPECT_EQ(cand.size(), std::min<std::size_t>(12, valid));
-    for (auto j : cand) EXPECT_LT(j, valid);
-  }
+  EXPECT_EQ(stats.selected_per_row, std::min<std::size_t>(12, valid));
+  EXPECT_EQ(stats.candidates.size(), n * stats.selected_per_row);
+  for (const auto j : stats.candidates) EXPECT_LT(j, valid);
 }
 
 // ------------------------------------------------------- topk agreement --
@@ -115,7 +115,8 @@ TEST_P(SeedSweep, ThreeTopKImplementationsAgree) {
 }
 
 // The oracle SelectCandidates must reproduce: per-pair LUT dot products of
-// the quantized codes, streamed row by row through the II=1 sorter model.
+// the quantized codes (every key, d table lookups each), streamed row by
+// row through the II=1 sorter model, which the padding keys never enter.
 SelectionResult StreamingSelection(const MatrixF& q, const MatrixF& k,
                                    const SelectorConfig& cfg) {
   const QuantizedMatrix qq = Quantize(q, cfg.bits);
@@ -127,9 +128,10 @@ SelectionResult StreamingSelection(const MatrixF& q, const MatrixF& k,
   StreamingTopK sorter(cfg.top_k);
   for (std::size_t i = 0; i < q.rows(); ++i) {
     sorter.Reset();
-    for (std::size_t j = 0; j < valid; ++j) {
-      sorter.Push(lut.Dot(qq.codes.row(i), qk.codes.row(j)),
-                  static_cast<std::uint32_t>(j));
+    for (std::size_t j = 0; j < k.rows(); ++j) {
+      const std::int32_t score = lut.Dot(qq.codes.row(i), qk.codes.row(j));
+      ref.lut_multiplies += q.cols();
+      if (j < valid) sorter.Push(score, static_cast<std::uint32_t>(j));
     }
     EXPECT_EQ(sorter.cycles(), sorter.pushed());
     ref.sorter_cycles += sorter.cycles();
@@ -182,6 +184,50 @@ TEST_P(SeedSweep, SelectCandidatesMatchesStreamingSorter) {
     EXPECT_EQ(got.candidates, want.candidates);
     EXPECT_EQ(got.approx_scores, want.approx_scores);
     EXPECT_EQ(got.sorter_cycles, want.sorter_cycles);
+    EXPECT_EQ(got.lut_multiplies, want.lut_multiplies);
+  }
+}
+
+// The strip and key-count edges of the streamed select: query counts
+// around one strip (and many strips), key counts around top_k, rows whose
+// scores all tie, and valid_len shorter than top_k or past the block, at
+// both code widths.
+TEST(SelectCandidatesShapes, StripAndTopKEdgesMatchStreamingSorter) {
+  constexpr std::size_t kTopK = 30, kDim = 64;
+  const std::size_t s = kSelectStripRows;
+  Rng rng(2022);
+  for (const std::size_t n_q : {std::size_t{1}, s - 1, s, s + 1,
+                                std::size_t{1024}}) {
+    for (const std::size_t n_k : {std::size_t{1}, kTopK - 1, kTopK,
+                                  kTopK + 1}) {
+      for (const std::size_t valid_len : {std::size_t{0}, kTopK / 2,
+                                          n_k + 7}) {
+        for (const bool tied : {false, true}) {
+          for (const int bits : {1, 4}) {
+            SelectorConfig cfg;
+            cfg.top_k = kTopK;
+            cfg.bits = bits;
+            cfg.valid_len = valid_len;
+            // Constant Q and K quantize to one code each, so every score
+            // of every row ties.
+            const MatrixF q = tied ? MatrixF(n_q, kDim, 0.5f)
+                                   : rng.NormalMatrix(n_q, kDim, 0.0, 1.0);
+            const MatrixF k = tied ? MatrixF(n_k, kDim, -0.25f)
+                                   : rng.NormalMatrix(n_k, kDim, 0.0, 1.0);
+            SCOPED_TRACE(testing::Message()
+                         << "n_q=" << n_q << " n_k=" << n_k
+                         << " valid_len=" << valid_len << " tied=" << tied
+                         << " bits=" << bits);
+            const auto got = SelectCandidates(q, k, cfg);
+            const auto want = StreamingSelection(q, k, cfg);
+            EXPECT_EQ(got.candidates, want.candidates);
+            EXPECT_EQ(got.approx_scores, want.approx_scores);
+            EXPECT_EQ(got.sorter_cycles, want.sorter_cycles);
+            EXPECT_EQ(got.lut_multiplies, want.lut_multiplies);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -199,6 +245,7 @@ TEST(SelectCandidatesShapes, EmptyShapesMatchStreamingSorter) {
     EXPECT_EQ(got.back().candidates, want.candidates);
     EXPECT_EQ(got.back().approx_scores, want.approx_scores);
     EXPECT_EQ(got.back().sorter_cycles, want.sorter_cycles);
+    EXPECT_EQ(got.back().lut_multiplies, want.lut_multiplies);
   }
   // No query rows: no candidate lists.
   EXPECT_TRUE(got[0].candidates.empty());

@@ -99,19 +99,57 @@ TEST(WorkspaceTest, AttentionScratchIsReusedAcrossCalls) {
   const MatrixF first = SparseAttention(p.q, p.k, p.v, cfg, nullptr,
                                         ws.attention());
   const std::size_t bytes_after_first = ws.CapacityBytes();
-  const float* ks_ptr = ws.attention().ks.flat().data();
+  const std::uint32_t* cand_ptr = ws.attention().select.candidates.data();
 
   // Same shapes again: the arena must serve the same buffers, not grow.
   const MatrixF second = SparseAttention(p.q, p.k, p.v, cfg, nullptr,
                                          ws.attention());
   EXPECT_EQ(ws.CapacityBytes(), bytes_after_first);
-  EXPECT_EQ(ws.attention().ks.flat().data(), ks_ptr);
+  EXPECT_EQ(ws.attention().select.candidates.data(), cand_ptr);
   EXPECT_GE(ws.leases(), 4u);
   EXPECT_EQ(first, second);  // and the math is deterministic
 
   ws.Reset();
   EXPECT_EQ(ws.CapacityBytes(), 0u);
   EXPECT_EQ(ws.leases(), 0u);
+}
+
+TEST(WorkspaceTest, CapacityBytesCountsTheSelectBuffers) {
+  Rng rng(21);
+  AttentionWorkloadConfig wl;
+  wl.head_dim = 64;
+  // More rows than one strip, so the strip buffers are full size.
+  const auto p = GenerateAttentionProblem(rng, 2 * kSelectStripRows + 5, wl);
+  SparseAttentionConfig cfg;
+  cfg.top_k = 30;
+
+  Workspace ws;
+  SparseAttention(p.q, p.k, p.v, cfg, nullptr, ws.attention());
+  const AttentionScratch& sc = ws.attention();
+  const SelectScratch& sel = sc.select;
+  const std::size_t n = p.q.rows();
+  EXPECT_GE(sel.candidates.capacity(), n * 30);
+  EXPECT_GE(sel.approx_scores.capacity(), n * 30);
+  EXPECT_GE(sel.strip.capacity(), kSelectStripRows * n);
+  EXPECT_GT(sel.kpack.bytes(), 0u);
+  const std::size_t select_bytes =
+      (sel.candidates.capacity() + sel.hist.capacity() +
+       sel.keep.capacity()) * sizeof(std::uint32_t) +
+      (sel.approx_scores.capacity() + sel.strip.capacity()) *
+          sizeof(std::int32_t) +
+      sel.qcodes.capacity() + sel.kcodes.capacity() + sel.kt.capacity() +
+      sel.qstrip.capacity() + sel.kpack.bytes() + sel.gemm.CapacityBytes();
+  EXPECT_EQ(sel.CapacityBytes(), select_bytes);
+  // Nothing but the attention scratch was leased, and it holds the select
+  // buffers plus the fused-kernel scores (Stage 2 gathers nothing).
+  EXPECT_EQ(ws.CapacityBytes(), sc.CapacityBytes());
+  EXPECT_EQ(sc.CapacityBytes(),
+            select_bytes + sc.scores.exp_scores.capacity() * sizeof(float));
+
+  // A second call at the same shape grows no scratch capacity.
+  const std::size_t bytes = ws.CapacityBytes();
+  SparseAttention(p.q, p.k, p.v, cfg, nullptr, ws.attention());
+  EXPECT_EQ(ws.CapacityBytes(), bytes);
 }
 
 TEST(WorkspaceTest, WorkspacePathMatchesAllocatingPath) {
@@ -159,9 +197,7 @@ TEST(SparseAttentionStatsTest, SelectedPerRowReportsActualMean) {
   cfg.valid_len = 20;
   SparseAttentionStats stats;
   SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  std::size_t total = 0;
-  for (const auto& c : stats.candidates) total += c.size();
-  EXPECT_EQ(stats.selected_per_row, total / stats.n);
+  EXPECT_EQ(stats.candidates.size(), stats.n * stats.selected_per_row);
   EXPECT_EQ(stats.selected_per_row, 20u);
 }
 
