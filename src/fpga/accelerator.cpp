@@ -1,6 +1,7 @@
 #include "fpga/accelerator.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,36 +14,49 @@ double MeanLength(const std::vector<std::size_t>& lengths) {
   return std::max(1.0, total / static_cast<double>(lengths.size()));
 }
 
-/// Operator inventory of the attention implementation `cfg.mode` selects.
-std::vector<OpSpec> ModeOps(const ModelConfig& model,
-                            const AcceleratorConfig& cfg) {
+/// Unsized stages of the attention implementation `cfg.mode` selects;
+/// `attention_only` keeps the self-attention operators alone.
+std::vector<StageTimingModel> ModeStages(const ModelConfig& model,
+                                         const AcceleratorConfig& cfg,
+                                         bool attention_only) {
   const AttentionMode amode = cfg.mode == FpgaMode::kLengthAware
                                   ? AttentionMode::kSparseTopK
                                   : AttentionMode::kDense;
-  return EncoderOps(model.encoder, amode, cfg.top_k);
+  std::vector<OpSpec> ops = EncoderOps(model.encoder, amode, cfg.top_k);
+  if (attention_only) {
+    std::erase_if(ops, [](const OpSpec& op) { return !op.in_attention; });
+  }
+  return PartitionStages(ops);
 }
 
-/// Orders or pads the batch as `cfg.mode` says and simulates `ops` through
-/// `layers` encoder layers.
-ScheduleResult Schedule(const std::vector<OpSpec>& ops, std::size_t layers,
-                        const std::vector<std::size_t>& lengths,
-                        const AcceleratorConfig& cfg) {
+/// Orders or pads the batch as `cfg.mode` says, sizes the partitioned
+/// `stages` for it and runs `simulate` (SimulatePipeline or
+/// PipelineMakespan) through `layers` encoder layers.
+template <typename Simulate>
+auto Schedule(const std::vector<StageTimingModel>& stages, std::size_t layers,
+              const std::vector<std::size_t>& lengths,
+              const AcceleratorConfig& cfg, Simulate simulate) {
   if (lengths.empty()) {
     throw std::invalid_argument("accelerator model: empty batch");
   }
-  const BatchPolicy policy =
-      cfg.mode == FpgaMode::kLengthAware && cfg.sort_batch
-          ? BatchPolicy::kSortedDescending
-          : BatchPolicy::kPadToMax;
-  const Batch batch = MakeBatch(lengths, policy, 4, cfg.baseline_pad_to);
-  const auto& eff = batch.effective_lengths;
+  // The lengths the hardware computes on: sorted by decreasing length
+  // (kSortedDescending), or every sequence padded to the batch maximum
+  // and at least baseline_pad_to (kPadToMax).
+  std::vector<std::size_t> eff(lengths);
+  if (cfg.mode == FpgaMode::kLengthAware && cfg.sort_batch) {
+    std::sort(eff.begin(), eff.end(), std::greater<>());
+  } else {
+    std::fill(eff.begin(), eff.end(),
+              std::max(*std::max_element(eff.begin(), eff.end()),
+                       cfg.baseline_pad_to));
+  }
   PipelineSimConfig sim_cfg;
   sim_cfg.layers = layers;
   // The stage partition and DSP split are fixed at synthesis time for the
   // expected processed length: the per-task average for the length-aware
   // design, the fixed padded length for the baseline.
-  return SimulatePipeline(
-      eff, BuildStageTimings(ops, cfg.spec, MeanLength(eff)), sim_cfg);
+  return simulate(eff, SizeStages(stages, cfg.spec, MeanLength(eff)),
+                  sim_cfg);
 }
 
 }  // namespace
@@ -50,17 +64,24 @@ ScheduleResult Schedule(const std::vector<OpSpec>& ops, std::size_t layers,
 ScheduleResult RunAccelerator(const ModelConfig& model,
                               const std::vector<std::size_t>& lengths,
                               const AcceleratorConfig& cfg) {
-  return Schedule(ModeOps(model, cfg), model.layers, lengths, cfg);
+  return Schedule(ModeStages(model, cfg, false), model.layers, lengths, cfg,
+                  SimulatePipeline);
 }
 
 double AttentionLatency(const ModelConfig& model,
                         const std::vector<std::size_t>& lengths,
                         const AcceleratorConfig& cfg) {
-  std::vector<OpSpec> attn_ops;
-  for (const auto& op : ModeOps(model, cfg)) {
-    if (op.in_attention) attn_ops.push_back(op);
-  }
-  return Schedule(attn_ops, model.layers, lengths, cfg).makespan;
+  return Schedule(ModeStages(model, cfg, true), model.layers, lengths, cfg,
+                  PipelineMakespan);
+}
+
+AcceleratorPricer::AcceleratorPricer(const ModelConfig& model,
+                                     const AcceleratorConfig& cfg)
+    : cfg_(cfg), layers_(model.layers), stages_(ModeStages(model, cfg, false)) {}
+
+double AcceleratorPricer::Makespan(
+    const std::vector<std::size_t>& lengths) const {
+  return Schedule(stages_, layers_, lengths, cfg_, PipelineMakespan);
 }
 
 }  // namespace latte

@@ -11,7 +11,11 @@
 //
 // `RunAccelerator` returns the full-encoder schedule (the batch latency is
 // its makespan); `AttentionLatency` is the attention-only makespan behind
-// Fig 7(b).  The datapath is 8-bit fixed point throughout.
+// Fig 7(b).  `AcceleratorPricer` prices many batches of one design point:
+// it partitions the mode's operator inventory into stage polynomials once,
+// and each price only orders the batch, sizes the stages at its mean
+// processed length and runs the pipeline recurrence without a job list
+// (PipelineMakespan).  The datapath is 8-bit fixed point throughout.
 
 #include <vector>
 
@@ -51,5 +55,23 @@ ScheduleResult RunAccelerator(const ModelConfig& model,
 double AttentionLatency(const ModelConfig& model,
                         const std::vector<std::size_t>& lengths,
                         const AcceleratorConfig& cfg);
+
+/// The full-encoder batch price of one (model, accelerator) design point.
+/// Makespan(lengths) equals RunAccelerator(model, lengths, cfg).makespan
+/// bit for bit; the operator inventory is built and partitioned into stage
+/// polynomials once, at construction, instead of on every call.
+class AcceleratorPricer {
+ public:
+  AcceleratorPricer(const ModelConfig& model, const AcceleratorConfig& cfg);
+
+  /// Batch latency in seconds.  Throws std::invalid_argument on an empty
+  /// batch.
+  double Makespan(const std::vector<std::size_t>& lengths) const;
+
+ private:
+  AcceleratorConfig cfg_;
+  std::size_t layers_;
+  std::vector<StageTimingModel> stages_;  ///< partitioned, not yet sized
+};
 
 }  // namespace latte

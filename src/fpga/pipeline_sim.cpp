@@ -48,9 +48,14 @@ double ScheduleResult::BubbleTime() const {
   return acc;
 }
 
-ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
-                                const std::vector<StageTimingModel>& stages,
-                                const PipelineSimConfig& cfg) {
+namespace {
+
+// The pipeline recurrence behind both entry points.  It returns the
+// makespan; `res`, when given, also receives every job and each stage's
+// busy seconds.
+double RunPipeline(const std::vector<std::size_t>& lengths,
+                   const std::vector<StageTimingModel>& stages,
+                   const PipelineSimConfig& cfg, ScheduleResult* res) {
   if (stages.empty()) {
     throw std::invalid_argument("SimulatePipeline: no stages");
   }
@@ -60,9 +65,19 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
   const std::size_t B = lengths.size();
   const std::size_t S = stages.size();
 
-  // T_s(len_i) is the same in every layer, so each (sequence, stage) is
-  // timed once.
-  std::vector<double> dur(B * S);
+  // One buffer holds the recurrence's state:
+  //   dur[i * S + s]     T_s(len_i), the same in every layer, so each
+  //                      (sequence, stage) is timed once;
+  //   layer_done[i]      finish of sequence i's previous layer;
+  //   stage_free[s]      stage s is Working until then and Idle after;
+  //   buffer_drained[s]  without double buffers: finish time of the
+  //                      *consumer* of the previous item that went through
+  //                      stage s (the buffer drains when stage s+1 ends).
+  std::vector<double> state(B * S + B + 2 * S, 0.0);
+  double* const dur = state.data();
+  double* const layer_done = dur + B * S;
+  double* const stage_free = layer_done + B;
+  double* const buffer_drained = stage_free + S;
   for (std::size_t i = 0; i < B; ++i) {
     for (std::size_t s = 0; s < S; ++s) {
       const double t = stages[s].Seconds(static_cast<double>(lengths[i]));
@@ -76,17 +91,11 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
     }
   }
 
-  ScheduleResult res;
-  res.stage_busy.assign(S, 0.0);
-  res.jobs.reserve(B * cfg.layers * S);
-  // Stage s is Working until stage_free[s] and Idle from then on.
-  std::vector<double> stage_free(S, 0.0);
-  // Without double buffers: finish time of the *consumer* of the previous
-  // item that went through stage s (the buffer drains when stage s+1 ends).
-  std::vector<double> buffer_drained(S, 0.0);
-  // Per-sequence finish of the previous layer's last stage.
-  std::vector<double> layer_done(B, 0.0);
-
+  if (res != nullptr) {
+    res->stage_busy.assign(S, 0.0);
+    res->jobs.reserve(B * cfg.layers * S);
+  }
+  double makespan = 0.0;
   for (std::size_t l = 0; l < cfg.layers; ++l) {
     for (std::size_t i = 0; i < B; ++i) {
       double ready = layer_done[i];
@@ -98,20 +107,38 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
           start = std::max(start, buffer_drained[s]);
         }
         const double end = start + dur[i * S + s];
-        res.jobs.push_back({i, l, s, start, end});
-        res.stage_busy[s] += dur[i * S + s];
+        if (res != nullptr) {
+          res->jobs.push_back({i, l, s, start, end});
+          res->stage_busy[s] += dur[i * S + s];
+        }
         stage_free[s] = end;
         if (!cfg.double_buffer && s > 0) {
           // Consuming this item drains stage s-1's output buffer.
           buffer_drained[s - 1] = end;
         }
-        res.makespan = std::max(res.makespan, end);
+        makespan = std::max(makespan, end);
         ready = end;
       }
       layer_done[i] = ready;
     }
   }
+  return makespan;
+}
+
+}  // namespace
+
+ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
+                                const std::vector<StageTimingModel>& stages,
+                                const PipelineSimConfig& cfg) {
+  ScheduleResult res;
+  res.makespan = RunPipeline(lengths, stages, cfg, &res);
   return res;
+}
+
+double PipelineMakespan(const std::vector<std::size_t>& lengths,
+                        const std::vector<StageTimingModel>& stages,
+                        const PipelineSimConfig& cfg) {
+  return RunPipeline(lengths, stages, cfg, nullptr);
 }
 
 std::string RenderGantt(const ScheduleResult& schedule, std::size_t stages,

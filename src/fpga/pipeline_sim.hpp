@@ -21,6 +21,10 @@
 // then and Idle from then on.  The replication R(G_k) of
 // sched/resource_plan is planned and reported, not simulated.
 //
+// One recurrence serves two entry points: SimulatePipeline records the job
+// list and per-stage busy time; PipelineMakespan returns only the makespan,
+// the one number a batch price reads.
+//
 // Because sparse attention makes every stage O(n), feeding the batch in
 // decreasing length order leaves no stage waiting on a longer downstream
 // job -- the bubble-free property Fig 5 illustrates.  The simulator makes no
@@ -72,12 +76,20 @@ struct ScheduleResult {
 
 /// Simulates the coarse pipeline for sequences of the given lengths
 /// (processed in vector order) through `cfg.layers` identical encoder
-/// layers with per-stage timing models `stages`.  Throws
-/// std::invalid_argument naming the stage if any stage time is NaN,
+/// layers with per-stage timing models `stages`, recording every job.
+/// Throws std::invalid_argument naming the stage if any stage time is NaN,
 /// infinite or negative.
 ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
                                 const std::vector<StageTimingModel>& stages,
                                 const PipelineSimConfig& cfg);
+
+/// The same recurrence as SimulatePipeline, run without recording jobs or
+/// stage busy time: returns SimulatePipeline(...).makespan bit for bit and
+/// throws the same errors.  This is the price of a batch; the figures, the
+/// Gantt chart and fpga/trace read the job list instead.
+double PipelineMakespan(const std::vector<std::size_t>& lengths,
+                        const std::vector<StageTimingModel>& stages,
+                        const PipelineSimConfig& cfg);
 
 /// Renders a schedule as an ASCII Gantt chart (one row per stage), the
 /// textual equivalent of Fig 5(b).  `width` is the number of time buckets.

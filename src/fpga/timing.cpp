@@ -15,18 +15,14 @@ double StageTimingModel::Seconds(double n) const {
   return std::max({t_dsp, t_lut, t_mem});
 }
 
-std::vector<StageTimingModel> BuildStageTimings(
-    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg) {
-  if (s_avg <= 0) {
-    throw std::invalid_argument("BuildStageTimings: s_avg must be positive");
-  }
+std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops) {
   // Fig 2(a) partition: each operator's polynomials join the stage its hint
   // names, summed in dataflow order.
   std::vector<StageTimingModel> models(3);
   std::array<bool, 3> named{};
   for (const auto& op : ops) {
     if (op.stage_hint < 1 || op.stage_hint > 3) {
-      throw std::out_of_range("BuildStageTimings: stage_hint outside 1..3");
+      throw std::out_of_range("PartitionStages: stage_hint outside 1..3");
     }
     const auto k = static_cast<std::size_t>(op.stage_hint - 1);
     named[k] = true;
@@ -39,11 +35,19 @@ std::vector<StageTimingModel> BuildStageTimings(
   for (std::size_t k = models.size(); k-- > 0;) {
     if (!named[k]) models.erase(models.begin() + static_cast<long>(k));
   }
+  return models;
+}
 
+std::vector<StageTimingModel> SizeStages(std::vector<StageTimingModel> models,
+                                         const FpgaSpec& spec, double s_avg) {
+  if (s_avg <= 0) {
+    throw std::invalid_argument("SizeStages: s_avg must be positive");
+  }
   // HBM pseudo-channels are bound to stages as whole units at design time,
   // by traffic at s_avg.
   double total_flops = 0, total_lut = 0;
   std::vector<double> demand;
+  demand.reserve(models.size());
   for (const auto& m : models) {
     total_flops += m.flops.Eval(s_avg);
     total_lut += m.lut_ops.Eval(s_avg);
@@ -65,6 +69,11 @@ std::vector<StageTimingModel> BuildStageTimings(
     m.hbm_bytes_per_s = std::max(1.0, StreamBandwidth(spec, channels[k]));
   }
   return models;
+}
+
+std::vector<StageTimingModel> BuildStageTimings(
+    const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg) {
+  return SizeStages(PartitionStages(ops), spec, s_avg);
 }
 
 }  // namespace latte

@@ -37,18 +37,25 @@ struct StageTimingModel {
   double Seconds(double n) const;
 };
 
-/// Builds stage timing models from an operator list (`EncoderOps`, or a
-/// subset of it).
-///
-/// Operators are partitioned by stage_hint (1..3) -- the Fig 2(a)
-/// partition -- and each stage's cost polynomials are summed in dataflow
-/// order.  Stages no operator names are dropped, so the attention-only
-/// operator list yields two stages.  Throws std::out_of_range for a hint
-/// outside 1..3 and std::invalid_argument for s_avg <= 0.
-///
-/// DSPs are split across stages proportionally to per-token FLOPs at
-/// `s_avg`; LUT lanes proportionally to LUT work; HBM bandwidth
-/// proportionally to traffic.
+/// Partitions an operator list (`EncoderOps`, or a subset of it) into
+/// unsized stage timing models: operators join the stage their stage_hint
+/// (1..3) names -- the Fig 2(a) partition -- and each stage's cost
+/// polynomials are summed in dataflow order.  Stages no operator names are
+/// dropped, so the attention-only operator list yields two stages.  Throws
+/// std::out_of_range for a hint outside 1..3.
+std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops);
+
+/// Grants partitioned stages their share of `spec` at the expected length
+/// `s_avg`: DSPs are split across stages proportionally to FLOPs at
+/// `s_avg`, LUT lanes proportionally to LUT work, HBM channels
+/// proportionally to traffic.  Only the resource fields change; the
+/// polynomials are kept.  Throws std::invalid_argument for s_avg <= 0.
+std::vector<StageTimingModel> SizeStages(std::vector<StageTimingModel> stages,
+                                         const FpgaSpec& spec, double s_avg);
+
+/// SizeStages(PartitionStages(ops), spec, s_avg).  A caller that sizes the
+/// same operator list at many lengths partitions it once and sizes per
+/// length; the result is the same bit for bit.
 std::vector<StageTimingModel> BuildStageTimings(
     const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg);
 

@@ -1,6 +1,7 @@
 #include "serve/service_model.hpp"
 
 #include <cmath>
+#include <memory>
 #include <string>
 
 namespace latte {
@@ -65,12 +66,13 @@ BatchServiceModel BuildServiceModel(const ServiceModelSpec& spec) {
           PaddedServiceModel(spec.seconds_per_token, spec.batch_overhead_s);
       break;
     case ServiceModelSpec::Base::kAccelerator: {
-      // By-value captures: the model a spec describes must outlive the
-      // spec itself (engines hold service models for their whole life).
-      const ModelConfig model = spec.model;
-      const AcceleratorConfig accel = spec.accel;
-      base = [model, accel](const std::vector<std::size_t>& lengths) {
-        return RunAccelerator(model, lengths, accel).makespan;
+      // The pricer owns its copy of the design point, so the model outlives
+      // the spec (engines hold service models for their whole life); copies
+      // of the closure share the one immutable pricer.
+      auto pricer =
+          std::make_shared<const AcceleratorPricer>(spec.model, spec.accel);
+      base = [pricer](const std::vector<std::size_t>& lengths) {
+        return pricer->Makespan(lengths);
       };
       break;
     }

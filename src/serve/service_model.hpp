@@ -27,7 +27,9 @@ struct ServiceModelSpec {
   enum class Base {
     kTokenLinear,   ///< overhead + spt * sum(len): the host-side default
     kPadded,        ///< overhead + spt * max(len) * |batch|: padded-dense
-    kAccelerator,   ///< RunAccelerator makespan: the performance twin
+    kAccelerator,   ///< RunAccelerator makespan: the performance twin,
+                    ///< priced by an AcceleratorPricer built once per
+                    ///< spec (no job list per batch)
   };
   Base base = Base::kTokenLinear;
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -154,6 +156,39 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   const std::vector<std::size_t> batch = {96, 64};
   EXPECT_EQ(BuildServiceModel(spec)(batch),
             RunAccelerator(spec.model, batch, spec.accel).makespan);
+}
+
+TEST(ServiceModelSpecTest, AcceleratorPriceIsTheTwinsMakespanBitForBit) {
+  // The built model holds the operator inventory and skips the job list;
+  // its price must still be RunAccelerator's makespan, bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto tiers = TestLadder().tiers;
+  Rng rng(2022);
+  for (const ModelConfig& model : {SmallModel().config(), BertBase()}) {
+    for (const FpgaMode mode : {FpgaMode::kLengthAware, FpgaMode::kBaseline}) {
+      for (const std::size_t pad_to : {std::size_t{0}, std::size_t{384}}) {
+        ServiceModelSpec spec;
+        spec.base = ServiceModelSpec::Base::kAccelerator;
+        spec.model = model;
+        spec.accel.mode = mode;
+        spec.accel.sort_batch = true;
+        spec.accel.baseline_pad_to = pad_to;
+        const auto priced = BuildTierServiceModels(spec, tiers);
+        ASSERT_EQ(priced.size(), tiers.size());
+        for (std::size_t t = 0; t < tiers.size(); ++t) {
+          const AcceleratorConfig accel = WithTopK(spec, tiers[t].top_k).accel;
+          for (std::size_t b = 1; b <= 32; ++b) {
+            std::vector<std::size_t> lens(b);
+            for (auto& l : lens) l = 1 + rng.NextIndex(512);
+            EXPECT_EQ(bits(priced[t](lens)),
+                      bits(RunAccelerator(model, lens, accel).makespan))
+                << "tier " << t << ", batch of " << b;
+          }
+          EXPECT_THROW(priced[t]({}), std::invalid_argument);
+        }
+      }
+    }
+  }
 }
 
 TEST(ServiceModelSpecTest, NamesBrokenAcceleratorFields) {

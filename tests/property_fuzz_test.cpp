@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -376,6 +380,70 @@ TEST_P(SeedSweep, QuantizationMonotoneAndBounded) {
           EXPECT_GE(codes[a], codes[b]);
         }
       }
+    }
+  }
+}
+
+TEST_P(SeedSweep, MakespanOnlyPipelineEqualsTheJobListsBitForBit) {
+  Rng rng(GetParam() * 977 + 5);
+  const std::size_t batch = 1 + rng.NextIndex(40);
+  std::vector<std::size_t> lens(batch);
+  for (auto& l : lens) l = 1 + rng.NextIndex(1024);
+  const double s_avg = 1.0 + rng.NextUniform(0, 600);
+
+  const auto mode = rng.NextUniform() < 0.5 ? AttentionMode::kSparseTopK
+                                            : AttentionMode::kDense;
+  const auto three = BuildStageTimings(EncoderOps(BertBase().encoder, mode),
+                                       AlveoU280Slr0(), s_avg);
+  // The sparse attention operators alone fill two stages (Fig 7(b)).
+  auto ops = EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
+  std::erase_if(ops, [](const OpSpec& op) { return !op.in_attention; });
+  const auto two = BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
+  ASSERT_EQ(three.size(), 3u);
+  ASSERT_EQ(two.size(), 2u);
+  // A stage with no work takes zero seconds at every length.
+  auto with_idle = three;
+  with_idle[rng.NextIndex(3)] = StageTimingModel{};
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto& stages : {three, two, with_idle}) {
+    for (const bool double_buffer : {true, false}) {
+      PipelineSimConfig cfg;
+      cfg.layers = 1 + rng.NextIndex(24);
+      cfg.double_buffer = double_buffer;
+      const double full = SimulatePipeline(lens, stages, cfg).makespan;
+      EXPECT_EQ(bits(PipelineMakespan(lens, stages, cfg)), bits(full))
+          << "B=" << batch << " S=" << stages.size() << " layers="
+          << cfg.layers << " double_buffer=" << double_buffer;
+    }
+  }
+
+  // NaN, +-inf and negative stage times are named, as SimulatePipeline
+  // names them.
+  const double inf = std::numeric_limits<double>::infinity();
+  StageTimingModel nan_stage;  // 0 FLOPs on 0 DSPs: 0 / 0
+  nan_stage.dsp = 0;
+  StageTimingModel pos_inf;  // traffic with no HBM share
+  pos_inf.offchip_bytes = {0, 1, 0};
+  pos_inf.hbm_bytes_per_s = 0;
+  StageTimingModel neg_inf;  // negative work on every roof, no resources
+  neg_inf.flops = neg_inf.lut_ops = neg_inf.offchip_bytes = {0, -1, 0};
+  neg_inf.dsp = neg_inf.lut_lanes = neg_inf.hbm_bytes_per_s = 0;
+  StageTimingModel negative;
+  negative.flops = negative.lut_ops = negative.offchip_bytes = {0, 0, -1};
+  ASSERT_EQ(neg_inf.Seconds(10), -inf);
+  ASSERT_EQ(pos_inf.Seconds(10), inf);
+  for (const auto& bad : {nan_stage, pos_inf, neg_inf, negative}) {
+    auto stages = three;
+    const std::size_t at = rng.NextIndex(3);
+    stages[at] = bad;
+    try {
+      PipelineMakespan(lens, stages, PipelineSimConfig{});
+      ADD_FAILURE() << "bad stage time accepted at stage " << at;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stage " + std::to_string(at)),
+                std::string::npos)
+          << e.what();
     }
   }
 }
