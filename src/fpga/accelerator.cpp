@@ -39,12 +39,13 @@ auto Schedule(const std::vector<StageTimingModel>& stages, std::size_t layers,
   if (lengths.empty()) {
     throw std::invalid_argument("accelerator model: empty batch");
   }
-  // The lengths the hardware computes on: sorted by decreasing length
-  // (kSortedDescending), or every sequence padded to the batch maximum
-  // and at least baseline_pad_to (kPadToMax).
+  // The lengths the hardware computes on: the length-aware design runs
+  // every sequence unpadded, sorted by decreasing length unless the caller
+  // keeps its own order; the baseline pads every sequence to the batch
+  // maximum and at least baseline_pad_to.
   std::vector<std::size_t> eff(lengths);
-  if (cfg.mode == FpgaMode::kLengthAware && cfg.sort_batch) {
-    std::sort(eff.begin(), eff.end(), std::greater<>());
+  if (cfg.mode == FpgaMode::kLengthAware) {
+    if (cfg.sort_batch) std::sort(eff.begin(), eff.end(), std::greater<>());
   } else {
     std::fill(eff.begin(), eff.end(),
               std::max(*std::max_element(eff.begin(), eff.end()),

@@ -22,7 +22,6 @@
 #include "fpga/pipeline_sim.hpp"
 #include "fpga/resources.hpp"
 #include "model/config.hpp"
-#include "workload/batch.hpp"
 
 namespace latte {
 
@@ -34,7 +33,9 @@ struct AcceleratorConfig {
   FpgaSpec spec = AlveoU280Slr0();
   FpgaMode mode = FpgaMode::kLengthAware;
   std::size_t top_k = 30;      ///< sparse attention candidates (length-aware)
-  bool sort_batch = true;      ///< decreasing-length order (length-aware)
+  /// Length-aware: run the batch in decreasing-length order; false runs it
+  /// in the given order, still unpadded.
+  bool sort_batch = true;
   /// Baseline mode pads to at least this length (the task maximum); 0 pads
   /// to the batch maximum only.
   std::size_t baseline_pad_to = 0;

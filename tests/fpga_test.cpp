@@ -304,6 +304,34 @@ TEST(AcceleratorTest, EmptyBatchThrows) {
                std::invalid_argument);
 }
 
+TEST(AcceleratorTest, UnsortedLengthAwareRunsTheGivenOrderUnpadded) {
+  // sort_batch = false used to pad the batch as the baseline does, so
+  // {50, 300, 60} priced exactly like {300, 300, 300}.
+  const auto model = BertBase();
+  AcceleratorConfig fifo;
+  fifo.sort_batch = false;
+  const std::vector<std::size_t> lens = {50, 300, 60};
+  const auto res = RunAccelerator(model, lens, fifo);
+
+  // Layer 0's stage 0 runs the sequences in the given order, each for its
+  // own length on stages sized at the batch mean.
+  const auto stages = BuildStageTimings(
+      EncoderOps(model.encoder, AttentionMode::kSparseTopK, fifo.top_k),
+      fifo.spec, (50.0 + 300.0 + 60.0) / 3.0);
+  std::vector<const TimedJob*> first;
+  for (const auto& j : res.jobs) {
+    if (j.layer == 0 && j.stage == 0) first.push_back(&j);
+  }
+  ASSERT_EQ(first.size(), lens.size());
+  for (std::size_t i = 0; i < lens.size(); ++i) {
+    EXPECT_EQ(first[i]->seq, i);
+    EXPECT_DOUBLE_EQ(first[i]->end - first[i]->start,
+                     stages[0].Seconds(static_cast<double>(lens[i])))
+        << "sequence " << i;
+  }
+  EXPECT_LT(res.makespan, RunAccelerator(model, {300, 300, 300}, fifo).makespan);
+}
+
 // Property sweep: across models and batch shapes the length-aware design
 // never loses to the padded dense baseline.
 class AcceleratorProperty
