@@ -24,6 +24,16 @@ ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
       AddIssue(issues, "model.layers",
                "must be >= 1 (the pipeline runs every encoder layer)");
     }
+    // Every operator's cost scales with these; the functional encoder
+    // rejects the same shapes (MakeEncoderWeights).
+    const EncoderConfig& enc = spec.model.encoder;
+    if (enc.hidden == 0) {
+      AddIssue(issues, "model.encoder.hidden", "must be >= 1");
+    }
+    if (enc.heads == 0 || enc.hidden % enc.heads != 0) {
+      AddIssue(issues, "model.encoder.heads",
+               "must be >= 1 and divide model.encoder.hidden");
+    }
     // Each stage roof divides by one of these; a zero, negative or NaN
     // value would price batches at nonsense latencies.
     const auto positive = [&issues](double value, const char* field,

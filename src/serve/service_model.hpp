@@ -43,9 +43,10 @@ struct ServiceModelSpec {
 };
 
 /// Names every illegal field (non-positive token cost, negative overhead;
-/// for the accelerator: zero layers, a non-positive or non-finite clock,
-/// DSP count, LUT count or HBM bandwidth or efficiency, fewer than 3 HBM
-/// channels, zero top_k); empty means legal.
+/// for the accelerator: zero layers, a zero hidden size, heads that are
+/// zero or do not divide the hidden size, a non-positive or non-finite
+/// clock, DSP count, LUT count or HBM bandwidth or efficiency, fewer than
+/// 3 HBM channels, zero top_k); empty means legal.
 ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec);
 
 /// Builds the service model a spec describes.  Throws

@@ -203,6 +203,25 @@ TEST(ServiceModelSpecTest, NamesBrokenAcceleratorFields) {
   EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument);
   spec.model.layers = 1;
 
+  // A broken encoder shape used to price without an error: BERT-base
+  // with hidden = 0 priced a {128, 64} batch at 12.3 us, with heads = 0
+  // at 55.6 ms.
+  const EncoderConfig encoder = spec.model.encoder;
+  spec.model.encoder.hidden = 0;
+  EXPECT_TRUE(
+      HasIssueFor(CheckServiceModelSpec(spec), "model.encoder.hidden"));
+  EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument);
+  spec.model.encoder = encoder;
+  for (const std::size_t heads : {std::size_t{0}, encoder.hidden + 1}) {
+    spec.model.encoder.heads = heads;
+    EXPECT_TRUE(
+        HasIssueFor(CheckServiceModelSpec(spec), "model.encoder.heads"))
+        << heads;
+    EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument) << heads;
+  }
+  spec.model.encoder = encoder;
+  EXPECT_TRUE(CheckServiceModelSpec(spec).empty());
+
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double freq : {0.0, -200e6, inf, nan}) {
