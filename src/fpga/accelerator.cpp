@@ -78,7 +78,9 @@ double AttentionLatency(const ModelConfig& model,
 
 AcceleratorPricer::AcceleratorPricer(const ModelConfig& model,
                                      const AcceleratorConfig& cfg)
-    : cfg_(cfg), layers_(model.layers), stages_(ModeStages(model, cfg, false)) {}
+    : cfg_(cfg),
+      layers_(model.layers),
+      stages_(ModeStages(model, cfg, false)) {}
 
 double AcceleratorPricer::Makespan(
     const std::vector<std::size_t>& lengths) const {

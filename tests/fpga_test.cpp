@@ -329,7 +329,8 @@ TEST(AcceleratorTest, UnsortedLengthAwareRunsTheGivenOrderUnpadded) {
                      stages[0].Seconds(static_cast<double>(lens[i])))
         << "sequence " << i;
   }
-  EXPECT_LT(res.makespan, RunAccelerator(model, {300, 300, 300}, fifo).makespan);
+  EXPECT_LT(res.makespan,
+            RunAccelerator(model, {300, 300, 300}, fifo).makespan);
 }
 
 // Property sweep: across models and batch shapes the length-aware design
