@@ -216,11 +216,12 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
 // Since sum (x + 128) w = sum x w + 128 sum w, each output starts from
 // -128 x the column sum of W, which the pack stores ahead of its panels.
 //
-// Either layout is a run of K-tiles of kKc8 rows, each split into
-// kNr8-wide column panels, stored step by step.  PackWeights writes it:
-// once, at load, for QuantizedLinear (PackedInt8Weights), or per call into
-// GemmScratch::wpack when Int8GemmInto gets a row-major W.  Either way the
-// same sweep reads it.
+// Either layout is a run of K-tiles of kKc8 rows, each split into column
+// panels as wide as the variant's vector (8 columns, or 16 for the 512-bit
+// kernel), stored step by step.  PackWeights writes it: once, at load, for
+// QuantizedLinear (PackedInt8Weights), or per call into GemmScratch::wpack
+// when Int8GemmInto gets a row-major W.  Either way the same sweep reads
+// it.
 //
 // Exactness.  A K-tile's partial sums stay in registers and are added to
 // C, so every int32 intermediate is either one tile's sum or C after a
@@ -231,15 +232,17 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
 // micro-kernels differ in speed, never in bits, and the widest one the CPU
 // supports is chosen once, at run time.
 
-// Register tile rows, and panel width: a K-pair panel row (8 columns x 2
-// bytes) widens to one 256-bit vector of int16, and a K-quad panel row
-// (8 columns x 4 bytes) is one 256-bit vector.
+// Register tile rows of every variant, and panel width of every variant
+// but the 512-bit one: a K-pair panel row (8 columns x 2 bytes) widens to
+// one 256-bit vector of int16, and a K-quad panel row (8 columns x 4
+// bytes) is one 256-bit vector.  Interleave writes panel rows in halves
+// of kNr8 columns.
 constexpr std::size_t kMr8 = 4;
 constexpr std::size_t kNr8 = 8;
 
 // The 128-bit kernels load each activation step pre-broadcast to four
-// lanes (SSE2 has no broadcast load); the 256-bit ones broadcast it from
-// a single packed copy.
+// lanes (SSE2 has no broadcast load); the wider ones broadcast it from a
+// single packed copy.
 constexpr std::size_t kLanes128 = 4;
 
 // K-tile: the rows of W one sweep streams per row tile.  256 rows of a
@@ -256,12 +259,14 @@ using Int8Sweep = void (*)(std::size_t steps, const std::int32_t* xp,
                            std::size_t m, std::size_t mr);
 
 // One micro-kernel variant: its ISA name, the K rows per step (2 for
-// K-pairs, 4 for K-quads), the packed copies per activation step and the
-// panels per step its kernel reads, the sweep itself and its CPU check.
+// K-pairs, 4 for K-quads), the packed copies per activation step, its
+// panel width in columns (8 or 16) and the panels per step its kernel
+// reads, the sweep itself and its CPU check.
 struct Int8Variant {
   const char* isa;
   std::size_t kstep;
   std::size_t lanes;
+  std::size_t nr;
   std::size_t panels;
   Int8Sweep sweep;
   bool (*supported)();
@@ -271,17 +276,18 @@ inline std::size_t Steps(const Int8Variant& v, std::size_t kc) {
   return (kc + v.kstep - 1) / v.kstep;
 }
 
-// Column panels of a packed K-tile: m rounded up to whole groups of `np`
-// panels, so a kernel that takes np panels per step never branches on a
-// short last group.
-inline std::size_t PaddedPanels(std::size_t m, std::size_t np) {
-  return (m + np * kNr8 - 1) / (np * kNr8) * np;
+// Column panels of a packed K-tile: m rounded up to whole groups of the
+// variant's panels per step, so its kernel never branches on a short last
+// group.
+inline std::size_t PaddedPanels(const Int8Variant& v, std::size_t m) {
+  const std::size_t group = v.panels * v.nr;
+  return (m + group - 1) / group * v.panels;
 }
 
 // Bytes of one packed K-tile of kc rows.
 inline std::size_t TileBytes(const Int8Variant& v, std::size_t kc,
                              std::size_t m) {
-  return PaddedPanels(m, v.panels) * Steps(v, kc) * v.kstep * kNr8;
+  return PaddedPanels(v, m) * Steps(v, kc) * v.kstep * v.nr;
 }
 
 // Bytes ahead of the first K-tile: the K-quad column bias, m int32 rounded
@@ -303,9 +309,9 @@ void CheckInt8K(std::size_t k) {
   }
 }
 
-// Interleaves 16 columns of the KStep rows r[t] into the panel rows of
-// two neighbouring panels, out[j / 8][KStep * (j % 8) + t] = r[t][j], with
-// vector byte unpacks where there are any.
+// Interleaves 16 columns of the KStep rows r[t] into two 8-column halves
+// of panel rows, out[j / 8][KStep * (j % 8) + t] = r[t][j], with vector
+// byte unpacks where there are any.
 template <std::size_t KStep>
 inline void Interleave(const std::int8_t* const* r, std::int8_t* const* out) {
 #if defined(__SSE2__)
@@ -341,37 +347,44 @@ inline void Interleave(const std::int8_t* const* r, std::int8_t* const* out) {
 #endif
 }
 
-// Packs the K-tiles of w into dst.  Within a tile, a block of eight
-// panels (64 columns, one cache line of each row) is packed step by step:
-// each step reads its KStep rows' lines whole (a row past k reads `zero`)
-// and appends one panel row to each of the block's panels, so the reads
-// stream and the writes run as eight sequential streams.  Columns past m,
-// up to a whole group of panels, are zero.
+// Packs the K-tiles of w into dst, in panels nr = 8 or 16 columns wide.
+// Within a tile, a block of 64 columns (one cache line of each row) is
+// packed step by step: each step reads its KStep rows' lines whole (a row
+// past k reads `zero`) and appends one panel row to each of the block's
+// panels, so the reads stream and the writes run as sequential streams.
+// Each Interleave call fills two 8-column halves: of two neighbouring
+// panels when nr = 8, of one panel (the second at first + 8 KStep) when
+// nr = 16.  Columns past m, up to `panels` whole panels, are zero.
 template <std::size_t KStep>
-void PackTiles(const MatrixI8& w, std::size_t panels,
+void PackTiles(const MatrixI8& w, std::size_t nr, std::size_t panels,
                const std::int8_t* zero, std::int8_t* dst) {
-  constexpr std::size_t row = KStep * kNr8;
-  constexpr std::size_t block = 8;
+  constexpr std::size_t block = 64;
+  const std::size_t row = KStep * nr;
+  const std::size_t shift = static_cast<std::size_t>(std::countr_zero(nr));
+  const std::size_t width = panels * nr;
   const std::size_t k = w.rows();
   const std::size_t m = w.cols();
   for (std::size_t pc = 0; pc < k; pc += kKc8) {
     const std::size_t kc = std::min(kKc8, k - pc);
     const std::size_t steps = (kc + KStep - 1) / KStep;
     const std::size_t panel = steps * row;
-    for (std::size_t jb = 0; jb < panels; jb += block) {
-      const std::size_t jend = std::min(panels, jb + block);
+    // Panel row s of the 8-column half starting at column j.
+    auto half = [&](std::size_t j, std::size_t s) {
+      return dst + (j >> shift) * panel + s * row + (j & (nr - 1)) * KStep;
+    };
+    for (std::size_t jb = 0; jb < width; jb += block) {
+      const std::size_t jend = std::min(width, jb + block);
       for (std::size_t s = 0; s < steps; ++s) {
         const std::int8_t* rows[KStep];
         for (std::size_t t = 0; t < KStep; ++t) {
           const std::size_t p = s * KStep + t;
           rows[t] = p < kc ? w.row(pc + p).data() : zero;
         }
-        for (std::size_t jp = jb; jp < jend; jp += 2) {
-          const std::size_t j0 = jp * kNr8;
+        for (std::size_t j0 = jb; j0 < jend; j0 += 2 * kNr8) {
           std::int8_t edge[KStep][2 * kNr8];
-          std::int8_t sink[row];  // the panel past an odd last one
-          std::int8_t* first = dst + jp * panel + s * row;
-          std::int8_t* out[2] = {first, jp + 1 < jend ? first + panel : sink};
+          std::int8_t sink[KStep * kNr8];  // the half past an odd last panel
+          std::int8_t* out[2] = {
+              half(j0, s), j0 + kNr8 < width ? half(j0 + kNr8, s) : sink};
           const std::int8_t* r[KStep];
           for (std::size_t t = 0; t < KStep; ++t) {
             r[t] = rows[t] + j0;
@@ -613,9 +626,8 @@ __attribute__((target("avx2"))) inline void AddTile256(
 // copy.  The variants differ in the layout (KSTEP), the panel load (LOADW:
 // a 16-byte K-pair row sign-extended to int16, or a 32-byte K-quad row),
 // the multiply-accumulate (MACC: pmaddwd plus an add on AVX2, vpdpbusd on
-// AVX-VNNI and on AVX-512VL VNNI) and NP.  vpdpbusd accumulates in place,
-// so AVX-VNNI takes three panels, twelve independent chains in sixteen
-// registers, and AVX-512VL, with 32 ymm registers, takes four.  AVX2
+// AVX-VNNI) and NP.  vpdpbusd accumulates in place, so AVX-VNNI takes
+// three panels, twelve independent chains in sixteen registers.  AVX2
 // needs a product register per step and takes two.  A target attribute
 // cannot be a template argument, so one macro stamps out the body per ISA.
 #define LATTE_INT8_SWEEP256(NAME, ISA, NP, KSTEP, LOADW, MACC)              \
@@ -685,17 +697,77 @@ __attribute__((target("avx2,avxvnni"))) inline __m256i MaccAvxVnni(
   return _mm256_dpbusd_avx_epi32(acc, a, b);
 }
 
-__attribute__((target("avx2,avx512vl,avx512vnni"))) inline __m256i
-MaccAvx512Vnni(__m256i acc, __m256i a, __m256i b) {
-  return _mm256_dpbusd_epi32(acc, a, b);
-}
-
 LATTE_INT8_SWEEP256(SweepAvx2, "avx2", 2, 2, LoadPairsAvx2, MaccAvx2)
 LATTE_INT8_SWEEP256(SweepAvxVnni, "avx2,avxvnni", 3, 4, LoadQuads,
                     MaccAvxVnni)
-LATTE_INT8_SWEEP256(SweepAvx512Vnni, "avx2,avx512vl,avx512vnni", 4, 4,
-                    LoadQuads, MaccAvx512Vnni)
 #undef LATTE_INT8_SWEEP256
+
+// The 512-bit K-quad kernel: a 4 x 64 tile, four panels per step, each
+// panel 16 columns wide so one step of it is one 64-byte zmm load.  Its
+// sixteen zmm accumulators run as independent vpdpbusd chains, and each
+// activation step is broadcast from its one packed copy.  An 8 x 32 tile
+// timed within a few percent of it (ahead on 64- and 128-row products,
+// behind on ~50-row ones); the 4-row tile keeps the row tiles, and so the
+// activation steps, of the narrower kernels.  A full tile is added into
+// C a zmm at a time; a tile clipped by the row or column tail goes
+// through AddTile.
+constexpr std::size_t kNr512 = 16;
+constexpr std::size_t kNp512 = 4;
+
+__attribute__((target("avx512f,avx512vnni"))) void SweepAvx512Vnni(
+    std::size_t steps, const std::int32_t* xp, const std::int8_t* wp,
+    std::int32_t* c, std::size_t m, std::size_t mr) {
+  constexpr std::size_t width = kNp512 * kNr512;
+  constexpr std::size_t row = 4 * kNr512;
+  const std::size_t panel = steps * row;
+  for (std::size_t j0 = 0; j0 < m; j0 += width) {
+    const std::int8_t* w = wp + j0 / kNr512 * panel;
+    __m512i acc[kMr8][kNp512];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kMr8; ++i) {
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < kNp512; ++p) {
+        acc[i][p] = _mm512_setzero_si512();
+      }
+    }
+    for (std::size_t s = 0; s < steps; ++s) {
+      __m512i b[kNp512];
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < kNp512; ++p) {
+        b[p] = _mm512_loadu_si512(w + p * panel + s * row);
+      }
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kMr8; ++i) {
+        const __m512i a = _mm512_set1_epi32(xp[s * kMr8 + i]);
+#pragma GCC unroll 4
+        for (std::size_t p = 0; p < kNp512; ++p) {
+          acc[i][p] = _mm512_dpbusd_epi32(acc[i][p], a, b[p]);
+        }
+      }
+    }
+    if (mr == kMr8 && m - j0 >= width) {
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kMr8; ++i) {
+#pragma GCC unroll 4
+        for (std::size_t p = 0; p < kNp512; ++p) {
+          std::int32_t* ci = c + i * m + j0 + p * kNr512;
+          _mm512_storeu_si512(
+              ci, _mm512_add_epi32(_mm512_loadu_si512(ci), acc[i][p]));
+        }
+      }
+      continue;
+    }
+    alignas(64) std::int32_t tile[kMr8 * width];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kMr8; ++i) {
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < kNp512; ++p) {
+        _mm512_store_si512(tile + (i * kNp512 + p) * kNr512, acc[i][p]);
+      }
+    }
+    AddTile(tile, width, c + j0, m, mr, std::min(width, m - j0));
+  }
+}
 
 bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
@@ -709,7 +781,7 @@ bool HasAvxVnni() {
 }
 
 bool HasAvx512Vnni() {
-  return __builtin_cpu_supports("avx512vl") != 0 &&
+  return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512vnni") != 0;
 }
 
@@ -720,17 +792,18 @@ bool Always() { return true; }
 // Narrowest first; the dispatcher runs the last one the CPU supports.
 const Int8Variant kInt8Variants[] = {
 #if defined(__GNUC__) || defined(__clang__)
-    {"portable", 2, kLanes128, 1, Sweep128<MaddVector, WidenVector>, Always},
+    {"portable", 2, kLanes128, kNr8, 1, Sweep128<MaddVector, WidenVector>,
+     Always},
 #else
-    {"portable", 2, 1, 1, SweepScalar, Always},
+    {"portable", 2, 1, kNr8, 1, SweepScalar, Always},
 #endif
 #if defined(__SSE2__) && (defined(__GNUC__) || defined(__clang__))
-    {"sse2", 2, kLanes128, 1, Sweep128<MaddSse2, WidenSse2>, Always},
+    {"sse2", 2, kLanes128, kNr8, 1, Sweep128<MaddSse2, WidenSse2>, Always},
 #endif
 #if defined(LATTE_INT8_X86_DISPATCH)
-    {"avx2", 2, 1, 2, SweepAvx2, HasAvx2},
-    {"avxvnni", 4, 1, 3, SweepAvxVnni, HasAvxVnni},
-    {"avx512vnni", 4, 1, 4, SweepAvx512Vnni, HasAvx512Vnni},
+    {"avx2", 2, 1, kNr8, 2, SweepAvx2, HasAvx2},
+    {"avxvnni", 4, 1, kNr8, 3, SweepAvxVnni, HasAvxVnni},
+    {"avx512vnni", 4, 1, kNr512, kNp512, SweepAvx512Vnni, HasAvx512Vnni},
 #endif
 };
 
@@ -805,10 +878,10 @@ void PackWeights(const Int8Variant& v, const MatrixI8& w, std::int8_t* dst) {
   const std::size_t k = w.rows();
   const std::size_t m = w.cols();
   if (m == 0) return;
-  const std::size_t panels = PaddedPanels(m, v.panels);
+  const std::size_t panels = PaddedPanels(v, m);
   const std::vector<std::int8_t> zero(m, 0);  // rows past k
   if (v.kstep == 2) {
-    PackTiles<2>(w, panels, zero.data(), dst);
+    PackTiles<2>(w, v.nr, panels, zero.data(), dst);
     return;
   }
   // The column sums of W are the product of a row of ones with it, and
@@ -816,7 +889,7 @@ void PackWeights(const Int8Variant& v, const MatrixI8& w, std::int8_t* dst) {
   // bias still reads zero: code -127 is the byte 1 after the +128 offset.
   const std::size_t bias_bytes = BiasBytes(v, m);
   std::memset(dst, 0, bias_bytes);
-  PackTiles<4>(w, panels, zero.data(), dst + bias_bytes);
+  PackTiles<4>(w, v.nr, panels, zero.data(), dst + bias_bytes);
   GemmScratch scratch;
   MatrixI32 sums;
   RunPacked(v, MatrixI8(1, k, -127), m, dst, sums, scratch);

@@ -22,9 +22,10 @@
 // which multiplies unsigned by signed bytes four at a time: the activation
 // codes are offset by +128, and each output starts from -128 x its column
 // sum of W, stored with the pack.  The micro-kernel ISA is picked once, at
-// run time, from what the CPU supports: 256-bit AVX-512VL VNNI or AVX-VNNI
-// (K-quads, vpdpbusd), AVX2 (K-pairs, vpmaddwd plus add), SSE2 (pmaddwd),
-// or plain GNU vector arithmetic (a scalar loop on other compilers).
+// run time, from what the CPU supports: 512-bit AVX-512 VNNI on 16-column
+// K-quad panels or 256-bit AVX-VNNI on 8-column ones (vpdpbusd), AVX2
+// (K-pairs, vpmaddwd plus add), SSE2 (pmaddwd), or plain GNU vector
+// arithmetic (a scalar loop on other compilers).
 // Integer sums are exact up to k = kInt8GemmMaxK, so every variant gives
 // the same bits.  `KernelArchName()` names the dispatched int8 ISA, and
 // every bench's `host.kernel_arch` stamp records it.  A weight matrix that
@@ -178,12 +179,12 @@ void Int8GemmIntoIsa(std::string_view isa, const MatrixI8& x,
                      const MatrixI8& w, MatrixI32& out, GemmScratch& scratch);
 
 /// An int8 weight matrix W (k x m), packed once into the panel layout of
-/// one int8 micro-kernel variant: K-pairs or K-quads of int8, zero-padded
-/// to whole panel groups, plus the K-quad column bias.  It replaces the
-/// row-major codes, at about the same bytes (k x m, plus the padding and
-/// 4 m bytes of bias), and is read-only once built, so any number of
-/// threads may multiply by it at once.  The pack records its variant, and
-/// only that variant's sweep ever reads it.
+/// one int8 micro-kernel variant: K-pairs or K-quads of int8 in panels 8
+/// or 16 columns wide, zero-padded to whole panel groups, plus the K-quad
+/// column bias.  It replaces the row-major codes, at about the same bytes
+/// (k x m, plus the padding and 4 m bytes of bias), and is read-only once
+/// built, so any number of threads may multiply by it at once.  The pack
+/// records its variant, and only that variant's sweep ever reads it.
 class PackedInt8Weights {
  public:
   PackedInt8Weights() = default;  ///< 0 x 0

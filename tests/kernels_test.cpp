@@ -227,22 +227,32 @@ TEST(Int8GemmTest, ExactAtExtremeCodes) {
 }
 
 TEST(Int8GemmTest, ExactAcrossKTileBoundariesAndTails) {
-  // k either side of the 128-row K-tile (and of 256), odd and even; n
-  // covering 1..5 rows of a register tile plus a full tile and a tail; m
-  // below, at and across several 8-wide panels and 16-wide panel pairs.
+  // k % 4 tails, and k either side of 128 and of the 256-row K-tile;
+  // rows 1..9, 13 and 15..17 put every row-tile tail after zero to four
+  // full tiles; columns below, at and past the 8- and 16-wide panels and
+  // the 24-, 32- and 64-column groups.  Per call and on weights packed
+  // once, on every variant.
   Rng rng(1400);
   GemmScratch scratch;
-  for (std::size_t k : {1u, 2u, 127u, 128u, 129u, 255u, 256u, 257u}) {
-    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 13u}) {
-      for (std::size_t m : {1u, 7u, 9u, 15u, 16u, 17u, 24u, 33u}) {
+  for (std::size_t k : {1u, 2u, 3u, 7u, 127u, 128u, 129u, 254u, 255u, 256u,
+                        257u, 259u}) {
+    for (std::size_t m : {1u, 7u, 9u, 15u, 16u, 17u, 24u, 31u, 32u, 33u, 63u,
+                          64u, 65u, 127u, 129u}) {
+      const MatrixI8 w = RandomCodes(rng, k, m);
+      std::vector<PackedInt8Weights> packs;
+      for (const char* isa : Int8GemmIsas()) packs.emplace_back(isa, w);
+      for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u, 15u, 16u,
+                            17u}) {
         const MatrixI8 x = RandomCodes(rng, n, k);
-        const MatrixI8 w = RandomCodes(rng, k, m);
         const MatrixI32 want = RefInt8Gemm(x, w);
-        for (const char* isa : Int8GemmIsas()) {
+        for (const PackedInt8Weights& packed : packs) {
           MatrixI32 got;
-          Int8GemmIntoIsa(isa, x, w, got, scratch);
+          Int8GemmIntoIsa(packed.isa(), x, w, got, scratch);
           ASSERT_EQ(got, want)
-              << isa << " n=" << n << " k=" << k << " m=" << m;
+              << packed.isa() << " n=" << n << " k=" << k << " m=" << m;
+          Int8GemmInto(x, packed, got, scratch);
+          ASSERT_EQ(got, want) << packed.isa() << " pre-packed n=" << n
+                               << " k=" << k << " m=" << m;
         }
       }
     }
@@ -277,10 +287,10 @@ TEST(Int8GemmTest, PrePackedMatchesReferenceOnEveryVariant) {
 }
 
 TEST(Int8GemmTest, PackIsRunOnlyByTheVariantItWasMadeFor) {
-  // The layouts differ in K grouping (pairs or quads) and in panel-group
-  // padding, so a pack read by any other variant's sweep gives wrong
-  // numbers on this shape.  Each pack keeps its variant, through copies
-  // and whatever the dispatcher picks, and multiplies exactly.
+  // The layouts differ in K grouping (pairs or quads), panel width and
+  // panel-group padding, so a pack read by any other variant's sweep gives
+  // wrong numbers on this shape.  Each pack keeps its variant, through
+  // copies and whatever the dispatcher picks, and multiplies exactly.
   Rng rng(1700);
   const MatrixI8 w = RandomCodes(rng, 7, 9);
   const MatrixI8 x = RandomCodes(rng, 5, 7);
