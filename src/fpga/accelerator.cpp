@@ -1,9 +1,12 @@
 #include "fpga/accelerator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 namespace latte {
 namespace {
@@ -55,9 +58,17 @@ auto Schedule(const std::vector<StageTimingModel>& stages, std::size_t layers,
   sim_cfg.layers = layers;
   // The stage partition and DSP split are fixed at synthesis time for the
   // expected processed length: the per-task average for the length-aware
-  // design, the fixed padded length for the baseline.
-  return simulate(eff, SizeStages(stages, cfg.spec, MeanLength(eff)),
-                  sim_cfg);
+  // design, the fixed padded length for the baseline.  The stages are
+  // sized in a copy on the stack, so a price allocates nothing for them.
+  if (stages.size() > kMaxStages) {
+    throw std::invalid_argument("accelerator model: more than " +
+                                std::to_string(kMaxStages) + " stages");
+  }
+  std::array<StageTimingModel, kMaxStages> storage;
+  const std::span<StageTimingModel> sized(storage.data(), stages.size());
+  std::copy(stages.begin(), stages.end(), sized.begin());
+  SizeStages(sized, cfg.spec, MeanLength(eff));
+  return simulate(eff, std::span<const StageTimingModel>(sized), sim_cfg);
 }
 
 }  // namespace

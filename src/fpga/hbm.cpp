@@ -11,10 +11,15 @@ double HbmChannelBandwidth(const FpgaSpec& spec) {
   return spec.SustainedHbm() / static_cast<double>(spec.hbm_channels);
 }
 
-std::vector<std::size_t> ApportionChannels(
-    const FpgaSpec& spec, std::span<const double> demand_bytes) {
+void ApportionChannels(const FpgaSpec& spec,
+                       std::span<const double> demand_bytes,
+                       std::span<std::size_t> out) {
+  if (out.size() != demand_bytes.size()) {
+    throw std::invalid_argument(
+        "ApportionChannels: output and demand sizes differ");
+  }
   const std::size_t total = spec.hbm_channels;
-  std::vector<std::size_t> out(demand_bytes.size(), 0);
+  std::fill(out.begin(), out.end(), std::size_t{0});
 
   double demand_sum = 0;
   std::size_t active = 0;
@@ -27,36 +32,45 @@ std::vector<std::size_t> ApportionChannels(
       demand_sum += d;
     }
   }
-  if (active == 0) return out;
+  if (active == 0) return;
   if (active > total) {
     throw std::invalid_argument(
         "ApportionChannels: more active streams than channels");
   }
 
-  // Floor of the proportional share, at least 1 per active stream.
-  std::vector<double> remainder(demand_bytes.size(), 0.0);
+  // Stream i's exact proportional share, and its floor of at least 1.
+  auto exact = [&](std::size_t i) {
+    return static_cast<double>(total) * demand_bytes[i] / demand_sum;
+  };
+  auto floor_share = [](double e) {
+    return std::max<std::size_t>(1, static_cast<std::size_t>(e));
+  };
   std::size_t assigned = 0;
   for (std::size_t i = 0; i < demand_bytes.size(); ++i) {
     if (demand_bytes[i] <= 0) continue;
-    const double exact =
-        static_cast<double>(total) * demand_bytes[i] / demand_sum;
-    out[i] = std::max<std::size_t>(1, static_cast<std::size_t>(exact));
-    remainder[i] = exact - std::floor(exact);
+    out[i] = floor_share(exact(i));
     assigned += out[i];
   }
+  // The fraction stream i's floor dropped, recomputed rather than stored;
+  // -1 once the stream has taken its extra channel (or moves no data).
+  auto remainder = [&](std::size_t i) {
+    if (!(demand_bytes[i] > 0)) return -1.0;
+    const double e = exact(i);
+    return out[i] == floor_share(e) ? e - std::floor(e) : -1.0;
+  };
   // Hand out any remaining channels by largest remainder; claw back from
   // the smallest remainders if the at-least-one rule over-assigned.
   while (assigned < total) {
     std::size_t best = 0;
     double best_r = -1;
     for (std::size_t i = 0; i < out.size(); ++i) {
-      if (demand_bytes[i] > 0 && remainder[i] > best_r) {
-        best_r = remainder[i];
+      const double r = remainder(i);
+      if (r > best_r) {
+        best_r = r;
         best = i;
       }
     }
     ++out[best];
-    remainder[best] = -1;  // consumed
     ++assigned;
   }
   while (assigned > total) {
@@ -73,7 +87,6 @@ std::vector<std::size_t> ApportionChannels(
     --out[victim];
     --assigned;
   }
-  return out;
 }
 
 double StreamBandwidth(const FpgaSpec& spec, std::size_t channels) {

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "fpga/resources.hpp"
 
@@ -23,11 +22,15 @@ namespace latte {
 double HbmChannelBandwidth(const FpgaSpec& spec);
 
 /// Splits `spec.hbm_channels` whole channels across streams proportionally
-/// to `demand_bytes` (largest-remainder apportionment).  Streams with zero
-/// demand get zero channels; every stream with positive demand gets at
-/// least one.  Throws if positive-demand streams outnumber channels.
-std::vector<std::size_t> ApportionChannels(const FpgaSpec& spec,
-                                           std::span<const double> demand_bytes);
+/// to `demand_bytes` (largest-remainder apportionment), writing stream i's
+/// channels to out[i]; it allocates nothing, so a batch price can call it.
+/// Streams with zero demand get zero channels; every stream with positive
+/// demand gets at least one.  Throws if positive-demand streams outnumber
+/// channels, on a negative demand, and if `out` and `demand_bytes` differ
+/// in size.
+void ApportionChannels(const FpgaSpec& spec,
+                       std::span<const double> demand_bytes,
+                       std::span<std::size_t> out);
 
 /// Sustainable bandwidth of a stream holding `channels` channels.
 double StreamBandwidth(const FpgaSpec& spec, std::size_t channels);

@@ -54,7 +54,7 @@ namespace {
 // makespan; `res`, when given, also receives every job and each stage's
 // busy seconds.
 double RunPipeline(const std::vector<std::size_t>& lengths,
-                   const std::vector<StageTimingModel>& stages,
+                   std::span<const StageTimingModel> stages,
                    const PipelineSimConfig& cfg, ScheduleResult* res) {
   if (stages.empty()) {
     throw std::invalid_argument("SimulatePipeline: no stages");
@@ -128,7 +128,7 @@ double RunPipeline(const std::vector<std::size_t>& lengths,
 }  // namespace
 
 ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
-                                const std::vector<StageTimingModel>& stages,
+                                std::span<const StageTimingModel> stages,
                                 const PipelineSimConfig& cfg) {
   ScheduleResult res;
   res.makespan = RunPipeline(lengths, stages, cfg, &res);
@@ -136,7 +136,7 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
 }
 
 double PipelineMakespan(const std::vector<std::size_t>& lengths,
-                        const std::vector<StageTimingModel>& stages,
+                        std::span<const StageTimingModel> stages,
                         const PipelineSimConfig& cfg) {
   return RunPipeline(lengths, stages, cfg, nullptr);
 }

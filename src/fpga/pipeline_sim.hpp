@@ -30,6 +30,7 @@
 // job -- the bubble-free property Fig 5 illustrates.  The simulator makes no
 // such assumption; it simply reports the bubbles that a given order incurs.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,7 @@ struct ScheduleResult {
 /// Throws std::invalid_argument naming the stage if any stage time is NaN,
 /// infinite or negative.
 ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
-                                const std::vector<StageTimingModel>& stages,
+                                std::span<const StageTimingModel> stages,
                                 const PipelineSimConfig& cfg);
 
 /// The same recurrence as SimulatePipeline, run without recording jobs or
@@ -88,7 +89,7 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
 /// throws the same errors.  This is the price of a batch; the figures, the
 /// Gantt chart and fpga/trace read the job list instead.
 double PipelineMakespan(const std::vector<std::size_t>& lengths,
-                        const std::vector<StageTimingModel>& stages,
+                        std::span<const StageTimingModel> stages,
                         const PipelineSimConfig& cfg);
 
 /// Renders a schedule as an ASCII Gantt chart (one row per stage), the

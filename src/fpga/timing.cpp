@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 #include "fpga/hbm.hpp"
 
@@ -38,22 +39,28 @@ std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops) {
   return models;
 }
 
-std::vector<StageTimingModel> SizeStages(std::vector<StageTimingModel> models,
-                                         const FpgaSpec& spec, double s_avg) {
+void SizeStages(std::span<StageTimingModel> models, const FpgaSpec& spec,
+                double s_avg) {
   if (s_avg <= 0) {
     throw std::invalid_argument("SizeStages: s_avg must be positive");
+  }
+  if (models.size() > kMaxStages) {
+    throw std::invalid_argument("SizeStages: more than " +
+                                std::to_string(kMaxStages) + " stages");
   }
   // HBM pseudo-channels are bound to stages as whole units at design time,
   // by traffic at s_avg.
   double total_flops = 0, total_lut = 0;
-  std::vector<double> demand;
-  demand.reserve(models.size());
-  for (const auto& m : models) {
+  std::array<double, kMaxStages> demand{};
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    const auto& m = models[k];
     total_flops += m.flops.Eval(s_avg);
     total_lut += m.lut_ops.Eval(s_avg);
-    demand.push_back(m.offchip_bytes.Eval(s_avg));
+    demand[k] = m.offchip_bytes.Eval(s_avg);
   }
-  const auto channels = ApportionChannels(spec, demand);
+  std::array<std::size_t, kMaxStages> channels{};
+  ApportionChannels(spec, std::span(demand).first(models.size()),
+                    std::span(channels).first(models.size()));
 
   for (std::size_t k = 0; k < models.size(); ++k) {
     auto& m = models[k];
@@ -68,12 +75,13 @@ std::vector<StageTimingModel> SizeStages(std::vector<StageTimingModel> models,
     m.lut_lanes = std::max(1.0, (spec.lut / 4.0) * lshare);
     m.hbm_bytes_per_s = std::max(1.0, StreamBandwidth(spec, channels[k]));
   }
-  return models;
 }
 
 std::vector<StageTimingModel> BuildStageTimings(
     const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg) {
-  return SizeStages(PartitionStages(ops), spec, s_avg);
+  std::vector<StageTimingModel> models = PartitionStages(ops);
+  SizeStages(models, spec, s_avg);
+  return models;
 }
 
 }  // namespace latte

@@ -16,6 +16,8 @@
 // The datapath is 8-bit fixed point: one byte per element, so an
 // operator's off-chip traffic in elements is its traffic in bytes.
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "fpga/resources.hpp"
@@ -37,6 +39,9 @@ struct StageTimingModel {
   double Seconds(double n) const;
 };
 
+/// Most stages a partition holds: Fig 2(a)'s three.
+inline constexpr std::size_t kMaxStages = 3;
+
 /// Partitions an operator list (`EncoderOps`, or a subset of it) into
 /// unsized stage timing models: operators join the stage their stage_hint
 /// (1..3) names -- the Fig 2(a) partition -- and each stage's cost
@@ -46,16 +51,18 @@ struct StageTimingModel {
 std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops);
 
 /// Grants partitioned stages their share of `spec` at the expected length
-/// `s_avg`: DSPs are split across stages proportionally to FLOPs at
-/// `s_avg`, LUT lanes proportionally to LUT work, HBM channels
+/// `s_avg`, in place: DSPs are split across stages proportionally to FLOPs
+/// at `s_avg`, LUT lanes proportionally to LUT work, HBM channels
 /// proportionally to traffic.  Only the resource fields change; the
-/// polynomials are kept.  Throws std::invalid_argument for s_avg <= 0.
-std::vector<StageTimingModel> SizeStages(std::vector<StageTimingModel> stages,
-                                         const FpgaSpec& spec, double s_avg);
+/// polynomials are kept.  It allocates nothing (a batch price sizes a
+/// stack copy of its stages).  Throws std::invalid_argument for
+/// s_avg <= 0 or more than kMaxStages stages.
+void SizeStages(std::span<StageTimingModel> stages, const FpgaSpec& spec,
+                double s_avg);
 
-/// SizeStages(PartitionStages(ops), spec, s_avg).  A caller that sizes the
-/// same operator list at many lengths partitions it once and sizes per
-/// length; the result is the same bit for bit.
+/// PartitionStages(ops), sized by SizeStages at s_avg.  A caller that
+/// sizes the same operator list at many lengths partitions it once and
+/// sizes per length; the result is the same bit for bit.
 std::vector<StageTimingModel> BuildStageTimings(
     const std::vector<OpSpec>& ops, const FpgaSpec& spec, double s_avg);
 

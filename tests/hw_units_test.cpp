@@ -18,7 +18,8 @@ namespace {
 TEST(HbmTest, ChannelsSumToAvailable) {
   const auto spec = AlveoU280Slr0();
   const std::vector<double> demand = {1.0, 2.0, 3.0};
-  const auto ch = ApportionChannels(spec, demand);
+  std::vector<std::size_t> ch(demand.size());
+  ApportionChannels(spec, demand, ch);
   std::size_t sum = 0;
   for (auto c : ch) sum += c;
   EXPECT_EQ(sum, spec.hbm_channels);
@@ -27,7 +28,8 @@ TEST(HbmTest, ChannelsSumToAvailable) {
 TEST(HbmTest, ProportionalToDemand) {
   const auto spec = AlveoU280Slr0();  // 32 channels
   const std::vector<double> demand = {1.0, 3.0};
-  const auto ch = ApportionChannels(spec, demand);
+  std::vector<std::size_t> ch(demand.size());
+  ApportionChannels(spec, demand, ch);
   EXPECT_EQ(ch[0], 8u);
   EXPECT_EQ(ch[1], 24u);
 }
@@ -35,7 +37,8 @@ TEST(HbmTest, ProportionalToDemand) {
 TEST(HbmTest, ZeroDemandGetsNothingTinyDemandGetsOne) {
   const auto spec = AlveoU280Slr0();
   const std::vector<double> demand = {0.0, 1e-9, 1.0};
-  const auto ch = ApportionChannels(spec, demand);
+  std::vector<std::size_t> ch(demand.size());
+  ApportionChannels(spec, demand, ch);
   EXPECT_EQ(ch[0], 0u);
   EXPECT_GE(ch[1], 1u);
   EXPECT_GE(ch[2], 1u);
@@ -43,10 +46,14 @@ TEST(HbmTest, ZeroDemandGetsNothingTinyDemandGetsOne) {
 
 TEST(HbmTest, RejectsNegativeAndOversubscription) {
   const auto spec = AlveoU280Slr0();
-  EXPECT_THROW(ApportionChannels(spec, std::vector<double>{-1.0}),
+  std::vector<std::size_t> one(1);
+  EXPECT_THROW(ApportionChannels(spec, std::vector<double>{-1.0}, one),
                std::invalid_argument);
   std::vector<double> too_many(spec.hbm_channels + 1, 1.0);
-  EXPECT_THROW(ApportionChannels(spec, too_many), std::invalid_argument);
+  std::vector<std::size_t> out(too_many.size());
+  EXPECT_THROW(ApportionChannels(spec, too_many, out), std::invalid_argument);
+  EXPECT_THROW(ApportionChannels(spec, std::vector<double>{1.0, 2.0}, one),
+               std::invalid_argument);
 }
 
 TEST(HbmTest, StreamBandwidthScalesWithChannels) {
