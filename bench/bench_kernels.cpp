@@ -20,13 +20,17 @@
 // The GELU cell times GeluInPlace against the per-element std::tanh
 // formula it replaced on one FFN1 activation (53 x 3072) and records its
 // max abs error against a double-precision GELU (the gate holds it to
-// 1e-6).
+// 1e-6).  It and the quantize cell (QuantizeInto at 8 bits on FFN2's input
+// at MRPC and SQuAD lengths, 53 and 175 x 3072) also time every
+// elementwise body this host runs (ElementwiseIsas) as info, and fail the
+// run unless each gives the portable body's bits.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -426,13 +430,42 @@ double GeluDouble(double x) {
   return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
 }
 
+bool SameBits(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// One elementwise body's time on a cell, and whether its output has the
+// portable body's bits.
+struct BodyResult {
+  std::string isa;
+  double us = 0;
+  bool bit_exact = false;
+};
+
 struct GeluResult {
   std::size_t rows = 0, cols = 0;
   double reference_us = 0;
   double vector_us = 0;
   double speedup = 0;
   double max_abs_err = 0;  // vs GeluDouble, timed matrix + [-12, 12] sweep
+  std::vector<BodyResult> isas;
 };
+
+// Best of 16 timed runs of `run`, each after an untimed `reset`.
+template <typename Reset, typename Run>
+double BestSeconds(Reset&& reset, Run&& run) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 16; ++round) {
+    reset();
+    const auto t0 = Clock::now();
+    run();
+    best = std::min(best,
+                    std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  return best;
+}
 
 GeluResult BenchGelu(std::size_t rows, std::size_t cols, Rng& rng) {
   const MatrixF x = rng.NormalMatrix(rows, cols, 0.0, 1.0);
@@ -481,7 +514,63 @@ GeluResult BenchGelu(std::size_t rows, std::size_t cols, Rng& rng) {
   const MatrixF sweep_x = sweep;
   GeluInPlace(sweep);
   record_error(sweep_x, sweep);
+
+  MatrixF portable = x;
+  GeluInPlace(portable, ElementwiseIsa::kPortable);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixF y;
+    auto reset = [&] { y = x; };
+    auto run = [&] {
+      GeluInPlace(y, isa);
+      g_sink = g_sink + y(0, 0);
+    };
+    const double s = BestSeconds(reset, run);
+    r.isas.push_back({ElementwiseIsaName(isa), s * 1e6, SameBits(y, portable)});
+  }
   return r;
+}
+
+// QuantizeInto at 8 bits on a rows x cols activation (FFN2's input), per
+// elementwise body.
+struct QuantizeResult {
+  std::string label;
+  std::size_t rows = 0, cols = 0;
+  std::vector<BodyResult> isas;
+};
+
+QuantizeResult BenchQuantize(const std::string& label, std::size_t rows,
+                             std::size_t cols, Rng& rng) {
+  const MatrixF x = rng.NormalMatrix(rows, cols, 0.0, 1.0);
+  MatrixI8 portable;
+  const float portable_scale =
+      QuantizeInto(x, 8, portable, ElementwiseIsa::kPortable);
+  QuantizeResult r{label, rows, cols, {}};
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixI8 codes;
+    float scale = 0;
+    auto run = [&] {
+      scale = QuantizeInto(x, 8, codes, isa);
+      g_sink = g_sink + scale;
+    };
+    const double s = BestSeconds([] {}, run);
+    r.isas.push_back({ElementwiseIsaName(isa), s * 1e6,
+                      codes == portable && scale == portable_scale});
+  }
+  return r;
+}
+
+void WriteBodies(obs::JsonWriter& json, const char* key,
+                 const std::vector<BodyResult>& isas) {
+  json.Key(key);
+  json.BeginArray();
+  for (const auto& b : isas) {
+    json.BeginObject();
+    json.Key("isa").Value(b.isa);
+    json.Key("us").Value(b.us);
+    json.Key("bit_exact").Value(b.bit_exact);
+    json.EndObject();
+  }
+  json.EndArray();
 }
 
 }  // namespace
@@ -586,12 +675,41 @@ int main(int argc, char** argv) {
 
   // GELU on the FFN1 output of one MRPC-length sequence (53 x 3072).
   const GeluResult gelu = BenchGelu(53, 3072, rng);
-  std::printf("\n== GELU us, GeluInPlace (4-lane x / (1 + exp(-2u))) vs "
-              "std::tanh ==\n");
+  const char* elementwise = ElementwiseIsaName(DispatchedElementwiseIsa());
+  std::printf("\n== GELU us, GeluInPlace (x / (1 + exp(-2u)), %s body) vs "
+              "std::tanh ==\n",
+              elementwise);
   std::printf("  %4zux%4zu  reference %8.1f  vector %7.1f  %5.2fx  "
               "max abs err %.2g\n",
               gelu.rows, gelu.cols, gelu.reference_us, gelu.vector_us,
               gelu.speedup, gelu.max_abs_err);
+  bool elementwise_exact = true;
+  for (const auto& b : gelu.isas) {
+    std::printf("  %9s  %-10s  %7.1f us%s\n", "", b.isa.c_str(), b.us,
+                b.bit_exact ? "" : "  BIT MISMATCH");
+    elementwise_exact = elementwise_exact && b.bit_exact;
+  }
+
+  // Quantizing FFN2's input at MRPC and SQuAD lengths, per body.
+  std::vector<QuantizeResult> quantize;
+  quantize.push_back(BenchQuantize("ffn2_in_seq53", 53, 3072, rng));
+  quantize.push_back(BenchQuantize("ffn2_in_seq175", 175, 3072, rng));
+  std::printf("\n== quantize us, QuantizeInto 8-bit, per elementwise body "
+              "(%s runs) ==\n",
+              elementwise);
+  for (const auto& r : quantize) {
+    for (const auto& b : r.isas) {
+      std::printf("  %-18s %4zux%4zu  %-10s  %7.1f us%s\n", r.label.c_str(),
+                  r.rows, r.cols, b.isa.c_str(), b.us,
+                  b.bit_exact ? "" : "  BIT MISMATCH");
+      elementwise_exact = elementwise_exact && b.bit_exact;
+    }
+  }
+  if (!elementwise_exact) {
+    std::fprintf(stderr, "bench_kernels: an elementwise body differs from "
+                         "the portable one\n");
+    return 1;
+  }
 
   obs::JsonWriter json;
   json.BeginObject();
@@ -599,6 +717,7 @@ int main(int argc, char** argv) {
   json.Key("schema_version").Value(std::size_t{1});
   StampHost(json);
   json.Key("arch").Value(KernelArchName());
+  json.Key("elementwise_arch").Value(elementwise);
   json.Key("single_thread").Value(true);
   json.Key("shapes");
   json.BeginArray();
@@ -667,6 +786,18 @@ int main(int argc, char** argv) {
   json.Key("atsel_min_speedup").Value(atsel_min_speedup);
   json.Key("gelu_speedup").Value(gelu.speedup);
   json.Key("gelu_max_abs_err").Value(gelu.max_abs_err);
+  WriteBodies(json, "gelu_isas", gelu.isas);
+  json.Key("quantize_shapes");
+  json.BeginArray();
+  for (const auto& r : quantize) {
+    json.BeginObject();
+    json.Key("label").Value(r.label);
+    json.Key("rows").Value(r.rows);
+    json.Key("cols").Value(r.cols);
+    WriteBodies(json, "isas", r.isas);
+    json.EndObject();
+  }
+  json.EndArray();
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

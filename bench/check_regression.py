@@ -249,11 +249,25 @@ BENCHES = [
         # GELU is the one float op that is not libm-exact: its declared
         # error bound against a double-precision GELU.
         ("gelu_max_abs_err", le(1e-6)),
+        # Every elementwise body the host runs (GELU, quantize) must give
+        # the portable body's bits.
+        ("elementwise_arch", STR),
+        ("gelu_isas", length(1)),
+        ("gelu_isas[].isa", STR),
+        ("gelu_isas[].us", NUM),
+        ("gelu_isas[].bit_exact", TRUE),
+        ("quantize_shapes", length(2)),
+        ("quantize_shapes[].label", STR),
+        ("quantize_shapes[].isas", length(1)),
+        ("quantize_shapes[].isas[].isa", STR),
+        ("quantize_shapes[].isas[].us", NUM),
+        ("quantize_shapes[].isas[].bit_exact", TRUE),
     ], rows=[
         # The int8 kernel ISA is picked at run time, so a baseline recorded
         # on another host may name another one: shown next to the ratios
         # it explains, not gated.
         ("info", ("kernel_arch", "host.kernel_arch")),
+        ("info", ("elementwise_arch", "elementwise_arch")),
         ("higher", "min_speedup", "geomean_speedup", "int8_min_speedup",
          "atsel_min_speedup", "gelu_speedup"),
         # Packing one BERT-base layer's int8 weights at load: host time.

@@ -129,6 +129,19 @@ class CheckRegressionTest(unittest.TestCase):
                              ".gelu_max_abs_err", "<= 1e-06")
         self.assertFailRow(result, "kernels", "gelu_speedup")
 
+    def test_elementwise_body_mismatch_fails(self):
+        def edit(doc):
+            doc["gelu_isas"][0]["bit_exact"] = False
+            doc["quantize_shapes"][1]["isas"][0]["bit_exact"] = False
+
+        self.mutate("BENCH_kernels.json", edit)
+        result = self.gate()
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".gelu_isas[0].bit_exact", "== true")
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".quantize_shapes[1].isas[0].bit_exact",
+                             "== true")
+
     def test_kernel_isa_stamp_is_reported_not_gated(self):
         self.mutate("BENCH_kernels.json",
                     lambda d: d["host"].update(kernel_arch="avx512vnni"))

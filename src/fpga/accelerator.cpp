@@ -45,8 +45,11 @@ auto Schedule(const std::vector<StageTimingModel>& stages, std::size_t layers,
   // The lengths the hardware computes on: the length-aware design runs
   // every sequence unpadded, sorted by decreasing length unless the caller
   // keeps its own order; the baseline pads every sequence to the batch
-  // maximum and at least baseline_pad_to.
-  std::vector<std::size_t> eff(lengths);
+  // maximum and at least baseline_pad_to.  They go to a buffer each
+  // thread reuses, so a price allocates nothing for them once its thread
+  // has priced a batch this large.
+  thread_local std::vector<std::size_t> eff;
+  eff.assign(lengths.begin(), lengths.end());
   if (cfg.mode == FpgaMode::kLengthAware) {
     if (cfg.sort_batch) std::sort(eff.begin(), eff.end(), std::greater<>());
   } else {

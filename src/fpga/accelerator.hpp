@@ -66,7 +66,8 @@ class AcceleratorPricer {
   AcceleratorPricer(const ModelConfig& model, const AcceleratorConfig& cfg);
 
   /// Batch latency in seconds.  Throws std::invalid_argument on an empty
-  /// batch.
+  /// batch.  Allocates nothing once the calling thread has priced a batch
+  /// this large (the lengths and the recurrence use per-thread buffers).
   double Makespan(const std::vector<std::size_t>& lengths) const;
 
  private:

@@ -73,7 +73,10 @@ double RunPipeline(const std::vector<std::size_t>& lengths,
   //   buffer_drained[s]  without double buffers: finish time of the
   //                      *consumer* of the previous item that went through
   //                      stage s (the buffer drains when stage s+1 ends).
-  std::vector<double> state(B * S + B + 2 * S, 0.0);
+  // Each thread reuses its buffer, so a call allocates nothing once its
+  // thread has run a batch this large.
+  thread_local std::vector<double> state;
+  state.assign(B * S + B + 2 * S, 0.0);
   double* const dur = state.data();
   double* const layer_done = dur + B * S;
   double* const stage_free = layer_done + B;

@@ -87,7 +87,9 @@ ScheduleResult SimulatePipeline(const std::vector<std::size_t>& lengths,
 /// The same recurrence as SimulatePipeline, run without recording jobs or
 /// stage busy time: returns SimulatePipeline(...).makespan bit for bit and
 /// throws the same errors.  This is the price of a batch; the figures, the
-/// Gantt chart and fpga/trace read the job list instead.
+/// Gantt chart and fpga/trace read the job list instead.  It keeps its
+/// state in a per-thread buffer: no allocation once the calling thread has
+/// run a batch this large.
 double PipelineMakespan(const std::vector<std::size_t>& lengths,
                         std::span<const StageTimingModel> stages,
                         const PipelineSimConfig& cfg);

@@ -1,10 +1,11 @@
 #include "nn/ops.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+
+#include "tensor/lanes.hpp"
 
 namespace latte {
 
@@ -27,27 +28,9 @@ void SoftmaxRowsInPlace(MatrixF& m) {
 
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-// Four GELU lanes per call on GNU vector extensions, on the baseline ISA
-// (SSE2 on x86-64, NEON on AArch64), like the float GEMM's micro-kernel.
-using V4 = float __attribute__((vector_size(16)));
-using V4i = std::int32_t __attribute__((vector_size(16)));
-
-inline V4i Mask(V4i m) { return m; }  // a vector compare is already -1 / 0
-#endif
-
-inline std::int32_t Mask(bool b) { return -static_cast<std::int32_t>(b); }
-
-// The int32 lane type matching F (what a compare of two F yields).
-template <class F>
-using Int = decltype(Mask(F{} < F{}));
-
-// m ? a : b lane by lane, for an all-ones / all-zeros mask m.
-template <class F>
-F Select(Int<F> m, F a, F b) {
-  return std::bit_cast<F>((m & std::bit_cast<Int<F>>(a)) |
-                          (~m & std::bit_cast<Int<F>>(b)));
-}
+using lanes::Int;
+using lanes::Mask;
+using lanes::Select;
 
 // exp(t) for t in [-87, 87], without libm.  Cody-Waite: t = n ln2 + r with
 // n = round(t / ln2), |r| <= ln2 / 2, and ln2 split so that n * kLn2Hi is
@@ -55,7 +38,7 @@ F Select(Int<F> m, F a, F b) {
 // at Chebyshev nodes on [-0.35, 0.35] (relative error 1.1e-8, below half
 // a float ulp).  2^n is built from exponent bits: |n| <= 126 is a normal.
 template <class F>
-F ExpLanes(F t) {
+LATTE_LANES_INLINE F ExpLanes(F t) {
   // Adding 1.5 * 2^23 rounds t / ln2 to the nearest integer n, which then
   // sits in the low mantissa bits: no float-to-int conversion is needed.
   constexpr float kRound = 12582912.f;
@@ -71,17 +54,17 @@ F ExpLanes(F t) {
   p = p * r + 1.66665733e-1f;
   p = p * r + 0.5f;
   const F er = p * (r * r) + r + 1.f;
-  const Int<F> pow2 = (std::bit_cast<Int<F>>(kn) - kRoundBits + 127) << 23;
-  return er * std::bit_cast<F>(pow2);
+  const Int<F> pow2 = (lanes::BitCast<Int<F>>(kn) - kRoundBits + 127) << 23;
+  return er * lanes::BitCast<F>(pow2);
 }
 
 // GELU(x) = x / (1 + exp(-2u)), u = sqrt(2/pi) (x + 0.044715 x^3), on one
-// float or four vector lanes.  For t = -2u > 87 the exact result is below
+// float or a vector of lanes.  For t = -2u > 87 the exact result is below
 // 2e-37 in magnitude, so it is returned as -0: that also gives
 // GELU(-inf) = -0 where x / (1 + exp(87)) would be -inf.  A NaN t fails
 // every compare, so the clamps send it to 87 and x = NaN divides through.
 template <class F>
-F GeluLanes(F x) {
+LATTE_LANES_INLINE F GeluLanes(F x) {
   constexpr float kMinus2C = -1.59576912f;  // -2 sqrt(2/pi)
   const F t = (x + 0.044715f * x * x * x) * kMinus2C;
   const Int<F> underflow = Mask(t > 87.f);
@@ -90,36 +73,47 @@ F GeluLanes(F x) {
   return Select(underflow, -F{}, x / (1.f + ExpLanes(tc)));
 }
 
+// GELU over n floats at p in vectors of F; the tail runs on zero-padded
+// lanes.
+template <class F>
+LATTE_LANES_INLINE void GeluSpan(float* p, std::size_t n) {
+  constexpr std::size_t kL = lanes::kLanes<F>;
+  std::size_t i = 0;
+  for (; i + kL <= n; i += kL) {
+    lanes::Store(p + i, GeluLanes(lanes::Load<F>(p + i)));
+  }
+  if (i < n) {
+    lanes::Store(p + i, GeluLanes(lanes::Load<F>(p + i, n - i)), n - i);
+  }
+}
+
+#if defined(LATTE_X86_DISPATCH)
+__attribute__((target("avx512f"))) void GeluSpanAvx512(float* p,
+                                                       std::size_t n) {
+  GeluSpan<lanes::V16>(p, n);
+}
+#endif
+
 }  // namespace
 
 float Gelu(float x) {
-#if defined(__GNUC__) || defined(__clang__)
-  return GeluLanes(V4{x, x, x, x})[0];  // the bulk body, on a splat
+#if defined(LATTE_LANES_VECTOR)
+  return GeluLanes(lanes::V4{x, x, x, x})[0];  // the bulk body, on a splat
 #else
   return GeluLanes(x);
 #endif
 }
 
-void GeluInPlace(MatrixF& m) {
+void GeluInPlace(MatrixF& m, ElementwiseIsa isa) {
+  CheckElementwiseIsa(isa, "GeluInPlace");
   const std::span<float> v = m.flat();
-#if defined(__GNUC__) || defined(__clang__)
-  std::size_t i = 0;
-  for (; i + 4 <= v.size(); i += 4) {
-    V4 x;
-    __builtin_memcpy(&x, v.data() + i, sizeof(x));
-    x = GeluLanes(x);
-    __builtin_memcpy(v.data() + i, &x, sizeof(x));
+#if defined(LATTE_X86_DISPATCH)
+  if (isa == ElementwiseIsa::kAvx512f) {
+    GeluSpanAvx512(v.data(), v.size());
+    return;
   }
-  if (i < v.size()) {  // the 1-3 element tail, on zero-padded lanes
-    const std::size_t bytes = (v.size() - i) * sizeof(float);
-    V4 x{};
-    __builtin_memcpy(&x, v.data() + i, bytes);
-    x = GeluLanes(x);
-    __builtin_memcpy(v.data() + i, &x, bytes);
-  }
-#else
-  for (float& x : v) x = GeluLanes(x);
 #endif
+  GeluSpan<lanes::Portable>(v.data(), v.size());
 }
 
 void LayerNormInPlace(MatrixF& m, std::span<const float> gamma,

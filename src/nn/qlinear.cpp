@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
-#include "tensor/matmul.hpp"
 
 namespace latte {
 
@@ -46,15 +45,7 @@ void QuantizedLinear::ForwardInto(const MatrixI8& xcodes, float xscale,
   MatrixI32& acc = scratch.acc;
   Int8GemmInto(xcodes, weight, acc, scratch);
 
-  out.Resize(xcodes.rows(), out_features());
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    auto ai = acc.row(i);
-    auto yi = out.row(i);
-    for (std::size_t j = 0; j < yi.size(); ++j) {
-      yi[j] = static_cast<float>(ai[j]) * out_scale;
-    }
-  }
-  if (!bias.empty()) AddBiasInPlace(out, bias);
+  DequantizeInto(acc, out_scale, bias, out);
 }
 
 QuantizedEncoderWeights QuantizedEncoderWeights::FromFloat(

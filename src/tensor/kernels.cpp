@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "tensor/lanes.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -596,9 +598,7 @@ void SweepScalar(std::size_t steps, const std::int32_t* xp,
 
 #endif
 
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define LATTE_INT8_X86_DISPATCH 1
+#if defined(LATTE_X86_DISPATCH)
 
 // Write-back of a 256-bit kernel's kMr8 x (np * kNr8) tile.  Every
 // 256-bit ISA below implies AVX2, so each kernel inlines it.
@@ -769,6 +769,8 @@ __attribute__((target("avx512f,avx512vnni"))) void SweepAvx512Vnni(
   }
 }
 
+bool HasAvx512f() { return __builtin_cpu_supports("avx512f") != 0; }
+
 bool HasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 // AVX-VNNI is CPUID leaf 7, sub-leaf 1, EAX bit 4; it needs the same OS
@@ -781,8 +783,7 @@ bool HasAvxVnni() {
 }
 
 bool HasAvx512Vnni() {
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512vnni") != 0;
+  return HasAvx512f() && __builtin_cpu_supports("avx512vnni") != 0;
 }
 
 #endif
@@ -800,7 +801,7 @@ const Int8Variant kInt8Variants[] = {
 #if defined(__SSE2__) && (defined(__GNUC__) || defined(__clang__))
     {"sse2", 2, kLanes128, kNr8, 1, Sweep128<MaddSse2, WidenSse2>, Always},
 #endif
-#if defined(LATTE_INT8_X86_DISPATCH)
+#if defined(LATTE_X86_DISPATCH)
     {"avx2", 2, 1, kNr8, 2, SweepAvx2, HasAvx2},
     {"avxvnni", 4, 1, kNr8, 3, SweepAvxVnni, HasAvxVnni},
     {"avx512vnni", 4, 1, kNr512, kNp512, SweepAvx512Vnni, HasAvx512Vnni},
@@ -809,7 +810,7 @@ const Int8Variant kInt8Variants[] = {
 
 const std::vector<const Int8Variant*>& SupportedInt8Variants() {
   static const std::vector<const Int8Variant*> supported = [] {
-#if defined(LATTE_INT8_X86_DISPATCH)
+#if defined(LATTE_X86_DISPATCH)
     __builtin_cpu_init();
 #endif
     std::vector<const Int8Variant*> out;
@@ -923,6 +924,33 @@ std::vector<const char*> Int8GemmIsas() {
   std::vector<const char*> isas;
   for (const auto* v : SupportedInt8Variants()) isas.push_back(v->isa);
   return isas;
+}
+
+const char* ElementwiseIsaName(ElementwiseIsa isa) {
+  return isa == ElementwiseIsa::kAvx512f ? "avx512f" : "portable";
+}
+
+const std::vector<ElementwiseIsa>& ElementwiseIsas() {
+  static const std::vector<ElementwiseIsa> supported = [] {
+    std::vector<ElementwiseIsa> out{ElementwiseIsa::kPortable};
+#if defined(LATTE_X86_DISPATCH)
+    __builtin_cpu_init();
+    if (HasAvx512f()) out.push_back(ElementwiseIsa::kAvx512f);
+#endif
+    return out;
+  }();
+  return supported;
+}
+
+ElementwiseIsa DispatchedElementwiseIsa() { return ElementwiseIsas().back(); }
+
+void CheckElementwiseIsa(ElementwiseIsa isa, const char* caller) {
+  const auto& isas = ElementwiseIsas();
+  if (std::find(isas.begin(), isas.end(), isa) == isas.end()) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": this host cannot run '" +
+                                ElementwiseIsaName(isa) + "'");
+  }
 }
 
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,

@@ -11,8 +11,16 @@
 // C entirely in registers.  The float kernels are portable: a 4 x 8 tile
 // held in GNU vector extensions, which auto-vectorizes on the baseline ISA
 // (a plain scalar tile remains for other compilers).  There is one build
-// and no wider float variant, because an FMA kernel would round
-// differently.
+// and no wider float GEMM, because an FMA kernel would round differently.
+//
+// The elementwise float ops are the exception: GELU, quantize and the int8
+// linear layer's dequant epilogue each have one lane-generic body
+// (tensor/lanes.hpp), run four lanes wide on every host and sixteen wide
+// under target("avx512f") when the CPU has AVX-512F (ElementwiseIsas).
+// Each lane does one element's scalar arithmetic in the same order, and
+// the files that hold these bodies are compiled with -ffp-contract=off, so
+// no width fuses a multiply-add: every body gives the same bits.  The body
+// is picked once, by the same run-time CPU check as the int8 kernel.
 //
 // The int8 GEMM runs the same blocking on integer multiply-add, over W
 // packed into one of two int8 panel layouts.  The K-pair layout stores
@@ -123,6 +131,24 @@ const char* KernelArchName();
 /// "portable" always, then on x86 "sse2", "avx2", "avxvnni" and
 /// "avx512vnni" as the CPU supports them.  Int8GemmInto runs the last.
 std::vector<const char*> Int8GemmIsas();
+
+/// The elementwise float bodies: GELU (GeluInPlace), quantize (Quantize,
+/// QuantizeInto) and the int8 linear layer's dequant epilogue
+/// (DequantizeInto).  Narrowest first; every body gives the same bits.
+enum class ElementwiseIsa {
+  kPortable,  ///< four lanes on the baseline ISA (GNU vectors), every host
+  kAvx512f,   ///< sixteen lanes under target("avx512f"), x86 only
+};
+
+/// "portable" or "avx512f".
+const char* ElementwiseIsaName(ElementwiseIsa isa);
+
+/// The elementwise bodies this host can run, narrowest first: kPortable
+/// always, then kAvx512f when the CPU supports AVX-512F.
+const std::vector<ElementwiseIsa>& ElementwiseIsas();
+
+/// The body the library runs: the last of ElementwiseIsas(), picked once.
+ElementwiseIsa DispatchedElementwiseIsa();
 
 /// C = A * B.  A is (n x k), B is (k x m); c is resized to (n x m) and
 /// fully overwritten.  Throws on shape mismatch.  `c` must not alias `a`

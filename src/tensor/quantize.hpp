@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 
+#include "tensor/kernels.hpp"
 #include "tensor/matrix.hpp"
 
 namespace latte {
@@ -35,12 +36,19 @@ float ScalingFactor(const MatrixF& m);
 /// (zero maps to +1, matching sign-bit hardware).
 /// Requires bits in {1, 4, 8}.  Throws std::invalid_argument naming the
 /// first non-finite (NaN or Inf) element.
+/// Two passes over m: one finds M and whether every element is finite (the
+/// element is looked up only on that error path), one writes the codes.
+/// Both run on the dispatched elementwise body (tensor/kernels.hpp), whose
+/// lanes do the scalar arithmetic: the codes and scale are the same bits
+/// at any width.
 QuantizedMatrix Quantize(const MatrixF& m, int bits);
 
 /// Quantize into a reused code buffer (resized, fully overwritten; same
-/// codes, checks and errors); returns the scale.  Allocates nothing once
-/// `codes` has held a matrix this large.
-float QuantizeInto(const MatrixF& m, int bits, MatrixI8& codes);
+/// codes, checks and errors) on the elementwise body `isa`; returns the
+/// scale.  Allocates nothing once `codes` has held a matrix this large.
+/// Throws std::invalid_argument also for an `isa` this host cannot run.
+float QuantizeInto(const MatrixF& m, int bits, MatrixI8& codes,
+                   ElementwiseIsa isa = DispatchedElementwiseIsa());
 
 /// Quantizes with an externally supplied scaling factor M (used when Q and K
 /// rows stream through hardware and M was computed over a larger tensor).
@@ -49,6 +57,17 @@ QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M);
 
 /// Reconstructs the float approximation codes * scale.
 MatrixF Dequantize(const QuantizedMatrix& q);
+
+/// The int8 linear layer's epilogue on an int32 product: out(i, j) =
+/// float(acc(i, j)) * scale, then + bias[j] when bias is non-empty.  One
+/// sweep on the elementwise body `isa`, with the two roundings of a
+/// multiply pass followed by AddBiasInPlace (the library never fuses them
+/// into an FMA).  out is resized and fully overwritten.  Throws
+/// std::invalid_argument unless bias is empty or has acc.cols() entries,
+/// and for an `isa` this host cannot run.
+void DequantizeInto(const MatrixI32& acc, float scale,
+                    std::span<const float> bias, MatrixF& out,
+                    ElementwiseIsa isa = DispatchedElementwiseIsa());
 
 /// Maximum representable code magnitude for a bit width: 2^(b-1)-1 (1 for b=1).
 int MaxCode(int bits);

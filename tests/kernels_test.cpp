@@ -3,7 +3,9 @@
 // within 1e-4 relative tolerance across odd shapes (1xN, Nx1, dims that
 // are not multiples of any tile extent), the int8 kernel must be exact on
 // every micro-kernel variant, per call and on weights packed once, and
-// reused scratch must never change results or keep allocating.
+// reused scratch must never change results or keep allocating.  The
+// elementwise bodies (GELU, quantize, the int8 dequant epilogue) must give
+// the portable four-lane body's bits on every width this host runs.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/ops.hpp"
 #include "nn/qlinear.hpp"
 #include "runtime/workspace.hpp"
 #include "tensor/kernels.hpp"
@@ -424,6 +428,199 @@ TEST(KernelsTest, ArchNameIsKnown) {
   GemmScratch scratch;
   EXPECT_THROW(Int8GemmIntoIsa("avx2+fma", x, w, out, scratch),
                std::invalid_argument);
+}
+
+// The elementwise bodies wider than the portable baseline that this host
+// runs (none without AVX-512F).
+std::vector<ElementwiseIsa> WideBodies() {
+  std::vector<ElementwiseIsa> wide = ElementwiseIsas();
+  wide.erase(wide.begin());
+  return wide;
+}
+
+constexpr const char* kNoWideBody =
+    "no AVX-512F on this host: only the portable elementwise body runs";
+
+std::uint32_t Bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+TEST(ElementwiseTest, HostListsPortableFirstAndRunsTheLast) {
+  const auto& isas = ElementwiseIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), ElementwiseIsa::kPortable);
+  EXPECT_EQ(DispatchedElementwiseIsa(), isas.back());
+  EXPECT_STREQ(ElementwiseIsaName(ElementwiseIsa::kPortable), "portable");
+  EXPECT_STREQ(ElementwiseIsaName(ElementwiseIsa::kAvx512f), "avx512f");
+  if (isas.size() == 1) {
+    MatrixF m(1, 3);
+    EXPECT_THROW(GeluInPlace(m, ElementwiseIsa::kAvx512f),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ElementwiseTest, GeluBodiesMatchPortableOnBitPatternsAndEdges) {
+  const auto wide = WideBodies();
+  if (wide.empty()) GTEST_SKIP() << kNoWideBody;
+  std::vector<float> x;
+  Rng rng(2030);
+  for (int i = 0; i < 200003; ++i) {  // every 32-bit pattern is a float
+    x.push_back(
+        std::bit_cast<float>(static_cast<std::uint32_t>(rng.NextU64())));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();  // smallest normal
+  for (float v : {0.f, denorm, tiny - denorm, tiny, inf,
+                  std::numeric_limits<float>::quiet_NaN(),
+                  std::numeric_limits<float>::signaling_NaN(),
+                  std::numeric_limits<float>::max()}) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  // t = -2 sqrt(2/pi) (x + 0.044715 x^3) meets the +-87 clamps near
+  // x = -+9.995: walk every float across both edges.
+  for (const float edge : {-9.995f, 9.995f}) {
+    float v = edge;
+    for (int i = 0; i < 4096; ++i) v = std::nextafter(v, -inf);
+    for (int i = 0; i < 8192; ++i) {
+      x.push_back(v);
+      v = std::nextafter(v, inf);
+    }
+  }
+  const MatrixF in = MatrixF::FromFlat(1, x.size(), x);
+  MatrixF want = in;
+  GeluInPlace(want, ElementwiseIsa::kPortable);
+  for (const ElementwiseIsa isa : wide) {
+    MatrixF got = in;
+    GeluInPlace(got, isa);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      ASSERT_EQ(Bits(got.flat()[i]), Bits(want.flat()[i]))
+          << ElementwiseIsaName(isa) << " at x = " << in.flat()[i]
+          << " (bits " << Bits(in.flat()[i]) << ")";
+    }
+  }
+  // Every tail length of the widest body, and the scalar entry point.
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const std::vector<float> tail(x.end() - n, x.end());
+    const MatrixF part = MatrixF::FromFlat(1, n, tail);
+    for (const ElementwiseIsa isa : wide) {
+      MatrixF got = part;
+      GeluInPlace(got, isa);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(got.flat()[i]), Bits(Gelu(part.flat()[i])))
+            << ElementwiseIsaName(isa) << " n = " << n << " element " << i;
+      }
+    }
+  }
+}
+
+// Quantizes `m` on every body and checks codes and scale against the
+// portable body's, and the codes against QuantizeValue, the scalar rule.
+void ExpectQuantizeBodiesAgree(const MatrixF& m, int bits,
+                               const std::vector<ElementwiseIsa>& wide) {
+  MatrixI8 want;
+  const float want_scale =
+      QuantizeInto(m, bits, want, ElementwiseIsa::kPortable);
+  const float M = ScalingFactor(m);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    ASSERT_EQ(want.flat()[i], QuantizeValue(m.flat()[i], bits, M))
+        << bits << "-bit, " << m.size() << " elements, element " << i;
+  }
+  for (const ElementwiseIsa isa : wide) {
+    MatrixI8 got(1, 1, 99);  // stale contents must not survive
+    const float scale = QuantizeInto(m, bits, got, isa);
+    EXPECT_EQ(Bits(scale), Bits(want_scale)) << ElementwiseIsaName(isa);
+    ASSERT_EQ(got, want) << ElementwiseIsaName(isa) << ", " << bits
+                         << "-bit, " << m.size() << " elements";
+  }
+}
+
+TEST(ElementwiseTest, QuantizeBodiesMatchPortableAtEveryTail) {
+  const auto wide = WideBodies();
+  if (wide.empty()) GTEST_SKIP() << kNoWideBody;
+  Rng rng(2031);
+  for (const int bits : {1, 4, 8}) {
+    for (std::size_t n = 1; n <= 40; ++n) {
+      ExpectQuantizeBodiesAgree(rng.NormalMatrix(1, n, 0.0, 2.0), bits, wide);
+      ExpectQuantizeBodiesAgree(MatrixF(1, n), bits, wide);  // all zero
+      // A subnormal M: qmax / M overflows, so x / M is taken first.
+      MatrixF sub = rng.NormalMatrix(1, n, 0.0, 1.0);
+      for (float& v : sub.flat()) v *= 1e-39f;
+      ExpectQuantizeBodiesAgree(sub, bits, wide);
+    }
+    // Ties: at M = 127 the 8-bit scaled value is x itself.
+    std::vector<float> ties = {127.f, 0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f,
+                               126.5f, -126.5f, 0.49999997f, -0.49999997f};
+    for (int k = 0; k < 40; ++k) ties.push_back(static_cast<float>(k) - 19.5f);
+    ExpectQuantizeBodiesAgree(MatrixF::FromFlat(1, ties.size(), ties), bits,
+                              wide);
+    ExpectQuantizeBodiesAgree(rng.NormalMatrix(53, 3072, 0.0, 1.0), bits,
+                              wide);
+  }
+}
+
+TEST(ElementwiseTest, QuantizeNamesTheFirstNonFiniteOnEveryBody) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // 40 elements: two 16-lane vectors, then an 8-element tail.
+  const std::vector<std::tuple<std::size_t, float, std::size_t>> cases = {
+      {5, nan, 5}, {5, -inf, 5}, {37, nan, 37}, {37, inf, 37}, {0, inf, 0}};
+  Rng rng(2032);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    for (const auto& [at, bad, want] : cases) {
+      MatrixF m = rng.NormalMatrix(1, 40, 0.0, 1.0);
+      m.flat()[at] = bad;
+      if (at == 5) m.flat()[37] = nan;  // a later one is not named
+      MatrixI8 codes;
+      try {
+        QuantizeInto(m, 8, codes, isa);
+        ADD_FAILURE() << ElementwiseIsaName(isa) << ": no throw at " << at;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "Quantize: non-finite element at flat index " +
+                      std::to_string(want))
+            << ElementwiseIsaName(isa);
+      }
+    }
+  }
+}
+
+TEST(ElementwiseTest, DequantizeMatchesTheTwoPassEpilogue) {
+  Rng rng(2033);
+  MatrixI32 acc(3, 37);  // an odd column count: every body runs a tail
+  for (std::int32_t& a : acc.flat()) {
+    a = static_cast<std::int32_t>(rng.NextIndex(std::uint64_t{1} << 31)) -
+        (std::int32_t{1} << 30);
+  }
+  acc.flat()[0] = std::numeric_limits<std::int32_t>::max();
+  acc.flat()[1] = std::numeric_limits<std::int32_t>::min();
+  std::vector<float> bias(acc.cols());
+  for (float& b : bias) b = static_cast<float>(rng.NextNormal());
+  const float scale = 3.0517578e-05f * 0.0123f;
+  // The epilogue before it was fused: a multiply pass, then the bias.
+  MatrixF scaled(acc.rows(), acc.cols());
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    scaled.flat()[i] = static_cast<float>(acc.flat()[i]) * scale;
+  }
+  MatrixF biased = scaled;
+  AddBiasInPlace(biased, bias);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixF out(1, 1, 7.f);
+    DequantizeInto(acc, scale, {}, out, isa);
+    ASSERT_EQ(out.rows(), acc.rows());
+    ASSERT_EQ(out.cols(), acc.cols());
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      ASSERT_EQ(Bits(out.flat()[i]), Bits(scaled.flat()[i]))
+          << ElementwiseIsaName(isa) << " no bias, element " << i;
+    }
+    DequantizeInto(acc, scale, bias, out, isa);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      ASSERT_EQ(Bits(out.flat()[i]), Bits(biased.flat()[i]))
+          << ElementwiseIsaName(isa) << " bias, element " << i;
+    }
+    const std::vector<float> short_bias(acc.cols() - 1);
+    EXPECT_THROW(DequantizeInto(acc, scale, short_bias, out, isa),
+                 std::invalid_argument);
+  }
 }
 
 TEST(KernelsTest, EmptyExtentsYieldZeroSizedOrZeroedOutputs) {
