@@ -1,8 +1,9 @@
 // Ablation: which part of the length-aware pipeline buys what.
 //
-// Dimensions (DESIGN.md section 4): batch ordering (sorted vs FIFO vs
-// padded), double buffering, batching policy (pad / micro-batch / sorted),
-// and Algorithm 1 stage allocation vs the hand-drawn Fig 2(a) partition.
+// Dimensions: batch ordering (sorted vs FIFO vs padded), double buffering,
+// batching policy (pad / micro-batch / sorted), and Algorithm 1 stage
+// allocation vs the hand-drawn Fig 2(a) partition, both priced through the
+// one stage pipeline (DESIGN.md, performance-twin section).
 
 #include <cstdio>
 #include <numeric>
@@ -14,25 +15,24 @@ using namespace latte::bench;
 
 namespace {
 
+double MeanLength(const std::vector<std::size_t>& order) {
+  return static_cast<double>(std::accumulate(order.begin(), order.end(),
+                                             std::size_t{0})) /
+         static_cast<double>(order.size());
+}
+
+/// Runs `order` through the partition `ops`' stage_hints name, sized at
+/// the batch's mean length.
 ScheduleResult Simulate(const ModelConfig& model,
+                        const std::vector<OpSpec>& ops,
                         const std::vector<std::size_t>& order,
                         bool double_buffer) {
-  const auto ops =
-      EncoderOps(model.encoder, AttentionMode::kSparseTopK, 30);
-  const double s_avg =
-      static_cast<double>(std::accumulate(order.begin(), order.end(),
-                                          std::size_t{0})) /
-      static_cast<double>(order.size());
-  const auto models = BuildStageTimings(ops, AlveoU280Slr0(), s_avg);
+  const auto models =
+      BuildStageTimings(ops, AlveoU280Slr0(), MeanLength(order));
   PipelineSimConfig cfg;
   cfg.layers = model.layers;
   cfg.double_buffer = double_buffer;
   return SimulatePipeline(order, models, cfg);
-}
-
-double Makespan(const ModelConfig& model,
-                const std::vector<std::size_t>& order, bool double_buffer) {
-  return Simulate(model, order, double_buffer).makespan;
 }
 
 std::string UtilString(const ScheduleResult& res) {
@@ -51,16 +51,18 @@ int main() {
   const auto model = BertBase();
   const auto spec = Squad();
   const auto lens = SampleBatch(spec, 16, 42);
+  const auto ops =
+      EncoderOps(model.encoder, AttentionMode::kSparseTopK, 30);
 
   // --- batch ordering ------------------------------------------------
   const auto sorted = MakeBatch(lens, BatchPolicy::kSortedDescending);
   const auto padded = MakeBatch(lens, BatchPolicy::kPadToMax);
   const auto micro = MakeBatch(lens, BatchPolicy::kMicroBatch, 4);
 
-  const auto r_sorted = Simulate(model, sorted.effective_lengths, true);
-  const auto r_fifo = Simulate(model, lens, true);  // arrival order
-  const auto r_micro = Simulate(model, micro.effective_lengths, true);
-  const auto r_padded = Simulate(model, padded.effective_lengths, true);
+  const auto r_sorted = Simulate(model, ops, sorted.effective_lengths, true);
+  const auto r_fifo = Simulate(model, ops, lens, true);  // arrival order
+  const auto r_micro = Simulate(model, ops, micro.effective_lengths, true);
+  const auto r_padded = Simulate(model, ops, padded.effective_lengths, true);
   const double t_sorted = r_sorted.makespan;
 
   TextTable order({"batch policy", "makespan (ms)", "vs sorted",
@@ -86,41 +88,50 @@ int main() {
               "claim) and protects the single-buffered design below.\n\n");
 
   // --- double buffering ------------------------------------------------
-  const double t_single = Makespan(model, sorted.effective_lengths, false);
+  const double t_single =
+      Simulate(model, ops, sorted.effective_lengths, false).makespan;
   std::printf("double buffers between stages: %.3f ms -> %.3f ms without "
               "(%.2fx slower)\n",
               t_sorted * 1e3, t_single * 1e3, t_single / t_sorted);
   // Single-buffered designs are order-sensitive: shuffled input stalls.
-  const double t_single_fifo = Makespan(model, lens, false);
+  const double t_single_fifo = Simulate(model, ops, lens, false).makespan;
   std::printf("single-buffered + FIFO order: %.3f ms (%.2fx vs sorted "
               "single-buffered)\n\n",
               t_single_fifo * 1e3, t_single_fifo / t_single);
 
   // --- Algorithm 1 vs canonical Fig 2(a) partition ---------------------
-  const auto ops =
-      EncoderOps(model.encoder, AttentionMode::kSparseTopK, 30);
+  // Algorithm 1 runs at the dataset's average length; both partitions are
+  // sized and priced like the sorted row above.
   const auto g = OpGraph::Chain(ops);
-  const auto algo = AllocateStages(g, spec.avg_len);
-  const auto canon = CanonicalStages(g, spec.avg_len);
-
-  auto describe = [&](const char* name, const AllocationResult& alloc) {
-    const auto work = StageFlopsPerToken(g, alloc, spec.avg_len);
-    const auto plan = PlanPipeline(work);
-    std::printf("%-22s stages=%zu  pipeline rate=%.0f tokens/ms  "
-                "balance=%.2f\n",
-                name, alloc.stages.size(),
-                plan.TokensPerSecond(200e6) / 1e3,
-                plan.BalanceRatio(200e6));
-    for (std::size_t k = 0; k < alloc.stages.size(); ++k) {
-      std::printf("    stage %zu:", k + 1);
-      for (const auto& a : alloc.stages[k].ops) {
-        std::printf(" %s", g.node(a.op).spec.name.c_str());
+  const auto algo = AllocateStages(g, AlveoU280Slr0(), spec.avg_len);
+  const double s_avg = MeanLength(sorted.effective_lengths);
+  auto describe = [&](const char* name, const std::vector<OpSpec>& part) {
+    const auto stages = BuildStageTimings(part, AlveoU280Slr0(), s_avg);
+    PipelineSimConfig cfg;
+    cfg.layers = model.layers;
+    const auto res = SimulatePipeline(sorted.effective_lengths, stages, cfg);
+    std::printf("%-22s stages=%zu  makespan=%.3f ms  utilization=%s\n",
+                name, stages.size(), res.makespan * 1e3,
+                UtilString(res).c_str());
+    // Stage k holds the operators of the k-th hint any operator names.
+    std::size_t k = 0;
+    for (int hint = 1; hint <= static_cast<int>(kMaxStages); ++hint) {
+      std::string members;
+      for (const auto& op : part) {
+        if (op.stage_hint == hint) members += " " + op.name;
       }
-      std::printf("\n");
+      if (members.empty()) continue;
+      std::printf("    stage %zu [%s roof, %4.0f DSP]:%s\n", k + 1,
+                  stages[k].BindingRoof(s_avg), stages[k].dsp,
+                  members.c_str());
+      ++k;
     }
   };
-  describe("Algorithm 1", algo);
-  describe("canonical Fig 2(a)", canon);
+  std::printf("stage partitions at %.0f DSPs, sized at the batch mean "
+              "length %.1f (binding roof at that length):\n",
+              AlveoU280Slr0().dsp, s_avg);
+  describe("Algorithm 1", algo.ops);
+  describe("canonical Fig 2(a)", ops);
 
   // --- Eq. 1 priorities -------------------------------------------------
   const auto prio = g.Priorities(spec.avg_len);

@@ -23,6 +23,8 @@ struct PolicyPoint {
   BatchFormerConfig former;
 };
 
+// fifo and sorted read the same: the sparse stages take equal times, so a
+// double-buffered batch prices the same in any order (DESIGN.md).
 std::vector<PolicyPoint> Policies() {
   BatchFormerConfig fifo;
   fifo.max_batch = 16;

@@ -1,12 +1,10 @@
 #include "fpga/accelerator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <numeric>
 #include <span>
 #include <stdexcept>
-#include <string>
 
 namespace latte {
 namespace {
@@ -62,14 +60,10 @@ auto Schedule(const std::vector<StageTimingModel>& stages, std::size_t layers,
   // The stage partition and DSP split are fixed at synthesis time for the
   // expected processed length: the per-task average for the length-aware
   // design, the fixed padded length for the baseline.  The stages are
-  // sized in a copy on the stack, so a price allocates nothing for them.
-  if (stages.size() > kMaxStages) {
-    throw std::invalid_argument("accelerator model: more than " +
-                                std::to_string(kMaxStages) + " stages");
-  }
-  std::array<StageTimingModel, kMaxStages> storage;
-  const std::span<StageTimingModel> sized(storage.data(), stages.size());
-  std::copy(stages.begin(), stages.end(), sized.begin());
+  // sized in a copy each thread reuses, so a price allocates nothing for
+  // them once its thread has priced this many stages.
+  thread_local std::vector<StageTimingModel> sized;
+  sized.assign(stages.begin(), stages.end());
   SizeStages(sized, cfg.spec, MeanLength(eff));
   return simulate(eff, std::span<const StageTimingModel>(sized), sim_cfg);
 }

@@ -67,7 +67,8 @@ class AcceleratorPricer {
 
   /// Batch latency in seconds.  Throws std::invalid_argument on an empty
   /// batch.  Allocates nothing once the calling thread has priced a batch
-  /// this large (the lengths and the recurrence use per-thread buffers).
+  /// this large (the lengths, the sized stages and the recurrence use
+  /// per-thread buffers).
   double Makespan(const std::vector<std::size_t>& lengths) const;
 
  private:

@@ -18,8 +18,7 @@
 //
 // Each stage is one instance, and its free time is the Fig 2(b) state
 // machine: the stage is Working (StateMM / StateAtten / StateFF) until
-// then and Idle from then on.  The replication R(G_k) of
-// sched/resource_plan is planned and reported, not simulated.
+// then and Idle from then on.  Stage replication R(G_k) is not modelled.
 //
 // One recurrence serves two entry points: SimulatePipeline records the job
 // list and per-stage busy time; PipelineMakespan returns only the makespan,

@@ -9,21 +9,40 @@
 
 namespace latte {
 
+namespace {
+
+/// The three roofs a stage's time is the largest of, in seconds: DSP
+/// compute, LUT fabric and HBM memory, in that order.
+std::array<double, 3> Roofs(const StageTimingModel& m, double n) {
+  return {m.flops.Eval(n) / (2.0 * m.dsp * m.freq_hz),
+          m.lut_ops.Eval(n) / (m.lut_lanes * m.freq_hz),
+          m.offchip_bytes.Eval(n) / m.hbm_bytes_per_s};
+}
+
+}  // namespace
+
 double StageTimingModel::Seconds(double n) const {
-  const double t_dsp = flops.Eval(n) / (2.0 * dsp * freq_hz);
-  const double t_lut = lut_ops.Eval(n) / (lut_lanes * freq_hz);
-  const double t_mem = offchip_bytes.Eval(n) / hbm_bytes_per_s;
+  const auto [t_dsp, t_lut, t_mem] = Roofs(*this, n);
   return std::max({t_dsp, t_lut, t_mem});
 }
 
+const char* StageTimingModel::BindingRoof(double n) const {
+  static constexpr std::array<const char*, 3> kNames = {"DSP", "LUT", "HBM"};
+  const auto roofs = Roofs(*this, n);
+  return kNames[static_cast<std::size_t>(
+      std::max_element(roofs.begin(), roofs.end()) - roofs.begin())];
+}
+
 std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops) {
-  // Fig 2(a) partition: each operator's polynomials join the stage its hint
-  // names, summed in dataflow order.
-  std::vector<StageTimingModel> models(3);
-  std::array<bool, 3> named{};
+  // Each operator's polynomials join the stage its hint names, summed in
+  // dataflow order.
+  std::vector<StageTimingModel> models(kMaxStages);
+  std::array<bool, kMaxStages> named{};
   for (const auto& op : ops) {
-    if (op.stage_hint < 1 || op.stage_hint > 3) {
-      throw std::out_of_range("PartitionStages: stage_hint outside 1..3");
+    if (op.stage_hint < 1 ||
+        op.stage_hint > static_cast<int>(kMaxStages)) {
+      throw std::out_of_range("PartitionStages: stage_hint outside 1.." +
+                              std::to_string(kMaxStages));
     }
     const auto k = static_cast<std::size_t>(op.stage_hint - 1);
     named[k] = true;
@@ -70,9 +89,7 @@ void SizeStages(std::span<StageTimingModel> models, const FpgaSpec& spec,
     const double lshare =
         total_lut > 0 ? m.lut_ops.Eval(s_avg) / total_lut : 0.0;
     m.dsp = std::max(1.0, spec.dsp * fshare);
-    // One LUT lane = one ultra-low-bit MAC (XNOR + popcount slice) or one
-    // sorter compare, ~4 LUTs each; the budget buys spec.lut/4 lanes.
-    m.lut_lanes = std::max(1.0, (spec.lut / 4.0) * lshare);
+    m.lut_lanes = std::max(1.0, (spec.lut / kLutsPerLane) * lshare);
     m.hbm_bytes_per_s = std::max(1.0, StreamBandwidth(spec, channels[k]));
   }
 }

@@ -37,17 +37,28 @@ struct StageTimingModel {
 
   /// Seconds to process one sequence of length n through this stage.
   double Seconds(double n) const;
+
+  /// Name of the roof that sets Seconds(n): "DSP", "LUT" or "HBM" (the
+  /// first of them on a tie).
+  const char* BindingRoof(double n) const;
 };
 
-/// Most stages a partition holds: Fig 2(a)'s three.
-inline constexpr std::size_t kMaxStages = 3;
+/// Most stages a partition holds: one per operator of the dense
+/// `EncoderOps` list, so no partition of an encoder chain exceeds it.
+inline constexpr std::size_t kMaxStages = 12;
 
-/// Partitions an operator list (`EncoderOps`, or a subset of it) into
-/// unsized stage timing models: operators join the stage their stage_hint
-/// (1..3) names -- the Fig 2(a) partition -- and each stage's cost
-/// polynomials are summed in dataflow order.  Stages no operator names are
+/// LUTs one LUT-class lane costs: one ultra-low-bit MAC (XNOR + popcount
+/// slice) or one sorter compare.  SizeStages buys FpgaSpec::lut /
+/// kLutsPerLane lanes; Algorithm 1 charges its LUT lanes at this rate.
+inline constexpr double kLutsPerLane = 4;
+
+/// Partitions an operator list into unsized stage timing models: operators
+/// join the stage their stage_hint (1..kMaxStages) names and each stage's
+/// cost polynomials are summed in dataflow order.  `EncoderOps`' hints are
+/// the Fig 2(a) partition; `AllocateStages` (sched/stage_allocation)
+/// returns the same list with Algorithm 1's.  Stages no operator names are
 /// dropped, so the attention-only operator list yields two stages.  Throws
-/// std::out_of_range for a hint outside 1..3.
+/// std::out_of_range for a hint outside 1..kMaxStages.
 std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops);
 
 /// Grants partitioned stages their share of `spec` at the expected length
@@ -55,7 +66,7 @@ std::vector<StageTimingModel> PartitionStages(const std::vector<OpSpec>& ops);
 /// at `s_avg`, LUT lanes proportionally to LUT work, HBM channels
 /// proportionally to traffic.  Only the resource fields change; the
 /// polynomials are kept.  It allocates nothing (a batch price sizes a
-/// stack copy of its stages).  Throws std::invalid_argument for
+/// per-thread copy of its stages).  Throws std::invalid_argument for
 /// s_avg <= 0 or more than kMaxStages stages.
 void SizeStages(std::span<StageTimingModel> stages, const FpgaSpec& spec,
                 double s_avg);

@@ -73,7 +73,6 @@
 #include "search/evaluator.hpp"
 #include "search/json_io.hpp"
 #include "sched/op_graph.hpp"
-#include "sched/resource_plan.hpp"
 #include "sched/shard_plan.hpp"
 #include "sched/stage_allocation.hpp"
 #include "serve/batch_former.hpp"

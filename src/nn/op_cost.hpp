@@ -76,7 +76,7 @@ struct OpSpec {
   CostPoly flops;          ///< DSP-class arithmetic
   CostPoly lut_ops;        ///< LUT-class arithmetic (quantized / sorting)
   CostPoly offchip_elems;  ///< HBM traffic in elements
-  int stage_hint = 1;      ///< coarse stage per Fig 2(a): 1, 2 or 3
+  int stage_hint = 1;      ///< coarse stage; EncoderOps sets Fig 2(a)'s 1..3
   bool in_attention = false;  ///< member of the self-attention workflow
 };
 

@@ -2,45 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <stdexcept>
+
+#include "fpga/timing.hpp"
 
 namespace latte {
 namespace {
+
+/// Hard cap on any single operator's parallelism (port/banking limits).
+constexpr double kMaxParallelism = 4096;
 
 bool IsLutClass(const OpSpec& spec) {
   // Operators whose dominant arithmetic is LUT-fabric work.
   return spec.lut_ops.quad > 0 || spec.lut_ops.lin > 0;
 }
 
+/// Adds `lanes` of operator `spec` to the DSP or the LUT tally.
+void ChargeLanes(const OpSpec& spec, double lanes, double& dsp, double& lut) {
+  if (IsLutClass(spec)) {
+    lut += lanes * kLutsPerLane;
+  } else {
+    dsp += lanes;
+  }
+}
+
 }  // namespace
 
-double StageAllocation::DspLanes(const OpGraph& g) const {
-  double acc = 0.0;
-  for (const auto& a : ops) {
-    if (!IsLutClass(g.node(a.op).spec)) acc += a.parallelism;
+std::size_t AllocationResult::Stages() const {
+  int stages = 0;
+  for (const auto& op : ops) stages = std::max(stages, op.stage_hint);
+  return static_cast<std::size_t>(stages);
+}
+
+double AllocationResult::TotalDsp() const {
+  double dsp = 0.0;
+  for (std::size_t v = 0; v < ops.size(); ++v) {
+    if (!IsLutClass(ops[v])) dsp += lanes[v];
   }
-  return acc;
+  return dsp;
 }
 
-double AllocationResult::TotalDsp(const OpGraph& g) const {
-  double acc = 0.0;
-  for (const auto& s : stages) acc += s.DspLanes(g);
-  return acc;
-}
-
-std::size_t AllocationResult::StageOf(std::size_t op) const {
-  for (std::size_t k = 0; k < stages.size(); ++k) {
-    for (const auto& a : stages[k].ops) {
-      if (a.op == op) return k;
-    }
+double AllocationResult::TotalLut() const {
+  double lut = 0.0;
+  for (std::size_t v = 0; v < ops.size(); ++v) {
+    if (IsLutClass(ops[v])) lut += lanes[v] * kLutsPerLane;
   }
-  return npos;
+  return lut;
 }
 
-AllocationResult AllocateStages(const OpGraph& g, double s_avg,
-                                const AllocatorConfig& cfg) {
+AllocationResult AllocateStages(const OpGraph& g, const FpgaSpec& spec,
+                                double s_avg) {
   if (g.size() == 0) return {};
   const auto weights = g.Weights(s_avg);
   const auto prio = g.Priorities(s_avg);
@@ -56,82 +67,50 @@ AllocationResult AllocateStages(const OpGraph& g, double s_avg,
                    });
 
   AllocationResult res;
-  double committed_dsp = 0.0;  // DSP lanes in closed stages
+  for (std::size_t v = 0; v < g.size(); ++v) res.ops.push_back(g.node(v).spec);
+  res.lanes.assign(g.size(), 1.0);
+  double committed_dsp = 0.0;  // lanes in closed stages
   double committed_lut = 0.0;
 
-  auto lanes_cost = [&](const OpSpec& spec, double lanes, double& dsp,
-                        double& lut) {
-    if (IsLutClass(spec)) {
-      lut += lanes * cfg.lut_per_lane;
-    } else {
-      dsp += lanes;
-    }
-  };
-
-  StageAllocation current;
+  int stage = 1;
+  std::vector<std::size_t> open;  // members of the open stage
+  std::vector<double> rebalanced;
   for (std::size_t v : order) {
-    const OpSpec& spec = g.node(v).spec;
-    if (current.ops.empty()) {
-      current.ops.push_back({v, 1.0});
-      continue;
-    }
-    // Tentatively rebalance the open stage against the newcomer.
-    std::vector<AllocatedOp> rebalanced = current.ops;
-    bool overflow = false;
-    for (auto& a : rebalanced) {
-      const double ratio = std::ceil(weights[a.op] / weights[v]);
-      a.parallelism *= ratio;
-      if (a.parallelism > cfg.max_parallelism) overflow = true;
-    }
-    // Cost of: closed stages + rebalanced open stage + the newcomer.
-    double dsp = committed_dsp;
-    double lut = committed_lut;
-    for (const auto& a : rebalanced) {
-      lanes_cost(g.node(a.op).spec, a.parallelism, dsp, lut);
-    }
-    lanes_cost(spec, 1.0, dsp, lut);
-
-    if (!overflow && dsp <= cfg.dsp_budget && lut <= cfg.lut_budget) {
-      current.ops = std::move(rebalanced);
-      current.ops.push_back({v, 1.0});
-    } else {
-      // Close the stage; the newcomer opens a fresh one.
-      for (const auto& a : current.ops) {
-        double d = 0, l = 0;
-        lanes_cost(g.node(a.op).spec, a.parallelism, d, l);
-        committed_dsp += d;
-        committed_lut += l;
+    if (!open.empty()) {
+      // Tentatively rebalance the open stage against the newcomer.
+      rebalanced.clear();
+      bool overflow = false;
+      for (std::size_t u : open) {
+        rebalanced.push_back(res.lanes[u] *
+                             std::ceil(weights[u] / weights[v]));
+        if (rebalanced.back() > kMaxParallelism) overflow = true;
       }
-      res.stages.push_back(std::move(current));
-      current = StageAllocation{};
-      current.ops.push_back({v, 1.0});
-    }
-  }
-  if (!current.ops.empty()) res.stages.push_back(std::move(current));
-  return res;
-}
+      // Cost of: closed stages + rebalanced open stage + the newcomer.
+      double dsp = committed_dsp;
+      double lut = committed_lut;
+      for (std::size_t i = 0; i < open.size(); ++i) {
+        ChargeLanes(res.ops[open[i]], rebalanced[i], dsp, lut);
+      }
+      ChargeLanes(res.ops[v], 1.0, dsp, lut);
 
-AllocationResult CanonicalStages(const OpGraph& g, double s_avg) {
-  const auto weights = g.Weights(s_avg);
-  AllocationResult res;
-  res.stages.resize(3);
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    const int hint = g.node(v).spec.stage_hint;
-    if (hint < 1 || hint > 3) {
-      throw std::out_of_range("CanonicalStages: stage_hint outside 1..3");
+      if (!overflow && dsp <= spec.dsp && lut <= spec.lut) {
+        for (std::size_t i = 0; i < open.size(); ++i) {
+          res.lanes[open[i]] = rebalanced[i];
+        }
+      } else {
+        // Close the stage; the newcomer opens a fresh one.
+        for (std::size_t u : open) {
+          double d = 0, l = 0;
+          ChargeLanes(res.ops[u], res.lanes[u], d, l);
+          committed_dsp += d;
+          committed_lut += l;
+        }
+        open.clear();
+        ++stage;
+      }
     }
-    res.stages[static_cast<std::size_t>(hint - 1)].ops.push_back({v, 1.0});
-  }
-  // Drop empty stages (e.g. graphs that only describe attention).
-  std::erase_if(res.stages,
-                [](const StageAllocation& s) { return s.ops.empty(); });
-  // Weight-proportional lanes within each stage, lightest op = 1 lane.
-  for (auto& stage : res.stages) {
-    double wmin = std::numeric_limits<double>::infinity();
-    for (const auto& a : stage.ops) wmin = std::min(wmin, weights[a.op]);
-    for (auto& a : stage.ops) {
-      a.parallelism = std::ceil(weights[a.op] / wmin);
-    }
+    open.push_back(v);
+    res.ops[v].stage_hint = stage;
   }
   return res;
 }

@@ -9,71 +9,44 @@
 //   N'(v_j) = N(v_j) * ceil( W(v_j, s_avg) / W(v_i, s_avg) )
 //
 // so that heavier operators keep proportionally more lanes.  If the chip's
-// DSP budget still holds, the operator joins the stage and the parallelisms
-// are committed; otherwise the stage is closed and the operator opens a new
-// one with parallelism 1.
+// DSP and LUT budgets still hold, the operator joins the stage and the
+// parallelisms are committed; otherwise the stage is closed and the
+// operator opens a new one with parallelism 1.
 //
-// Interpretation notes (the pseudo-code in the paper is partially garbled --
-// see DESIGN.md section 5):
-//   * "resource constraints" = the sum of DSP lanes over ALL stages placed
-//     so far must fit the chip budget (stages coexist spatially).
-//   * Each parallelism lane of a FLOP-bearing operator costs one DSP
-//     (8-bit MAC = 1 DSP, Section 5.2); LUT-class work (quantized
-//     pre-selection, Top-k sort) is charged to LUT fabric and has its own
-//     budget.
+// The result is the graph's operator list with each stage_hint set to its
+// Algorithm 1 stage, so PartitionStages and SizeStages (fpga/timing) price
+// it exactly as they price the Fig 2(a) default.  How the paper's garbled
+// pseudo-code is read is noted in DESIGN.md, in the performance-twin
+// section (`src/sched`, `src/fpga`, `src/platform`).
 
 #include <cstddef>
 #include <vector>
 
+#include "fpga/resources.hpp"
 #include "sched/op_graph.hpp"
 
 namespace latte {
 
-/// Resource budget the allocator packs into (defaults: Alveo U280 SLR0).
-struct AllocatorConfig {
-  double dsp_budget = 3000;    ///< DSP slices available (U280 SLR0)
-  double lut_budget = 400e3;   ///< LUTs available for At-Sel fabric
-  /// LUTs consumed per LUT-class op lane (product table + sorter slice).
-  double lut_per_lane = 400;
-  /// Hard cap on any single operator's parallelism (port/banking limits).
-  double max_parallelism = 4096;
-};
-
-/// One operator placed in a stage, with its committed parallelism.
-struct AllocatedOp {
-  std::size_t op = 0;        ///< vertex id in the OpGraph
-  double parallelism = 1.0;  ///< DSP (or LUT) lanes
-};
-
-/// One coarse-grained pipeline stage.
-struct StageAllocation {
-  std::vector<AllocatedOp> ops;
-
-  /// DSP lanes consumed by this stage (FLOP-bearing operators).
-  double DspLanes(const OpGraph& g) const;
-};
-
 /// Result of Algorithm 1.
 struct AllocationResult {
-  std::vector<StageAllocation> stages;
+  /// The graph's operators in vertex order, each stage_hint set to its
+  /// stage (1-based): a list PartitionStages takes as it is.
+  std::vector<OpSpec> ops;
+  /// Committed parallelism N(v) of each operator: DSP lanes, or LUT lanes
+  /// for LUT-class work (quantized pre-selection, Top-k sort).
+  std::vector<double> lanes;
 
-  /// Total DSP lanes across stages.
-  double TotalDsp(const OpGraph& g) const;
-  /// Index of the stage containing vertex `op`, or npos.
-  std::size_t StageOf(std::size_t op) const;
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// Number of stages (the largest stage_hint; 0 for an empty graph).
+  std::size_t Stages() const;
+  /// DSP lanes across stages.
+  double TotalDsp() const;
+  /// LUTs across stages: LUT-class lanes times kLutsPerLane.
+  double TotalLut() const;
 };
 
-/// Runs Algorithm 1 on the operator graph at average sequence length s_avg.
-AllocationResult AllocateStages(const OpGraph& g, double s_avg,
-                                const AllocatorConfig& cfg = {});
-
-/// The paper's hand-drawn Fig 2(a) partition: stage 1 = MM|At-Sel,
-/// stage 2 = At-Comp, stage 3 = FdFwd, using each operator's stage_hint.
-/// Parallelism within a stage is set proportional to operator weight
-/// (ceil(W(v)/W_min)).  This is the partition the pipeline simulator uses
-/// by default; the ablation bench compares it against AllocateStages.
-AllocationResult CanonicalStages(const OpGraph& g, double s_avg);
+/// Runs Algorithm 1 on the operator graph at average sequence length s_avg,
+/// packing into the DSP and LUT budgets of `spec`.
+AllocationResult AllocateStages(const OpGraph& g, const FpgaSpec& spec,
+                                double s_avg);
 
 }  // namespace latte

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "fpga/accelerator.hpp"
@@ -71,6 +72,7 @@ TEST(TimingTest, DenseAttentionStageIsComputeBoundAtLongLength) {
   // roof exactly.
   const StageTimingModel& m = models[1];
   EXPECT_EQ(m.Seconds(821), m.flops.Eval(821) / (2.0 * m.dsp * m.freq_hz));
+  EXPECT_STREQ(m.BindingRoof(821), "DSP");
 }
 
 TEST(TimingTest, RejectsNonPositiveSavg) {
@@ -79,16 +81,20 @@ TEST(TimingTest, RejectsNonPositiveSavg) {
                std::invalid_argument);
 }
 
-TEST(TimingTest, RejectsStageHintOutsideOneToThree) {
+TEST(TimingTest, RejectsStageHintOutsideOneToMaxStages) {
   const auto ops =
       EncoderOps(BertBase().encoder, AttentionMode::kSparseTopK, 30);
-  for (const int hint : {0, 4}) {
+  for (const int hint : {0, static_cast<int>(kMaxStages) + 1}) {
     SCOPED_TRACE(hint);
     auto bad = ops;
     bad.back().stage_hint = hint;
     EXPECT_THROW(BuildStageTimings(bad, AlveoU280Slr0(), 177),
                  std::out_of_range);
   }
+  // The last stage a hint may name: LayerNorm2 alone in it, a fourth stage.
+  auto last = ops;
+  last.back().stage_hint = static_cast<int>(kMaxStages);
+  EXPECT_EQ(BuildStageTimings(last, AlveoU280Slr0(), 177).size(), 4u);
 }
 
 TEST(TimingTest, AttentionOnlyOpsYieldTheStagesTheyName) {
@@ -331,6 +337,47 @@ TEST(AcceleratorTest, UnsortedLengthAwareRunsTheGivenOrderUnpadded) {
   }
   EXPECT_LT(res.makespan,
             RunAccelerator(model, {300, 300, 300}, fifo).makespan);
+}
+
+TEST(AcceleratorTest, SparseStagesTieSoDoubleBufferedOrderDoesNotMatter) {
+  // SizeStages splits DSPs by FLOPs at s_avg, and every sparse Fig 2(a)
+  // stage's FLOPs are linear in n with no constant: wherever the DSP roof
+  // binds, the three stages take the same time (to a few ULPs), and a
+  // double-buffered pipeline whose stages take equal times does not depend
+  // on the order it is fed.
+  const auto model = BertBase();
+  const std::vector<std::size_t> lens = {60,  500, 150, 300,
+                                         90, 400, 120, 200};
+  const double s_avg = 1820.0 / 8.0;
+  const auto stages = BuildStageTimings(
+      EncoderOps(model.encoder, AttentionMode::kSparseTopK, 30),
+      AlveoU280Slr0(), s_avg);
+  ASSERT_EQ(stages.size(), 3u);
+  for (const double n : {50.0, 177.0, 300.0, 512.0}) {
+    SCOPED_TRACE(n);
+    for (const auto& m : stages) EXPECT_STREQ(m.BindingRoof(n), "DSP");
+    EXPECT_DOUBLE_EQ(stages[0].Seconds(n), stages[1].Seconds(n));
+    EXPECT_DOUBLE_EQ(stages[1].Seconds(n), stages[2].Seconds(n));
+  }
+  // At n = 1 the HBM roof binds and separates them.
+  for (const auto& m : stages) EXPECT_STREQ(m.BindingRoof(1), "HBM");
+  EXPECT_GT(stages[0].Seconds(1), stages[1].Seconds(1));
+
+  AcceleratorConfig given;
+  given.sort_batch = false;
+  const double t_given = RunAccelerator(model, lens, given).makespan;
+  EXPECT_EQ(t_given,
+            RunAccelerator(model, lens, AcceleratorConfig{}).makespan);
+  EXPECT_NEAR(t_given, 0.272096118, 1e-9);
+
+  // Single-buffered, the given order is no longer free.
+  PipelineSimConfig single;
+  single.double_buffer = false;
+  auto sorted = lens;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  const double t_single = SimulatePipeline(lens, stages, single).makespan;
+  EXPECT_NEAR(t_single, 0.661, 5e-4);
+  EXPECT_GT(t_single, SimulatePipeline(sorted, stages, single).makespan);
 }
 
 // Property sweep: across models and batch shapes the length-aware design

@@ -1,14 +1,13 @@
-// Tests for the operator graph, Eq. 1 priorities, Algorithm 1 stage
-// allocation and the pipeline resource planner.
+// Tests for the operator graph, Eq. 1 priorities and Algorithm 1 stage
+// allocation, priced through the stage pipeline.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
-
+#include "fpga/pipeline_sim.hpp"
+#include "fpga/resources.hpp"
+#include "fpga/timing.hpp"
 #include "model/config.hpp"
 #include "sched/op_graph.hpp"
-#include "sched/resource_plan.hpp"
 #include "sched/stage_allocation.hpp"
 
 namespace latte {
@@ -94,29 +93,36 @@ TEST(OpGraphTest, PrioritiesDecreaseAlongEncoderChain) {
 
 // --------------------------------------------------------- Algorithm 1 ---
 
-TEST(StageAllocationTest, EveryOperatorPlacedExactlyOnce) {
+FpgaSpec WithDsp(double dsp) {
+  FpgaSpec spec = AlveoU280Slr0();
+  spec.dsp = dsp;
+  return spec;
+}
+
+TEST(StageAllocationTest, ReturnsEveryOperatorWithItsStage) {
   const auto g = BertSparseGraph();
-  const auto res = AllocateStages(g, 177);
-  std::vector<int> seen(g.size(), 0);
-  for (const auto& stage : res.stages) {
-    for (const auto& a : stage.ops) ++seen[a.op];
-  }
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 177);
+  ASSERT_EQ(res.ops.size(), g.size());
+  ASSERT_EQ(res.lanes.size(), g.size());
+  std::vector<int> members(res.Stages(), 0);
   for (std::size_t v = 0; v < g.size(); ++v) {
-    EXPECT_EQ(seen[v], 1) << "op " << g.node(v).spec.name;
+    EXPECT_EQ(res.ops[v].name, g.node(v).spec.name);
+    ASSERT_GE(res.ops[v].stage_hint, 1);
+    ASSERT_LE(res.ops[v].stage_hint, static_cast<int>(res.Stages()));
+    ++members[static_cast<std::size_t>(res.ops[v].stage_hint - 1)];
   }
+  for (int m : members) EXPECT_GT(m, 0);  // no stage is empty
 }
 
 TEST(StageAllocationTest, StagesAreContiguousInDataflowOrder) {
   const auto g = BertSparseGraph();
-  const auto res = AllocateStages(g, 177);
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 177);
   // On a chain visited in priority (= dataflow) order, each stage must be a
-  // contiguous vertex range.
-  std::size_t expected = 0;
-  for (const auto& stage : res.stages) {
-    for (const auto& a : stage.ops) {
-      EXPECT_EQ(a.op, expected);
-      ++expected;
-    }
+  // contiguous vertex range: the hint steps up by at most one.
+  EXPECT_EQ(res.ops.front().stage_hint, 1);
+  for (std::size_t v = 1; v < res.ops.size(); ++v) {
+    const int step = res.ops[v].stage_hint - res.ops[v - 1].stage_hint;
+    EXPECT_TRUE(step == 0 || step == 1) << res.ops[v].name;
   }
 }
 
@@ -124,153 +130,97 @@ TEST(StageAllocationTest, QkvAndAtSelShareStageOne) {
   // The Fig 2(a) boundary the algorithm must reproduce: the big QKV matmul
   // and the LUT-fabric At-Sel coexist in stage 1 (At-Sel costs no DSPs).
   const auto g = BertSparseGraph();
-  const auto res = AllocateStages(g, 177);
-  ASSERT_GE(res.stages.size(), 2u);
-  EXPECT_EQ(res.StageOf(0), res.StageOf(1));  // QKV with At-Sel
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 177);
+  ASSERT_GE(res.Stages(), 2u);
+  EXPECT_EQ(res.ops[0].stage_hint, 1);  // QKV
+  EXPECT_EQ(res.ops[1].stage_hint, 1);  // At-Sel
 }
 
-TEST(StageAllocationTest, RespectsDspBudget) {
+TEST(StageAllocationTest, RespectsDspAndLutBudgets) {
   const auto g = BertSparseGraph();
-  AllocatorConfig cfg;
-  cfg.dsp_budget = 3000;
-  const auto res = AllocateStages(g, 177, cfg);
-  EXPECT_LE(res.TotalDsp(g), cfg.dsp_budget);
+  const auto spec = AlveoU280Slr0();
+  const auto res = AllocateStages(g, spec, 177);
+  EXPECT_LE(res.TotalDsp(), spec.dsp);
+  EXPECT_LE(res.TotalLut(), spec.lut);
 }
 
 TEST(StageAllocationTest, TighterBudgetNeverMergesStages) {
   const auto g = BertSparseGraph();
-  AllocatorConfig loose;
-  loose.dsp_budget = 6000;
-  AllocatorConfig tight;
-  tight.dsp_budget = 1200;
-  const auto a = AllocateStages(g, 177, loose);
-  const auto b = AllocateStages(g, 177, tight);
-  EXPECT_GE(b.stages.size(), a.stages.size());
+  const auto a = AllocateStages(g, WithDsp(6000), 177);
+  const auto b = AllocateStages(g, WithDsp(1200), 177);
+  EXPECT_GE(b.Stages(), a.Stages());
 }
 
 TEST(StageAllocationTest, SingleOpGraph) {
-  const auto g = OpGraph::Chain({MakeOp("only", 42)});
-  const auto res = AllocateStages(g, 10);
-  ASSERT_EQ(res.stages.size(), 1u);
-  EXPECT_EQ(res.stages[0].ops.size(), 1u);
+  const auto g = OpGraph::Chain({MakeOp("only", 42, 3)});
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 10);
+  ASSERT_EQ(res.Stages(), 1u);
+  EXPECT_EQ(res.ops[0].stage_hint, 1);
+  EXPECT_EQ(res.lanes[0], 1.0);
 }
 
 TEST(StageAllocationTest, EmptyGraph) {
   OpGraph g;
-  EXPECT_TRUE(AllocateStages(g, 10).stages.empty());
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 10);
+  EXPECT_TRUE(res.ops.empty());
+  EXPECT_EQ(res.Stages(), 0u);
 }
 
 TEST(StageAllocationTest, EqualWeightsPackIntoOneStage) {
   const auto g = OpGraph::Chain(
       {MakeOp("a", 100), MakeOp("b", 100), MakeOp("c", 100)});
-  const auto res = AllocateStages(g, 1.0);
-  EXPECT_EQ(res.stages.size(), 1u);  // ceil ratios are 1, budget huge
+  const auto res = AllocateStages(g, AlveoU280Slr0(), 1.0);
+  EXPECT_EQ(res.Stages(), 1u);  // ceil ratios are 1, budget huge
 }
 
 TEST(StageAllocationTest, HugeWeightMismatchOpensNewStage) {
-  AllocatorConfig cfg;
-  cfg.dsp_budget = 100;
   const auto g = OpGraph::Chain({MakeOp("big", 1e9), MakeOp("small", 1.0)});
-  const auto res = AllocateStages(g, 1.0, cfg);
+  const auto res = AllocateStages(g, WithDsp(100), 1.0);
   // Rebalancing would give "big" 1e9 lanes; must split instead.
-  EXPECT_EQ(res.stages.size(), 2u);
+  EXPECT_EQ(res.Stages(), 2u);
 }
 
-// ----------------------------------------------------- CanonicalStages ---
-
-TEST(CanonicalStagesTest, ThreeStagesForEncoder) {
-  const auto g = BertSparseGraph();
-  const auto res = CanonicalStages(g, 177);
-  ASSERT_EQ(res.stages.size(), 3u);
-  // Stage membership mirrors Fig 2(a).
-  EXPECT_EQ(res.StageOf(0), 0u);  // QKV
-  EXPECT_EQ(res.StageOf(1), 0u);  // At-Sel
+TEST(StageAllocationTest, LutLanesCostKLutsPerLane) {
+  // Rebalancing against "small" gives the LUT-class "sel" ceil(100 / 1) =
+  // 100 lanes: they fit a budget of exactly 100 lanes' LUTs, not one less.
+  OpSpec sel = MakeOp("sel", 100);
+  sel.lut_ops.lin = 1;
+  const auto g = OpGraph::Chain({sel, MakeOp("small", 1)});
+  FpgaSpec spec = AlveoU280Slr0();
+  spec.lut = 100 * kLutsPerLane;
+  EXPECT_EQ(AllocateStages(g, spec, 1.0).Stages(), 1u);
+  spec.lut -= 1;
+  EXPECT_EQ(AllocateStages(g, spec, 1.0).Stages(), 2u);
 }
 
-TEST(CanonicalStagesTest, ParallelismProportionalToWeight) {
-  const auto g = BertSparseGraph();
-  const auto res = CanonicalStages(g, 177);
-  const auto w = g.Weights(177);
-  for (const auto& stage : res.stages) {
-    double wmin = 1e300;
-    for (const auto& a : stage.ops) wmin = std::min(wmin, w[a.op]);
-    for (const auto& a : stage.ops) {
-      EXPECT_DOUBLE_EQ(a.parallelism, std::ceil(w[a.op] / wmin));
-    }
-  }
-}
-
-// ------------------------------------------------------------- Planner ---
-
-TEST(PlannerTest, ProportionalSplitBalancesStages) {
-  PlannerConfig cfg;
-  cfg.total_dsp = 3000;
-  const auto plan = PlanPipeline({100.0, 200.0, 300.0}, cfg);
-  ASSERT_EQ(plan.stages.size(), 3u);
-  EXPECT_NEAR(plan.stages[0].dsp, 500, 1);
-  EXPECT_NEAR(plan.stages[1].dsp, 1000, 1);
-  EXPECT_NEAR(plan.stages[2].dsp, 1500, 1);
-  // Balanced: every stage sustains the same token rate.
-  EXPECT_NEAR(plan.BalanceRatio(200e6), 1.0, 1e-9);
-}
-
-TEST(PlannerTest, ThroughputIsSlowestStage) {
-  PlannerConfig cfg;
-  cfg.total_dsp = 300;
-  const auto plan = PlanPipeline({100.0, 100.0, 100.0}, cfg);
-  const double rate = plan.TokensPerSecond(200e6);
-  EXPECT_NEAR(rate, 100.0 * 2 * 200e6 / 100.0, 1);
-}
-
-TEST(PlannerTest, ReplicationKicksInAboveInstanceCap) {
-  PlannerConfig cfg;
-  cfg.total_dsp = 4000;
-  cfg.max_dsp_per_instance = 1000;
-  const auto plan = PlanPipeline({1.0, 9.0}, cfg);  // stage 2 gets 3600 DSPs
-  EXPECT_EQ(plan.stages[0].replication, 1u);
-  EXPECT_EQ(plan.stages[1].replication, 4u);
-}
-
-TEST(PlannerTest, ZeroWorkStageGetsInfiniteRate) {
-  const auto plan = PlanPipeline({0.0, 10.0});
-  EXPECT_TRUE(std::isinf(plan.stages[0].TokensPerSecond(200e6)));
-}
-
-TEST(PlannerTest, NegativeWorkRejected) {
-  EXPECT_THROW(PlanPipeline({-1.0}), std::invalid_argument);
-}
-
-TEST(PlannerTest, StageFlopsPerTokenFromAllocation) {
-  const auto g = BertSparseGraph();
-  const auto alloc = CanonicalStages(g, 177);
-  const auto work = StageFlopsPerToken(g, alloc, 177);
-  ASSERT_EQ(work.size(), 3u);
-  // Stage 3 (FFN) per-token work must dominate stage 2 (sparse attention).
-  EXPECT_GT(work[2], work[1]);
-  // All stages do nonzero work.
-  for (double w : work) EXPECT_GT(w, 0.0);
-}
-
-// Property sweep: Algorithm 1 invariants hold across budgets and lengths.
+// Property sweep: Algorithm 1 invariants hold across budgets and lengths,
+// and every result prices through the one stage pipeline.
 class AllocationProperty
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
 TEST_P(AllocationProperty, InvariantsHold) {
   const auto [budget, s_avg] = GetParam();
   const auto g = BertSparseGraph();
-  AllocatorConfig cfg;
-  cfg.dsp_budget = budget;
-  const auto res = AllocateStages(g, s_avg, cfg);
-  // 1. Budget respected.
-  EXPECT_LE(res.TotalDsp(g), budget * (1 + 1e-9));
-  // 2. Complete, duplicate-free cover.
-  std::size_t count = 0;
-  for (const auto& st : res.stages) count += st.ops.size();
-  EXPECT_EQ(count, g.size());
+  const auto spec = WithDsp(budget);
+  const auto res = AllocateStages(g, spec, s_avg);
+  // 1. Budgets respected.
+  EXPECT_LE(res.TotalDsp(), spec.dsp * (1 + 1e-9));
+  EXPECT_LE(res.TotalLut(), spec.lut * (1 + 1e-9));
+  // 2. Complete cover, every stage within the pipeline's bound.
+  ASSERT_EQ(res.ops.size(), g.size());
+  ASSERT_GE(res.Stages(), 1u);
+  ASSERT_LE(res.Stages(), kMaxStages);
   // 3. Parallelism at least 1 everywhere.
-  for (const auto& st : res.stages) {
-    for (const auto& a : st.ops) EXPECT_GE(a.parallelism, 1.0);
-  }
+  for (double lanes : res.lanes) EXPECT_GE(lanes, 1.0);
+  // 4. The partition prices like any other: one stage per Algorithm 1
+  //    stage, and the makespan-only recurrence agrees with the full one.
+  const auto stages = BuildStageTimings(res.ops, spec, s_avg);
+  ASSERT_EQ(stages.size(), res.Stages());
+  const std::vector<std::size_t> batch = {512, 300, 177, 90, 53};
+  PipelineSimConfig cfg;
+  const auto schedule = SimulatePipeline(batch, stages, cfg);
+  EXPECT_GT(schedule.makespan, 0.0);
+  EXPECT_EQ(PipelineMakespan(batch, stages, cfg), schedule.makespan);
 }
 
 INSTANTIATE_TEST_SUITE_P(
