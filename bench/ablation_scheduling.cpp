@@ -102,8 +102,7 @@ int main() {
   // --- Algorithm 1 vs canonical Fig 2(a) partition ---------------------
   // Algorithm 1 runs at the dataset's average length; both partitions are
   // sized and priced like the sorted row above.
-  const auto g = OpGraph::Chain(ops);
-  const auto algo = AllocateStages(g, AlveoU280Slr0(), spec.avg_len);
+  const auto algo = AllocateStages(ops, AlveoU280Slr0(), spec.avg_len);
   const double s_avg = MeanLength(sorted.effective_lengths);
   auto describe = [&](const char* name, const std::vector<OpSpec>& part) {
     const auto stages = BuildStageTimings(part, AlveoU280Slr0(), s_avg);
@@ -118,7 +117,10 @@ int main() {
     for (int hint = 1; hint <= static_cast<int>(kMaxStages); ++hint) {
       std::string members;
       for (const auto& op : part) {
-        if (op.stage_hint == hint) members += " " + op.name;
+        if (op.stage_hint == hint) {
+          members += " ";
+          members += OpKindName(op.kind);
+        }
       }
       if (members.empty()) continue;
       std::printf("    stage %zu [%s roof, %4.0f DSP]:%s\n", k + 1,
@@ -134,11 +136,10 @@ int main() {
   describe("canonical Fig 2(a)", ops);
 
   // --- Eq. 1 priorities -------------------------------------------------
-  const auto prio = g.Priorities(spec.avg_len);
+  const auto prio = Priorities(ops, spec.avg_len);
   std::printf("\nEq. 1 priorities at s_avg=%.0f (GFLOP):\n", spec.avg_len);
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    std::printf("  %-10s P=%8.2f\n", g.node(v).spec.name.c_str(),
-                prio[v] / 1e9);
+  for (std::size_t v = 0; v < ops.size(); ++v) {
+    std::printf("  %-10s P=%8.2f\n", OpKindName(ops[v].kind), prio[v] / 1e9);
   }
   return 0;
 }

@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
   base_spec.base = ServiceModelSpec::Base::kAccelerator;
   base_spec.model = model_cfg;
   const BatchServiceModel base_service = BuildServiceModel(base_spec);
-  const OpGraph graph =
-      OpGraph::Chain(EncoderOps(model_cfg.encoder, AttentionMode::kDense));
+  const auto ops = EncoderOps(model_cfg.encoder, AttentionMode::kDense);
 
   const std::vector<std::size_t> seq_lens = {64, 256, 1024, 4096};
   const std::vector<std::size_t> degrees = {2, 4};
@@ -162,7 +161,7 @@ int main(int argc, char** argv) {
         const ShardPlan plan = MakeShardPlan(model_cfg.encoder, plan_cfg);
         const InterconnectModel icn(icn_cfg);
         cell.share =
-            PartitionOpWeights(graph, plan, model_cfg.encoder,
+            PartitionOpWeights(ops, plan, model_cfg.encoder,
                                static_cast<double>(seq_len)).MaxShare();
         cell.comm_batch_s =
             static_cast<double>(kBatch * model_cfg.layers) *

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
 
   const auto ops =
       EncoderOps(model.encoder, AttentionMode::kSparseTopK, /*top_k=*/30);
-  const auto g = OpGraph::Chain(ops);
   Rng rng(42);
   const auto batch = MakeBatch(LengthSampler(Squad()).SampleMany(rng, 16),
                                BatchPolicy::kSortedDescending)
@@ -75,13 +74,13 @@ int main(int argc, char** argv) {
   for (double budget : {768.0, 1500.0, 3000.0, 6000.0, 12000.0}) {
     FpgaSpec spec = AlveoU280Slr0();
     spec.dsp = budget;
-    const auto res = AllocateStages(g, spec, 177);
+    const auto res = AllocateStages(ops, spec, 177);
     std::printf("  budget %6.0f DSP -> %zu stages, %6.0f DSP lanes used |",
                 budget, res.Stages(), res.TotalDsp());
     int open = 0;  // the stage whose bracket is open
     for (const auto& op : res.ops) {
       std::printf("%s%s", op.stage_hint == open ? " " : open ? "] [" : " [",
-                  op.name.c_str());
+                  OpKindName(op.kind));
       open = op.stage_hint;
     }
     std::printf("]\n");
@@ -101,7 +100,7 @@ int main(int argc, char** argv) {
                      "stage utilization", "binding roofs"});
   const FpgaSpec spec = AlveoU280Slr0();
   for (double s : {53.0, 68.0, 177.0, 512.0, 821.0}) {
-    const auto algo = AllocateStages(g, spec, s);
+    const auto algo = AllocateStages(ops, spec, s);
     for (const auto& [name, part] :
          {std::pair{"Algorithm 1", &algo.ops}, std::pair{"Fig 2(a)", &ops}}) {
       const auto p = PricePartition(*part, spec, s, batch, model.layers);

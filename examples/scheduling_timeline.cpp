@@ -56,7 +56,7 @@ int main() {
 
   // Export the schedule for chrome://tracing / Perfetto.
   const char* trace_path = "fig5_schedule.json";
-  if (WriteTextFile(trace_path, ToChromeTrace(schedule))) {
+  if (ToChromeTrace(schedule).WriteFile(trace_path)) {
     std::printf("Chrome trace written to %s (open in chrome://tracing)\n",
                 trace_path);
   }

@@ -1,51 +1,37 @@
 #include "fpga/trace.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 namespace latte {
-namespace {
 
-const char* StageName(std::size_t stage) {
-  switch (stage) {
-    case 0: return "MM|At-Sel";
-    case 1: return "At-Comp";
-    case 2: return "FdFwd";
-    default: return "Stage";
-  }
-}
-
-}  // namespace
-
-std::string ToChromeTrace(const ScheduleResult& schedule) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  // Process-name metadata per stage.
-  std::size_t max_stage = 0;
-  for (const auto& j : schedule.jobs) max_stage = std::max(max_stage, j.stage);
-  for (std::size_t s = 0; s <= max_stage; ++s) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << s
-       << ",\"args\":{\"name\":\"" << StageName(s) << "\"}}";
+obs::JsonWriter ToChromeTrace(const ScheduleResult& schedule) {
+  obs::JsonWriter json;
+  json.BeginObject().Key("traceEvents").BeginArray();
+  for (std::size_t s = 0; s < schedule.stage_busy.size(); ++s) {
+    json.BeginObject();
+    json.Key("name").Value("process_name");
+    json.Key("ph").Value("M");
+    json.Key("pid").Value(s);
+    json.Key("args").BeginObject();
+    json.Key("name").Value("stage " + std::to_string(s + 1));
+    json.EndObject().EndObject();
   }
   for (const auto& j : schedule.jobs) {
-    os << ",{\"name\":\"seq" << j.seq << " L" << j.layer
-       << "\",\"ph\":\"X\",\"pid\":" << j.stage
-       << ",\"tid\":0,\"ts\":" << j.start * 1e6 << ",\"dur\":"
-       << (j.end - j.start) * 1e6 << ",\"args\":{\"seq\":" << j.seq
-       << ",\"layer\":" << j.layer << "}}";
+    json.BeginObject();
+    json.Key("name").Value("seq" + std::to_string(j.seq) + " L" +
+                           std::to_string(j.layer));
+    json.Key("ph").Value("X");
+    json.Key("pid").Value(j.stage);
+    json.Key("tid").Value(std::size_t{0});
+    json.Key("ts").Value(j.start * 1e6);
+    json.Key("dur").Value((j.end - j.start) * 1e6);
+    json.Key("args").BeginObject();
+    json.Key("seq").Value(j.seq);
+    json.Key("layer").Value(j.layer);
+    json.EndObject().EndObject();
   }
-  os << "]}";
-  return os.str();
-}
-
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
+  json.EndArray().EndObject();
+  return json;
 }
 
 }  // namespace latte

@@ -72,7 +72,6 @@
 #include "search/design_space.hpp"
 #include "search/evaluator.hpp"
 #include "search/json_io.hpp"
-#include "sched/op_graph.hpp"
 #include "sched/shard_plan.hpp"
 #include "sched/stage_allocation.hpp"
 #include "serve/batch_former.hpp"

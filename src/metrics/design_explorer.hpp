@@ -1,12 +1,16 @@
 #pragma once
-// Automated design-space exploration (Section 4.2: "...enumerate pipeline
-// replication factor R(G_k, s_i) to obtain the optimal setting with the
-// help of analytical performance and resource models").
+// Automated design-space exploration over the algorithm side of Section
+// 4.2's co-design loop: Top-k and the pre-selection bit width.
 //
-// Explores the co-design knobs -- Top-k, pre-selection bit width, and
-// per-stage replication -- under a resource and accuracy constraint, and
-// returns the throughput-optimal point plus the accuracy/throughput Pareto
-// front that Figs 6 and 7 jointly trace.
+// Each (top_k, bits) point is priced on one reference batch by the
+// accelerator twin (RunAccelerator; the bit width moves no latency) and
+// scored by its measured selection fidelity through the calibrated
+// accuracy-drop model.  A point is feasible when its predicted drop fits
+// the accuracy budget; no resource fit is checked.  Returns the
+// throughput-optimal feasible point plus the accuracy/throughput Pareto
+// front that Figs 6 and 7 jointly trace.  The paper's per-stage
+// replication factor R(G_k, s_i) is not explored: the twin models no
+// stage replication.
 
 #include <vector>
 
@@ -23,7 +27,7 @@ struct ExplorerPoint {
   double sequences_per_s = 0;
   double predicted_drop_pct = 0;   ///< calibrated accuracy drop
   double retained_mass = 0;        ///< measured selection fidelity
-  bool feasible = true;            ///< resource + accuracy constraints hold
+  bool feasible = true;            ///< the accuracy budget holds
 };
 
 /// Exploration constraints.

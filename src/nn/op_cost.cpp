@@ -2,7 +2,7 @@
 
 namespace latte {
 
-std::string OpKindName(OpKind kind) {
+const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kQkvProjection:    return "MM(QKV)";
     case OpKind::kScoreMatMul:      return "MM(QK^T)";
@@ -36,7 +36,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
   {
     OpSpec s;
     s.kind = OpKind::kQkvProjection;
-    s.name = OpKindName(s.kind);
     s.flops.lin = 6.0 * h * h;               // 3 matmuls, 2nh^2 each
     s.offchip_elems.cst = 3.0 * h * h;       // stream Wq|Wk|Wv once per layer
     s.offchip_elems.lin = 4.0 * h;           // read X, write Q,K,V
@@ -50,7 +49,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
   if (mode == AttentionMode::kDense) {
     OpSpec sc;
     sc.kind = OpKind::kScoreMatMul;
-    sc.name = OpKindName(sc.kind);
     sc.flops.quad = 2.0 * h;                 // n^2 * d * 2 per head * H
     sc.offchip_elems.quad = H;               // materialize S (n^2 per head)
     sc.stage_hint = 2;
@@ -59,7 +57,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec scale;
     scale.kind = OpKind::kScale;
-    scale.name = OpKindName(scale.kind);
     scale.flops.quad = H;                    // one mult per score element
     scale.stage_hint = 2;
     scale.in_attention = true;
@@ -67,7 +64,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec mask;
     mask.kind = OpKind::kMask;
-    mask.name = OpKindName(mask.kind);
     mask.flops.quad = H;
     mask.stage_hint = 2;
     mask.in_attention = true;
@@ -75,7 +71,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec sm;
     sm.kind = OpKind::kSoftmax;
-    sm.name = OpKindName(sm.kind);
     sm.flops.quad = 5.0 * H;                 // exp + 2 reduces + div per elem
     sm.stage_hint = 2;
     sm.in_attention = true;
@@ -83,7 +78,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec cm;
     cm.kind = OpKind::kContextMatMul;
-    cm.name = OpKindName(cm.kind);
     cm.flops.quad = 2.0 * h;                 // n^2 * d * 2 per head * H
     cm.offchip_elems.quad = H;               // re-read S
     cm.stage_hint = 2;
@@ -96,7 +90,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
     // buffering").
     OpSpec sel;
     sel.kind = OpKind::kAttentionSelect;
-    sel.name = OpKindName(sel.kind);
     sel.flops.lin = 2.0 * h;                 // quantize Q and K rows
     sel.lut_ops.quad = h + H;                // Q'K'^T (n^2 d H = n^2 h) + sort
     sel.offchip_elems.lin = 2.0 * k * H;     // write (idx,val) per query/head
@@ -108,7 +101,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
     // dot products + scale + mask + exp in one II=1 loop (Fig 4).
     OpSpec ss;
     ss.kind = OpKind::kSparseScore;
-    ss.name = OpKindName(ss.kind);
     ss.flops.lin = 2.0 * k * h + 7.0 * k * H;  // n*k*d*2*H + fused tail ops
     ss.offchip_elems.lin = 2.0 * k * H;        // read Top-k pairs from HBM
     ss.stage_hint = 2;
@@ -118,7 +110,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
     // Stage 2.3: Z_i = S_i V / sum(S_i) on the candidates.
     OpSpec sctx;
     sctx.kind = OpKind::kSparseContext;
-    sctx.name = OpKindName(sctx.kind);
     sctx.flops.lin = 2.0 * k * h + h;          // n*k*d*2*H + normalize
     sctx.offchip_elems.lin = 2.0 * h;          // K,V rows into on-chip buffer
     sctx.stage_hint = 2;
@@ -129,7 +120,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
   {
     OpSpec o;
     o.kind = OpKind::kOutputProjection;
-    o.name = OpKindName(o.kind);
     o.flops.lin = 2.0 * h * h;
     o.offchip_elems.cst = h * h;
     o.offchip_elems.lin = 2.0 * h;
@@ -142,14 +132,12 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
   {
     OpSpec ln1;
     ln1.kind = OpKind::kLayerNorm1;
-    ln1.name = OpKindName(ln1.kind);
     ln1.flops.lin = 8.0 * h;  // mean, var, normalize, affine
     ln1.stage_hint = 3;
     ops.push_back(std::move(ln1));
 
     OpSpec f1;
     f1.kind = OpKind::kFfn1;
-    f1.name = OpKindName(f1.kind);
     f1.flops.lin = 2.0 * h * f;
     f1.offchip_elems.cst = h * f;
     f1.offchip_elems.lin = h + f;
@@ -158,14 +146,12 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec g;
     g.kind = OpKind::kGelu;
-    g.name = OpKindName(g.kind);
     g.flops.lin = 10.0 * f;  // tanh-approx polynomial per element
     g.stage_hint = 3;
     ops.push_back(std::move(g));
 
     OpSpec f2;
     f2.kind = OpKind::kFfn2;
-    f2.name = OpKindName(f2.kind);
     f2.flops.lin = 2.0 * h * f;
     f2.offchip_elems.cst = h * f;
     f2.offchip_elems.lin = h + f;
@@ -174,7 +160,6 @@ std::vector<OpSpec> EncoderOps(const EncoderConfig& cfg, AttentionMode mode,
 
     OpSpec ln2;
     ln2.kind = OpKind::kLayerNorm2;
-    ln2.name = OpKindName(ln2.kind);
     ln2.flops.lin = 8.0 * h;
     ln2.stage_hint = 3;
     ops.push_back(std::move(ln2));

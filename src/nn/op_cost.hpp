@@ -24,7 +24,7 @@
 //                    activations in/out, Top-k index/value round trip).
 
 #include <cstddef>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/encoder.hpp"
@@ -64,21 +64,21 @@ enum class OpKind {
 };
 
 /// Returns a short human-readable label ("MM(QKV)", "At-Sel", ...).
-std::string OpKindName(OpKind kind);
+const char* OpKindName(OpKind kind);
 
 /// Which attention implementation the operator list describes.
 enum class AttentionMode { kDense, kSparseTopK };
 
 /// One encoder operator with its cost polynomials and pipeline metadata.
 struct OpSpec {
-  OpKind kind{};
-  std::string name;
+  OpKind kind{};           ///< labelled by OpKindName(kind)
   CostPoly flops;          ///< DSP-class arithmetic
   CostPoly lut_ops;        ///< LUT-class arithmetic (quantized / sorting)
   CostPoly offchip_elems;  ///< HBM traffic in elements
   int stage_hint = 1;      ///< coarse stage; EncoderOps sets Fig 2(a)'s 1..3
   bool in_attention = false;  ///< member of the self-attention workflow
 };
+static_assert(std::is_trivially_copyable_v<OpSpec>);
 
 /// Builds the ordered operator list of one encoder layer.
 /// For kSparseTopK, `top_k` is the number of candidates kept per query row;

@@ -102,16 +102,17 @@ class JsonWriter {
   const std::string& str() const { return out_; }
 
   /// Writes the document to `path` followed by a newline; returns false
-  /// (and prints to stderr) when the file cannot be written.
+  /// (and prints to stderr) when the file cannot be opened, written or
+  /// closed -- a full disk shows only at the close's flush.
   bool WriteFile(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
-      return false;
+    bool ok = f != nullptr;
+    if (ok) {
+      ok = std::fprintf(f, "%s\n", out_.c_str()) >= 0;
+      ok = std::fclose(f) == 0 && ok;
     }
-    std::fprintf(f, "%s\n", out_.c_str());
-    std::fclose(f);
-    return true;
+    if (!ok) std::fprintf(stderr, "json: cannot write %s\n", path.c_str());
+    return ok;
   }
 
  private:

@@ -17,7 +17,7 @@ std::size_t MaxSliceBytes(const std::vector<ShardRange>& ranges,
 }
 
 // Arithmetic weight of one operator: FLOPs, falling back to LUT ops for
-// the pure-LUT operators so sparse-mode graphs keep their selector work.
+// the pure-LUT operators so sparse-mode lists keep their selector work.
 double OpWeight(const OpSpec& spec, double n) {
   const double flops = spec.flops.Eval(n);
   return flops > 0 ? flops : spec.lut_ops.Eval(n);
@@ -82,12 +82,12 @@ double ShardWeights::MaxShare() const {
   return (serial_flops + slowest) / total_flops;
 }
 
-ShardWeights PartitionOpWeights(const OpGraph& graph, const ShardPlan& plan,
+ShardWeights PartitionOpWeights(const std::vector<OpSpec>& ops,
+                                const ShardPlan& plan,
                                 const EncoderConfig& enc, double n) {
   ShardWeights out;
   out.shard_flops.assign(plan.shards, 0.0);
-  for (std::size_t v = 0; v < graph.size(); ++v) {
-    const OpSpec& spec = graph.node(v).spec;
+  for (const OpSpec& spec : ops) {
     const double w = OpWeight(spec, n);
     double axis_total = 0;
     const std::vector<ShardRange>* axis = nullptr;

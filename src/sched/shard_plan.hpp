@@ -17,11 +17,11 @@
 // count.  LayerNorms and residual adds stay serial: they are O(n*h),
 // negligible next to the GEMMs.
 //
-// Sharding is priced, not executed.  PartitionOpWeights splits the operator graph's FLOP weights into
-// per-shard and serial buckets (the compute share a gang of N devices
-// achieves, imbalance included), and PlanCommVolume/ShardLayerCommSeconds
-// measure the collective traffic a layer pays under the plan, in bytes
-// and in InterconnectModel seconds.  serve/shard_service turns both into
+// Sharding is priced, not executed.  PartitionOpWeights splits the
+// operator list's FLOP weights into per-shard and serial buckets (the
+// compute share a gang of N devices achieves, imbalance included), and
+// PlanCommVolume/ShardLayerCommSeconds measure the collective traffic a
+// layer pays under the plan, in bytes and in InterconnectModel seconds.  serve/shard_service turns both into
 // the kSharded backend's service model.
 
 #include <cstddef>
@@ -29,8 +29,8 @@
 
 #include "config/check.hpp"
 #include "nn/encoder.hpp"
+#include "nn/op_cost.hpp"
 #include "sched/interconnect.hpp"
-#include "sched/op_graph.hpp"
 
 namespace latte {
 
@@ -96,13 +96,14 @@ struct ShardWeights {
   double MaxShare() const;
 };
 
-/// Partitions the operator graph's arithmetic weights under `plan`:
+/// Partitions the operator list's arithmetic weights under `plan`:
 /// attention operators split by head share, FFN1/GELU by FFN-column
 /// share, Wo by hidden-column share, FFN2 by whichever axis the plan
 /// splits it on, LayerNorms serial.  Operators with zero FLOPs (pure
 /// LUT work, e.g. the sparse attention selector) fall back to their
-/// lut_ops weight so sparse-mode graphs partition meaningfully too.
-ShardWeights PartitionOpWeights(const OpGraph& graph, const ShardPlan& plan,
+/// lut_ops weight so sparse-mode lists partition meaningfully too.
+ShardWeights PartitionOpWeights(const std::vector<OpSpec>& ops,
+                                const ShardPlan& plan,
                                 const EncoderConfig& enc, double n);
 
 /// Collective traffic one encoder layer pays under a plan at sequence

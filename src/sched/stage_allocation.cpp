@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "fpga/timing.hpp"
 
@@ -11,6 +10,16 @@ namespace {
 
 /// Hard cap on any single operator's parallelism (port/banking limits).
 constexpr double kMaxParallelism = 4096;
+
+/// Operator weights W(v, s_avg): FLOPs at s_avg, at least 1 so that pure
+/// LUT work keeps the ceil ratios finite.
+std::vector<double> Weights(const std::vector<OpSpec>& ops, double s_avg) {
+  std::vector<double> w(ops.size());
+  for (std::size_t v = 0; v < ops.size(); ++v) {
+    w[v] = std::max(1.0, ops[v].flops.Eval(s_avg));
+  }
+  return w;
+}
 
 bool IsLutClass(const OpSpec& spec) {
   // Operators whose dominant arithmetic is LUT-fabric work.
@@ -50,37 +59,37 @@ double AllocationResult::TotalLut() const {
   return lut;
 }
 
-AllocationResult AllocateStages(const OpGraph& g, const FpgaSpec& spec,
-                                double s_avg) {
-  if (g.size() == 0) return {};
-  const auto weights = g.Weights(s_avg);
-  const auto prio = g.Priorities(s_avg);
+std::vector<double> Priorities(const std::vector<OpSpec>& ops,
+                               double s_avg) {
+  auto p = Weights(ops, s_avg);
+  // Sweep from the sink, whose successor term is 0.
+  double next = 0.0;
+  for (std::size_t v = ops.size(); v-- > 0;) {
+    p[v] += next;
+    next = p[v];
+  }
+  return p;
+}
 
-  // Visit vertices in decreasing priority; ties by vertex id for
-  // determinism.  For a dataflow chain this is exactly dataflow order.
-  std::vector<std::size_t> order(g.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (prio[a] != prio[b]) return prio[a] > prio[b];
-                     return a < b;
-                   });
-
+AllocationResult AllocateStages(const std::vector<OpSpec>& ops,
+                                const FpgaSpec& spec, double s_avg) {
+  const auto weights = Weights(ops, s_avg);
   AllocationResult res;
-  for (std::size_t v = 0; v < g.size(); ++v) res.ops.push_back(g.node(v).spec);
-  res.lanes.assign(g.size(), 1.0);
+  res.ops = ops;
+  res.lanes.assign(ops.size(), 1.0);
   double committed_dsp = 0.0;  // lanes in closed stages
   double committed_lut = 0.0;
 
   int stage = 1;
-  std::vector<std::size_t> open;  // members of the open stage
+  std::size_t first = 0;  // the open stage holds operators [first, v)
   std::vector<double> rebalanced;
-  for (std::size_t v : order) {
-    if (!open.empty()) {
+  // Decreasing Eq. 1 priority is list order on a chain.
+  for (std::size_t v = 0; v < ops.size(); ++v) {
+    if (v > first) {
       // Tentatively rebalance the open stage against the newcomer.
       rebalanced.clear();
       bool overflow = false;
-      for (std::size_t u : open) {
+      for (std::size_t u = first; u < v; ++u) {
         rebalanced.push_back(res.lanes[u] *
                              std::ceil(weights[u] / weights[v]));
         if (rebalanced.back() > kMaxParallelism) overflow = true;
@@ -88,28 +97,24 @@ AllocationResult AllocateStages(const OpGraph& g, const FpgaSpec& spec,
       // Cost of: closed stages + rebalanced open stage + the newcomer.
       double dsp = committed_dsp;
       double lut = committed_lut;
-      for (std::size_t i = 0; i < open.size(); ++i) {
-        ChargeLanes(res.ops[open[i]], rebalanced[i], dsp, lut);
+      for (std::size_t u = first; u < v; ++u) {
+        ChargeLanes(ops[u], rebalanced[u - first], dsp, lut);
       }
-      ChargeLanes(res.ops[v], 1.0, dsp, lut);
+      ChargeLanes(ops[v], 1.0, dsp, lut);
 
       if (!overflow && dsp <= spec.dsp && lut <= spec.lut) {
-        for (std::size_t i = 0; i < open.size(); ++i) {
-          res.lanes[open[i]] = rebalanced[i];
+        for (std::size_t u = first; u < v; ++u) {
+          res.lanes[u] = rebalanced[u - first];
         }
       } else {
         // Close the stage; the newcomer opens a fresh one.
-        for (std::size_t u : open) {
-          double d = 0, l = 0;
-          ChargeLanes(res.ops[u], res.lanes[u], d, l);
-          committed_dsp += d;
-          committed_lut += l;
+        for (std::size_t u = first; u < v; ++u) {
+          ChargeLanes(ops[u], res.lanes[u], committed_dsp, committed_lut);
         }
-        open.clear();
+        first = v;
         ++stage;
       }
     }
-    open.push_back(v);
     res.ops[v].stage_hint = stage;
   }
   return res;

@@ -1,10 +1,22 @@
 #pragma once
-// Algorithm 1: Encoder coarse-grained Stage Allocation.
+// Eq. 1 priorities and Algorithm 1: Encoder coarse-grained Stage Allocation.
 //
-// Operators are visited in decreasing Eq. 1 priority (for the encoder chain
-// this coincides with dataflow order).  The allocator tries to add each
-// operator to the currently open stage; doing so rebalances the parallelism
-// of the operators already in that stage by
+// The encoder of Fig 1 is a chain at the granularity EncoderOps prices, so
+// the operator list in dataflow order is the graph G = (V, E): each
+// operator's one successor is the next in the list.  The priority of an
+// operator is its critical path to the sink at the average sequence length
+// s_avg,
+//
+//   P(v, s_avg) = W(v, s_avg) + P(v + 1, s_avg)                      (Eq. 1)
+//
+// with W(v, s) the operator's FLOPs at length s, at least 1 so that the
+// ceil ratios below stay finite.  Every weight is positive, so priorities
+// strictly decrease along the list and Algorithm 1's visit in decreasing
+// priority is the list order.
+//
+// The allocator tries to add each operator to the currently open stage;
+// doing so rebalances the parallelism of the operators already in that
+// stage by
 //
 //   N'(v_j) = N(v_j) * ceil( W(v_j, s_avg) / W(v_i, s_avg) )
 //
@@ -13,7 +25,7 @@
 // parallelisms are committed; otherwise the stage is closed and the
 // operator opens a new one with parallelism 1.
 //
-// The result is the graph's operator list with each stage_hint set to its
+// The result is the operator list with each stage_hint set to its
 // Algorithm 1 stage, so PartitionStages and SizeStages (fpga/timing) price
 // it exactly as they price the Fig 2(a) default.  How the paper's garbled
 // pseudo-code is read is noted in DESIGN.md, in the performance-twin
@@ -23,20 +35,20 @@
 #include <vector>
 
 #include "fpga/resources.hpp"
-#include "sched/op_graph.hpp"
+#include "nn/op_cost.hpp"
 
 namespace latte {
 
 /// Result of Algorithm 1.
 struct AllocationResult {
-  /// The graph's operators in vertex order, each stage_hint set to its
-  /// stage (1-based): a list PartitionStages takes as it is.
+  /// The operators in list order, each stage_hint set to its stage
+  /// (1-based): a list PartitionStages takes as it is.
   std::vector<OpSpec> ops;
   /// Committed parallelism N(v) of each operator: DSP lanes, or LUT lanes
   /// for LUT-class work (quantized pre-selection, Top-k sort).
   std::vector<double> lanes;
 
-  /// Number of stages (the largest stage_hint; 0 for an empty graph).
+  /// Number of stages (the largest stage_hint; 0 for an empty list).
   std::size_t Stages() const;
   /// DSP lanes across stages.
   double TotalDsp() const;
@@ -44,9 +56,12 @@ struct AllocationResult {
   double TotalLut() const;
 };
 
-/// Runs Algorithm 1 on the operator graph at average sequence length s_avg,
-/// packing into the DSP and LUT budgets of `spec`.
-AllocationResult AllocateStages(const OpGraph& g, const FpgaSpec& spec,
-                                double s_avg);
+/// Eq. 1 priorities of the chain `ops` (dataflow order) at s_avg.
+std::vector<double> Priorities(const std::vector<OpSpec>& ops, double s_avg);
+
+/// Runs Algorithm 1 on the chain `ops` (dataflow order) at average sequence
+/// length s_avg, packing into the DSP and LUT budgets of `spec`.
+AllocationResult AllocateStages(const std::vector<OpSpec>& ops,
+                                const FpgaSpec& spec, double s_avg);
 
 }  // namespace latte

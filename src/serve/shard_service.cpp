@@ -33,9 +33,9 @@ BatchServiceModel MakeShardedServiceModel(BatchServiceModel base,
   const InterconnectModel icn(cfg.interconnect);
   // The operator inventory prices the dense workflow: the conservative
   // shape (sparse attention only shrinks the head-parallel bucket).
-  const OpGraph graph = OpGraph::Chain(EncoderOps(enc, AttentionMode::kDense));
+  const std::vector<OpSpec> ops = EncoderOps(enc, AttentionMode::kDense);
   const std::size_t min_len = cfg.min_sharded_len;
-  return [base = std::move(base), enc, layers, plan, icn, graph,
+  return [base = std::move(base), enc, layers, plan, icn, ops,
           min_len](const std::vector<std::size_t>& lengths) {
     const double base_s = base(lengths);
     if (lengths.empty()) return base_s;
@@ -43,7 +43,7 @@ BatchServiceModel MakeShardedServiceModel(BatchServiceModel base,
         *std::max_element(lengths.begin(), lengths.end());
     if (min_len > 0 && max_len < min_len) return base_s;
     const double share =
-        PartitionOpWeights(graph, plan, enc, static_cast<double>(max_len))
+        PartitionOpWeights(ops, plan, enc, static_cast<double>(max_len))
             .MaxShare();
     double comm_s = 0;
     for (const std::size_t len : lengths) {

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
+#include "fpga/accelerator.hpp"
 #include "fpga/trace.hpp"
 #include "model/inference.hpp"
+#include "search/json_io.hpp"
 #include "serve/service_model.hpp"
 #include "nn/ops.hpp"
 #include "tensor/matmul.hpp"
@@ -309,26 +314,43 @@ ScheduleResult SmallSchedule() {
 }
 
 TEST(TraceTest, ChromeTraceContainsAllJobs) {
-  const auto schedule = SmallSchedule();
-  const std::string json = ToChromeTrace(schedule);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("MM|At-Sel"), std::string::npos);
-  // One "X" event per job.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos) {
-    ++count;
-    pos += 1;
+  // 32 padded BERT-large sequences run for seconds: every event must still
+  // carry its job's start and duration to microsecond precision.
+  AcceleratorConfig cfg;
+  cfg.mode = FpgaMode::kBaseline;
+  const auto schedule =
+      RunAccelerator(BertLarge(), std::vector<std::size_t>(32, 384), cfg);
+  ASSERT_GT(schedule.makespan, 1.0);
+  const auto doc = search::ParseJson(ToChromeTrace(schedule).str());
+  const auto& events = doc.Get("traceEvents").array;
+  const std::size_t stages = schedule.stage_busy.size();
+  ASSERT_EQ(events.size(), stages + schedule.jobs.size());
+  for (std::size_t s = 0; s < stages; ++s) {
+    EXPECT_EQ(events[s].Get("ph").string, "M");
+    EXPECT_EQ(events[s].Get("args").Get("name").string,
+              "stage " + std::to_string(s + 1));
   }
-  EXPECT_EQ(count, schedule.jobs.size());
+  for (std::size_t i = 0; i < schedule.jobs.size(); ++i) {
+    const auto& job = schedule.jobs[i];
+    const auto& ev = events[stages + i];
+    EXPECT_EQ(ev.Get("ph").string, "X");
+    EXPECT_EQ(ev.Get("pid").number, static_cast<double>(job.stage));
+    const double ts = job.start * 1e6;
+    const double dur = (job.end - job.start) * 1e6;
+    EXPECT_NEAR(ev.Get("ts").number, ts, 1e-8 * ts) << "job " << i;
+    EXPECT_NEAR(ev.Get("dur").number, dur, 1e-8 * dur) << "job " << i;
+  }
 }
 
-TEST(TraceTest, WriteTextFileRoundTrip) {
+TEST(TraceTest, WriteFileRoundTrip) {
+  const auto json = ToChromeTrace(SmallSchedule());
   const std::string path = "trace_test_tmp.json";
-  EXPECT_TRUE(WriteTextFile(path, "{}"));
+  ASSERT_TRUE(json.WriteFile(path));
+  std::ostringstream read;
+  read << std::ifstream(path).rdbuf();
   std::remove(path.c_str());
-  EXPECT_FALSE(WriteTextFile("/nonexistent-dir/x/y.json", "{}"));
+  EXPECT_EQ(read.str(), json.str() + "\n");
+  EXPECT_FALSE(json.WriteFile("/nonexistent-dir/x/y.json"));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -467,6 +468,14 @@ TEST(ManifestTest, RoundTripsConfigSeedAndExactMetrics) {
             manifest.metrics[0].second);
   EXPECT_EQ(doc.Find("metrics")->Find("throughput_rps")->number,
             manifest.metrics[1].second);
+}
+
+TEST(JsonWriterTest, WriteFileReportsAFullDisk) {
+  // /dev/full opens and buffers the write; only the close's flush fails.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::JsonWriter json;
+  json.BeginObject().Key("k").Value(1.0).EndObject();
+  EXPECT_FALSE(json.WriteFile("/dev/full"));
 }
 
 // ---------------------------------------------------------------- cluster --

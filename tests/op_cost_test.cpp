@@ -41,7 +41,7 @@ TEST(EncoderOpsTest, SparseModeIsLinearInN) {
   // O(n) in DSP work (the quadratic part lives in LUT fabric).
   const auto ops = EncoderOps(BertBaseEncoder(), AttentionMode::kSparseTopK, 30);
   for (const auto& op : ops) {
-    EXPECT_EQ(op.flops.quad, 0.0) << op.name;
+    EXPECT_EQ(op.flops.quad, 0.0) << OpKindName(op.kind);
   }
 }
 
@@ -86,7 +86,7 @@ TEST(EncoderOpsTest, AttentionScopeIsScoreToContext) {
                                   op.kind == OpKind::kMask ||
                                   op.kind == OpKind::kSoftmax ||
                                   op.kind == OpKind::kContextMatMul;
-    EXPECT_EQ(op.in_attention, expect_attention) << op.name;
+    EXPECT_EQ(op.in_attention, expect_attention) << OpKindName(op.kind);
   }
 }
 
@@ -108,16 +108,16 @@ TEST(EncoderOpsTest, StageHintsCoverFig2Partition) {
     EXPECT_GE(op.stage_hint, 1);
     EXPECT_LE(op.stage_hint, 3);
     if (op.kind == OpKind::kQkvProjection ||
-        op.kind == OpKind::kAttentionSelect) {
-      EXPECT_EQ(op.stage_hint, 1) << op.name;  // Stage 1: MM | At-Sel
+        op.kind == OpKind::kAttentionSelect) {  // Stage 1: MM | At-Sel
+      EXPECT_EQ(op.stage_hint, 1) << OpKindName(op.kind);
     }
     if (op.kind == OpKind::kSparseScore ||
-        op.kind == OpKind::kSparseContext) {
-      EXPECT_EQ(op.stage_hint, 2) << op.name;  // Stage 2: At-Comp
+        op.kind == OpKind::kSparseContext) {  // Stage 2: At-Comp
+      EXPECT_EQ(op.stage_hint, 2) << OpKindName(op.kind);
     }
     if (op.kind == OpKind::kFfn1 || op.kind == OpKind::kGelu ||
-        op.kind == OpKind::kFfn2) {
-      EXPECT_EQ(op.stage_hint, 3) << op.name;  // Stage 3: FdFwd
+        op.kind == OpKind::kFfn2) {  // Stage 3: FdFwd
+      EXPECT_EQ(op.stage_hint, 3) << OpKindName(op.kind);
     }
   }
 }

@@ -102,15 +102,15 @@ TEST(ShardPlanTest, PartitionOpWeightsSharesAreConsistent) {
   EncoderConfig enc;
   enc.hidden = 64;
   enc.heads = 8;
-  const OpGraph graph = OpGraph::Chain(EncoderOps(enc, AttentionMode::kDense));
+  const auto ops = EncoderOps(enc, AttentionMode::kDense);
 
   ShardPlanConfig cfg;
   cfg.shards = 1;
-  const auto solo = PartitionOpWeights(graph, MakeShardPlan(enc, cfg), enc, 128);
+  const auto solo = PartitionOpWeights(ops, MakeShardPlan(enc, cfg), enc, 128);
   EXPECT_DOUBLE_EQ(solo.MaxShare(), 1.0);
 
   cfg.shards = 4;
-  const auto w = PartitionOpWeights(graph, MakeShardPlan(enc, cfg), enc, 128);
+  const auto w = PartitionOpWeights(ops, MakeShardPlan(enc, cfg), enc, 128);
   double shard_sum = 0;
   for (double f : w.shard_flops) shard_sum += f;
   EXPECT_NEAR(shard_sum + w.serial_flops, w.total_flops,
