@@ -15,11 +15,7 @@ int main() {
   std::printf("== Ablation: accuracy/throughput Pareto exploration ==\n\n");
 
   for (const auto& dataset : {Squad(), Rte()}) {
-    ExplorerConfig cfg;
-    cfg.k_candidates = {10, 20, 30, 40, 50};
-    cfg.bit_candidates = {1, 4};
-    cfg.max_drop_pct = 2.0;
-    const auto res = ExploreDesign(BertBase(), dataset, cfg);
+    const auto res = ExploreDesign(BertBase(), dataset, {10, 20, 30, 40, 50});
 
     std::printf("BERT-base on %s (batch 16, drop budget 2%%):\n",
                 dataset.name.c_str());

@@ -22,8 +22,6 @@
 namespace latte {
 namespace {
 
-constexpr double kSecondsPerPaddedToken = 10e-6;
-constexpr double kBatchOverheadS = 1e-3;
 constexpr double kDuplicateRateGate = 0.2;
 
 ServingEngineConfig MakeEngine(bool cached, EvictionPolicy eviction) {
@@ -32,7 +30,7 @@ ServingEngineConfig MakeEngine(bool cached, EvictionPolicy eviction) {
   cfg.former.timeout_s = 0.05;
   cfg.workers = 1;
   cfg.execute = false;  // virtual-time sweep
-  cfg.service = PaddedServiceModel(kSecondsPerPaddedToken, kBatchOverheadS);
+  cfg.service = bench::PaddedBackend();
   cfg.cache.enabled = cached;
   cfg.cache.key_policy = CacheKeyPolicy::kRequestId;
   cfg.cache.eviction = eviction;

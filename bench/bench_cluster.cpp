@@ -5,7 +5,7 @@
 // Every cell replays the same Poisson trace (per rate) through an
 // accounting-only cluster -- no tensors, pure virtual time -- so every
 // number is deterministic run to run.  Replicas are padded backends
-// (PaddedServiceModel): each batch costs its longest member times its
+// (bench::PaddedBackend): each batch costs its longest member times its
 // size, which is what makes routing policy matter.  The headline the gate
 // watches: length-bucketed routing must beat round-robin on batch density
 // (mean batch fill) or p99 latency in at least one rate x replica cell.
@@ -20,9 +20,6 @@
 namespace latte {
 namespace {
 
-constexpr double kSecondsPerPaddedToken = 10e-6;
-constexpr double kBatchOverheadS = 1e-3;
-
 ClusterConfig MakeCluster(std::size_t replicas, RouterPolicy policy) {
   ClusterConfig cfg;
   for (std::size_t i = 0; i < replicas; ++i) {
@@ -34,8 +31,7 @@ ClusterConfig MakeCluster(std::size_t replicas, RouterPolicy policy) {
     rep.engine.former.timeout_s = 0.05;
     rep.engine.workers = 1;
     rep.engine.execute = false;  // virtual-time policy sweep
-    rep.engine.service =
-        PaddedServiceModel(kSecondsPerPaddedToken, kBatchOverheadS);
+    rep.engine.service = bench::PaddedBackend();
     cfg.replicas.push_back(rep);
   }
   cfg.router.policy = policy;

@@ -73,4 +73,14 @@ inline CrossPlatformLatency MeasureAll(const ModelConfig& model,
   return r;
 }
 
+/// The padded backend of the cluster and cache sweeps: 10 us per padded
+/// token plus a 1 ms dispatch overhead per batch.
+inline BatchServiceModel PaddedBackend() {
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kPadded;
+  spec.seconds_per_token = 10e-6;
+  spec.batch_overhead_s = 1e-3;
+  return BuildServiceModel(spec);
+}
+
 }  // namespace latte::bench

@@ -93,7 +93,6 @@ double TracerNsPerEvent(const obs::TraceConfig& cfg, std::size_t tracks,
       obs::TraceEvent e;
       e.begin_s = static_cast<double>(i) * 1e-6;
       e.end_s = e.begin_s + 1e-6;
-      e.wall_s = tracer.WallStamp();
       e.id = i;
       e.arg = static_cast<std::int64_t>(i % 8);
       e.track = static_cast<std::uint32_t>(i % tracks);
@@ -431,16 +430,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter breakdown_json;
   breakdown_json.Raw(breakdown_1t);
   if (!breakdown_json.WriteFile(breakdown_path)) return 1;
-  {
-    std::FILE* f = std::fopen(flame_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   flame_path.c_str());
-      return 1;
-    }
-    std::fwrite(flame_1t.data(), 1, flame_1t.size(), f);
-    std::fclose(f);
-  }
+  if (!obs::WriteBytes(flame_path, flame_1t)) return 1;
   std::printf("wrote %s, %s, %s and %s\n", out_path.c_str(),
               trace_path.c_str(), breakdown_path.c_str(), flame_path.c_str());
   return 0;

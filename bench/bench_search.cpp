@@ -28,9 +28,7 @@ using search::BackendSlots;
 using search::DesignEvaluator;
 using search::DesignPoint;
 using search::DesignScore;
-using search::DesignSpace;
 using search::Dominates;
-using search::EvaluatorConfig;
 using search::ParetoEntry;
 using search::ReplicaDesign;
 using search::SearchResult;
@@ -101,9 +99,8 @@ int main(int argc, char** argv) {
   using namespace latte;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_search.json";
 
-  const EvaluatorConfig harness;
-  const DesignEvaluator evaluator(harness);
-  const DesignSpace space;
+  const DesignEvaluator evaluator;
+  const ZipfTraceConfig trace_cfg = search::EvaluationTraceConfig();
 
   std::vector<Baseline> baselines = MakeBaselines();
   const Baseline* best_baseline = nullptr;       // by scalar cost
@@ -128,7 +125,7 @@ int main(int argc, char** argv) {
   sa.chains = 4;
   sa.steps = 150;
   sa.seed = 1;
-  const SearchResult result = AnnealSearch(space, evaluator, sa);
+  const SearchResult result = AnnealSearch(evaluator, sa);
   if (!result.best_score.valid) {
     std::fprintf(stderr, "annealing found no valid design\n");
     return 1;
@@ -149,21 +146,21 @@ int main(int argc, char** argv) {
   json.Key("schema_version").Value(std::size_t{1});
   obs::StampHost(json);
   json.Key("trace").BeginObject();
-  json.Key("arrival_rps").Value(harness.trace.arrival_rate_rps);
-  json.Key("requests").Value(harness.trace.requests);
-  json.Key("population").Value(harness.trace.population);
-  json.Key("skew").Value(harness.trace.skew);
-  json.Key("seed").Value(harness.trace.seed);
+  json.Key("arrival_rps").Value(trace_cfg.arrival_rate_rps);
+  json.Key("requests").Value(trace_cfg.requests);
+  json.Key("population").Value(trace_cfg.population);
+  json.Key("skew").Value(trace_cfg.skew);
+  json.Key("seed").Value(trace_cfg.seed);
   json.Key("duplicate_rate").Value(TraceDuplicateRate(evaluator.trace()));
   json.EndObject();
   json.Key("space").BeginObject();
-  json.Key("max_replicas").Value(space.max_replicas);
-  json.Key("max_backend_slots").Value(space.max_backend_slots);
+  json.Key("max_replicas").Value(search::kMaxReplicas);
+  json.Key("max_backend_slots").Value(search::kMaxBackendSlots);
   json.EndObject();
   json.Key("sa").BeginObject();
   json.Key("chains").Value(sa.chains);
   json.Key("steps").Value(sa.steps);
-  json.Key("cooling").Value(sa.cooling);
+  json.Key("cooling").Value(search::kCooling);
   json.Key("seed").Value(sa.seed);
   json.Key("evaluations").Value(result.evaluations);
   json.EndObject();
@@ -230,13 +227,7 @@ int main(int argc, char** argv) {
   json.EndObject();
   json.EndObject();
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(json.str().c_str(), f);
-  std::fclose(f);
+  if (!json.WriteFile(out_path)) return 1;
 
   std::printf("== SA design-space search vs hand-tuned baselines ==\n\n");
   TextTable table({"design", "p99 (ms)", "throughput (req/s)", "energy (J)",

@@ -45,7 +45,11 @@ int main() {
   cfg.former.timeout_s = 0.02;
   cfg.inference.mode = InferenceMode::kSparseInt8;
   cfg.inference.sparse.top_k = 16;
-  cfg.service = PaddedServiceModel(10e-6, 1e-3);
+  ServiceModelSpec padded;  // 10 us per padded token + 1 ms per batch
+  padded.base = ServiceModelSpec::Base::kPadded;
+  padded.seconds_per_token = 10e-6;
+  padded.batch_overhead_s = 1e-3;
+  cfg.service = BuildServiceModel(padded);
 
   ServingEngine uncached(model, cfg);
   const auto plain = uncached.Replay(trace);

@@ -32,12 +32,20 @@ int main() {
   const auto trace = GeneratePoissonTrace(trace_cfg, dataset);
 
   // ---- 1. policy comparison, virtual time ------------------------------
-  auto replica = [] {
+  // Padded backends: a batch costs its longest member times its size.
+  auto padded = [](double seconds_per_token, double batch_overhead_s) {
+    ServiceModelSpec spec;
+    spec.base = ServiceModelSpec::Base::kPadded;
+    spec.seconds_per_token = seconds_per_token;
+    spec.batch_overhead_s = batch_overhead_s;
+    return BuildServiceModel(spec);
+  };
+  auto replica = [&padded] {
     ReplicaConfig rep;
     rep.engine.former.max_batch = 8;
     rep.engine.former.timeout_s = 0.05;
     rep.engine.execute = false;  // accounting only
-    rep.engine.service = PaddedServiceModel(10e-6, 1e-3);
+    rep.engine.service = padded(10e-6, 1e-3);
     return rep;
   };
   std::printf("policy comparison: %zu SQuAD-length requests @ %.0f req/s, "
@@ -83,7 +91,7 @@ int main() {
     accel.engine.service = BuildServiceModel(accel_spec);
     ReplicaConfig slow = replica();
     slow.name = "padded-baseline";
-    slow.engine.service = PaddedServiceModel(120e-6, 2e-3);
+    slow.engine.service = padded(120e-6, 2e-3);
     cfg.replicas = {accel, slow, slow};
     cfg.router.policy = policy;
     ServingCluster cluster(model, cfg);

@@ -69,7 +69,9 @@ int main() {
   // Chrome trace.
   obs::JsonWriter trace_json;
   obs::WriteChromeTrace(*engine.tracer(), trace_json);
-  trace_json.WriteFile("obs_demo_trace.json");
+  // Every artifact is written even after one fails; any failure fails
+  // the run.
+  bool wrote = trace_json.WriteFile("obs_demo_trace.json");
 
   // Metrics snapshot.
   obs::MetricsRegistry registry;
@@ -80,27 +82,21 @@ int main() {
   obs::ExportTracerStats(*engine.tracer(), "serve.trace", registry);
   obs::JsonWriter metrics_json;
   registry.WriteJson(metrics_json);
-  metrics_json.WriteFile("obs_demo_metrics.json");
+  wrote = metrics_json.WriteFile("obs_demo_metrics.json") && wrote;
 
   // Latency attribution: where each request's time went, stage by stage.
   const obs::Attribution attribution = obs::AttributeTracer(*engine.tracer());
   const obs::LatencyBreakdown breakdown = obs::ComputeBreakdown(attribution);
   obs::JsonWriter breakdown_json;
   obs::WriteBreakdownJson(breakdown, breakdown_json);
-  breakdown_json.WriteFile("obs_demo_breakdown.json");
+  wrote = breakdown_json.WriteFile("obs_demo_breakdown.json") && wrote;
 
   // Flame rendering of the same attribution (collapsed-stack format).
   const std::string flame = obs::CollapsedStacks(attribution.requests);
-  {
-    std::FILE* f = std::fopen("obs_demo_flame.txt", "w");
-    if (f != nullptr) {
-      std::fwrite(flame.data(), 1, flame.size(), f);
-      std::fclose(f);
-    }
-  }
+  wrote = obs::WriteBytes("obs_demo_flame.txt", flame) && wrote;
 
   // Capture the request stream for later bit-exact replay.
-  CaptureTrace(trace, "obs_demo.lattetrace");
+  wrote = CaptureTrace(trace, "obs_demo.lattetrace") && wrote;
 
   // Run manifest.
   obs::RunManifest manifest;
@@ -111,7 +107,7 @@ int main() {
                       {"cache_hit_rate", CacheHitRate(res.cache)}};
   obs::JsonWriter manifest_json;
   obs::WriteRunManifest(manifest, manifest_json);
-  manifest_json.WriteFile("obs_demo_manifest.json");
+  wrote = manifest_json.WriteFile("obs_demo_manifest.json") && wrote;
 
   const auto merged = engine.tracer()->Merged();
   std::printf("served %zu requests in %zu batches (p99 %.4fs)\n",
@@ -130,6 +126,7 @@ int main() {
   if (!breakdown.critical_path.empty()) {
     std::printf("critical path: %s\n", breakdown.critical_path.c_str());
   }
+  if (!wrote) return 1;
   std::printf(
       "wrote obs_demo_trace.json, obs_demo_metrics.json, "
       "obs_demo_manifest.json,\n      obs_demo_breakdown.json, "

@@ -7,7 +7,7 @@
 //      validate it with named-field issues, serialize it to JSON and
 //      parse it back bit-exact;
 //   2. a short simulated-annealing run (two chains) over the menu-shaped
-//      DesignSpace, scored by replaying a fixed Zipf trace through the
+//      design space, scored by replaying a fixed Zipf trace through the
 //      accounting-only cluster twin;
 //   3. the winner reproduced from its own JSON record and re-evaluated --
 //      same design, same score, which is what makes a recorded winner a
@@ -47,13 +47,12 @@ int main() {
               DesignPointToJson(back) == json ? "yes" : "no");
 
   // ---- 2. a short annealing run ----------------------------------------
-  const DesignEvaluator evaluator{EvaluatorConfig{}};
-  const DesignSpace space;
+  const DesignEvaluator evaluator;
   AnnealingConfig sa;
   sa.chains = 2;
   sa.steps = 40;
   sa.seed = 3;
-  const SearchResult result = AnnealSearch(space, evaluator, sa);
+  const SearchResult result = AnnealSearch(evaluator, sa);
   std::printf("evaluations: %zu, pareto points: %zu\n", result.evaluations,
               result.pareto.size());
   TextTable pareto({"replicas", "slots", "policy", "cache", "p99 (ms)",

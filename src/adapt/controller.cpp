@@ -135,7 +135,6 @@ void AdaptiveController::AdvanceEpoch(std::size_t queue_depth) {
     obs::TraceEvent e;
     e.kind = obs::SpanKind::kEpoch;
     e.begin_s = e.end_s = epoch_next_;
-    e.wall_s = tracer_->WallStamp();
     e.id = epoch_seq_;
     e.arg = static_cast<std::int64_t>(level_);
     e.track = track_;

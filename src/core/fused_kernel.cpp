@@ -46,9 +46,6 @@ void FusedScores(std::span<const float> q_row, const Rows& ks,
   if (ks.size() > 0 && cols != q_row.size()) {
     throw std::invalid_argument("FusedScoreKernel: dim mismatch");
   }
-  if (!cfg.masked.empty() && cfg.masked.size() != ks.size()) {
-    throw std::invalid_argument("FusedScoreKernel: mask length mismatch");
-  }
   if (cfg.unroll == 0) {
     throw std::invalid_argument("FusedScoreKernel: unroll must be >= 1");
   }
@@ -63,7 +60,7 @@ void FusedScores(std::span<const float> q_row, const Rows& ks,
     // scratch `out` cannot leak scores from a previous call.
     std::fill(out.exp_scores.begin(), out.exp_scores.end(), 0.f);
   } else {
-    // Fig 4 fuses the reduction with the scale/mask/exp tail in one II=1
+    // Fig 4 fuses the reduction with the scale/exp tail in one II=1
     // loop; functionally that is "dot product, then tail, per candidate".
     // The software reduction runs through the kernel library's unrolled
     // partial sums (same trip count as the hardware loop, reordered
@@ -78,17 +75,11 @@ void FusedScores(std::span<const float> q_row, const Rows& ks,
     }
     for (; j < count; ++j) out.exp_scores[j] = DotProduct(q_row, ks[j]);
     for (j = 0; j < count; ++j) {
-      const float acc = out.exp_scores[j] * cfg.scale;
-      if (!cfg.masked.empty() && cfg.masked[j]) {
-        // Masked candidates contribute exactly zero weight (the hardware
-        // gates the exp LUT output rather than feeding it -inf).
-        out.exp_scores[j] = 0.f;
-      } else {
-        // Saturating exponent: the hardware exp LUT clamps its input.
-        const float e = std::exp(std::clamp(acc, -80.f, 80.f));
-        out.exp_scores[j] = e;
-        out.sum += e;
-      }
+      // Saturating exponent: the hardware exp LUT clamps its input.
+      const float e =
+          std::exp(std::clamp(out.exp_scores[j] * cfg.scale, -80.f, 80.f));
+      out.exp_scores[j] = e;
+      out.sum += e;
     }
   }
 

@@ -1,12 +1,14 @@
 #pragma once
 // The fused attention score kernel of Fig 4 (Stage 2.2).
 //
-// The FPGA fuses the exact score dot-product, the 1/sqrt(d) scaling, the
-// attention mask and the exponentiation into a single II=1 loop: the
-// reduction runs for Ks.dim2 iterations and the scale/mask/exp "tail"
-// executes on the last iteration only, so the fused loop has the same trip
-// count as the plain dot-product loop.  `unroll` mirrors the HLS UNROLL
-// factor p; it only affects the reported cycle estimate, never the values.
+// The FPGA fuses the exact score dot-product, the 1/sqrt(d) scaling and
+// the exponentiation into a single II=1 loop: the reduction runs for
+// Ks.dim2 iterations and the scale/exp "tail" executes on the last
+// iteration only, so the fused loop has the same trip count as the plain
+// dot-product loop.  Fig 1(b)'s padding mask never reaches this loop:
+// padded keys are excluded at candidate selection (`valid_len`), so every
+// candidate here is a real key.  `unroll` mirrors the HLS UNROLL factor p;
+// it only affects the reported cycle estimate, never the values.
 
 #include <cstdint>
 #include <limits>
@@ -17,7 +19,7 @@ namespace latte {
 
 /// Output of the fused kernel for one query row.
 struct FusedScoreResult {
-  std::vector<float> exp_scores;  ///< e^{mask(q.k_j / sqrt(d))} per candidate
+  std::vector<float> exp_scores;  ///< e^{q.k_j / sqrt(d)} per candidate
   double sum = 0.0;               ///< running sum of exp_scores
   std::size_t cycles = 0;         ///< modeled II=1 cycles: ceil(d/p) * |cand|
 };
@@ -26,9 +28,6 @@ struct FusedScoreResult {
 struct FusedKernelConfig {
   float scale = 1.0f;   ///< typically 1/sqrt(d)
   unsigned unroll = 8;  ///< HLS UNROLL factor p (cycle model only)
-  /// Candidates j with masked[j] true receive score -inf before exp (the
-  /// padding / causal mask of Fig 1(b)).  Empty means nothing masked.
-  std::vector<bool> masked;
 };
 
 /// Runs the fused loop for one query row against gathered candidates.

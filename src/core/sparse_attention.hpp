@@ -12,7 +12,7 @@
 //      cache -- no n x n score matrix exists.  Same Top-k, ties and sorter
 //      cycles included; see core/candidate_selector.hpp)
 //   4. read the Ks/Vs candidate rows                   (Stage 2.1, load)
-//   5. fused exact score + scale + mask + exp          (Stage 2.2, Fig 4)
+//   5. fused exact score + scale + exp                 (Stage 2.2, Fig 4)
 //   6. Z = S.V / sum(S)                                (Stage 2.3)
 //   (steps 4-6 read K and V by candidate index, in place; the gathered
 //   overloads and GatherRowsInto compute the same bits from copies)

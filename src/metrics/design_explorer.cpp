@@ -1,6 +1,7 @@
 #include "metrics/design_explorer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "metrics/accuracy.hpp"
@@ -38,35 +39,40 @@ std::vector<ExplorerPoint> ExplorationResult::ParetoFront() const {
 
 ExplorationResult ExploreDesign(const ModelConfig& model,
                                 const DatasetSpec& dataset,
-                                const ExplorerConfig& cfg) {
-  if (cfg.k_candidates.empty() || cfg.bit_candidates.empty()) {
-    throw std::invalid_argument("ExploreDesign: empty candidate sets");
+                                const std::vector<std::size_t>& k_candidates) {
+  constexpr int kBitCandidates[] = {1, 4};
+  constexpr double kMaxDropPct = 2.0;  // accuracy budget (paper: < 2%)
+  constexpr std::size_t kBatch = 16;
+  constexpr std::uint64_t kSeed = 42;
+  constexpr std::size_t kFidelityReps = 4;  // problems per fidelity estimate
+  if (k_candidates.empty()) {
+    throw std::invalid_argument("ExploreDesign: empty candidate set");
   }
   // One reference batch shared by every point: the comparison is apples to
   // apples.
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
   LengthSampler sampler(dataset);
-  const auto lens = sampler.SampleMany(rng, cfg.batch);
+  const auto lens = sampler.SampleMany(rng, kBatch);
   const auto wl = WorkloadForDataset(dataset, model.encoder.head_dim());
 
   ExplorationResult res;
   double best_rate = -1;
-  for (std::size_t k : cfg.k_candidates) {
-    for (int bits : cfg.bit_candidates) {
+  for (std::size_t k : k_candidates) {
+    for (int bits : kBitCandidates) {
       ExplorerPoint pt;
       pt.top_k = k;
       pt.bits = bits;
 
       // Performance from the accelerator model.
-      AcceleratorConfig acc = cfg.accel;
+      AcceleratorConfig acc;
       acc.top_k = k;
       pt.latency_s = RunAccelerator(model, lens, acc).makespan;
       pt.sequences_per_s = static_cast<double>(lens.size()) / pt.latency_s;
 
       // Fidelity -> calibrated accuracy drop.
-      Rng frng(cfg.seed + k * 131 + static_cast<std::uint64_t>(bits));
+      Rng frng(kSeed + k * 131 + static_cast<std::uint64_t>(bits));
       double mass = 0;
-      for (std::size_t r = 0; r < cfg.fidelity_reps; ++r) {
+      for (std::size_t r = 0; r < kFidelityReps; ++r) {
         const auto p =
             GenerateAttentionProblem(frng, sampler.Sample(frng), wl);
         SparseAttentionConfig sa;
@@ -74,9 +80,9 @@ ExplorationResult ExploreDesign(const ModelConfig& model,
         sa.bits = bits;
         mass += EvaluateFidelity(p, sa).retained_mass;
       }
-      pt.retained_mass = mass / static_cast<double>(cfg.fidelity_reps);
+      pt.retained_mass = mass / static_cast<double>(kFidelityReps);
       pt.predicted_drop_pct = PredictedDrop(dataset, pt.retained_mass);
-      pt.feasible = pt.predicted_drop_pct <= cfg.max_drop_pct;
+      pt.feasible = pt.predicted_drop_pct <= kMaxDropPct;
 
       if (pt.feasible && pt.sequences_per_s > best_rate) {
         best_rate = pt.sequences_per_s;

@@ -2,11 +2,12 @@
 // Automated design-space exploration over the algorithm side of Section
 // 4.2's co-design loop: Top-k and the pre-selection bit width.
 //
-// Each (top_k, bits) point is priced on one reference batch by the
-// accelerator twin (RunAccelerator; the bit width moves no latency) and
-// scored by its measured selection fidelity through the calibrated
+// Each (top_k, bits) point, for bits in {1, 4}, is priced on one
+// reference batch of 16 sequences by the default accelerator twin
+// (RunAccelerator; the bit width moves no latency) and scored by its
+// measured selection fidelity on four problems through the calibrated
 // accuracy-drop model.  A point is feasible when its predicted drop fits
-// the accuracy budget; no resource fit is checked.  Returns the
+// the paper's < 2% accuracy budget; no resource fit is checked.  Returns the
 // throughput-optimal feasible point plus the accuracy/throughput Pareto
 // front that Figs 6 and 7 jointly trace.  The paper's per-stage
 // replication factor R(G_k, s_i) is not explored: the twin models no
@@ -30,17 +31,6 @@ struct ExplorerPoint {
   bool feasible = true;            ///< the accuracy budget holds
 };
 
-/// Exploration constraints.
-struct ExplorerConfig {
-  std::vector<std::size_t> k_candidates = {10, 20, 30, 40, 50, 64};
-  std::vector<int> bit_candidates = {1, 4};
-  double max_drop_pct = 2.0;   ///< accuracy budget (paper: < 2%)
-  std::size_t batch = 16;
-  std::uint64_t seed = 42;
-  std::size_t fidelity_reps = 4;  ///< problems per fidelity estimate
-  AcceleratorConfig accel;        ///< chip + mode (top_k/bits overridden)
-};
-
 /// Result: every evaluated point plus the chosen optimum.
 struct ExplorationResult {
   std::vector<ExplorerPoint> points;  ///< all points, evaluation order
@@ -53,9 +43,10 @@ struct ExplorationResult {
   std::vector<ExplorerPoint> ParetoFront() const;
 };
 
-/// Runs the exploration for one model/dataset pair.
+/// Runs the exploration for one model/dataset pair over the top-k
+/// candidates.  Throws std::invalid_argument when there are none.
 ExplorationResult ExploreDesign(const ModelConfig& model,
                                 const DatasetSpec& dataset,
-                                const ExplorerConfig& cfg = {});
+                                const std::vector<std::size_t>& k_candidates);
 
 }  // namespace latte

@@ -33,17 +33,21 @@ std::vector<EnergyRow> CitedTable2Rows() {
 
 EnergyBreakdown EstimateBatchEnergy(double dsp_macs, double lut_ops,
                                     double onchip_bytes,
-                                    double offchip_bytes, double latency_s,
-                                    const EnergyPerOp& constants) {
+                                    double offchip_bytes, double latency_s) {
+  // Per-operation dynamic energy (picojoules) of each datapath class.
+  constexpr double kDspMacPj = 3.0;    // 8-bit MAC in a DSP slice
+  constexpr double kLutOpPj = 0.2;     // 1-bit XNOR-popcount lane op
+  constexpr double kBramBytePj = 1.0;  // on-chip buffer access per byte
+  constexpr double kHbmBytePj = 30.0;  // off-chip HBM access per byte
   if (dsp_macs < 0 || lut_ops < 0 || onchip_bytes < 0 ||
       offchip_bytes < 0 || latency_s < 0) {
     throw std::invalid_argument("EstimateBatchEnergy: negative input");
   }
   EnergyBreakdown e;
-  e.compute_j = dsp_macs * constants.dsp_mac_pj * 1e-12;
-  e.select_j = lut_ops * constants.lut_op_pj * 1e-12;
-  e.onchip_j = onchip_bytes * constants.bram_byte_pj * 1e-12;
-  e.offchip_j = offchip_bytes * constants.hbm_byte_pj * 1e-12;
+  e.compute_j = dsp_macs * kDspMacPj * 1e-12;
+  e.select_j = lut_ops * kLutOpPj * 1e-12;
+  e.onchip_j = onchip_bytes * kBramBytePj * 1e-12;
+  e.offchip_j = offchip_bytes * kHbmBytePj * 1e-12;
   e.static_j = 12.0 * latency_s;  // the 12 W static floor of FpgaPowerWatts
   return e;
 }

@@ -32,16 +32,6 @@ std::vector<EnergyRow> CitedTable2Rows();
 /// Geometric mean of a list of positive ratios.
 double GeoMean(const std::vector<double>& xs);
 
-/// Per-operation dynamic energy constants (picojoules) of the 8-bit FPGA
-/// datapath classes, dominated by the published per-op energies of 45 nm
-/// scaled arithmetic plus SRAM/HBM access costs.
-struct EnergyPerOp {
-  double dsp_mac_pj = 3.0;      ///< 8-bit MAC in a DSP slice
-  double lut_op_pj = 0.2;       ///< 1-bit XNOR-popcount lane op
-  double bram_byte_pj = 1.0;    ///< on-chip buffer access per byte
-  double hbm_byte_pj = 30.0;    ///< off-chip HBM access per byte
-};
-
 /// Itemized dynamic energy of one accelerator batch.
 struct EnergyBreakdown {
   double compute_j = 0;  ///< DSP MACs
@@ -57,10 +47,12 @@ struct EnergyBreakdown {
 
 /// Energy of one batch given its executed work and latency.
 /// `dsp_macs` is executed MAC count, `lut_ops` the At-Sel lane ops,
-/// `onchip_bytes`/`offchip_bytes` the buffer/HBM traffic.
+/// `onchip_bytes`/`offchip_bytes` the buffer/HBM traffic.  Each class is
+/// priced at a fixed per-op dynamic energy of the 8-bit FPGA datapath
+/// (energy.cpp), dominated by the published per-op energies of 45 nm
+/// scaled arithmetic plus SRAM/HBM access costs.
 EnergyBreakdown EstimateBatchEnergy(double dsp_macs, double lut_ops,
                                     double onchip_bytes,
-                                    double offchip_bytes, double latency_s,
-                                    const EnergyPerOp& constants = {});
+                                    double offchip_bytes, double latency_s);
 
 }  // namespace latte

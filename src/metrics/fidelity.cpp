@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -86,15 +87,18 @@ TierAccuracyTable BuildTopKAccuracyTable(const TierAccuracyTableConfig& cfg,
   TierAccuracyTable table;
   table.top_ks = std::move(top_ks);
   table.accuracies.reserve(table.top_ks.size());
+  constexpr std::size_t kLengths[] = {224, 288, 352, 384};
+  constexpr std::size_t kSamplesPerLength = 3;
+  constexpr std::uint64_t kSeed = 42;
   for (const std::size_t k : table.top_ks) {
     // One Rng per top_k, reseeded identically: every row of the table
     // scores the same problem population, so accuracies are monotone in
     // top_k up to fidelity-model noise.
-    Rng rng(cfg.seed);
+    Rng rng(kSeed);
     double sum = 0;
     std::size_t count = 0;
-    for (const std::size_t n : cfg.lengths) {
-      for (std::size_t s = 0; s < cfg.samples_per_length; ++s) {
+    for (const std::size_t n : kLengths) {
+      for (std::size_t s = 0; s < kSamplesPerLength; ++s) {
         const AttentionProblem problem =
             GenerateAttentionProblem(rng, n, cfg.workload);
         SparseAttentionConfig sparse;
@@ -103,8 +107,7 @@ TierAccuracyTable BuildTopKAccuracyTable(const TierAccuracyTableConfig& cfg,
         ++count;
       }
     }
-    table.accuracies.push_back(count > 0 ? sum / static_cast<double>(count)
-                                         : 1.0);
+    table.accuracies.push_back(sum / static_cast<double>(count));
   }
   return table;
 }

@@ -48,19 +48,16 @@ struct TierAccuracyTable {
   std::vector<double> accuracies;    ///< mean output cosine per top_k
 };
 
-/// Sampling knobs for BuildTopKAccuracyTable.
+/// The problems BuildTopKAccuracyTable samples.
 struct TierAccuracyTableConfig {
   AttentionWorkloadConfig workload;  ///< concentration (WorkloadForDataset)
-  /// Sequence lengths sampled per top_k (the serving regime's range).
-  std::vector<std::size_t> lengths = {224, 288, 352, 384};
-  std::size_t samples_per_length = 3;
-  std::uint64_t seed = 42;  ///< problem generation; deterministic table
 };
 
 /// Builds the lookup table: for each top_k, the mean output cosine of
-/// sparse vs dense attention over the sampled problems.  `top_ks` may be
-/// in any order; the table is returned sorted ascending.  Deterministic in
-/// the config seed.
+/// sparse vs dense attention over the sampled problems -- three problems
+/// at each of the serving regime's lengths 224, 288, 352 and 384, drawn
+/// from one fixed seed.  `top_ks` may be in any order; the table is
+/// returned sorted ascending.  Deterministic.
 TierAccuracyTable BuildTopKAccuracyTable(const TierAccuracyTableConfig& cfg,
                                          std::vector<std::size_t> top_ks);
 

@@ -18,7 +18,6 @@ void ArgsBlock(JsonWriter& json, const TraceEvent& e) {
   json.BeginObject();
   json.Key("id").Value(static_cast<std::size_t>(e.id));
   json.Key("arg").Value(static_cast<double>(e.arg));
-  if (e.wall_s >= 0) json.Key("wall_s").Value(e.wall_s);
   json.EndObject();
 }
 

@@ -17,6 +17,21 @@
 
 namespace latte::obs {
 
+/// Writes `bytes` to `path` as they are, checking both the write and the
+/// close (on a full disk only the close's flush fails).  Names the path
+/// on stderr and returns false on any failure, so a caller exits non-zero
+/// instead of leaving a truncated artifact behind.
+inline bool WriteBytes(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
+}
+
 class JsonWriter {
  public:
   JsonWriter& BeginObject() {
@@ -105,14 +120,7 @@ class JsonWriter {
   /// (and prints to stderr) when the file cannot be opened, written or
   /// closed -- a full disk shows only at the close's flush.
   bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    bool ok = f != nullptr;
-    if (ok) {
-      ok = std::fprintf(f, "%s\n", out_.c_str()) >= 0;
-      ok = std::fclose(f) == 0 && ok;
-    }
-    if (!ok) std::fprintf(stderr, "json: cannot write %s\n", path.c_str());
-    return ok;
+    return WriteBytes(path, out_ + '\n');
   }
 
  private:

@@ -46,7 +46,6 @@ ConfigIssues CheckTraceConfig(const TraceConfig& cfg) {
 
 Tracer::Tracer(const TraceConfig& cfg) : cfg_(cfg) {
   ThrowOnIssues("TraceConfig", CheckTraceConfig(cfg_));
-  wall0_ = std::chrono::steady_clock::now();
 }
 
 void Tracer::RegisterTrack(std::uint32_t track, std::string name) {
@@ -68,13 +67,6 @@ void Tracer::Record(const TraceEvent& e) {
         "before any recording)");
   }
   it->second.buffer.Record(e);
-}
-
-double Tracer::WallStamp() const {
-  if (!cfg_.wall_time) return -1;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       wall0_)
-      .count();
 }
 
 std::vector<TraceEvent> Tracer::Merged() const {

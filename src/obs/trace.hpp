@@ -12,14 +12,13 @@
 // lets CI gate a trace against a recorded baseline.
 //
 // Memory is bounded: each track keeps its first `buffer_capacity`
-// events and counts the rest as dropped -- never silently.  Optional
-// wall-clock stamps (TraceConfig::wall_time) are for humans reading a
-// Perfetto view; they are excluded from every determinism claim.
+// events and counts the rest as dropped -- never silently.  Events carry
+// no wall-clock stamp: every recorded field is a function of the
+// virtual-time run.
 //
 // The disabled path is one pointer check at each instrumentation site:
 // an engine with tracing off holds a null Tracer* and records nothing.
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -56,9 +55,6 @@ struct TraceConfig {
   /// Max events retained per track; beyond it events are counted as
   /// dropped, never silently discarded.
   std::size_t buffer_capacity = 1u << 16;
-  /// Also stamp wall-clock seconds on each event.  Off by default: wall
-  /// stamps are non-deterministic and excluded from byte-exact replay.
-  bool wall_time = false;
 };
 
 /// Names every illegal field; empty means legal.
@@ -68,7 +64,6 @@ ConfigIssues CheckTraceConfig(const TraceConfig& cfg);
 struct TraceEvent {
   double begin_s = 0;   ///< virtual time
   double end_s = 0;     ///< virtual time; == begin_s for instants
-  double wall_s = -1;   ///< wall stamp when enabled, else -1
   std::uint64_t id = 0; ///< request Push() ordinal / batch ordinal / stage
   std::int64_t arg = 0; ///< kind-specific payload (seal reason, tier, ...)
   std::uint32_t track = 0;
@@ -122,12 +117,6 @@ class Tracer {
   /// unregistered track -- a wiring bug, not a runtime condition.
   void Record(const TraceEvent& e);
 
-  bool wall_time() const { return cfg_.wall_time; }
-
-  /// Wall-clock stamp helper: seconds since the tracer was built, or -1
-  /// when wall_time is off.  Only meaningful for human-facing views.
-  double WallStamp() const;
-
   /// All events across tracks, merged deterministically: tracks in id
   /// order, stable-sorted by (begin_s, track) -- same-track ties keep
   /// their single-writer program order, so the stream is a pure function
@@ -155,7 +144,6 @@ class Tracer {
   };
   TraceConfig cfg_;
   std::map<std::uint32_t, Track> tracks_;
-  std::chrono::steady_clock::time_point wall0_;
 };
 
 }  // namespace latte::obs

@@ -5,7 +5,7 @@
 
 namespace latte {
 
-BatchRunner::BatchRunner(const BatchRunnerConfig& cfg) : pool_(cfg.threads) {
+BatchRunner::BatchRunner(std::size_t threads) : pool_(threads) {
   workspaces_ = std::vector<Workspace>(pool_.size());
 }
 

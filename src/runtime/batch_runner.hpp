@@ -23,19 +23,12 @@
 
 namespace latte {
 
-/// Configuration of a batch runner.
-struct BatchRunnerConfig {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency().
-  std::size_t threads = 0;
-};
-
 /// Runs batches of independent per-sequence jobs over a worker pool.
 class BatchRunner {
  public:
-  explicit BatchRunner(const BatchRunnerConfig& cfg = {});
-  /// Convenience: a runner with exactly `threads` workers.
-  explicit BatchRunner(std::size_t threads)
-      : BatchRunner(BatchRunnerConfig{threads}) {}
+  /// A runner with `threads` workers; 0 picks
+  /// std::thread::hardware_concurrency().
+  explicit BatchRunner(std::size_t threads);
 
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;

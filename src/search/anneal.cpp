@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "runtime/thread_pool.hpp"
+#include "search/design_space.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte::search {
@@ -14,6 +15,7 @@ namespace latte::search {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kMinTemp = 1e-12;  ///< temperature floor
 
 /// Keeps `front` a non-dominated set: a dominated candidate is dropped,
 /// an admitted one evicts everything it dominates.
@@ -38,8 +40,8 @@ struct ChainResult {
   std::size_t evaluations = 0;
 };
 
-ChainResult RunChain(const DesignSpace& space, const DesignEvaluator& eval,
-                     const AnnealingConfig& cfg, std::size_t chain) {
+ChainResult RunChain(const DesignEvaluator& eval, const AnnealingConfig& cfg,
+                     std::size_t chain) {
   ChainResult out;
   out.stats.chain = chain;
   out.stats.best_cost = kInf;
@@ -51,7 +53,7 @@ ChainResult RunChain(const DesignSpace& space, const DesignEvaluator& eval,
   DesignScore cur_score;
   bool have_cur = false;
   for (int attempt = 0; attempt < 16 && !have_cur; ++attempt) {
-    cur = SampleDesign(space, rng);
+    cur = SampleDesign(rng);
     ++out.evaluations;
     cur_score = eval.Evaluate(cur);
     have_cur = cur_score.valid;
@@ -64,14 +66,12 @@ ChainResult RunChain(const DesignSpace& space, const DesignEvaluator& eval,
   out.stats.best_cost = cur_score.cost;
   InsertPareto(out.front, {cur, cur_score});
 
-  double temp = cfg.initial_temp > 0
-                    ? cfg.initial_temp
-                    : std::max(cur_score.cost, 1e-30);
+  double temp = std::max(cur_score.cost, 1e-30);
   for (std::size_t step = 0; step < cfg.steps;
-       ++step, temp = std::max(cfg.min_temp, temp * cfg.cooling)) {
-    DesignPoint prop = MutateDesign(space, cur, rng);
+       ++step, temp = std::max(kMinTemp, temp * kCooling)) {
+    DesignPoint prop = MutateDesign(cur, rng);
     ++out.stats.proposed;
-    if (!CheckInSpace(space, prop).empty()) {
+    if (!CheckInSpace(prop).empty()) {
       ++out.stats.invalid;  // the unified validators are the feasibility
       continue;             // oracle: over-budget / off-menu moves die here
     }
@@ -124,8 +124,7 @@ double PortableExp(double x) {
   return std::ldexp(sum, static_cast<int>(f));
 }
 
-SearchResult AnnealSearch(const DesignSpace& space,
-                          const DesignEvaluator& evaluator,
+SearchResult AnnealSearch(const DesignEvaluator& evaluator,
                           const AnnealingConfig& cfg) {
   SearchResult result;
   result.best_score.cost = kInf;
@@ -134,8 +133,8 @@ SearchResult AnnealSearch(const DesignSpace& space,
   {
     ThreadPool pool(cfg.threads);
     for (std::size_t i = 0; i < cfg.chains; ++i) {
-      pool.Submit([&space, &evaluator, &cfg, &chains, i] {
-        chains[i] = RunChain(space, evaluator, cfg, i);
+      pool.Submit([&evaluator, &cfg, &chains, i] {
+        chains[i] = RunChain(evaluator, cfg, i);
       });
     }
     pool.Wait();

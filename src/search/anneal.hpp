@@ -1,10 +1,11 @@
 #pragma once
-// AnnealingSearch: parallel simulated-annealing chains over a DesignSpace.
+// AnnealingSearch: parallel simulated-annealing chains over the design
+// space.
 //
 // The loop is SET's `tries` idiom: several independent chains, each a
 // geometric-cooling Metropolis walk, run concurrently and the best
 // endpoint wins.  Chains never communicate, so the result is a pure
-// function of (space, evaluator, config): chain k's walk is driven by an
+// function of (evaluator, config): chain k's walk is driven by an
 // Rng seeded from (seed, k) alone, the merge is in chain order, and the
 // acceptance rule uses a portable exp() -- identical output at ANY thread
 // count, on any host.
@@ -18,20 +19,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "search/design_space.hpp"
 #include "search/evaluator.hpp"
 
 namespace latte::search {
 
-/// Annealing schedule and fan-out.
+/// Geometric decay of the temperature per step.  The schedule starts at
+/// the chain's initial cost (a move twice as bad as the start is accepted
+/// with probability 1/e at step 0) and never drops below 1e-12.
+inline constexpr double kCooling = 0.96;
+
+/// Annealing fan-out.
 struct AnnealingConfig {
   std::size_t chains = 4;  ///< independent restarts (SET's `tries`)
   std::size_t steps = 200;  ///< proposals per chain
-  /// Starting temperature; 0 auto-scales to the chain's initial cost (a
-  /// move twice as bad as the start is accepted with prob 1/e at step 0).
-  double initial_temp = 0;
-  double cooling = 0.96;    ///< geometric decay per step
-  double min_temp = 1e-12;  ///< temperature floor
   std::uint64_t seed = 1;
   std::size_t threads = 0;  ///< chain-pool width; 0 = hardware
 };
@@ -70,11 +70,10 @@ struct SearchResult {
 /// varies across implementations and would fork SA walks between hosts).
 double PortableExp(double x);
 
-/// Runs `cfg.chains` independent annealing chains over the space and
-/// merges their results.  Deterministic in (space, evaluator, cfg) at any
+/// Runs `cfg.chains` independent annealing chains over the design space
+/// and merges their results.  Deterministic in (evaluator, cfg) at any
 /// `threads` value.
-SearchResult AnnealSearch(const DesignSpace& space,
-                          const DesignEvaluator& evaluator,
+SearchResult AnnealSearch(const DesignEvaluator& evaluator,
                           const AnnealingConfig& cfg);
 
 }  // namespace latte::search

@@ -1,51 +1,88 @@
 #include "search/design_space.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 namespace latte::search {
 
 namespace {
 
-template <typename T>
-bool Contains(const std::vector<T>& menu, const T& v) {
+// The space: fleet-size floor and one menu per knob (kMaxReplicas and
+// kMaxBackendSlots are in the header).
+constexpr std::size_t kMinReplicas = 1;
+
+// Per-replica menus.
+constexpr std::array<std::size_t, 5> kMaxBatchMenu = {2, 4, 8, 16, 32};
+constexpr std::array<std::size_t, 4> kMaxTokensMenu = {0, 1024, 2048, 4096};
+constexpr std::array<double, 5> kTimeoutMenu = {0.005, 0.01, 0.02, 0.05,
+                                                0.1};
+constexpr std::array<std::size_t, 3> kWorkersMenu = {1, 2, 4};
+constexpr std::array<std::size_t, 3> kQueueMenu = {0, 64, 256};
+constexpr std::array<std::size_t, 3> kTopKMenu = {16, 30, 64};
+constexpr std::array<std::size_t, 2> kDegreeMenu = {2, 4};
+/// SLO targets the adaptive controller may aim for.  The ladder itself is
+/// canonical -- CanonicalAdaptiveLadder derived from the replica's top_k
+/// -- so the space only tunes the enabled bit and the SLO.
+constexpr std::array<double, 3> kAdaptSloMenu = {0.05, 0.1, 0.2};
+
+// Router menus.
+constexpr std::array<RouterPolicy, 7> kPolicyMenu = {
+    RouterPolicy::kRoundRobin,          RouterPolicy::kJoinShortestQueue,
+    RouterPolicy::kLeastOutstandingTokens, RouterPolicy::kLengthBucketed,
+    RouterPolicy::kKeyAffinity,         RouterPolicy::kLongToSharded,
+    RouterPolicy::kLeastDegraded};
+const std::array<std::vector<std::size_t>, 2> kEdgesMenu = {
+    std::vector<std::size_t>{152}, std::vector<std::size_t>{105, 152, 219}};
+constexpr std::array<std::size_t, 3> kThresholdMenu = {128, 192, 256};
+
+// Cache menus.
+constexpr std::array<ClusterCacheMode, 3> kCacheModeMenu = {
+    ClusterCacheMode::kNone, ClusterCacheMode::kPerReplica,
+    ClusterCacheMode::kShared};
+constexpr std::array<std::size_t, 3> kCacheCapacityMenu = {
+    1u << 20, 8u << 20, 64u << 20};
+constexpr std::array<double, 3> kTtlMenu = {0, 5, 30};
+constexpr std::array<EvictionPolicy, 2> kEvictionMenu = {
+    EvictionPolicy::kLru, EvictionPolicy::kSegmentedLru};
+
+template <typename T, std::size_t N>
+bool Contains(const std::array<T, N>& menu, const T& v) {
   return std::find(menu.begin(), menu.end(), v) != menu.end();
 }
 
 /// Uniform draw from a menu.
-template <typename T>
-const T& Pick(const std::vector<T>& menu, Rng& rng) {
-  return menu[rng.NextIndex(menu.size())];
+template <typename T, std::size_t N>
+const T& Pick(const std::array<T, N>& menu, Rng& rng) {
+  return menu[rng.NextIndex(N)];
 }
 
 /// One step to a neighboring menu entry (reflecting at the ends so a
-/// boundary value always moves when the menu has >= 2 entries).  A value
-/// that fell off the menu re-enters with a uniform draw.
-template <typename T>
-T Neighbor(const std::vector<T>& menu, const T& value, Rng& rng) {
+/// boundary value always moves).  A value that fell off the menu
+/// re-enters with a uniform draw.
+template <typename T, std::size_t N>
+T Neighbor(const std::array<T, N>& menu, const T& value, Rng& rng) {
+  static_assert(N >= 2, "a one-entry menu has no neighbor");
   const auto it = std::find(menu.begin(), menu.end(), value);
   if (it == menu.end()) return Pick(menu, rng);
-  if (menu.size() < 2) return value;
   const std::size_t idx = static_cast<std::size_t>(it - menu.begin());
   const bool up = rng.NextIndex(2) == 1;
   std::size_t next;
   if (up) {
-    next = idx + 1 < menu.size() ? idx + 1 : idx - 1;
+    next = idx + 1 < N ? idx + 1 : idx - 1;
   } else {
     next = idx > 0 ? idx - 1 : idx + 1;
   }
   return menu[next];
 }
 
-/// The inert gang config a replicated replica carries: smallest legal
-/// degree on the space's fabric, so designs stay canonical (two designs
-/// differing only in an unread shard block would be distinct JSON).
-ShardServiceConfig CanonicalShard(const DesignSpace& space) {
-  ShardServiceConfig shard;
-  shard.degree = space.degree_menu.empty() ? 2 : space.degree_menu.front();
-  shard.interconnect = space.interconnect;
-  return shard;
-}
+/// The inert gang config a replicated replica carries, so designs stay
+/// canonical (two designs differing only in an unread shard block would
+/// be distinct JSON): the default gang, whose degree is the smallest on
+/// the menu and whose fabric is the default interconnect every gang of
+/// the deployment prices its collectives on.
+static_assert(ShardServiceConfig{}.degree == kDegreeMenu.front());
+ShardServiceConfig CanonicalShard() { return ShardServiceConfig{}; }
 
 /// Canonical store knobs for cache_mode == kNone.
 ResultCacheConfig NoCache() { return ResultCacheConfig{}; }
@@ -74,52 +111,50 @@ bool SameAdaptive(const AdaptiveServingConfig& a,
          a.escalate_rows == b.escalate_rows;
 }
 
-ReplicaDesign SampleReplica(const DesignSpace& space, Rng& rng) {
+ReplicaDesign SampleReplica(Rng& rng) {
   ReplicaDesign rd;
-  rd.former.max_batch = Pick(space.max_batch_menu, rng);
-  rd.former.max_tokens = Pick(space.max_tokens_menu, rng);
-  rd.former.timeout_s = Pick(space.timeout_menu, rng);
+  rd.former.max_batch = Pick(kMaxBatchMenu, rng);
+  rd.former.max_tokens = Pick(kMaxTokensMenu, rng);
+  rd.former.timeout_s = Pick(kTimeoutMenu, rng);
   rd.former.sort_by_length = rng.NextIndex(2) == 1;
-  rd.workers = Pick(space.workers_menu, rng);
-  rd.queue_capacity = Pick(space.queue_menu, rng);
-  rd.top_k = Pick(space.top_k_menu, rng);
-  rd.shard = CanonicalShard(space);
+  rd.workers = Pick(kWorkersMenu, rng);
+  rd.queue_capacity = Pick(kQueueMenu, rng);
+  rd.top_k = Pick(kTopKMenu, rng);
+  rd.shard = CanonicalShard();
   // A quarter of sampled replicas start sharded: gangs are the rarer
   // shape, and mutation can always flip the backend later.
   if (rng.NextIndex(4) == 0) {
     rd.backend = BackendMode::kSharded;
-    rd.shard.degree = Pick(space.degree_menu, rng);
+    rd.shard.degree = Pick(kDegreeMenu, rng);
   }
   // Likewise a quarter start with the adaptive layer on (mutation can
   // toggle it either way later).
-  if (!space.adapt_slo_menu.empty() && rng.NextIndex(4) == 0) {
-    rd.adapt =
-        CanonicalAdaptiveLadder(rd.top_k, Pick(space.adapt_slo_menu, rng));
+  if (rng.NextIndex(4) == 0) {
+    rd.adapt = CanonicalAdaptiveLadder(rd.top_k, Pick(kAdaptSloMenu, rng));
   }
   return rd;
 }
 
 /// Re-draws the aux fields a router policy reads and clears the ones it
 /// does not, so designs stay canonical across policy changes.
-void CanonicalizeRouter(const DesignSpace& space, RouterConfig& router,
-                        Rng& rng) {
+void CanonicalizeRouter(RouterConfig& router, Rng& rng) {
   router.length_edges.clear();
   router.long_len_threshold = 0;
   if (router.policy == RouterPolicy::kLengthBucketed) {
-    router.length_edges = Pick(space.edges_menu, rng);
+    router.length_edges = Pick(kEdgesMenu, rng);
   } else if (router.policy == RouterPolicy::kLongToSharded) {
-    router.long_len_threshold = Pick(space.threshold_menu, rng);
+    router.long_len_threshold = Pick(kThresholdMenu, rng);
   }
 }
 
 /// Fills the store knobs a non-none cache mode reads.
-void SampleCacheStore(const DesignSpace& space, DesignPoint& dp, Rng& rng) {
+void SampleCacheStore(DesignPoint& dp, Rng& rng) {
   dp.cache = NoCache();
   dp.cache.enabled = true;
   dp.cache.key_policy = CacheKeyPolicy::kRequestId;
-  dp.cache.eviction = Pick(space.eviction_menu, rng);
-  dp.cache.capacity_bytes = Pick(space.cache_capacity_menu, rng);
-  dp.cache.ttl_s = Pick(space.ttl_menu, rng);
+  dp.cache.eviction = Pick(kEvictionMenu, rng);
+  dp.cache.capacity_bytes = Pick(kCacheCapacityMenu, rng);
+  dp.cache.ttl_s = Pick(kTtlMenu, rng);
 }
 
 std::size_t ReplicaSlots(const ReplicaDesign& rd) {
@@ -132,8 +167,8 @@ std::size_t ReplicaSlots(const ReplicaDesign& rd) {
 /// replica (lowest index on ties) loses workers first, then its gang,
 /// then trailing replicas are dropped.  No randomness -- equal inputs
 /// repair identically.
-void RepairBudget(const DesignSpace& space, DesignPoint& dp) {
-  while (BackendSlots(dp) > space.max_backend_slots && !dp.replicas.empty()) {
+void RepairBudget(DesignPoint& dp) {
+  while (BackendSlots(dp) > kMaxBackendSlots && !dp.replicas.empty()) {
     std::size_t widest = 0;
     for (std::size_t i = 1; i < dp.replicas.size(); ++i) {
       if (ReplicaSlots(dp.replicas[i]) > ReplicaSlots(dp.replicas[widest])) {
@@ -145,8 +180,8 @@ void RepairBudget(const DesignSpace& space, DesignPoint& dp) {
       rd.workers = 1;
     } else if (rd.backend == BackendMode::kSharded) {
       rd.backend = BackendMode::kReplicated;
-      rd.shard = CanonicalShard(space);
-    } else if (dp.replicas.size() > space.min_replicas) {
+      rd.shard = CanonicalShard();
+    } else if (dp.replicas.size() > kMinReplicas) {
       dp.replicas.pop_back();
     } else {
       break;
@@ -154,33 +189,30 @@ void RepairBudget(const DesignSpace& space, DesignPoint& dp) {
   }
 }
 
-void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
-                       std::size_t which, Rng& rng) {
+void MutateReplicaKnob(DesignPoint& dp, std::size_t which, Rng& rng) {
   ReplicaDesign& rd = dp.replicas[which];
   switch (rng.NextIndex(10)) {
     case 0:
-      rd.former.max_batch =
-          Neighbor(space.max_batch_menu, rd.former.max_batch, rng);
+      rd.former.max_batch = Neighbor(kMaxBatchMenu, rd.former.max_batch, rng);
       break;
     case 1:
       rd.former.max_tokens =
-          Neighbor(space.max_tokens_menu, rd.former.max_tokens, rng);
+          Neighbor(kMaxTokensMenu, rd.former.max_tokens, rng);
       break;
     case 2:
-      rd.former.timeout_s =
-          Neighbor(space.timeout_menu, rd.former.timeout_s, rng);
+      rd.former.timeout_s = Neighbor(kTimeoutMenu, rd.former.timeout_s, rng);
       break;
     case 3:
       rd.former.sort_by_length = !rd.former.sort_by_length;
       break;
     case 4:
-      rd.workers = Neighbor(space.workers_menu, rd.workers, rng);
+      rd.workers = Neighbor(kWorkersMenu, rd.workers, rng);
       break;
     case 5:
-      rd.queue_capacity = Neighbor(space.queue_menu, rd.queue_capacity, rng);
+      rd.queue_capacity = Neighbor(kQueueMenu, rd.queue_capacity, rng);
       break;
     case 6:
-      rd.top_k = Neighbor(space.top_k_menu, rd.top_k, rng);
+      rd.top_k = Neighbor(kTopKMenu, rd.top_k, rng);
       // Tier 0 is the full-quality service and must track top_k, so an
       // enabled ladder is re-derived (same SLO) rather than invalidated.
       if (rd.adapt.enabled) {
@@ -191,20 +223,20 @@ void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
       // Backend flip: gangs enter with a drawn degree, leave canonical.
       if (rd.backend == BackendMode::kReplicated) {
         rd.backend = BackendMode::kSharded;
-        rd.shard = CanonicalShard(space);
-        rd.shard.degree = Pick(space.degree_menu, rng);
+        rd.shard = CanonicalShard();
+        rd.shard.degree = Pick(kDegreeMenu, rng);
       } else {
         rd.backend = BackendMode::kReplicated;
-        rd.shard = CanonicalShard(space);
+        rd.shard = CanonicalShard();
       }
       break;
     case 8:
       if (rd.backend == BackendMode::kSharded) {
-        rd.shard.degree = Neighbor(space.degree_menu, rd.shard.degree, rng);
+        rd.shard.degree = Neighbor(kDegreeMenu, rd.shard.degree, rng);
       } else {
         rd.backend = BackendMode::kSharded;
-        rd.shard = CanonicalShard(space);
-        rd.shard.degree = Pick(space.degree_menu, rng);
+        rd.shard = CanonicalShard();
+        rd.shard.degree = Pick(kDegreeMenu, rng);
       }
       break;
     case 9:
@@ -216,11 +248,10 @@ void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
       // cache (the reverse cache move drops the adapt blocks) -- without
       // the coupling one side of the conflict would be unreachable from
       // the other.
-      if (rd.adapt.enabled || space.adapt_slo_menu.empty()) {
+      if (rd.adapt.enabled) {
         rd.adapt = AdaptiveServingConfig{};
       } else {
-        rd.adapt = CanonicalAdaptiveLadder(rd.top_k,
-                                           Pick(space.adapt_slo_menu, rng));
+        rd.adapt = CanonicalAdaptiveLadder(rd.top_k, Pick(kAdaptSloMenu, rng));
         dp.cache_mode = ClusterCacheMode::kNone;
         dp.cache = NoCache();
       }
@@ -228,14 +259,14 @@ void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
   }
 }
 
-void MutateCache(const DesignSpace& space, DesignPoint& dp, Rng& rng) {
+void MutateCache(DesignPoint& dp, Rng& rng) {
   const bool had_store = dp.cache_mode != ClusterCacheMode::kNone;
   if (!had_store || rng.NextIndex(4) == 0) {
-    dp.cache_mode = Neighbor(space.cache_mode_menu, dp.cache_mode, rng);
+    dp.cache_mode = Neighbor(kCacheModeMenu, dp.cache_mode, rng);
     if (dp.cache_mode == ClusterCacheMode::kNone) {
       dp.cache = NoCache();
     } else if (!had_store) {
-      SampleCacheStore(space, dp, rng);
+      SampleCacheStore(dp, rng);
     }
     if (dp.cache_mode != ClusterCacheMode::kNone) {
       // Cache + adaptive is forbidden; turning the store on evicts the
@@ -249,14 +280,13 @@ void MutateCache(const DesignSpace& space, DesignPoint& dp, Rng& rng) {
   switch (rng.NextIndex(3)) {
     case 0:
       dp.cache.capacity_bytes =
-          Neighbor(space.cache_capacity_menu, dp.cache.capacity_bytes, rng);
+          Neighbor(kCacheCapacityMenu, dp.cache.capacity_bytes, rng);
       break;
     case 1:
-      dp.cache.ttl_s = Neighbor(space.ttl_menu, dp.cache.ttl_s, rng);
+      dp.cache.ttl_s = Neighbor(kTtlMenu, dp.cache.ttl_s, rng);
       break;
     case 2:
-      dp.cache.eviction =
-          Neighbor(space.eviction_menu, dp.cache.eviction, rng);
+      dp.cache.eviction = Neighbor(kEvictionMenu, dp.cache.eviction, rng);
       break;
   }
 }
@@ -283,49 +313,48 @@ AdaptiveServingConfig CanonicalAdaptiveLadder(std::size_t top_k,
   return adapt;
 }
 
-ConfigIssues CheckInSpace(const DesignSpace& space, const DesignPoint& dp) {
+ConfigIssues CheckInSpace(const DesignPoint& dp) {
   ConfigIssues issues = CheckDesignPoint(dp);
-  if (dp.replicas.size() < space.min_replicas ||
-      dp.replicas.size() > space.max_replicas) {
+  if (dp.replicas.size() < kMinReplicas || dp.replicas.size() > kMaxReplicas) {
     AddIssue(issues, "replicas",
-             "fleet size must be in [" + std::to_string(space.min_replicas) +
-                 ", " + std::to_string(space.max_replicas) + "], got " +
+             "fleet size must be in [" + std::to_string(kMinReplicas) +
+                 ", " + std::to_string(kMaxReplicas) + "], got " +
                  std::to_string(dp.replicas.size()));
   }
   const std::size_t slots = BackendSlots(dp);
-  if (slots > space.max_backend_slots) {
+  if (slots > kMaxBackendSlots) {
     AddIssue(issues, "replicas",
              "provisions " + std::to_string(slots) +
                  " backend slots, over the budget of " +
-                 std::to_string(space.max_backend_slots));
+                 std::to_string(kMaxBackendSlots));
   }
   for (std::size_t i = 0; i < dp.replicas.size(); ++i) {
     const ReplicaDesign& rd = dp.replicas[i];
     const std::string prefix = "replicas[" + std::to_string(i) + "]";
-    if (!Contains(space.max_batch_menu, rd.former.max_batch)) {
+    if (!Contains(kMaxBatchMenu, rd.former.max_batch)) {
       AddIssue(issues, prefix + ".former.max_batch", "is not on the menu");
     }
-    if (!Contains(space.max_tokens_menu, rd.former.max_tokens)) {
+    if (!Contains(kMaxTokensMenu, rd.former.max_tokens)) {
       AddIssue(issues, prefix + ".former.max_tokens", "is not on the menu");
     }
-    if (!Contains(space.timeout_menu, rd.former.timeout_s)) {
+    if (!Contains(kTimeoutMenu, rd.former.timeout_s)) {
       AddIssue(issues, prefix + ".former.timeout_s", "is not on the menu");
     }
-    if (!Contains(space.workers_menu, rd.workers)) {
+    if (!Contains(kWorkersMenu, rd.workers)) {
       AddIssue(issues, prefix + ".workers", "is not on the menu");
     }
-    if (!Contains(space.queue_menu, rd.queue_capacity)) {
+    if (!Contains(kQueueMenu, rd.queue_capacity)) {
       AddIssue(issues, prefix + ".queue_capacity", "is not on the menu");
     }
-    if (!Contains(space.top_k_menu, rd.top_k)) {
+    if (!Contains(kTopKMenu, rd.top_k)) {
       AddIssue(issues, prefix + ".top_k", "is not on the menu");
     }
     if (rd.backend == BackendMode::kSharded &&
-        !Contains(space.degree_menu, rd.shard.degree)) {
+        !Contains(kDegreeMenu, rd.shard.degree)) {
       AddIssue(issues, prefix + ".shard.degree", "is not on the menu");
     }
     if (rd.adapt.enabled) {
-      if (!Contains(space.adapt_slo_menu, rd.adapt.slo_p99_s)) {
+      if (!Contains(kAdaptSloMenu, rd.adapt.slo_p99_s)) {
         AddIssue(issues, prefix + ".adapt.slo_p99_s", "is not on the menu");
       }
       if (!SameAdaptive(rd.adapt, CanonicalAdaptiveLadder(
@@ -336,48 +365,47 @@ ConfigIssues CheckInSpace(const DesignSpace& space, const DesignPoint& dp) {
       }
     }
   }
-  if (!Contains(space.policy_menu, dp.router.policy)) {
+  if (!Contains(kPolicyMenu, dp.router.policy)) {
     AddIssue(issues, "router.policy", "is not on the menu");
   }
   if (dp.router.policy == RouterPolicy::kLengthBucketed &&
-      !Contains(space.edges_menu, dp.router.length_edges)) {
+      !Contains(kEdgesMenu, dp.router.length_edges)) {
     AddIssue(issues, "router.length_edges", "is not on the menu");
   }
   if (dp.router.policy == RouterPolicy::kLongToSharded &&
-      !Contains(space.threshold_menu, dp.router.long_len_threshold)) {
+      !Contains(kThresholdMenu, dp.router.long_len_threshold)) {
     AddIssue(issues, "router.long_len_threshold", "is not on the menu");
   }
-  if (!Contains(space.cache_mode_menu, dp.cache_mode)) {
+  if (!Contains(kCacheModeMenu, dp.cache_mode)) {
     AddIssue(issues, "cache.mode", "is not on the menu");
   }
   if (dp.cache_mode != ClusterCacheMode::kNone) {
-    if (!Contains(space.cache_capacity_menu, dp.cache.capacity_bytes)) {
+    if (!Contains(kCacheCapacityMenu, dp.cache.capacity_bytes)) {
       AddIssue(issues, "cache.capacity_bytes", "is not on the menu");
     }
-    if (!Contains(space.ttl_menu, dp.cache.ttl_s)) {
+    if (!Contains(kTtlMenu, dp.cache.ttl_s)) {
       AddIssue(issues, "cache.ttl_s", "is not on the menu");
     }
-    if (!Contains(space.eviction_menu, dp.cache.eviction)) {
+    if (!Contains(kEvictionMenu, dp.cache.eviction)) {
       AddIssue(issues, "cache.eviction", "is not on the menu");
     }
   }
   return issues;
 }
 
-DesignPoint SampleDesign(const DesignSpace& space, Rng& rng) {
+DesignPoint SampleDesign(Rng& rng) {
   DesignPoint dp;
   const std::size_t fleet =
-      space.min_replicas +
-      rng.NextIndex(space.max_replicas - space.min_replicas + 1);
+      kMinReplicas + rng.NextIndex(kMaxReplicas - kMinReplicas + 1);
   dp.replicas.reserve(fleet);
   for (std::size_t i = 0; i < fleet; ++i) {
-    dp.replicas.push_back(SampleReplica(space, rng));
+    dp.replicas.push_back(SampleReplica(rng));
   }
-  dp.router.policy = Pick(space.policy_menu, rng);
-  CanonicalizeRouter(space, dp.router, rng);
-  dp.cache_mode = Pick(space.cache_mode_menu, rng);
+  dp.router.policy = Pick(kPolicyMenu, rng);
+  CanonicalizeRouter(dp.router, rng);
+  dp.cache_mode = Pick(kCacheModeMenu, rng);
   if (dp.cache_mode != ClusterCacheMode::kNone) {
-    SampleCacheStore(space, dp, rng);
+    SampleCacheStore(dp, rng);
     // The engine forbids cache + adaptive on one replica; the sample
     // keeps the drawn store and drops the adaptive layers so it always
     // passes CheckInSpace (mutation can reintroduce either side).
@@ -385,25 +413,23 @@ DesignPoint SampleDesign(const DesignSpace& space, Rng& rng) {
   } else {
     dp.cache = NoCache();
   }
-  RepairBudget(space, dp);
+  RepairBudget(dp);
   return dp;
 }
 
-DesignPoint MutateDesign(const DesignSpace& space, const DesignPoint& dp,
-                         Rng& rng) {
+DesignPoint MutateDesign(const DesignPoint& dp, Rng& rng) {
   DesignPoint next = dp;
   const std::size_t move = rng.NextIndex(8);
   switch (move) {
     case 0:  // grow the fleet: clone an existing replica
-      if (next.replicas.size() < space.max_replicas &&
-          !next.replicas.empty()) {
+      if (next.replicas.size() < kMaxReplicas && !next.replicas.empty()) {
         next.replicas.push_back(
             next.replicas[rng.NextIndex(next.replicas.size())]);
         return next;
       }
       break;
     case 1:  // shrink the fleet
-      if (next.replicas.size() > space.min_replicas) {
+      if (next.replicas.size() > kMinReplicas) {
         next.replicas.erase(next.replicas.begin() +
                             static_cast<std::ptrdiff_t>(
                                 rng.NextIndex(next.replicas.size())));
@@ -411,11 +437,11 @@ DesignPoint MutateDesign(const DesignSpace& space, const DesignPoint& dp,
       }
       break;
     case 6:  // router move
-      next.router.policy = Pick(space.policy_menu, rng);
-      CanonicalizeRouter(space, next.router, rng);
+      next.router.policy = Pick(kPolicyMenu, rng);
+      CanonicalizeRouter(next.router, rng);
       return next;
     case 7:  // cache move
-      MutateCache(space, next, rng);
+      MutateCache(next, rng);
       return next;
     default:
       break;
@@ -423,7 +449,7 @@ DesignPoint MutateDesign(const DesignSpace& space, const DesignPoint& dp,
   // Knob move (cases 2-5, and the fallback when a fleet move was not
   // applicable at the current size).
   if (!next.replicas.empty()) {
-    MutateReplicaKnob(space, next, rng.NextIndex(next.replicas.size()), rng);
+    MutateReplicaKnob(next, rng.NextIndex(next.replicas.size()), rng);
   }
   return next;
 }

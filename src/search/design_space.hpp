@@ -1,5 +1,5 @@
 #pragma once
-// DesignSpace: the legal knob menus and the seeded move operators.
+// The design space: the legal knob menus and the seeded move operators.
 //
 // The space is menu-shaped on purpose: every knob draws from a small,
 // explicitly enumerated set of values (SET's schedule-tree search has the
@@ -20,60 +20,20 @@
 //     the unified-validator rejection path the SA loop counts.
 
 #include <cstddef>
-#include <vector>
 
 #include "search/design_point.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte::search {
 
-/// The enumerated design space.  Defaults describe a small NoC-class
-/// deployment and are what bench_search explores.
-struct DesignSpace {
-  std::size_t min_replicas = 1;
-  std::size_t max_replicas = 4;
-  /// Cap on BackendSlots(dp): total provisioned devices (a sharded gang
-  /// of degree d behind w workers provisions w*d).
-  std::size_t max_backend_slots = 6;
-
-  // Per-replica menus.
-  std::vector<std::size_t> max_batch_menu = {2, 4, 8, 16, 32};
-  std::vector<std::size_t> max_tokens_menu = {0, 1024, 2048, 4096};
-  std::vector<double> timeout_menu = {0.005, 0.01, 0.02, 0.05, 0.1};
-  std::vector<std::size_t> workers_menu = {1, 2, 4};
-  std::vector<std::size_t> queue_menu = {0, 64, 256};
-  std::vector<std::size_t> top_k_menu = {16, 30, 64};
-  std::vector<std::size_t> degree_menu = {2, 4};
-  /// SLO targets the adaptive controller may aim for.  The ladder itself
-  /// is canonical -- CanonicalAdaptiveLadder derived from the replica's
-  /// top_k -- so the space only tunes the enabled bit and the SLO.
-  std::vector<double> adapt_slo_menu = {0.05, 0.1, 0.2};
-
-  // Router menus.
-  std::vector<RouterPolicy> policy_menu = {
-      RouterPolicy::kRoundRobin,          RouterPolicy::kJoinShortestQueue,
-      RouterPolicy::kLeastOutstandingTokens, RouterPolicy::kLengthBucketed,
-      RouterPolicy::kKeyAffinity,         RouterPolicy::kLongToSharded,
-      RouterPolicy::kLeastDegraded};
-  std::vector<std::vector<std::size_t>> edges_menu = {{152},
-                                                      {105, 152, 219}};
-  std::vector<std::size_t> threshold_menu = {128, 192, 256};
-
-  // Cache menus.
-  std::vector<ClusterCacheMode> cache_mode_menu = {
-      ClusterCacheMode::kNone, ClusterCacheMode::kPerReplica,
-      ClusterCacheMode::kShared};
-  std::vector<std::size_t> cache_capacity_menu = {1u << 20, 8u << 20,
-                                                  64u << 20};
-  std::vector<double> ttl_menu = {0, 5, 30};
-  std::vector<EvictionPolicy> eviction_menu = {EvictionPolicy::kLru,
-                                               EvictionPolicy::kSegmentedLru};
-
-  /// The deployment's fabric: every sharded gang prices its collectives
-  /// on this interconnect (fixed -- the search tunes the design, not the
-  /// datacenter).
-  InterconnectConfig interconnect;
-};
+/// The fleet-size cap of the space.  The space itself -- the menus every
+/// knob draws from, the fleet-size floor and the deployment's fabric --
+/// is fixed in design_space.cpp: it describes one small NoC-class
+/// deployment, and the search tunes the design, not the datacenter.
+inline constexpr std::size_t kMaxReplicas = 4;
+/// Cap on BackendSlots(dp): total provisioned devices (a sharded gang of
+/// degree d behind w workers provisions w*d).
+inline constexpr std::size_t kMaxBackendSlots = 6;
 
 /// Total provisioned backend devices of a design: sum over replicas of
 /// workers x (sharded ? degree : 1).
@@ -90,20 +50,19 @@ AdaptiveServingConfig CanonicalAdaptiveLadder(std::size_t top_k,
 
 /// CheckDesignPoint plus the space's own bounds: fleet size range, the
 /// backend-slot budget, and menu membership of every knob.  Empty means
-/// the design is legal *and* inside this space.
-ConfigIssues CheckInSpace(const DesignSpace& space, const DesignPoint& dp);
+/// the design is legal *and* inside the space.
+ConfigIssues CheckInSpace(const DesignPoint& dp);
 
 /// Draws a uniform design from the space, then deterministically repairs
 /// it to the backend-slot budget (shrinking workers, then gangs, then the
 /// fleet).  The result always passes CheckInSpace.
-DesignPoint SampleDesign(const DesignSpace& space, Rng& rng);
+DesignPoint SampleDesign(Rng& rng);
 
 /// One bounded move: grow/shrink the fleet by one replica, step one knob
 /// of one replica to a neighboring menu value, re-draw the router policy,
 /// or step the cache.  The result stays menu-valued but may exceed the
 /// slot budget -- callers reject via CheckInSpace (the SA loop's invalid-
 /// mutation path).  Never mutates `dp` in place.
-DesignPoint MutateDesign(const DesignSpace& space, const DesignPoint& dp,
-                         Rng& rng);
+DesignPoint MutateDesign(const DesignPoint& dp, Rng& rng);
 
 }  // namespace latte::search

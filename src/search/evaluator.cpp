@@ -4,9 +4,12 @@
 #include <limits>
 
 #include "cluster/cluster.hpp"
+#include "fpga/accelerator.hpp"
 #include "metrics/energy.hpp"
+#include "model/config.hpp"
 #include "search/design_space.hpp"
 #include "serve/service_model.hpp"
+#include "workload/dataset.hpp"
 
 namespace latte::search {
 
@@ -14,11 +17,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double PowInt(double base, int n) {
-  double out = 1;
-  for (int i = 0; i < n; ++i) out *= base;
-  return out;
-}
+/// Multiplier on the rejected-request fraction added to the delay term:
+/// cost = p99 * (1 + kRejectPenalty * rejected/offered) * energy.
+constexpr double kRejectPenalty = 4.0;
+
+/// The model whose accounting shape every replica serves, scaled down so
+/// an SA run stays cheap (the twin only prices it, never executes it).
+ModelConfig EvaluationModel() { return ScaledDown(BertBase(), 6); }
 
 /// Dynamic energy of executing one request of `length` tokens on a slot
 /// with sparse inventory `ops`: DSP MACs plus HBM traffic of the full
@@ -38,15 +43,16 @@ double RequestDynamicJoules(const ModelConfig& model,
 
 }  // namespace
 
-EvaluatorConfig::EvaluatorConfig()
-    : model(ScaledDown(BertBase(), 6)), dataset(Squad()) {
-  // A skewed ~4s trace: long enough that batching and caching matter,
-  // short enough that one evaluation costs milliseconds.
+ZipfTraceConfig EvaluationTraceConfig() {
+  // Long enough that batching and caching matter, short enough that one
+  // evaluation costs milliseconds.
+  ZipfTraceConfig trace;
   trace.arrival_rate_rps = 60;
   trace.requests = 192;
   trace.population = 48;
   trace.skew = 1.0;
   trace.seed = 7;
+  return trace;
 }
 
 bool Dominates(const DesignScore& a, const DesignScore& b) {
@@ -61,10 +67,9 @@ bool Dominates(const DesignScore& a, const DesignScore& b) {
   return no_worse && better;
 }
 
-DesignEvaluator::DesignEvaluator(const EvaluatorConfig& cfg)
-    : cfg_(cfg),
-      model_(cfg.model, cfg.model_seed),
-      trace_(GenerateZipfTrace(cfg.trace, cfg.dataset)) {}
+DesignEvaluator::DesignEvaluator()
+    : model_(EvaluationModel(), 2022),
+      trace_(GenerateZipfTrace(EvaluationTraceConfig(), Squad())) {}
 
 DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
   DesignScore score;
@@ -79,8 +84,7 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
     engine.threads = 1;
     ServiceModelSpec spec;
     spec.base = ServiceModelSpec::Base::kAccelerator;
-    spec.model = cfg_.model;
-    spec.accel = cfg_.accel;
+    spec.model = model_.config();
     spec.accel.top_k = dp.replicas[i].top_k;
     engine.service = BuildServiceModel(spec);
     // An adaptive replica prices each ladder rung at its own sparsity
@@ -109,7 +113,7 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
   // Dynamic energy: every request that reached a replica is priced at
   // that replica's sparsity, then scaled by the fraction the replica
   // actually executed (cache hits compute nothing).
-  const EncoderConfig& enc = cfg_.model.encoder;
+  const EncoderConfig& enc = model_.config().encoder;
   std::vector<std::vector<OpSpec>> replica_ops;
   for (const auto& replica : dp.replicas) {
     const std::size_t k = replica.top_k;
@@ -121,7 +125,7 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
     const std::size_t r = result.replica_of[p];
     if (r == ClusterResult::npos()) continue;
     routed_joules[r] +=
-        RequestDynamicJoules(cfg_.model, replica_ops[r], trace_[p].length);
+        RequestDynamicJoules(model_.config(), replica_ops[r], trace_[p].length);
     ++routed_count[r];
   }
   double dynamic_j = 0;
@@ -136,19 +140,20 @@ DesignScore DesignEvaluator::Evaluate(const DesignPoint& dp) const {
   // span, so over-provisioned fleets pay for their silicon.
   const double span_s =
       static_cast<double>(score.completed) / score.throughput_rps;
-  const double static_w = FpgaPowerWatts(cfg_.accel.spec, 0.0);
+  const double static_w = FpgaPowerWatts(AcceleratorConfig{}.spec, 0.0);
   const double static_j =
       static_w * span_s * static_cast<double>(BackendSlots(dp));
   score.energy_j = dynamic_j + static_j;
 
-  // SET's e^n * d: delay (p99, inflated by shed load) times energy^n.
+  // SET's e^n * d at n = 1: delay (p99, inflated by shed load) times
+  // energy.
   const double reject_frac =
       score.offered == 0
           ? 0
           : static_cast<double>(score.rejected) /
                 static_cast<double>(score.offered);
-  score.cost = score.p99_s * (1.0 + cfg_.reject_penalty * reject_frac) *
-               PowInt(score.energy_j, cfg_.energy_exponent);
+  score.cost =
+      score.p99_s * (1.0 + kRejectPenalty * reject_frac) * score.energy_j;
   score.valid = std::isfinite(score.cost);
   if (!score.valid) score.cost = kInf;
   return score;

@@ -2,53 +2,33 @@
 // DesignEvaluator: scores a DesignPoint by replaying a fixed trace
 // through the accounting-only ServingCluster twin.
 //
-// The evaluator owns the experiment -- model, dataset, trace, accelerator
-// shape, seeds -- and the design owns only the deployment shape, so two
-// candidates are always compared on identical work.  Every replica runs
-// with `execute = false` and the accelerator service model, which makes
-// one evaluation a pure virtual-time replay: byte-identical at any thread
-// count and cheap enough for thousands of SA steps.
+// The evaluator fixes the experiment -- a scaled-down BERT-base served
+// on SQuAD-shaped Zipf traffic (EvaluationTraceConfig), the default
+// accelerator shape at every backend slot, fixed seeds -- and the design
+// owns only the deployment shape, so two candidates are always compared
+// on identical work.  Every replica runs with `execute = false` and the
+// accelerator service model, which makes one evaluation a pure
+// virtual-time replay: byte-identical at any thread count and cheap
+// enough for thousands of SA steps.
 //
-// Scoring follows SET's e^n * d shape: the scalar cost is delay
+// Scoring follows SET's e^n * d shape at n = 1: the scalar cost is delay
 // (p99 latency, inflated by a rejection penalty so the search cannot win
-// by shedding load) times energy raised to a small integer exponent.  The
-// full (p99, throughput, energy) triple is kept alongside for Pareto
-// accounting.
+// by shedding load) times energy.  The full (p99, throughput, energy)
+// triple is kept alongside for Pareto accounting.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "fpga/accelerator.hpp"
-#include "model/config.hpp"
 #include "model/inference.hpp"
 #include "search/design_point.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/dataset.hpp"
 
 namespace latte::search {
 
-/// The fixed experiment a DesignEvaluator scores designs against.
-struct EvaluatorConfig {
-  /// Model whose accounting shape every replica serves (scaled down so an
-  /// SA run stays cheap; the twin only prices it, never executes it).
-  ModelConfig model;
-  std::uint64_t model_seed = 2022;
-  DatasetSpec dataset;
-  /// Popularity-skewed arrival trace (identities give result caches a
-  /// reason to exist; a design with a cache earns its hit rate here).
-  ZipfTraceConfig trace;
-  /// Accelerator shape of every backend slot.  `top_k` is overridden per
-  /// replica by the design's sparse knob.
-  AcceleratorConfig accel;
-  /// Energy exponent n of the e^n * d cost (0 scores delay only).
-  int energy_exponent = 1;
-  /// Multiplier on the rejected-request fraction added to the delay term:
-  /// cost = p99 * (1 + reject_penalty * rejected/offered) * e^n.
-  double reject_penalty = 4.0;
-
-  EvaluatorConfig();
-};
+/// The popularity-skewed arrival trace every design is scored on (a
+/// skewed ~4 s trace: identities give result caches a reason to exist, so
+/// a design with a cache earns its hit rate here).
+ZipfTraceConfig EvaluationTraceConfig();
 
 /// Everything one evaluation produces.
 struct DesignScore {
@@ -72,9 +52,8 @@ bool Dominates(const DesignScore& a, const DesignScore& b);
 /// thread-compatible: parallel SA chains share one evaluator.
 class DesignEvaluator {
  public:
-  explicit DesignEvaluator(const EvaluatorConfig& cfg);
+  DesignEvaluator();
 
-  const EvaluatorConfig& config() const { return cfg_; }
   const std::vector<TimedRequest>& trace() const { return trace_; }
 
   /// Scores one design.  Invalid designs (CheckDesignPoint issues, or a
@@ -83,7 +62,6 @@ class DesignEvaluator {
   DesignScore Evaluate(const DesignPoint& dp) const;
 
  private:
-  EvaluatorConfig cfg_;
   ModelInstance model_;
   std::vector<TimedRequest> trace_;
 };

@@ -5,29 +5,6 @@
 
 namespace latte {
 
-BatchServiceModel TokenLinearServiceModel(double seconds_per_token,
-                                          double batch_overhead_s) {
-  return [seconds_per_token,
-          batch_overhead_s](const std::vector<std::size_t>& lengths) {
-    std::size_t tokens = 0;
-    for (std::size_t len : lengths) tokens += len;
-    return batch_overhead_s +
-           seconds_per_token * static_cast<double>(tokens);
-  };
-}
-
-BatchServiceModel PaddedServiceModel(double seconds_per_token,
-                                     double batch_overhead_s) {
-  return [seconds_per_token,
-          batch_overhead_s](const std::vector<std::size_t>& lengths) {
-    std::size_t max_len = 0;
-    for (std::size_t len : lengths) max_len = std::max(max_len, len);
-    return batch_overhead_s + seconds_per_token *
-                                  static_cast<double>(max_len) *
-                                  static_cast<double>(lengths.size());
-  };
-}
-
 DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
                                        const std::vector<FormedBatch>& batches,
                                        std::size_t workers,

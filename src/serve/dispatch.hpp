@@ -3,8 +3,8 @@
 //
 // Each formed batch launches on the earliest-free of `workers` backend
 // slots, never before the batch is sealed.  The service model decides the
-// price -- the accelerator twin (a kAccelerator ServiceModelSpec), a
-// token-linear default or any other deterministic cost model.
+// price -- built from a ServiceModelSpec (serve/service_model.hpp) or any
+// other deterministic cost model.
 // ScheduleFormedBatches runs the recurrence offline over a whole trace;
 // ServingEngine runs the same one incrementally, so the offline schedule
 // is the reference the engine is tested against.
@@ -20,19 +20,6 @@ namespace latte {
 /// dispatch order.  Must be deterministic for replay determinism.
 using BatchServiceModel =
     std::function<double(const std::vector<std::size_t>& lengths)>;
-
-/// Fixed per-batch overhead plus a per-token cost: the simplest useful
-/// deterministic service model (the overhead is what batching amortizes).
-BatchServiceModel TokenLinearServiceModel(double seconds_per_token,
-                                          double batch_overhead_s);
-
-/// Padded-dense backend: every member is padded to the batch's longest
-/// sequence, so a batch costs overhead + spt * max(len) * |batch|.  The
-/// cost model of the CPU/GPU baselines and the non-length-aware FPGA mode;
-/// under it, mixing lengths in a batch wastes device time on padding --
-/// which is exactly what length-bucketed cluster routing avoids.
-BatchServiceModel PaddedServiceModel(double seconds_per_token,
-                                     double batch_overhead_s);
 
 /// Full virtual-time schedule of a formed-batch sequence.
 struct DispatchSchedule {

@@ -10,6 +10,7 @@
 
 #include "adapt/escalate.hpp"
 #include "obs/percentiles.hpp"
+#include "serve/service_model.hpp"
 #include "workload/synthetic.hpp"
 
 namespace latte {
@@ -92,10 +93,10 @@ ServingEngine::ServingEngine(const ModelInstance& model,
     : model_(model), cfg_(cfg), runner_(cfg.threads) {
   ThrowOnIssues("ServingEngineConfig", CheckServingEngineConfig(cfg_));
   if (!cfg_.service) {
-    // ~0.5 M tokens/s plus a fixed dispatch cost: a plausible host-side
-    // default; build a kAccelerator ServiceModelSpec to account like the
-    // simulator.
-    cfg_.service = TokenLinearServiceModel(2e-6, 2e-4);
+    // The spec's default, ~0.5 M tokens/s plus a fixed dispatch cost: a
+    // plausible host-side price; build a kAccelerator ServiceModelSpec to
+    // account like the simulator.
+    cfg_.service = BuildServiceModel(ServiceModelSpec{});
   }
   // The service ladder: one tier priced by `service` without a
   // controller, the adapt tiers (uniformly priced unless tier_services
@@ -165,7 +166,6 @@ void ServingEngine::RecordSpan(obs::SpanKind kind, double begin_s,
   e.kind = kind;
   e.begin_s = begin_s;
   e.end_s = end_s;
-  e.wall_s = tracer_->WallStamp();
   e.id = id;
   e.arg = arg;
   e.track = track;

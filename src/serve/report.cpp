@@ -6,12 +6,6 @@
 
 namespace latte {
 
-double PercentileOfSorted(const std::vector<double>& sorted, double p) {
-  // Forwarder: the one canonical implementation lives in obs/percentiles
-  // (shared with cluster/accounting and adapt).
-  return obs::PercentileOfSorted(sorted, p);
-}
-
 ServingReport BuildServingReport(std::vector<double>& latencies,
                                  std::size_t batches, double busy_s,
                                  double span_s, std::size_t workers) {
@@ -27,9 +21,9 @@ ServingReport BuildServingReport(std::vector<double>& latencies,
   for (double l : latencies) sum += l;
   rep.mean_latency_s = sum / static_cast<double>(latencies.size());
   std::sort(latencies.begin(), latencies.end());
-  rep.p50_latency_s = PercentileOfSorted(latencies, 0.50);
-  rep.p95_latency_s = PercentileOfSorted(latencies, 0.95);
-  rep.p99_latency_s = PercentileOfSorted(latencies, 0.99);
+  rep.p50_latency_s = obs::PercentileOfSorted(latencies, 0.50);
+  rep.p95_latency_s = obs::PercentileOfSorted(latencies, 0.95);
+  rep.p99_latency_s = obs::PercentileOfSorted(latencies, 0.99);
   rep.throughput_rps =
       span_s > 0 ? static_cast<double>(rep.requests) / span_s : 0;
   rep.device_busy_frac =

@@ -42,10 +42,6 @@ struct ServingReport {
   std::vector<TierUsage> tiers;
 };
 
-/// Linear-interpolated percentile of an ascending-sorted sample, p in
-/// [0, 1].  Returns 0 on an empty sample.
-double PercentileOfSorted(const std::vector<double>& sorted, double p);
-
 /// Builds a ServingReport from per-request latencies and span accounting.
 /// `latencies` is consumed (sorted in place); `busy_s` is the total busy
 /// worker-seconds, `span_s` the first-arrival -> last-completion span and

@@ -1,5 +1,6 @@
 #include "serve/service_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -9,10 +10,10 @@ namespace latte {
 ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
   ConfigIssues issues;
   if (spec.base != ServiceModelSpec::Base::kAccelerator) {
-    if (!(spec.seconds_per_token > 0) ||
+    if (!(spec.seconds_per_token >= 0) ||
         !std::isfinite(spec.seconds_per_token)) {
       AddIssue(issues, "seconds_per_token",
-               "must be a positive, finite per-token cost");
+               "must be a non-negative, finite per-token cost");
     }
     if (std::isnan(spec.batch_overhead_s) || spec.batch_overhead_s < 0 ||
         !std::isfinite(spec.batch_overhead_s)) {
@@ -65,15 +66,24 @@ ConfigIssues CheckServiceModelSpec(const ServiceModelSpec& spec) {
 
 BatchServiceModel BuildServiceModel(const ServiceModelSpec& spec) {
   ThrowOnIssues("ServiceModelSpec", CheckServiceModelSpec(spec));
+  const double spt = spec.seconds_per_token;
+  const double overhead = spec.batch_overhead_s;
   BatchServiceModel base;
   switch (spec.base) {
     case ServiceModelSpec::Base::kTokenLinear:
-      base = TokenLinearServiceModel(spec.seconds_per_token,
-                                     spec.batch_overhead_s);
+      base = [spt, overhead](const std::vector<std::size_t>& lengths) {
+        std::size_t tokens = 0;
+        for (std::size_t len : lengths) tokens += len;
+        return overhead + spt * static_cast<double>(tokens);
+      };
       break;
     case ServiceModelSpec::Base::kPadded:
-      base =
-          PaddedServiceModel(spec.seconds_per_token, spec.batch_overhead_s);
+      base = [spt, overhead](const std::vector<std::size_t>& lengths) {
+        std::size_t max_len = 0;
+        for (std::size_t len : lengths) max_len = std::max(max_len, len);
+        return overhead + spt * static_cast<double>(max_len) *
+                              static_cast<double>(lengths.size());
+      };
       break;
     case ServiceModelSpec::Base::kAccelerator: {
       // The pricer owns its copy of the design point, so the model outlives

@@ -25,8 +25,14 @@ namespace latte {
 struct ServiceModelSpec {
   /// The base price of a batch.
   enum class Base {
-    kTokenLinear,   ///< overhead + spt * sum(len): the host-side default
-    kPadded,        ///< overhead + spt * max(len) * |batch|: padded-dense
+    /// overhead + spt * sum(len): the host-side default (the overhead is
+    /// what batching amortizes)
+    kTokenLinear,
+    /// overhead + spt * max(len) * |batch|: every member padded to the
+    /// batch's longest, the cost model of the CPU/GPU baselines and the
+    /// non-length-aware FPGA mode.  Mixing lengths in a batch wastes
+    /// device time on padding, which length-bucketed routing avoids.
+    kPadded,
     kAccelerator,   ///< RunAccelerator makespan: the performance twin,
                     ///< priced by an AcceleratorPricer built once per
                     ///< spec (no job list per batch)
@@ -42,7 +48,7 @@ struct ServiceModelSpec {
   AcceleratorConfig accel;
 };
 
-/// Names every illegal field (non-positive token cost, negative overhead;
+/// Names every illegal field (negative token cost or overhead;
 /// for the accelerator: zero layers, a zero hidden size, heads that are
 /// zero or do not divide the hidden size, a non-positive or non-finite
 /// clock, DSP count, LUT count or HBM bandwidth or efficiency, fewer than

@@ -6,13 +6,12 @@
 namespace latte {
 namespace {
 
-/// Adds +-rel * max|x| uniform perturbation, emulating 8-bit fixed-point
+/// Adds +-max|x|/255 uniform perturbation, emulating 8-bit fixed-point
 /// storage of the tensor.
-void QuantPerturbInPlace(Rng& rng, MatrixF& m, double rel) {
-  if (rel <= 0.0) return;
+void QuantPerturbInPlace(Rng& rng, MatrixF& m) {
   float mx = 0.f;
   for (float x : m.flat()) mx = std::max(mx, std::fabs(x));
-  const double amp = rel * mx;
+  const double amp = 1.0 / 255.0 * mx;
   for (auto& x : m.flat()) {
     x += static_cast<float>(rng.NextUniform(-amp, amp));
   }
@@ -33,7 +32,7 @@ AttentionProblem GenerateAttentionProblem(Rng& rng, std::size_t n,
     auto qi = p.q.row(i);
     // Isotropic noise component.
     for (auto& x : qi) {
-      x = static_cast<float>(rng.NextNormal(0.0, cfg.noise));
+      x = static_cast<float>(rng.NextNormal(0.0, 1.0));
     }
     // Aligned component: geometric mixture of m random key directions.
     double w = cfg.signal;
@@ -47,9 +46,9 @@ AttentionProblem GenerateAttentionProblem(Rng& rng, std::size_t n,
     }
   }
 
-  QuantPerturbInPlace(rng, p.q, cfg.weight_quant_rel);
-  QuantPerturbInPlace(rng, p.k, cfg.weight_quant_rel);
-  QuantPerturbInPlace(rng, p.v, cfg.weight_quant_rel);
+  QuantPerturbInPlace(rng, p.q);
+  QuantPerturbInPlace(rng, p.k);
+  QuantPerturbInPlace(rng, p.v);
   return p;
 }
 

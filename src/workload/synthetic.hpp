@@ -15,17 +15,16 @@
 
 namespace latte {
 
-/// Knobs of the synthetic attention generator.
+/// Knobs of the synthetic attention generator.  Every query also carries
+/// unit-variance isotropic noise, and Q, K and V are perturbed by 1/255
+/// of their largest magnitude after generation, emulating 8-bit
+/// fixed-point model quantization (Section 5.1: "models are quantized
+/// into 8 bits ... without accuracy drop").
 struct AttentionWorkloadConfig {
   std::size_t head_dim = 64;
   std::size_t dominant_keys = 8;  ///< strongly attended keys per query
   double signal = 1.2;            ///< alignment strength with dominant keys
   double decay = 0.7;             ///< geometric weight decay across dominants
-  double noise = 1.0;             ///< stddev of the isotropic query noise
-  /// Relative perturbation emulating 8-bit fixed-point model quantization
-  /// (Section 5.1: "models are quantized into 8 bits ... without accuracy
-  /// drop"); applied to Q, K and V after generation.
-  double weight_quant_rel = 1.0 / 255.0;
 };
 
 /// One single-head attention problem instance.

@@ -21,6 +21,15 @@
 namespace latte {
 namespace {
 
+/// A token-linear service model: overhead + spt * sum(len).
+BatchServiceModel TokenLinear(double seconds_per_token,
+                              double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
 ModelInstance& SmallModel() {
   static ModelInstance model(ScaledDown(BertBase(), 6), 2022);
   return model;
@@ -128,7 +137,7 @@ TEST(AdaptiveControllerTest, EngineConfigCrossChecks) {
       HasIssueFor(CheckServingEngineConfig(cfg), "adapt.tiers[0].top_k"));
   cfg.inference.sparse.top_k = 16;
 
-  cfg.tier_services = {TokenLinearServiceModel(1e-6, 1e-4)};  // 1 for 3 tiers
+  cfg.tier_services = {TokenLinear(1e-6, 1e-4)};  // 1 for 3 tiers
   EXPECT_TRUE(HasIssueFor(CheckServingEngineConfig(cfg), "tier_services"));
 }
 
@@ -139,6 +148,8 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   spec.seconds_per_token = -1;
   EXPECT_TRUE(HasIssueFor(CheckServiceModelSpec(spec), "seconds_per_token"));
   EXPECT_THROW(BuildServiceModel(spec), std::invalid_argument);
+  spec.seconds_per_token = 0;  // a flat per-batch price is legal
+  EXPECT_TRUE(CheckServiceModelSpec(spec).empty());
 
   spec = ServiceModelSpec{};
   const BatchServiceModel linear = BuildServiceModel(spec);
@@ -299,10 +310,10 @@ TEST(AdaptiveEngineTest, ReportsByteIdenticalAcrossThreadCounts) {
   for (std::size_t threads : {1u, 4u}) {
     ServingEngineConfig cfg = AdaptiveEngineConfig();
     cfg.threads = threads;
-    cfg.service = TokenLinearServiceModel(3e-5, 2e-3);
-    cfg.tier_services = {TokenLinearServiceModel(3e-5, 2e-3),
-                         TokenLinearServiceModel(1.5e-5, 2e-3),
-                         TokenLinearServiceModel(7.5e-6, 2e-3)};
+    cfg.service = TokenLinear(3e-5, 2e-3);
+    cfg.tier_services = {TokenLinear(3e-5, 2e-3),
+                         TokenLinear(1.5e-5, 2e-3),
+                         TokenLinear(7.5e-6, 2e-3)};
     ServingEngine engine(SmallModel(), cfg);
     ServingResult res = engine.Replay(trace);
     if (threads == 1) {
@@ -383,7 +394,7 @@ TEST(AdaptiveEngineTest, AccuracyFloorHoldsUnderStepOverload) {
   // Saturating overload: the controller wants the bottom rung throughout.
   cfg.adapt.epoch_s = 0.0005;
   cfg.adapt.queue_ref = 1;
-  cfg.service = TokenLinearServiceModel(1e-5, 5e-3);
+  cfg.service = TokenLinear(1e-5, 5e-3);
   ServingEngine engine(SmallModel(), cfg);
 
   const ServingResult res = engine.Replay(BurstTrace(200, 0.0002, 64));
@@ -407,7 +418,7 @@ TEST(AdaptiveEngineTest, ShedsOnlyWhenTheBoundedQueueIsFull) {
   ServingEngineConfig cfg = AdaptiveEngineConfig();
   cfg.execute = false;
   cfg.queue_capacity = 4;
-  cfg.service = TokenLinearServiceModel(0, 10.0);  // glacial: cannot drain
+  cfg.service = TokenLinear(0, 10.0);  // glacial: cannot drain
   ServingEngine engine(SmallModel(), cfg);
   std::size_t accepted = 0;
   for (const TimedRequest& r : BurstTrace(12, 0.0001, 32)) {
@@ -454,7 +465,6 @@ TEST(LeastDegradedRoutingTest, PrefersFullQualityThenShortQueue) {
 }
 
 TEST(DesignPointAdaptTest, JsonRoundTripsAndSpaceAcceptsCanonicalLadder) {
-  search::DesignSpace space;
   search::DesignPoint dp;
   dp.replicas.resize(2);
   dp.replicas[0].top_k = 30;
@@ -462,7 +472,7 @@ TEST(DesignPointAdaptTest, JsonRoundTripsAndSpaceAcceptsCanonicalLadder) {
   dp.replicas[1].top_k = 16;
   dp.router.policy = RouterPolicy::kLeastDegraded;
   EXPECT_TRUE(search::CheckDesignPoint(dp).empty());
-  EXPECT_TRUE(search::CheckInSpace(space, dp).empty());
+  EXPECT_TRUE(search::CheckInSpace(dp).empty());
 
   const std::string json = search::DesignPointToJson(dp);
   const search::DesignPoint back = search::DesignPointFromJson(json);
@@ -481,7 +491,7 @@ TEST(DesignPointAdaptTest, JsonRoundTripsAndSpaceAcceptsCanonicalLadder) {
   // ...the space admits only the canonical ladder...
   dp.replicas[0].adapt.tiers[2].escalate = false;
   EXPECT_TRUE(
-      HasIssueFor(search::CheckInSpace(space, dp), "replicas[0].adapt"));
+      HasIssueFor(search::CheckInSpace(dp), "replicas[0].adapt"));
   dp.replicas[0].adapt.tiers[2].escalate = true;
   // ...and the adaptive layer conflicts with a fleet cache.
   dp.cache_mode = ClusterCacheMode::kPerReplica;
@@ -493,18 +503,13 @@ TEST(DesignPointAdaptTest, JsonRoundTripsAndSpaceAcceptsCanonicalLadder) {
 TEST(DesignPointAdaptTest, MutationWalkStaysLegalOrRejected) {
   // The SA contract: every sample passes CheckInSpace, and every mutation
   // either passes or is named-field rejected -- never throws.
-  search::DesignSpace space;
-  // Restrict the cache menu so the walk is not stuck behind the
-  // cache-vs-adaptive conflict for this seed; the conflict itself is
-  // covered by JsonRoundTripsAndSpaceAcceptsCanonicalLadder.
-  space.cache_mode_menu = {ClusterCacheMode::kNone};
   Rng rng(17);
-  search::DesignPoint dp = search::SampleDesign(space, rng);
-  EXPECT_TRUE(search::CheckInSpace(space, dp).empty());
+  search::DesignPoint dp = search::SampleDesign(rng);
+  EXPECT_TRUE(search::CheckInSpace(dp).empty());
   std::size_t adaptive_seen = 0;
   for (int step = 0; step < 400; ++step) {
-    const search::DesignPoint next = search::MutateDesign(space, dp, rng);
-    if (search::CheckInSpace(space, next).empty()) {
+    const search::DesignPoint next = search::MutateDesign(dp, rng);
+    if (search::CheckInSpace(next).empty()) {
       dp = next;
       for (const auto& rd : dp.replicas) {
         if (rd.adapt.enabled) ++adaptive_seen;

@@ -20,6 +20,15 @@
 namespace latte {
 namespace {
 
+/// A token-linear service model: overhead + spt * sum(len).
+BatchServiceModel TokenLinear(double seconds_per_token,
+                              double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
 ModelInstance& SmallModel() {
   static ModelInstance model(ScaledDown(BertBase(), 6), 2022);
   return model;
@@ -341,7 +350,7 @@ TEST(CachedEngineTest, HitsBypassBoundedQueueAdmission) {
   cfg.queue_capacity = 1;
   cfg.former.max_batch = 64;      // nothing seals by capacity
   cfg.former.timeout_s = 0.05;
-  cfg.service = TokenLinearServiceModel(1e-3, 1e-2);  // slow backend
+  cfg.service = TokenLinear(1e-3, 1e-2);  // slow backend
   ServingEngine engine(SmallModel(), cfg);
 
   // Stream 1 computes identity 1 once.
@@ -367,7 +376,7 @@ TEST(CachedEngineTest, CoalescedFollowersCompleteWithTheirLeader) {
   cfg.execute = false;
   cfg.former.max_batch = 8;
   cfg.former.timeout_s = 0.01;
-  cfg.service = TokenLinearServiceModel(1e-4, 1e-3);
+  cfg.service = TokenLinear(1e-4, 1e-3);
   ServingEngine engine(SmallModel(), cfg);
   engine.Push({0.000, 16, 9});
   engine.Push({0.002, 16, 9});  // identical, leader still in flight

@@ -17,6 +17,24 @@
 namespace latte {
 namespace {
 
+/// A token-linear service model: overhead + spt * sum(len).
+BatchServiceModel TokenLinear(double seconds_per_token,
+                              double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
+/// A padded service model: overhead + spt * max(len) * |batch|.
+BatchServiceModel Padded(double seconds_per_token, double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kPadded;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
 ModelInstance& SmallModel() {
   static ModelInstance model(ScaledDown(BertBase(), 6), 2022);
   return model;
@@ -231,10 +249,10 @@ TEST(ServingClusterTest, RealExecutionBitExactVsSingleEngineReplay) {
   // least-outstanding-tokens routing makes non-trivial decisions, plus a
   // bounded queue so some requests are rejected.
   ClusterConfig cfg = SmallCluster(3, RouterPolicy::kLeastOutstandingTokens);
-  cfg.replicas[0].engine.service = TokenLinearServiceModel(2e-5, 1e-3);
-  cfg.replicas[1].engine.service = TokenLinearServiceModel(8e-5, 2e-3);
+  cfg.replicas[0].engine.service = TokenLinear(2e-5, 1e-3);
+  cfg.replicas[1].engine.service = TokenLinear(8e-5, 2e-3);
   cfg.replicas[1].engine.workers = 2;
-  cfg.replicas[2].engine.service = PaddedServiceModel(5e-5, 1e-3);
+  cfg.replicas[2].engine.service = Padded(5e-5, 1e-3);
   cfg.replicas[2].engine.queue_capacity = 2;
   cfg.embed_seed = 77;
 
@@ -304,7 +322,7 @@ TEST(ServingClusterTest, VirtualTimeSweepIsByteIdenticalAcrossRuns) {
     ClusterConfig cfg = SmallCluster(3, policy);
     for (auto& r : cfg.replicas) {
       r.engine.execute = false;  // accounting-only policy sweep
-      r.engine.service = PaddedServiceModel(4e-5, 5e-4);
+      r.engine.service = Padded(4e-5, 5e-4);
     }
     ClusterResult a;
     ClusterResult b;
@@ -388,7 +406,7 @@ TEST(ServingClusterTest, BackpressureReroutesToNextChoiceBeforeRejecting) {
   // unless every replica is.)
   ClusterConfig cfg = SmallCluster(2, RouterPolicy::kRoundRobin);
   for (auto& r : cfg.replicas) {
-    r.engine.service = TokenLinearServiceModel(0, 100.0);
+    r.engine.service = TokenLinear(0, 100.0);
     r.engine.former.max_batch = 2;
   }
   // Asymmetric waiting rooms so the smaller one fills while the other
@@ -482,7 +500,7 @@ TEST(ServingClusterTest, LengthBucketedBeatsRoundRobinOnBatchDensity) {
     for (auto& r : cfg.replicas) {
       r.engine.execute = false;
       r.engine.former.max_batch = 8;
-      r.engine.service = PaddedServiceModel(1e-4, 1e-3);
+      r.engine.service = Padded(1e-4, 1e-3);
     }
     cfg.router.length_edges = {32};
     ServingCluster cluster(SmallModel(), cfg);

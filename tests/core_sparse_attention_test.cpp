@@ -154,17 +154,6 @@ TEST(FusedKernelTest, MatchesUnfusedReference) {
   EXPECT_NEAR(res.sum, sum, 1e-3 * sum);
 }
 
-TEST(FusedKernelTest, MaskedCandidatesGetZeroWeight) {
-  Rng rng(8);
-  const auto q = rng.NormalMatrix(1, 8, 0.0, 1.0);
-  const auto ks = rng.NormalMatrix(3, 8, 0.0, 1.0);
-  FusedKernelConfig cfg;
-  cfg.masked = {false, true, false};
-  const auto res = FusedScoreKernel(q.row(0), ks, cfg);
-  EXPECT_EQ(res.exp_scores[1], 0.f);  // exp(-inf) clamped to exp(-80) ~ 0
-  EXPECT_GT(res.exp_scores[0], 0.f);
-}
-
 TEST(FusedKernelTest, CycleModelRespectsUnroll) {
   Rng rng(9);
   const auto q = rng.NormalMatrix(1, 64, 0.0, 1.0);
@@ -193,9 +182,6 @@ TEST(FusedKernelTest, RejectsBadArguments) {
   FusedKernelConfig cfg;
   EXPECT_THROW(FusedScoreKernel(q.row(0), ks, cfg), std::invalid_argument);
   MatrixF ks2(2, 4, 1.f);
-  cfg.masked = {true};  // wrong length
-  EXPECT_THROW(FusedScoreKernel(q.row(0), ks2, cfg), std::invalid_argument);
-  cfg.masked.clear();
   cfg.unroll = 0;
   EXPECT_THROW(FusedScoreKernel(q.row(0), ks2, cfg), std::invalid_argument);
 }
@@ -224,30 +210,33 @@ TEST(FusedKernelTest, IndexedRowsMatchPerCandidateFormulasBitForBit) {
   const std::vector<std::uint32_t> idx = {7, 3, 39, 0, 12, 12, 25, 8, 1, 30, 2};
   FusedKernelConfig cfg;
   cfg.scale = 0.125f;
-  cfg.masked.assign(idx.size(), false);
-  cfg.masked[5] = true;  // a zero weight inside a group of four
   FusedScoreResult got;
   FusedScoreKernel(q.row(0), k, idx, cfg, got);
   ASSERT_EQ(got.exp_scores.size(), idx.size());
   double sum = 0;
   for (std::size_t j = 0; j < idx.size(); ++j) {
     const float dot = DotProduct(q.row(0), k.row(idx[j])) * cfg.scale;
-    const float want =
-        cfg.masked[j] ? 0.f : std::exp(std::clamp(dot, -80.f, 80.f));
+    const float want = std::exp(std::clamp(dot, -80.f, 80.f));
     EXPECT_EQ(got.exp_scores[j], want) << "candidate " << j;
     sum += want;
   }
   EXPECT_EQ(got.sum, sum);
 
+  // The context on the kernel's weights with a zero weight inside a group
+  // of four, which the context must skip.
+  FusedScoreResult weights = got;
+  weights.exp_scores[5] = 0.f;
+  weights.sum = 0;
+  for (const float w : weights.exp_scores) weights.sum += w;
   std::vector<float> z(v.cols());
-  WeightedContext(got, v, idx, z);
+  WeightedContext(weights, v, idx, z);
   std::vector<float> want(v.cols(), 0.f);
   for (std::size_t j = 0; j < idx.size(); ++j) {
-    const float w = got.exp_scores[j];
+    const float w = weights.exp_scores[j];
     if (w == 0.f) continue;
     for (std::size_t c = 0; c < v.cols(); ++c) want[c] += w * v(idx[j], c);
   }
-  const float inv = static_cast<float>(1.0 / got.sum);
+  const float inv = static_cast<float>(1.0 / weights.sum);
   for (auto& x : want) x *= inv;
   EXPECT_EQ(z, want);
 
@@ -258,7 +247,7 @@ TEST(FusedKernelTest, IndexedRowsMatchPerCandidateFormulasBitForBit) {
   const FusedScoreResult gathered = FusedScoreKernel(q.row(0), ks, cfg);
   EXPECT_EQ(gathered.exp_scores, got.exp_scores);
   EXPECT_EQ(gathered.sum, got.sum);
-  EXPECT_EQ(WeightedContext(gathered, vs), want);
+  EXPECT_EQ(WeightedContext(weights, vs), want);
 }
 
 TEST(FusedKernelTest, IndexedRowsRejectAnIndexPastTheMatrix) {

@@ -10,28 +10,21 @@ namespace {
 
 // ------------------------------------------------------------- Explorer --
 
-ExplorerConfig QuickExplorer() {
-  ExplorerConfig cfg;
-  cfg.k_candidates = {10, 30, 64};
-  cfg.bit_candidates = {1, 4};
-  cfg.batch = 8;
-  cfg.fidelity_reps = 2;
-  return cfg;
-}
+const std::vector<std::size_t> kCandidates = {10, 30, 64};
 
 TEST(ExplorerTest, EvaluatesFullGrid) {
-  const auto res = ExploreDesign(BertBase(), Rte(), QuickExplorer());
+  const auto res = ExploreDesign(BertBase(), Rte(), kCandidates);
   EXPECT_EQ(res.points.size(), 6u);
 }
 
 TEST(ExplorerTest, FindsAFeasiblePointUnderPaperBudget) {
-  const auto res = ExploreDesign(BertBase(), Rte(), QuickExplorer());
+  const auto res = ExploreDesign(BertBase(), Rte(), kCandidates);
   ASSERT_TRUE(res.found_feasible);
   EXPECT_LE(res.best().predicted_drop_pct, 2.0);
 }
 
 TEST(ExplorerTest, BestIsFastestFeasible) {
-  const auto res = ExploreDesign(BertBase(), Squad(), QuickExplorer());
+  const auto res = ExploreDesign(BertBase(), Squad(), kCandidates);
   ASSERT_TRUE(res.found_feasible);
   for (const auto& p : res.points) {
     if (p.feasible) {
@@ -41,7 +34,7 @@ TEST(ExplorerTest, BestIsFastestFeasible) {
 }
 
 TEST(ExplorerTest, ParetoFrontIsNonDominatedAndSorted) {
-  const auto res = ExploreDesign(BertBase(), Squad(), QuickExplorer());
+  const auto res = ExploreDesign(BertBase(), Squad(), kCandidates);
   const auto front = res.ParetoFront();
   ASSERT_FALSE(front.empty());
   for (std::size_t i = 1; i < front.size(); ++i) {
@@ -62,7 +55,7 @@ TEST(ExplorerTest, ParetoFrontIsNonDominatedAndSorted) {
 }
 
 TEST(ExplorerTest, SmallerKIsFasterButLessAccurate) {
-  const auto res = ExploreDesign(BertBase(), Squad(), QuickExplorer());
+  const auto res = ExploreDesign(BertBase(), Squad(), kCandidates);
   const ExplorerPoint* k10 = nullptr;
   const ExplorerPoint* k64 = nullptr;
   for (const auto& p : res.points) {
@@ -77,9 +70,7 @@ TEST(ExplorerTest, SmallerKIsFasterButLessAccurate) {
 }
 
 TEST(ExplorerTest, RejectsEmptyCandidates) {
-  ExplorerConfig cfg = QuickExplorer();
-  cfg.k_candidates.clear();
-  EXPECT_THROW(ExploreDesign(BertBase(), Rte(), cfg),
+  EXPECT_THROW(ExploreDesign(BertBase(), Rte(), {}),
                std::invalid_argument);
 }
 

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -208,7 +210,6 @@ TEST(TracerTest, MergedIsTimeOrderedAndStablePerTrack) {
   EXPECT_EQ(merged[2].id, 2u);
   EXPECT_EQ(merged[3].id, 0u);
   EXPECT_THROW(record(5, 0.0, 0), std::invalid_argument);  // unregistered
-  EXPECT_EQ(tracer.WallStamp(), -1.0);  // wall stamps off by default
 }
 
 TEST(TracerTest, ConfigValidation) {
@@ -476,6 +477,19 @@ TEST(JsonWriterTest, WriteFileReportsAFullDisk) {
   obs::JsonWriter json;
   json.BeginObject().Key("k").Value(1.0).EndObject();
   EXPECT_FALSE(json.WriteFile("/dev/full"));
+  // The byte writer under WriteFile (the flame files use it directly).
+  EXPECT_FALSE(obs::WriteBytes("/dev/full", "all;a 1\n"));
+}
+
+TEST(JsonWriterTest, WriteBytesWritesExactlyTheBytes) {
+  const std::string path = ::testing::TempDir() + "write_bytes_test.txt";
+  const std::string bytes = "all;a 1\nall;b 2\n";
+  ASSERT_TRUE(obs::WriteBytes(path, bytes));
+  std::ifstream in(path, std::ios::binary);
+  const std::string back((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(back, bytes);  // no newline added
+  EXPECT_FALSE(obs::WriteBytes(::testing::TempDir() + "no/such/dir", bytes));
 }
 
 // ---------------------------------------------------------------- cluster --

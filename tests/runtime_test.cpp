@@ -485,7 +485,7 @@ TEST(ServingValidationTest, RejectsEachBadFieldWithClearMessage) {
   const auto trace = GeneratePoissonTrace(arrivals, Mrpc());
   const auto batches = FormBatches(trace, BatchFormerConfig{});
   EXPECT_THROW(ScheduleFormedBatches(trace, batches, 0,
-                                     TokenLinearServiceModel(2e-6, 2e-4)),
+                                     BuildServiceModel(ServiceModelSpec{})),
                std::invalid_argument);
 }
 

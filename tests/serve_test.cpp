@@ -18,6 +18,24 @@
 namespace latte {
 namespace {
 
+/// A token-linear service model: overhead + spt * sum(len).
+BatchServiceModel TokenLinear(double seconds_per_token,
+                              double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
+/// A padded service model: overhead + spt * max(len) * |batch|.
+BatchServiceModel Padded(double seconds_per_token, double batch_overhead_s) {
+  ServiceModelSpec spec;
+  spec.base = ServiceModelSpec::Base::kPadded;
+  spec.seconds_per_token = seconds_per_token;
+  spec.batch_overhead_s = batch_overhead_s;
+  return BuildServiceModel(spec);
+}
+
 std::vector<TimedRequest> HandTrace(
     std::initializer_list<std::pair<double, std::size_t>> rows) {
   std::vector<TimedRequest> trace;
@@ -173,7 +191,7 @@ TEST(DispatchTest, SingleRequestLatencyIsTimeoutPlusService) {
   former.max_batch = 4;
   former.timeout_s = 0.05;
   const auto batches = FormBatches(trace, former);
-  const auto service = TokenLinearServiceModel(1e-3, 0.01);  // 25ms + 10ms
+  const auto service = TokenLinear(1e-3, 0.01);  // 25ms + 10ms
   const auto sched = ScheduleFormedBatches(trace, batches, 1, service);
   ASSERT_EQ(sched.report.requests, 1u);
   EXPECT_NEAR(sched.report.mean_latency_s, 0.05 + 0.025 + 0.01, 1e-12);
@@ -190,7 +208,7 @@ TEST(DispatchTest, SecondWorkerAbsorbsConcurrentBatches) {
   former.timeout_s = 0.005;
   const auto batches = FormBatches(trace, former);
   ASSERT_EQ(batches.size(), 2u);
-  const auto service = TokenLinearServiceModel(0, 1.0);  // 1 s per batch
+  const auto service = TokenLinear(0, 1.0);  // 1 s per batch
   const auto one = ScheduleFormedBatches(trace, batches, 1, service);
   const auto two = ScheduleFormedBatches(trace, batches, 2, service);
   EXPECT_GT(one.done_s[1], two.done_s[1] + 0.9);
@@ -342,7 +360,7 @@ TEST(ServingEngineTest, BoundedQueueRejectsAndAccountsConsistently) {
   auto cfg = SmallEngineConfig();
   cfg.queue_capacity = 4;
   // Glacial service: the queue cannot drain, so a burst must bounce.
-  cfg.service = TokenLinearServiceModel(0, 10.0);
+  cfg.service = TokenLinear(0, 10.0);
   ServingEngine engine(SmallModel(), cfg);
 
   const auto trace = SmallTrace(32);
@@ -373,7 +391,7 @@ TEST(ServingEngineTest, BoundedQueueRejectsAndAccountsConsistently) {
 
 TEST(ServingEngineTest, UnboundedQueueAcceptsEverything) {
   auto cfg = SmallEngineConfig();
-  cfg.service = TokenLinearServiceModel(0, 10.0);  // still glacial
+  cfg.service = TokenLinear(0, 10.0);  // still glacial
   ServingEngine engine(SmallModel(), cfg);
   const auto trace = SmallTrace(16);
   const ServingResult res = engine.Replay(trace);
@@ -392,7 +410,7 @@ TEST(ServingEngineTest, BurstyArrivalsKeepAdmissionInvariants) {
   auto cfg = SmallEngineConfig();
   cfg.queue_capacity = 5;
   cfg.former.max_batch = 4;
-  cfg.service = TokenLinearServiceModel(1e-4, 5e-3);
+  cfg.service = TokenLinear(1e-4, 5e-3);
 
   ServingEngine engine(SmallModel(), cfg);
   std::vector<bool> accepted;
@@ -438,7 +456,7 @@ TEST(ServingEngineTest, IntrospectionTracksVirtualTimeLoad) {
   cfg.former.max_batch = 2;
   cfg.former.timeout_s = 0.01;
   cfg.workers = 1;
-  cfg.service = TokenLinearServiceModel(0, 1.0);  // 1 s per batch
+  cfg.service = TokenLinear(0, 1.0);  // 1 s per batch
   ServingEngine engine(SmallModel(), cfg);
 
   EXPECT_EQ(engine.queue_depth(), 0u);
@@ -493,7 +511,7 @@ TEST(ServingEngineTest, AccountingOnlyModeSkipsTensorsButKeepsReport) {
 }
 
 TEST(DispatchTest, PaddedServiceModelChargesForPadding) {
-  const auto padded = PaddedServiceModel(1e-3, 0.01);
+  const auto padded = Padded(1e-3, 0.01);
   // Uniform batch: same cost as token-linear.
   EXPECT_NEAR(padded({50, 50}), 0.01 + 1e-3 * 100, 1e-12);
   // Mixed batch: every member is padded to the longest.
@@ -531,7 +549,7 @@ TEST(ServingEngineLoopTest, PricesEveryFormedBatchExactlyOnce) {
   for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = 1 + i % 7;
   std::size_t calls = 0;
   const BatchServiceModel service =
-      Counting(TokenLinearServiceModel(1e-4, 2e-3), calls);
+      Counting(TokenLinear(1e-4, 2e-3), calls);
 
   auto plain = SmallEngineConfig();
   plain.execute = false;
@@ -562,7 +580,7 @@ TEST(ServingEngineLoopTest, PricesEveryFormedBatchExactlyOnce) {
 
 TEST(ServingEngineLoopTest, ScheduleMatchesOfflineReference) {
   const auto trace = SmallTrace(40);
-  const BatchServiceModel service = TokenLinearServiceModel(2e-4, 5e-3);
+  const BatchServiceModel service = TokenLinear(2e-4, 5e-3);
   for (std::size_t workers : {1u, 2u, 3u}) {
     auto cfg = SmallEngineConfig();
     cfg.execute = false;
