@@ -23,7 +23,11 @@
 // 1e-6).  It and the quantize cell (QuantizeInto at 8 bits on FFN2's input
 // at MRPC and SQuAD lengths, 53 and 175 x 3072) also time every
 // elementwise body this host runs (ElementwiseIsas) as info, and fail the
-// run unless each gives the portable body's bits.
+// run unless each gives the portable body's bits.  So does the normal
+// cell: MakeInputEmbedding, the float Box-Muller body every synthesized
+// request embedding comes from, at serve-ramp's shape (177 x 96, SQuAD's
+// mean length), with Rng::NormalMatrix (libm, double) as the reference
+// time.
 
 #include <algorithm>
 #include <chrono>
@@ -559,6 +563,38 @@ QuantizeResult BenchQuantize(const std::string& label, std::size_t rows,
   return r;
 }
 
+// MakeInputEmbedding on a rows x cols block per elementwise body, and
+// Rng::NormalMatrix on the same shape as the reference time.  Every run
+// draws from a copy of `rng`.
+struct NormalResult {
+  std::size_t rows = 0, cols = 0;
+  double reference_us = 0;
+  std::vector<BodyResult> isas;
+};
+
+NormalResult BenchNormal(std::size_t rows, std::size_t cols, const Rng& rng) {
+  NormalResult r{rows, cols, 0, {}};
+  auto reference = [&] {
+    Rng g = rng;
+    g_sink = g_sink + g.NormalMatrix(rows, cols, 0.0, 1.0)(0, 0);
+  };
+  r.reference_us = BestSeconds([] {}, reference) * 1e6;
+  Rng p = rng;
+  const MatrixF portable =
+      MakeInputEmbedding(p, rows, cols, ElementwiseIsa::kPortable);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixF y;
+    auto run = [&] {
+      Rng g = rng;
+      y = MakeInputEmbedding(g, rows, cols, isa);
+      g_sink = g_sink + y(0, 0);
+    };
+    const double s = BestSeconds([] {}, run);
+    r.isas.push_back({ElementwiseIsaName(isa), s * 1e6, SameBits(y, portable)});
+  }
+  return r;
+}
+
 void WriteBodies(obs::JsonWriter& json, const char* key,
                  const std::vector<BodyResult>& isas) {
   json.Key(key);
@@ -705,6 +741,19 @@ int main(int argc, char** argv) {
       elementwise_exact = elementwise_exact && b.bit_exact;
     }
   }
+
+  // One request embedding at serve-ramp's shape, per body.
+  const NormalResult normal = BenchNormal(177, 96, rng);
+  std::printf("\n== request embedding us, MakeInputEmbedding (float "
+              "Box-Muller, %s body) vs Rng::NormalMatrix ==\n",
+              elementwise);
+  std::printf("  normal_%zux%zu      reference %7.1f us\n", normal.rows,
+              normal.cols, normal.reference_us);
+  for (const auto& b : normal.isas) {
+    std::printf("  %18s %-10s  %7.1f us%s\n", "", b.isa.c_str(), b.us,
+                b.bit_exact ? "" : "  BIT MISMATCH");
+    elementwise_exact = elementwise_exact && b.bit_exact;
+  }
   if (!elementwise_exact) {
     std::fprintf(stderr, "bench_kernels: an elementwise body differs from "
                          "the portable one\n");
@@ -798,6 +847,8 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
+  json.Key("normal_reference_us").Value(normal.reference_us);
+  WriteBodies(json, "normal_isas", normal.isas);
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

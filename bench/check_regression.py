@@ -249,8 +249,8 @@ BENCHES = [
         # GELU is the one float op that is not libm-exact: its declared
         # error bound against a double-precision GELU.
         ("gelu_max_abs_err", le(1e-6)),
-        # Every elementwise body the host runs (GELU, quantize) must give
-        # the portable body's bits.
+        # Every elementwise body the host runs (GELU, quantize, the
+        # request-embedding normals) must give the portable body's bits.
         ("elementwise_arch", STR),
         ("gelu_isas", length(1)),
         ("gelu_isas[].isa", STR),
@@ -262,6 +262,12 @@ BENCHES = [
         ("quantize_shapes[].isas[].isa", STR),
         ("quantize_shapes[].isas[].us", NUM),
         ("quantize_shapes[].isas[].bit_exact", TRUE),
+        # The request-embedding normal body, timed against libm's.
+        ("normal_reference_us", NUM),
+        ("normal_isas", length(1)),
+        ("normal_isas[].isa", STR),
+        ("normal_isas[].us", NUM),
+        ("normal_isas[].bit_exact", TRUE),
     ], rows=[
         # The int8 kernel ISA is picked at run time, so a baseline recorded
         # on another host may name another one: shown next to the ratios

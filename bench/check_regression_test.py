@@ -133,6 +133,7 @@ class CheckRegressionTest(unittest.TestCase):
         def edit(doc):
             doc["gelu_isas"][0]["bit_exact"] = False
             doc["quantize_shapes"][1]["isas"][0]["bit_exact"] = False
+            doc["normal_isas"][0]["bit_exact"] = False
 
         self.mutate("BENCH_kernels.json", edit)
         result = self.gate()
@@ -141,6 +142,8 @@ class CheckRegressionTest(unittest.TestCase):
         self.assertViolation(result, "BENCH_kernels.json",
                              ".quantize_shapes[1].isas[0].bit_exact",
                              "== true")
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".normal_isas[0].bit_exact", "== true")
 
     def test_kernel_isa_stamp_is_reported_not_gated(self):
         self.mutate("BENCH_kernels.json",

@@ -193,15 +193,9 @@ bool ServingCluster::PushImpl(const TimedRequest& request, MatrixF input,
             ? replicas_[idx]->Offer(
                   request,
                   has_input ? std::move(input)
-                            : request.id != kAnonymousId
-                                  ? SynthesizeIdentityEmbedding(
-                                        cfg_.embed_seed, request.id,
-                                        request.length,
-                                        model_.config().encoder.hidden)
-                                  : SynthesizeRequestEmbedding(
-                                        cfg_.embed_seed, ordinal,
-                                        request.length,
-                                        model_.config().encoder.hidden))
+                            : SynthesizeInputEmbedding(
+                                  cfg_.embed_seed, request, ordinal,
+                                  model_.config().encoder.hidden))
             : replicas_[idx]->Offer(request);
     if (!accepted) {
       // The snapshot said there was room; the engine disagreeing means the

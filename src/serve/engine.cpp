@@ -35,6 +35,16 @@ MatrixF SynthesizeIdentityEmbedding(std::uint64_t base_seed, std::uint64_t id,
   return MakeInputEmbedding(rng, length, hidden);
 }
 
+MatrixF SynthesizeInputEmbedding(std::uint64_t base_seed,
+                                 const TimedRequest& request,
+                                 std::size_t ordinal, std::size_t hidden) {
+  return request.id != kAnonymousId
+             ? SynthesizeIdentityEmbedding(base_seed, request.id,
+                                           request.length, hidden)
+             : SynthesizeRequestEmbedding(base_seed, ordinal, request.length,
+                                          hidden);
+}
+
 ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg) {
   ConfigIssues issues;
   MergePrefixed(issues, "former", CheckBatchFormerConfig(cfg.former));
@@ -231,19 +241,6 @@ CacheKey ServingEngine::KeyFor(const TimedRequest& request,
   return kNullCacheKey;
 }
 
-MatrixF ServingEngine::SynthesizeInput(const TimedRequest& request,
-                                       std::size_t ordinal) const {
-  // Identity is the content id when the request carries one (so repeats
-  // are byte-identical) and the Push() ordinal otherwise, so inputs never
-  // depend on batching, rejections or cache outcomes.
-  const std::size_t hidden = model_.config().encoder.hidden;
-  return request.id != kAnonymousId
-             ? SynthesizeIdentityEmbedding(cfg_.embed_seed, request.id,
-                                           request.length, hidden)
-             : SynthesizeRequestEmbedding(cfg_.embed_seed, ordinal,
-                                          request.length, hidden);
-}
-
 bool ServingEngine::Push(const TimedRequest& request,
                          std::optional<MatrixF> input) {
   if (!std::isfinite(request.arrival_s)) {
@@ -293,13 +290,19 @@ bool ServingEngine::Push(const TimedRequest& request,
   if (controller_ && cfg_.adapt.tiers[tier].escalate) {
     // Probe on the exact embedding Drain() would execute (provided, or
     // synthesized from request identity), so accounting-only and execute
-    // runs of the same stream make identical escalation decisions.
-    const MatrixF synth = x.empty() ? SynthesizeInput(request, ordinal)
-                                    : MatrixF{};
+    // runs of the same stream make identical escalation decisions.  An
+    // execute-mode engine keeps a synthesized input for Drain(); an
+    // accounting-only one holds no tensors.
+    const bool synthesized = x.empty();
+    if (synthesized) {
+      x = SynthesizeInputEmbedding(cfg_.embed_seed, request, ordinal,
+                                   model_.config().encoder.hidden);
+    }
     const EscalationProbe probe = ProbeSelectorMargin(
-        x.empty() ? synth : x, model_, cfg_.adapt.tiers[tier].top_k,
-        cfg_.adapt.escalate_bits, cfg_.adapt.escalate_rows);
+        x, model_, cfg_.adapt.tiers[tier].top_k, cfg_.adapt.escalate_bits,
+        cfg_.adapt.escalate_rows);
     escalate = ShouldEscalate(probe, cfg_.adapt.escalate_margin);
+    if (synthesized && !cfg_.execute) x = MatrixF{};
   }
   ++admission_.accepted;
   admission_.peak_queue = std::max(admission_.peak_queue, waiting + 1);
@@ -653,9 +656,11 @@ ServingResult ServingEngine::Drain() {
   }
 
   if (cfg_.execute) {
+    const std::size_t hidden = model_.config().encoder.hidden;
     for (std::size_t i = 0; i < admitted_.size(); ++i) {
       if (inputs_[i].empty()) {
-        inputs_[i] = SynthesizeInput(admitted_[i], offered_ids_[i]);
+        inputs_[i] = SynthesizeInputEmbedding(cfg_.embed_seed, admitted_[i],
+                                              offered_ids_[i], hidden);
       }
     }
     // Execute every formed batch on the batched runtime, in sealed order,

@@ -147,6 +147,14 @@ MatrixF SynthesizeRequestEmbedding(std::uint64_t base_seed,
 MatrixF SynthesizeIdentityEmbedding(std::uint64_t base_seed, std::uint64_t id,
                                     std::size_t length, std::size_t hidden);
 
+/// The embedding an engine or cluster synthesizes for a request pushed
+/// without one: from its content id when it carries one (so repeats are
+/// byte-identical), else from its Push() ordinal, so inputs never depend
+/// on batching, rejections, routing or cache outcomes.
+MatrixF SynthesizeInputEmbedding(std::uint64_t base_seed,
+                                 const TimedRequest& request,
+                                 std::size_t ordinal, std::size_t hidden);
+
 /// Admission accounting under backpressure.  With a cache in front,
 /// offered counts every Push() while accepted/rejected only cover the
 /// misses that reached admission: offered = accepted + rejected + hits +
@@ -326,9 +334,6 @@ class ServingEngine {
   /// The controller's level clamped by the accuracy budget (0 without a
   /// controller).
   std::size_t PickTier() const;
-  /// The embedding Drain() executes for a request pushed without one.
-  MatrixF SynthesizeInput(const TimedRequest& request,
-                          std::size_t ordinal) const;
   void AdmitToTier(std::size_t tier, const TimedRequest& request,
                    MatrixF input, std::size_t ordinal, double root_arrival,
                    bool escalate, CacheKey key);

@@ -13,8 +13,9 @@
 // (a plain scalar tile remains for other compilers).  There is one build
 // and no wider float GEMM, because an FMA kernel would round differently.
 //
-// The elementwise float ops are the exception: GELU, quantize and the int8
-// linear layer's dequant epilogue each have one lane-generic body
+// The elementwise float ops are the exception: GELU, quantize, the int8
+// linear layer's dequant epilogue and the request-embedding normal
+// generator (workload/synthetic) each have one lane-generic body
 // (tensor/lanes.hpp), run four lanes wide on every host and sixteen wide
 // under target("avx512f") when the CPU has AVX-512F (ElementwiseIsas).
 // Each lane does one element's scalar arithmetic in the same order, and
@@ -133,8 +134,9 @@ const char* KernelArchName();
 std::vector<const char*> Int8GemmIsas();
 
 /// The elementwise float bodies: GELU (GeluInPlace), quantize (Quantize,
-/// QuantizeInto) and the int8 linear layer's dequant epilogue
-/// (DequantizeInto).  Narrowest first; every body gives the same bits.
+/// QuantizeInto), the int8 linear layer's dequant epilogue
+/// (DequantizeInto) and the request-embedding normals
+/// (MakeInputEmbedding).  Narrowest first; every body gives the same bits.
 enum class ElementwiseIsa {
   kPortable,  ///< four lanes on the baseline ISA (GNU vectors), every host
   kAvx512f,   ///< sixteen lanes under target("avx512f"), x86 only

@@ -1,7 +1,8 @@
 #pragma once
 // Lane-generic building blocks for the library's elementwise float bodies:
 // GELU (nn/ops.cpp), quantize and the int8 dequant epilogue
-// (tensor/quantize.cpp).  Private to the library; not part of the API.
+// (tensor/quantize.cpp) and the request-embedding normal generator
+// (workload/synthetic.cpp).  Private to the library; not part of the API.
 //
 // A body is written once, as a template over its lane type F: a plain
 // float, four lanes (V4, GNU vectors on the baseline ISA) or sixteen (V16,
@@ -16,6 +17,7 @@
 // though each one is inlined into its AVX-512 caller.)
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -125,6 +127,21 @@ LATTE_LANES_INLINE auto ToBytes(I x) {
     return __builtin_convertvector(
         x, std::conditional_t<kLanes<I> == 4, V4b, V16b>);
 #endif
+  }
+}
+
+/// IEEE square root of each lane, correctly rounded at any width.  A lane
+/// loop over the scalar builtin: in a file compiled with -fno-math-errno
+/// the compiler emits one vector square root for it (sqrtps, or vsqrtps
+/// on a zmm register inside a target("avx512f") function); with errno it
+/// stays per lane, with the same bits.
+template <class F>
+LATTE_LANES_INLINE F Sqrt(F x) {
+  if constexpr (std::is_arithmetic_v<F>) {
+    return std::sqrt(x);
+  } else {
+    for (std::size_t i = 0; i < kLanes<F>; ++i) x[i] = __builtin_sqrtf(x[i]);
+    return x;
   }
 }
 

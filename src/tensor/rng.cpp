@@ -13,10 +13,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 std::uint64_t MixHash64(std::uint64_t x) {
@@ -27,18 +23,6 @@ std::uint64_t MixHash64(std::uint64_t x) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);
-}
-
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::NextUniform() {

@@ -1,11 +1,17 @@
 #pragma once
 // Deterministic random number generation for workload synthesis.
 //
-// Every experiment in this repository must be bit-reproducible across runs,
+// Every experiment in this repository must be reproducible from its seed,
 // so we ship our own xoshiro256++ implementation instead of relying on
 // std::mt19937 + std::normal_distribution (whose outputs are not guaranteed
-// to be identical across standard library implementations).
+// to be identical across standard library implementations).  The integer
+// and uniform draws are bit-identical on every platform.  NextNormal and
+// NormalMatrix run Box-Muller through libm's log, sin and cos, so their
+// bits follow the C library; the request-embedding generator
+// (MakeInputEmbedding, workload/synthetic.hpp) draws NextU64 words and
+// evaluates its own polynomials, so its bits depend on the seed alone.
 
+#include <bit>
 #include <cstdint>
 
 #include "tensor/matrix.hpp"
@@ -25,8 +31,19 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t NextU64();
+  /// Next raw 64-bit value.  Inline: the normal generator
+  /// (workload/synthetic) draws one word per two samples.
+  std::uint64_t NextU64() {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double NextUniform();
@@ -34,7 +51,8 @@ class Rng {
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi);
 
-  /// Standard normal via Box-Muller (deterministic pairing).
+  /// Standard normal via Box-Muller in double on libm (deterministic
+  /// pairing; the bits follow libm's log, sin and cos).
   double NextNormal();
 
   /// Normal with the given mean / stddev.

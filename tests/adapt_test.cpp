@@ -385,6 +385,41 @@ TEST(AdaptiveEngineTest, EscalatedRerunsAreBitExactAgainstFullModel) {
   EXPECT_GT(tier0, 0u);
 }
 
+TEST(AdaptiveEngineTest, ProbedSynthesizedInputsExecuteAsIfPassedIn) {
+  // The escalation probe synthesizes a request's input in Push, and an
+  // execute-mode engine keeps it for Drain.  The outputs must equal a run
+  // handed the same SynthesizeRequestEmbedding tensors explicitly.
+  ServingEngineConfig cfg = AdaptiveEngineConfig();
+  cfg.adapt.epoch_s = 0.0002;
+  cfg.adapt.low_band = 0.0;
+  cfg.adapt.high_band = 1e-6;
+  cfg.adapt.queue_ref = 1;
+  cfg.adapt.escalate_margin = 1.0;
+  const auto trace = BurstTrace(24, 0.001, 96);
+  const std::size_t hidden = SmallModel().config().encoder.hidden;
+
+  ServingEngine synthesized(SmallModel(), cfg);
+  ServingEngine explicit_inputs(SmallModel(), cfg);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_TRUE(synthesized.Push(trace[i]));
+    ASSERT_TRUE(explicit_inputs.Push(
+        trace[i], SynthesizeRequestEmbedding(cfg.embed_seed, i,
+                                             trace[i].length, hidden)));
+  }
+  const ServingResult got = synthesized.Drain();
+  const ServingResult want = explicit_inputs.Drain();
+
+  // The probe ran: requests were first served at the escalating tier.
+  ASSERT_EQ(got.report().tiers.size(), 3u);
+  EXPECT_GT(got.report().tiers[2].escalated, 0u);
+  EXPECT_EQ(got.request_tiers, want.request_tiers);
+  EXPECT_EQ(got.superseded, want.superseded);
+  ASSERT_EQ(got.outputs.size(), want.outputs.size());
+  for (std::size_t i = 0; i < got.outputs.size(); ++i) {
+    EXPECT_EQ(got.outputs[i], want.outputs[i]) << "admitted " << i;
+  }
+}
+
 TEST(AdaptiveEngineTest, AccuracyFloorHoldsUnderStepOverload) {
   ServingEngineConfig cfg = AdaptiveEngineConfig();
   cfg.execute = false;

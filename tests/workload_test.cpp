@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/arrivals.hpp"
 #include "workload/batch.hpp"
@@ -354,6 +358,154 @@ TEST(SyntheticTest, EmbeddingShape) {
   const auto x = MakeInputEmbedding(rng, 7, 96);
   EXPECT_EQ(x.rows(), 7u);
   EXPECT_EQ(x.cols(), 96u);
+}
+
+// ------------------------------------------------ embedding normal stream --
+
+bool SameBits(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// The embedding's stream contract, evaluated in double with libm: block b
+// draws 16 words; word j gives u1 = ((w >> 40) + 1) 2^-24 and
+// u2 = ((w >> 8) & 0xFFFFFF) 2^-24, and outputs 32b + j = r cos theta,
+// 32b + 16 + j = r sin theta.
+std::vector<double> ReferenceNormals(Rng rng, std::size_t n) {
+  std::vector<double> z(n);
+  for (std::size_t b = 0; 32 * b < n; ++b) {
+    for (std::size_t j = 0; j < 16; ++j) {
+      const std::uint64_t w = rng.NextU64();
+      const double u1 = static_cast<double>((w >> 40) + 1) * 0x1p-24;
+      const double u2 = static_cast<double>((w >> 8) & 0xFFFFFF) * 0x1p-24;
+      const double r = std::sqrt(-2.0 * std::log(u1));
+      const double theta = 2.0 * M_PI * u2;
+      if (32 * b + j < n) z[32 * b + j] = r * std::cos(theta);
+      if (32 * b + 16 + j < n) z[32 * b + 16 + j] = r * std::sin(theta);
+    }
+  }
+  return z;
+}
+
+TEST(EmbeddingStreamTest, FollowsTheStreamContractOnEveryBody) {
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    for (std::size_t n : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 70u, 4099u}) {
+      Rng rng(40 + n);
+      const std::vector<double> want = ReferenceNormals(rng, n);
+      const MatrixF x = MakeInputEmbedding(rng, 1, n, isa);
+      for (std::size_t i = 0; i < n; ++i) {
+        // ln, sin and cos are float polynomials: a few ulps.
+        ASSERT_NEAR(x.flat()[i], want[i], 1e-6)
+            << ElementwiseIsaName(isa) << " n " << n << " output " << i;
+      }
+    }
+  }
+}
+
+TEST(EmbeddingStreamTest, EveryBodyGivesThePortableBits) {
+  if (ElementwiseIsas().size() == 1) {
+    Rng rng(1);
+    EXPECT_THROW(MakeInputEmbedding(rng, 1, 1, ElementwiseIsa::kAvx512f),
+                 std::invalid_argument);
+    GTEST_SKIP() << "no AVX-512F on this host: only the portable "
+                    "elementwise body runs";
+  }
+  const ElementwiseIsa portable = ElementwiseIsa::kPortable;
+  const ElementwiseIsa wide = ElementwiseIsas().back();
+  for (std::size_t n = 1; n <= 70; ++n) {
+    Rng a(n), b(n);
+    EXPECT_TRUE(SameBits(MakeInputEmbedding(a, 1, n, portable),
+                         MakeInputEmbedding(b, 1, n, wide)))
+        << "n " << n;
+  }
+  Rng a(177), b(177);
+  EXPECT_TRUE(SameBits(MakeInputEmbedding(a, 177, 96, portable),
+                       MakeInputEmbedding(b, 177, 96, wide)));
+}
+
+TEST(EmbeddingStreamTest, DrawsSixteenWordsPerBlockOfThirtyTwo) {
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    for (std::size_t n : {0u, 1u, 31u, 32u, 33u, 64u, 65u, 177u * 96u}) {
+      Rng rng(9), skip(9);
+      MakeInputEmbedding(rng, 1, n, isa);
+      for (std::size_t w = 0; w < 16 * ((n + 31) / 32); ++w) skip.NextU64();
+      EXPECT_EQ(rng.NextU64(), skip.NextU64())
+          << ElementwiseIsaName(isa) << " n " << n;
+    }
+  }
+}
+
+// The outputs j and 16 + j of the block holding word `word` of `seed`'s
+// stream (r cos theta and r sin theta of that word), drawn on `isa`.
+std::pair<float, float> PairOfWord(std::uint64_t seed, std::size_t word,
+                                   ElementwiseIsa isa) {
+  Rng rng(seed);
+  for (std::size_t w = 0; w < word / 16 * 16; ++w) rng.NextU64();
+  const MatrixF x = MakeInputEmbedding(rng, 1, 32, isa);
+  return {x.flat()[word % 16], x.flat()[16 + word % 16]};
+}
+
+// Bits 40..63 of word `word` of `seed`'s stream.
+std::uint64_t HighBitsOfWord(std::uint64_t seed, std::size_t word) {
+  Rng rng(seed);
+  for (std::size_t w = 0; w < word; ++w) rng.NextU64();
+  return rng.NextU64() >> 40;
+}
+
+TEST(EmbeddingStreamTest, OutputsAreFiniteAndBounded) {
+  // u1 >= 2^-24 caps r = sqrt(-2 ln u1) at sqrt(48 ln 2); the float
+  // result may round one ulp past the exact bound.
+  const double exact = std::sqrt(48.0 * std::log(2.0));
+  const float bound = std::nextafter(static_cast<float>(exact), 10.f);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    Rng rng(11);
+    const MatrixF x = MakeInputEmbedding(rng, 512, 512, isa);
+    for (const float z : x.flat()) {
+      ASSERT_TRUE(std::isfinite(z));
+      ASSERT_LE(std::fabs(z), bound);
+    }
+  }
+  // Word 643 of seed 2818's stream is the first with bits 40..63 all
+  // clear: u1 = 2^-24, the largest radius.
+  ASSERT_EQ(HighBitsOfWord(2818, 643), 0u);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    const auto [c, s] = PairOfWord(2818, 643, isa);
+    EXPECT_LE(std::fabs(c), bound) << ElementwiseIsaName(isa);
+    EXPECT_LE(std::fabs(s), bound) << ElementwiseIsaName(isa);
+    EXPECT_NEAR(std::hypot(c, s), exact, 1e-5) << ElementwiseIsaName(isa);
+  }
+}
+
+TEST(EmbeddingStreamTest, UnitU1GivesSignedZeros) {
+  // Word 6257 of seed 987's stream is the first with bits 40..63 all set:
+  // u1 = 1 and r = 0.
+  ASSERT_EQ(HighBitsOfWord(987, 6257), 0xFFFFFFu);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    const auto [c, s] = PairOfWord(987, 6257, isa);
+    EXPECT_EQ(c, 0.f) << ElementwiseIsaName(isa);
+    EXPECT_EQ(s, 0.f) << ElementwiseIsaName(isa);
+  }
+}
+
+TEST(EmbeddingStreamTest, MomentsMatchTheStandardNormal) {
+  // 2^20 samples: the standard errors of the mean, variance and kurtosis
+  // are ~0.001, ~0.0014 and ~0.0048; the tolerances are about 5 of them.
+  Rng rng(2026);
+  const MatrixF x = MakeInputEmbedding(rng, 1024, 1024);
+  double m1 = 0, m2 = 0, m4 = 0;
+  for (const float z : x.flat()) m1 += z;
+  m1 /= static_cast<double>(x.size());
+  for (const float z : x.flat()) {
+    const double d = z - m1;
+    m2 += d * d;
+    m4 += d * d * d * d;
+  }
+  m2 /= static_cast<double>(x.size());
+  m4 /= static_cast<double>(x.size());
+  EXPECT_NEAR(m1, 0.0, 0.005);
+  EXPECT_NEAR(m2, 1.0, 0.007);
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 0.025);
 }
 
 // --------------------------------------------------------------- TraceIo --
