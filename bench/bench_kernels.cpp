@@ -4,7 +4,12 @@
 // lengths).  Single thread, deterministic inputs.  Emits machine-readable
 // JSON (BENCH_kernels.json, or argv[1]) for the CI perf-regression gate;
 // the dimensionless speedups are what the gate compares against
-// bench/baselines/, since absolute GFLOP/s move with the host.  The int8
+// bench/baselines/, since absolute GFLOP/s move with the host.  Each float
+// shape also times every float GEMM body this host runs (ElementwiseIsas)
+// as info and fails the run unless each gives the portable body's bits;
+// one more float row, the escalation probe's head-0 K projection (a
+// 24-column slice of a 177 x 96 x 96 product, MatMulColumnsInto), is info
+// only and stays out of the gated min and geomean speedups.  The int8
 // cells time Int8GemmInto (which packs W per call) and the product on
 // weights packed once (PackedInt8Weights, the layout QuantizedLinear runs)
 // against the 4-row int32 loop they replaced on the projection and FFN
@@ -104,13 +109,22 @@ void ScalarInt8Gemm(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
   }
 }
 
+// One float GEMM body on a shape: its GFLOP/s, and whether its output has
+// the portable body's bits.
+struct FloatIsaResult {
+  std::string isa;
+  double gflops = 0;
+  bool bit_exact = false;
+};
+
 struct ShapeResult {
-  std::string op;     // "matmul" or "matmul_bt"
+  std::string op;     // "matmul", "matmul_bt" or "matmul_columns"
   std::string label;  // which encoder op this shape is
   std::size_t m = 0, k = 0, n = 0;
   double scalar_gflops = 0;
   double tiled_gflops = 0;
   double speedup = 0;
+  std::vector<FloatIsaResult> isas;
 };
 
 // Times `fn` (which must consume its result into g_sink) until at least
@@ -129,62 +143,102 @@ double TimePerCall(Fn&& fn, double min_s = 0.25) {
   return elapsed / reps;
 }
 
+// Best of 16 timed runs of `run`, each after an untimed `reset`.
+template <typename Reset, typename Run>
+double BestSeconds(Reset&& reset, Run&& run) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 16; ++round) {
+    reset();
+    const auto t0 = Clock::now();
+    run();
+    best = std::min(best,
+                    std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  return best;
+}
+
+bool SameBits(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// One float shape: `scalar` is the seed's loop, `tiled(c, isa)` the
+// library's product into c on float body isa.
+// The dispatched body is timed against the loop; then every body is timed
+// alone, best of 16 calls, and its output checked against the portable
+// body's bit for bit.
+template <typename Scalar, typename Tiled>
+ShapeResult BenchFloat(const std::string& op, const std::string& label,
+                       std::size_t m, std::size_t k, std::size_t n,
+                       Scalar&& scalar, Tiled&& tiled) {
+  const double flop = 2.0 * m * k * n;
+  const double scalar_s =
+      TimePerCall([&] { g_sink = g_sink + scalar()(0, 0); });
+  MatrixF c;
+  const double tiled_s = TimePerCall([&] {
+    tiled(c, DispatchedElementwiseIsa());
+    g_sink = g_sink + c(0, 0);
+  });
+
+  ShapeResult r{op, label, m, k, n, flop / scalar_s * 1e-9,
+                flop / tiled_s * 1e-9, scalar_s / tiled_s, {}};
+  MatrixF portable;
+  tiled(portable, ElementwiseIsa::kPortable);
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    auto run = [&] {
+      tiled(c, isa);
+      g_sink = g_sink + c(0, 0);
+    };
+    const double s = BestSeconds([] {}, run);
+    r.isas.push_back(
+        {ElementwiseIsaName(isa), flop / s * 1e-9, SameBits(c, portable)});
+  }
+  return r;
+}
+
 ShapeResult BenchGemm(const std::string& label, std::size_t m, std::size_t k,
                       std::size_t n, Rng& rng) {
   const auto a = rng.NormalMatrix(m, k, 0.0, 1.0);
   const auto b = rng.NormalMatrix(k, n, 0.0, 1.0);
-  const double flop = 2.0 * m * k * n;
-
+  GemmScratch scratch;
   // Scalar baseline: the seed's i-k-j loop (MatMulSkipZeros is that exact
   // loop; on dense random inputs the zero test never fires).
-  const double scalar_s =
-      TimePerCall([&] { g_sink = g_sink + MatMulSkipZeros(a, b)(0, 0); });
-
-  GemmScratch scratch;
-  MatrixF c;
-  const double tiled_s = TimePerCall([&] {
-    MatMulInto(a, b, c, scratch);
-    g_sink = g_sink + c(0, 0);
-  });
-
-  ShapeResult r;
-  r.op = "matmul";
-  r.label = label;
-  r.m = m;
-  r.k = k;
-  r.n = n;
-  r.scalar_gflops = flop / scalar_s * 1e-9;
-  r.tiled_gflops = flop / tiled_s * 1e-9;
-  r.speedup = scalar_s / tiled_s;
-  return r;
+  auto scalar = [&] { return MatMulSkipZeros(a, b); };
+  auto tiled = [&](MatrixF& c, ElementwiseIsa isa) {
+    MatMulInto(a, b, c, scratch, isa);
+  };
+  return BenchFloat("matmul", label, m, k, n, scalar, tiled);
 }
 
 ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
                         std::size_t rows_b, std::size_t d, Rng& rng) {
   const auto a = rng.NormalMatrix(m, d, 0.0, 1.0);
   const auto b = rng.NormalMatrix(rows_b, d, 0.0, 1.0);
-  const double flop = 2.0 * m * d * rows_b;
-
-  const double scalar_s =
-      TimePerCall([&] { g_sink = g_sink + ScalarMatMulBT(a, b)(0, 0); });
-
   GemmScratch scratch;
-  MatrixF c;
-  const double tiled_s = TimePerCall([&] {
-    MatMulBTInto(a, b, c, scratch);
-    g_sink = g_sink + c(0, 0);
-  });
+  auto scalar = [&] { return ScalarMatMulBT(a, b); };
+  auto tiled = [&](MatrixF& c, ElementwiseIsa isa) {
+    MatMulBTInto(a, b, c, scratch, isa);
+  };
+  return BenchFloat("matmul_bt", label, m, d, rows_b, scalar, tiled);
+}
 
-  ShapeResult r;
-  r.op = "matmul_bt";
-  r.label = label;
-  r.m = m;
-  r.k = d;
-  r.n = rows_b;
-  r.scalar_gflops = flop / scalar_s * 1e-9;
-  r.tiled_gflops = flop / tiled_s * 1e-9;
-  r.speedup = scalar_s / tiled_s;
-  return r;
+// The escalation probe's head-0 projection: columns [0, cols) of an
+// (m x k) x (k x k) product, against the seed's loop on that column block.
+ShapeResult BenchGemmColumns(const std::string& label, std::size_t m,
+                             std::size_t k, std::size_t cols, Rng& rng) {
+  const auto a = rng.NormalMatrix(m, k, 0.0, 1.0);
+  const auto b = rng.NormalMatrix(k, k, 0.0, 1.0);
+  MatrixF block(k, cols);
+  for (std::size_t p = 0; p < k; ++p) {
+    std::copy_n(b.row(p).begin(), cols, block.row(p).begin());
+  }
+  GemmScratch scratch;
+  auto scalar = [&] { return MatMulSkipZeros(a, block); };
+  auto tiled = [&](MatrixF& c, ElementwiseIsa isa) {
+    MatMulColumnsInto(a, b, 0, cols, c, scratch, isa);
+  };
+  return BenchFloat("matmul_columns", label, m, k, cols, scalar, tiled);
 }
 
 // One int8 micro-kernel variant: forced through Int8GemmIntoIsa, and on
@@ -434,12 +488,6 @@ double GeluDouble(double x) {
   return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
 }
 
-bool SameBits(const MatrixF& a, const MatrixF& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.flat().data(), b.flat().data(),
-                     a.size() * sizeof(float)) == 0;
-}
-
 // One elementwise body's time on a cell, and whether its output has the
 // portable body's bits.
 struct BodyResult {
@@ -456,20 +504,6 @@ struct GeluResult {
   double max_abs_err = 0;  // vs GeluDouble, timed matrix + [-12, 12] sweep
   std::vector<BodyResult> isas;
 };
-
-// Best of 16 timed runs of `run`, each after an untimed `reset`.
-template <typename Reset, typename Run>
-double BestSeconds(Reset&& reset, Run&& run) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < 16; ++round) {
-    reset();
-    const auto t0 = Clock::now();
-    run();
-    best = std::min(best,
-                    std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  return best;
-}
 
 GeluResult BenchGelu(std::size_t rows, std::size_t cols, Rng& rng) {
   const MatrixF x = rng.NormalMatrix(rows, cols, 0.0, 1.0);
@@ -628,19 +662,41 @@ int main(int argc, char** argv) {
   results.push_back(BenchGemmBT("scores_seq128_d64", 128, 128, 64, rng));
   results.push_back(BenchGemmBT("scores_seq384_d64", 384, 384, 64, rng));
 
-  std::printf("== kernel GFLOP/s, arch=%s, single thread ==\n",
-              KernelArchName());
+  // The gated ratios are over the encoder shapes; the probe row is info.
   double min_speedup = 0, log_sum = 0;
   for (const auto& r : results) {
-    std::printf("  %-18s %4zux%4zux%4zu  scalar %7.2f  tiled %7.2f  %5.2fx\n",
-                r.label.c_str(), r.m, r.k, r.n, r.scalar_gflops,
-                r.tiled_gflops, r.speedup);
     min_speedup =
         min_speedup == 0 ? r.speedup : std::min(min_speedup, r.speedup);
     log_sum += std::log(r.speedup);
   }
   const double geomean = std::exp(log_sum / results.size());
+  // serve-ramp's escalation probe projecting head 0 (head_dim 24) of a
+  // SQuAD-mean-length request (177 tokens) on its 96-wide model.  Its own
+  // generator leaves the later cells' inputs as they were.
+  Rng probe_rng(177);
+  results.push_back(
+      BenchGemmColumns("probe_k_seq177_h24", 177, 96, 24, probe_rng));
+
+  const char* float_body = ElementwiseIsaName(DispatchedElementwiseIsa());
+  std::printf("== kernel GFLOP/s, float body=%s, single thread ==\n",
+              float_body);
+  bool float_exact = true;
+  for (const auto& r : results) {
+    std::printf("  %-18s %4zux%4zux%4zu  scalar %7.2f  tiled %7.2f  %5.2fx\n",
+                r.label.c_str(), r.m, r.k, r.n, r.scalar_gflops,
+                r.tiled_gflops, r.speedup);
+    for (const auto& b : r.isas) {
+      std::printf("  %18s  %-10s  %7.2f GFLOP/s%s\n", "", b.isa.c_str(),
+                  b.gflops, b.bit_exact ? "" : "  BIT MISMATCH");
+      float_exact = float_exact && b.bit_exact;
+    }
+  }
   std::printf("  min speedup %.2fx, geomean %.2fx\n", min_speedup, geomean);
+  if (!float_exact) {
+    std::fprintf(stderr, "bench_kernels: a float GEMM body differs from the "
+                         "portable one\n");
+    return 1;
+  }
 
   // The int8 projections and FFN of the functional datapath (QuantizedLinear).
   std::vector<Int8Result> int8;
@@ -780,6 +836,16 @@ int main(int argc, char** argv) {
     json.Key("scalar_gflops").Value(r.scalar_gflops);
     json.Key("tiled_gflops").Value(r.tiled_gflops);
     json.Key("speedup").Value(r.speedup);
+    json.Key("isas");
+    json.BeginArray();
+    for (const auto& b : r.isas) {
+      json.BeginObject();
+      json.Key("isa").Value(b.isa);
+      json.Key("gflops").Value(b.gflops);
+      json.Key("bit_exact").Value(b.bit_exact);
+      json.EndObject();
+    }
+    json.EndArray();
     json.EndObject();
   }
   json.EndArray();

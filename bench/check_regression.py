@@ -219,6 +219,12 @@ BENCHES = [
         ("shapes[].scalar_gflops", NUM),
         ("shapes[].tiled_gflops", NUM),
         ("shapes[].speedup", NUM),
+        # Every float GEMM body the host runs must give the portable
+        # body's bits on every float shape.
+        ("shapes[].isas", length(1)),
+        ("shapes[].isas[].isa", STR),
+        ("shapes[].isas[].gflops", NUM),
+        ("shapes[].isas[].bit_exact", TRUE),
         ("min_speedup", NUM),
         ("geomean_speedup", NUM),
         ("int8_shapes", length(3)),

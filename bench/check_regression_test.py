@@ -145,6 +145,17 @@ class CheckRegressionTest(unittest.TestCase):
         self.assertViolation(result, "BENCH_kernels.json",
                              ".normal_isas[0].bit_exact", "== true")
 
+    def test_float_gemm_body_mismatch_fails(self):
+        def edit(doc):
+            doc["shapes"][2]["isas"][-1]["bit_exact"] = False
+
+        doc = self.mutate("BENCH_kernels.json", edit)
+        last = len(doc["shapes"][2]["isas"]) - 1
+        result = self.gate()
+        self.assertViolation(result, "BENCH_kernels.json",
+                             ".shapes[2].isas[%d].bit_exact" % last,
+                             "== true")
+
     def test_kernel_isa_stamp_is_reported_not_gated(self):
         self.mutate("BENCH_kernels.json",
                     lambda d: d["host"].update(kernel_arch="avx512vnni"))

@@ -16,62 +16,87 @@
 namespace latte {
 namespace {
 
-// Register-tile geometry: the portable kernel keeps a 4 x 8 tile in eight
-// named 128-bit vectors (GNU vector extensions, so they are
-// register-allocated on any ISA gcc/clang target); other compilers fall
-// back to a plain scalar tile.  The float GEMM has no wider variant: an
-// FMA micro-kernel would round differently from this one.
+// ----------------------------------------------------------- float GEMM --
+//
+// Every float body runs the same blocking and the same arithmetic: the
+// reduction is cut into K-tiles of kKc rows, and each output element is
+// reduced from zero over the rows of a K-tile in order, one rounded
+// multiply and one rounded add per row, before that partial sum is added
+// to C.  The bodies differ only in how many elements they reduce at once,
+// so every body gives the same bits.  This file is compiled with
+// -ffp-contract=off, so no body fuses a multiply-add, not even under
+// target("avx512f"), which has FMA.
+//
+// The portable body keeps a 4 x 8 register tile in eight named 128-bit
+// vectors (GNU vector extensions, so they are register-allocated on any
+// ISA gcc/clang target); other compilers fall back to a plain scalar tile.
+// The avx512f body keeps a 4 x 32 tile in eight zmm accumulators.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 8;
 
-// K-tile: one packed B panel is kKc x kNr floats (8 KiB),
-// L1-resident across the whole row sweep of an M-block.  M-block: the A
-// rows touched per panel sweep (kMc x kKc floats = 128 KiB), L2-resident.
+// K-tile: one packed B panel is kKc x nr floats (8 or 32 KiB), L1-resident
+// across the whole row sweep of an M-block.  M-block: the A rows touched
+// per panel sweep (kMc x kKc floats = 128 KiB), L2-resident.  kKc is part
+// of the result: it fixes where the partial sums are added to C.
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kMc = 128;
 
+// A body's panel sweep: adds the product of rows [0, mc) of A (kc columns
+// at a, rows lda apart) and one packed panel bp into the first nr columns
+// of the matching rows of C at c (rows ldc apart).
+using FloatSweep = void (*)(std::size_t mc, std::size_t kc, const float* a,
+                            std::size_t lda, const float* bp, float* c,
+                            std::size_t ldc, std::size_t nr);
+
+// One float GEMM body: its panel width in columns and its sweep.
+struct FloatBody {
+  std::size_t nr;
+  FloatSweep sweep;
+};
+
 // Packs the (kc x m) window of B starting at row `pc`, column `col0` into
-// kNr-wide column panels: panel jp holds window columns
-// [jp*kNr, jp*kNr + kNr), stored p-major so the micro-kernel streams it
-// contiguously.  The last panel is zero-padded to kNr columns; padded
+// nr-wide column panels: panel jp holds window columns
+// [jp*nr, jp*nr + nr), stored p-major so the micro-kernel streams it
+// contiguously.  The last panel is zero-padded to nr columns; padded
 // lanes contribute exact zeros to the accumulators, so the micro-kernel
 // never branches on a column tail.  Full GEMMs pack col0 = 0, m = cols();
 // the sharded column-slice GEMM packs a sub-window, which shifts panel
 // boundaries but not the per-element reduction order -- that is what
 // keeps column shards bit-exact against the monolithic product.
 void PackB(const MatrixF& b, std::size_t col0, std::size_t m, std::size_t pc,
-           std::size_t kc, float* dst) {
-  const std::size_t panels = (m + kNr - 1) / kNr;
+           std::size_t kc, std::size_t nr, float* dst) {
+  const std::size_t panels = (m + nr - 1) / nr;
   for (std::size_t jp = 0; jp < panels; ++jp) {
-    const std::size_t j0 = jp * kNr;
-    const std::size_t nr = std::min(kNr, m - j0);
-    float* out = dst + jp * kc * kNr;
+    const std::size_t j0 = jp * nr;
+    const std::size_t w = std::min(nr, m - j0);
+    float* out = dst + jp * kc * nr;
     for (std::size_t p = 0; p < kc; ++p) {
       const float* src = b.row(pc + p).data() + col0 + j0;
-      float* o = out + p * kNr;
-      for (std::size_t j = 0; j < nr; ++j) o[j] = src[j];
-      for (std::size_t j = nr; j < kNr; ++j) o[j] = 0.f;
+      float* o = out + p * nr;
+      for (std::size_t j = 0; j < w; ++j) o[j] = src[j];
+      for (std::size_t j = w; j < nr; ++j) o[j] = 0.f;
     }
   }
 }
 
 // Transpose-pack for the A * B^T orientation: output column j of the
-// product is row j of B, so panel jp gathers rows [jp*kNr, jp*kNr + kNr)
-// of B at reduction offset pc.  Same layout and padding as PackB, which is
+// product is row j of B, so panel jp gathers rows [jp*nr, jp*nr + nr) of
+// B at reduction offset pc.  Same layout and padding as PackB, which is
 // what lets both GEMM orientations share one micro-kernel.
-void PackBT(const MatrixF& b, std::size_t pc, std::size_t kc, float* dst) {
+void PackBT(const MatrixF& b, std::size_t pc, std::size_t kc, std::size_t nr,
+            float* dst) {
   const std::size_t m = b.rows();
-  const std::size_t panels = (m + kNr - 1) / kNr;
+  const std::size_t panels = (m + nr - 1) / nr;
   for (std::size_t jp = 0; jp < panels; ++jp) {
-    const std::size_t j0 = jp * kNr;
-    const std::size_t nr = std::min(kNr, m - j0);
-    float* out = dst + jp * kc * kNr;
-    for (std::size_t j = 0; j < nr; ++j) {
+    const std::size_t j0 = jp * nr;
+    const std::size_t w = std::min(nr, m - j0);
+    float* out = dst + jp * kc * nr;
+    for (std::size_t j = 0; j < w; ++j) {
       const float* src = b.row(j0 + j).data() + pc;
-      for (std::size_t p = 0; p < kc; ++p) out[p * kNr + j] = src[p];
+      for (std::size_t p = 0; p < kc; ++p) out[p * nr + j] = src[p];
     }
-    for (std::size_t j = nr; j < kNr; ++j) {
-      for (std::size_t p = 0; p < kc; ++p) out[p * kNr + j] = 0.f;
+    for (std::size_t j = w; j < nr; ++j) {
+      for (std::size_t p = 0; p < kc; ++p) out[p * nr + j] = 0.f;
     }
   }
 }
@@ -165,36 +190,144 @@ void MicroKernelTail(std::size_t mr, std::size_t kc, const float* a,
   }
 }
 
+void SweepPortable(std::size_t mc, std::size_t kc, const float* a,
+                   std::size_t lda, const float* bp, float* c,
+                   std::size_t ldc, std::size_t nr) {
+  std::size_t ir = 0;
+  for (; ir + kMr <= mc; ir += kMr) {
+    MicroKernelFull(kc, a + ir * lda, lda, bp, c + ir * ldc, ldc, nr);
+  }
+  if (ir < mc) {
+    MicroKernelTail(mc - ir, kc, a + ir * lda, lda, bp, c + ir * ldc, ldc, nr);
+  }
+}
+
+#if defined(LATTE_X86_DISPATCH)
+
+// The avx512f body: an Mr x 32 tile in 2 Mr zmm accumulators, each step
+// two panel loads and Mr broadcast activations, multiplied and then added
+// (the order the portable body rounds in).  Timed on a 4-core AVX-512
+// Xeon, 4 x 32 ran the probe's 24-column head slice (177 x 96 x 24) in
+// ~15.7 us against ~16.1 us for 8 x 16 and 8 x 32 and ~17.3 us for 4 x 16,
+// and the BERT-base shapes at 54-70 GFLOP/s, level with 6 x 32 and 8 x 32
+// and ahead of 4 x 16 (43-62).  A column tail is added into C through
+// masked loads and stores, which touch no element past the nr columns; a
+// row tail runs the same kernel with fewer rows.
+constexpr std::size_t kMrAvx512 = 4;
+constexpr std::size_t kLanesAvx512 = 16;
+constexpr std::size_t kNvAvx512 = 2;  // zmm vectors per tile row
+constexpr std::size_t kNrAvx512 = kNvAvx512 * kLanesAvx512;
+
+template <std::size_t Mr>
+__attribute__((target("avx512f"))) inline void TileAvx512(
+    std::size_t kc, const float* a, std::size_t lda, const float* bp,
+    float* c, std::size_t ldc, std::size_t nr) {
+  __m512 acc[Mr][kNvAvx512];
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < Mr; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < kNvAvx512; ++v) {
+      acc[i][v] = _mm512_setzero_ps();
+    }
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    __m512 b[kNvAvx512];
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < kNvAvx512; ++v) {
+      b[v] = _mm512_loadu_ps(bp + p * kNrAvx512 + v * kLanesAvx512);
+    }
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < Mr; ++i) {
+      const __m512 x = _mm512_set1_ps(a[i * lda + p]);
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < kNvAvx512; ++v) {
+        acc[i][v] = _mm512_add_ps(acc[i][v], _mm512_mul_ps(x, b[v]));
+      }
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t v = 0; v < kNvAvx512; ++v) {
+    const std::size_t j0 = v * kLanesAvx512;
+    if (nr <= j0) break;
+    const std::size_t w = std::min(kLanesAvx512, nr - j0);
+    const __mmask16 mask = static_cast<__mmask16>((1u << w) - 1);
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < Mr; ++i) {
+      float* ci = c + i * ldc + j0;
+      if (w == kLanesAvx512) {
+        _mm512_storeu_ps(ci, _mm512_add_ps(_mm512_loadu_ps(ci), acc[i][v]));
+      } else {
+        _mm512_mask_storeu_ps(ci, mask,
+                              _mm512_add_ps(_mm512_maskz_loadu_ps(mask, ci),
+                                            acc[i][v]));
+      }
+    }
+  }
+}
+
+__attribute__((target("avx512f"))) void SweepAvx512(
+    std::size_t mc, std::size_t kc, const float* a, std::size_t lda,
+    const float* bp, float* c, std::size_t ldc, std::size_t nr) {
+  std::size_t ir = 0;
+  for (; ir + kMrAvx512 <= mc; ir += kMrAvx512) {
+    TileAvx512<kMrAvx512>(kc, a + ir * lda, lda, bp, c + ir * ldc, ldc, nr);
+  }
+  a += ir * lda;
+  c += ir * ldc;
+  switch (mc - ir) {
+    case 3:
+      TileAvx512<3>(kc, a, lda, bp, c, ldc, nr);
+      break;
+    case 2:
+      TileAvx512<2>(kc, a, lda, bp, c, ldc, nr);
+      break;
+    case 1:
+      TileAvx512<1>(kc, a, lda, bp, c, ldc, nr);
+      break;
+    default:
+      break;
+  }
+}
+
+#endif
+
+// Indexed by ElementwiseIsa.
+const FloatBody kFloatBodies[] = {
+    {kNr, SweepPortable},
+#if defined(LATTE_X86_DISPATCH)
+    {kNrAvx512, SweepAvx512},
+#endif
+};
+
+const FloatBody& FloatBodyFor(ElementwiseIsa isa, const char* caller) {
+  CheckElementwiseIsa(isa, caller);
+  return kFloatBodies[static_cast<std::size_t>(isa)];
+}
+
 // Shared blocked driver.  `k` is the reduction extent, `m` the output
-// width; `pack` materializes the packed panels of the current K-tile.
+// width; `pack` materializes the current K-tile in the body's panels.
 template <typename PackFn>
-void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
-               GemmScratch& scratch, PackFn&& pack) {
+void TiledGemm(const FloatBody& body, const MatrixF& a, std::size_t k,
+               std::size_t m, MatrixF& c, GemmScratch& scratch,
+               PackFn&& pack) {
   const std::size_t n = a.rows();
   c.Resize(n, m);
   std::fill(c.flat().begin(), c.flat().end(), 0.f);
   if (n == 0 || m == 0 || k == 0) return;
 
-  const std::size_t panels = (m + kNr - 1) / kNr;
-  scratch.bpack.resize(panels * std::min(kKc, k) * kNr);
+  const std::size_t nr = body.nr;
+  const std::size_t panels = (m + nr - 1) / nr;
+  scratch.bpack.resize(panels * std::min(kKc, k) * nr);
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = std::min(kKc, k - pc);
-    pack(pc, kc, scratch.bpack.data());
+    pack(pc, kc, nr, scratch.bpack.data());
     for (std::size_t ic = 0; ic < n; ic += kMc) {
       const std::size_t mc = std::min(kMc, n - ic);
       for (std::size_t jp = 0; jp < panels; ++jp) {
-        const std::size_t j0 = jp * kNr;
-        const std::size_t nr = std::min(kNr, m - j0);
-        const float* bp = scratch.bpack.data() + jp * kc * kNr;
-        std::size_t ir = 0;
-        for (; ir + kMr <= mc; ir += kMr) {
-          MicroKernelFull(kc, a.row(ic + ir).data() + pc, a.cols(), bp,
-                          c.row(ic + ir).data() + j0, m, nr);
-        }
-        if (ir < mc) {
-          MicroKernelTail(mc - ir, kc, a.row(ic + ir).data() + pc, a.cols(),
-                          bp, c.row(ic + ir).data() + j0, m, nr);
-        }
+        const std::size_t j0 = jp * nr;
+        body.sweep(mc, kc, a.row(ic).data() + pc, a.cols(),
+                   scratch.bpack.data() + jp * kc * nr, c.row(ic).data() + j0,
+                   m, std::min(nr, m - j0));
       }
     }
   }
@@ -954,13 +1087,14 @@ void CheckElementwiseIsa(ElementwiseIsa isa, const char* caller) {
 }
 
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                GemmScratch& scratch) {
+                GemmScratch& scratch, ElementwiseIsa isa) {
+  const FloatBody& body = FloatBodyFor(isa, "MatMulInto");
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("MatMulInto: inner dimensions differ");
   }
-  TiledGemm(a, a.cols(), b.cols(), c, scratch,
-            [&b](std::size_t pc, std::size_t kc, float* dst) {
-              PackB(b, 0, b.cols(), pc, kc, dst);
+  TiledGemm(body, a, a.cols(), b.cols(), c, scratch,
+            [&b](std::size_t pc, std::size_t kc, std::size_t nr, float* dst) {
+              PackB(b, 0, b.cols(), pc, kc, nr, dst);
             });
 }
 
@@ -969,7 +1103,9 @@ void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c) {
 }
 
 void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
-                       std::size_t col1, MatrixF& c, GemmScratch& scratch) {
+                       std::size_t col1, MatrixF& c, GemmScratch& scratch,
+                       ElementwiseIsa isa) {
+  const FloatBody& body = FloatBodyFor(isa, "MatMulColumnsInto");
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("MatMulColumnsInto: inner dimensions differ");
   }
@@ -977,20 +1113,22 @@ void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
     throw std::invalid_argument("MatMulColumnsInto: column range out of bounds");
   }
   const std::size_t m = col1 - col0;
-  TiledGemm(a, a.cols(), m, c, scratch,
-            [&b, col0, m](std::size_t pc, std::size_t kc, float* dst) {
-              PackB(b, col0, m, pc, kc, dst);
-            });
+  auto pack = [&b, col0, m](std::size_t pc, std::size_t kc, std::size_t nr,
+                            float* dst) {
+    PackB(b, col0, m, pc, kc, nr, dst);
+  };
+  TiledGemm(body, a, a.cols(), m, c, scratch, pack);
 }
 
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                  GemmScratch& scratch) {
+                  GemmScratch& scratch, ElementwiseIsa isa) {
+  const FloatBody& body = FloatBodyFor(isa, "MatMulBTInto");
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("MatMulBTInto: inner dimensions differ");
   }
-  TiledGemm(a, a.cols(), b.rows(), c, scratch,
-            [&b](std::size_t pc, std::size_t kc, float* dst) {
-              PackBT(b, pc, kc, dst);
+  TiledGemm(body, a, a.cols(), b.rows(), c, scratch,
+            [&b](std::size_t pc, std::size_t kc, std::size_t nr, float* dst) {
+              PackBT(b, pc, kc, nr, dst);
             });
 }
 

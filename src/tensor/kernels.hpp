@@ -8,20 +8,27 @@
 // register-width panels (packed contiguously, zero-padded to the panel
 // width so the micro-kernel never branches on a column tail), and output
 // rows in register tiles.  The micro-kernel accumulates an MR x NR tile of
-// C entirely in registers.  The float kernels are portable: a 4 x 8 tile
-// held in GNU vector extensions, which auto-vectorizes on the baseline ISA
-// (a plain scalar tile remains for other compilers).  There is one build
-// and no wider float GEMM, because an FMA kernel would round differently.
+// C entirely in registers.  The float GEMM has two bodies: a portable 4 x 8
+// tile held in GNU vector extensions, which auto-vectorizes on the baseline
+// ISA (a plain scalar tile remains for other compilers), and a 4 x 32 tile
+// of zmm registers under target("avx512f") on 32-column panels.  Both
+// reduce each output element from zero over the rows of a K-tile, one
+// rounded multiply and one rounded add per row in the same order, then add
+// that partial sum to C; neither fuses a multiply-add (an FMA tile would
+// round differently), so MatMulInto, MatMulColumnsInto and MatMulBTInto
+// give the same bits on every host.
 //
-// The elementwise float ops are the exception: GELU, quantize, the int8
+// The elementwise float ops follow the same rule: GELU, quantize, the int8
 // linear layer's dequant epilogue and the request-embedding normal
 // generator (workload/synthetic) each have one lane-generic body
 // (tensor/lanes.hpp), run four lanes wide on every host and sixteen wide
 // under target("avx512f") when the CPU has AVX-512F (ElementwiseIsas).
 // Each lane does one element's scalar arithmetic in the same order, and
-// the files that hold these bodies are compiled with -ffp-contract=off, so
-// no width fuses a multiply-add: every body gives the same bits.  The body
-// is picked once, by the same run-time CPU check as the int8 kernel.
+// the files that hold these bodies and the float GEMM are compiled with
+// -ffp-contract=off, so no width fuses a multiply-add: every body gives
+// the same bits.  The float GEMM and elementwise body is picked once, by
+// the same run-time CPU check as the int8 kernel, and `elementwise_arch`
+// in BENCH_kernels.json names it.
 //
 // The int8 GEMM runs the same blocking on integer multiply-add, over W
 // packed into one of two int8 panel layouts.  The K-pair layout stores
@@ -133,10 +140,11 @@ const char* KernelArchName();
 /// "avx512vnni" as the CPU supports them.  Int8GemmInto runs the last.
 std::vector<const char*> Int8GemmIsas();
 
-/// The elementwise float bodies: GELU (GeluInPlace), quantize (Quantize,
-/// QuantizeInto), the int8 linear layer's dequant epilogue
-/// (DequantizeInto) and the request-embedding normals
-/// (MakeInputEmbedding).  Narrowest first; every body gives the same bits.
+/// The float bodies: the float GEMM (MatMulInto, MatMulColumnsInto,
+/// MatMulBTInto), GELU (GeluInPlace), quantize (Quantize, QuantizeInto),
+/// the int8 linear layer's dequant epilogue (DequantizeInto) and the
+/// request-embedding normals (MakeInputEmbedding).  Narrowest first; every
+/// body gives the same bits.
 enum class ElementwiseIsa {
   kPortable,  ///< four lanes on the baseline ISA (GNU vectors), every host
   kAvx512f,   ///< sixteen lanes under target("avx512f"), x86 only
@@ -152,11 +160,13 @@ const std::vector<ElementwiseIsa>& ElementwiseIsas();
 /// The body the library runs: the last of ElementwiseIsas(), picked once.
 ElementwiseIsa DispatchedElementwiseIsa();
 
-/// C = A * B.  A is (n x k), B is (k x m); c is resized to (n x m) and
-/// fully overwritten.  Throws on shape mismatch.  `c` must not alias `a`
-/// or `b`.
+/// C = A * B on float body `isa` (the dispatched one by default; every
+/// body gives the same bits).  A is (n x k), B is (k x m); c is resized to
+/// (n x m) and fully overwritten.  Throws on shape mismatch and for an
+/// `isa` this host cannot run.  `c` must not alias `a` or `b`.
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                GemmScratch& scratch);
+                GemmScratch& scratch,
+                ElementwiseIsa isa = DispatchedElementwiseIsa());
 
 /// As above with an internal thread-local scratch (thin-shim convenience
 /// for call sites that have no Workspace).
@@ -168,15 +178,19 @@ void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c);
 /// output element is reduced in exactly the K-tile order of the full GEMM
 /// (packing a column window shifts panel boundaries, never the reduction
 /// order), so the result is bit-identical to the corresponding columns of
-/// MatMulInto.  Throws on shape mismatch or an out-of-range column window.
+/// MatMulInto, on any body.  Throws on shape mismatch, an out-of-range
+/// column window or an `isa` this host cannot run.
 void MatMulColumnsInto(const MatrixF& a, const MatrixF& b, std::size_t col0,
-                       std::size_t col1, MatrixF& c, GemmScratch& scratch);
+                       std::size_t col1, MatrixF& c, GemmScratch& scratch,
+                       ElementwiseIsa isa = DispatchedElementwiseIsa());
 
 /// C = A * B^T.  A is (n x d), B is (m x d); c is resized to (n x m) and
 /// fully overwritten.  The natural layout for attention scores S = Q K^T.
-/// Throws on shape mismatch.  `c` must not alias `a` or `b`.
+/// Runs on float body `isa`, as MatMulInto.  Throws on shape mismatch and
+/// for an `isa` this host cannot run.  `c` must not alias `a` or `b`.
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                  GemmScratch& scratch);
+                  GemmScratch& scratch,
+                  ElementwiseIsa isa = DispatchedElementwiseIsa());
 
 /// As above with an internal thread-local scratch.
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c);

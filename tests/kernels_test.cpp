@@ -4,13 +4,14 @@
 // are not multiples of any tile extent), the int8 kernel must be exact on
 // every micro-kernel variant, per call and on weights packed once, and
 // reused scratch must never change results or keep allocating.  The
-// elementwise bodies (GELU, quantize, the int8 dequant epilogue) must give
-// the portable four-lane body's bits on every width this host runs.
+// elementwise bodies (GELU, quantize, the int8 dequant epilogue) and the
+// float GEMM bodies must give the portable body's bits on every width this
+// host runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
-
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -124,6 +125,12 @@ TEST_P(GemmShapeTest, TiledMatchesReference) {
   MatMulInto(a, b, c2, scratch);  // caller scratch
   ExpectNearRel(c2, want, 1e-4f);
   EXPECT_EQ(c, c2) << "scratch choice must not change bits";
+
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixF forced;
+    MatMulInto(a, b, forced, scratch, isa);
+    ExpectNearRel(forced, want, 1e-4f);
+  }
 }
 
 TEST_P(GemmShapeTest, TiledBTMatchesReference) {
@@ -140,6 +147,12 @@ TEST_P(GemmShapeTest, TiledBTMatchesReference) {
   MatMulBTInto(a, b, c, scratch);
   ExpectNearRel(c, want, 1e-4f);
   EXPECT_EQ(c, MatMulBT(a, b)) << "scratch choice must not change bits";
+
+  for (const ElementwiseIsa isa : ElementwiseIsas()) {
+    MatrixF forced;
+    MatMulBTInto(a, b, forced, scratch, isa);
+    ExpectNearRel(forced, want, 1e-4f);
+  }
 }
 
 TEST_P(GemmShapeTest, SkipZerosMatchesReference) {
@@ -454,6 +467,11 @@ TEST(ElementwiseTest, HostListsPortableFirstAndRunsTheLast) {
     MatrixF m(1, 3);
     EXPECT_THROW(GeluInPlace(m, ElementwiseIsa::kAvx512f),
                  std::invalid_argument);
+    GemmScratch scratch;
+    MatrixF c;
+    EXPECT_THROW(MatMulInto(m, MatrixF(3, 2), c, scratch,
+                            ElementwiseIsa::kAvx512f),
+                 std::invalid_argument);
   }
 }
 
@@ -620,6 +638,79 @@ TEST(ElementwiseTest, DequantizeMatchesTheTwoPassEpilogue) {
     const std::vector<float> short_bias(acc.cols() - 1);
     EXPECT_THROW(DequantizeInto(acc, scale, short_bias, out, isa),
                  std::invalid_argument);
+  }
+}
+
+// The leading rows x cols block of m.
+MatrixF Block(const MatrixF& m, std::size_t rows, std::size_t cols) {
+  MatrixF out(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::copy_n(m.row(i).begin(), cols, out.row(i).begin());
+  }
+  return out;
+}
+
+void ExpectSameBits(const MatrixF& got, const MatrixF& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(Bits(got.flat()[i]), Bits(want.flat()[i]))
+        << what << ", flat index " << i;
+  }
+}
+
+TEST(FloatGemmTest, BodiesMatchPortableBitForBit) {
+  // Rows 1..9, 127 and 129 leave every row tail of a 4-row tile after
+  // zero to many full tiles; columns 1..17, 24, 31..33, 127 and 129 put
+  // every column tail on the 8-, 16- and 32-column panels, and the column
+  // windows start on and off a 16-column boundary; k runs either side of
+  // the 256-row K-tile, past two of them at 513.  Every entry point, per
+  // call, on every wider body this host runs.
+  const auto wide = WideBodies();
+  if (wide.empty()) GTEST_SKIP() << kNoWideBody;
+  std::vector<std::size_t> cols;
+  for (std::size_t m = 1; m <= 17; ++m) cols.push_back(m);
+  for (std::size_t m : {24u, 31u, 32u, 33u, 127u, 129u}) cols.push_back(m);
+  constexpr std::size_t kMaxRows = 129, kMaxCols = 129;
+  const std::size_t col0s[] = {0, 5, 16, 19};
+  Rng rng(2040);
+  GemmScratch scratch;
+  for (std::size_t k : {1u, 255u, 256u, 257u, 300u, 513u}) {
+    const MatrixF a_all = rng.NormalMatrix(kMaxRows, k, 0.0, 1.0);
+    const MatrixF b_all = rng.NormalMatrix(k, kMaxCols + 19, 0.0, 1.0);
+    const MatrixF bt_all = rng.NormalMatrix(kMaxCols, k, 0.0, 1.0);
+    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 127u, 129u}) {
+      const MatrixF a = Block(a_all, n, k);
+      for (const std::size_t m : cols) {
+        std::string shape = " n=" + std::to_string(n);
+        shape += " k=" + std::to_string(k) + " m=" + std::to_string(m);
+        const MatrixF b = Block(b_all, k, m);
+        const MatrixF bt = Block(bt_all, m, k);
+        MatrixF want, want_bt, got;
+        MatMulInto(a, b, want, scratch, ElementwiseIsa::kPortable);
+        MatMulBTInto(a, bt, want_bt, scratch, ElementwiseIsa::kPortable);
+        std::vector<MatrixF> want_cols(std::size(col0s));
+        for (std::size_t w = 0; w < std::size(col0s); ++w) {
+          MatMulColumnsInto(a, b_all, col0s[w], col0s[w] + m, want_cols[w],
+                            scratch, ElementwiseIsa::kPortable);
+        }
+        for (const ElementwiseIsa isa : wide) {
+          const std::string name = ElementwiseIsaName(isa);
+          MatMulInto(a, b, got, scratch, isa);
+          ExpectSameBits(got, want, name + " MatMulInto" + shape);
+          MatMulBTInto(a, bt, got, scratch, isa);
+          ExpectSameBits(got, want_bt, name + " MatMulBTInto" + shape);
+          for (std::size_t w = 0; w < std::size(col0s); ++w) {
+            MatMulColumnsInto(a, b_all, col0s[w], col0s[w] + m, got, scratch,
+                              isa);
+            const std::string window = " col0=" + std::to_string(col0s[w]);
+            ExpectSameBits(got, want_cols[w],
+                           name + " MatMulColumnsInto" + window + shape);
+          }
+        }
+      }
+    }
   }
 }
 
